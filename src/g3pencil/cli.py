@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         args.sign = _sign_value(args.sign)
     try:
         return args.func(args)
-    except G3PencilError as exc:
+    except Exception as exc:  # G3PencilError or not: one line, never a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

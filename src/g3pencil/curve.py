@@ -264,10 +264,9 @@ def sample_s_values(
 ) -> list[float]:
     """n parameter values spread over the usable sub-intervals.
 
-    Points are allocated to each sub-interval in proportion to its length
-    and placed uniformly inside it (endpoints included).  ``inset`` shrinks
-    every interval at both ends, which keeps finite difference stencils
-    inside the usable region.
+    Points are allocated as :func:`spread_s_values` does.  ``inset``
+    shrinks every interval at both ends, which keeps finite difference
+    stencils inside the usable region.
     """
     intervals = usable_s_intervals(
         curve, s_min, s_max, min_kappa=min_kappa, extra_check=extra_check
@@ -275,6 +274,16 @@ def sample_s_values(
     intervals = [(a + inset, b - inset) for a, b in intervals if b - a > 2.0 * inset]
     if not intervals:
         raise CurvatureVanishes(s_min, 0.0)
+    return spread_s_values(intervals, n)
+
+
+def spread_s_values(intervals: list[tuple[float, float]], n: int) -> list[float]:
+    """n parameter values over disjoint intervals, in order.
+
+    Each interval gets a share of the points in proportion to its length,
+    at least two while enough remain, placed uniformly inside it with both
+    endpoints included; an interval left with one point gets its midpoint.
+    """
     total = sum(b - a for a, b in intervals)
     values: list[float] = []
     remaining = n

@@ -18,6 +18,10 @@ class ZeroVector(G3PencilError):
     """Normalization of a vector whose norm is numerically zero."""
 
 
+class GridTooCoarse(G3PencilError):
+    """A surface grid has fewer rows than two per usable s interval."""
+
+
 class ParseError(G3PencilError):
     """Expression text could not be parsed.
 

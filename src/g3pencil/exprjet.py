@@ -27,9 +27,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DomainError, ParseError
+from .g3core import G3Vector
 
 FUNCTIONS = (
     "sin",
@@ -341,6 +342,14 @@ def eval_expr(expr: Expr, s: float, v: float) -> float:
         raise _fail(expr, str(exc)) from exc
 
 
+def _exp(x: float) -> float:
+    """math.exp with overflow to +inf, as IEEE arithmetic would give."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _call_value(node: Call, u: float) -> float:
     f = node.func
     if f == "sin":
@@ -354,10 +363,7 @@ def _call_value(node: Call, u: float) -> float:
     if f == "cosh":
         return math.cosh(u)
     if f == "exp":
-        try:
-            return math.exp(u)
-        except OverflowError:
-            return math.inf
+        return _exp(u)
     if f == "ln":
         if u <= 0.0:
             raise _fail(node, "log of a non-positive value")
@@ -446,10 +452,7 @@ def _call_jet(node: Call, u: Jet3) -> Jet3:
         sh, ch = math.sinh(x), math.cosh(x)
         return _compose(u, ch, sh, ch, sh)
     if f == "exp":
-        try:
-            e = math.exp(x)
-        except OverflowError:
-            e = math.inf
+        e = _exp(x)
         return _compose(u, e, e, e, e)
     if f == "ln":
         if x <= 0.0:
@@ -563,45 +566,216 @@ def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
 # Compilation (fast path for dense grids; same operations, same order)
 # ---------------------------------------------------------------------------
 
-_COMPILE_ENV = {
-    "__builtins__": {},
-    "abs": abs,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-}
+# Dependency levels: the set of variables a subtree reads, as bits.
+_CONST, _S, _V, _SV = 0, 1, 2, 3
+
+# What generated code raises where the tree evaluator raises DomainError
+# (or lets a math error through); compiled functions re-raise these as
+# DomainError.
+_ARITHMETIC = (ValueError, ZeroDivisionError, OverflowError)
+
+_NONFINITE_NAMES = {"inf": "_inf", "-inf": "_neg_inf", "nan": "_nan"}
 
 
-def _py_source(expr: Expr) -> str:
-    if isinstance(expr, Num):
-        return f"({expr.value!r})"
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{_py_source(expr.arg)})"
-    if isinstance(expr, Call):
-        return f"{expr.func}({_py_source(expr.arg)})"
-    op = "**" if expr.op == "^" else expr.op
-    return f"({_py_source(expr.left)}{op}{_py_source(expr.right)})"
+def _fold(expr: Expr) -> float:
+    """Value of a constant subtree, computed by the tree evaluator."""
+    try:
+        return eval_expr(expr, 0.0, 0.0)
+    except _ARITHMETIC as exc:
+        raise _fail(expr, str(exc)) from exc
+
+
+class _Emitter:
+    """Straight-line Python statements for one or more expression trees.
+
+    Every distinct subtree becomes one statement, so structurally equal
+    subtrees, also across trees, are computed once.  Constant subtrees are
+    evaluated here with :func:`eval_expr` and inlined.  Every other
+    statement is filed under the variables it reads, so that s-only work
+    can be hoisted out of a loop over v and v-only work out of a loop over
+    s.  Each statement performs the operation :func:`eval_expr` performs
+    at that node, so values agree bitwise; fractional powers keep its
+    negative-base check.
+    """
+
+    def __init__(self) -> None:
+        self.lines: dict[int, list[str]] = {_S: [], _V: [], _SV: []}
+        self.carried: list[str] = []  # v-level names read by s-and-v statements
+        self.env: dict[str, object] = {
+            "__builtins__": {},
+            "abs": abs,
+            "sin": math.sin,
+            "cos": math.cos,
+            "tan": math.tan,
+            "sinh": math.sinh,
+            "cosh": math.cosh,
+            "exp": _exp,
+            "ln": math.log,
+            "sqrt": math.sqrt,
+            "fresnelS": fresnel_s,
+            "fresnelC": fresnel_c,
+            "_ARITHMETIC": _ARITHMETIC,
+            "_DomainError": DomainError,
+        }
+        self._names: dict[tuple, tuple[str, int]] = {}
+
+    def _constant(self, value: float) -> str:
+        text = repr(value)
+        if text in _NONFINITE_NAMES:
+            name = _NONFINITE_NAMES[text]
+            self.env[name] = value
+            return name
+        return f"({text})" if text.startswith("-") else text
+
+    def emit(self, expr: Expr) -> tuple[str, int]:
+        """Operand text holding the value of expr, and its level."""
+        if isinstance(expr, Num):
+            return self._constant(expr.value), _CONST
+        if isinstance(expr, Var):
+            return expr.name, _S if expr.name == "s" else _V
+        if isinstance(expr, (Neg, Call)):
+            arg, level = self.emit(expr.arg)
+            operands = [(arg, level)]
+            if isinstance(expr, Neg):
+                key, text = ("-", arg), f"-{arg}"
+            else:
+                key, text = (expr.func, arg), f"{expr.func}({arg})"
+        else:
+            left, left_level = self.emit(expr.left)
+            right, right_level = self.emit(expr.right)
+            operands = [(left, left_level), (right, right_level)]
+            level = left_level | right_level
+            op = "**" if expr.op == "^" else expr.op
+            key, text = (op, left, right), f"{left} {op} {right}"
+        if level == _CONST:
+            return self._constant(_fold(expr)), _CONST
+        if key in self._names:
+            return self._names[key]
+        name = f"_{'_svw'[level]}{len(self._names)}"
+        lines = self.lines[level]
+        if (
+            isinstance(expr, BinOp)
+            and expr.op == "^"
+            and (right_level != _CONST or not float(_fold(expr.right)).is_integer())
+        ):
+            # Python returns a complex number here, where eval_expr refuses.
+            # The grammar keeps exponents constant; any other is checked as
+            # a fractional one.
+            message = str(_fail(expr, "fractional power of a negative base"))
+            lines.append(f"if {left} < 0.0: raise _DomainError({message!r})")
+        lines.append(f"{name} = {text}")
+        if level == _SV:
+            for operand, operand_level in operands:
+                if operand_level == _V:
+                    self.carry(operand)
+        self._names[key] = (name, level)
+        return name, level
+
+    def carry(self, name: str) -> None:
+        """Mark a v-level name as needed inside a loop over v."""
+        if name != "v" and name not in self.carried:
+            self.carried.append(name)
+
+    def define(self, source: str, name: str):
+        """Execute generated source in this emitter's namespace."""
+        exec(compile(source, f"<g3pencil {name}>", "exec"), self.env)
+        return self.env[name]
+
+
+def _block(lines: list[str], depth: int) -> str:
+    pad = "    " * depth
+    return "".join(f"{pad}{line}\n" for line in lines)
 
 
 def compile_expr(expr: Expr) -> Callable[[float, float], float]:
     """Compile a tree to a Python callable f(s, v).
 
-    The generated code mirrors the tree node for node, so values agree
-    bitwise with :func:`eval_expr`.  Domain violations surface as the
-    underlying ValueError or ZeroDivisionError instead of DomainError; use
-    this only on inputs that evaluation has already validated.
+    The generated code performs the tree's operations in the tree's order,
+    so values agree bitwise with :func:`eval_expr`, and it fails where the
+    tree evaluator fails, with DomainError.  A constant subtree outside its
+    domain raises DomainError here, at compile time.
     """
-    env = dict(_COMPILE_ENV)
-    env["fresnelS"] = fresnel_s
-    env["fresnelC"] = fresnel_c
-    return eval(f"lambda s, v: {_py_source(expr)}", env)
+    em = _Emitter()
+    root, _ = em.emit(expr)
+    body = em.lines[_S] + em.lines[_V] + em.lines[_SV] + [f"return {root}"]
+    source = (
+        "def _compiled(s, v):\n"
+        "    try:\n"
+        + _block(body, 2)
+        + "    except _ARITHMETIC as exc:\n"
+        "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
+    )
+    return em.define(source, "_compiled")
+
+
+def compile_surface_rows(
+    alpha: Expr, beta: Expr, gamma: Expr, v_values: Sequence[float]
+) -> Callable[[float, G3Vector, object], list[G3Vector]]:
+    """Compile the points base + alpha t + beta n + gamma b of one grid row.
+
+    Returns ``row(s, base, frame)``, which gives the points at (s, v) for
+    every v in ``v_values``, in order; ``frame`` supplies the vectors
+    ``t``, ``n`` and ``b``.  Each point equals bitwise
+    ``combine_on_frame(base, frame, a, b, g)`` with a, b, g from
+    :func:`eval_expr`.  The three trees share one emitter, so common
+    subtrees are computed once; constant subtrees are computed here,
+    v-only subtrees once per column (here, for all rows), s-only subtrees
+    once per row, and only the rest once per point.
+
+    Raises DomainError where :func:`eval_expr` would fail and for points
+    that are not finite.
+    """
+    em = _Emitter()
+    roots = [em.emit(tree) for tree in (alpha, beta, gamma)]
+    for name, level in roots:
+        if level == _V:
+            em.carry(name)
+    a, b, g = (name for name, _ in roots)
+    # x - x is 0.0 exactly when x is finite, and nan otherwise
+    point = [
+        f"x = px + {a} * tx + {b} * nx + {g} * bx",
+        f"y = py + {a} * ty + {b} * ny + {g} * by",
+        f"z = pz + {a} * tz + {b} * nz + {g} * bz",
+        "if x - x or y - y or z - z:",
+        "    raise _DomainError(f'non-finite surface point ({x!r}, {y!r}, {z!r})"
+        " at s = {s!r}, v = {v!r}')",
+        "append(G3(x, y, z))",
+    ]
+    column = ", ".join(["v", *em.carried]) + ","
+    source = (
+        "def _columns(v_values):\n"
+        "    columns = []\n"
+        "    v = None\n"
+        "    try:\n"
+        "        for v in v_values:\n"
+        + _block(em.lines[_V], 3)
+        + f"            columns.append(({column}))\n"
+        "    except _ARITHMETIC as exc:\n"
+        "        raise _DomainError(f'{exc} at v = {v!r}') from exc\n"
+        "    return columns\n"
+        "\n"
+        "def _row(s, base, frame):\n"
+        "    px, py, pz = base.x, base.y, base.z\n"
+        "    t, n, b = frame.t, frame.n, frame.b\n"
+        "    tx, ty, tz = t.x, t.y, t.z\n"
+        "    nx, ny, nz = n.x, n.y, n.z\n"
+        "    bx, by, bz = b.x, b.y, b.z\n"
+        "    out = []\n"
+        "    append = out.append\n"
+        "    G3 = _G3Vector\n"
+        "    v = None\n"
+        "    try:\n"
+        + _block(em.lines[_S], 2)
+        + f"        for {column} in _cols:\n"
+        + _block(em.lines[_SV] + point, 3)
+        + "    except _ARITHMETIC as exc:\n"
+        "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
+        "    return out\n"
+    )
+    em.env["_G3Vector"] = G3Vector
+    row = em.define(source, "_row")
+    em.env["_cols"] = em.env["_columns"](v_values)
+    return row
 
 
 # ---------------------------------------------------------------------------

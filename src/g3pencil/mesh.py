@@ -2,22 +2,23 @@
 
 Vertices are stored row major in s-major order (all v values of the first
 s row, then the next row).  Output bytes depend only on the configuration,
-never on worker count or timing: every sample is computed independently
-and assembled in index order.  Signed zeros serialize as "0".
+never on worker count or timing: rows are computed one after another by a
+compiled row kernel and written row by row in index order.  Signed zeros
+serialize as "0".
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 from .config import PencilConfig, realize
-from .curve import frenet, point, usable_s_intervals
-from .errors import ZeroVector
-from .exprjet import compile_expr
+from .curve import frenet, point, spread_s_values, usable_s_intervals
+from .errors import GridTooCoarse, ZeroVector
+from .exprjet import compile_surface_rows
 from .g3core import G3Vector, normalize_isotropic
-from .pencil import PencilSpec, combine_on_frame, surface_normal
+from .pencil import PencilSpec, surface_normal
 
 
 @dataclass
@@ -36,42 +37,6 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _grid_s_values(pencil: PencilSpec, ns: int, min_kappa: float | None) -> list[float]:
-    d = pencil.domain
-    v_mid = 0.5 * (d.v_min + d.v_max)
-
-    def probe(s: float) -> None:
-        # Surface expressions must evaluate across the v range; probing the
-        # midline and the far edge catches domain gaps such as square roots
-        # going negative.
-        pencil.point(s, v_mid)
-        pencil.point(s, d.v_max)
-
-    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
-    intervals = usable_s_intervals(pencil.curve, d.s_min, d.s_max, extra_check=probe, **kwargs)
-    if intervals != [(d.s_min, d.s_max)]:
-        warnings.warn(
-            "grid re-spans usable sub-intervals "
-            + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in intervals)
-            + " (guard bands excised)",
-            stacklevel=2,
-        )
-    if not intervals:
-        raise ZeroVector("no usable s interval in the requested domain")
-    total = sum(b - a for a, b in intervals)
-    values: list[float] = []
-    remaining = ns
-    for idx, (a, b) in enumerate(intervals):
-        if idx == len(intervals) - 1:
-            count = remaining
-        else:
-            count = max(2, round(ns * (b - a) / total))
-            count = min(count, remaining - 2 * (len(intervals) - idx - 1))
-        remaining -= count
-        values.extend(a + (b - a) * i / (count - 1) for i in range(count))
-    return values
-
-
 def mesh_from_pencil(
     pencil: PencilSpec,
     ns: int,
@@ -84,55 +49,63 @@ def mesh_from_pencil(
     """Sample the surface on a uniform grid.
 
     The s grid respects guard bands around frame singularities and
-    expression domain gaps (with a warning when anything is excised); the
-    v grid spans [v_min, v_max] uniformly.  All rows are computed with
-    compiled marching-scale functions and assembled in index order, so the
-    result is identical for any worker count.
+    expression domain gaps (with a warning when anything is excised) and
+    gives every usable interval at least two rows; the v grid spans
+    [v_min, v_max] uniformly.  Each row takes one frame and one curve
+    point and runs the pencil's compiled row kernel.  ``workers`` is
+    accepted and ignored: the kernel is Python code holding the
+    interpreter lock, so threads only added overhead, and the result is
+    the same for any value.
     """
-    d = pencil.domain
-    s_values = _grid_s_values(pencil, ns, min_kappa)
-    v_values = [d.v_min + (d.v_max - d.v_min) * j / (nv - 1) for j in range(nv)]
+    curve = pencil.curve
     ms = pencil.marching
-    f_alpha = compile_expr(ms.alpha)
-    f_beta = compile_expr(ms.beta)
-    f_gamma = compile_expr(ms.gamma)
+    d = pencil.domain
+    v_mid = 0.5 * (d.v_min + d.v_max)
 
-    def build_row(i: int) -> tuple[list[G3Vector], list[G3Vector | None]]:
-        s = s_values[i]
-        fr = frenet(pencil.curve, s)
-        base = point(pencil.curve, s)
-        row = [
-            combine_on_frame(base, fr, f_alpha(s, v), f_beta(s, v), f_gamma(s, v))
-            for v in v_values
-        ]
-        nrow: list[G3Vector | None] = []
-        if with_normals:
-            for v in v_values:
-                eta = surface_normal(pencil.curve, ms, s, v, frame=fr)
-                try:
-                    nrow.append(normalize_isotropic(eta))
-                except ZeroVector:
-                    nrow.append(None)
-        return row, nrow
+    def probe(s: float) -> None:
+        # Surface expressions must evaluate across the v range; probing the
+        # midline and the far edge catches domain gaps such as square roots
+        # going negative.
+        pencil.point(s, v_mid)
+        pencil.point(s, d.v_max)
 
-    indices = range(len(s_values))
-    if workers <= 1:
-        rows = [build_row(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(build_row, indices))
+    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
+    intervals = usable_s_intervals(curve, d.s_min, d.s_max, extra_check=probe, **kwargs)
+    if intervals != [(d.s_min, d.s_max)]:
+        warnings.warn(
+            "grid re-spans usable sub-intervals "
+            + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in intervals)
+            + " (guard bands excised)",
+            stacklevel=2,
+        )
+    if not intervals:
+        raise ZeroVector("no usable s interval in the requested domain")
+    if ns < 2 * len(intervals):
+        raise GridTooCoarse(
+            f"{ns} rows cannot give each of the {len(intervals)} usable s intervals two rows"
+        )
+    s_values = spread_s_values(intervals, ns)
+    v_values = [d.v_min + (d.v_max - d.v_min) * j / (nv - 1) for j in range(nv)]
+    row_points = compile_surface_rows(ms.alpha, ms.beta, ms.gamma, v_values)
     vertices: list[G3Vector] = []
-    normals: list[G3Vector | None] = []
-    for row, nrow in rows:
-        vertices.extend(row)
-        normals.extend(nrow)
+    normals: list[G3Vector | None] | None = [] if with_normals else None
+    for s in s_values:
+        fr = frenet(curve, s)
+        vertices += row_points(s, point(curve, s), fr)
+        if normals is not None:
+            for v in v_values:
+                eta = surface_normal(curve, ms, s, v, frame=fr)
+                try:
+                    normals.append(normalize_isotropic(eta))
+                except ZeroVector:
+                    normals.append(None)
     return Mesh(
         ns=len(s_values),
         nv=nv,
         s_values=s_values,
         v_values=v_values,
         vertices=vertices,
-        normals=normals if with_normals else None,
+        normals=normals,
     )
 
 
@@ -155,56 +128,71 @@ def sample_grid(
     )
 
 
+def _coords(points: list[G3Vector]) -> tuple[float, ...]:
+    # x + 0.0 turns -0.0 into 0.0 and leaves every other value unchanged
+    return tuple([c + 0.0 for p in points for c in (p.x, p.y, p.z)])
+
+
+_V_RECORD = "v %.17g %.17g %.17g\n"
+_VN_RECORD = "vn %.17g %.17g %.17g\n"
+_VN_DEGENERATE = "vn 0 0 0\n"
+
+
 def export_obj(mesh: Mesh, path: str) -> None:
     """Wavefront OBJ: v records in row-major order, quads split in two.
 
     Each grid cell emits the lower-left triangle first, then the upper
     right, with consistent winding.  When normals are present they are
     written as vn records (degenerate ones as "vn 0 0 0") and faces index
-    them alongside the vertices.
+    them alongside the vertices.  Records are written one grid row at a
+    time.
     """
     if not mesh.vertices:
         raise ValueError("refusing to export an empty mesh")
-    lines: list[str] = []
-    for p in mesh.vertices:
-        lines.append(f"v {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.z)}")
+    nv = mesh.nv
     has_normals = mesh.normals is not None
     if has_normals:
-        for q in mesh.normals:
-            if q is None:
-                lines.append("vn 0 0 0")
-            else:
-                lines.append(f"vn {_fmt(q.x)} {_fmt(q.y)} {_fmt(q.z)}")
-    nv = mesh.nv
-    for i in range(mesh.ns - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = (i + 1) * nv + j + 1
-            c = (i + 1) * nv + j + 2
-            d = i * nv + j + 2
+        faces = "f %d//%d %d//%d %d//%d\nf %d//%d %d//%d %d//%d\n" * (nv - 1)
+    else:
+        faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for i in range(0, len(mesh.vertices), nv):
+            row = mesh.vertices[i : i + nv]
+            fh.write(_V_RECORD * len(row) % _coords(row))
+        if has_normals:
+            for i in range(0, len(mesh.normals), nv):
+                row = mesh.normals[i : i + nv]
+                records = "".join(_VN_DEGENERATE if q is None else _VN_RECORD for q in row)
+                fh.write(records % _coords([q for q in row if q is not None]))
+        for i in range(mesh.ns - 1):
+            # cell j of row i: a = i*nv + j + 1, b = a + nv, c = b + 1, d = a + 1
+            a = range(i * nv + 1, (i + 1) * nv)
+            b = range((i + 1) * nv + 1, (i + 2) * nv)
+            c = range((i + 1) * nv + 2, (i + 2) * nv + 1)
+            d = range(i * nv + 2, (i + 1) * nv + 1)
             if has_normals:
-                lines.append(f"f {a}//{a} {b}//{b} {d}//{d}")
-                lines.append(f"f {b}//{b} {c}//{c} {d}//{d}")
+                cells = zip(a, a, b, b, d, d, b, b, c, c, d, d)
             else:
-                lines.append(f"f {a} {b} {d}")
-                lines.append(f"f {b} {c} {d}")
-    data = "\n".join(lines) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(data.encode("ascii"))
+                cells = zip(a, b, d, b, c, d)
+            fh.write(faces % tuple(chain.from_iterable(cells)))
 
 
 def export_csv(mesh: Mesh, path: str) -> None:
-    """CSV with header s,v,x,y,z; one row per vertex, 17 significant digits."""
+    """CSV with header s,v,x,y,z; one row per vertex, 17 significant digits.
+
+    Records are written one grid row at a time; each s and v value is
+    formatted once.
+    """
     if not mesh.vertices:
         raise ValueError("refusing to export an empty mesh")
-    lines = ["s,v,x,y,z"]
-    for i, s in enumerate(mesh.s_values):
-        for j, v in enumerate(mesh.v_values):
-            p = mesh.vertices[i * mesh.nv + j]
-            lines.append(f"{_fmt(s)},{_fmt(v)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
-    data = "\n".join(lines) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(data.encode("ascii"))
+    nv = mesh.nv
+    columns = [f",{_fmt(v)},%.17g,%.17g,%.17g\n" for v in mesh.v_values]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("s,v,x,y,z\n")
+        for i, s in enumerate(mesh.s_values):
+            s_text = _fmt(s)
+            records = s_text + s_text.join(columns)
+            fh.write(records % _coords(mesh.vertices[i * nv : (i + 1) * nv]))
 
 
 def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:

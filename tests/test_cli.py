@@ -155,3 +155,42 @@ def test_module_entrypoint_smoke(tmp_path):
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["mean_lambda"] == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
+
+
+def test_overflowing_direct_scale_exits_2_without_output(tmp_path, capsys):
+    doc = {
+        "curve": "fresnel-helix",
+        "marching_scale": {"direct": {"alpha": "exp(300*v)", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.obj"
+    rc = main(["build", str(path), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: DomainError: non-finite surface point")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["2x2", "3x2"])
+def test_grid_too_coarse_for_usable_intervals_exits_2(tmp_path, capsys, grid):
+    rc = main(["reproduce", "fig1c", "-o", str(tmp_path), "--grid", grid])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: GridTooCoarse:" in captured.err
+    assert not (tmp_path / "fig1c.obj").exists()
+
+
+def test_unexpected_exception_maps_to_exit_2(monkeypatch, capsys):
+    import g3pencil.cli as cli
+
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_config", broken)
+    rc = main(["classify", "configs/fresnel-helix.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"

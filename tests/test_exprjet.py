@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from g3pencil.curve import FrenetFrame
 from g3pencil.errors import DomainError, ParseError
 from g3pencil.exprjet import (
     BinOp,
@@ -13,6 +14,7 @@ from g3pencil.exprjet import (
     Num,
     Var,
     compile_expr,
+    compile_surface_rows,
     eval_expr,
     eval_jet3,
     fresnel_c,
@@ -20,6 +22,8 @@ from g3pencil.exprjet import (
     parse,
     to_source,
 )
+from g3pencil.g3core import G3Vector
+from g3pencil.pencil import combine_on_frame
 from oracles import (
     central_diff,
     fresnel_c_oracle,
@@ -273,6 +277,91 @@ def test_compiled_matches_interpreted_bitwise():
         except DomainError:
             continue
         assert fn(s, v) == want
+
+    # A row kernel over three trees that share subtrees agrees bitwise with
+    # eval_expr + combine_on_frame, and fails wherever they fail.
+    checked = 0
+    for _ in range(150):
+        shared = random_expression(rng, depth=2)
+        texts = (
+            f"({shared})*{random_expression(rng, depth=2)}",
+            f"sin({shared}) - {random_expression(rng, depth=2)}",
+            f"({shared})*v + s",
+        )
+        try:
+            trees = [parse(text) for text in texts]
+        except ParseError:
+            continue
+        s = rng.uniform(-2.0, 2.0)
+        v_values = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        base = G3Vector(s, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        frame = FrenetFrame(
+            s=s,
+            t=G3Vector(1.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+            n=G3Vector(0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+            b=G3Vector(0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+            kappa=1.0,
+            tau=1.0,
+        )
+        try:
+            want = [
+                combine_on_frame(base, frame, *(eval_expr(t, s, v) for t in trees))
+                for v in v_values
+            ]
+            fails = not all(math.isfinite(c) for p in want for c in p.as_tuple())
+        except (DomainError, ValueError, OverflowError):
+            fails = True
+        if fails:
+            with pytest.raises(DomainError):
+                compile_surface_rows(*trees, v_values)(s, base, frame)
+            continue
+        got = compile_surface_rows(*trees, v_values)(s, base, frame)
+        assert [_bits(p) for p in got] == [_bits(p) for p in want], texts
+        checked += 1
+    assert checked > 100
+
+
+def _bits(p: G3Vector) -> list[str]:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [c.hex() for c in p.as_tuple()]
+
+
+@pytest.mark.parametrize(
+    "text, s, v",
+    [
+        ("sqrt(s)", -1.0, 0.0),
+        ("(s+v)^0.5", -1.0, 0.0),  # plain Python would return a complex number
+        ("ln(v)", 1.0, 0.0),
+        ("1/(s-v)", 1.0, 1.0),
+        ("s^-1", 0.0, 2.0),
+        ("2*(s*v)^1.5 + (s*v)^1.5", -1.0, 1.0),
+    ],
+)
+def test_compiled_fails_where_tree_evaluator_fails(text, s, v):
+    tree = parse(text)
+    with pytest.raises(DomainError):
+        eval_expr(tree, s, v)
+    with pytest.raises(DomainError):
+        compile_expr(tree)(s, v)
+
+
+def test_compiled_exp_overflows_to_inf():
+    tree = parse("exp(300*v)")
+    assert compile_expr(tree)(0.0, 5.0) == eval_expr(tree, 0.0, 5.0) == math.inf
+
+
+def test_compiled_constant_outside_domain_fails_at_compile_time():
+    with pytest.raises(DomainError, match="log of a non-positive value"):
+        compile_expr(parse("s + ln(1 - 1)"))
+
+
+def test_row_kernel_rejects_non_finite_points():
+    zero = Num(0.0)
+    row = compile_surface_rows(parse("exp(300*v)"), zero, zero, [0.0, 5.0])
+    unit = G3Vector(0.0, 1.0, 0.0)
+    frame = FrenetFrame(s=0.0, t=G3Vector(1.0, 0.0, 0.0), n=unit, b=unit, kappa=1.0, tau=1.0)
+    with pytest.raises(DomainError, match="non-finite"):
+        row(0.0, G3Vector(0.0, 0.0, 0.0), frame)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from g3pencil.config import config_from_dict, load_config, realize
 from g3pencil.curve import point
+from g3pencil.errors import GridTooCoarse
 from g3pencil.figures import FIGURES
 from g3pencil.mesh import (
     Mesh,
@@ -60,6 +61,15 @@ class TestSampling:
         with_n = small_mesh(helix_pencil, with_normals=True)
         assert len(with_n.normals) == len(with_n.vertices)
         assert all(q is not None for q in with_n.normals)
+
+    def test_each_usable_interval_needs_two_rows(self):
+        # fig1c's guard band around s = 0 leaves two usable intervals
+        pencil = realize(FIGURES["fig1c"].config())
+        for ns in (2, 3):
+            with pytest.raises(GridTooCoarse):
+                small_mesh(pencil, ns, 2)
+        mesh = small_mesh(pencil, 4, 2)
+        assert sum(1 for s in mesh.s_values if s < 0.0) == 2
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_worker_count_does_not_change_vertices(self, helix_pencil, workers):
@@ -129,6 +139,55 @@ class TestObjExport:
             path = tmp_path / f"w{workers}.obj"
             export_obj(mesh, str(path))
             assert path.read_bytes() == golden
+
+
+def _reference_obj(mesh):
+    """Per-record OBJ writer: every record its own string, one join."""
+    lines = [f"v {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.z)}" for p in mesh.vertices]
+    for q in mesh.normals or []:
+        lines.append("vn 0 0 0" if q is None else f"vn {_fmt(q.x)} {_fmt(q.y)} {_fmt(q.z)}")
+    nv = mesh.nv
+    for i in range(mesh.ns - 1):
+        for j in range(nv - 1):
+            a, b = i * nv + j + 1, (i + 1) * nv + j + 1
+            c, d = b + 1, a + 1
+            if mesh.normals is not None:
+                lines.append(f"f {a}//{a} {b}//{b} {d}//{d}")
+                lines.append(f"f {b}//{b} {c}//{c} {d}//{d}")
+            else:
+                lines.append(f"f {a} {b} {d}")
+                lines.append(f"f {b} {c} {d}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _reference_csv(mesh):
+    lines = ["s,v,x,y,z"]
+    for i, s in enumerate(mesh.s_values):
+        for j, v in enumerate(mesh.v_values):
+            p = mesh.vertices[i * mesh.nv + j]
+            lines.append(f"{_fmt(s)},{_fmt(v)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_streaming_exporters_match_per_record_output(tmp_path):
+    values = [-0.0, 0.0, math.pi, -2.5, 1e-300, -1e300, 1 / 3, 5e-324]
+    vertices = [
+        G3Vector(values[k % 8], values[(k + 3) % 8], values[(k + 5) % 8]) for k in range(12)
+    ]
+    normals = [None if k == 4 else G3Vector(0.0, values[k % 8], -0.0) for k in range(12)]
+    mesh = Mesh(
+        ns=4, nv=3, s_values=[-0.0, 0.5, 1.0, 2.0], v_values=[-0.0, 1e-17, 3.0],
+        vertices=vertices,
+    )
+    export_csv(mesh, str(tmp_path / "m.csv"))
+    assert (tmp_path / "m.csv").read_bytes() == _reference_csv(mesh)
+    export_obj(mesh, str(tmp_path / "m.obj"))
+    assert (tmp_path / "m.obj").read_bytes() == _reference_obj(mesh)
+    mesh.normals = normals
+    export_obj(mesh, str(tmp_path / "n.obj"))
+    data = (tmp_path / "n.obj").read_bytes()
+    assert data == _reference_obj(mesh)
+    assert b"vn 0 0 0\n" in data and b"-0 " not in data and b"f 1//1 4//4 2//2\n" in data
 
 
 class TestCsvExport:
