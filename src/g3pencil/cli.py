@@ -91,7 +91,14 @@ def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     pencil = realize(cfg, as_printed=args.as_printed, sign=args.sign)
     mode = args.mode if args.mode else cfg.verify.mode
-    tol = args.tol if args.tol is not None else cfg.verify.tol
+    # the configured tolerance belongs to the configured mode; another mode
+    # gets its own default
+    if args.tol is not None:
+        tol = args.tol
+    elif mode == cfg.verify.mode:
+        tol = cfg.verify.tol
+    else:
+        tol = None
     report = dtype_report(
         pencil.curve, pencil.marching, pencil.domain, cfg.verify.samples, mode, tol
     )

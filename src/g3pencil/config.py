@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .curve import BUILTIN_CURVES, CurveSpec
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .exprjet import Expr, eval_expr, parse, to_source
 from .pencil import (
     ControlCoefficients,
@@ -252,7 +252,7 @@ def _check_base_line(cfg: PencilConfig, path: str) -> None:
             s = d.s_min + (d.s_max - d.s_min) * (i + 0.5) / 5.0
             try:
                 value = eval_expr(factor, s, d.v0)
-            except Exception:
+            except DomainError:
                 continue  # domain gaps are handled later by grid guards
             if abs(value) > _MS_VANISH_TOL:
                 raise SchemaError(

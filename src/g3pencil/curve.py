@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import CurvatureVanishes, TorsionVanishes
-from .exprjet import Expr, eval_expr, eval_jet3, parse
+from .errors import CurvatureVanishes, G3PencilError, TorsionVanishes
+from .exprjet import Expr, compile_jets, compile_values, parse
 from .g3core import G3Vector, cross
 
 KAPPA_MIN = 1e-8
@@ -38,7 +39,8 @@ class CurveSpec:
     """A curve (s, f(s), g(s)) with optional closed forms for kappa and tau.
 
     The closed forms are only consulted when marching-scale functions are
-    synthesized as expression trees; frames never use them.
+    synthesized as expression trees; frames never use them.  Frames and
+    points run through kernels compiled once per curve, on first use.
     """
 
     name: str
@@ -46,6 +48,16 @@ class CurveSpec:
     g: Expr
     kappa_form: Expr | None = None
     tau_form: Expr | None = None
+
+    @cached_property
+    def _frame_jets(self):
+        """(s, v) -> jets of f and g in s, c0 to c3 of each."""
+        return compile_jets((self.f, self.g), "s")
+
+    @cached_property
+    def _point_values(self):
+        """(s, v) -> values of f and g."""
+        return compile_values((self.f, self.g))
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,8 @@ BUILTIN_CURVES = {
 
 def point(curve: CurveSpec, s: float) -> G3Vector:
     """Position (s, f(s), g(s))."""
-    return G3Vector(s, eval_expr(curve.f, s, 0.0), eval_expr(curve.g, s, 0.0))
+    f, g = curve._point_values(s, 0.0)
+    return G3Vector(s, f, g)
 
 
 def frenet(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetFrame:
@@ -133,17 +146,16 @@ def frenet(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetFr
     Raises CurvatureVanishes or TorsionVanishes when the respective
     quantity falls below ``kappa_min``; the frame is undefined there.
     """
-    fj = eval_jet3(curve.f, "s", s, 0.0)
-    gj = eval_jet3(curve.g, "s", s, 0.0)
-    kappa = math.hypot(fj.c2, gj.c2)
+    _, f1, f2, f3, _, g1, g2, g3 = curve._frame_jets(s, 0.0)
+    kappa = math.hypot(f2, g2)
     if kappa < kappa_min:
         raise CurvatureVanishes(s, kappa)
-    tau = (fj.c2 * gj.c3 - fj.c3 * gj.c2) / (kappa * kappa)
+    tau = (f2 * g3 - f3 * g2) / (kappa * kappa)
     if abs(tau) < kappa_min:
         raise TorsionVanishes(s, tau)
-    t = G3Vector(1.0, fj.c1, gj.c1)
-    n = G3Vector(0.0, fj.c2 / kappa, gj.c2 / kappa)
-    b = G3Vector(0.0, -gj.c2 / kappa, fj.c2 / kappa)
+    t = G3Vector(1.0, f1, g1)
+    n = G3Vector(0.0, f2 / kappa, g2 / kappa)
+    b = G3Vector(0.0, -g2 / kappa, f2 / kappa)
     return FrenetFrame(s=s, t=t, n=n, b=b, kappa=kappa, tau=tau)
 
 
@@ -233,7 +245,9 @@ def usable_s_intervals(
                 ok = False
             elif extra_check is not None:
                 extra_check(s)
-        except Exception:
+        except (G3PencilError, ZeroDivisionError):
+            # no frame, or the expressions fail here; a zero curvature
+            # under a floor of 0 divides by zero
             ok = False
         flags.append(ok)
     if all(flags):

@@ -19,7 +19,15 @@ require a positive base at evaluation time.
 Derivatives are computed with truncated Taylor (jet) arithmetic carried to
 third order, which is exactly what the curvature and torsion formulas of an
 admissible curve consume.  ``abs`` is differentiated as sign(u) * u', with
-sign(0) taken as +1 and a :class:`KinkWarning` emitted.
+sign(0) taken as +1 and a :class:`KinkWarning` emitted.  exp, sinh and cosh
+overflow to +-inf; sin, cos and tan of an infinite value, and every other
+math error, raise DomainError naming the node.
+
+The tree evaluators :func:`eval_expr` and :func:`eval_jet3` are the
+reference.  :func:`compile_expr`, :func:`compile_values`,
+:func:`compile_jets` and :func:`compile_surface_rows` generate straight-line
+code that performs the same operations in the same order, so results agree
+bitwise.
 """
 
 from __future__ import annotations
@@ -304,6 +312,11 @@ def _fail(node: Expr, reason: str) -> DomainError:
     return DomainError(f"{reason} in '{to_source(node)}'")
 
 
+# Math errors that the evaluators, tree and compiled alike, re-raise as
+# DomainError.
+_ARITHMETIC = (ValueError, ZeroDivisionError, OverflowError)
+
+
 def eval_expr(expr: Expr, s: float, v: float) -> float:
     """Evaluate with IEEE doubles; raises DomainError naming the bad node."""
     if isinstance(expr, Num):
@@ -314,7 +327,10 @@ def eval_expr(expr: Expr, s: float, v: float) -> float:
         return -eval_expr(expr.arg, s, v)
     if isinstance(expr, Call):
         u = eval_expr(expr.arg, s, v)
-        return _call_value(expr, u)
+        try:
+            return _call_value(expr, u)
+        except _ARITHMETIC as exc:
+            raise _fail(expr, str(exc)) from exc
     left = eval_expr(expr.left, s, v)
     right = eval_expr(expr.right, s, v)
     op = expr.op
@@ -350,8 +366,43 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _sinh(x: float) -> float:
+    """math.sinh with overflow to +-inf."""
+    try:
+        return math.sinh(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _cosh(x: float) -> float:
+    """math.cosh with overflow to +inf."""
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        return math.inf
+
+
+# Functions that refuse infinite arguments with a DomainError naming the node.
+_TRIG = ("sin", "cos", "tan")
+_INFS = (math.inf, -math.inf)
+
+
+def _infinite_argument(node: Call) -> str:
+    return str(_fail(node, f"{node.func} of an infinite value"))
+
+
+def _kink_message(node: Call) -> str:
+    return f"abs() differentiated at its kink in '{to_source(node)}'"
+
+
+def _kink(message: str) -> None:
+    warnings.warn(message, KinkWarning)
+
+
 def _call_value(node: Call, u: float) -> float:
     f = node.func
+    if f in _TRIG and u in _INFS:
+        raise DomainError(_infinite_argument(node))
     if f == "sin":
         return math.sin(u)
     if f == "cos":
@@ -359,9 +410,9 @@ def _call_value(node: Call, u: float) -> float:
     if f == "tan":
         return math.tan(u)
     if f == "sinh":
-        return math.sinh(u)
+        return _sinh(u)
     if f == "cosh":
-        return math.cosh(u)
+        return _cosh(u)
     if f == "exp":
         return _exp(u)
     if f == "ln":
@@ -435,6 +486,8 @@ def _compose(u: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
 def _call_jet(node: Call, u: Jet3) -> Jet3:
     f = node.func
     x = u.c0
+    if f in _TRIG and x in _INFS:
+        raise DomainError(_infinite_argument(node))
     if f == "sin":
         sn, cs = math.sin(x), math.cos(x)
         return _compose(u, sn, cs, -sn, -cs)
@@ -446,10 +499,10 @@ def _call_jet(node: Call, u: Jet3) -> Jet3:
         d1 = 1.0 + t * t
         return _compose(u, t, d1, 2.0 * t * d1, d1 * (2.0 + 6.0 * t * t))
     if f == "sinh":
-        sh, ch = math.sinh(x), math.cosh(x)
+        sh, ch = _sinh(x), _cosh(x)
         return _compose(u, sh, ch, sh, ch)
     if f == "cosh":
-        sh, ch = math.sinh(x), math.cosh(x)
+        sh, ch = _sinh(x), _cosh(x)
         return _compose(u, ch, sh, ch, sh)
     if f == "exp":
         e = _exp(x)
@@ -476,9 +529,7 @@ def _call_jet(node: Call, u: Jet3) -> Jet3:
         elif x < 0.0:
             sign = -1.0
         else:
-            warnings.warn(
-                f"abs() differentiated at its kink in '{to_source(node)}'", KinkWarning
-            )
+            _kink(_kink_message(node))
             sign = 1.0
         return Jet3(abs(x), sign * u.c1, sign * u.c2, sign * u.c3)
     if f == "fresnelS":
@@ -534,7 +585,11 @@ def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
     if isinstance(expr, Neg):
         return -_jet_eval(expr.arg, var, s, v)
     if isinstance(expr, Call):
-        return _call_jet(expr, _jet_eval(expr.arg, var, s, v))
+        u = _jet_eval(expr.arg, var, s, v)
+        try:
+            return _call_jet(expr, u)
+        except _ARITHMETIC as exc:
+            raise _fail(expr, str(exc)) from exc
     left = _jet_eval(expr.left, var, s, v)
     right = _jet_eval(expr.right, var, s, v)
     op = expr.op
@@ -549,7 +604,10 @@ def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
             return left / right
         except ZeroDivisionError as exc:
             raise _fail(expr, "division by zero") from exc
-    return _pow_jet(expr, left, right)
+    try:
+        return _pow_jet(expr, left, right)
+    except _ARITHMETIC as exc:
+        raise _fail(expr, str(exc)) from exc
 
 
 def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
@@ -569,37 +627,100 @@ def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
 # Dependency levels: the set of variables a subtree reads, as bits.
 _CONST, _S, _V, _SV = 0, 1, 2, 3
 
-# What generated code raises where the tree evaluator raises DomainError
-# (or lets a math error through); compiled functions re-raise these as
-# DomainError.
-_ARITHMETIC = (ValueError, ZeroDivisionError, OverflowError)
-
 _NONFINITE_NAMES = {"inf": "_inf", "-inf": "_neg_inf", "nan": "_nan"}
+
+# An operand of generated code: its text (a name or a literal) and level.
+_Operand = tuple[str, int]
+_ZERO: _Operand = ("0.0", _CONST)
+
+# The formulas of Jet3.__mul__, Jet3.__truediv__ and _compose, written as
+# they are there, so that Python evaluates them in the same order; {a1} is
+# coefficient 1 of jet a.
+_MUL_JET = (
+    "{a0} * {b0}",
+    "{a1} * {b0} + {a0} * {b1}",
+    "{a2} * {b0} + 2.0 * {a1} * {b1} + {a0} * {b2}",
+    "{a3} * {b0} + 3.0 * {a2} * {b1} + 3.0 * {a1} * {b2} + {a0} * {b3}",
+)
+_DIV_JET = (
+    "{a0} / {b0}",
+    "({a1} - {h0} * {b1}) / {b0}",
+    "({a2} - {h0} * {b2} - 2.0 * {h1} * {b1}) / {b0}",
+    "({a3} - {h0} * {b3} - 3.0 * {h1} * {b2} - 3.0 * {h2} * {b1}) / {b0}",
+)
+_COMPOSE_JET = (
+    "{f1} * {u1}",
+    "{f2} * {u1} * {u1} + {f1} * {u2}",
+    "{f3} * {u1} * {u1} * {u1} + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
+)
+# The derivatives f0..f3 that _call_jet composes with the argument's jet, as
+# steps computed in turn from the argument {x0} and earlier steps {tK}, and
+# the steps that are f0..f3.  sqrt and abs branch and are emitted apart; a
+# fresnelS/fresnelC pair on one argument shares its _fresnel call.
+_SIN_COS = ("sin({x0})", "cos({x0})", "-{t0}", "-{t1}")
+_SINH_COSH = ("sinh({x0})", "cosh({x0})")
+_FRESNEL = (
+    "_fresnel({x0})",
+    f"{0.5 * math.pi!r} * {{x0}} * {{x0}}",
+    "sin({t1})",
+    "cos({t1})",
+    f"{math.pi!r} * {{x0}}",
+)
+_CALL_JET = {
+    "sin": (_SIN_COS, (0, 1, 2, 3)),
+    "cos": (_SIN_COS, (1, 2, 3, 0)),
+    "tan": (("tan({x0})", "1.0 + {t0} * {t0}", "2.0 * {t0} * {t1}",
+             "{t1} * (2.0 + 6.0 * {t0} * {t0})"), (0, 1, 2, 3)),
+    "sinh": (_SINH_COSH, (0, 1, 0, 1)),
+    "cosh": (_SINH_COSH, (1, 0, 1, 0)),
+    "exp": (("exp({x0})",), (0, 0, 0, 0)),
+    "ln": (("ln({x0})", "1.0 / {x0}", "-{t1} * {t1}", "2.0 * {t1} * {t1} * {t1}"), (0, 1, 2, 3)),
+    "fresnelS": (_FRESNEL + ("{t0}[0]", "{t4} * {t3}",
+                             f"{math.pi!r} * {{t3}} - {{t4}} * {{t4}} * {{t2}}"), (5, 2, 6, 7)),
+    "fresnelC": (_FRESNEL + ("{t0}[1]", "-{t4} * {t2}",
+                             f"-{math.pi!r} * {{t2}} - {{t4}} * {{t4}} * {{t3}}"), (5, 3, 6, 7)),
+}
+
+
+def _level(operands) -> int:
+    level = _CONST
+    for _, operand_level in operands:
+        level |= operand_level
+    return level
+
+
+def _children(expr: Expr) -> tuple:
+    if isinstance(expr, BinOp):
+        return expr.left, expr.right
+    return (expr.arg,)
 
 
 def _fold(expr: Expr) -> float:
     """Value of a constant subtree, computed by the tree evaluator."""
-    try:
-        return eval_expr(expr, 0.0, 0.0)
-    except _ARITHMETIC as exc:
-        raise _fail(expr, str(exc)) from exc
+    return eval_expr(expr, 0.0, 0.0)
 
 
 class _Emitter:
     """Straight-line Python statements for one or more expression trees.
 
-    Every distinct subtree becomes one statement, so structurally equal
-    subtrees, also across trees, are computed once.  Constant subtrees are
-    evaluated here with :func:`eval_expr` and inlined.  Every other
-    statement is filed under the variables it reads, so that s-only work
-    can be hoisted out of a loop over v and v-only work out of a loop over
-    s.  Each statement performs the operation :func:`eval_expr` performs
-    at that node, so values agree bitwise; fractional powers keep its
-    negative-base check.
+    :meth:`emit` gives the value of a tree, :meth:`emit_jet` its jet in one
+    variable, one operand per coefficient.  Every distinct statement is
+    emitted once, so structurally equal subtrees, also across trees, are
+    computed once.  Constant subtrees are evaluated here by the tree
+    evaluators and inlined, and so is every statement whose operands are
+    all constants.  Every other statement is filed under the variables it
+    reads, so that s-only work can be hoisted out of a loop over v and
+    v-only work out of a loop over s.
+
+    Each statement performs the operations the tree evaluators perform at
+    that node (:func:`eval_expr` for values; ``Jet3`` arithmetic,
+    :func:`_compose`, :func:`_call_jet` and :func:`_pow_jet` for jets) in
+    the same order, so results agree bitwise.  The same checks raise the
+    same DomainError, and an abs() kink warns as the tree evaluator does.
     """
 
     def __init__(self) -> None:
-        self.lines: dict[int, list[str]] = {_S: [], _V: [], _SV: []}
+        self.lines: dict[int, list[str]] = {_CONST: [], _S: [], _V: [], _SV: []}
         self.carried: list[str] = []  # v-level names read by s-and-v statements
         self.env: dict[str, object] = {
             "__builtins__": {},
@@ -607,17 +728,22 @@ class _Emitter:
             "sin": math.sin,
             "cos": math.cos,
             "tan": math.tan,
-            "sinh": math.sinh,
-            "cosh": math.cosh,
+            "sinh": _sinh,
+            "cosh": _cosh,
             "exp": _exp,
             "ln": math.log,
             "sqrt": math.sqrt,
-            "fresnelS": fresnel_s,
-            "fresnelC": fresnel_c,
+            "_fresnel": _fresnel,
+            "_kink": _kink,
+            "_pow_jet": _pow_jet,
+            "_Jet3": Jet3,
+            "_INFS": _INFS,
             "_ARITHMETIC": _ARITHMETIC,
             "_DomainError": DomainError,
         }
-        self._names: dict[tuple, tuple[str, int]] = {}
+        self._names: dict[str, _Operand] = {}  # statement text -> its name
+        self._jets: dict[tuple, tuple[_Operand, ...]] = {}
+        self._count = 0
 
     def _constant(self, value: float) -> str:
         text = repr(value)
@@ -627,49 +753,230 @@ class _Emitter:
             return name
         return f"({text})" if text.startswith("-") else text
 
-    def emit(self, expr: Expr) -> tuple[str, int]:
-        """Operand text holding the value of expr, and its level."""
-        if isinstance(expr, Num):
-            return self._constant(expr.value), _CONST
-        if isinstance(expr, Var):
-            return expr.name, _S if expr.name == "s" else _V
-        if isinstance(expr, (Neg, Call)):
-            arg, level = self.emit(expr.arg)
-            operands = [(arg, level)]
-            if isinstance(expr, Neg):
-                key, text = ("-", arg), f"-{arg}"
-            else:
-                key, text = (expr.func, arg), f"{expr.func}({arg})"
-        else:
-            left, left_level = self.emit(expr.left)
-            right, right_level = self.emit(expr.right)
-            operands = [(left, left_level), (right, right_level)]
-            level = left_level | right_level
-            op = "**" if expr.op == "^" else expr.op
-            key, text = (op, left, right), f"{left} {op} {right}"
-        if level == _CONST:
-            return self._constant(_fold(expr)), _CONST
-        if key in self._names:
-            return self._names[key]
-        name = f"_{'_svw'[level]}{len(self._names)}"
-        lines = self.lines[level]
-        if (
-            isinstance(expr, BinOp)
-            and expr.op == "^"
-            and (right_level != _CONST or not float(_fold(expr.right)).is_integer())
-        ):
-            # Python returns a complex number here, where eval_expr refuses.
-            # The grammar keeps exponents constant; any other is checked as
-            # a fractional one.
-            message = str(_fail(expr, "fractional power of a negative base"))
-            lines.append(f"if {left} < 0.0: raise _DomainError({message!r})")
-        lines.append(f"{name} = {text}")
+    def _outputs(self, operands, count: int) -> list[_Operand]:
+        """Fresh names at the level of operands."""
+        level = _level(operands)
+        names = []
+        for _ in range(count):
+            self._count += 1
+            names.append((f"_{'_svw'[level]}{self._count}", level))
+        return names
+
+    def _file(self, lines: list[str], operands) -> None:
+        """Append lines that read operands at their level."""
+        level = _level(operands)
+        self.lines[level] += lines
         if level == _SV:
             for operand, operand_level in operands:
                 if operand_level == _V:
                     self.carry(operand)
-        self._names[key] = (name, level)
-        return name, level
+
+    def stmt(self, text: str, operands, guards=()) -> _Operand:
+        """Operand holding the value of text, which reads operands.
+
+        ``guards`` are (condition, operands, message) checks that run
+        before the statement, the first time it is emitted.
+        """
+        if text in self._names:
+            return self._names[text]
+        if _level(operands) == _CONST:
+            return self._constant(eval(text, self.env)), _CONST
+        for guard in guards:
+            self.guard(*guard)
+        (out,) = self._outputs(operands, 1)
+        self._file([f"{out[0]} = {text}"], operands)
+        self._names[text] = out
+        return out
+
+    def guard(self, condition: str, operands, message: str) -> None:
+        """Raise DomainError(message) where condition holds."""
+        if _level(operands) == _CONST and not eval(condition, self.env):
+            return
+        self._file([f"if {condition}: raise _DomainError({message!r})"], operands)
+
+    def formula(self, template: str, **jets) -> _Operand:
+        """Statement for template, in which {a1} is coefficient 1 of jets["a"]."""
+        ops = {f"{key}{i}": op for key, jet in jets.items() for i, op in enumerate(jet)}
+        used = [op for key, op in ops.items() if "{" + key + "}" in template]
+        return self.stmt(template.format(**{key: text for key, (text, _) in ops.items()}), used)
+
+    # -- values ------------------------------------------------------------
+
+    def emit(self, expr: Expr) -> _Operand:
+        """Operand holding the value of expr."""
+        if isinstance(expr, Num):
+            return self._constant(expr.value), _CONST
+        if isinstance(expr, Var):
+            return expr.name, _S if expr.name == "s" else _V
+        args = [self.emit(child) for child in _children(expr)]
+        if _level(args) == _CONST:
+            return self._constant(_fold(expr)), _CONST
+        if isinstance(expr, Neg):
+            return self.stmt(f"-{args[0][0]}", args)
+        if isinstance(expr, Call):
+            return self._call(expr, args[0])
+        (left, _), (right, right_level) = args
+        if expr.op != "^":
+            return self.stmt(f"{left} {expr.op} {right}", args)
+        guards = ()
+        if right_level != _CONST or not float(_fold(expr.right)).is_integer():
+            # Python returns a complex number here, where eval_expr refuses.
+            # The grammar keeps exponents constant; any other is checked as
+            # a fractional one.
+            message = str(_fail(expr, "fractional power of a negative base"))
+            guards = [(f"{left} < 0.0", args[:1], message)]
+        return self.stmt(f"{left} ** {right}", args, guards)
+
+    def _call(self, node: Call, x: _Operand) -> _Operand:
+        f = node.func
+        if f in ("fresnelS", "fresnelC"):
+            pair = self.stmt(f"_fresnel({x[0]})", [x])
+            return self.stmt(f"{pair[0]}[{0 if f == 'fresnelS' else 1}]", [pair])
+        guards = [(f"{x[0]} in _INFS", [x], _infinite_argument(node))] if f in _TRIG else ()
+        return self.stmt(f"{f}({x[0]})", [x], guards)
+
+    # -- jets --------------------------------------------------------------
+
+    def emit_jet(self, expr: Expr, var: str) -> tuple[_Operand, ...]:
+        """Four operands holding the jet of expr in var, c0 to c3."""
+        if isinstance(expr, Num):
+            return (self._constant(expr.value), _CONST), _ZERO, _ZERO, _ZERO
+        if isinstance(expr, Var):
+            seed = ("1.0", _CONST) if expr.name == var else _ZERO
+            return self.emit(expr), seed, _ZERO, _ZERO
+        args = [self.emit_jet(child, var) for child in _children(expr)]
+        if all(arg[0][1] == _CONST for arg in args):
+            return self._constant_jet(expr, var)
+        kind = expr.op if isinstance(expr, BinOp) else expr.func if isinstance(expr, Call) else "neg"
+        key = (kind, *(text for arg in args for text, _ in arg))
+        if key not in self._jets:
+            self._jets[key] = self._jet(expr, args)
+        return self._jets[key]
+
+    def _constant_jet(self, expr: Expr, var: str) -> tuple[_Operand, ...]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", KinkWarning)
+            jet = _jet_eval(expr, var, 0.0, 0.0)
+        # the tree evaluator warns on every evaluation
+        self.lines[_CONST] += [f"_kink({str(w.message)!r})" for w in caught]
+        return tuple((self._constant(c), _CONST) for c in (jet.c0, jet.c1, jet.c2, jet.c3))
+
+    def _jet(self, expr: Expr, args) -> tuple[_Operand, ...]:
+        if isinstance(expr, Neg):
+            return tuple(self.stmt(f"-{c[0]}", [c]) for c in args[0])
+        if isinstance(expr, Call):
+            return self._call_jet(expr, args[0])
+        a, b = args
+        if expr.op in ("+", "-"):
+            return tuple(self.stmt(f"{x[0]} {expr.op} {y[0]}", [x, y]) for x, y in zip(a, b))
+        if expr.op == "*":
+            return tuple(self.formula(t, a=a, b=b) for t in _MUL_JET)
+        if expr.op == "/":
+            self.guard(f"{b[0][0]} == 0.0", b[:1], str(_fail(expr, "division by zero")))
+            h: list[_Operand] = []
+            for t in _DIV_JET:
+                h.append(self.formula(t, a=a, b=b, h=h))
+            return tuple(h)
+        return self._pow_jet(expr, a, b)
+
+    def _compose(self, u, f) -> tuple[_Operand, ...]:
+        return (f[0], *(self.formula(t, f=f, u=u) for t in _COMPOSE_JET))
+
+    def _call_jet(self, node: Call, u) -> tuple[_Operand, ...]:
+        x = u[0]
+        if node.func in _TRIG:
+            self.guard(f"{x[0]} in _INFS", [x], _infinite_argument(node))
+        if node.func == "sqrt":
+            return self._sqrt_jet(node, u)
+        if node.func == "abs":
+            return self._abs_jet(node, u)
+        if node.func == "ln":
+            self.guard(f"{x[0]} <= 0.0", [x], str(_fail(node, "log of a non-positive value")))
+        steps, picks = _CALL_JET[node.func]
+        t: list[_Operand] = []
+        for template in steps:
+            t.append(self.formula(template, x=[x], t=t))
+        return self._compose(u, [t[i] for i in picks])
+
+    def _sqrt_jet(self, node: Call, u) -> tuple[_Operand, ...]:
+        x, u1, u2, u3 = (text for text, _ in u)
+        self.guard(f"{x} < 0.0", u[:1], str(_fail(node, "square root of a negative value")))
+        out = self._outputs(u, 6)
+        c0, c1, c2, c3, f1, f2 = (name for name, _ in out)
+        at_zero = str(_fail(node, "derivative of sqrt at zero"))
+        self._file(
+            [
+                f"if {x} == 0.0:",
+                # the zero function has a zero jet
+                f"    if not ({u1} == 0.0 and {u2} == 0.0 and {u3} == 0.0):",
+                f"        raise _DomainError({at_zero!r})",
+                f"    {c0} = {c1} = {c2} = {c3} = 0.0",
+                "else:",
+                f"    {c0} = sqrt({x})",
+                f"    {f1} = 0.5 / {c0}",
+                f"    {f2} = -0.25 / ({x} * {c0})",
+                f"    {c1} = {f1} * {u1}",
+                f"    {c2} = {f2} * {u1} * {u1} + {f1} * {u2}",
+                f"    {c3} = 0.375 / ({x} * {x} * {c0}) * {u1} * {u1} * {u1}"
+                f" + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
+            ],
+            u,
+        )
+        return tuple(out[:4])
+
+    def _abs_jet(self, node: Call, u) -> tuple[_Operand, ...]:
+        x = u[0]
+        (sign,) = self._outputs([x], 1)
+        self._file(
+            [
+                f"if {x[0]} > 0.0: {sign[0]} = 1.0",
+                f"elif {x[0]} < 0.0: {sign[0]} = -1.0",
+                "else:",
+                f"    _kink({_kink_message(node)!r})",
+                f"    {sign[0]} = 1.0",
+            ],
+            [x],
+        )
+        return (
+            self.stmt(f"abs({x[0]})", [x]),
+            *(self.stmt(f"{sign[0]} * {c[0]}", [sign, c]) for c in u[1:]),
+        )
+
+    def _pow_jet(self, node: BinOp, base, expo) -> tuple[_Operand, ...]:
+        p_text, p_level = expo[0]
+        p = eval(p_text, self.env) if p_level == _CONST else None
+        if p is None or not float(p).is_integer() or any(eval(c, self.env) for c, _ in expo[1:]):
+            # Fractional or not constant (only trees built by hand): the
+            # tree evaluator's own code runs, and refuses where it does.
+            node_name = f"_node{len(self.env)}"
+            self.env[node_name] = node
+            out = self._outputs([*base, *expo], 5)
+            jet, names = out[0][0], ", ".join(name for name, _ in out[1:])
+            args = ", ".join(f"_Jet3({', '.join(text for text, _ in j)})" for j in (base, expo))
+            lines = [
+                f"{jet} = _pow_jet({node_name}, {args})",
+                f"{names} = {jet}.c0, {jet}.c1, {jet}.c2, {jet}.c3",
+            ]
+            self._file(lines, [*base, *expo])
+            return tuple(out[1:])
+        # the loop of the tree's _pow_jet, unrolled for this exponent
+        k = int(p)
+        x = [base[0]]
+        if k < 0:
+            message = str(_fail(node, "zero base with negative exponent"))
+            self.guard(f"{x[0][0]} == 0.0", x, message)
+        f = [_ZERO] * 4
+        coeff = 1.0
+        for order in range(4):
+            m = k - order
+            if coeff == 0.0:
+                break
+            if m == 0:
+                f[order] = (self._constant(coeff), _CONST)
+            else:
+                f[order] = self.formula(f"{self._constant(coeff)} * {{x0}} ** ({m})", x=x)
+            coeff *= k - order
+        return self._compose(base, f)
 
     def carry(self, name: str) -> None:
         """Mark a v-level name as needed inside a loop over v."""
@@ -687,6 +994,19 @@ def _block(lines: list[str], depth: int) -> str:
     return "".join(f"{pad}{line}\n" for line in lines)
 
 
+def _function(em: _Emitter, result: str) -> Callable:
+    """Compile the emitted statements into f(s, v) returning result."""
+    body = em.lines[_CONST] + em.lines[_S] + em.lines[_V] + em.lines[_SV]
+    source = (
+        "def _compiled(s, v):\n"
+        "    try:\n"
+        + _block(body + [f"return {result}"], 2)
+        + "    except _ARITHMETIC as exc:\n"
+        "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
+    )
+    return em.define(source, "_compiled")
+
+
 def compile_expr(expr: Expr) -> Callable[[float, float], float]:
     """Compile a tree to a Python callable f(s, v).
 
@@ -696,16 +1016,33 @@ def compile_expr(expr: Expr) -> Callable[[float, float], float]:
     domain raises DomainError here, at compile time.
     """
     em = _Emitter()
-    root, _ = em.emit(expr)
-    body = em.lines[_S] + em.lines[_V] + em.lines[_SV] + [f"return {root}"]
-    source = (
-        "def _compiled(s, v):\n"
-        "    try:\n"
-        + _block(body, 2)
-        + "    except _ARITHMETIC as exc:\n"
-        "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
-    )
-    return em.define(source, "_compiled")
+    return _function(em, em.emit(expr)[0])
+
+
+def compile_values(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float, ...]]:
+    """Compile trees to one callable f(s, v) giving their values in order.
+
+    Each value agrees bitwise with :func:`eval_expr`; common subtrees are
+    computed once.  Failures are as for :func:`compile_expr`.
+    """
+    em = _Emitter()
+    return _function(em, "(" + "".join(f"{em.emit(e)[0]}, " for e in exprs) + ")")
+
+
+def compile_jets(exprs: Sequence[Expr], var: str) -> Callable[[float, float], tuple[float, ...]]:
+    """Compile trees to one callable f(s, v) giving their jets in ``var``.
+
+    The result holds c0, c1, c2, c3 of each tree's jet in turn, each equal
+    bitwise to the coefficient of :func:`eval_jet3`.  The callable raises
+    DomainError where eval_jet3 fails and warns KinkWarning where it
+    warns; a constant subtree outside its domain raises DomainError here,
+    at compile time.  Common subtrees are computed once.
+    """
+    if var not in VARIABLES:
+        raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
+    em = _Emitter()
+    texts = [text for e in exprs for text, _ in em.emit_jet(e, var)]
+    return _function(em, "(" + "".join(f"{t}, " for t in texts) + ")")
 
 
 def compile_surface_rows(

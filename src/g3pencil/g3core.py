@@ -24,13 +24,6 @@ class G3Vector:
     y: float
     z: float
 
-    @property
-    def is_isotropic(self) -> bool:
-        # Exact test on purpose: every isotropic vector in this package is
-        # constructed with a literal zero first component (cross products,
-        # principal normals, binormals), never by cancellation.
-        return self.x == 0.0
-
     def __add__(self, other: "G3Vector") -> "G3Vector":
         return G3Vector(self.x + other.x, self.y + other.y, self.z + other.z)
 
@@ -74,13 +67,6 @@ def normalize_isotropic(a: G3Vector) -> G3Vector:
     if n < ZERO_NORM_FLOOR:
         raise ZeroVector(f"cannot normalize near-zero vector {a.as_tuple()}")
     return G3Vector(0.0, a.y / n, a.z / n)
-
-
-def galilean_norm(a: G3Vector) -> float:
-    """|x| for non-isotropic vectors, the isotropic norm otherwise."""
-    if a.x != 0.0:
-        return abs(a.x)
-    return math.hypot(a.y, a.z)
 
 
 def isotropic_wedge(a: G3Vector, b: G3Vector) -> float:

@@ -71,6 +71,8 @@ def mesh_from_pencil(
 
     kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
     intervals = usable_s_intervals(curve, d.s_min, d.s_max, extra_check=probe, **kwargs)
+    if not intervals:
+        raise ZeroVector("no usable s interval in the requested domain")
     if intervals != [(d.s_min, d.s_max)]:
         warnings.warn(
             "grid re-spans usable sub-intervals "
@@ -78,8 +80,6 @@ def mesh_from_pencil(
             + " (guard bands excised)",
             stacklevel=2,
         )
-    if not intervals:
-        raise ZeroVector("no usable s interval in the requested domain")
     if ns < 2 * len(intervals):
         raise GridTooCoarse(
             f"{ns} rows cannot give each of the {len(intervals)} usable s intervals two rows"

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .curve import CurveSpec, FrenetFrame, classify_curve, frenet, point, sample_s_values
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     SigmaVanishes,
     ZeroMarchingFactor,
 )
-from .exprjet import BinOp, Call, Expr, Neg, Num, Var, eval_expr, eval_jet3
+from .exprjet import BinOp, Call, Expr, Neg, Num, Var, compile_expr, compile_jets, compile_values
 from .g3core import G3Vector, cross
 
 _RADICAND_CLAMP = 1e-12
@@ -83,7 +84,11 @@ class ProductFactors:
 
 @dataclass(frozen=True)
 class MarchingScale:
-    """The three coefficient functions alpha, beta, gamma of the pencil."""
+    """The three coefficient functions alpha, beta, gamma of the pencil.
+
+    Surface points and normals run through kernels compiled once per
+    marching scale, on first use.
+    """
 
     alpha: Expr
     beta: Expr
@@ -94,10 +99,20 @@ class MarchingScale:
     def is_product(self) -> bool:
         return self.product is not None
 
+    @cached_property
+    def _values(self):
+        """(s, v) -> values of alpha, beta, gamma."""
+        return compile_values((self.alpha, self.beta, self.gamma))
 
-def marching_scale_zero() -> MarchingScale:
-    zero = Num(0.0)
-    return MarchingScale(alpha=zero, beta=zero, gamma=zero)
+    @cached_property
+    def _s_jets(self):
+        """(s, v) -> jets of alpha, beta, gamma in s, c0 to c3 of each."""
+        return compile_jets((self.alpha, self.beta, self.gamma), "s")
+
+    @cached_property
+    def _v_jets(self):
+        """(s, v) -> jets of alpha, beta, gamma in v, c0 to c3 of each."""
+        return compile_jets((self.alpha, self.beta, self.gamma), "v")
 
 
 def product_marching_scale(
@@ -123,6 +138,11 @@ class DTypeSpec:
     def __post_init__(self):
         if self.sign not in (1.0, -1.0):
             raise ValueError("sign must be +1.0 or -1.0")
+
+    @cached_property
+    def _sigma(self):
+        """(s, v) -> sigma, compiled on first use."""
+        return compile_expr(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -185,9 +205,7 @@ def surface_point(
     """phi(s, v) = r(s) + alpha t + beta n + gamma b."""
     fr = frame if frame is not None else frenet(curve, s)
     r = point(curve, s)
-    a = eval_expr(ms.alpha, s, v)
-    b = eval_expr(ms.beta, s, v)
-    g = eval_expr(ms.gamma, s, v)
+    a, b, g = ms._values(s, v)
     return combine_on_frame(r, fr, a, b, g)
 
 
@@ -200,25 +218,20 @@ def surface_normal(
     returned; callers treat that as a degenerate (flagged) sample.
     """
     fr = frame if frame is not None else frenet(curve, s)
-    aj_s = eval_jet3(ms.alpha, "s", s, v)
-    bj_s = eval_jet3(ms.beta, "s", s, v)
-    gj_s = eval_jet3(ms.gamma, "s", s, v)
-    aj_v = eval_jet3(ms.alpha, "v", s, v)
-    bj_v = eval_jet3(ms.beta, "v", s, v)
-    gj_v = eval_jet3(ms.gamma, "v", s, v)
-    a, b, g = aj_s.c0, bj_s.c0, gj_s.c0
-    phi_s_t = 1.0 + aj_s.c1
-    phi_s_n = fr.kappa * a + bj_s.c1 - fr.tau * g
-    phi_s_b = fr.tau * b + gj_s.c1
+    a, a_s, _, _, b, b_s, _, _, g, g_s, _, _ = ms._s_jets(s, v)
+    _, a_v, _, _, _, b_v, _, _, _, g_v, _, _ = ms._v_jets(s, v)
+    phi_s_t = 1.0 + a_s
+    phi_s_n = fr.kappa * a + b_s - fr.tau * g
+    phi_s_b = fr.tau * b + g_s
     phi_s = G3Vector(
         phi_s_t * fr.t.x,
         phi_s_t * fr.t.y + phi_s_n * fr.n.y + phi_s_b * fr.b.y,
         phi_s_t * fr.t.z + phi_s_n * fr.n.z + phi_s_b * fr.b.z,
     )
     phi_v = G3Vector(
-        aj_v.c1 * fr.t.x,
-        aj_v.c1 * fr.t.y + bj_v.c1 * fr.n.y + gj_v.c1 * fr.b.y,
-        aj_v.c1 * fr.t.z + bj_v.c1 * fr.n.z + gj_v.c1 * fr.b.z,
+        a_v * fr.t.x,
+        a_v * fr.t.y + b_v * fr.n.y + g_v * fr.b.y,
+        a_v * fr.t.z + b_v * fr.n.z + g_v * fr.b.z,
     )
     return cross(phi_s, phi_v)
 
@@ -259,7 +272,7 @@ def required_normal_components(
     invariant equals lam exactly (see the module docstring).
     """
     fr = frenet(curve, s)
-    sigma_val = eval_expr(dtype.sigma, s, 0.0)
+    sigma_val = dtype._sigma(s, 0.0)
     phi2, phi3 = _phis(fr.kappa, fr.tau, sigma_val, dtype.lam, dtype.sign, scaled, s)
     return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
@@ -293,7 +306,7 @@ def corollary_components(
     if kind not in _COROLLARY_KINDS:
         raise ValueError(f"kind must be one of {_COROLLARY_KINDS}")
     fr = frenet(curve, s)
-    sigma_val = eval_expr(dtype.sigma, s, 0.0)
+    sigma_val = dtype._sigma(s, 0.0)
     if kind == "asymptotic":
         phi2, phi3 = _phis(fr.kappa, fr.tau, sigma_val, 0.0, dtype.sign, False, s)
     elif kind == "geodesic":
@@ -358,7 +371,7 @@ def check_feasibility(
     hi = -math.inf
     for s in grid:
         fr = frenet(curve, s)
-        sigma_val = eval_expr(dtype.sigma, s, 0.0)
+        sigma_val = dtype._sigma(s, 0.0)
         if abs(sigma_val) < _FACTOR_FLOOR:
             raise SigmaVanishes(s)
         if scaled:
@@ -405,8 +418,9 @@ def synthesize_product_form(
     grid = sample_s_values(curve, domain.s_min, domain.s_max, samples)
     for label, factor in (("m", m), ("n", n_ms)):
         prev = None
+        factor_at = compile_expr(factor)
         for s in grid:
-            value = eval_expr(factor, s, 0.0)
+            value = factor_at(s, 0.0)
             # a continuous factor that changes sign must vanish in between
             if abs(value) < _FACTOR_FLOOR or (prev is not None and prev * value < 0.0):
                 raise ZeroMarchingFactor(label, s)
@@ -481,7 +495,7 @@ def classify_dtype(
     for i in range(samples):
         s = s1 + (s2 - s1) * i / (samples - 1)
         fr = frenet(curve, s)
-        sigma_val = eval_expr(dtype.sigma, s, 0.0)
+        sigma_val = dtype._sigma(s, 0.0)
         if abs(sigma_val) < _FACTOR_FLOOR:
             raise SigmaVanishes(s)
         ratio = dtype.lam * fr.tau / (sigma_val * fr.kappa)

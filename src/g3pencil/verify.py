@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .curve import CurveSpec, darboux, frenet, point, sample_s_values
+from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, sample_s_values
 from .errors import ZeroVector
 from .exprjet import KinkWarning
 from .g3core import G3Vector, cross, dot, isotropic_norm, isotropic_wedge, normalize_isotropic
@@ -80,17 +80,19 @@ def _fd_normal(
     h_s: float,
     h_v: float,
     richardson: bool,
+    frame: FrenetFrame,
 ) -> G3Vector:
+    """Central difference normal at (s, v); ``frame`` is the frame at s."""
+
     def d_s(h: float) -> G3Vector:
         return (
             surface_point(curve, ms, s + h, v) - surface_point(curve, ms, s - h, v)
         ) * (0.5 / h)
 
     def d_v(h: float) -> G3Vector:
-        fr = frenet(curve, s)
         return (
-            surface_point(curve, ms, s, v + h, frame=fr)
-            - surface_point(curve, ms, s, v - h, frame=fr)
+            surface_point(curve, ms, s, v + h, frame=frame)
+            - surface_point(curve, ms, s, v - h, frame=frame)
         ) * (0.5 / h)
 
     if richardson:
@@ -154,7 +156,7 @@ def dtype_report(
         if mode == "analytic":
             eta = surface_normal(curve, ms, s, v0, frame=fr)
         else:
-            eta = _fd_normal(curve, ms, s, v0, h_s, h_v, richardson)
+            eta = _fd_normal(curve, ms, s, v0, h_s, h_v, richardson, fr)
         try:
             if isotropic_norm(eta) < DEGENERATE_NORM:
                 raise ZeroVector("degenerate")
@@ -276,7 +278,7 @@ def normal_consistency(
                     f"kink sample flagged at (s, v) = ({s:g}, {v:g})", KinkWarning
                 )
                 continue
-            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, richardson)
+            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, richardson, fr)
             try:
                 if (
                     isotropic_norm(eta_a) < DEGENERATE_NORM

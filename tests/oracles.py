@@ -1,8 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
 Nothing in here may call into the code paths it checks: the quadrature
-oracle integrates the Fresnel integrands directly, and the finite
-difference helpers differentiate black-box callables.
+oracle integrates the Fresnel integrands directly, the finite difference
+helpers differentiate black-box callables, and the references for the
+compiled frame, point and normal kernels walk the expression trees with
+the tree evaluators.
 """
 
 from __future__ import annotations
@@ -10,6 +12,12 @@ from __future__ import annotations
 import math
 import random
 from typing import Callable
+
+from g3pencil.curve import KAPPA_MIN, CurveSpec, FrenetFrame
+from g3pencil.errors import CurvatureVanishes, TorsionVanishes
+from g3pencil.exprjet import Num, eval_expr, eval_jet3
+from g3pencil.g3core import G3Vector, cross
+from g3pencil.pencil import MarchingScale, combine_on_frame
 
 
 # ---------------------------------------------------------------------------
@@ -144,3 +152,65 @@ def random_expression(rng: random.Random, depth: int = 3) -> str:
     if func in ("ln", "sqrt"):
         return f"{func}(abs({a})+0.5)"
     return f"{func}({a})"
+
+
+# ---------------------------------------------------------------------------
+# Tree-walked references for the compiled kernels
+# ---------------------------------------------------------------------------
+
+
+def marching_scale_zero() -> MarchingScale:
+    zero = Num(0.0)
+    return MarchingScale(alpha=zero, beta=zero, gamma=zero)
+
+
+def point_reference(curve: CurveSpec, s: float) -> G3Vector:
+    return G3Vector(s, eval_expr(curve.f, s, 0.0), eval_expr(curve.g, s, 0.0))
+
+
+def frenet_reference(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetFrame:
+    fj = eval_jet3(curve.f, "s", s, 0.0)
+    gj = eval_jet3(curve.g, "s", s, 0.0)
+    kappa = math.hypot(fj.c2, gj.c2)
+    if kappa < kappa_min:
+        raise CurvatureVanishes(s, kappa)
+    tau = (fj.c2 * gj.c3 - fj.c3 * gj.c2) / (kappa * kappa)
+    if abs(tau) < kappa_min:
+        raise TorsionVanishes(s, tau)
+    t = G3Vector(1.0, fj.c1, gj.c1)
+    n = G3Vector(0.0, fj.c2 / kappa, gj.c2 / kappa)
+    b = G3Vector(0.0, -gj.c2 / kappa, fj.c2 / kappa)
+    return FrenetFrame(s=s, t=t, n=n, b=b, kappa=kappa, tau=tau)
+
+
+def surface_point_reference(curve: CurveSpec, ms: MarchingScale, s: float, v: float) -> G3Vector:
+    fr = frenet_reference(curve, s)
+    r = point_reference(curve, s)
+    a = eval_expr(ms.alpha, s, v)
+    b = eval_expr(ms.beta, s, v)
+    g = eval_expr(ms.gamma, s, v)
+    return combine_on_frame(r, fr, a, b, g)
+
+
+def surface_normal_reference(curve: CurveSpec, ms: MarchingScale, s: float, v: float) -> G3Vector:
+    fr = frenet_reference(curve, s)
+    aj_s = eval_jet3(ms.alpha, "s", s, v)
+    bj_s = eval_jet3(ms.beta, "s", s, v)
+    gj_s = eval_jet3(ms.gamma, "s", s, v)
+    aj_v = eval_jet3(ms.alpha, "v", s, v)
+    bj_v = eval_jet3(ms.beta, "v", s, v)
+    gj_v = eval_jet3(ms.gamma, "v", s, v)
+    phi_s_t = 1.0 + aj_s.c1
+    phi_s_n = fr.kappa * aj_s.c0 + bj_s.c1 - fr.tau * gj_s.c0
+    phi_s_b = fr.tau * bj_s.c0 + gj_s.c1
+    phi_s = G3Vector(
+        phi_s_t * fr.t.x,
+        phi_s_t * fr.t.y + phi_s_n * fr.n.y + phi_s_b * fr.b.y,
+        phi_s_t * fr.t.z + phi_s_n * fr.n.z + phi_s_b * fr.b.z,
+    )
+    phi_v = G3Vector(
+        aj_v.c1 * fr.t.x,
+        aj_v.c1 * fr.t.y + bj_v.c1 * fr.n.y + gj_v.c1 * fr.b.y,
+        aj_v.c1 * fr.t.z + bj_v.c1 * fr.n.z + gj_v.c1 * fr.b.z,
+    )
+    return cross(phi_s, phi_v)

@@ -59,6 +59,20 @@ def test_verify_fd_mode(capsys):
     assert doc["mean_lambda"] == pytest.approx(0.5, abs=1e-4)
 
 
+def test_verify_mode_override_takes_that_modes_default_tolerance(capsys):
+    # the config's tol of 1e-9 belongs to its analytic mode; fd gets 1e-5
+    rc = main(["verify", "configs/fresnel-helix.json", "--mode", "fd"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["tolerance"] == 1e-5
+    assert doc["classification"] == "general-d-type"
+    rc = main(["verify", "configs/fresnel-helix.json", "--mode", "analytic"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-9
+    rc = main(["verify", "configs/fresnel-helix.json", "--mode", "fd", "--tol", "1e-7"])
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-7
+
+
 def test_build_writes_obj_and_csv(tmp_path, capsys):
     obj = tmp_path / "out.obj"
     rc = main(["build", "configs/fresnel-helix.json", "-o", str(obj), "--grid", "12x5"])
@@ -172,6 +186,27 @@ def test_overflowing_direct_scale_exits_2_without_output(tmp_path, capsys):
     assert rc == 2
     assert captured.err.startswith("error: DomainError: non-finite surface point")
     assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_overflowing_sinh_scale_names_the_point(tmp_path, capsys, recwarn):
+    # sinh overflows to inf as exp does; the build must not end in a
+    # misleading "no usable s interval" or warn about excising everything
+    doc = {
+        "curve": "fresnel-helix",
+        "marching_scale": {"direct": {"alpha": "sinh(300*v)", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "sinh.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.obj"
+    rc = main(["build", str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("error:") == 1
+    assert err.startswith("error: DomainError: non-finite surface point")
+    assert not any("re-spans" in str(w.message) for w in recwarn)
     assert not out.exists()
 
 

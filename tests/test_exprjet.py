@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import warnings
 
 import pytest
 
@@ -14,6 +16,7 @@ from g3pencil.exprjet import (
     Num,
     Var,
     compile_expr,
+    compile_jets,
     compile_surface_rows,
     eval_expr,
     eval_jet3,
@@ -335,6 +338,10 @@ def _bits(p: G3Vector) -> list[str]:
         ("1/(s-v)", 1.0, 1.0),
         ("s^-1", 0.0, 2.0),
         ("2*(s*v)^1.5 + (s*v)^1.5", -1.0, 1.0),
+        ("sin(sinh(300*v))", 0.0, 5.0),  # sinh overflows to inf, sin refuses it
+        ("cos(-cosh(v))", 0.0, 1000.0),
+        ("tan(exp(s))", 800.0, 0.0),
+        ("fresnelS(exp(s))", 800.0, 0.0),
     ],
 )
 def test_compiled_fails_where_tree_evaluator_fails(text, s, v):
@@ -343,6 +350,135 @@ def test_compiled_fails_where_tree_evaluator_fails(text, s, v):
         eval_expr(tree, s, v)
     with pytest.raises(DomainError):
         compile_expr(tree)(s, v)
+    for var in ("s", "v"):
+        with pytest.raises(DomainError):
+            eval_jet3(tree, var, s, v)
+        with pytest.raises(DomainError):
+            compile_jets([tree], var)(s, v)
+
+
+def test_hyperbolic_overflow_gives_inf_everywhere():
+    for text, want in (("sinh(v)", math.inf), ("-sinh(-v)", math.inf), ("cosh(-v)", math.inf)):
+        tree = parse(text)
+        assert eval_expr(tree, 0.0, 1000.0) == compile_expr(tree)(0.0, 1000.0) == want
+        assert eval_jet3(tree, "v", 0.0, 1000.0).c0 == want
+        assert compile_jets([tree], "v")(0.0, 1000.0)[0] == want
+
+
+@pytest.mark.parametrize("func", ["sin", "cos", "tan"])
+def test_trig_of_infinity_names_the_node(func):
+    tree = parse(f"1 + {func}(exp(v))")
+    message = f"{func} of an infinite value in '{func}(exp(v))'"
+    for evaluate in (
+        lambda: eval_expr(tree, 0.0, 1000.0),
+        lambda: compile_expr(tree)(0.0, 1000.0),
+        lambda: eval_jet3(tree, "v", 0.0, 1000.0),
+        lambda: compile_jets([tree], "v")(0.0, 1000.0),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evaluate()
+
+
+def _run(evaluate):
+    """(result, failure, kink messages) of one evaluation."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, failure = evaluate(), None
+        except DomainError as exc:
+            result, failure = None, exc
+    kinks = {str(w.message) for w in caught if issubclass(w.category, KinkWarning)}
+    return result, failure, kinks
+
+
+# Inputs at which the corpus reaches kinks, zero divisors and non-finite values.
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan)
+
+
+def test_compiled_jets_match_tree_jets_bitwise():
+    """Compiled jets in s and in v against eval_jet3 on the random corpus.
+
+    Coefficients must agree bitwise (float.hex tells -0.0 from 0.0), and
+    where the tree evaluator raises DomainError or warns KinkWarning the
+    kernel must too.
+    """
+    rng = random.Random(4242)
+    checked = {"s": 0, "v": 0}
+    failed = kinked = 0
+    while min(checked.values()) < 1000:
+        try:
+            tree = parse(random_expression(rng, depth=rng.choice((2, 3, 4))))
+        except ParseError:
+            continue
+        s, v = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.3:
+            s = rng.choice(SPECIAL)
+        if rng.random() < 0.3:
+            v = rng.choice(SPECIAL)
+        for var in ("s", "v"):
+            want, want_error, want_kinks = _run(lambda: eval_jet3(tree, var, s, v))
+            got, got_error, got_kinks = _run(lambda: compile_jets([tree], var)(s, v))
+            case = (to_source(tree), var, s, v)
+            assert (got_error is None) == (want_error is None), case
+            if want_error is None:
+                assert [c.hex() for c in got] == [
+                    c.hex() for c in (want.c0, want.c1, want.c2, want.c3)
+                ], case
+                assert got_kinks == want_kinks, case
+            failed += want_error is not None
+            kinked += bool(want_kinks)
+            checked[var] += 1
+    assert failed > 20 and kinked > 20
+
+
+def test_compiled_jets_of_a_non_constant_exponent():
+    # the parser refuses these; a tree built by hand runs the tree's own code
+    tree = BinOp("^", Var("v"), BinOp("+", Var("s"), Num(1.0)))
+    for var in ("s", "v"):
+        want, want_error, _ = _run(lambda: eval_jet3(tree, var, 1.0, 2.0))
+        got, got_error, _ = _run(lambda: compile_jets([tree], var)(1.0, 2.0))
+        assert str(got_error) == str(want_error)
+        if want_error is None:
+            assert [c.hex() for c in got] == [c.hex() for c in _coefficients(want)]
+    assert "exponent must be constant" in str(_run(lambda: eval_jet3(tree, "s", 1.0, 2.0))[1])
+
+
+def test_compiled_jets_share_subtrees_across_trees():
+    trees = [parse("fresnelS(s/3)*v"), parse("fresnelC(s/3) - v^2"), parse("abs(s - v)")]
+    kernel = compile_jets(trees, "s")
+    for s, v in ((0.4, 1.5), (-2.0, 0.25), (1.0, 1.0)):
+        want, _, want_kinks = _run(
+            lambda: [c for t in trees for c in _coefficients(eval_jet3(t, "s", s, v))]
+        )
+        got, _, got_kinks = _run(lambda: kernel(s, v))
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+        assert got_kinks == want_kinks
+
+
+def _coefficients(jet: Jet3) -> tuple[float, ...]:
+    return jet.c0, jet.c1, jet.c2, jet.c3
+
+
+@pytest.mark.parametrize(
+    "text, s, v",
+    [
+        ("sqrt(s - s)", 3.0, 0.0),  # zero function: zero jet, no failure
+        ("sqrt(s*v)", 0.0, 2.0),  # derivative of sqrt at zero in s, not in v
+        ("sqrt(s^3)", 0.0, 2.0),  # only the third coefficient is nonzero
+        ("abs(1 - 1)*s", 2.0, 1.0),  # constant kink, folded at compile time
+        ("s^0 + (s*v)^-2", 1.0, 0.0),
+        ("1/(v - 1)*s", 2.0, 1.0),
+    ],
+)
+def test_compiled_jets_edge_cases(text, s, v):
+    tree = parse(text)
+    for var in ("s", "v"):
+        want, want_error, want_kinks = _run(lambda: eval_jet3(tree, var, s, v))
+        got, got_error, got_kinks = _run(lambda: compile_jets([tree], var)(s, v))
+        assert str(got_error) == str(want_error)
+        assert got_kinks == want_kinks
+        if want_error is None:
+            assert [c.hex() for c in got] == [c.hex() for c in _coefficients(want)]
 
 
 def test_compiled_exp_overflows_to_inf():

@@ -8,7 +8,6 @@ from g3pencil.g3core import (
     G3Vector,
     cross,
     dot,
-    galilean_norm,
     isotropic_norm,
     isotropic_wedge,
     normalize_isotropic,
@@ -79,10 +78,6 @@ class TestNorms:
     def test_rejects_non_isotropic(self):
         with pytest.raises(NonIsotropicInput):
             isotropic_norm(vec(1, 0, 0))
-
-    def test_galilean_norm_branches(self):
-        assert galilean_norm(vec(-2, 9, 9)) == 2.0
-        assert galilean_norm(vec(0, 3, 4)) == 5.0
 
 
 class TestNormalize:

@@ -1,11 +1,26 @@
 import math
 import random
+import warnings
 
 import pytest
 
-from g3pencil.curve import anti_salkowski, darboux, frenet, fresnel_helix, point
-from g3pencil.errors import ClassMismatch, InfeasibleLambda, NotProductForm, SigmaVanishes
-from g3pencil.exprjet import eval_expr, eval_jet3, parse
+from g3pencil.curve import (
+    FrenetFrame,
+    anti_salkowski,
+    darboux,
+    explicit_curve,
+    frenet,
+    fresnel_helix,
+    point,
+)
+from g3pencil.errors import (
+    ClassMismatch,
+    G3PencilError,
+    InfeasibleLambda,
+    NotProductForm,
+    SigmaVanishes,
+)
+from g3pencil.exprjet import KinkWarning, eval_expr, eval_jet3, parse
 from g3pencil.g3core import dot, isotropic_norm, isotropic_wedge, normalize_isotropic
 from g3pencil.pencil import (
     ControlCoefficients,
@@ -15,12 +30,18 @@ from g3pencil.pencil import (
     apply_control_coefficients,
     classify_dtype,
     corollary_components,
-    marching_scale_zero,
     product_marching_scale,
     required_normal_components,
     surface_normal,
     surface_point,
     synthesize_product_form,
+)
+from oracles import (
+    frenet_reference,
+    marching_scale_zero,
+    point_reference,
+    surface_normal_reference,
+    surface_point_reference,
 )
 
 ONE = parse("1")
@@ -367,3 +388,84 @@ class TestClassifyDType:
     def test_infeasible_spec_raises(self, helix):
         with pytest.raises(InfeasibleLambda):
             classify_dtype(DTypeSpec(6.0, parse("1")), helix, (0.5, 6.0))
+
+
+class TestCompiledKernels:
+    """frenet, point, surface_point and surface_normal run compiled kernels
+    cached on the curve and marching scale; they must agree bitwise with
+    the tree-walked references, and fail where those fail."""
+
+    @staticmethod
+    def _pencils():
+        dom = ParamDomain(-3.0, 3.0, -1.0, 2.0, 0.0)
+        spec = DTypeSpec(lam=0.5, sigma=parse("1+s^2/16"), sign=-1.0)
+        for curve in (fresnel_helix(), fresnel_helix(as_printed=True), anti_salkowski()):
+            ms = synthesize_product_form(
+                curve, spec, parse("1+s^2/16"), parse("2+sin(s)"), parse("-1-s^2/8"), dom,
+                scaled=curve.name != "fresnel-helix-printed",
+            )
+            yield curve, apply_control_coefficients(ms, ControlCoefficients(1 / 3, 1 / 5, 1.0))
+        yield explicit_curve("s^3/6 + sin(s)", "cosh(s/2)*s^2/2 - s"), MarchingScale(
+            alpha=parse("s*v^2 - abs(v)"),
+            beta=parse("sqrt(1 + s^2)*v/(2 + cos(s))"),
+            gamma=parse("(abs(s)+0.5)^1.5*sinh(v/4)"),
+        )
+
+    @staticmethod
+    def _bits(value):
+        # float.hex tells -0.0 from 0.0, which == does not
+        if isinstance(value, FrenetFrame):
+            vectors, scalars = (value.t, value.n, value.b), (value.s, value.kappa, value.tau)
+        else:
+            vectors, scalars = (value,), ()
+        return [c.hex() for vec in vectors for c in vec.as_tuple()] + [x.hex() for x in scalars]
+
+    def _same(self, evaluate, reference):
+        def run(fn):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", KinkWarning)
+                try:
+                    return self._bits(fn()), None
+                except G3PencilError as exc:
+                    return None, type(exc).__name__
+
+        assert run(evaluate) == run(reference)
+
+    def test_kernels_match_tree_walked_references(self):
+        rng = random.Random(77)
+        for curve, ms in self._pencils():
+            s_values = [0.0, -1.5, 2.75] + [rng.uniform(-3.0, 3.0) for _ in range(40)]
+            for s in s_values:
+                self._same(lambda: frenet(curve, s), lambda: frenet_reference(curve, s))
+                self._same(lambda: point(curve, s), lambda: point_reference(curve, s))
+                for v in (0.0, -1.0, rng.uniform(-1.0, 2.0)):
+                    self._same(
+                        lambda: surface_point(curve, ms, s, v),
+                        lambda: surface_point_reference(curve, ms, s, v),
+                    )
+                    self._same(
+                        lambda: surface_normal(curve, ms, s, v),
+                        lambda: surface_normal_reference(curve, ms, s, v),
+                    )
+
+    def test_kernels_are_compiled_once_per_object(self, monkeypatch, dom):
+        import g3pencil.curve
+        import g3pencil.pencil
+
+        compiled = []
+
+        def counting(compile_jets):
+            def wrapper(exprs, var):
+                compiled.append(var)
+                return compile_jets(exprs, var)
+
+            return wrapper
+
+        monkeypatch.setattr(g3pencil.curve, "compile_jets", counting(g3pencil.curve.compile_jets))
+        monkeypatch.setattr(g3pencil.pencil, "compile_jets", counting(g3pencil.pencil.compile_jets))
+        helix = fresnel_helix()
+        ms = synthesize_product_form(helix, DTypeSpec(0.5, ONE), ONE, ONE, NEG_ONE, dom)
+        for s in (1.0, 2.0, 3.0):
+            frenet(helix, s)
+            surface_normal(helix, ms, s, 1.0)
+        assert compiled == ["s", "s", "v"]  # frames, then the scale's jets in s and v

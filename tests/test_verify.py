@@ -9,7 +9,6 @@ from g3pencil.pencil import (
     DTypeSpec,
     MarchingScale,
     ParamDomain,
-    marching_scale_zero,
     product_marching_scale,
     synthesize_product_form,
 )
@@ -19,6 +18,7 @@ from g3pencil.verify import (
     frenet_residuals,
     normal_consistency,
 )
+from oracles import marching_scale_zero
 
 ONE = parse("1")
 NEG_ONE = parse("-1")
