@@ -14,7 +14,7 @@ import sys
 
 from . import figures
 from .config import build_curve, load_config, realize
-from .curve import classify_curve, darboux, fresnel_helix, frenet, point
+from .curve import classify_curve, darboux, fresnel_helix, frenet, point, uniform_grid
 from .errors import G3PencilError
 from .g3core import G3Vector
 from .mesh import export_csv, export_curve_csv, export_obj, mesh_from_pencil
@@ -74,7 +74,7 @@ def _cmd_build(args) -> int:
     cfg = load_config(args.config)
     pencil = realize(cfg, as_printed=args.as_printed, sign=args.sign)
     ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
-    mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
+    mesh = mesh_from_pencil(pencil, ns, nv)
     _export(mesh, args.output)
     print(f"wrote {args.output} ({mesh.ns}x{mesh.nv} vertices)")
     return EXIT_OK
@@ -127,8 +127,7 @@ def _cmd_reproduce(args) -> int:
             from .curve import anti_salkowski
 
             curve = anti_salkowski()
-        a, b = figures.CURVE_RANGE
-        svals = [a + (b - a) * i / (ns - 1) for i in range(ns)]
+        svals = uniform_grid(*figures.CURVE_RANGE, ns)
         pts = [point(curve, s) for s in svals]
         out = os.path.join(args.output, f"{name}.csv")
         export_curve_csv(svals, pts, out)
@@ -136,7 +135,7 @@ def _cmd_reproduce(args) -> int:
         return EXIT_OK
     cfg = fig.config(as_printed=args.as_printed)
     pencil = realize(cfg, as_printed=args.as_printed)
-    mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
+    mesh = mesh_from_pencil(pencil, ns, nv)
     obj_path = os.path.join(args.output, f"{name}.obj")
     csv_path = os.path.join(args.output, f"{name}.csv")
     export_obj(mesh, obj_path)
@@ -168,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--grid", type=_parse_grid, metavar="NSxNV")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
     p.add_argument("--as-printed", action="store_true", dest="as_printed")
     p.add_argument("--sign", choices=["+", "-"], type=str)
     p.set_defaults(func=_cmd_build)
@@ -185,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", choices=sorted(figures.FIGURES))
     p.add_argument("-o", "--output", required=True, metavar="DIR")
     p.add_argument("--grid", type=_parse_grid, metavar="NSxNV")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
     p.add_argument("--as-printed", action="store_true", dest="as_printed")
     p.set_defaults(func=_cmd_reproduce)
 

@@ -140,18 +140,19 @@ def point(curve: CurveSpec, s: float) -> G3Vector:
     return G3Vector(s, f, g)
 
 
-def frenet(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetFrame:
+def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
     """Moving frame, curvature and torsion at s.
 
     Raises CurvatureVanishes or TorsionVanishes when the respective
-    quantity falls below ``kappa_min``; the frame is undefined there.
+    quantity is NaN or falls below ``KAPPA_MIN``; the frame is undefined
+    there.
     """
     _, f1, f2, f3, _, g1, g2, g3 = curve._frame_jets(s, 0.0)
     kappa = math.hypot(f2, g2)
-    if kappa < kappa_min:
+    if not kappa >= KAPPA_MIN:
         raise CurvatureVanishes(s, kappa)
     tau = (f2 * g3 - f3 * g2) / (kappa * kappa)
-    if abs(tau) < kappa_min:
+    if not abs(tau) >= KAPPA_MIN:
         raise TorsionVanishes(s, tau)
     t = G3Vector(1.0, f1, g1)
     n = G3Vector(0.0, f2 / kappa, g2 / kappa)
@@ -193,11 +194,9 @@ def classify_curve(
     """
     if samples < 16:
         raise ValueError("classification needs at least 16 samples")
-    s1, s2 = s_range
     kappas = []
     taus = []
-    for i in range(samples):
-        s = s1 + (s2 - s1) * i / (samples - 1)
+    for s in uniform_grid(s_range[0], s_range[1], samples):
         fr = frenet(curve, s)
         kappas.append(fr.kappa)
         taus.append(fr.tau)
@@ -215,39 +214,31 @@ def classify_curve(
 
 
 def usable_s_intervals(
-    curve: CurveSpec,
-    s_min: float,
-    s_max: float,
-    *,
-    min_kappa: float = DEFAULT_FRAME_GUARD,
-    probes: int = 256,
-    extra_check=None,
+    curve: CurveSpec, s_min: float, s_max: float, *, extra_check=None
 ) -> list[tuple[float, float]]:
     """Sub-intervals of [s_min, s_max] where the frame is well conditioned.
 
-    Probes a uniform grid; a probe fails when the frame does not exist,
-    the curvature sits below ``min_kappa`` (guard band around curvature
-    zeros), or ``extra_check(s)`` raises.  Contiguous runs of good probes
-    become intervals.  When every probe passes the exact input interval is
-    returned, so explicitly chosen safe ranges are preserved.
+    Probes 256 uniformly spaced points; a probe fails when the frame does
+    not exist, the curvature sits below ``DEFAULT_FRAME_GUARD`` (guard
+    band around curvature zeros), or ``extra_check(s)`` raises.
+    Contiguous runs of good probes become intervals.  When every probe
+    passes the exact input interval is returned, so explicitly chosen safe
+    ranges are preserved.
     """
+    ss = uniform_grid(s_min, s_max, 256)
     flags = []
-    ss = []
-    for i in range(probes):
-        s = s_min + (s_max - s_min) * i / (probes - 1)
-        ss.append(s)
+    for s in ss:
         ok = True
         try:
             fr = frenet(curve, s)
             # relative slack so a boundary chosen at exactly the guard value
             # survives rounding in the curvature computation
-            if fr.kappa < min_kappa * (1.0 - 1e-9):
+            if fr.kappa < DEFAULT_FRAME_GUARD * (1.0 - 1e-9):
                 ok = False
             elif extra_check is not None:
                 extra_check(s)
-        except (G3PencilError, ZeroDivisionError):
-            # no frame, or the expressions fail here; a zero curvature
-            # under a floor of 0 divides by zero
+        except G3PencilError:
+            # no frame, or the expressions fail here
             ok = False
         flags.append(ok)
     if all(flags):
@@ -267,14 +258,7 @@ def usable_s_intervals(
 
 
 def sample_s_values(
-    curve: CurveSpec,
-    s_min: float,
-    s_max: float,
-    n: int,
-    *,
-    min_kappa: float = DEFAULT_FRAME_GUARD,
-    inset: float = 0.0,
-    extra_check=None,
+    curve: CurveSpec, s_min: float, s_max: float, n: int, *, inset: float = 0.0
 ) -> list[float]:
     """n parameter values spread over the usable sub-intervals.
 
@@ -282,9 +266,7 @@ def sample_s_values(
     shrinks every interval at both ends, which keeps finite difference
     stencils inside the usable region.
     """
-    intervals = usable_s_intervals(
-        curve, s_min, s_max, min_kappa=min_kappa, extra_check=extra_check
-    )
+    intervals = usable_s_intervals(curve, s_min, s_max)
     intervals = [(a + inset, b - inset) for a, b in intervals if b - a > 2.0 * inset]
     if not intervals:
         raise CurvatureVanishes(s_min, 0.0)
@@ -311,5 +293,10 @@ def spread_s_values(intervals: list[tuple[float, float]], n: int) -> list[float]
         if count == 1:
             values.append(0.5 * (a + b))
         else:
-            values.extend(a + (b - a) * i / (count - 1) for i in range(count))
+            values += uniform_grid(a, b, count)
     return values
+
+
+def uniform_grid(a: float, b: float, n: int) -> list[float]:
+    """n values from a to b, both included, as a + (b - a) * i / (n - 1)."""
+    return [a + (b - a) * i / (n - 1) for i in range(n)]

@@ -2,9 +2,9 @@
 
 Vertices are stored row major in s-major order (all v values of the first
 s row, then the next row).  Output bytes depend only on the configuration,
-never on worker count or timing: rows are computed one after another by a
-compiled row kernel and written row by row in index order.  Signed zeros
-serialize as "0".
+never on timing: rows are computed one after another by a compiled row
+kernel and written row by row in index order.  Signed zeros serialize as
+"0".
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 
-from .config import PencilConfig, realize
-from .curve import frenet, point, spread_s_values, usable_s_intervals
+from .curve import frenet, point, spread_s_values, uniform_grid, usable_s_intervals
 from .errors import GridTooCoarse, ZeroVector
 from .exprjet import compile_surface_rows
 from .g3core import G3Vector, normalize_isotropic
@@ -38,13 +37,7 @@ def _fmt(x: float) -> str:
 
 
 def mesh_from_pencil(
-    pencil: PencilSpec,
-    ns: int,
-    nv: int,
-    *,
-    workers: int = 1,
-    with_normals: bool = False,
-    min_kappa: float | None = None,
+    pencil: PencilSpec, ns: int, nv: int, *, with_normals: bool = False
 ) -> Mesh:
     """Sample the surface on a uniform grid.
 
@@ -52,10 +45,7 @@ def mesh_from_pencil(
     expression domain gaps (with a warning when anything is excised) and
     gives every usable interval at least two rows; the v grid spans
     [v_min, v_max] uniformly.  Each row takes one frame and one curve
-    point and runs the pencil's compiled row kernel.  ``workers`` is
-    accepted and ignored: the kernel is Python code holding the
-    interpreter lock, so threads only added overhead, and the result is
-    the same for any value.
+    point and runs the pencil's compiled row kernel.
     """
     curve = pencil.curve
     ms = pencil.marching
@@ -69,8 +59,7 @@ def mesh_from_pencil(
         pencil.point(s, v_mid)
         pencil.point(s, d.v_max)
 
-    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
-    intervals = usable_s_intervals(curve, d.s_min, d.s_max, extra_check=probe, **kwargs)
+    intervals = usable_s_intervals(curve, d.s_min, d.s_max, extra_check=probe)
     if not intervals:
         raise ZeroVector("no usable s interval in the requested domain")
     if intervals != [(d.s_min, d.s_max)]:
@@ -85,7 +74,7 @@ def mesh_from_pencil(
             f"{ns} rows cannot give each of the {len(intervals)} usable s intervals two rows"
         )
     s_values = spread_s_values(intervals, ns)
-    v_values = [d.v_min + (d.v_max - d.v_min) * j / (nv - 1) for j in range(nv)]
+    v_values = uniform_grid(d.v_min, d.v_max, nv)
     row_points = compile_surface_rows(ms.alpha, ms.beta, ms.gamma, v_values)
     vertices: list[G3Vector] = []
     normals: list[G3Vector | None] | None = [] if with_normals else None
@@ -106,25 +95,6 @@ def mesh_from_pencil(
         v_values=v_values,
         vertices=vertices,
         normals=normals,
-    )
-
-
-def sample_grid(
-    config: PencilConfig,
-    *,
-    workers: int = 1,
-    with_normals: bool = False,
-    as_printed: bool = False,
-    sign: float | None = None,
-) -> Mesh:
-    """Realize a configuration and sample its grid (all or nothing)."""
-    pencil = realize(config, as_printed=as_printed, sign=sign)
-    return mesh_from_pencil(
-        pencil,
-        config.grid.ns,
-        config.grid.nv,
-        workers=workers,
-        with_normals=with_normals,
     )
 
 

@@ -25,6 +25,13 @@ Two construction rules for (phi2, phi3) are provided:
                 phi3 = sign * sigma * sqrt(1 - (lam tau / kappa)^2).
   This makes lam_hat = lam exactly, for any nonvanishing sigma(s).
 
+Both rules need the radicand 1 - ratio^2 to stay non-negative, where
+ratio = lam tau / (sigma kappa) under the plain rule and lam tau / kappa
+under the scaled rule.  `_radicand` is the one place that computes the
+ratio and the radicand and tests that condition, for the normal
+components, for the grid check of synthesis (`check_feasibility`) and for
+`classify_dtype` alike; radicands down to -1e-12 count as zero.
+
 Synthesis defaults to the scaled rule; the plain rule is what the classical
 derivation states and is kept both for `required_normal_components` and as
 the opt-out (`scaled=False`), because the two coincide whenever sigma is 1.
@@ -38,7 +45,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .curve import CurveSpec, FrenetFrame, classify_curve, frenet, point, sample_s_values
+from .curve import (
+    CurveSpec,
+    FrenetFrame,
+    classify_curve,
+    frenet,
+    point,
+    sample_s_values,
+    uniform_grid,
+)
 from .errors import (
     ClassMismatch,
     InfeasibleLambda,
@@ -241,22 +256,38 @@ def surface_normal(
 # ---------------------------------------------------------------------------
 
 
+def _radicand(
+    kappa: float, tau: float, sigma_val: float, lam: float, scaled: bool, s: float
+) -> tuple[float, float]:
+    """The rule's ratio and the radicand 1 - ratio^2 at parameter s.
+
+    The ratio is lam tau / kappa under the scaled rule and
+    lam tau / (sigma kappa) under the plain rule.  Raises SigmaVanishes
+    where sigma does, and InfeasibleLambda where the radicand falls below
+    the clamping threshold -1e-12.
+    """
+    if abs(sigma_val) < _FACTOR_FLOOR:
+        raise SigmaVanishes(s)
+    if scaled:
+        ratio = lam * tau / kappa
+    else:
+        ratio = lam * tau / (sigma_val * kappa)
+    radicand = 1.0 - ratio * ratio
+    if radicand < -_RADICAND_CLAMP:
+        raise InfeasibleLambda(s, ratio)
+    return ratio, radicand
+
+
 def _phis(
     kappa: float, tau: float, sigma_val: float, lam: float, sign: float, scaled: bool, s: float
 ) -> tuple[float, float]:
-    if abs(sigma_val) < _FACTOR_FLOOR:
-        raise SigmaVanishes(s)
+    _, radicand = _radicand(kappa, tau, sigma_val, lam, scaled, s)
     abs_tau = abs(tau)
     if scaled:
         phi2 = sigma_val * lam * abs_tau / kappa
-        ratio = lam * tau / kappa
     else:
         phi2 = lam * abs_tau / kappa
-        ratio = lam * tau / (sigma_val * kappa)
-    radicand = 1.0 - ratio * ratio
     if radicand < 0.0:
-        if radicand < -_RADICAND_CLAMP:
-            raise InfeasibleLambda(s, ratio)
         radicand = 0.0
     phi3 = sign * sigma_val * math.sqrt(radicand)
     return phi2, phi3
@@ -351,36 +382,19 @@ def _const(x: float) -> Expr:
 
 
 def check_feasibility(
-    curve: CurveSpec,
-    dtype: DTypeSpec,
-    domain: ParamDomain,
-    *,
-    scaled: bool = True,
-    samples: int = 512,
-    min_kappa: float | None = None,
+    curve: CurveSpec, dtype: DTypeSpec, grid: list[float], *, scaled: bool
 ) -> tuple[float, float]:
-    """Grid check of the radicand over the domain's usable s range.
+    """Radicand of the construction rule at every point of an s grid.
 
-    Returns (min_radicand, max_radicand) over the grid.  Raises
-    InfeasibleLambda at the first grid point whose radicand falls below
-    the clamping threshold, and SigmaVanishes where sigma does.
+    ``grid`` is the guarded grid synthesis samples on.  Returns
+    (min_radicand, max_radicand) over it; raises SigmaVanishes or
+    InfeasibleLambda at the first grid point where :func:`_radicand` does.
     """
-    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
-    grid = sample_s_values(curve, domain.s_min, domain.s_max, samples, **kwargs)
     lo = math.inf
     hi = -math.inf
     for s in grid:
         fr = frenet(curve, s)
-        sigma_val = dtype._sigma(s, 0.0)
-        if abs(sigma_val) < _FACTOR_FLOOR:
-            raise SigmaVanishes(s)
-        if scaled:
-            ratio = dtype.lam * fr.tau / fr.kappa
-        else:
-            ratio = dtype.lam * fr.tau / (sigma_val * fr.kappa)
-        radicand = 1.0 - ratio * ratio
-        if radicand < -_RADICAND_CLAMP:
-            raise InfeasibleLambda(s, ratio)
+        _, radicand = _radicand(fr.kappa, fr.tau, dtype._sigma(s, 0.0), dtype.lam, scaled, s)
         lo = min(lo, radicand)
         hi = max(hi, radicand)
     return lo, hi
@@ -406,9 +420,10 @@ def synthesize_product_form(
     kappa and tau (both built-ins do).
 
     ``scaled`` selects the sigma-scaled rule (default, exact invariant) or
-    the plain rule; see the module docstring.  Feasibility is checked on a
-    ``samples``-point grid up front and remains guarded per point through
-    the square root's domain check.
+    the plain rule; see the module docstring.  One ``samples``-point
+    guarded grid serves the m and n factor scans and the feasibility
+    check up front; the square root's domain check still guards each
+    point.
     """
     if curve.kappa_form is None or curve.tau_form is None:
         raise ValueError(
@@ -425,7 +440,7 @@ def synthesize_product_form(
             if abs(value) < _FACTOR_FLOOR or (prev is not None and prev * value < 0.0):
                 raise ZeroMarchingFactor(label, s)
             prev = value
-    lo, hi = check_feasibility(curve, dtype, domain, scaled=scaled, samples=samples)
+    lo, hi = check_feasibility(curve, dtype, grid, scaled=scaled)
 
     lam_e = _const(dtype.lam)
     kappa_e = curve.kappa_form
@@ -487,20 +502,14 @@ def classify_dtype(
     Asymptotic means lam = 0 (normal orthogonal to the principal normal
     everywhere); geodesic applies the geometric criterion sin(theta) = 0,
     i.e. |lam tau / (sigma kappa)| = 1 within 1e-9 at every sample.
+    Feasibility is the plain rule's, as :func:`_radicand` states it.
     """
     if dtype.lam == 0.0:
         return "asymptotic"
-    s1, s2 = s_range
     geodesic = True
-    for i in range(samples):
-        s = s1 + (s2 - s1) * i / (samples - 1)
+    for s in uniform_grid(s_range[0], s_range[1], samples):
         fr = frenet(curve, s)
-        sigma_val = dtype._sigma(s, 0.0)
-        if abs(sigma_val) < _FACTOR_FLOOR:
-            raise SigmaVanishes(s)
-        ratio = dtype.lam * fr.tau / (sigma_val * fr.kappa)
-        if abs(ratio) > 1.0 + _RADICAND_CLAMP:
-            raise InfeasibleLambda(s, ratio)
+        ratio, _ = _radicand(fr.kappa, fr.tau, dtype._sigma(s, 0.0), dtype.lam, False, s)
         if abs(abs(ratio) - 1.0) > _GEODESIC_TOL:
             geodesic = False
     return "geodesic" if geodesic else "general-d-type"

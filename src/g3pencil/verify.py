@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, sample_s_values
+from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, sample_s_values, uniform_grid
 from .errors import ZeroVector
 from .exprjet import KinkWarning
 from .g3core import G3Vector, cross, dot, isotropic_norm, isotropic_wedge, normalize_isotropic
@@ -125,7 +125,6 @@ def dtype_report(
     tol: float | None = None,
     *,
     richardson: bool = False,
-    min_kappa: float | None = None,
 ) -> DTypeReport:
     """Sample lam_hat(s) on the base line and test it for constancy.
 
@@ -142,11 +141,8 @@ def dtype_report(
         tol = ANALYTIC_TOL if mode == "analytic" else FD_TOL
     h_s = FD_REL_STEP * (domain.s_max - domain.s_min)
     h_v = FD_REL_STEP * (domain.v_max - domain.v_min)
-    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
     inset = h_s if mode == "fd" else 0.0
-    svals = sample_s_values(
-        curve, domain.s_min, domain.s_max, n_samples, inset=inset, **kwargs
-    )
+    svals = sample_s_values(curve, domain.s_min, domain.s_max, n_samples, inset=inset)
     v0 = domain.v0
     samples: list[InvariantSample] = []
     sines: list[float] = []
@@ -187,16 +183,10 @@ def dtype_report(
 
 
 def check_isoparametric(
-    curve: CurveSpec,
-    ms: MarchingScale,
-    domain: ParamDomain,
-    n_samples: int = 200,
-    *,
-    min_kappa: float | None = None,
+    curve: CurveSpec, ms: MarchingScale, domain: ParamDomain, n_samples: int = 200
 ) -> float:
     """Max componentwise gap between phi(s, v0) and r(s) over the base line."""
-    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
-    svals = sample_s_values(curve, domain.s_min, domain.s_max, n_samples, **kwargs)
+    svals = sample_s_values(curve, domain.s_min, domain.s_max, n_samples)
     worst = 0.0
     for s in svals:
         p = surface_point(curve, ms, s, domain.v0)
@@ -216,8 +206,6 @@ def frenet_residuals(
     s_range: tuple[float, float],
     n_samples: int = 100,
     h: float = 1e-5,
-    *,
-    min_kappa: float | None = None,
 ) -> FrenetResiduals:
     """Max residuals of the frame equations under central differences.
 
@@ -225,8 +213,7 @@ def frenet_residuals(
     against tau b and b' against -tau n.  Residuals shrink quadratically
     in h while truncation dominates rounding.
     """
-    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
-    svals = sample_s_values(curve, s_range[0], s_range[1], n_samples, inset=h, **kwargs)
+    svals = sample_s_values(curve, s_range[0], s_range[1], n_samples, inset=h)
     r_t = r_n = r_b = 0.0
     for s in svals:
         fr = frenet(curve, s)
@@ -250,7 +237,6 @@ def normal_consistency(
     nv: int = 9,
     *,
     richardson: bool = False,
-    min_kappa: float | None = None,
 ) -> float:
     """Max angle between analytic and finite difference normals on a grid.
 
@@ -260,15 +246,12 @@ def normal_consistency(
     """
     h_s = FD_REL_STEP * (domain.s_max - domain.s_min)
     h_v = FD_REL_STEP * (domain.v_max - domain.v_min)
-    kwargs = {} if min_kappa is None else {"min_kappa": min_kappa}
-    svals = sample_s_values(
-        curve, domain.s_min, domain.s_max, n_samples, inset=h_s, **kwargs
-    )
+    svals = sample_s_values(curve, domain.s_min, domain.s_max, n_samples, inset=h_s)
+    v_values = uniform_grid(domain.v_min, domain.v_max, nv)
     worst = 0.0
     for s in svals:
         fr = frenet(curve, s)
-        for j in range(nv):
-            v = domain.v_min + (domain.v_max - domain.v_min) * j / (nv - 1)
+        for v in v_values:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", KinkWarning)
                 eta_a = surface_normal(curve, ms, s, v, frame=fr)

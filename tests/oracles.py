@@ -168,14 +168,14 @@ def point_reference(curve: CurveSpec, s: float) -> G3Vector:
     return G3Vector(s, eval_expr(curve.f, s, 0.0), eval_expr(curve.g, s, 0.0))
 
 
-def frenet_reference(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetFrame:
+def frenet_reference(curve: CurveSpec, s: float) -> FrenetFrame:
     fj = eval_jet3(curve.f, "s", s, 0.0)
     gj = eval_jet3(curve.g, "s", s, 0.0)
     kappa = math.hypot(fj.c2, gj.c2)
-    if kappa < kappa_min:
+    if not kappa >= KAPPA_MIN:
         raise CurvatureVanishes(s, kappa)
     tau = (fj.c2 * gj.c3 - fj.c3 * gj.c2) / (kappa * kappa)
-    if abs(tau) < kappa_min:
+    if not abs(tau) >= KAPPA_MIN:
         raise TorsionVanishes(s, tau)
     t = G3Vector(1.0, fj.c1, gj.c1)
     n = G3Vector(0.0, fj.c2 / kappa, gj.c2 / kappa)

@@ -198,6 +198,14 @@ class TestGuards:
                 if abs(x) < 6.2:
                     assert abs(x) >= 0.09
 
+    def test_nan_jets_give_no_frame_and_no_usable_interval(self):
+        # exp(s) overflows above s = 709.78, so exp(s) - exp(s) is NaN there;
+        # below it the torsion is under KAPPA_MIN: nothing is usable
+        c = explicit_curve("exp(s) - exp(s) + s^3/6 + sin(s)", "cosh(s/2)")
+        with pytest.raises(CurvatureVanishes):
+            frenet(c, 720.0)
+        assert usable_s_intervals(c, 700.0, 720.0) == []
+
     def test_sample_values_cover_both_lobes(self, helix):
         values = sample_s_values(helix, -2 * math.pi, 2 * math.pi, 64)
         assert len(values) == 64

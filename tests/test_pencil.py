@@ -20,7 +20,9 @@ from g3pencil.errors import (
     NotProductForm,
     SigmaVanishes,
 )
+from g3pencil.config import realize
 from g3pencil.exprjet import KinkWarning, eval_expr, eval_jet3, parse
+from g3pencil.figures import FIGURES
 from g3pencil.g3core import dot, isotropic_norm, isotropic_wedge, normalize_isotropic
 from g3pencil.pencil import (
     ControlCoefficients,
@@ -388,6 +390,52 @@ class TestClassifyDType:
     def test_infeasible_spec_raises(self, helix):
         with pytest.raises(InfeasibleLambda):
             classify_dtype(DTypeSpec(6.0, parse("1")), helix, (0.5, 6.0))
+
+
+class TestOneFeasibilityRule:
+    """classify_dtype, required_normal_components and synthesis test
+    feasibility through one routine, so they agree at the boundary."""
+
+    @pytest.mark.parametrize("excess, feasible", [(7.5e-13, False), (-7.5e-13, True)])
+    def test_agreement_at_the_geodesic_boundary(self, helix, excess, feasible):
+        # on the helix |tau| / kappa = 1/4, so lam = 4 puts |ratio| at 1
+        dtype = DTypeSpec(4.0 * (1.0 + excess), ONE)
+        dom = ParamDomain(0.5, 6.0, 0.0, 1.0, 0.0)
+        calls = (
+            lambda: classify_dtype(dtype, helix, (0.5, 6.0)),
+            lambda: required_normal_components(helix, dtype, 3.0),
+            lambda: synthesize_product_form(
+                helix, dtype, ONE, ONE, NEG_ONE, dom, scaled=False
+            ),
+        )
+        for call in calls:
+            if feasible:
+                call()
+            else:
+                with pytest.raises(InfeasibleLambda):
+                    call()
+
+    def test_synthesis_scans_the_guard_bands_once(self, monkeypatch):
+        import g3pencil.curve
+        import g3pencil.pencil
+
+        calls = {"usable_s_intervals": 0, "frenet": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(g3pencil.curve, "usable_s_intervals")
+        counting(g3pencil.curve, "frenet")
+        counting(g3pencil.pencil, "frenet")
+        realize(FIGURES["fig1f"].config())
+        # 256 guard-band probes, then one frame per point of the 512-point grid
+        assert calls == {"usable_s_intervals": 1, "frenet": 256 + 512}
 
 
 class TestCompiledKernels:
