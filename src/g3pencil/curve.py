@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from .errors import CurvatureVanishes, G3PencilError, TorsionVanishes
 from .exprjet import Expr, compile_jets, compile_values, parse
@@ -59,10 +60,16 @@ class CurveSpec:
         """(s, v) -> values of f and g."""
         return compile_values((self.f, self.g))
 
+    @cached_property
+    def _guard_verdicts(self) -> dict:
+        """(s_min, s_max) -> the probes of guard_probes."""
+        return {}
+
 
 @dataclass(frozen=True)
 class FrenetFrame:
     s: float
+    r: G3Vector  # the base point (s, f(s), g(s))
     t: G3Vector
     n: G3Vector
     b: G3Vector
@@ -147,7 +154,7 @@ def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
     quantity is NaN or falls below ``KAPPA_MIN``; the frame is undefined
     there.
     """
-    _, f1, f2, f3, _, g1, g2, g3 = curve._frame_jets(s, 0.0)
+    f0, f1, f2, f3, g0, g1, g2, g3 = curve._frame_jets(s, 0.0)
     kappa = math.hypot(f2, g2)
     if not kappa >= KAPPA_MIN:
         raise CurvatureVanishes(s, kappa)
@@ -157,7 +164,7 @@ def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
     t = G3Vector(1.0, f1, g1)
     n = G3Vector(0.0, f2 / kappa, g2 / kappa)
     b = G3Vector(0.0, -g2 / kappa, f2 / kappa)
-    return FrenetFrame(s=s, t=t, n=n, b=b, kappa=kappa, tau=tau)
+    return FrenetFrame(s=s, r=G3Vector(s, f0, g0), t=t, n=n, b=b, kappa=kappa, tau=tau)
 
 
 def darboux(frame: FrenetFrame) -> DarbouxData:
@@ -213,73 +220,52 @@ def classify_curve(
     return CurveClass("generic", None)
 
 
-def usable_s_intervals(
-    curve: CurveSpec, s_min: float, s_max: float, *, extra_check=None
+def guard_probes(curve: CurveSpec, s_min: float, s_max: float) -> list[tuple[float, bool]]:
+    """256 uniform probes (s, passes) of [s_min, s_max], scanned once per range.
+
+    A probe passes where the frame exists with kappa >= ``DEFAULT_FRAME_GUARD``.
+    """
+    key = (s_min, s_max)
+    if key not in curve._guard_verdicts:
+        grid = uniform_grid(s_min, s_max, 256)
+        curve._guard_verdicts[key] = [(s, _passes_guard(curve, s)) for s in grid]
+    return curve._guard_verdicts[key]
+
+
+def _passes_guard(curve: CurveSpec, s: float) -> bool:
+    try:
+        # relative slack so a boundary chosen at exactly the guard value
+        # survives rounding in the curvature computation
+        return frenet(curve, s).kappa >= DEFAULT_FRAME_GUARD * (1.0 - 1e-9)
+    except G3PencilError:
+        return False  # no frame, or the expressions fail here
+
+
+def probe_intervals(
+    probes: list[tuple[float, bool]], s_min: float, s_max: float
 ) -> list[tuple[float, float]]:
-    """Sub-intervals of [s_min, s_max] where the frame is well conditioned.
-
-    Probes 256 uniformly spaced points; a probe fails when the frame does
-    not exist, the curvature sits below ``DEFAULT_FRAME_GUARD`` (guard
-    band around curvature zeros), or ``extra_check(s)`` raises.
-    Contiguous runs of good probes become intervals.  When every probe
-    passes the exact input interval is returned, so explicitly chosen safe
-    ranges are preserved.
-    """
-    ss = uniform_grid(s_min, s_max, 256)
-    flags = []
-    for s in ss:
-        ok = True
-        try:
-            fr = frenet(curve, s)
-            # relative slack so a boundary chosen at exactly the guard value
-            # survives rounding in the curvature computation
-            if fr.kappa < DEFAULT_FRAME_GUARD * (1.0 - 1e-9):
-                ok = False
-            elif extra_check is not None:
-                extra_check(s)
-        except G3PencilError:
-            # no frame, or the expressions fail here
-            ok = False
-        flags.append(ok)
-    if all(flags):
+    """Runs of passing probes as intervals; [s_min, s_max] itself if all pass."""
+    if all(ok for _, ok in probes):
         return [(s_min, s_max)]
-    intervals = []
-    start = None
-    for s, ok in zip(ss, flags):
-        if ok and start is None:
-            start = s
-        elif not ok and start is not None:
-            intervals.append((start, prev))
-            start = None
-        prev = s
-    if start is not None:
-        intervals.append((start, ss[-1]))
-    return [iv for iv in intervals if iv[1] > iv[0]]
+    runs = [[s for s, _ in run] for ok, run in groupby(probes, key=lambda p: p[1]) if ok]
+    return [(run[0], run[-1]) for run in runs if run[-1] > run[0]]
 
 
-def sample_s_values(
-    curve: CurveSpec, s_min: float, s_max: float, n: int, *, inset: float = 0.0
+def usable_s_intervals(curve: CurveSpec, s_min: float, s_max: float) -> list[tuple[float, float]]:
+    """Sub-intervals of [s_min, s_max] where the frame is well conditioned."""
+    return probe_intervals(guard_probes(curve, s_min, s_max), s_min, s_max)
+
+
+def spread_s_values(
+    intervals: list[tuple[float, float]], n: int, *, inset: float = 0.0
 ) -> list[float]:
-    """n parameter values spread over the usable sub-intervals.
-
-    Points are allocated as :func:`spread_s_values` does.  ``inset``
-    shrinks every interval at both ends, which keeps finite difference
-    stencils inside the usable region.
-    """
-    intervals = usable_s_intervals(curve, s_min, s_max)
-    intervals = [(a + inset, b - inset) for a, b in intervals if b - a > 2.0 * inset]
-    if not intervals:
-        raise CurvatureVanishes(s_min, 0.0)
-    return spread_s_values(intervals, n)
-
-
-def spread_s_values(intervals: list[tuple[float, float]], n: int) -> list[float]:
-    """n parameter values over disjoint intervals, in order.
+    """n parameter values over disjoint intervals, shrunk at both ends by ``inset``.
 
     Each interval gets a share of the points in proportion to its length,
     at least two while enough remain, placed uniformly inside it with both
     endpoints included; an interval left with one point gets its midpoint.
     """
+    intervals = [(a + inset, b - inset) for a, b in intervals if b - a > 2.0 * inset]
     total = sum(b - a for a, b in intervals)
     values: list[float] = []
     remaining = n

@@ -18,6 +18,10 @@ class ZeroVector(G3PencilError):
     """Normalization of a vector whose norm is numerically zero."""
 
 
+class EmptyDomain(G3PencilError):
+    """Guard bands and expression domain gaps cover the whole s range."""
+
+
 class GridTooCoarse(G3PencilError):
     """A surface grid has fewer rows than two per usable s interval."""
 

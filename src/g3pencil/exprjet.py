@@ -816,15 +816,20 @@ class _Emitter:
         if isinstance(expr, Call):
             return self._call(expr, args[0])
         (left, _), (right, right_level) = args
+        guards = []
+        if expr.op == "/":
+            guards.append((f"{right} == 0.0", args[1:], str(_fail(expr, "division by zero"))))
         if expr.op != "^":
-            return self.stmt(f"{left} {expr.op} {right}", args)
-        guards = ()
+            return self.stmt(f"{left} {expr.op} {right}", args, guards)
         if right_level != _CONST or not float(_fold(expr.right)).is_integer():
             # Python returns a complex number here, where eval_expr refuses.
             # The grammar keeps exponents constant; any other is checked as
             # a fractional one.
             message = str(_fail(expr, "fractional power of a negative base"))
-            guards = [(f"{left} < 0.0", args[:1], message)]
+            guards.append((f"{left} < 0.0", args[:1], message))
+        if right_level == _CONST and _fold(expr.right) < 0.0:
+            message = str(_fail(expr, "zero base with negative exponent"))
+            guards.append((f"{left} == 0.0", args[:1], message))
         return self.stmt(f"{left} ** {right}", args, guards)
 
     def _call(self, node: Call, x: _Operand) -> _Operand:
@@ -832,8 +837,17 @@ class _Emitter:
         if f in ("fresnelS", "fresnelC"):
             pair = self.stmt(f"_fresnel({x[0]})", [x])
             return self.stmt(f"{pair[0]}[{0 if f == 'fresnelS' else 1}]", [pair])
-        guards = [(f"{x[0]} in _INFS", [x], _infinite_argument(node))] if f in _TRIG else ()
-        return self.stmt(f"{f}({x[0]})", [x], guards)
+        return self.stmt(f"{f}({x[0]})", [x], self._argument_guards(node, x))
+
+    def _argument_guards(self, node: Call, x: _Operand) -> list:
+        """The checks :func:`eval_expr` makes on the argument of node."""
+        if node.func in _TRIG:
+            return [(f"{x[0]} in _INFS", [x], _infinite_argument(node))]
+        if node.func == "sqrt":
+            return [(f"{x[0]} < 0.0", [x], str(_fail(node, "square root of a negative value")))]
+        if node.func == "ln":
+            return [(f"{x[0]} <= 0.0", [x], str(_fail(node, "log of a non-positive value")))]
+        return []
 
     # -- jets --------------------------------------------------------------
 
@@ -884,14 +898,12 @@ class _Emitter:
 
     def _call_jet(self, node: Call, u) -> tuple[_Operand, ...]:
         x = u[0]
-        if node.func in _TRIG:
-            self.guard(f"{x[0]} in _INFS", [x], _infinite_argument(node))
+        for guard in self._argument_guards(node, x):
+            self.guard(*guard)
         if node.func == "sqrt":
             return self._sqrt_jet(node, u)
         if node.func == "abs":
             return self._abs_jet(node, u)
-        if node.func == "ln":
-            self.guard(f"{x[0]} <= 0.0", [x], str(_fail(node, "log of a non-positive value")))
         steps, picks = _CALL_JET[node.func]
         t: list[_Operand] = []
         for template in steps:
@@ -900,7 +912,6 @@ class _Emitter:
 
     def _sqrt_jet(self, node: Call, u) -> tuple[_Operand, ...]:
         x, u1, u2, u3 = (text for text, _ in u)
-        self.guard(f"{x} < 0.0", u[:1], str(_fail(node, "square root of a negative value")))
         out = self._outputs(u, 6)
         c0, c1, c2, c3, f1, f2 = (name for name, _ in out)
         at_zero = str(_fail(node, "derivative of sqrt at zero"))
@@ -1047,13 +1058,13 @@ def compile_jets(exprs: Sequence[Expr], var: str) -> Callable[[float, float], tu
 
 def compile_surface_rows(
     alpha: Expr, beta: Expr, gamma: Expr, v_values: Sequence[float]
-) -> Callable[[float, G3Vector, object], list[G3Vector]]:
+) -> Callable[[float, object], list[G3Vector]]:
     """Compile the points base + alpha t + beta n + gamma b of one grid row.
 
-    Returns ``row(s, base, frame)``, which gives the points at (s, v) for
-    every v in ``v_values``, in order; ``frame`` supplies the vectors
-    ``t``, ``n`` and ``b``.  Each point equals bitwise
-    ``combine_on_frame(base, frame, a, b, g)`` with a, b, g from
+    Returns ``row(s, frame)``, which gives the points at (s, v) for every
+    v in ``v_values``, in order; ``frame`` supplies the base point ``r``
+    and the vectors ``t``, ``n`` and ``b``.  Each point equals bitwise
+    ``combine_on_frame(frame, a, b, g)`` with a, b, g from
     :func:`eval_expr`.  The three trees share one emitter, so common
     subtrees are computed once; constant subtrees are computed here,
     v-only subtrees once per column (here, for all rows), s-only subtrees
@@ -1091,9 +1102,9 @@ def compile_surface_rows(
         "        raise _DomainError(f'{exc} at v = {v!r}') from exc\n"
         "    return columns\n"
         "\n"
-        "def _row(s, base, frame):\n"
-        "    px, py, pz = base.x, base.y, base.z\n"
-        "    t, n, b = frame.t, frame.n, frame.b\n"
+        "def _row(s, frame):\n"
+        "    r, t, n, b = frame.r, frame.t, frame.n, frame.b\n"
+        "    px, py, pz = r.x, r.y, r.z\n"
         "    tx, ty, tz = t.x, t.y, t.z\n"
         "    nx, ny, nz = n.x, n.y, n.z\n"
         "    bx, by, bz = b.x, b.y, b.z\n"

@@ -13,11 +13,11 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 
-from .curve import frenet, point, spread_s_values, uniform_grid, usable_s_intervals
+from .curve import frenet, spread_s_values, uniform_grid
 from .errors import GridTooCoarse, ZeroVector
 from .exprjet import compile_surface_rows
 from .g3core import G3Vector, normalize_isotropic
-from .pencil import PencilSpec, surface_normal
+from .pencil import PencilSpec, surface_normal, usable_domain
 
 
 @dataclass
@@ -41,27 +41,16 @@ def mesh_from_pencil(
 ) -> Mesh:
     """Sample the surface on a uniform grid.
 
-    The s grid respects guard bands around frame singularities and
-    expression domain gaps (with a warning when anything is excised) and
-    gives every usable interval at least two rows; the v grid spans
-    [v_min, v_max] uniformly.  Each row takes one frame and one curve
-    point and runs the pencil's compiled row kernel.
+    The s grid spans the pencil's :func:`usable_domain` (with a warning
+    when guard bands or domain gaps are excised) and gives every usable
+    interval at least two rows; the v grid spans [v_min, v_max]
+    uniformly.  Each row takes one frame, which carries the curve point,
+    and runs the pencil's compiled row kernel.
     """
     curve = pencil.curve
     ms = pencil.marching
     d = pencil.domain
-    v_mid = 0.5 * (d.v_min + d.v_max)
-
-    def probe(s: float) -> None:
-        # Surface expressions must evaluate across the v range; probing the
-        # midline and the far edge catches domain gaps such as square roots
-        # going negative.
-        pencil.point(s, v_mid)
-        pencil.point(s, d.v_max)
-
-    intervals = usable_s_intervals(curve, d.s_min, d.s_max, extra_check=probe)
-    if not intervals:
-        raise ZeroVector("no usable s interval in the requested domain")
+    intervals = usable_domain(curve, ms, d)
     if intervals != [(d.s_min, d.s_max)]:
         warnings.warn(
             "grid re-spans usable sub-intervals "
@@ -80,7 +69,7 @@ def mesh_from_pencil(
     normals: list[G3Vector | None] | None = [] if with_normals else None
     for s in s_values:
         fr = frenet(curve, s)
-        vertices += row_points(s, point(curve, s), fr)
+        vertices += row_points(s, fr)
         if normals is not None:
             for v in v_values:
                 eta = surface_normal(curve, ms, s, v, frame=fr)

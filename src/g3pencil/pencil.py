@@ -50,12 +50,16 @@ from .curve import (
     FrenetFrame,
     classify_curve,
     frenet,
-    point,
-    sample_s_values,
+    guard_probes,
+    probe_intervals,
+    spread_s_values,
     uniform_grid,
+    usable_s_intervals,
 )
 from .errors import (
     ClassMismatch,
+    EmptyDomain,
+    G3PencilError,
     InfeasibleLambda,
     NotProductForm,
     SigmaVanishes,
@@ -109,10 +113,6 @@ class MarchingScale:
     beta: Expr
     gamma: Expr
     product: ProductFactors | None = None
-
-    @property
-    def is_product(self) -> bool:
-        return self.product is not None
 
     @cached_property
     def _values(self):
@@ -191,11 +191,35 @@ class PencilSpec:
     marching: MarchingScale
     domain: ParamDomain
 
-    def point(self, s: float, v: float) -> G3Vector:
-        return surface_point(self.curve, self.marching, s, v)
 
-    def normal(self, s: float, v: float) -> G3Vector:
-        return surface_normal(self.curve, self.marching, s, v)
+def usable_domain(
+    curve: CurveSpec, ms: MarchingScale | None, domain: ParamDomain
+) -> list[tuple[float, float]]:
+    """The s intervals, sampled by every command, on which the pencil exists.
+
+    A probe of :func:`guard_probes` passes where the frame exists with
+    kappa >= 0.1 and, given scales (synthesis has none yet), alpha, beta and
+    gamma evaluate at the middle and far edge of the v range.  Raises
+    EmptyDomain when no interval is left.
+    """
+    d = domain
+    if ms is None:
+        intervals = usable_s_intervals(curve, d.s_min, d.s_max)
+    else:
+        v_mid = 0.5 * (d.v_min + d.v_max)
+        probes = []
+        for s, ok in guard_probes(curve, d.s_min, d.s_max):
+            try:
+                if ok:
+                    ms._values(s, v_mid)
+                    ms._values(s, d.v_max)
+            except G3PencilError:
+                ok = False
+            probes.append((s, ok))
+        intervals = probe_intervals(probes, d.s_min, d.s_max)
+    if not intervals:
+        raise EmptyDomain(f"no usable s interval in [{d.s_min:g}, {d.s_max:g}]")
+    return intervals
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +227,12 @@ class PencilSpec:
 # ---------------------------------------------------------------------------
 
 
-def combine_on_frame(
-    base: G3Vector, fr: FrenetFrame, a: float, b: float, g: float
-) -> G3Vector:
-    """base + a*t + b*n + g*b with a fixed operation order."""
+def combine_on_frame(fr: FrenetFrame, a: float, b: float, g: float) -> G3Vector:
+    """r + a*t + b*n + g*b on the frame's base point r, in a fixed order."""
     return G3Vector(
-        base.x + a * fr.t.x + b * fr.n.x + g * fr.b.x,
-        base.y + a * fr.t.y + b * fr.n.y + g * fr.b.y,
-        base.z + a * fr.t.z + b * fr.n.z + g * fr.b.z,
+        fr.r.x + a * fr.t.x + b * fr.n.x + g * fr.b.x,
+        fr.r.y + a * fr.t.y + b * fr.n.y + g * fr.b.y,
+        fr.r.z + a * fr.t.z + b * fr.n.z + g * fr.b.z,
     )
 
 
@@ -219,9 +241,8 @@ def surface_point(
 ) -> G3Vector:
     """phi(s, v) = r(s) + alpha t + beta n + gamma b."""
     fr = frame if frame is not None else frenet(curve, s)
-    r = point(curve, s)
     a, b, g = ms._values(s, v)
-    return combine_on_frame(r, fr, a, b, g)
+    return combine_on_frame(fr, a, b, g)
 
 
 def surface_normal(
@@ -318,12 +339,7 @@ _KIND_TO_CLASS = {
 
 
 def corollary_components(
-    curve: CurveSpec,
-    kind: str,
-    dtype: DTypeSpec,
-    s: float,
-    s_range: tuple[float, float],
-    samples: int = 64,
+    curve: CurveSpec, kind: str, dtype: DTypeSpec, s: float, s_range: tuple[float, float]
 ) -> NormalComponents:
     """Specializations of the plain rule for notable curve classes.
 
@@ -343,7 +359,7 @@ def corollary_components(
     elif kind == "geodesic":
         phi2, phi3 = _phis(fr.kappa, fr.tau, sigma_val, 1.0, dtype.sign, False, s)
     else:
-        cls = classify_curve(curve, s_range, samples)
+        cls = classify_curve(curve, s_range)
         if cls.kind != _KIND_TO_CLASS[kind]:
             raise ClassMismatch(
                 f"curve classifies as {cls.kind}, not {_KIND_TO_CLASS[kind]}"
@@ -383,21 +399,19 @@ def _const(x: float) -> Expr:
 
 def check_feasibility(
     curve: CurveSpec, dtype: DTypeSpec, grid: list[float], *, scaled: bool
-) -> tuple[float, float]:
+) -> float:
     """Radicand of the construction rule at every point of an s grid.
 
-    ``grid`` is the guarded grid synthesis samples on.  Returns
-    (min_radicand, max_radicand) over it; raises SigmaVanishes or
-    InfeasibleLambda at the first grid point where :func:`_radicand` does.
+    ``grid`` is the guarded grid synthesis samples on.  Returns the largest
+    radicand over it; raises SigmaVanishes or InfeasibleLambda at the first
+    grid point where :func:`_radicand` does.
     """
-    lo = math.inf
     hi = -math.inf
     for s in grid:
         fr = frenet(curve, s)
         _, radicand = _radicand(fr.kappa, fr.tau, dtype._sigma(s, 0.0), dtype.lam, scaled, s)
-        lo = min(lo, radicand)
         hi = max(hi, radicand)
-    return lo, hi
+    return hi
 
 
 def synthesize_product_form(
@@ -409,7 +423,6 @@ def synthesize_product_form(
     domain: ParamDomain,
     *,
     scaled: bool = True,
-    samples: int = 512,
 ) -> MarchingScale:
     """Build product-form marching scales realizing the invariant.
 
@@ -420,17 +433,17 @@ def synthesize_product_form(
     kappa and tau (both built-ins do).
 
     ``scaled`` selects the sigma-scaled rule (default, exact invariant) or
-    the plain rule; see the module docstring.  One ``samples``-point
-    guarded grid serves the m and n factor scans and the feasibility
-    check up front; the square root's domain check still guards each
-    point.
+    the plain rule; see the module docstring.  One 512-point grid over
+    the curve's :func:`usable_domain` serves the m and n factor scans and
+    the feasibility check up front; the square root's domain check still
+    guards each point.
     """
     if curve.kappa_form is None or curve.tau_form is None:
         raise ValueError(
             "synthesis builds expression trees and needs closed-form kappa and "
             "tau on the curve; built-in curves provide them"
         )
-    grid = sample_s_values(curve, domain.s_min, domain.s_max, samples)
+    grid = spread_s_values(usable_domain(curve, None, domain), 512)
     for label, factor in (("m", m), ("n", n_ms)):
         prev = None
         factor_at = compile_expr(factor)
@@ -440,7 +453,7 @@ def synthesize_product_form(
             if abs(value) < _FACTOR_FLOOR or (prev is not None and prev * value < 0.0):
                 raise ZeroMarchingFactor(label, s)
             prev = value
-    lo, hi = check_feasibility(curve, dtype, grid, scaled=scaled)
+    hi = check_feasibility(curve, dtype, grid, scaled=scaled)
 
     lam_e = _const(dtype.lam)
     kappa_e = curve.kappa_form
@@ -491,12 +504,7 @@ def apply_control_coefficients(ms: MarchingScale, cc: ControlCoefficients) -> Ma
 _GEODESIC_TOL = 1e-9
 
 
-def classify_dtype(
-    dtype: DTypeSpec,
-    curve: CurveSpec,
-    s_range: tuple[float, float],
-    samples: int = 64,
-) -> str:
+def classify_dtype(dtype: DTypeSpec, curve: CurveSpec, s_range: tuple[float, float]) -> str:
     """"asymptotic", "geodesic" or "general-d-type" for a feasible spec.
 
     Asymptotic means lam = 0 (normal orthogonal to the principal normal
@@ -507,7 +515,7 @@ def classify_dtype(
     if dtype.lam == 0.0:
         return "asymptotic"
     geodesic = True
-    for s in uniform_grid(s_range[0], s_range[1], samples):
+    for s in uniform_grid(s_range[0], s_range[1], 64):
         fr = frenet(curve, s)
         ratio, _ = _radicand(fr.kappa, fr.tau, dtype._sigma(s, 0.0), dtype.lam, False, s)
         if abs(abs(ratio) - 1.0) > _GEODESIC_TOL:

@@ -21,11 +21,11 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, sample_s_values, uniform_grid
+from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, spread_s_values, uniform_grid
 from .errors import ZeroVector
 from .exprjet import KinkWarning
 from .g3core import G3Vector, cross, dot, isotropic_norm, isotropic_wedge, normalize_isotropic
-from .pencil import MarchingScale, ParamDomain, surface_normal, surface_point
+from .pencil import MarchingScale, ParamDomain, surface_normal, surface_point, usable_domain
 
 DEGENERATE_NORM = 1e-12
 ANALYTIC_TOL = 1e-9
@@ -142,7 +142,7 @@ def dtype_report(
     h_s = FD_REL_STEP * (domain.s_max - domain.s_min)
     h_v = FD_REL_STEP * (domain.v_max - domain.v_min)
     inset = h_s if mode == "fd" else 0.0
-    svals = sample_s_values(curve, domain.s_min, domain.s_max, n_samples, inset=inset)
+    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=inset)
     v0 = domain.v0
     samples: list[InvariantSample] = []
     sines: list[float] = []
@@ -186,7 +186,7 @@ def check_isoparametric(
     curve: CurveSpec, ms: MarchingScale, domain: ParamDomain, n_samples: int = 200
 ) -> float:
     """Max componentwise gap between phi(s, v0) and r(s) over the base line."""
-    svals = sample_s_values(curve, domain.s_min, domain.s_max, n_samples)
+    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples)
     worst = 0.0
     for s in svals:
         p = surface_point(curve, ms, s, domain.v0)
@@ -213,7 +213,8 @@ def frenet_residuals(
     against tau b and b' against -tau n.  Residuals shrink quadratically
     in h while truncation dominates rounding.
     """
-    svals = sample_s_values(curve, s_range[0], s_range[1], n_samples, inset=h)
+    domain = ParamDomain(s_range[0], s_range[1], 0.0, 0.0, 0.0)  # v plays no part
+    svals = spread_s_values(usable_domain(curve, None, domain), n_samples, inset=h)
     r_t = r_n = r_b = 0.0
     for s in svals:
         fr = frenet(curve, s)
@@ -246,7 +247,7 @@ def normal_consistency(
     """
     h_s = FD_REL_STEP * (domain.s_max - domain.s_min)
     h_v = FD_REL_STEP * (domain.v_max - domain.v_min)
-    svals = sample_s_values(curve, domain.s_min, domain.s_max, n_samples, inset=h_s)
+    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=h_s)
     v_values = uniform_grid(domain.v_min, domain.v_max, nv)
     worst = 0.0
     for s in svals:

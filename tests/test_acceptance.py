@@ -23,7 +23,8 @@ from g3pencil.curve import (
     frenet,
     fresnel_helix,
     point,
-    sample_s_values,
+    spread_s_values,
+    usable_s_intervals,
 )
 from g3pencil.errors import InfeasibleLambda
 from g3pencil.exprjet import eval_expr, fresnel_c, fresnel_s, parse
@@ -205,13 +206,13 @@ def test_c07_corollary_specializations():
         # lam = 0: the unit normal stays orthogonal to the principal normal
         for curve, dom in ((helix, DOM38), (antis, DOM39)):
             ms = synthesize_product_form(curve, DTypeSpec(0.0, ONE), ONE, ONE, NEG_ONE, dom)
-            for s in sample_s_values(curve, dom.s_min, dom.s_max, 64):
+            for s in spread_s_values(usable_s_intervals(curve, dom.s_min, dom.s_max), 64):
                 fr = frenet(curve, s)
                 eta1 = normalize_isotropic(surface_normal(curve, ms, s, 0.0, frame=fr))
                 assert abs(dot(eta1, fr.n)) <= 1e-9
         # lam matched to kappa/|tau| = 4: the unit normal is parallel to it
         msg = synthesize_product_form(helix, DTypeSpec(4.0, ONE), ONE, ONE, NEG_ONE, DOM38)
-        for s in sample_s_values(helix, 0.1, 2.0 * math.pi, 64):
+        for s in spread_s_values(usable_s_intervals(helix, 0.1, 2.0 * math.pi), 64):
             fr = frenet(helix, s)
             eta1 = normalize_isotropic(surface_normal(helix, msg, s, 0.0, frame=fr))
             assert abs(isotropic_wedge(eta1, fr.n)) <= 1e-9

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -229,3 +230,91 @@ def test_unexpected_exception_maps_to_exit_2(monkeypatch, capsys):
     rc = main(["classify", "configs/fresnel-helix.json"])
     assert rc == 2
     assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
+def _printed_fig1d(tmp_path):
+    from g3pencil.config import config_to_dict
+    from g3pencil.figures import FIGURES
+
+    path = tmp_path / "fig1d-printed.json"
+    path.write_text(json.dumps(config_to_dict(FIGURES["fig1d"].config(as_printed=True))))
+    return str(path)
+
+
+def test_printed_fig1d_verifies_on_the_domain_build_uses(tmp_path, capsys):
+    # Y = sqrt(s^2 - 1/64)*v exists only for |s| >= 1/8: build meshes the
+    # usable intervals and verify samples the same ones
+    config = _printed_fig1d(tmp_path)
+    with pytest.warns(UserWarning, match="re-spans") as caught:
+        assert main(["build", config, "--as-printed", "-o", str(tmp_path / "d.obj")]) == 0
+    bounds = re.findall(r"\[([-\d.e]+), ([-\d.e]+)\]", str(caught[0].message))
+    intervals = [(float(a), float(b)) for a, b in bounds]
+    assert len(intervals) == 2
+    capsys.readouterr()
+    deviations = []
+    for mode in ("analytic", "fd"):
+        assert main(["verify", config, "--as-printed", "--mode", mode]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"] == "not-d-type"
+        assert len(doc["samples"]) == 200
+        for sample in doc["samples"]:
+            # the warning prints 6 significant digits
+            assert any(a - 1e-5 <= sample["s"] <= b + 1e-5 for a, b in intervals)
+        deviations.append(doc["max_abs_deviation"])
+    assert deviations == [pytest.approx(3.95, abs=0.01)] * 2
+
+
+def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):
+    doc = {
+        "curve": "fresnel-helix",
+        "marching_scale": {"direct": {"alpha": "v", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": -0.05, "s_max": 0.05, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for argv in (["build", str(path), "-o", str(tmp_path / "out.obj")], ["verify", str(path)]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: EmptyDomain: no usable s interval in [-0.05, 0.05]")
+
+
+@pytest.mark.parametrize(
+    "argv, frames, fresnels",
+    [
+        # 256 guard probes, 512 frames of the synthesis grid, 200 samples
+        (["verify", "configs/fresnel-helix.json"], 968, 968),
+        # the fd samples take frames at s +- h, and the frame's base point
+        (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 1368),
+        # one frame per grid row
+        (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 968),
+    ],
+    ids=["verify", "verify-fd", "build"],
+)
+def test_each_command_scans_the_guard_bands_once(tmp_path, monkeypatch, argv, frames, fresnels):
+    import g3pencil.curve
+    import g3pencil.exprjet
+
+    calls = {"_passes_guard": 0, "frenet": 0, "_fresnel": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for other in list(sys.modules.values()):
+            if other is not None and other.__name__.startswith("g3pencil"):
+                if getattr(other, name, None) is original:
+                    monkeypatch.setattr(other, name, wrapper)
+
+    counting(g3pencil.curve, "_passes_guard")
+    counting(g3pencil.curve, "frenet")
+    counting(g3pencil.exprjet, "_fresnel")
+    if argv[0] == "build":
+        argv = argv + ["-o", str(tmp_path / "out.obj")]
+    assert main(argv) == 0
+    assert calls == {"_passes_guard": 256, "frenet": frames, "_fresnel": fresnels}

@@ -10,7 +10,7 @@ from g3pencil.curve import (
     frenet,
     fresnel_helix,
     point,
-    sample_s_values,
+    spread_s_values,
     usable_s_intervals,
 )
 from g3pencil.errors import CurvatureVanishes, TorsionVanishes
@@ -207,7 +207,7 @@ class TestGuards:
         assert usable_s_intervals(c, 700.0, 720.0) == []
 
     def test_sample_values_cover_both_lobes(self, helix):
-        values = sample_s_values(helix, -2 * math.pi, 2 * math.pi, 64)
+        values = spread_s_values(usable_s_intervals(helix, -2 * math.pi, 2 * math.pi), 64)
         assert len(values) == 64
         assert min(values) < -1.0 and max(values) > 1.0
         assert all(abs(s) >= 0.09 for s in values)

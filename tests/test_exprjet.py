@@ -18,6 +18,7 @@ from g3pencil.exprjet import (
     compile_expr,
     compile_jets,
     compile_surface_rows,
+    compile_values,
     eval_expr,
     eval_jet3,
     fresnel_c,
@@ -297,9 +298,9 @@ def test_compiled_matches_interpreted_bitwise():
             continue
         s = rng.uniform(-2.0, 2.0)
         v_values = [rng.uniform(-2.0, 2.0) for _ in range(3)]
-        base = G3Vector(s, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
         frame = FrenetFrame(
             s=s,
+            r=G3Vector(s, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
             t=G3Vector(1.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
             n=G3Vector(0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
             b=G3Vector(0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
@@ -308,7 +309,7 @@ def test_compiled_matches_interpreted_bitwise():
         )
         try:
             want = [
-                combine_on_frame(base, frame, *(eval_expr(t, s, v) for t in trees))
+                combine_on_frame(frame, *(eval_expr(t, s, v) for t in trees))
                 for v in v_values
             ]
             fails = not all(math.isfinite(c) for p in want for c in p.as_tuple())
@@ -316,9 +317,9 @@ def test_compiled_matches_interpreted_bitwise():
             fails = True
         if fails:
             with pytest.raises(DomainError):
-                compile_surface_rows(*trees, v_values)(s, base, frame)
+                compile_surface_rows(*trees, v_values)(s, frame)
             continue
-        got = compile_surface_rows(*trees, v_values)(s, base, frame)
+        got = compile_surface_rows(*trees, v_values)(s, frame)
         assert [_bits(p) for p in got] == [_bits(p) for p in want], texts
         checked += 1
     assert checked > 100
@@ -346,15 +347,31 @@ def _bits(p: G3Vector) -> list[str]:
 )
 def test_compiled_fails_where_tree_evaluator_fails(text, s, v):
     tree = parse(text)
-    with pytest.raises(DomainError):
-        eval_expr(tree, s, v)
-    with pytest.raises(DomainError):
-        compile_expr(tree)(s, v)
+    # Compiled code names the failing node as the tree evaluators do,
+    # except for a math error raised inside the Fresnel routine, which it
+    # reports with the point instead.
+    same_message = not text.startswith("fresnel")
+    pairs = [
+        (lambda: eval_expr(tree, s, v), lambda: compile_expr(tree)(s, v)),
+        (lambda: eval_expr(tree, s, v), lambda: compile_values([tree])(s, v)),
+    ]
     for var in ("s", "v"):
-        with pytest.raises(DomainError):
-            eval_jet3(tree, var, s, v)
-        with pytest.raises(DomainError):
-            compile_jets([tree], var)(s, v)
+        pairs.append(
+            (
+                lambda var=var: eval_jet3(tree, var, s, v),
+                lambda var=var: compile_jets([tree], var)(s, v),
+            )
+        )
+    for reference, compiled in pairs:
+        want, got = _domain_error(reference), _domain_error(compiled)
+        if same_message:
+            assert got == want
+
+
+def _domain_error(evaluate) -> str:
+    with pytest.raises(DomainError) as info:
+        evaluate()
+    return str(info.value)
 
 
 def test_hyperbolic_overflow_gives_inf_everywhere():
@@ -495,9 +512,10 @@ def test_row_kernel_rejects_non_finite_points():
     zero = Num(0.0)
     row = compile_surface_rows(parse("exp(300*v)"), zero, zero, [0.0, 5.0])
     unit = G3Vector(0.0, 1.0, 0.0)
-    frame = FrenetFrame(s=0.0, t=G3Vector(1.0, 0.0, 0.0), n=unit, b=unit, kappa=1.0, tau=1.0)
+    origin, tangent = G3Vector(0.0, 0.0, 0.0), G3Vector(1.0, 0.0, 0.0)
+    frame = FrenetFrame(s=0.0, r=origin, t=tangent, n=unit, b=unit, kappa=1.0, tau=1.0)
     with pytest.raises(DomainError, match="non-finite"):
-        row(0.0, G3Vector(0.0, 0.0, 0.0), frame)
+        row(0.0, frame)
 
 
 # ---------------------------------------------------------------------------

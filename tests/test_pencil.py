@@ -430,7 +430,7 @@ class TestOneFeasibilityRule:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(g3pencil.curve, "usable_s_intervals")
+        counting(g3pencil.pencil, "usable_s_intervals")
         counting(g3pencil.curve, "frenet")
         counting(g3pencil.pencil, "frenet")
         realize(FIGURES["fig1f"].config())
@@ -463,7 +463,8 @@ class TestCompiledKernels:
     def _bits(value):
         # float.hex tells -0.0 from 0.0, which == does not
         if isinstance(value, FrenetFrame):
-            vectors, scalars = (value.t, value.n, value.b), (value.s, value.kappa, value.tau)
+            vectors = (value.r, value.t, value.n, value.b)
+            scalars = (value.s, value.kappa, value.tau)
         else:
             vectors, scalars = (value,), ()
         return [c.hex() for vec in vectors for c in vec.as_tuple()] + [x.hex() for x in scalars]
