@@ -24,6 +24,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_ERROR = 2
 
+WORKERS_HELP = (
+    "processes that sample and format the grid rows (default 1; at most the "
+    "usable CPUs and the row count); the output is the same for any N"
+)
+
 
 def _vec(v: G3Vector) -> str:
     return f"({v.x:.12g}, {v.y:.12g}, {v.z:.12g})"
@@ -38,6 +43,16 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if ns < 2 or nv < 2:
         raise argparse.ArgumentTypeError("grid counts must be at least 2")
     return ns, nv
+
+
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    if workers < 1:
+        raise argparse.ArgumentTypeError("the worker count must be at least 1")
+    return workers
 
 
 def _sign_value(text: str) -> float:
@@ -74,17 +89,13 @@ def _cmd_build(args) -> int:
     cfg = load_config(args.config)
     pencil = realize(cfg, as_printed=args.as_printed, sign=args.sign)
     ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
-    mesh = mesh_from_pencil(pencil, ns, nv)
-    _export(mesh, args.output)
+    mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
+    if args.output.endswith(".csv"):
+        export_csv(mesh, args.output, workers=args.workers)
+    else:
+        export_obj(mesh, args.output, workers=args.workers)
     print(f"wrote {args.output} ({mesh.ns}x{mesh.nv} vertices)")
     return EXIT_OK
-
-
-def _export(mesh, path: str) -> None:
-    if path.endswith(".csv"):
-        export_csv(mesh, path)
-    else:
-        export_obj(mesh, path)
 
 
 def _cmd_verify(args) -> int:
@@ -135,11 +146,11 @@ def _cmd_reproduce(args) -> int:
         return EXIT_OK
     cfg = fig.config(as_printed=args.as_printed)
     pencil = realize(cfg, as_printed=args.as_printed)
-    mesh = mesh_from_pencil(pencil, ns, nv)
+    mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
     obj_path = os.path.join(args.output, f"{name}.obj")
     csv_path = os.path.join(args.output, f"{name}.csv")
-    export_obj(mesh, obj_path)
-    export_csv(mesh, csv_path)
+    export_obj(mesh, obj_path, workers=args.workers)
+    export_csv(mesh, csv_path, workers=args.workers)
     print(f"wrote {obj_path}")
     print(f"wrote {csv_path}")
     return EXIT_OK
@@ -167,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--grid", type=_parse_grid, metavar="NSxNV")
-    p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
+    p.add_argument("--workers", type=_worker_count, default=1, metavar="N", help=WORKERS_HELP)
     p.add_argument("--as-printed", action="store_true", dest="as_printed")
     p.add_argument("--sign", choices=["+", "-"], type=str)
     p.set_defaults(func=_cmd_build)
@@ -184,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", choices=sorted(figures.FIGURES))
     p.add_argument("-o", "--output", required=True, metavar="DIR")
     p.add_argument("--grid", type=_parse_grid, metavar="NSxNV")
-    p.add_argument("--workers", type=int, default=1, help="accepted and ignored")
+    p.add_argument("--workers", type=_worker_count, default=1, metavar="N", help=WORKERS_HELP)
     p.add_argument("--as-printed", action="store_true", dest="as_printed")
     p.set_defaults(func=_cmd_reproduce)
 

@@ -66,15 +66,39 @@ class CurveSpec:
         return {}
 
 
-@dataclass(frozen=True)
 class FrenetFrame:
-    s: float
-    r: G3Vector  # the base point (s, f(s), g(s))
-    t: G3Vector
-    n: G3Vector
-    b: G3Vector
-    kappa: float
-    tau: float
+    """The frame at s: base point r = (s, f(s), g(s)), t, n, b, kappa, tau.
+
+    Immutable by convention, like :class:`G3Vector`.
+    """
+
+    __slots__ = ("s", "r", "t", "n", "b", "kappa", "tau")
+
+    def __init__(
+        self, s: float, r: G3Vector, t: G3Vector, n: G3Vector, b: G3Vector, kappa: float, tau: float
+    ):
+        self.s = s
+        self.r = r
+        self.t = t
+        self.n = n
+        self.b = b
+        self.kappa = kappa
+        self.tau = tau
+
+    def _fields(self) -> tuple:
+        return (self.s, self.r, self.t, self.n, self.b, self.kappa, self.tau)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"FrenetFrame({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 @dataclass(frozen=True)

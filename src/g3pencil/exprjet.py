@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, ParseError
-from .g3core import G3Vector
 
 FUNCTIONS = (
     "sin",
@@ -771,11 +770,13 @@ class _Emitter:
                 if operand_level == _V:
                     self.carry(operand)
 
-    def stmt(self, text: str, operands, guards=()) -> _Operand:
+    def stmt(self, text: str, operands, guards=(), owner: Call | None = None) -> _Operand:
         """Operand holding the value of text, which reads operands.
 
         ``guards`` are (condition, operands, message) checks that run
-        before the statement, the first time it is emitted.
+        before the statement, the first time it is emitted.  A math error
+        that the statement raises names ``owner``, when given, as the tree
+        evaluators name the node.
         """
         if text in self._names:
             return self._names[text]
@@ -784,7 +785,16 @@ class _Emitter:
         for guard in guards:
             self.guard(*guard)
         (out,) = self._outputs(operands, 1)
-        self._file([f"{out[0]} = {text}"], operands)
+        lines = [f"{out[0]} = {text}"]
+        if owner is not None:
+            suffix = str(_fail(owner, ""))
+            lines = [
+                "try:",
+                f"    {lines[0]}",
+                "except _ARITHMETIC as exc:",
+                f"    raise _DomainError(f'{{exc}}' + {suffix!r}) from exc",
+            ]
+        self._file(lines, operands)
         self._names[text] = out
         return out
 
@@ -835,9 +845,17 @@ class _Emitter:
     def _call(self, node: Call, x: _Operand) -> _Operand:
         f = node.func
         if f in ("fresnelS", "fresnelC"):
-            pair = self.stmt(f"_fresnel({x[0]})", [x])
+            pair = self._fresnel_pair(node, x)
             return self.stmt(f"{pair[0]}[{0 if f == 'fresnelS' else 1}]", [pair])
         return self.stmt(f"{f}({x[0]})", [x], self._argument_guards(node, x))
+
+    def _fresnel_pair(self, node: Call, x: _Operand) -> _Operand:
+        """The _fresnel(x) call that a fresnelS/fresnelC pair on x shares.
+
+        Its math errors name the node that emitted it first, which is the
+        node the tree evaluators reach first.
+        """
+        return self.stmt(f"_fresnel({x[0]})", [x], owner=node)
 
     def _argument_guards(self, node: Call, x: _Operand) -> list:
         """The checks :func:`eval_expr` makes on the argument of node."""
@@ -904,6 +922,8 @@ class _Emitter:
             return self._sqrt_jet(node, u)
         if node.func == "abs":
             return self._abs_jet(node, u)
+        if node.func in ("fresnelS", "fresnelC"):
+            self._fresnel_pair(node, x)  # the first step below reuses it
         steps, picks = _CALL_JET[node.func]
         t: list[_Operand] = []
         for template in steps:
@@ -1058,14 +1078,16 @@ def compile_jets(exprs: Sequence[Expr], var: str) -> Callable[[float, float], tu
 
 def compile_surface_rows(
     alpha: Expr, beta: Expr, gamma: Expr, v_values: Sequence[float]
-) -> Callable[[float, object], list[G3Vector]]:
+) -> Callable[[float, object, list], None]:
     """Compile the points base + alpha t + beta n + gamma b of one grid row.
 
-    Returns ``row(s, frame)``, which gives the points at (s, v) for every
-    v in ``v_values``, in order; ``frame`` supplies the base point ``r``
-    and the vectors ``t``, ``n`` and ``b``.  Each point equals bitwise
+    Returns ``row(s, frame, out)``, which extends the list ``out`` with
+    x, y, z of the point at (s, v) for every v in ``v_values``, in order;
+    ``frame`` supplies the base point ``r`` and the vectors ``t``, ``n``
+    and ``b``.  Each coordinate equals bitwise the one of
     ``combine_on_frame(frame, a, b, g)`` with a, b, g from
-    :func:`eval_expr`.  The three trees share one emitter, so common
+    :func:`eval_expr`, plus 0.0, which turns -0.0 into 0.0 and leaves every
+    other value as it is.  The three trees share one emitter, so common
     subtrees are computed once; constant subtrees are computed here,
     v-only subtrees once per column (here, for all rows), s-only subtrees
     once per row, and only the rest once per point.
@@ -1087,7 +1109,7 @@ def compile_surface_rows(
         "if x - x or y - y or z - z:",
         "    raise _DomainError(f'non-finite surface point ({x!r}, {y!r}, {z!r})"
         " at s = {s!r}, v = {v!r}')",
-        "append(G3(x, y, z))",
+        "extend((x + 0.0, y + 0.0, z + 0.0))",
     ]
     column = ", ".join(["v", *em.carried]) + ","
     source = (
@@ -1102,15 +1124,13 @@ def compile_surface_rows(
         "        raise _DomainError(f'{exc} at v = {v!r}') from exc\n"
         "    return columns\n"
         "\n"
-        "def _row(s, frame):\n"
+        "def _row(s, frame, out):\n"
         "    r, t, n, b = frame.r, frame.t, frame.n, frame.b\n"
         "    px, py, pz = r.x, r.y, r.z\n"
         "    tx, ty, tz = t.x, t.y, t.z\n"
         "    nx, ny, nz = n.x, n.y, n.z\n"
         "    bx, by, bz = b.x, b.y, b.z\n"
-        "    out = []\n"
-        "    append = out.append\n"
-        "    G3 = _G3Vector\n"
+        "    extend = out.extend\n"
         "    v = None\n"
         "    try:\n"
         + _block(em.lines[_S], 2)
@@ -1118,9 +1138,7 @@ def compile_surface_rows(
         + _block(em.lines[_SV] + point, 3)
         + "    except _ARITHMETIC as exc:\n"
         "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
-        "    return out\n"
     )
-    em.env["_G3Vector"] = G3Vector
     row = em.define(source, "_row")
     em.env["_cols"] = em.env["_columns"](v_values)
     return row

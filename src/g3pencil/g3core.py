@@ -9,20 +9,36 @@ it sees only the first components unless both vectors are isotropic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonIsotropicInput, ZeroVector
 
 ZERO_NORM_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
 class G3Vector:
-    """A vector (x, y, z); x is the absolute component, y and z isotropic."""
+    """A vector (x, y, z); x is the absolute component, y and z isotropic.
 
-    x: float
-    y: float
-    z: float
+    Immutable by convention: nothing assigns to a vector after it is made,
+    so equal vectors hash equally.
+    """
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float):
+        self.x = x
+        self.y = y
+        self.z = z
+
+    def __repr__(self) -> str:
+        return f"G3Vector(x={self.x!r}, y={self.y!r}, z={self.z!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.z))
 
     def __add__(self, other: "G3Vector") -> "G3Vector":
         return G3Vector(self.x + other.x, self.y + other.y, self.z + other.z)

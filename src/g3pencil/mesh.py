@@ -1,17 +1,28 @@
 """Grid sampling of pencil surfaces and OBJ / CSV export.
 
-Vertices are stored row major in s-major order (all v values of the first
-s row, then the next row).  Output bytes depend only on the configuration,
-never on timing: rows are computed one after another by a compiled row
-kernel and written row by row in index order.  Signed zeros serialize as
-"0".
+A mesh keeps its vertices as one flat array of doubles: x, y, z of each
+vertex in row-major (s-major) order, all v values of the first s row, then
+the next row.  The coordinates are canonical (the row kernel stores -0.0
+as 0.0), so every signed zero serializes as "0".  Normals, when the
+library asks for them, take the same layout, with (0, 0, 0) where a
+normal is degenerate.
+
+Sampling and export run a task over contiguous ranges of grid rows.  With
+``workers`` above 1 the calling process runs the first range and forked
+child processes run the others; each child inherits the pencil or the
+mesh and sends its bytes back through a pipe, and the results are written
+in row order.  Output bytes depend only on the configuration, never on
+the worker count or on timing.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from typing import BinaryIO, Callable, Sequence
 
 from .curve import frenet, spread_s_values, uniform_grid
 from .errors import GridTooCoarse, ZeroVector
@@ -26,8 +37,8 @@ class Mesh:
     nv: int
     s_values: list[float]
     v_values: list[float]
-    vertices: list[G3Vector]  # row major, s-major order; len == ns * nv
-    normals: list[G3Vector | None] | None = None  # None entries are degenerate
+    coords: Sequence[float]  # x, y, z per vertex, row major, s-major; len == 3 * ns * nv
+    normals: Sequence[float] | None = None  # same layout; (0, 0, 0) where degenerate
 
 
 def _fmt(x: float) -> str:
@@ -36,8 +47,154 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+# ---------------------------------------------------------------------------
+# Row pool
+# ---------------------------------------------------------------------------
+
+# Rows per task call: bounds the bytes the calling process holds at once.
+_BLOCK_ROWS = 64
+
+
+def _pool_size(workers: int, rows: int) -> int:
+    """Processes that share ``rows`` grid rows when ``workers`` are asked for.
+
+    At most the CPUs this process may run on and the row count, and 1 on
+    a platform without fork.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus, rows))
+
+
+def _run_blocks(task: Callable[[int, int], bytes], lo: int, hi: int, sink) -> None:
+    for a in range(lo, hi, _BLOCK_ROWS):
+        sink(task(a, min(a + _BLOCK_ROWS, hi)))
+
+
+def _run_rows(task: Callable[[int, int], bytes], rows: int, workers: int, sink) -> None:
+    """Pass the bytes of ``task(lo, hi)`` over ``range(rows)`` to ``sink``, in row order.
+
+    The rows split into one contiguous range per process of
+    :func:`_pool_size`.  This process runs the first range; each other
+    range runs in a forked child, which sends back its bytes, the warnings
+    it raised and its error.  Warnings are issued here as if raised here,
+    and the first error in row order is raised here.  Every child is
+    reaped before this returns or raises.
+    """
+    n = _pool_size(workers, rows)
+    bounds = [rows * k // n for k in range(n + 1)]
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), in row order
+    done = 0  # children whose whole result has been read
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_start_child(task, lo, hi))
+        _run_blocks(task, bounds[0], bounds[1], sink)
+        for _, pipe in children:
+            _collect(pipe, sink)
+            done += 1
+    finally:
+        for k, (pid, pipe) in enumerate(children):
+            pipe.close()
+            if k >= done:  # still working or blocked on its pipe
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _start_child(task, lo: int, hi: int) -> tuple[int, BinaryIO]:
+    """Fork a child that runs rows [lo, hi); its pid and the read end of its pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child(task, lo, hi, read_end, write_end)  # never returns
+    except BaseException:
+        os.close(read_end)
+        raise
+    finally:
+        os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:
+    """Run rows [lo, hi) in a forked child, send the result and exit.
+
+    The pipe carries an 8-byte length, a pickled (error, warnings) header
+    of that length, then the task's bytes.  The child leaves through
+    os._exit, so it never runs the parent's cleanup or flushes its files.
+    """
+    status = 1
+    try:
+        import pickle
+
+        os.close(read_end)
+        parts: list[bytes] = []
+        error = None
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                _run_blocks(task, lo, hi, parts.append)
+            except Exception as exc:  # sent to the parent, which raises it
+                error = (type(exc), exc.args, vars(exc))
+                parts = []
+        notes = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        head = pickle.dumps((error, notes))
+        with open(write_end, "wb") as pipe:
+            pipe.write(len(head).to_bytes(8, "little"))
+            pipe.write(head)
+            for part in parts:
+                pipe.write(part)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pipe: BinaryIO, sink) -> None:
+    """Issue one child's warnings, then raise its error or sink its bytes."""
+    import pickle
+
+    size = int.from_bytes(pipe.read(8), "little")
+    head = pipe.read(size)
+    if size == 0 or len(head) < size:
+        raise ChildProcessError("a row worker process ended without a result")
+    error, notes = pickle.loads(head)
+    _rewarn(notes)
+    if error is not None:
+        cls, args, state = error
+        exc = cls.__new__(cls, *args)
+        exc.__dict__.update(state)
+        raise exc
+    while chunk := pipe.read(1 << 20):
+        sink(chunk)
+
+
+def _rewarn(notes) -> None:
+    """Issue warnings recorded in a child through this process's filters.
+
+    Each goes to the registry of the module that raised it, as
+    warnings.warn would, so a warning shown once stays shown once.
+    """
+    for message, category, filename, lineno in notes:
+        modules = list(sys.modules.values())
+        module = next((m for m in modules if getattr(m, "__file__", None) == filename), None)
+        name = None if module is None else module.__name__
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno, name, registry)
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+# ---------------------------------------------------------------------------
+
+
 def mesh_from_pencil(
-    pencil: PencilSpec, ns: int, nv: int, *, with_normals: bool = False
+    pencil: PencilSpec, ns: int, nv: int, *, with_normals: bool = False, workers: int = 1
 ) -> Mesh:
     """Sample the surface on a uniform grid.
 
@@ -45,7 +202,8 @@ def mesh_from_pencil(
     when guard bands or domain gaps are excised) and gives every usable
     interval at least two rows; the v grid spans [v_min, v_max]
     uniformly.  Each row takes one frame, which carries the curve point,
-    and runs the pencil's compiled row kernel.
+    and runs the pencil's compiled row kernel.  The rows are shared by up
+    to ``workers`` processes; the mesh is the same for any count.
     """
     curve = pencil.curve
     ms = pencil.marching
@@ -62,51 +220,77 @@ def mesh_from_pencil(
         raise GridTooCoarse(
             f"{ns} rows cannot give each of the {len(intervals)} usable s intervals two rows"
         )
+    from array import array  # imported here, so that commands without a mesh skip it
+
     s_values = spread_s_values(intervals, ns)
     v_values = uniform_grid(d.v_min, d.v_max, nv)
     row_points = compile_surface_rows(ms.alpha, ms.beta, ms.gamma, v_values)
-    vertices: list[G3Vector] = []
-    normals: list[G3Vector | None] | None = [] if with_normals else None
-    for s in s_values:
-        fr = frenet(curve, s)
-        vertices += row_points(s, fr)
-        if normals is not None:
-            for v in v_values:
-                eta = surface_normal(curve, ms, s, v, frame=fr)
-                try:
-                    normals.append(normalize_isotropic(eta))
-                except ZeroVector:
-                    normals.append(None)
+
+    def rows(lo: int, hi: int) -> bytes:
+        # each row's coordinates, then its normals when asked for
+        out: list[float] = []
+        for s in s_values[lo:hi]:
+            fr = frenet(curve, s)
+            row_points(s, fr, out)
+            if with_normals:
+                for v in v_values:
+                    try:
+                        q = normalize_isotropic(surface_normal(curve, ms, s, v, frame=fr))
+                    except ZeroVector:
+                        q = G3Vector(0.0, 0.0, 0.0)
+                    out.extend((q.x + 0.0, q.y + 0.0, q.z + 0.0))
+        return array("d", out).tobytes()
+
+    data = bytearray()
+    _run_rows(rows, len(s_values), workers, data.extend)
+    values = array("d", data)
+    coords, normals = values, None
+    if with_normals:
+        width = 3 * nv
+        coords, normals = array("d"), array("d")
+        for k in range(0, len(values), 2 * width):
+            coords += values[k : k + width]
+            normals += values[k + width : k + 2 * width]
     return Mesh(
         ns=len(s_values),
         nv=nv,
         s_values=s_values,
         v_values=v_values,
-        vertices=vertices,
+        coords=coords,
         normals=normals,
     )
 
 
-def _coords(points: list[G3Vector]) -> tuple[float, ...]:
-    # x + 0.0 turns -0.0 into 0.0 and leaves every other value unchanged
-    return tuple([c + 0.0 for p in points for c in (p.x, p.y, p.z)])
-
+# ---------------------------------------------------------------------------
+# Export
+# ---------------------------------------------------------------------------
 
 _V_RECORD = "v %.17g %.17g %.17g\n"
 _VN_RECORD = "vn %.17g %.17g %.17g\n"
-_VN_DEGENERATE = "vn 0 0 0\n"
 
 
-def export_obj(mesh: Mesh, path: str) -> None:
+def _records(template: str, values: Sequence[float], nv: int) -> Callable[[int, int], bytes]:
+    """Task: one template record per vertex of rows [lo, hi)."""
+    width = 3 * nv
+
+    def task(lo: int, hi: int) -> bytes:
+        text = template * (nv * (hi - lo)) % tuple(values[lo * width : hi * width])
+        return text.encode("ascii")
+
+    return task
+
+
+def export_obj(mesh: Mesh, path: str, *, workers: int = 1) -> None:
     """Wavefront OBJ: v records in row-major order, quads split in two.
 
     Each grid cell emits the lower-left triangle first, then the upper
     right, with consistent winding.  When normals are present they are
     written as vn records (degenerate ones as "vn 0 0 0") and faces index
-    them alongside the vertices.  Records are written one grid row at a
-    time.
+    them alongside the vertices.  Up to ``workers`` processes format the
+    records, a range of grid rows each; the bytes are the same for any
+    count.
     """
-    if not mesh.vertices:
+    if not mesh.coords:
         raise ValueError("refusing to export an empty mesh")
     nv = mesh.nv
     has_normals = mesh.normals is not None
@@ -114,16 +298,10 @@ def export_obj(mesh: Mesh, path: str) -> None:
         faces = "f %d//%d %d//%d %d//%d\nf %d//%d %d//%d %d//%d\n" * (nv - 1)
     else:
         faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for i in range(0, len(mesh.vertices), nv):
-            row = mesh.vertices[i : i + nv]
-            fh.write(_V_RECORD * len(row) % _coords(row))
-        if has_normals:
-            for i in range(0, len(mesh.normals), nv):
-                row = mesh.normals[i : i + nv]
-                records = "".join(_VN_DEGENERATE if q is None else _VN_RECORD for q in row)
-                fh.write(records % _coords([q for q in row if q is not None]))
-        for i in range(mesh.ns - 1):
+
+    def face_rows(lo: int, hi: int) -> bytes:
+        parts = []
+        for i in range(lo, hi):
             # cell j of row i: a = i*nv + j + 1, b = a + nv, c = b + 1, d = a + 1
             a = range(i * nv + 1, (i + 1) * nv)
             b = range((i + 1) * nv + 1, (i + 2) * nv)
@@ -133,25 +311,38 @@ def export_obj(mesh: Mesh, path: str) -> None:
                 cells = zip(a, a, b, b, d, d, b, b, c, c, d, d)
             else:
                 cells = zip(a, b, d, b, c, d)
-            fh.write(faces % tuple(chain.from_iterable(cells)))
+            parts.append(faces % tuple(chain.from_iterable(cells)))
+        return "".join(parts).encode("ascii")
+
+    with open(path, "wb") as fh:
+        _run_rows(_records(_V_RECORD, mesh.coords, nv), mesh.ns, workers, fh.write)
+        if has_normals:
+            _run_rows(_records(_VN_RECORD, mesh.normals, nv), mesh.ns, workers, fh.write)
+        _run_rows(face_rows, mesh.ns - 1, workers, fh.write)
 
 
-def export_csv(mesh: Mesh, path: str) -> None:
+def export_csv(mesh: Mesh, path: str, *, workers: int = 1) -> None:
     """CSV with header s,v,x,y,z; one row per vertex, 17 significant digits.
 
-    Records are written one grid row at a time; each s and v value is
-    formatted once.
+    Each s and v value is formatted once.  Up to ``workers`` processes
+    format the records, as in :func:`export_obj`.
     """
-    if not mesh.vertices:
+    if not mesh.coords:
         raise ValueError("refusing to export an empty mesh")
-    nv = mesh.nv
+    width = 3 * mesh.nv
     columns = [f",{_fmt(v)},%.17g,%.17g,%.17g\n" for v in mesh.v_values]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("s,v,x,y,z\n")
-        for i, s in enumerate(mesh.s_values):
-            s_text = _fmt(s)
+
+    def rows(lo: int, hi: int) -> bytes:
+        parts = []
+        for i in range(lo, hi):
+            s_text = _fmt(mesh.s_values[i])
             records = s_text + s_text.join(columns)
-            fh.write(records % _coords(mesh.vertices[i * nv : (i + 1) * nv]))
+            parts.append(records % tuple(mesh.coords[i * width : (i + 1) * width]))
+        return "".join(parts).encode("ascii")
+
+    with open(path, "wb") as fh:
+        fh.write(b"s,v,x,y,z\n")
+        _run_rows(rows, mesh.ns, workers, fh.write)
 
 
 def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +320,83 @@ def test_each_command_scans_the_guard_bands_once(tmp_path, monkeypatch, argv, fr
         argv = argv + ["-o", str(tmp_path / "out.obj")]
     assert main(argv) == 0
     assert calls == {"_passes_guard": 256, "frenet": frames, "_fresnel": fresnels}
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "two"])
+def test_invalid_worker_count_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "out.obj"
+    with pytest.raises(SystemExit) as info:
+        main(["build", "configs/fresnel-helix.json", "-o", str(out), "--workers", workers])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "argument --workers" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_build_bytes_do_not_depend_on_workers(tmp_path, capsys, recwarn):
+    # fig1b's domain straddles the guard band around s = 0; with 40 rows it
+    # lies between rows 19 and 20, where two workers split the rows
+    from g3pencil.config import config_to_dict
+    from g3pencil.figures import FIGURES
+
+    config = tmp_path / "fig1b.json"
+    config.write_text(json.dumps(config_to_dict(FIGURES["fig1b"].config())))
+    for suffix in ("obj", "csv"):
+        blobs = []
+        for workers in ("1", "2", "8"):
+            out = tmp_path / f"w{workers}.{suffix}"
+            argv = ["build", str(config), "-o", str(out), "--grid", "40x10", "--workers", workers]
+            assert main(argv) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0].count(b"\n") == 1 + 40 * 10
+    golden = Path("tests/golden/fig1b_40x10.obj").read_bytes()
+    assert (tmp_path / "w2.obj").read_bytes() == golden
+    capsys.readouterr()
+
+
+def test_non_finite_point_in_a_worker_gives_one_error(tmp_path, capsys):
+    # only the last row, s = 2, overflows; with two workers a child has it
+    doc = {
+        "curve": "fresnel-helix",
+        "marching_scale": {"direct": {"alpha": "exp(3000*(s - 1.9)*v)", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.obj"
+        assert main(["build", str(path), "-o", str(out), "--workers", workers]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[0].count("\n") == 1
+    assert errors[0].startswith("error: DomainError: non-finite surface point")
+    assert "at s = 2.0, v = " in errors[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no worker process is left
+
+
+def test_kink_warning_in_a_worker_row_reaches_stderr(tmp_path):
+    # abs(s - 2.5) has its kink on row 3 of 5, which a child computes
+    doc = {
+        "curve": {"f": "s^3/6 + sin(s) + abs(s - 2.5)^3", "g": "cosh(s/2)"},
+        "marching_scale": {"direct": {"alpha": "v", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 1.0, "s_max": 3.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 5, "nv": 3},
+    }
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps(doc))
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.obj"
+        argv = ["build", str(path), "-o", str(out), "--workers", workers]
+        result = subprocess.run(
+            [sys.executable, "-m", "g3pencil.cli", *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        runs.append((result.stderr, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].count("KinkWarning: abs() differentiated at its kink in 'abs(s - 2.5)'") == 1

@@ -1,14 +1,24 @@
 import math
+import os
 import warnings
+from pathlib import Path
 
 import pytest
 
 from g3pencil.config import config_from_dict, load_config, realize
 from g3pencil.curve import point
-from g3pencil.errors import GridTooCoarse
+from g3pencil.errors import CurvatureVanishes, GridTooCoarse
+from g3pencil.exprjet import KinkWarning
 from g3pencil.figures import FIGURES
-from g3pencil.mesh import Mesh, _fmt, export_csv, export_obj, mesh_from_pencil
-from g3pencil.g3core import G3Vector
+from g3pencil.mesh import (
+    Mesh,
+    _fmt,
+    _pool_size,
+    _run_rows,
+    export_csv,
+    export_obj,
+    mesh_from_pencil,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,35 +35,38 @@ def small_mesh(pencil, ns=6, nv=4, **kw):
 class TestSampling:
     def test_vertex_count(self, helix_pencil):
         mesh = small_mesh(helix_pencil, 20, 5)
-        assert mesh.ns * mesh.nv == len(mesh.vertices) == 100
+        assert 3 * mesh.ns * mesh.nv == len(mesh.coords) == 300
 
     def test_config_grid_counts(self):
         cfg = load_config("configs/fresnel-helix.json")
         mesh = mesh_from_pencil(realize(cfg), cfg.grid.ns, cfg.grid.nv)
-        assert len(mesh.vertices) == 200 * 50
+        assert len(mesh.coords) == 3 * 200 * 50
 
     def test_guard_band_warns_and_respans(self):
         cfg = FIGURES["fig1b"].config()
         pencil = realize(cfg)
         with pytest.warns(UserWarning, match="re-spans"):
             mesh = mesh_from_pencil(pencil, 24, 4)
-        assert len(mesh.vertices) == 24 * 4
+        assert len(mesh.coords) == 3 * 24 * 4
         assert all(abs(s) >= 0.09 for s in mesh.s_values)
         assert min(mesh.s_values) < -1.0 and max(mesh.s_values) > 1.0
 
     def test_base_row_equals_curve(self, helix_pencil):
         mesh = small_mesh(helix_pencil, 40, 10)
         for i, s in enumerate(mesh.s_values):
-            p = mesh.vertices[i * mesh.nv]
-            r = point(helix_pencil.curve, s)
-            assert (p.x, p.y, p.z) == (r.x, r.y, r.z)
+            k = 3 * i * mesh.nv
+            assert tuple(mesh.coords[k : k + 3]) == point(helix_pencil.curve, s).as_tuple()
 
     def test_normals_optional(self, helix_pencil):
         plain = small_mesh(helix_pencil)
         assert plain.normals is None
         with_n = small_mesh(helix_pencil, with_normals=True)
-        assert len(with_n.normals) == len(with_n.vertices)
-        assert all(q is not None for q in with_n.normals)
+        assert len(with_n.normals) == len(with_n.coords)
+        assert with_n.coords == plain.coords
+        # unit isotropic normals, none degenerate
+        for k in range(0, len(with_n.normals), 3):
+            x, y, z = with_n.normals[k : k + 3]
+            assert x == 0.0 and math.hypot(y, z) == pytest.approx(1.0)
 
     def test_each_usable_interval_needs_two_rows(self):
         # fig1c's guard band around s = 0 leaves two usable intervals
@@ -75,13 +88,8 @@ class TestFormatting:
 
 
 def grid_2x2():
-    vs = [
-        G3Vector(0.0, 0.0, 0.0),
-        G3Vector(0.0, 1.0, 0.0),
-        G3Vector(1.0, 0.0, 0.5),
-        G3Vector(1.0, 1.0, 0.5),
-    ]
-    return Mesh(ns=2, nv=2, s_values=[0.0, 1.0], v_values=[0.0, 1.0], vertices=vs)
+    coords = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.5]
+    return Mesh(ns=2, nv=2, s_values=[0.0, 1.0], v_values=[0.0, 1.0], coords=coords)
 
 
 class TestObjExport:
@@ -107,31 +115,33 @@ class TestObjExport:
 
     def test_degenerate_normals_written_as_zero(self, tmp_path):
         mesh = grid_2x2()
-        mesh.normals = [G3Vector(0.0, 1.0, 0.0), None, None, G3Vector(0.0, 0.0, 1.0)]
+        mesh.normals = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
         path = tmp_path / "d.obj"
         export_obj(mesh, str(path))
         assert path.read_text().count("vn 0 0 0") == 2
 
     def test_empty_mesh_rejected(self, tmp_path):
-        empty = Mesh(ns=0, nv=0, s_values=[], v_values=[], vertices=[])
+        empty = Mesh(ns=0, nv=0, s_values=[], v_values=[], coords=[])
         with pytest.raises(ValueError):
             export_obj(empty, str(tmp_path / "e.obj"))
 
     def test_golden_fixture_reproduced_across_worker_counts(self, tmp_path):
-        # the library takes no worker count; the CLI's --workers invariance
-        # is acceptance criterion 11
-        golden = open("tests/golden/fig1b_40x10.obj", "rb").read()
-        mesh = small_mesh(realize(FIGURES["fig1b"].config()), 40, 10)
-        path = tmp_path / "m.obj"
-        export_obj(mesh, str(path))
-        assert path.read_bytes() == golden
+        # fig1b's 40 rows straddle the guard band around s = 0, which lies
+        # between rows 19 and 20, where two workers split the rows
+        golden = Path("tests/golden/fig1b_40x10.obj").read_bytes()
+        pencil = realize(FIGURES["fig1b"].config())
+        for workers in (1, 2, 8):
+            mesh = small_mesh(pencil, 40, 10, workers=workers)
+            path = tmp_path / f"m{workers}.obj"
+            export_obj(mesh, str(path), workers=workers)
+            assert path.read_bytes() == golden
 
 
 def _reference_obj(mesh):
     """Per-record OBJ writer: every record its own string, one join."""
-    lines = [f"v {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.z)}" for p in mesh.vertices]
-    for q in mesh.normals or []:
-        lines.append("vn 0 0 0" if q is None else f"vn {_fmt(q.x)} {_fmt(q.y)} {_fmt(q.z)}")
+    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in _triples(mesh.coords)]
+    for x, y, z in _triples(mesh.normals or []):
+        lines.append(f"vn {_fmt(x)} {_fmt(y)} {_fmt(z)}")
     nv = mesh.nv
     for i in range(mesh.ns - 1):
         for j in range(nv - 1):
@@ -148,32 +158,36 @@ def _reference_obj(mesh):
 
 def _reference_csv(mesh):
     lines = ["s,v,x,y,z"]
-    for i, s in enumerate(mesh.s_values):
-        for j, v in enumerate(mesh.v_values):
-            p = mesh.vertices[i * mesh.nv + j]
-            lines.append(f"{_fmt(s)},{_fmt(v)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
+    points = iter(_triples(mesh.coords))
+    for s in mesh.s_values:
+        for v in mesh.v_values:
+            x, y, z = next(points)
+            lines.append(f"{_fmt(s)},{_fmt(v)},{_fmt(x)},{_fmt(y)},{_fmt(z)}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _triples(values):
+    return [tuple(values[k : k + 3]) for k in range(0, len(values), 3)]
+
+
 def test_streaming_exporters_match_per_record_output(tmp_path):
-    values = [-0.0, 0.0, math.pi, -2.5, 1e-300, -1e300, 1 / 3, 5e-324]
-    vertices = [
-        G3Vector(values[k % 8], values[(k + 3) % 8], values[(k + 5) % 8]) for k in range(12)
-    ]
-    normals = [None if k == 4 else G3Vector(0.0, values[k % 8], -0.0) for k in range(12)]
+    # mesh coordinates are canonical (no -0.0); s and v values need not be
+    values = [0.0, math.pi, -2.5, 1e-300, -1e300, 1 / 3, 5e-324, 7.0]
+    coords = [values[(k + c) % 8] for k in range(12) for c in (0, 3, 5)]
+    normals = [0.0 if k == 4 else c for k in range(12) for c in (0.0, values[k % 8], 0.0)]
     mesh = Mesh(
-        ns=4, nv=3, s_values=[-0.0, 0.5, 1.0, 2.0], v_values=[-0.0, 1e-17, 3.0],
-        vertices=vertices,
+        ns=4, nv=3, s_values=[-0.0, 0.5, 1.0, 2.0], v_values=[-0.0, 1e-17, 3.0], coords=coords
     )
-    export_csv(mesh, str(tmp_path / "m.csv"))
-    assert (tmp_path / "m.csv").read_bytes() == _reference_csv(mesh)
-    export_obj(mesh, str(tmp_path / "m.obj"))
-    assert (tmp_path / "m.obj").read_bytes() == _reference_obj(mesh)
+    for workers in (1, 2):
+        export_csv(mesh, str(tmp_path / "m.csv"), workers=workers)
+        assert (tmp_path / "m.csv").read_bytes() == _reference_csv(mesh)
+        export_obj(mesh, str(tmp_path / "m.obj"), workers=workers)
+        assert (tmp_path / "m.obj").read_bytes() == _reference_obj(mesh)
     mesh.normals = normals
     export_obj(mesh, str(tmp_path / "n.obj"))
     data = (tmp_path / "n.obj").read_bytes()
     assert data == _reference_obj(mesh)
-    assert b"vn 0 0 0\n" in data and b"-0 " not in data and b"f 1//1 4//4 2//2\n" in data
+    assert b"vn 0 0 0\n" in data and b"-0" not in data and b"f 1//1 4//4 2//2\n" in data
 
 
 class TestCsvExport:
@@ -206,4 +220,57 @@ class TestDomainGaps:
         with pytest.warns(UserWarning, match="re-spans"):
             mesh = mesh_from_pencil(pencil, 30, 4)
         assert all(abs(s) >= 0.125 - 1e-6 for s in mesh.s_values)
-        assert len(mesh.vertices) == 30 * 4
+        assert len(mesh.coords) == 3 * 30 * 4
+
+
+class TestWorkers:
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # two processes share the rows even on a one-CPU machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_pool_size_is_capped_by_cpus_and_rows(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        assert _pool_size(1000, 10**6) == 6
+        assert _pool_size(1000, 3) == 3
+        assert _pool_size(4, 10**6) == 4
+        assert _pool_size(1, 10**6) == 1
+        assert _pool_size(1000, 0) == 1
+        with pytest.raises(ValueError):
+            _pool_size(0, 10)
+
+    def test_rows_come_back_in_order(self, two_cpus):
+        parts = []
+        _run_rows(lambda lo, hi: bytes(range(lo, hi)), 200, 2, parts.append)
+        assert b"".join(parts) == bytes(range(200))
+
+    def test_normals_do_not_depend_on_workers(self, two_cpus, tmp_path):
+        # fig1b's rows straddle the guard band around s = 0
+        pencil = realize(FIGURES["fig1b"].config())
+        meshes, blobs = [], []
+        for workers in (1, 2, 8):
+            mesh = small_mesh(pencil, 20, 6, with_normals=True, workers=workers)
+            path = tmp_path / f"n{workers}.obj"
+            export_obj(mesh, str(path), workers=workers)
+            meshes.append((mesh.coords, mesh.normals))
+            blobs.append(path.read_bytes())
+        assert meshes[0] == meshes[1] == meshes[2]
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0].count(b"vn ") == 20 * 6
+
+    def test_child_error_and_warnings_reach_the_caller(self, two_cpus, recwarn):
+        def task(lo, hi):
+            for row in range(lo, hi):
+                if row == 9:
+                    warnings.warn("kink in row 9", KinkWarning)
+                if row == 10:
+                    raise CurvatureVanishes(1.5, 1e-9)
+            return b"x" * (hi - lo)
+
+        with pytest.raises(CurvatureVanishes) as info:
+            _run_rows(task, 12, 2, [].append)
+        assert (info.value.s, info.value.kappa) == (1.5, 1e-9)
+        assert str(info.value) == str(CurvatureVanishes(1.5, 1e-9))
+        assert [str(w.message) for w in recwarn] == ["kink in row 9"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
