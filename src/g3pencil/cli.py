@@ -3,7 +3,8 @@
 Every subcommand takes a configuration document (see g3pencil.config)
 except reproduce, which emits the built-in example figure datasets.
 Errors print one machine-readable line to stderr in the form
-``error: <Category>: <detail>`` and exit nonzero.
+``error: <Category>: <detail>`` and exit nonzero; warnings print one line
+each in the form ``warning: <Category>: <message>``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import figures
 from .config import build_curve, load_config, realize
@@ -53,6 +55,10 @@ def _worker_count(text: str) -> int:
     if workers < 1:
         raise argparse.ArgumentTypeError("the worker count must be at least 1")
     return workers
+
+
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {category.__name__}: {message}\n"
 
 
 def _sign_value(text: str) -> float:
@@ -207,11 +213,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "sign", None) is not None:
         args.sign = _sign_value(args.sign)
+    previous = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
         return args.func(args)
     except Exception as exc:  # G3PencilError or not: one line, never a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        warnings.formatwarning = previous
 
 
 if __name__ == "__main__":

@@ -25,11 +25,11 @@ optional "kappa" and "tau" closed forms, which synthesis requires.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .curve import BUILTIN_CURVES, CurveSpec
 from .errors import DomainError, SchemaError
 from .exprjet import Expr, eval_expr, parse, to_source
+from .g3core import Record
 from .pencil import (
     ControlCoefficients,
     DTypeSpec,
@@ -44,63 +44,92 @@ from .pencil import (
 _MS_VANISH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CurveConfig:
-    builtin: str | None = None
-    f: Expr | None = None
-    g: Expr | None = None
-    kappa: Expr | None = None
-    tau: Expr | None = None
+class CurveConfig(Record):
+    __slots__ = _fields = ("builtin", "f", "g", "kappa", "tau")
+
+    def __init__(
+        self,
+        builtin: str | None = None,
+        f: Expr | None = None,
+        g: Expr | None = None,
+        kappa: Expr | None = None,
+        tau: Expr | None = None,
+    ):
+        self.builtin = builtin
+        self.f = f
+        self.g = g
+        self.kappa = kappa
+        self.tau = tau
 
 
-@dataclass(frozen=True)
-class DirectMS:
-    alpha: Expr
-    beta: Expr
-    gamma: Expr
+class DirectMS(Record):
+    __slots__ = _fields = ("alpha", "beta", "gamma")
+
+    def __init__(self, alpha: Expr, beta: Expr, gamma: Expr):
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
 
 
-@dataclass(frozen=True)
-class ProductMS:
-    l: Expr
-    m: Expr
-    n: Expr
-    x: Expr
-    y: Expr
-    z: Expr
+class ProductMS(Record):
+    __slots__ = _fields = ("l", "m", "n", "x", "y", "z")
+
+    def __init__(self, l: Expr, m: Expr, n: Expr, x: Expr, y: Expr, z: Expr):
+        self.l = l
+        self.m = m
+        self.n = n
+        self.x = x
+        self.y = y
+        self.z = z
 
 
-@dataclass(frozen=True)
-class SynthesisMS:
-    lam: float
-    sigma: Expr
-    sign: float
-    l: Expr
-    m: Expr
-    n: Expr
+class SynthesisMS(Record):
+    __slots__ = _fields = ("lam", "sigma", "sign", "l", "m", "n")
+
+    def __init__(self, lam: float, sigma: Expr, sign: float, l: Expr, m: Expr, n: Expr):
+        self.lam = lam
+        self.sigma = sigma
+        self.sign = sign
+        self.l = l
+        self.m = m
+        self.n = n
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    ns: int
-    nv: int
+class GridSpec(Record):
+    __slots__ = _fields = ("ns", "nv")
+
+    def __init__(self, ns: int, nv: int):
+        self.ns = ns
+        self.nv = nv
 
 
-@dataclass(frozen=True)
-class VerifySpec:
-    mode: str = "analytic"
-    tol: float | None = None
-    samples: int = 200
+class VerifySpec(Record):
+    __slots__ = _fields = ("mode", "tol", "samples")
+
+    def __init__(self, mode: str = "analytic", tol: float | None = None, samples: int = 200):
+        self.mode = mode
+        self.tol = tol
+        self.samples = samples
 
 
-@dataclass(frozen=True)
-class PencilConfig:
-    curve: CurveConfig
-    marching: DirectMS | ProductMS | SynthesisMS
-    control: ControlCoefficients | None
-    domain: ParamDomain
-    grid: GridSpec
-    verify: VerifySpec
+class PencilConfig(Record):
+    __slots__ = _fields = ("curve", "marching", "control", "domain", "grid", "verify")
+
+    def __init__(
+        self,
+        curve: CurveConfig,
+        marching: DirectMS | ProductMS | SynthesisMS,
+        control: ControlCoefficients | None,
+        domain: ParamDomain,
+        grid: GridSpec,
+        verify: VerifySpec,
+    ):
+        self.curve = curve
+        self.marching = marching
+        self.control = control
+        self.domain = domain
+        self.grid = grid
+        self.verify = verify
 
 
 def _need(doc: dict, key: str, path: str):

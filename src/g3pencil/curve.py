@@ -20,13 +20,12 @@ so its torsion is constant while its curvature is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
 from .errors import CurvatureVanishes, G3PencilError, TorsionVanishes
 from .exprjet import Expr, compile_jets, compile_values, parse
-from .g3core import G3Vector, cross
+from .g3core import G3Vector, Record, cross
 
 KAPPA_MIN = 1e-8
 
@@ -35,8 +34,7 @@ KAPPA_MIN = 1e-8
 DEFAULT_FRAME_GUARD = 0.1
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """A curve (s, f(s), g(s)) with optional closed forms for kappa and tau.
 
     The closed forms are only consulted when marching-scale functions are
@@ -44,11 +42,21 @@ class CurveSpec:
     points run through kernels compiled once per curve, on first use.
     """
 
-    name: str
-    f: Expr
-    g: Expr
-    kappa_form: Expr | None = None
-    tau_form: Expr | None = None
+    _fields = ("name", "f", "g", "kappa_form", "tau_form")
+
+    def __init__(
+        self,
+        name: str,
+        f: Expr,
+        g: Expr,
+        kappa_form: Expr | None = None,
+        tau_form: Expr | None = None,
+    ):
+        self.name = name
+        self.f = f
+        self.g = g
+        self.kappa_form = kappa_form
+        self.tau_form = tau_form
 
     @cached_property
     def _frame_jets(self):
@@ -66,13 +74,10 @@ class CurveSpec:
         return {}
 
 
-class FrenetFrame:
-    """The frame at s: base point r = (s, f(s), g(s)), t, n, b, kappa, tau.
+class FrenetFrame(Record):
+    """The frame at s: base point r = (s, f(s), g(s)), t, n, b, kappa, tau."""
 
-    Immutable by convention, like :class:`G3Vector`.
-    """
-
-    __slots__ = ("s", "r", "t", "n", "b", "kappa", "tau")
+    __slots__ = _fields = ("s", "r", "t", "n", "b", "kappa", "tau")
 
     def __init__(
         self, s: float, r: G3Vector, t: G3Vector, n: G3Vector, b: G3Vector, kappa: float, tau: float
@@ -85,27 +90,14 @@ class FrenetFrame:
         self.kappa = kappa
         self.tau = tau
 
-    def _fields(self) -> tuple:
-        return (self.s, self.r, self.t, self.n, self.b, self.kappa, self.tau)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"FrenetFrame({fields})"
+class DarbouxData(Record):
+    __slots__ = _fields = ("w", "e0", "d_axis")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
-@dataclass(frozen=True)
-class DarbouxData:
-    w: G3Vector       # tau * t + kappa * b, the frame's rotation vector
-    e0: G3Vector      # w / |tau|
-    d_axis: G3Vector  # e0 x t, equal to (kappa / |tau|) * n
+    def __init__(self, w: G3Vector, e0: G3Vector, d_axis: G3Vector):
+        self.w = w            # tau * t + kappa * b, the frame's rotation vector
+        self.e0 = e0          # w / |tau|
+        self.d_axis = d_axis  # e0 x t, equal to (kappa / |tau|) * n
 
 
 def fresnel_helix(as_printed: bool = False) -> CurveSpec:
@@ -199,10 +191,12 @@ def darboux(frame: FrenetFrame) -> DarbouxData:
     return DarbouxData(w=w, e0=e0, d_axis=cross(e0, frame.t))
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    kind: str  # "general-helix" | "salkowski" | "anti-salkowski" | "generic"
-    constant: float | None
+class CurveClass(Record):
+    __slots__ = _fields = ("kind", "constant")
+
+    def __init__(self, kind: str, constant: float | None):
+        self.kind = kind  # "general-helix" | "salkowski" | "anti-salkowski" | "generic"
+        self.constant = constant
 
 
 _CONST_RTOL = 1e-6

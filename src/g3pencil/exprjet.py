@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, ParseError
+from .g3core import Record
 
 FUNCTIONS = (
     "sin",
@@ -65,32 +65,42 @@ class KinkWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "s" or "v"
+class Var(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name  # "s" or "v"
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(Record):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # one of + - * / ^
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class Call(Record):
+    __slots__ = _fields = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        self.func = func
+        self.arg = arg
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
@@ -113,11 +123,13 @@ def contains_var(expr: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "ident", "op", "end"
-    text: str
-    pos: int
+class _Token(Record):
+    __slots__ = _fields = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # "num", "ident", "op", "end"
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -434,14 +446,16 @@ def _call_value(node: Call, u: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet3:
+class Jet3(Record):
     """Value and first three derivatives with respect to one variable."""
 
-    c0: float
-    c1: float = 0.0
-    c2: float = 0.0
-    c3: float = 0.0
+    __slots__ = _fields = ("c0", "c1", "c2", "c3")
+
+    def __init__(self, c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0.0):
+        self.c0 = c0
+        self.c1 = c1
+        self.c2 = c2
+        self.c3 = c3
 
     def __add__(self, o: "Jet3") -> "Jet3":
         return Jet3(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2, self.c3 + o.c3)

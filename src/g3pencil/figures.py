@@ -22,9 +22,9 @@ Figure parameters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .config import PencilConfig, config_from_dict
+from .g3core import Record
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,12 +81,14 @@ def _surface_doc(curve: str, marching: dict, control: dict | None) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class FigureDef:
-    name: str
-    kind: str  # "curve" | "surface"
-    corrected: dict | None
-    printed: dict | None
+class FigureDef(Record):
+    __slots__ = _fields = ("name", "kind", "corrected", "printed")
+
+    def __init__(self, name: str, kind: str, corrected: dict | None, printed: dict | None):
+        self.name = name
+        self.kind = kind  # "curve" | "surface"
+        self.corrected = corrected
+        self.printed = printed
 
     def config(self, as_printed: bool = False) -> PencilConfig:
         if self.kind != "surface":

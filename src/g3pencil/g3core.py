@@ -15,30 +15,46 @@ from .errors import NonIsotropicInput, ZeroVector
 ZERO_NORM_FLOOR = 1e-14
 
 
-class G3Vector:
-    """A vector (x, y, z); x is the absolute component, y and z isotropic.
+class Record:
+    """Base of the package's value records, immutable by convention.
 
-    Immutable by convention: nothing assigns to a vector after it is made,
-    so equal vectors hash equally.
+    A record names its fields in ``_fields`` and assigns them in its own
+    ``__init__``; nothing assigns to them afterwards.  Records of the same
+    class with equal fields are equal and hash equally, a record never
+    equals one of another class, and the repr reads ``Name(field=value, ...)``.
+    A record that caches a compiled kernel with ``cached_property`` omits
+    ``__slots__`` and so keeps a ``__dict__``; the cache takes no part in
+    equality.
     """
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, k) for k in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class G3Vector(Record):
+    """A vector (x, y, z); x is the absolute component, y and z isotropic."""
+
+    __slots__ = _fields = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
         self.x = x
         self.y = y
         self.z = z
-
-    def __repr__(self) -> str:
-        return f"G3Vector(x={self.x!r}, y={self.y!r}, z={self.z!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.z))
 
     def __add__(self, other: "G3Vector") -> "G3Vector":
         return G3Vector(self.x + other.x, self.y + other.y, self.z + other.z)

@@ -20,25 +20,35 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 from typing import BinaryIO, Callable, Sequence
 
 from .curve import frenet, spread_s_values, uniform_grid
 from .errors import GridTooCoarse, ZeroVector
 from .exprjet import compile_surface_rows
-from .g3core import G3Vector, normalize_isotropic
+from .g3core import G3Vector, Record, normalize_isotropic
 from .pencil import PencilSpec, surface_normal, usable_domain
 
 
-@dataclass
-class Mesh:
-    ns: int
-    nv: int
-    s_values: list[float]
-    v_values: list[float]
-    coords: Sequence[float]  # x, y, z per vertex, row major, s-major; len == 3 * ns * nv
-    normals: Sequence[float] | None = None  # same layout; (0, 0, 0) where degenerate
+class Mesh(Record):
+    __slots__ = _fields = ("ns", "nv", "s_values", "v_values", "coords", "normals")
+    __hash__ = None  # holds mutable sequences
+
+    def __init__(
+        self,
+        ns: int,
+        nv: int,
+        s_values: list[float],
+        v_values: list[float],
+        coords: Sequence[float],
+        normals: Sequence[float] | None = None,
+    ):
+        self.ns = ns
+        self.nv = nv
+        self.s_values = s_values
+        self.v_values = v_values
+        self.coords = coords  # x, y, z per vertex, row major, s-major; len == 3 * ns * nv
+        self.normals = normals  # same layout; (0, 0, 0) where degenerate
 
 
 def _fmt(x: float) -> str:

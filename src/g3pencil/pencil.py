@@ -42,7 +42,6 @@ them on concrete surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .curve import (
@@ -66,53 +65,59 @@ from .errors import (
     ZeroMarchingFactor,
 )
 from .exprjet import BinOp, Call, Expr, Neg, Num, Var, compile_expr, compile_jets, compile_values
-from .g3core import G3Vector, cross
+from .g3core import G3Vector, Record, cross
 
 _RADICAND_CLAMP = 1e-12
 _FACTOR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ParamDomain:
+class ParamDomain(Record):
     """Parameter box with the base isoparameter v0 inside the v range."""
 
-    s_min: float
-    s_max: float
-    v_min: float
-    v_max: float
-    v0: float
+    __slots__ = _fields = ("s_min", "s_max", "v_min", "v_max", "v0")
 
-    def __post_init__(self):
+    def __init__(self, s_min: float, s_max: float, v_min: float, v_max: float, v0: float):
+        self.s_min = s_min
+        self.s_max = s_max
+        self.v_min = v_min
+        self.v_max = v_max
+        self.v0 = v0
         if not self.s_min < self.s_max:
             raise ValueError("s_min must be below s_max")
         if not (self.v_min <= self.v0 <= self.v_max):
             raise ValueError("v0 must lie inside [v_min, v_max]")
 
 
-@dataclass(frozen=True)
-class ProductFactors:
+class ProductFactors(Record):
     """Retained factors of a product-form marching scale."""
 
-    l: Expr
-    m: Expr
-    n: Expr
-    x: Expr
-    y: Expr
-    z: Expr
+    __slots__ = _fields = ("l", "m", "n", "x", "y", "z")
+
+    def __init__(self, l: Expr, m: Expr, n: Expr, x: Expr, y: Expr, z: Expr):
+        self.l = l
+        self.m = m
+        self.n = n
+        self.x = x
+        self.y = y
+        self.z = z
 
 
-@dataclass(frozen=True)
-class MarchingScale:
+class MarchingScale(Record):
     """The three coefficient functions alpha, beta, gamma of the pencil.
 
     Surface points and normals run through kernels compiled once per
     marching scale, on first use.
     """
 
-    alpha: Expr
-    beta: Expr
-    gamma: Expr
-    product: ProductFactors | None = None
+    _fields = ("alpha", "beta", "gamma", "product")
+
+    def __init__(
+        self, alpha: Expr, beta: Expr, gamma: Expr, product: ProductFactors | None = None
+    ):
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.product = product
 
     @cached_property
     def _values(self):
@@ -142,15 +147,15 @@ def product_marching_scale(
     )
 
 
-@dataclass(frozen=True)
-class DTypeSpec:
+class DTypeSpec(Record):
     """Target invariant lam, scale function sigma(s) and the sign branch."""
 
-    lam: float
-    sigma: Expr
-    sign: float = 1.0
+    _fields = ("lam", "sigma", "sign")
 
-    def __post_init__(self):
+    def __init__(self, lam: float, sigma: Expr, sign: float = 1.0):
+        self.lam = lam
+        self.sigma = sigma
+        self.sign = sign
         if self.sign not in (1.0, -1.0):
             raise ValueError("sign must be +1.0 or -1.0")
 
@@ -160,36 +165,42 @@ class DTypeSpec:
         return compile_expr(self.sigma)
 
 
-@dataclass(frozen=True)
-class NormalComponents:
+class NormalComponents(Record):
     """Frame components of the surface normal along the base line.
 
     phi1 (tangential) is identically zero; theta is the angle of the
     normal against the principal normal, atan2(phi3, phi2).
     """
 
-    phi1: float
-    phi2: float
-    phi3: float
-    theta: float
+    __slots__ = _fields = ("phi1", "phi2", "phi3", "theta")
+
+    def __init__(self, phi1: float, phi2: float, phi3: float, theta: float):
+        self.phi1 = phi1
+        self.phi2 = phi2
+        self.phi3 = phi3
+        self.theta = theta
 
 
-@dataclass(frozen=True)
-class ControlCoefficients:
+class ControlCoefficients(Record):
     """Multipliers applied to the product factors X, Y and Z."""
 
-    a: float = 1.0
-    b: float = 1.0
-    c: float = 1.0
+    __slots__ = _fields = ("a", "b", "c")
+
+    def __init__(self, a: float = 1.0, b: float = 1.0, c: float = 1.0):
+        self.a = a
+        self.b = b
+        self.c = c
 
 
-@dataclass(frozen=True)
-class PencilSpec:
+class PencilSpec(Record):
     """A fully specified pencil member: curve, marching scale and domain."""
 
-    curve: CurveSpec
-    marching: MarchingScale
-    domain: ParamDomain
+    __slots__ = _fields = ("curve", "marching", "domain")
+
+    def __init__(self, curve: CurveSpec, marching: MarchingScale, domain: ParamDomain):
+        self.curve = curve
+        self.marching = marching
+        self.domain = domain
 
 
 def usable_domain(

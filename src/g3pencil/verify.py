@@ -18,13 +18,20 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, spread_s_values, uniform_grid
 from .errors import ZeroVector
 from .exprjet import KinkWarning
-from .g3core import G3Vector, cross, dot, isotropic_norm, isotropic_wedge, normalize_isotropic
+from .g3core import (
+    G3Vector,
+    Record,
+    cross,
+    dot,
+    isotropic_norm,
+    isotropic_wedge,
+    normalize_isotropic,
+)
 from .pencil import MarchingScale, ParamDomain, surface_normal, surface_point, usable_domain
 
 DEGENERATE_NORM = 1e-12
@@ -33,24 +40,45 @@ FD_TOL = 1e-5
 FD_REL_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class InvariantSample:
-    s: float
-    lambda_hat: float
-    flagged: bool
+class InvariantSample(Record):
+    __slots__ = _fields = ("s", "lambda_hat", "flagged")
+
+    def __init__(self, s: float, lambda_hat: float, flagged: bool):
+        self.s = s
+        self.lambda_hat = lambda_hat
+        self.flagged = flagged
 
 
-@dataclass(frozen=True)
-class DTypeReport:
+class DTypeReport(Record):
     """Sampled invariant along the base line with constancy statistics."""
 
-    samples: tuple[InvariantSample, ...]
-    mean_lambda: float
-    max_abs_deviation: float
-    classification: str  # asymptotic | geodesic | general-d-type | not-d-type
-    mode: str  # analytic | fd
-    tolerance: float
-    v0: float
+    __slots__ = _fields = (
+        "samples",
+        "mean_lambda",
+        "max_abs_deviation",
+        "classification",
+        "mode",
+        "tolerance",
+        "v0",
+    )
+
+    def __init__(
+        self,
+        samples: tuple[InvariantSample, ...],
+        mean_lambda: float,
+        max_abs_deviation: float,
+        classification: str,
+        mode: str,
+        tolerance: float,
+        v0: float,
+    ):
+        self.samples = samples
+        self.mean_lambda = mean_lambda
+        self.max_abs_deviation = max_abs_deviation
+        self.classification = classification  # asymptotic | geodesic | general-d-type | not-d-type
+        self.mode = mode  # analytic | fd
+        self.tolerance = tolerance
+        self.v0 = v0
 
     @property
     def holds(self) -> bool:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -399,4 +400,37 @@ def test_kink_warning_in_a_worker_row_reaches_stderr(tmp_path):
         assert result.returncode == 0
         runs.append((result.stderr, out.read_bytes()))
     assert runs[0] == runs[1]
-    assert runs[0][0].count("KinkWarning: abs() differentiated at its kink in 'abs(s - 2.5)'") == 1
+    assert runs[0][0] == "warning: KinkWarning: abs() differentiated at its kink in 'abs(s - 2.5)'\n"
+
+
+def test_warning_is_one_line_on_stderr(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "g3pencil.cli", "reproduce", "fig1b", "--grid", "40x10",
+         "-o", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr == (
+        "warning: UserWarning: grid re-spans usable sub-intervals "
+        "[-6.28319, -0.1232], [0.1232, 6.28319] (guard bands excised)\n"
+    )
+
+
+def test_warning_format_holds_only_inside_main(monkeypatch, capsys):
+    import g3pencil.cli as cli
+
+    def before(message, category, filename, lineno, line=None):
+        return "not the command's format\n"
+
+    monkeypatch.setattr(warnings, "formatwarning", before)
+    seen = []
+
+    def probe(path):
+        seen.append(warnings.formatwarning(UserWarning("message"), UserWarning, "x.py", 7))
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "load_config", probe)
+    assert main(["classify", "configs/fresnel-helix.json"]) == 2
+    assert seen == ["warning: UserWarning: message\n"]
+    assert warnings.formatwarning is before

@@ -1,0 +1,257 @@
+"""The package's value records: equality, hashing, repr and construction.
+
+Every record derives from :class:`g3pencil.g3core.Record`, writes its own
+``__init__`` and needs nothing generated at import time.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import g3pencil
+from g3pencil.config import (
+    CurveConfig,
+    DirectMS,
+    GridSpec,
+    PencilConfig,
+    ProductMS,
+    SynthesisMS,
+    VerifySpec,
+)
+from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
+from g3pencil.exprjet import BinOp, Call, Jet3, Neg, Num, Var, _Token, parse
+from g3pencil.figures import FigureDef
+from g3pencil.g3core import G3Vector
+from g3pencil.mesh import Mesh
+from g3pencil.pencil import (
+    ControlCoefficients,
+    DTypeSpec,
+    MarchingScale,
+    NormalComponents,
+    ParamDomain,
+    PencilSpec,
+    ProductFactors,
+)
+from g3pencil.verify import DTypeReport, InvariantSample
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+S, V = Var("s"), Var("v")
+ONE = Num(1.0)
+E1, E2, E3 = G3Vector(1.0, 0.0, 0.0), G3Vector(0.0, 1.0, 0.0), G3Vector(0.0, 0.0, 1.0)
+CURVE = CurveSpec("c", parse("s"), parse("s^2/2"), None, None)
+SCALE = MarchingScale(V, V, V, None)
+DOMAIN = ParamDomain(-1.0, 1.0, 0.0, 1.0, 0.0)
+FACTORS = (ONE, ONE, Num(-1.0), V, V, V)
+
+# Each record with its fields in declaration order, as keyword arguments.
+RECORDS = [
+    (Num, dict(value=1.5)),
+    (Var, dict(name="s")),
+    (Neg, dict(arg=S)),
+    (BinOp, dict(op="+", left=S, right=Num(2.0))),
+    (Call, dict(func="sin", arg=S)),
+    (_Token, dict(kind="num", text="1", pos=0)),
+    (Jet3, dict(c0=1.0, c1=2.0, c2=3.0, c3=4.0)),
+    (G3Vector, dict(x=1.0, y=2.0, z=3.0)),
+    (CurveSpec, dict(name="c", f=parse("s"), g=parse("s^2/2"), kappa_form=ONE, tau_form=None)),
+    (FrenetFrame, dict(s=0.5, r=E1, t=E1, n=E2, b=E3, kappa=1.0, tau=0.25)),
+    (DarbouxData, dict(w=E1, e0=E2, d_axis=E3)),
+    (CurveClass, dict(kind="generic", constant=None)),
+    (ParamDomain, dict(s_min=-1.0, s_max=1.0, v_min=0.0, v_max=1.0, v0=0.0)),
+    (ProductFactors, dict(zip("lmnxyz", FACTORS))),
+    (MarchingScale, dict(alpha=V, beta=V, gamma=V, product=ProductFactors(*FACTORS))),
+    (DTypeSpec, dict(lam=0.5, sigma=ONE, sign=-1.0)),
+    (NormalComponents, dict(phi1=0.0, phi2=1.0, phi3=0.0, theta=0.0)),
+    (ControlCoefficients, dict(a=1.0, b=3.0, c=5.0)),
+    (PencilSpec, dict(curve=CURVE, marching=SCALE, domain=DOMAIN)),
+    (CurveConfig, dict(builtin=None, f=parse("s"), g=parse("s^2/2"), kappa=ONE, tau=None)),
+    (DirectMS, dict(alpha=V, beta=V, gamma=V)),
+    (ProductMS, dict(zip("lmnxyz", FACTORS))),
+    (SynthesisMS, dict(lam=0.5, sigma=ONE, sign=1.0, l=ONE, m=ONE, n=Num(-1.0))),
+    (GridSpec, dict(ns=200, nv=50)),
+    (VerifySpec, dict(mode="fd", tol=1e-5, samples=100)),
+    (
+        PencilConfig,
+        dict(
+            curve=CurveConfig(builtin="fresnel-helix"),
+            marching=DirectMS(V, V, V),
+            control=None,
+            domain=DOMAIN,
+            grid=GridSpec(200, 50),
+            verify=VerifySpec(),
+        ),
+    ),
+    (InvariantSample, dict(s=0.5, lambda_hat=0.5, flagged=False)),
+    (
+        DTypeReport,
+        dict(
+            samples=(InvariantSample(0.5, 0.5, False),),
+            mean_lambda=0.5,
+            max_abs_deviation=0.0,
+            classification="general-d-type",
+            mode="analytic",
+            tolerance=1e-9,
+            v0=0.0,
+        ),
+    ),
+    (FigureDef, dict(name="fig1a", kind="curve", corrected=None, printed=None)),
+    (Mesh, dict(ns=2, nv=2, s_values=[0.0, 1.0], v_values=[0.0, 1.0], coords=[0.0] * 12,
+                normals=None)),
+]
+IDS = [cls.__name__ for cls, _ in RECORDS]
+HASHABLE = [(cls, kw) for cls, kw in RECORDS if cls is not Mesh]
+
+
+@pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, kw):
+    assert cls._fields == tuple(kw)
+    by_position = cls(*kw.values())
+    by_keyword = cls(**kw)
+    assert by_position == by_keyword
+    assert tuple(getattr(by_keyword, k) for k in kw) == tuple(kw.values())
+
+
+@pytest.mark.parametrize("cls, kw", HASHABLE, ids=[cls.__name__ for cls, _ in HASHABLE])
+def test_equal_fields_give_equal_records_and_hashes(cls, kw):
+    a, b = cls(**kw), cls(**kw)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_mutable_mesh_compares_but_does_not_hash():
+    kw = dict(RECORDS)[Mesh]
+    assert Mesh(**kw) == Mesh(**kw)
+    with pytest.raises(TypeError):
+        hash(Mesh(**kw))
+
+
+@pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
+def test_another_class_with_the_same_values_is_not_equal(cls, kw):
+    record = cls(**kw)
+    other = type("Other", (cls,), {})(**kw)
+    assert record != other and other != record
+    assert record != tuple(kw.values())
+
+
+def test_records_with_the_same_field_names_differ_by_class():
+    assert ProductMS(*FACTORS) != ProductFactors(*FACTORS)
+
+
+@pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
+def test_unequal_fields_give_unequal_records(cls, kw):
+    # each field in turn takes a value that no field holds, past any checks
+    for changed in kw:
+        record = cls.__new__(cls)
+        for k, v in kw.items():
+            object.__setattr__(record, k, object() if k == changed else v)
+        assert cls(**kw) != record
+
+
+@pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
+def test_repr_names_class_and_fields(cls, kw):
+    fields = ", ".join(f"{k}={v!r}" for k, v in kw.items())
+    assert repr(cls(**kw)) == f"{cls.__name__}({fields})"
+
+
+def test_repr_text_is_unchanged():
+    assert repr(BinOp("+", S, Num(2.0))) == "BinOp(op='+', left=Var(name='s'), right=Num(value=2.0))"
+    assert repr(Jet3(1.0)) == "Jet3(c0=1.0, c1=0.0, c2=0.0, c3=0.0)"
+    assert repr(VerifySpec()) == "VerifySpec(mode='analytic', tol=None, samples=200)"
+    assert repr(G3Vector(0.0, -1.0, 2.5)) == "G3Vector(x=0.0, y=-1.0, z=2.5)"
+    assert repr(CurveClass("salkowski", 1.0)) == "CurveClass(kind='salkowski', constant=1.0)"
+
+
+def test_signed_zero_numbers_are_equal():
+    assert Num(0.0) == Num(-0.0)
+    assert hash(Num(0.0)) == hash(Num(-0.0))
+    assert Jet3(-0.0) == Jet3(0.0)
+
+
+def test_defaults():
+    assert Jet3(1.0) == Jet3(1.0, 0.0, 0.0, 0.0)
+    assert VerifySpec() == VerifySpec("analytic", None, 200)
+    assert ControlCoefficients() == ControlCoefficients(1.0, 1.0, 1.0)
+    assert CurveConfig() == CurveConfig(None, None, None, None, None)
+    assert MarchingScale(alpha=V, beta=S, gamma=ONE).product is None
+    assert DTypeSpec(0.5, ONE).sign == 1.0
+    assert CurveSpec("c", S, V) == CurveSpec("c", S, V, None, None)
+    assert Mesh(2, 2, [0.0, 1.0], [0.0, 1.0], [0.0] * 12).normals is None
+
+
+def test_missing_required_field_is_a_type_error():
+    with pytest.raises(TypeError):
+        GridSpec(200)
+    with pytest.raises(TypeError):
+        Jet3()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, 1.0, 0.0, 1.0, 0.0), "s_min must be below s_max"),
+        ((1.0, -1.0, 0.0, 1.0, 0.0), "s_min must be below s_max"),
+        ((-1.0, 1.0, 0.0, 1.0, 2.0), r"v0 must lie inside \[v_min, v_max\]"),
+        ((-1.0, 1.0, 0.0, 1.0, -0.5), r"v0 must lie inside \[v_min, v_max\]"),
+    ],
+)
+def test_param_domain_rejects_bad_boxes(args, message):
+    with pytest.raises(ValueError, match=message):
+        ParamDomain(*args)
+
+
+@pytest.mark.parametrize("sign", [0.0, 0.5, 2.0])
+def test_dtype_spec_rejects_bad_signs(sign):
+    with pytest.raises(ValueError, match=r"sign must be \+1.0 or -1.0"):
+        DTypeSpec(0.5, ONE, sign)
+
+
+def test_kernel_caches_keep_a_dict_and_stay_out_of_equality():
+    for record in (CurveSpec("c", S, V), MarchingScale(V, V, V), DTypeSpec(0.5, ONE)):
+        assert hasattr(record, "__dict__")
+    warm = CurveSpec("c", parse("s"), parse("s^2/2"))
+    warm._point_values(0.5, 0.0)
+    assert "_point_values" in vars(warm)
+    assert warm == CURVE and hash(warm) == hash(CURVE)
+    spec = DTypeSpec(0.5, parse("1/cosh(s/4)"))
+    assert spec._sigma(0.0, 0.0) == 1.0
+    assert spec == DTypeSpec(0.5, parse("1/cosh(s/4)"))
+
+
+@pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
+def test_records_are_written_in_their_modules(cls, kw):
+    # nothing is generated by exec: the methods' code lives in the package
+    module_file = sys.modules[cls.__module__].__file__
+    assert cls.__init__.__code__.co_filename == module_file
+    for name in ("__eq__", "__hash__", "__repr__"):
+        method = getattr(cls, name)
+        if method is not None:
+            assert method.__code__.co_filename == sys.modules["g3pencil.g3core"].__file__
+    if cls not in (CurveSpec, MarchingScale, DTypeSpec):
+        assert not hasattr(cls(**kw), "__dict__")
+
+
+def test_every_public_name_imports():
+    namespace = {}
+    exec("from g3pencil import *", namespace)
+    for name in g3pencil.__all__:
+        assert namespace[name] is getattr(g3pencil, name)
+
+
+def test_cli_import_needs_no_dataclasses():
+    code = (
+        "import sys, g3pencil.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+    for path in sorted((SRC / "g3pencil").glob("**/*.py")):
+        assert "dataclass" not in path.read_text(), path
