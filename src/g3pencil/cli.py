@@ -16,7 +16,7 @@ import warnings
 
 from . import figures
 from .config import build_curve, load_config, realize
-from .curve import classify_curve, darboux, fresnel_helix, frenet, point, uniform_grid
+from .curve import classify_curve, darboux, frenet, point, uniform_grid
 from .errors import G3PencilError
 from .g3core import G3Vector
 from .mesh import export_csv, export_curve_csv, export_obj, mesh_from_pencil
@@ -67,7 +67,7 @@ def _sign_value(text: str) -> float:
 
 def _cmd_frenet(args) -> int:
     cfg = load_config(args.config)
-    curve = build_curve(cfg, as_printed=args.as_printed)
+    curve = build_curve(cfg.curve, as_printed=args.as_printed)
     fr = frenet(curve, args.at)
     dd = darboux(fr)
     print(f"s = {fr.s:.12g}")
@@ -82,7 +82,7 @@ def _cmd_frenet(args) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = load_config(args.config)
-    curve = build_curve(cfg, as_printed=args.as_printed)
+    curve = build_curve(cfg.curve, as_printed=args.as_printed)
     cls = classify_curve(curve, (cfg.domain.s_min, cfg.domain.s_max))
     if cls.constant is None:
         print(cls.kind)
@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
         pencil.curve, pencil.marching, pencil.domain, cfg.verify.samples, mode, tol
     )
     print(report.to_json())
-    return EXIT_OK if report.max_abs_deviation <= report.tolerance else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.holds else EXIT_VERIFY_FAILED
 
 
 def _cmd_reproduce(args) -> int:
@@ -137,13 +137,7 @@ def _cmd_reproduce(args) -> int:
     fig = figures.FIGURES[name]
     ns, nv = args.grid if args.grid else (200, 50)
     if fig.kind == "curve":
-        builtin = figures.CURVE_FIGURES[name]
-        if builtin == "fresnel-helix":
-            curve = fresnel_helix(as_printed=args.as_printed)
-        else:
-            from .curve import anti_salkowski
-
-            curve = anti_salkowski()
+        curve = build_curve(figures.CURVE_FIGURES[name], as_printed=args.as_printed)
         svals = uniform_grid(*figures.CURVE_RANGE, ns)
         pts = [point(curve, s) for s in svals]
         out = os.path.join(args.output, f"{name}.csv")

@@ -20,15 +20,20 @@ Exactly one marching-scale block must be present.  All expression strings
 use the grammar documented in :mod:`g3pencil.exprjet` and are parsed
 eagerly so errors surface at load time.  Explicit curves may carry
 optional "kappa" and "tau" closed forms, which synthesis requires.
+
+A document parses into the pencil's own records: the curve stays a builtin
+name or becomes the explicit :class:`CurveSpec`, a direct or product block
+becomes its :class:`MarchingScale`, and only a synthesis block keeps a
+record of its own, :class:`SynthesisMS`, which :func:`realize` synthesizes.
 """
 
 from __future__ import annotations
 
 import json
 
-from .curve import BUILTIN_CURVES, CurveSpec
+from .curve import BUILTIN_CURVES, CurveSpec, fresnel_helix
 from .errors import DomainError, SchemaError
-from .exprjet import Expr, eval_expr, parse, to_source
+from .exprjet import Expr, eval_expr, parse
 from .g3core import Record
 from .pencil import (
     ControlCoefficients,
@@ -40,47 +45,9 @@ from .pencil import (
     product_marching_scale,
     synthesize_product_form,
 )
+from .verify import MIN_REPORT_SAMPLES
 
 _MS_VANISH_TOL = 1e-12
-
-
-class CurveConfig(Record):
-    __slots__ = _fields = ("builtin", "f", "g", "kappa", "tau")
-
-    def __init__(
-        self,
-        builtin: str | None = None,
-        f: Expr | None = None,
-        g: Expr | None = None,
-        kappa: Expr | None = None,
-        tau: Expr | None = None,
-    ):
-        self.builtin = builtin
-        self.f = f
-        self.g = g
-        self.kappa = kappa
-        self.tau = tau
-
-
-class DirectMS(Record):
-    __slots__ = _fields = ("alpha", "beta", "gamma")
-
-    def __init__(self, alpha: Expr, beta: Expr, gamma: Expr):
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-
-
-class ProductMS(Record):
-    __slots__ = _fields = ("l", "m", "n", "x", "y", "z")
-
-    def __init__(self, l: Expr, m: Expr, n: Expr, x: Expr, y: Expr, z: Expr):
-        self.l = l
-        self.m = m
-        self.n = n
-        self.x = x
-        self.y = y
-        self.z = z
 
 
 class SynthesisMS(Record):
@@ -117,15 +84,15 @@ class PencilConfig(Record):
 
     def __init__(
         self,
-        curve: CurveConfig,
-        marching: DirectMS | ProductMS | SynthesisMS,
+        curve: str | CurveSpec,
+        marching: MarchingScale | SynthesisMS,
         control: ControlCoefficients | None,
         domain: ParamDomain,
         grid: GridSpec,
         verify: VerifySpec,
     ):
-        self.curve = curve
-        self.marching = marching
+        self.curve = curve  # a builtin name or the explicit curve
+        self.marching = marching  # a direct or product scale, or the input to synthesis
         self.control = control
         self.domain = domain
         self.grid = grid
@@ -156,21 +123,21 @@ def _expr(value, path: str) -> Expr:
     return parse(value)
 
 
-def _curve_config(doc, path: str) -> CurveConfig:
+def _curve_config(doc, path: str) -> str | CurveSpec:
     if isinstance(doc, str):
         if doc not in BUILTIN_CURVES:
             raise SchemaError(path, f"unknown builtin curve {doc!r}")
-        return CurveConfig(builtin=doc)
+        return doc
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a builtin name or an {f, g} object")
     f = _expr(_need(doc, "f", path), f"{path}.f")
     g = _expr(_need(doc, "g", path), f"{path}.g")
     kappa = _expr(doc["kappa"], f"{path}.kappa") if "kappa" in doc else None
     tau = _expr(doc["tau"], f"{path}.tau") if "tau" in doc else None
-    return CurveConfig(f=f, g=g, kappa=kappa, tau=tau)
+    return CurveSpec(name="explicit", f=f, g=g, kappa_form=kappa, tau_form=tau)
 
 
-def _marching_config(doc, path: str):
+def _marching_config(doc, path: str) -> MarchingScale | SynthesisMS:
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     blocks = [k for k in ("direct", "product", "synthesis") if k in doc]
@@ -183,32 +150,20 @@ def _marching_config(doc, path: str):
     if not isinstance(block, dict):
         raise SchemaError(f"{path}.{kind}", "expected an object")
     p = f"{path}.{kind}"
+
+    def exprs(*keys: str) -> list[Expr]:
+        return [_expr(_need(block, k, p), f"{p}.{k}") for k in keys]
+
     if kind == "direct":
-        return DirectMS(
-            alpha=_expr(_need(block, "alpha", p), f"{p}.alpha"),
-            beta=_expr(_need(block, "beta", p), f"{p}.beta"),
-            gamma=_expr(_need(block, "gamma", p), f"{p}.gamma"),
-        )
+        return MarchingScale(*exprs("alpha", "beta", "gamma"))
     if kind == "product":
-        return ProductMS(
-            l=_expr(_need(block, "l", p), f"{p}.l"),
-            m=_expr(_need(block, "m", p), f"{p}.m"),
-            n=_expr(_need(block, "n", p), f"{p}.n"),
-            x=_expr(_need(block, "X", p), f"{p}.X"),
-            y=_expr(_need(block, "Y", p), f"{p}.Y"),
-            z=_expr(_need(block, "Z", p), f"{p}.Z"),
-        )
+        return product_marching_scale(*exprs("l", "m", "n", "X", "Y", "Z"))
     sign_text = block.get("sign", "+")
     if sign_text not in ("+", "-"):
         raise SchemaError(f"{p}.sign", "expected '+' or '-'")
-    return SynthesisMS(
-        lam=_number(_need(block, "lambda", p), f"{p}.lambda"),
-        sigma=_expr(_need(block, "sigma", p), f"{p}.sigma"),
-        sign=1.0 if sign_text == "+" else -1.0,
-        l=_expr(_need(block, "l", p), f"{p}.l"),
-        m=_expr(_need(block, "m", p), f"{p}.m"),
-        n=_expr(_need(block, "n", p), f"{p}.n"),
-    )
+    lam = _number(_need(block, "lambda", p), f"{p}.lambda")
+    sigma, l, m, n = exprs("sigma", "l", "m", "n")
+    return SynthesisMS(lam, sigma, 1.0 if sign_text == "+" else -1.0, l, m, n)
 
 
 def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
@@ -254,11 +209,13 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
     mode = vdoc.get("mode", "analytic")
     if mode not in ("analytic", "fd"):
         raise SchemaError(f"{path}.verify.mode", "expected 'analytic' or 'fd'")
-    verify = VerifySpec(
-        mode=mode,
-        tol=_number(vdoc["tol"], f"{path}.verify.tol") if "tol" in vdoc else None,
-        samples=_integer(vdoc.get("samples", 200), f"{path}.verify.samples"),
-    )
+    tol = _number(vdoc["tol"], f"{path}.verify.tol") if "tol" in vdoc else None
+    samples = _integer(vdoc.get("samples", 200), f"{path}.verify.samples")
+    if samples < MIN_REPORT_SAMPLES:
+        raise SchemaError(
+            f"{path}.verify.samples", f"a report needs at least {MIN_REPORT_SAMPLES} samples"
+        )
+    verify = VerifySpec(mode=mode, tol=tol, samples=samples)
     cfg = PencilConfig(
         curve=curve,
         marching=marching,
@@ -273,10 +230,11 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
 
 def _check_base_line(cfg: PencilConfig, path: str) -> None:
     """Product factors must vanish on the base line (checked numerically)."""
-    if not isinstance(cfg.marching, ProductMS):
+    if isinstance(cfg.marching, SynthesisMS) or cfg.marching.product is None:
         return
+    product = cfg.marching.product
     d = cfg.domain
-    for label, factor in (("X", cfg.marching.x), ("Y", cfg.marching.y), ("Z", cfg.marching.z)):
+    for label, factor in (("X", product.x), ("Y", product.y), ("Z", product.z)):
         for i in range(5):
             s = d.s_min + (d.s_max - d.s_min) * (i + 0.5) / 5.0
             try:
@@ -302,82 +260,17 @@ def load_config(path: str) -> PencilConfig:
     return config_from_dict(doc, "$")
 
 
-def config_to_dict(cfg: PencilConfig) -> dict:
-    doc: dict = {}
-    if cfg.curve.builtin is not None:
-        doc["curve"] = cfg.curve.builtin
-    else:
-        cd = {"f": to_source(cfg.curve.f), "g": to_source(cfg.curve.g)}
-        if cfg.curve.kappa is not None:
-            cd["kappa"] = to_source(cfg.curve.kappa)
-        if cfg.curve.tau is not None:
-            cd["tau"] = to_source(cfg.curve.tau)
-        doc["curve"] = cd
-    ms = cfg.marching
-    if isinstance(ms, DirectMS):
-        doc["marching_scale"] = {
-            "direct": {
-                "alpha": to_source(ms.alpha),
-                "beta": to_source(ms.beta),
-                "gamma": to_source(ms.gamma),
-            }
-        }
-    elif isinstance(ms, ProductMS):
-        doc["marching_scale"] = {
-            "product": {
-                "l": to_source(ms.l),
-                "m": to_source(ms.m),
-                "n": to_source(ms.n),
-                "X": to_source(ms.x),
-                "Y": to_source(ms.y),
-                "Z": to_source(ms.z),
-            }
-        }
-    else:
-        doc["marching_scale"] = {
-            "synthesis": {
-                "lambda": ms.lam,
-                "sigma": to_source(ms.sigma),
-                "sign": "+" if ms.sign > 0 else "-",
-                "l": to_source(ms.l),
-                "m": to_source(ms.m),
-                "n": to_source(ms.n),
-            }
-        }
-    if cfg.control is not None:
-        doc["control"] = {"a": cfg.control.a, "b": cfg.control.b, "c": cfg.control.c}
-    d = cfg.domain
-    doc["domain"] = {
-        "s_min": d.s_min,
-        "s_max": d.s_max,
-        "v_min": d.v_min,
-        "v_max": d.v_max,
-        "v0": d.v0,
-    }
-    doc["grid"] = {"ns": cfg.grid.ns, "nv": cfg.grid.nv}
-    doc["verify"] = {"mode": cfg.verify.mode, "samples": cfg.verify.samples}
-    if cfg.verify.tol is not None:
-        doc["verify"]["tol"] = cfg.verify.tol
-    return doc
+def build_curve(curve: str | CurveSpec, as_printed: bool = False) -> CurveSpec:
+    """The curve a config names: a builtin by name, or the explicit curve itself.
 
-
-def write_config(cfg: PencilConfig, path: str) -> None:
-    """Serialize a configuration; load_config(write_config(c)) == c."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
-
-
-def build_curve(cfg: PencilConfig, as_printed: bool = False) -> CurveSpec:
-    cc = cfg.curve
-    if cc.builtin is not None:
-        factory = BUILTIN_CURVES[cc.builtin]
-        if cc.builtin == "fresnel-helix":
-            return factory(as_printed=as_printed)
-        return factory()
-    return CurveSpec(
-        name="explicit", f=cc.f, g=cc.g, kappa_form=cc.kappa, tau_form=cc.tau
-    )
+    ``as_printed`` switches the Fresnel helix to its historical formula;
+    the other curves have no printed variant.
+    """
+    if isinstance(curve, CurveSpec):
+        return curve
+    if curve == "fresnel-helix":
+        return fresnel_helix(as_printed=as_printed)
+    return BUILTIN_CURVES[curve]()
 
 
 def realize(
@@ -389,13 +282,9 @@ def realize(
     and makes synthesis use the plain construction rule.  ``sign``
     overrides the synthesis sign branch.
     """
-    curve = build_curve(cfg, as_printed)
-    ms = cfg.marching
-    if isinstance(ms, DirectMS):
-        marching = MarchingScale(alpha=ms.alpha, beta=ms.beta, gamma=ms.gamma)
-    elif isinstance(ms, ProductMS):
-        marching = product_marching_scale(ms.l, ms.m, ms.n, ms.x, ms.y, ms.z)
-    else:
+    curve = build_curve(cfg.curve, as_printed)
+    ms = marching = cfg.marching
+    if isinstance(ms, SynthesisMS):
         dtype = DTypeSpec(
             lam=ms.lam, sigma=ms.sigma, sign=sign if sign is not None else ms.sign
         )

@@ -200,6 +200,7 @@ class CurveClass(Record):
 
 
 _CONST_RTOL = 1e-6
+_CLASSIFY_SAMPLES = 64
 
 
 def _is_constant(values: list[float]) -> tuple[bool, float]:
@@ -208,20 +209,16 @@ def _is_constant(values: list[float]) -> tuple[bool, float]:
     return spread <= _CONST_RTOL * max(abs(mean), 1e-300), mean
 
 
-def classify_curve(
-    curve: CurveSpec, s_range: tuple[float, float], samples: int = 64
-) -> CurveClass:
-    """Detect constant |tau|/kappa, constant kappa, or constant tau.
+def classify_curve(curve: CurveSpec, s_range: tuple[float, float]) -> CurveClass:
+    """Detect constant |tau|/kappa, constant kappa, or constant tau on 64 samples.
 
     Precedence on overlaps: a curve with constant ratio reports as a
     general helix even when kappa or tau is constant too, then constant
     kappa wins over constant tau.
     """
-    if samples < 16:
-        raise ValueError("classification needs at least 16 samples")
     kappas = []
     taus = []
-    for s in uniform_grid(s_range[0], s_range[1], samples):
+    for s in uniform_grid(s_range[0], s_range[1], _CLASSIFY_SAMPLES):
         fr = frenet(curve, s)
         kappas.append(fr.kappa)
         taus.append(fr.tau)

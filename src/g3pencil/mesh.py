@@ -3,9 +3,7 @@
 A mesh keeps its vertices as one flat array of doubles: x, y, z of each
 vertex in row-major (s-major) order, all v values of the first s row, then
 the next row.  The coordinates are canonical (the row kernel stores -0.0
-as 0.0), so every signed zero serializes as "0".  Normals, when the
-library asks for them, take the same layout, with (0, 0, 0) where a
-normal is degenerate.
+as 0.0), so every signed zero serializes as "0".
 
 Sampling and export run a task over contiguous ranges of grid rows.  With
 ``workers`` above 1 the calling process runs the first range and forked
@@ -24,14 +22,14 @@ from itertools import chain
 from typing import BinaryIO, Callable, Sequence
 
 from .curve import frenet, spread_s_values, uniform_grid
-from .errors import GridTooCoarse, ZeroVector
+from .errors import GridTooCoarse
 from .exprjet import compile_surface_rows
-from .g3core import G3Vector, Record, normalize_isotropic
-from .pencil import PencilSpec, surface_normal, usable_domain
+from .g3core import G3Vector, Record
+from .pencil import PencilSpec, usable_domain
 
 
 class Mesh(Record):
-    __slots__ = _fields = ("ns", "nv", "s_values", "v_values", "coords", "normals")
+    __slots__ = _fields = ("ns", "nv", "s_values", "v_values", "coords")
     __hash__ = None  # holds mutable sequences
 
     def __init__(
@@ -41,14 +39,12 @@ class Mesh(Record):
         s_values: list[float],
         v_values: list[float],
         coords: Sequence[float],
-        normals: Sequence[float] | None = None,
     ):
         self.ns = ns
         self.nv = nv
         self.s_values = s_values
         self.v_values = v_values
         self.coords = coords  # x, y, z per vertex, row major, s-major; len == 3 * ns * nv
-        self.normals = normals  # same layout; (0, 0, 0) where degenerate
 
 
 def _fmt(x: float) -> str:
@@ -203,9 +199,7 @@ def _rewarn(notes) -> None:
 # ---------------------------------------------------------------------------
 
 
-def mesh_from_pencil(
-    pencil: PencilSpec, ns: int, nv: int, *, with_normals: bool = False, workers: int = 1
-) -> Mesh:
+def mesh_from_pencil(pencil: PencilSpec, ns: int, nv: int, *, workers: int = 1) -> Mesh:
     """Sample the surface on a uniform grid.
 
     The s grid spans the pencil's :func:`usable_domain` (with a warning
@@ -237,37 +231,19 @@ def mesh_from_pencil(
     row_points = compile_surface_rows(ms.alpha, ms.beta, ms.gamma, v_values)
 
     def rows(lo: int, hi: int) -> bytes:
-        # each row's coordinates, then its normals when asked for
         out: list[float] = []
         for s in s_values[lo:hi]:
-            fr = frenet(curve, s)
-            row_points(s, fr, out)
-            if with_normals:
-                for v in v_values:
-                    try:
-                        q = normalize_isotropic(surface_normal(curve, ms, s, v, frame=fr))
-                    except ZeroVector:
-                        q = G3Vector(0.0, 0.0, 0.0)
-                    out.extend((q.x + 0.0, q.y + 0.0, q.z + 0.0))
+            row_points(s, frenet(curve, s), out)
         return array("d", out).tobytes()
 
     data = bytearray()
     _run_rows(rows, len(s_values), workers, data.extend)
-    values = array("d", data)
-    coords, normals = values, None
-    if with_normals:
-        width = 3 * nv
-        coords, normals = array("d"), array("d")
-        for k in range(0, len(values), 2 * width):
-            coords += values[k : k + width]
-            normals += values[k + width : k + 2 * width]
     return Mesh(
         ns=len(s_values),
         nv=nv,
         s_values=s_values,
         v_values=v_values,
-        coords=coords,
-        normals=normals,
+        coords=array("d", data),
     )
 
 
@@ -276,38 +252,25 @@ def mesh_from_pencil(
 # ---------------------------------------------------------------------------
 
 _V_RECORD = "v %.17g %.17g %.17g\n"
-_VN_RECORD = "vn %.17g %.17g %.17g\n"
-
-
-def _records(template: str, values: Sequence[float], nv: int) -> Callable[[int, int], bytes]:
-    """Task: one template record per vertex of rows [lo, hi)."""
-    width = 3 * nv
-
-    def task(lo: int, hi: int) -> bytes:
-        text = template * (nv * (hi - lo)) % tuple(values[lo * width : hi * width])
-        return text.encode("ascii")
-
-    return task
 
 
 def export_obj(mesh: Mesh, path: str, *, workers: int = 1) -> None:
     """Wavefront OBJ: v records in row-major order, quads split in two.
 
     Each grid cell emits the lower-left triangle first, then the upper
-    right, with consistent winding.  When normals are present they are
-    written as vn records (degenerate ones as "vn 0 0 0") and faces index
-    them alongside the vertices.  Up to ``workers`` processes format the
-    records, a range of grid rows each; the bytes are the same for any
+    right, with consistent winding.  Up to ``workers`` processes format
+    the records, a range of grid rows each; the bytes are the same for any
     count.
     """
     if not mesh.coords:
         raise ValueError("refusing to export an empty mesh")
-    nv = mesh.nv
-    has_normals = mesh.normals is not None
-    if has_normals:
-        faces = "f %d//%d %d//%d %d//%d\nf %d//%d %d//%d %d//%d\n" * (nv - 1)
-    else:
-        faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
+    nv, coords = mesh.nv, mesh.coords
+    width = 3 * nv
+    faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
+
+    def vertex_rows(lo: int, hi: int) -> bytes:
+        text = _V_RECORD * (nv * (hi - lo)) % tuple(coords[lo * width : hi * width])
+        return text.encode("ascii")
 
     def face_rows(lo: int, hi: int) -> bytes:
         parts = []
@@ -317,17 +280,11 @@ def export_obj(mesh: Mesh, path: str, *, workers: int = 1) -> None:
             b = range((i + 1) * nv + 1, (i + 2) * nv)
             c = range((i + 1) * nv + 2, (i + 2) * nv + 1)
             d = range(i * nv + 2, (i + 1) * nv + 1)
-            if has_normals:
-                cells = zip(a, a, b, b, d, d, b, b, c, c, d, d)
-            else:
-                cells = zip(a, b, d, b, c, d)
-            parts.append(faces % tuple(chain.from_iterable(cells)))
+            parts.append(faces % tuple(chain.from_iterable(zip(a, b, d, b, c, d))))
         return "".join(parts).encode("ascii")
 
     with open(path, "wb") as fh:
-        _run_rows(_records(_V_RECORD, mesh.coords, nv), mesh.ns, workers, fh.write)
-        if has_normals:
-            _run_rows(_records(_VN_RECORD, mesh.normals, nv), mesh.ns, workers, fh.write)
+        _run_rows(vertex_rows, mesh.ns, workers, fh.write)
         _run_rows(face_rows, mesh.ns - 1, workers, fh.write)
 
 

@@ -21,7 +21,6 @@ import warnings
 from typing import NamedTuple
 
 from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, spread_s_values, uniform_grid
-from .errors import ZeroVector
 from .exprjet import KinkWarning
 from .g3core import (
     G3Vector,
@@ -35,6 +34,7 @@ from .g3core import (
 from .pencil import MarchingScale, ParamDomain, surface_normal, surface_point, usable_domain
 
 DEGENERATE_NORM = 1e-12
+MIN_REPORT_SAMPLES = 8
 ANALYTIC_TOL = 1e-9
 FD_TOL = 1e-5
 FD_REL_STEP = 1e-4
@@ -84,7 +84,7 @@ class DTypeReport(Record):
     def holds(self) -> bool:
         return self.classification != "not-d-type"
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "mode": self.mode,
             "v0": self.v0,
@@ -97,7 +97,7 @@ class DTypeReport(Record):
                 for p in self.samples
             ],
         }
-        return json.dumps(doc, indent=indent)
+        return json.dumps(doc, indent=2)
 
 
 def _fd_normal(
@@ -135,7 +135,7 @@ def _fd_normal(
 def _classify_report(
     mean: float, deviation: float, sines: list[float], tol: float, any_valid: bool
 ) -> str:
-    if not any_valid or deviation > tol:
+    if not any_valid or not deviation <= tol:  # a NaN deviation does not pass
         return "not-d-type"
     if abs(mean) <= max(tol, 1e-12):
         return "asymptotic"
@@ -161,8 +161,8 @@ def dtype_report(
     agreement with analytic mode is a genuine cross-check.  Degenerate
     normals are flagged per sample and excluded from the statistics.
     """
-    if n_samples < 8:
-        raise ValueError("dtype_report needs at least 8 samples")
+    if n_samples < MIN_REPORT_SAMPLES:
+        raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")
     if mode not in ("analytic", "fd"):
         raise ValueError("mode must be 'analytic' or 'fd'")
     if tol is None:
@@ -181,13 +181,10 @@ def dtype_report(
             eta = surface_normal(curve, ms, s, v0, frame=fr)
         else:
             eta = _fd_normal(curve, ms, s, v0, h_s, h_v, richardson, fr)
-        try:
-            if isotropic_norm(eta) < DEGENERATE_NORM:
-                raise ZeroVector("degenerate")
-            eta1 = normalize_isotropic(eta)
-        except ZeroVector:
+        if not isotropic_norm(eta) >= DEGENERATE_NORM:  # tiny or NaN
             samples.append(InvariantSample(s, math.nan, True))
             continue
+        eta1 = normalize_isotropic(eta)
         lam_hat = dot(eta1, axis)
         sines.append(dot(eta1, fr.b))
         samples.append(InvariantSample(s, lam_hat, False))
@@ -291,16 +288,13 @@ def normal_consistency(
                 )
                 continue
             eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, richardson, fr)
-            try:
-                if (
-                    isotropic_norm(eta_a) < DEGENERATE_NORM
-                    or isotropic_norm(eta_f) < DEGENERATE_NORM
-                ):
-                    continue
-                ua = normalize_isotropic(eta_a)
-                uf = normalize_isotropic(eta_f)
-            except ZeroVector:
-                continue
+            if not (
+                isotropic_norm(eta_a) >= DEGENERATE_NORM
+                and isotropic_norm(eta_f) >= DEGENERATE_NORM
+            ):
+                continue  # tiny or NaN
+            ua = normalize_isotropic(eta_a)
+            uf = normalize_isotropic(eta_f)
             angle = math.atan2(abs(isotropic_wedge(ua, uf)), dot(ua, uf))
             worst = max(worst, angle)
     return worst

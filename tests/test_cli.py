@@ -236,11 +236,10 @@ def test_unexpected_exception_maps_to_exit_2(monkeypatch, capsys):
 
 
 def _printed_fig1d(tmp_path):
-    from g3pencil.config import config_to_dict
     from g3pencil.figures import FIGURES
 
     path = tmp_path / "fig1d-printed.json"
-    path.write_text(json.dumps(config_to_dict(FIGURES["fig1d"].config(as_printed=True))))
+    path.write_text(json.dumps(FIGURES["fig1d"].printed))
     return str(path)
 
 
@@ -265,6 +264,36 @@ def test_printed_fig1d_verifies_on_the_domain_build_uses(tmp_path, capsys):
             assert any(a - 1e-5 <= sample["s"] <= b + 1e-5 for a, b in intervals)
         deviations.append(doc["max_abs_deviation"])
     assert deviations == [pytest.approx(3.95, abs=0.01)] * 2
+
+
+def test_nan_normals_fail_verify_as_not_d_type(tmp_path, capsys):
+    # beta_v = exp(800) overflows, so every normal on the base line is NaN:
+    # each sample is flagged, the report says not-d-type and the exit agrees
+    doc = {
+        "curve": "fresnel-helix",
+        "marching_scale": {"direct": {"alpha": "0", "beta": "v*exp(800)", "gamma": "v"}},
+        "domain": {"s_min": 0.5, "s_max": 3.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("analytic", "fd"):
+        assert main(["verify", str(path), "--mode", mode]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["classification"] == "not-d-type"
+        assert len(report["samples"]) == 200
+        assert all(p["flagged"] and math.isnan(p["lambda_hat"]) for p in report["samples"])
+
+
+def test_too_few_verify_samples_fail_at_load(tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["verify"]["samples"] = 4
+    path = tmp_path / "few.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: SchemaError: $.verify.samples: a report needs at least 8 samples\n"
+    )
 
 
 def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):
@@ -337,11 +366,10 @@ def test_invalid_worker_count_is_a_usage_error(tmp_path, capsys, workers):
 def test_build_bytes_do_not_depend_on_workers(tmp_path, capsys, recwarn):
     # fig1b's domain straddles the guard band around s = 0; with 40 rows it
     # lies between rows 19 and 20, where two workers split the rows
-    from g3pencil.config import config_to_dict
     from g3pencil.figures import FIGURES
 
     config = tmp_path / "fig1b.json"
-    config.write_text(json.dumps(config_to_dict(FIGURES["fig1b"].config())))
+    config.write_text(json.dumps(FIGURES["fig1b"].corrected))
     for suffix in ("obj", "csv"):
         blobs = []
         for workers in ("1", "2", "8"):

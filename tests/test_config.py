@@ -1,18 +1,12 @@
-import json
 import math
 
 import pytest
 
-from g3pencil.config import (
-    DirectMS,
-    ProductMS,
-    SynthesisMS,
-    config_from_dict,
-    load_config,
-    realize,
-    write_config,
-)
+from g3pencil.config import SynthesisMS, build_curve, config_from_dict, load_config, realize
+from g3pencil.curve import CurveSpec, anti_salkowski, fresnel_helix
 from g3pencil.errors import NotProductForm, ParseError, SchemaError
+from g3pencil.exprjet import parse
+from g3pencil.pencil import MarchingScale, product_marching_scale
 from g3pencil.verify import check_isoparametric
 
 
@@ -39,7 +33,7 @@ def minimal_doc(**overrides):
 class TestShippedConfigs:
     def test_fresnel_helix_config_loads(self):
         cfg = load_config("configs/fresnel-helix.json")
-        assert cfg.curve.builtin == "fresnel-helix"
+        assert cfg.curve == "fresnel-helix"
         ms = cfg.marching
         assert isinstance(ms, SynthesisMS)
         assert ms.lam == 0.5
@@ -47,7 +41,7 @@ class TestShippedConfigs:
 
     def test_anti_salkowski_config_loads(self):
         cfg = load_config("configs/anti-salkowski.json")
-        assert cfg.curve.builtin == "anti-salkowski"
+        assert cfg.curve == "anti-salkowski"
         assert cfg.marching.lam == pytest.approx(math.sqrt(3) / 2)
 
     @pytest.mark.parametrize(
@@ -106,7 +100,7 @@ class TestSchema:
             }
         )
         cfg = config_from_dict(doc)
-        assert isinstance(cfg.marching, ProductMS)
+        assert cfg.marching == product_marching_scale(*map(parse, ("1", "1", "-1", "v^2", "v", "v")))
 
     def test_factor_not_vanishing_at_v0_rejected(self):
         doc = minimal_doc(
@@ -147,40 +141,25 @@ class TestSchema:
             marching_scale={"direct": {"alpha": "0", "beta": "v", "gamma": "0"}},
         )
         cfg = config_from_dict(doc)
-        assert cfg.curve.builtin is None
-        assert cfg.curve.kappa is not None
+        assert cfg.curve == CurveSpec(
+            "explicit", parse("s^2"), parse("s^3"), parse("sqrt(4+36*s^2)"), parse("1")
+        )
+        assert cfg.marching == MarchingScale(parse("0"), parse("v"), parse("0"))
+        assert build_curve(cfg.curve, as_printed=True) is cfg.curve
+
+    def test_too_few_verify_samples_rejected(self):
+        assert config_from_dict(minimal_doc(verify={"samples": 8})).verify.samples == 8
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(minimal_doc(verify={"samples": 4}))
+        assert info.value.path == "$.verify.samples"
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            minimal_doc(),
-            minimal_doc(
-                marching_scale={"direct": {"alpha": "v*sin(s)", "beta": "v^2", "gamma": "-v"}},
-            ),
-            minimal_doc(
-                curve={"f": "s^2", "g": "s^3"},
-                marching_scale={
-                    "product": {
-                        "l": "2",
-                        "m": "1",
-                        "n": "-1",
-                        "X": "v",
-                        "Y": "v^2",
-                        "Z": "v",
-                    }
-                },
-                control={"a": 0.5, "b": 2.0, "c": 1.0},
-                verify={"mode": "fd", "tol": 1e-5, "samples": 32},
-            ),
-        ],
-    )
-    def test_write_then_load_is_identity(self, doc, tmp_path):
-        cfg = config_from_dict(doc)
-        path = tmp_path / "roundtrip.json"
-        write_config(cfg, str(path))
-        assert load_config(str(path)) == cfg
+class TestBuildCurve:
+    def test_builtin_names(self):
+        assert build_curve("fresnel-helix") == fresnel_helix()
+        assert build_curve("fresnel-helix", as_printed=True) == fresnel_helix(as_printed=True)
+        assert build_curve("anti-salkowski") == anti_salkowski()
+        assert build_curve("anti-salkowski", as_printed=True) == anti_salkowski()
 
 
 class TestRealize:
@@ -188,7 +167,9 @@ class TestRealize:
         doc = minimal_doc(
             marching_scale={"direct": {"alpha": "0", "beta": "v", "gamma": "0"}}
         )
-        pencil = realize(config_from_dict(doc))
+        cfg = config_from_dict(doc)
+        pencil = realize(cfg)
+        assert pencil.marching is cfg.marching  # parsed scales pass straight through
         assert pencil.marching.product is None
 
     def test_control_with_direct_scale_rejected(self):

@@ -176,10 +176,6 @@ class TestClassification:
         with pytest.raises(TorsionVanishes):
             classify_curve(c, (0.5, 2.0))
 
-    def test_minimum_sample_count(self, helix):
-        with pytest.raises(ValueError):
-            classify_curve(helix, (0.5, 6.0), samples=8)
-
 
 class TestGuards:
     def test_full_interval_preserved_when_clean(self, antis):

@@ -57,17 +57,6 @@ class TestSampling:
             k = 3 * i * mesh.nv
             assert tuple(mesh.coords[k : k + 3]) == point(helix_pencil.curve, s).as_tuple()
 
-    def test_normals_optional(self, helix_pencil):
-        plain = small_mesh(helix_pencil)
-        assert plain.normals is None
-        with_n = small_mesh(helix_pencil, with_normals=True)
-        assert len(with_n.normals) == len(with_n.coords)
-        assert with_n.coords == plain.coords
-        # unit isotropic normals, none degenerate
-        for k in range(0, len(with_n.normals), 3):
-            x, y, z = with_n.normals[k : k + 3]
-            assert x == 0.0 and math.hypot(y, z) == pytest.approx(1.0)
-
     def test_each_usable_interval_needs_two_rows(self):
         # fig1c's guard band around s = 0 leaves two usable intervals
         pencil = realize(FIGURES["fig1c"].config())
@@ -105,21 +94,6 @@ class TestObjExport:
         ]
         assert [l for l in lines if l.startswith("f ")] == ["f 1 3 2", "f 3 4 2"]
 
-    def test_normals_emitted_when_present(self, tmp_path, helix_pencil):
-        mesh = small_mesh(helix_pencil, 4, 3, with_normals=True)
-        path = tmp_path / "n.obj"
-        export_obj(mesh, str(path))
-        lines = path.read_text().splitlines()
-        assert sum(1 for l in lines if l.startswith("vn ")) == 12
-        assert any("//" in l for l in lines if l.startswith("f "))
-
-    def test_degenerate_normals_written_as_zero(self, tmp_path):
-        mesh = grid_2x2()
-        mesh.normals = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-        path = tmp_path / "d.obj"
-        export_obj(mesh, str(path))
-        assert path.read_text().count("vn 0 0 0") == 2
-
     def test_empty_mesh_rejected(self, tmp_path):
         empty = Mesh(ns=0, nv=0, s_values=[], v_values=[], coords=[])
         with pytest.raises(ValueError):
@@ -140,19 +114,13 @@ class TestObjExport:
 def _reference_obj(mesh):
     """Per-record OBJ writer: every record its own string, one join."""
     lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in _triples(mesh.coords)]
-    for x, y, z in _triples(mesh.normals or []):
-        lines.append(f"vn {_fmt(x)} {_fmt(y)} {_fmt(z)}")
     nv = mesh.nv
     for i in range(mesh.ns - 1):
         for j in range(nv - 1):
             a, b = i * nv + j + 1, (i + 1) * nv + j + 1
             c, d = b + 1, a + 1
-            if mesh.normals is not None:
-                lines.append(f"f {a}//{a} {b}//{b} {d}//{d}")
-                lines.append(f"f {b}//{b} {c}//{c} {d}//{d}")
-            else:
-                lines.append(f"f {a} {b} {d}")
-                lines.append(f"f {b} {c} {d}")
+            lines.append(f"f {a} {b} {d}")
+            lines.append(f"f {b} {c} {d}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -174,7 +142,6 @@ def test_streaming_exporters_match_per_record_output(tmp_path):
     # mesh coordinates are canonical (no -0.0); s and v values need not be
     values = [0.0, math.pi, -2.5, 1e-300, -1e300, 1 / 3, 5e-324, 7.0]
     coords = [values[(k + c) % 8] for k in range(12) for c in (0, 3, 5)]
-    normals = [0.0 if k == 4 else c for k in range(12) for c in (0.0, values[k % 8], 0.0)]
     mesh = Mesh(
         ns=4, nv=3, s_values=[-0.0, 0.5, 1.0, 2.0], v_values=[-0.0, 1e-17, 3.0], coords=coords
     )
@@ -183,11 +150,8 @@ def test_streaming_exporters_match_per_record_output(tmp_path):
         assert (tmp_path / "m.csv").read_bytes() == _reference_csv(mesh)
         export_obj(mesh, str(tmp_path / "m.obj"), workers=workers)
         assert (tmp_path / "m.obj").read_bytes() == _reference_obj(mesh)
-    mesh.normals = normals
-    export_obj(mesh, str(tmp_path / "n.obj"))
-    data = (tmp_path / "n.obj").read_bytes()
-    assert data == _reference_obj(mesh)
-    assert b"vn 0 0 0\n" in data and b"-0" not in data and b"f 1//1 4//4 2//2\n" in data
+    data = (tmp_path / "m.obj").read_bytes()
+    assert b"v 0 " in data and b"-0" not in data and b"f 1 4 2\n" in data
 
 
 class TestCsvExport:
@@ -244,19 +208,19 @@ class TestWorkers:
         _run_rows(lambda lo, hi: bytes(range(lo, hi)), 200, 2, parts.append)
         assert b"".join(parts) == bytes(range(200))
 
-    def test_normals_do_not_depend_on_workers(self, two_cpus, tmp_path):
+    def test_mesh_does_not_depend_on_workers(self, two_cpus, tmp_path):
         # fig1b's rows straddle the guard band around s = 0
         pencil = realize(FIGURES["fig1b"].config())
         meshes, blobs = [], []
         for workers in (1, 2, 8):
-            mesh = small_mesh(pencil, 20, 6, with_normals=True, workers=workers)
-            path = tmp_path / f"n{workers}.obj"
+            mesh = small_mesh(pencil, 20, 6, workers=workers)
+            path = tmp_path / f"m{workers}.obj"
             export_obj(mesh, str(path), workers=workers)
-            meshes.append((mesh.coords, mesh.normals))
+            meshes.append(mesh.coords)
             blobs.append(path.read_bytes())
         assert meshes[0] == meshes[1] == meshes[2]
         assert blobs[0] == blobs[1] == blobs[2]
-        assert blobs[0].count(b"vn ") == 20 * 6
+        assert blobs[0].count(b"v ") == 20 * 6
 
     def test_child_error_and_warnings_reach_the_caller(self, two_cpus, recwarn):
         def task(lo, hi):

@@ -124,6 +124,22 @@ class TestDTypeReport:
         assert rep.classification == "not-d-type"
         assert math.isnan(rep.mean_lambda)
 
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_nan_normals_are_flagged(self, helix, mode):
+        # beta_v = exp(800) overflows: every normal on the base line is NaN
+        ms = MarchingScale(parse("0"), parse("v*exp(800)"), parse("v"))
+        dom = ParamDomain(0.5, 3.0, 0.0, 1.0, 0.0)
+        rep = dtype_report(helix, ms, dom, 16, mode)
+        assert all(p.flagged and math.isnan(p.lambda_hat) for p in rep.samples)
+        assert rep.classification == "not-d-type" and not rep.holds
+        assert normal_consistency(helix, ms, dom, 8, 3) == 0.0
+
+    def test_nan_deviation_does_not_pass(self):
+        from g3pencil.verify import _classify_report
+
+        assert _classify_report(math.nan, math.nan, [0.5], 1e-9, True) == "not-d-type"
+        assert _classify_report(0.5, 1e-10, [0.5], 1e-9, True) == "general-d-type"
+
     def test_richardson_mode_runs(self, helix, ms38, dom38):
         rep = dtype_report(helix, ms38, dom38, 16, "fd", richardson=True)
         assert rep.mean_lambda == pytest.approx(0.5, abs=1e-6)
@@ -134,7 +150,9 @@ class TestDTypeReport:
 
     def test_json_serialization(self, helix, ms38, dom38):
         rep = dtype_report(helix, ms38, dom38, 16)
-        doc = json.loads(rep.to_json())
+        text = rep.to_json()
+        assert text.startswith('{\n  "mode": "analytic",\n')
+        doc = json.loads(text)
         assert doc["classification"] == "general-d-type"
         assert doc["mode"] == "analytic"
         assert len(doc["samples"]) == 16
