@@ -10,6 +10,7 @@ each in the form ``warning: <Category>: <message>``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -55,6 +56,16 @@ def _worker_count(text: str) -> int:
     if workers < 1:
         raise argparse.ArgumentTypeError("the worker count must be at least 1")
     return workers
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError("the tolerance must be a finite number above 0")
+    return tol
 
 
 def _one_line_warning(message, category, filename, lineno, line=None) -> str:
@@ -186,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="test the invariant for constancy")
     p.add_argument("config")
     p.add_argument("--mode", choices=["analytic", "fd"])
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_tolerance)
     p.add_argument("--as-printed", action="store_true", dest="as_printed")
     p.add_argument("--sign", choices=["+", "-"], type=str)
     p.set_defaults(func=_cmd_verify)

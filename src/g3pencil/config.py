@@ -19,7 +19,9 @@ A document looks like::
 Exactly one marching-scale block must be present.  All expression strings
 use the grammar documented in :mod:`g3pencil.exprjet` and are parsed
 eagerly so errors surface at load time.  Explicit curves may carry
-optional "kappa" and "tau" closed forms, which synthesis requires.
+optional "kappa" and "tau" closed forms, which synthesis requires.  Every
+number must be finite (json's NaN and Infinity literals are rejected), and
+a configured "tol" must be above 0.
 
 A document parses into the pencil's own records: the curve stays a builtin
 name or becomes the explicit :class:`CurveSpec`, a direct or product block
@@ -30,6 +32,7 @@ record of its own, :class:`SynthesisMS`, which :func:`realize` synthesizes.
 from __future__ import annotations
 
 import json
+import math
 
 from .curve import BUILTIN_CURVES, CurveSpec, fresnel_helix
 from .errors import DomainError, SchemaError
@@ -108,7 +111,13 @@ def _need(doc: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json reads the NaN and Infinity literals
+        raise SchemaError(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -210,6 +219,8 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
     if mode not in ("analytic", "fd"):
         raise SchemaError(f"{path}.verify.mode", "expected 'analytic' or 'fd'")
     tol = _number(vdoc["tol"], f"{path}.verify.tol") if "tol" in vdoc else None
+    if tol is not None and tol <= 0.0:
+        raise SchemaError(f"{path}.verify.tol", "expected a number above 0")
     samples = _integer(vdoc.get("samples", 200), f"{path}.verify.samples")
     if samples < MIN_REPORT_SAMPLES:
         raise SchemaError(

@@ -4,9 +4,9 @@ The invariant report recomputes surface normals and tests constancy of
 lam_hat(s) = <eta1, e0 x t> along the base line.  Two modes exist:
 
 * ``analytic``: normals come from exact expression jets.
-* ``fd``: normals come from central differences of surface positions only,
-  so this path never touches the marching-scale jets and serves as an
-  independent oracle for the analytic construction.
+* ``fd``: normals come from one central difference of surface positions
+  only (step eps^(1/3) of the domain extent), so this path never touches
+  the marching-scale jets and serves as an independent oracle.
 
 Also here: the isoparametric reproduction check, Frenet equation residuals
 under finite differences, and the analytic-versus-difference normal
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -37,7 +38,9 @@ DEGENERATE_NORM = 1e-12
 MIN_REPORT_SAMPLES = 8
 ANALYTIC_TOL = 1e-9
 FD_TOL = 1e-5
-FD_REL_STEP = 1e-4
+# eps^(1/3) balances truncation against rounding in a central difference
+# (Press et al., Numerical Recipes 3rd ed., sec. 5.7)
+FD_REL_STEP = sys.float_info.epsilon ** (1 / 3)
 
 
 class InvariantSample(Record):
@@ -89,15 +92,24 @@ class DTypeReport(Record):
             "mode": self.mode,
             "v0": self.v0,
             "tolerance": self.tolerance,
-            "mean_lambda": self.mean_lambda,
-            "max_abs_deviation": self.max_abs_deviation,
+            "mean_lambda": _finite_or_none(self.mean_lambda),
+            "max_abs_deviation": _finite_or_none(self.max_abs_deviation),
             "classification": self.classification,
             "samples": [
-                {"s": p.s, "lambda_hat": p.lambda_hat, "flagged": p.flagged}
+                {"s": p.s, "lambda_hat": _finite_or_none(p.lambda_hat), "flagged": p.flagged}
                 for p in self.samples
             ],
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _finite_or_none(x: float) -> float | None:  # RFC 8259 JSON has no NaN or inf
+    return x if math.isfinite(x) else None
+
+
+def _fd_steps(domain: ParamDomain) -> tuple[float, float]:
+    """Steps (h_s, h_v) of the fd normal: FD_REL_STEP times each extent."""
+    return FD_REL_STEP * (domain.s_max - domain.s_min), FD_REL_STEP * (domain.v_max - domain.v_min)
 
 
 def _fd_normal(
@@ -107,35 +119,18 @@ def _fd_normal(
     v: float,
     h_s: float,
     h_v: float,
-    richardson: bool,
     frame: FrenetFrame,
 ) -> G3Vector:
     """Central difference normal at (s, v); ``frame`` is the frame at s."""
-
-    def d_s(h: float) -> G3Vector:
-        return (
-            surface_point(curve, ms, s + h, v) - surface_point(curve, ms, s - h, v)
-        ) * (0.5 / h)
-
-    def d_v(h: float) -> G3Vector:
-        return (
-            surface_point(curve, ms, s, v + h, frame=frame)
-            - surface_point(curve, ms, s, v - h, frame=frame)
-        ) * (0.5 / h)
-
-    if richardson:
-        ps = (4.0 / 3.0) * d_s(0.5 * h_s) - (1.0 / 3.0) * d_s(h_s)
-        pv = (4.0 / 3.0) * d_v(0.5 * h_v) - (1.0 / 3.0) * d_v(h_v)
-    else:
-        ps = d_s(h_s)
-        pv = d_v(h_v)
-    return cross(ps, pv)
+    ps = surface_point(curve, ms, s + h_s, v) - surface_point(curve, ms, s - h_s, v)
+    pv = surface_point(curve, ms, s, v + h_v, frame=frame) - surface_point(
+        curve, ms, s, v - h_v, frame=frame
+    )
+    return cross(ps * (0.5 / h_s), pv * (0.5 / h_v))
 
 
-def _classify_report(
-    mean: float, deviation: float, sines: list[float], tol: float, any_valid: bool
-) -> str:
-    if not any_valid or not deviation <= tol:  # a NaN deviation does not pass
+def _classify_report(mean: float, deviation: float, sines: list[float], tol: float) -> str:
+    if not deviation <= tol:  # a NaN deviation does not pass
         return "not-d-type"
     if abs(mean) <= max(tol, 1e-12):
         return "asymptotic"
@@ -151,14 +146,12 @@ def dtype_report(
     n_samples: int = 200,
     mode: str = "analytic",
     tol: float | None = None,
-    *,
-    richardson: bool = False,
 ) -> DTypeReport:
     """Sample lam_hat(s) on the base line and test it for constancy.
 
     In ``fd`` mode the normal is built purely from central differences of
-    surface positions (step = 1e-4 of the domain extent per direction), so
-    agreement with analytic mode is a genuine cross-check.  Degenerate
+    surface positions (step = eps^(1/3) of the domain extent per direction),
+    so agreement with analytic mode is a genuine cross-check.  Degenerate
     normals are flagged per sample and excluded from the statistics.
     """
     if n_samples < MIN_REPORT_SAMPLES:
@@ -167,8 +160,9 @@ def dtype_report(
         raise ValueError("mode must be 'analytic' or 'fd'")
     if tol is None:
         tol = ANALYTIC_TOL if mode == "analytic" else FD_TOL
-    h_s = FD_REL_STEP * (domain.s_max - domain.s_min)
-    h_v = FD_REL_STEP * (domain.v_max - domain.v_min)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
+    h_s, h_v = _fd_steps(domain)
     inset = h_s if mode == "fd" else 0.0
     svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=inset)
     v0 = domain.v0
@@ -180,7 +174,7 @@ def dtype_report(
         if mode == "analytic":
             eta = surface_normal(curve, ms, s, v0, frame=fr)
         else:
-            eta = _fd_normal(curve, ms, s, v0, h_s, h_v, richardson, fr)
+            eta = _fd_normal(curve, ms, s, v0, h_s, h_v, fr)
         if not isotropic_norm(eta) >= DEGENERATE_NORM:  # tiny or NaN
             samples.append(InvariantSample(s, math.nan, True))
             continue
@@ -189,13 +183,9 @@ def dtype_report(
         sines.append(dot(eta1, fr.b))
         samples.append(InvariantSample(s, lam_hat, False))
     valid = [p.lambda_hat for p in samples if not p.flagged]
-    if valid:
-        mean = math.fsum(valid) / len(valid)
-        deviation = max(abs(x - mean) for x in valid)
-    else:
-        mean = math.nan
-        deviation = math.inf
-    classification = _classify_report(mean, deviation, sines, tol, bool(valid))
+    mean = math.fsum(valid) / len(valid) if valid else math.nan
+    deviation = max((abs(x - mean) for x in valid), default=math.inf)
+    classification = _classify_report(mean, deviation, sines, tol)
     return DTypeReport(
         samples=tuple(samples),
         mean_lambda=mean,
@@ -261,8 +251,6 @@ def normal_consistency(
     domain: ParamDomain,
     n_samples: int = 40,
     nv: int = 9,
-    *,
-    richardson: bool = False,
 ) -> float:
     """Max angle between analytic and finite difference normals on a grid.
 
@@ -270,8 +258,7 @@ def normal_consistency(
     either normal is degenerate, or where the analytic jets cross an abs()
     kink (a KinkWarning fires), are flagged and skipped.
     """
-    h_s = FD_REL_STEP * (domain.s_max - domain.s_min)
-    h_v = FD_REL_STEP * (domain.v_max - domain.v_min)
+    h_s, h_v = _fd_steps(domain)
     svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=h_s)
     v_values = uniform_grid(domain.v_min, domain.v_max, nv)
     worst = 0.0
@@ -287,7 +274,7 @@ def normal_consistency(
                     f"kink sample flagged at (s, v) = ({s:g}, {v:g})", KinkWarning
                 )
                 continue
-            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, richardson, fr)
+            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, fr)
             if not (
                 isotropic_norm(eta_a) >= DEGENERATE_NORM
                 and isotropic_norm(eta_f) >= DEGENERATE_NORM

@@ -268,7 +268,8 @@ def test_printed_fig1d_verifies_on_the_domain_build_uses(tmp_path, capsys):
 
 def test_nan_normals_fail_verify_as_not_d_type(tmp_path, capsys):
     # beta_v = exp(800) overflows, so every normal on the base line is NaN:
-    # each sample is flagged, the report says not-d-type and the exit agrees
+    # each sample is flagged, the report says not-d-type and the exit agrees,
+    # and the report stays RFC 8259 JSON, with null for each missing value
     doc = {
         "curve": "fresnel-helix",
         "marching_scale": {"direct": {"alpha": "0", "beta": "v*exp(800)", "gamma": "v"}},
@@ -279,10 +280,51 @@ def test_nan_normals_fail_verify_as_not_d_type(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     for mode in ("analytic", "fd"):
         assert main(["verify", str(path), "--mode", mode]) == 1
-        report = json.loads(capsys.readouterr().out)
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert report["classification"] == "not-d-type"
+        assert report["mean_lambda"] is None and report["max_abs_deviation"] is None
         assert len(report["samples"]) == 200
-        assert all(p["flagged"] and math.isnan(p["lambda_hat"]) for p in report["samples"])
+        assert all(p["flagged"] and p["lambda_hat"] is None for p in report["samples"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("figure", ["fig1b", "fig1c"])
+def test_fd_verify_of_corrected_figures_meets_its_tolerance(figure, tmp_path, capsys):
+    from g3pencil.figures import FIGURES
+
+    config = tmp_path / f"{figure}.json"
+    config.write_text(json.dumps(FIGURES[figure].corrected))
+    assert main(["verify", str(config), "--mode", "fd"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tolerance"] == 1e-5
+    assert report["classification"] == "general-d-type"
+    assert report["max_abs_deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
+def test_verify_tol_must_be_a_positive_finite_number(tol, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "configs/fresnel-helix.json", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "argument --tol" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_non_finite_config_number_is_one_schema_error(command, tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["domain"]["v_max"] = math.inf
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["-o", str(tmp_path / "out.obj")] if command == "build" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: SchemaError: $.domain.v_max: expected a finite number, got inf\n"
+    )
 
 
 def test_too_few_verify_samples_fail_at_load(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -152,6 +153,39 @@ class TestSchema:
         with pytest.raises(SchemaError) as info:
             config_from_dict(minimal_doc(verify={"samples": 4}))
         assert info.value.path == "$.verify.samples"
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+    )
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("domain", "v_max"),
+            ("marching_scale", "synthesis", "lambda"),
+            ("control", "a"),
+            ("verify", "tol"),
+        ],
+        ids=".".join,
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, keys, value):
+        # json.dumps writes the NaN and Infinity literals that json.loads reads back
+        doc = minimal_doc(control={"a": 1.0}, verify={"tol": 1e-9})
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="expected a finite number") as info:
+            load_config(str(path))
+        assert info.value.path == "$." + ".".join(keys)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, -1e-9])
+    def test_verify_tol_must_be_above_zero(self, tol):
+        assert config_from_dict(minimal_doc(verify={"tol": 1e-300})).verify.tol == 1e-300
+        with pytest.raises(SchemaError, match="above 0") as info:
+            config_from_dict(minimal_doc(verify={"tol": tol}))
+        assert info.value.path == "$.verify.tol"
 
 
 class TestBuildCurve:

@@ -137,12 +137,20 @@ class TestDTypeReport:
     def test_nan_deviation_does_not_pass(self):
         from g3pencil.verify import _classify_report
 
-        assert _classify_report(math.nan, math.nan, [0.5], 1e-9, True) == "not-d-type"
-        assert _classify_report(0.5, 1e-10, [0.5], 1e-9, True) == "general-d-type"
+        assert _classify_report(math.nan, math.nan, [0.5], 1e-9) == "not-d-type"
+        assert _classify_report(0.5, 1e-10, [0.5], 1e-9) == "general-d-type"
 
-    def test_richardson_mode_runs(self, helix, ms38, dom38):
-        rep = dtype_report(helix, ms38, dom38, 16, "fd", richardson=True)
+    def test_fd_mode_meets_its_own_tolerance(self, helix, ms38, dom38):
+        # one central difference at the step eps^(1/3) of the domain extent
+        rep = dtype_report(helix, ms38, dom38, 16, "fd")
         assert rep.mean_lambda == pytest.approx(0.5, abs=1e-6)
+        assert rep.max_abs_deviation <= 1e-6
+        assert rep.classification == "general-d-type"
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, helix, ms38, dom38, tol):
+        with pytest.raises(ValueError, match="positive finite"):
+            dtype_report(helix, ms38, dom38, 16, "fd", tol)
 
     def test_sample_count_floor(self, helix, ms38, dom38):
         with pytest.raises(ValueError):
