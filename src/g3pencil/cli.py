@@ -20,7 +20,7 @@ from .config import build_curve, load_config, realize
 from .curve import classify_curve, darboux, frenet, point, uniform_grid
 from .errors import G3PencilError
 from .g3core import G3Vector
-from .mesh import export_csv, export_curve_csv, export_obj, mesh_from_pencil
+from .mesh import export_curve_csv, export_mesh, mesh_from_pencil
 from .verify import dtype_report
 
 EXIT_OK = 0
@@ -107,10 +107,8 @@ def _cmd_build(args) -> int:
     pencil = realize(cfg, as_printed=args.as_printed, sign=args.sign)
     ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
     mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
-    if args.output.endswith(".csv"):
-        export_csv(mesh, args.output, workers=args.workers)
-    else:
-        export_obj(mesh, args.output, workers=args.workers)
+    kind = "csv" if args.output.endswith(".csv") else "obj"
+    export_mesh(mesh, **{kind: args.output}, workers=args.workers)
     print(f"wrote {args.output} ({mesh.ns}x{mesh.nv} vertices)")
     return EXIT_OK
 
@@ -160,8 +158,7 @@ def _cmd_reproduce(args) -> int:
     mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
     obj_path = os.path.join(args.output, f"{name}.obj")
     csv_path = os.path.join(args.output, f"{name}.csv")
-    export_obj(mesh, obj_path, workers=args.workers)
-    export_csv(mesh, csv_path, workers=args.workers)
+    export_mesh(mesh, obj_path, csv_path, workers=args.workers)
     print(f"wrote {obj_path}")
     print(f"wrote {csv_path}")
     return EXIT_OK

@@ -20,8 +20,8 @@ Exactly one marching-scale block must be present.  All expression strings
 use the grammar documented in :mod:`g3pencil.exprjet` and are parsed
 eagerly so errors surface at load time.  Explicit curves may carry
 optional "kappa" and "tau" closed forms, which synthesis requires.  Every
-number must be finite (json's NaN and Infinity literals are rejected), and
-a configured "tol" must be above 0.
+number must be finite (json's NaN and Infinity literals are rejected),
+v_min must be below v_max, and a configured "tol" must be above 0.
 
 A document parses into the pencil's own records: the curve stays a builtin
 name or becomes the explicit :class:`CurveSpec`, a direct or product block
@@ -180,6 +180,11 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
         raise SchemaError(path, "top level must be an object")
     curve = _curve_config(_need(doc, "curve", path), f"{path}.curve")
     marching = _marching_config(_need(doc, "marching_scale", path), f"{path}.marching_scale")
+    if isinstance(marching, SynthesisMS) and isinstance(curve, CurveSpec):
+        if curve.kappa_form is None or curve.tau_form is None:
+            raise SchemaError(
+                f"{path}.curve", "synthesis needs closed-form kappa and tau on an explicit curve"
+            )
     control = None
     if "control" in doc:
         cdoc = doc["control"]
@@ -203,6 +208,8 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
         )
     except ValueError as exc:
         raise SchemaError(f"{path}.domain", str(exc)) from exc
+    if domain.v_min == domain.v_max:  # ParamDomain allows it for frenet_residuals
+        raise SchemaError(f"{path}.domain", "v_min must be below v_max")
     gdoc = _need(doc, "grid", path)
     if not isinstance(gdoc, dict):
         raise SchemaError(f"{path}.grid", "expected an object")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
+from contextlib import ExitStack
 from itertools import chain
 from typing import BinaryIO, Callable, Sequence
 
@@ -78,20 +79,19 @@ def _pool_size(workers: int, rows: int) -> int:
     return max(1, min(workers, cpus, rows))
 
 
-def _run_blocks(task: Callable[[int, int], bytes], lo: int, hi: int, sink) -> None:
-    for a in range(lo, hi, _BLOCK_ROWS):
-        sink(task(a, min(a + _BLOCK_ROWS, hi)))
+def _blocks(task: Callable[[int, int], Sequence[bytes]], lo: int, hi: int):
+    return (task(a, min(a + _BLOCK_ROWS, hi)) for a in range(lo, hi, _BLOCK_ROWS))
 
 
-def _run_rows(task: Callable[[int, int], bytes], rows: int, workers: int, sink) -> None:
-    """Pass the bytes of ``task(lo, hi)`` over ``range(rows)`` to ``sink``, in row order.
+def _run_rows(task: Callable[[int, int], Sequence[bytes]], rows: int, workers: int, *sinks) -> None:
+    """Pass the k-th bytes of ``task(lo, hi)`` over ``range(rows)`` to the k-th sink, in row order.
 
-    The rows split into one contiguous range per process of
-    :func:`_pool_size`.  This process runs the first range; each other
-    range runs in a forked child, which sends back its bytes, the warnings
-    it raised and its error.  Warnings are issued here as if raised here,
-    and the first error in row order is raised here.  Every child is
-    reaped before this returns or raises.
+    The task returns one bytes per sink.  The rows split into one
+    contiguous range per process of :func:`_pool_size`.  This process runs
+    the first range; each other range runs in a forked child, which sends
+    back its bytes, the warnings it raised and its error.  Warnings are
+    issued here as if raised here, and the first error in row order is
+    raised here.  Every child is reaped before this returns or raises.
     """
     n = _pool_size(workers, rows)
     bounds = [rows * k // n for k in range(n + 1)]
@@ -100,9 +100,11 @@ def _run_rows(task: Callable[[int, int], bytes], rows: int, workers: int, sink) 
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             children.append(_start_child(task, lo, hi))
-        _run_blocks(task, bounds[0], bounds[1], sink)
+        for out in _blocks(task, bounds[0], bounds[1]):
+            for sink, part in zip(sinks, out):
+                sink(part)
         for _, pipe in children:
-            _collect(pipe, sink)
+            _collect(pipe, sinks)
             done += 1
     finally:
         for k, (pid, pipe) in enumerate(children):
@@ -132,36 +134,37 @@ def _start_child(task, lo: int, hi: int) -> tuple[int, BinaryIO]:
 def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:
     """Run rows [lo, hi) in a forked child, send the result and exit.
 
-    The pipe carries an 8-byte length, a pickled (error, warnings) header
-    of that length, then the task's bytes.  The child leaves through
-    os._exit, so it never runs the parent's cleanup or flushes its files.
+    The pipe carries an 8-byte length, a pickled (error, warnings, sizes)
+    header of that length, then the task's bytes of each output in turn,
+    ``sizes`` giving their lengths.  The child leaves through os._exit, so
+    it never runs the parent's cleanup or flushes its files.
     """
     status = 1
     try:
         import pickle
 
         os.close(read_end)
-        parts: list[bytes] = []
-        error = None
+        blocks, error = [], None
         with warnings.catch_warnings(record=True) as caught:
             try:
-                _run_blocks(task, lo, hi, parts.append)
+                blocks = list(_blocks(task, lo, hi))
             except Exception as exc:  # sent to the parent, which raises it
                 error = (type(exc), exc.args, vars(exc))
-                parts = []
+        parts = list(zip(*blocks))  # per output, its blocks in row order
         notes = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-        head = pickle.dumps((error, notes))
+        sizes = [sum(map(len, p)) for p in parts]
+        head = pickle.dumps((error, notes, sizes))
         with open(write_end, "wb") as pipe:
             pipe.write(len(head).to_bytes(8, "little"))
             pipe.write(head)
-            for part in parts:
+            for part in chain.from_iterable(parts):
                 pipe.write(part)
         status = 0
     finally:
         os._exit(status)
 
 
-def _collect(pipe: BinaryIO, sink) -> None:
+def _collect(pipe: BinaryIO, sinks) -> None:
     """Issue one child's warnings, then raise its error or sink its bytes."""
     import pickle
 
@@ -169,15 +172,16 @@ def _collect(pipe: BinaryIO, sink) -> None:
     head = pipe.read(size)
     if size == 0 or len(head) < size:
         raise ChildProcessError("a row worker process ended without a result")
-    error, notes = pickle.loads(head)
+    error, notes, sizes = pickle.loads(head)
     _rewarn(notes)
     if error is not None:
         cls, args, state = error
         exc = cls.__new__(cls, *args)
         exc.__dict__.update(state)
         raise exc
-    while chunk := pipe.read(1 << 20):
-        sink(chunk)
+    for sink, size in zip(sinks, sizes):
+        for at in range(0, size, 1 << 20):
+            sink(pipe.read(min(1 << 20, size - at)))
 
 
 def _rewarn(notes) -> None:
@@ -234,7 +238,7 @@ def mesh_from_pencil(pencil: PencilSpec, ns: int, nv: int, *, workers: int = 1) 
         out: list[float] = []
         for s in s_values[lo:hi]:
             row_points(s, frenet(curve, s), out)
-        return array("d", out).tobytes()
+        return (array("d", out).tobytes(),)
 
     data = bytearray()
     _run_rows(rows, len(s_values), workers, data.extend)
@@ -254,25 +258,43 @@ def mesh_from_pencil(pencil: PencilSpec, ns: int, nv: int, *, workers: int = 1) 
 _V_RECORD = "v %.17g %.17g %.17g\n"
 
 
-def export_obj(mesh: Mesh, path: str, *, workers: int = 1) -> None:
-    """Wavefront OBJ: v records in row-major order, quads split in two.
+def export_mesh(
+    mesh: Mesh, obj: str | None = None, csv: str | None = None, *, workers: int = 1
+) -> None:
+    """Write the mesh as Wavefront OBJ to ``obj`` and as CSV to ``csv``, in one pass.
 
-    Each grid cell emits the lower-left triangle first, then the upper
-    right, with consistent winding.  Up to ``workers`` processes format
-    the records, a range of grid rows each; the bytes are the same for any
-    count.
+    The OBJ holds v records in row-major order, then each grid cell's two
+    triangles, the lower left first, with consistent winding.  The CSV has
+    the header s,v,x,y,z and one row per vertex.  Every number has 17
+    significant digits.  Each coordinate is formatted once: with both
+    files, the CSV reuses the text of the OBJ's v records.  Up to
+    ``workers`` processes format the records, a range of grid rows each;
+    the bytes are the same for any count.
     """
     if not mesh.coords:
         raise ValueError("refusing to export an empty mesh")
-    nv, coords = mesh.nv, mesh.coords
-    width = 3 * nv
+    nv, coords, width = mesh.nv, mesh.coords, 3 * mesh.nv
+    # a CSV row takes x, y and z of each vertex as numbers, or as the text of its v record
+    xyz, per_row = ("%.17g,%.17g,%.17g", width) if obj is None else ("%s", nv)
+    columns = [f",{_fmt(v)},{xyz}\n" for v in mesh.v_values]
     faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
 
-    def vertex_rows(lo: int, hi: int) -> bytes:
-        text = _V_RECORD * (nv * (hi - lo)) % tuple(coords[lo * width : hi * width])
-        return text.encode("ascii")
+    def vertex_rows(lo: int, hi: int) -> list[bytes]:
+        out = []
+        values = coords[lo * width : hi * width]
+        if obj is not None:
+            text = _V_RECORD * (nv * (hi - lo)) % tuple(values)
+            out.append(text.encode("ascii"))
+            if csv is not None:
+                values = text[2:-1].replace(" ", ",").split("\nv,")  # "x,y,z" per vertex
+        if csv is not None:
+            parts = []
+            for k, s in enumerate(map(_fmt, mesh.s_values[lo:hi])):
+                parts.append((s + s.join(columns)) % tuple(values[k * per_row : (k + 1) * per_row]))
+            out.append("".join(parts).encode("ascii"))
+        return out
 
-    def face_rows(lo: int, hi: int) -> bytes:
+    def face_rows(lo: int, hi: int) -> tuple[bytes]:
         parts = []
         for i in range(lo, hi):
             # cell j of row i: a = i*nv + j + 1, b = a + nv, c = b + 1, d = a + 1
@@ -281,35 +303,25 @@ def export_obj(mesh: Mesh, path: str, *, workers: int = 1) -> None:
             c = range((i + 1) * nv + 2, (i + 2) * nv + 1)
             d = range(i * nv + 2, (i + 1) * nv + 1)
             parts.append(faces % tuple(chain.from_iterable(zip(a, b, d, b, c, d))))
-        return "".join(parts).encode("ascii")
+        return ("".join(parts).encode("ascii"),)
 
-    with open(path, "wb") as fh:
-        _run_rows(vertex_rows, mesh.ns, workers, fh.write)
-        _run_rows(face_rows, mesh.ns - 1, workers, fh.write)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "wb")) for p in (obj, csv) if p is not None]
+        if csv is not None:
+            files[-1].write(b"s,v,x,y,z\n")
+        _run_rows(vertex_rows, mesh.ns, workers, *(fh.write for fh in files))
+        if obj is not None:
+            _run_rows(face_rows, mesh.ns - 1, workers, files[0].write)
+
+
+def export_obj(mesh: Mesh, path: str, *, workers: int = 1) -> None:
+    """Wavefront OBJ of the mesh; see :func:`export_mesh`."""
+    export_mesh(mesh, obj=path, workers=workers)
 
 
 def export_csv(mesh: Mesh, path: str, *, workers: int = 1) -> None:
-    """CSV with header s,v,x,y,z; one row per vertex, 17 significant digits.
-
-    Each s and v value is formatted once.  Up to ``workers`` processes
-    format the records, as in :func:`export_obj`.
-    """
-    if not mesh.coords:
-        raise ValueError("refusing to export an empty mesh")
-    width = 3 * mesh.nv
-    columns = [f",{_fmt(v)},%.17g,%.17g,%.17g\n" for v in mesh.v_values]
-
-    def rows(lo: int, hi: int) -> bytes:
-        parts = []
-        for i in range(lo, hi):
-            s_text = _fmt(mesh.s_values[i])
-            records = s_text + s_text.join(columns)
-            parts.append(records % tuple(mesh.coords[i * width : (i + 1) * width]))
-        return "".join(parts).encode("ascii")
-
-    with open(path, "wb") as fh:
-        fh.write(b"s,v,x,y,z\n")
-        _run_rows(rows, mesh.ns, workers, fh.write)
+    """CSV of the mesh with header s,v,x,y,z; see :func:`export_mesh`."""
+    export_mesh(mesh, csv=path, workers=workers)
 
 
 def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:

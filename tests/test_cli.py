@@ -338,6 +338,39 @@ def test_too_few_verify_samples_fail_at_load(tmp_path, capsys):
     )
 
 
+def _load_errors(doc, tmp_path, capsys):
+    """stderr of build, analytic verify and fd verify on ``doc``; each must exit 2."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.obj"
+    errors = []
+    for argv in (["build", str(path), "-o", str(out)], ["verify", str(path)],
+                 ["verify", str(path), "--mode", "fd"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert not out.exists()
+    return errors
+
+
+def test_empty_v_range_fails_at_load(tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["domain"]["v_max"] = doc["domain"]["v_min"]
+    assert _load_errors(doc, tmp_path, capsys) == [
+        "error: SchemaError: $.domain: v_min must be below v_max\n"
+    ] * 3
+
+
+def test_synthesis_on_a_curve_without_closed_forms_fails_at_load(tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["curve"] = {"f": "s^3/6", "g": "s^4/24"}
+    assert _load_errors(doc, tmp_path, capsys) == [
+        "error: SchemaError: $.curve: synthesis needs closed-form kappa and tau "
+        "on an explicit curve\n"
+    ] * 3
+
+
 def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):
     doc = {
         "curve": "fresnel-helix",

@@ -148,6 +148,17 @@ class TestSchema:
         assert cfg.marching == MarchingScale(parse("0"), parse("v"), parse("0"))
         assert build_curve(cfg.curve, as_printed=True) is cfg.curve
 
+    def test_synthesis_needs_closed_forms_on_an_explicit_curve(self):
+        curve = {"f": "s^3/6", "g": "s^4/24"}
+        with pytest.raises(SchemaError, match="closed-form kappa and tau") as info:
+            config_from_dict(minimal_doc(curve=curve))
+        assert info.value.path == "$.curve"
+        # other marching scales need no closed forms, and synthesis takes given ones
+        direct = {"direct": {"alpha": "0", "beta": "v", "gamma": "0"}}
+        cfg = config_from_dict(minimal_doc(curve=curve, marching_scale=direct))
+        assert cfg.curve.kappa_form is None
+        config_from_dict(minimal_doc(curve=dict(curve, kappa="1", tau="s")))
+
     def test_too_few_verify_samples_rejected(self):
         assert config_from_dict(minimal_doc(verify={"samples": 8})).verify.samples == 8
         with pytest.raises(SchemaError) as info:

@@ -16,6 +16,7 @@ from g3pencil.mesh import (
     _pool_size,
     _run_rows,
     export_csv,
+    export_mesh,
     export_obj,
     mesh_from_pencil,
 )
@@ -138,13 +139,17 @@ def _triples(values):
     return [tuple(values[k : k + 3]) for k in range(0, len(values), 3)]
 
 
-def test_streaming_exporters_match_per_record_output(tmp_path):
+def _exotic_mesh(coords_type=list):
     # mesh coordinates are canonical (no -0.0); s and v values need not be
     values = [0.0, math.pi, -2.5, 1e-300, -1e300, 1 / 3, 5e-324, 7.0]
-    coords = [values[(k + c) % 8] for k in range(12) for c in (0, 3, 5)]
-    mesh = Mesh(
+    coords = coords_type(values[(k + c) % 8] for k in range(12) for c in (0, 3, 5))
+    return Mesh(
         ns=4, nv=3, s_values=[-0.0, 0.5, 1.0, 2.0], v_values=[-0.0, 1e-17, 3.0], coords=coords
     )
+
+
+def test_streaming_exporters_match_per_record_output(tmp_path):
+    mesh = _exotic_mesh()
     for workers in (1, 2):
         export_csv(mesh, str(tmp_path / "m.csv"), workers=workers)
         assert (tmp_path / "m.csv").read_bytes() == _reference_csv(mesh)
@@ -205,7 +210,7 @@ class TestWorkers:
 
     def test_rows_come_back_in_order(self, two_cpus):
         parts = []
-        _run_rows(lambda lo, hi: bytes(range(lo, hi)), 200, 2, parts.append)
+        _run_rows(lambda lo, hi: (bytes(range(lo, hi)),), 200, 2, parts.append)
         assert b"".join(parts) == bytes(range(200))
 
     def test_mesh_does_not_depend_on_workers(self, two_cpus, tmp_path):
@@ -229,12 +234,55 @@ class TestWorkers:
                     warnings.warn("kink in row 9", KinkWarning)
                 if row == 10:
                     raise CurvatureVanishes(1.5, 1e-9)
-            return b"x" * (hi - lo)
+            return (b"x" * (hi - lo),)
 
         with pytest.raises(CurvatureVanishes) as info:
             _run_rows(task, 12, 2, [].append)
         assert (info.value.s, info.value.kappa) == (1.5, 1e-9)
         assert str(info.value) == str(CurvatureVanishes(1.5, 1e-9))
         assert [str(w.message) for w in recwarn] == ["kink in row 9"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+
+class TestOnePassExport:
+    @pytest.fixture
+    def three_cpus(self, monkeypatch):
+        # three processes share the rows even on a machine with fewer CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    @pytest.fixture(scope="class")
+    def fig1c_mesh(self):
+        pencil = realize(FIGURES["fig1c"].config())
+        with pytest.warns(UserWarning, match="guard bands excised"):
+            return mesh_from_pencil(pencil, 20, 6)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("which", ["exotic", "fig1c"])
+    def test_two_file_pass_matches_single_file_and_reference_output(
+        self, three_cpus, fig1c_mesh, tmp_path, which, workers
+    ):
+        mesh = _exotic_mesh() if which == "exotic" else fig1c_mesh
+        both_obj, both_csv = tmp_path / "both.obj", tmp_path / "both.csv"
+        export_mesh(mesh, str(both_obj), str(both_csv), workers=workers)
+        export_obj(mesh, str(tmp_path / "one.obj"), workers=workers)
+        export_csv(mesh, str(tmp_path / "one.csv"), workers=workers)
+        obj = both_obj.read_bytes()
+        assert obj == (tmp_path / "one.obj").read_bytes() == _reference_obj(mesh)
+        assert both_csv.read_bytes() == (tmp_path / "one.csv").read_bytes() == _reference_csv(mesh)
+        assert obj.count(b"v ") == mesh.ns * mesh.nv
+
+    def test_worker_error_in_a_two_file_pass_reaches_the_caller(self, three_cpus, tmp_path):
+        class Poisoned(list):
+            def __getitem__(self, key):
+                # rows 2 and 3 (from coordinate 18 on) belong to the third process
+                if isinstance(key, slice) and key.start >= 18:
+                    raise CurvatureVanishes(1.5, 1e-9)
+                return super().__getitem__(key)
+
+        mesh = _exotic_mesh(Poisoned)
+        with pytest.raises(CurvatureVanishes) as info:
+            export_mesh(mesh, str(tmp_path / "m.obj"), str(tmp_path / "m.csv"), workers=3)
+        assert (info.value.s, info.value.kappa) == (1.5, 1e-9)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
