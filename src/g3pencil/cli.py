@@ -33,8 +33,12 @@ WORKERS_HELP = (
 )
 
 
+def _num(x: float) -> str:
+    return f"{x + 0.0:.12g}"  # adding 0.0 turns -0.0 into 0.0, so "-0" never shows
+
+
 def _vec(v: G3Vector) -> str:
-    return f"({v.x:.12g}, {v.y:.12g}, {v.z:.12g})"
+    return f"({_num(v.x)}, {_num(v.y)}, {_num(v.z)})"
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -58,12 +62,19 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _tolerance(text: str) -> float:
+def _finite(text: str) -> float:
     try:
-        tol = float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < tol < math.inf:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    tol = _finite(text)
+    if not tol > 0.0:
         raise argparse.ArgumentTypeError("the tolerance must be a finite number above 0")
     return tol
 
@@ -81,12 +92,12 @@ def _cmd_frenet(args) -> int:
     curve = build_curve(cfg.curve, as_printed=args.as_printed)
     fr = frenet(curve, args.at)
     dd = darboux(fr)
-    print(f"s = {fr.s:.12g}")
+    print(f"s = {_num(fr.s)}")
     print(f"t = {_vec(fr.t)}")
     print(f"n = {_vec(fr.n)}")
     print(f"b = {_vec(fr.b)}")
-    print(f"kappa = {fr.kappa:.12g}")
-    print(f"tau = {fr.tau:.12g}")
+    print(f"kappa = {_num(fr.kappa)}")
+    print(f"tau = {_num(fr.tau)}")
     print(f"E0 = {_vec(dd.e0)}")
     return EXIT_OK
 
@@ -173,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frenet", help="print the moving frame at a parameter value")
     p.add_argument("config")
-    p.add_argument("--at", type=float, required=True, metavar="S")
+    p.add_argument("--at", type=_finite, required=True, metavar="S")
     p.add_argument("--as-printed", action="store_true", dest="as_printed")
     p.set_defaults(func=_cmd_frenet)
 

@@ -39,7 +39,11 @@ class CurveSpec(Record):
 
     The closed forms are only consulted when marching-scale functions are
     synthesized as expression trees; frames never use them.  Frames and
-    points run through kernels compiled once per curve, on first use.
+    points run through two kernels compiled once per curve, on first use:
+    the frame kernel returns the first three derivatives of f and g and
+    never computes their values, which the point kernel gives.  A frame
+    therefore costs no Fresnel integral on the built-in helix, and a frame
+    fails only where a derivative does.
     """
 
     _fields = ("name", "f", "g", "kappa_form", "tau_form")
@@ -60,8 +64,8 @@ class CurveSpec(Record):
 
     @cached_property
     def _frame_jets(self):
-        """(s, v) -> jets of f and g in s, c0 to c3 of each."""
-        return compile_jets((self.f, self.g), "s")
+        """(s, v) -> c1, c2, c3 of the jets of f and g in s."""
+        return compile_jets((self.f, self.g), "s", (1, 2, 3))
 
     @cached_property
     def _point_values(self):
@@ -75,15 +79,15 @@ class CurveSpec(Record):
 
 
 class FrenetFrame(Record):
-    """The frame at s: base point r = (s, f(s), g(s)), t, n, b, kappa, tau."""
+    """The frame at s: t, n, b, kappa and tau.
 
-    __slots__ = _fields = ("s", "r", "t", "n", "b", "kappa", "tau")
+    It carries no base point; :func:`point` gives r(s) = (s, f(s), g(s)).
+    """
 
-    def __init__(
-        self, s: float, r: G3Vector, t: G3Vector, n: G3Vector, b: G3Vector, kappa: float, tau: float
-    ):
+    __slots__ = _fields = ("s", "t", "n", "b", "kappa", "tau")
+
+    def __init__(self, s: float, t: G3Vector, n: G3Vector, b: G3Vector, kappa: float, tau: float):
         self.s = s
-        self.r = r
         self.t = t
         self.n = n
         self.b = b
@@ -170,7 +174,7 @@ def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
     quantity is NaN or falls below ``KAPPA_MIN``; the frame is undefined
     there.
     """
-    f0, f1, f2, f3, g0, g1, g2, g3 = curve._frame_jets(s, 0.0)
+    f1, f2, f3, g1, g2, g3 = curve._frame_jets(s, 0.0)
     kappa = math.hypot(f2, g2)
     if not kappa >= KAPPA_MIN:
         raise CurvatureVanishes(s, kappa)
@@ -180,7 +184,7 @@ def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
     t = G3Vector(1.0, f1, g1)
     n = G3Vector(0.0, f2 / kappa, g2 / kappa)
     b = G3Vector(0.0, -g2 / kappa, f2 / kappa)
-    return FrenetFrame(s=s, r=G3Vector(s, f0, g0), t=t, n=n, b=b, kappa=kappa, tau=tau)
+    return FrenetFrame(s=s, t=t, n=n, b=b, kappa=kappa, tau=tau)
 
 
 def darboux(frame: FrenetFrame) -> DarbouxData:

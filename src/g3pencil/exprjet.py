@@ -65,57 +65,61 @@ class KinkWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
+# The variables a subtree reads, as bits.  Every node caches its own in
+# ``reads``; compiled code is filed under the same levels.
+_CONST, _S, _V, _SV = 0, 1, 2, 3
+_VAR_BITS = {"s": _S, "v": _V}
+
+
 class Num(Record):
-    __slots__ = _fields = ("value",)
+    _fields = ("value",)
+    __slots__ = _fields + ("reads",)
 
     def __init__(self, value: float):
         self.value = value
+        self.reads = _CONST
 
 
 class Var(Record):
-    __slots__ = _fields = ("name",)
+    _fields = ("name",)
+    __slots__ = _fields + ("reads",)
 
     def __init__(self, name: str):
         self.name = name  # "s" or "v"
+        self.reads = _VAR_BITS[name]
 
 
 class Neg(Record):
-    __slots__ = _fields = ("arg",)
+    _fields = ("arg",)
+    __slots__ = _fields + ("reads",)
 
     def __init__(self, arg: Expr):
         self.arg = arg
+        self.reads = arg.reads
 
 
 class BinOp(Record):
-    __slots__ = _fields = ("op", "left", "right")
+    _fields = ("op", "left", "right")
+    __slots__ = _fields + ("reads",)
 
     def __init__(self, op: str, left: Expr, right: Expr):
         self.op = op  # one of + - * / ^
         self.left = left
         self.right = right
+        self.reads = left.reads | right.reads
 
 
 class Call(Record):
-    __slots__ = _fields = ("func", "arg")
+    _fields = ("func", "arg")
+    __slots__ = _fields + ("reads",)
 
     def __init__(self, func: str, arg: Expr):
         self.func = func
         self.arg = arg
+        self.reads = arg.reads
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
-
-
-def contains_var(expr: Expr) -> bool:
-    if isinstance(expr, Var):
-        return True
-    if isinstance(expr, Neg):
-        return contains_var(expr.arg)
-    if isinstance(expr, BinOp):
-        return contains_var(expr.left) or contains_var(expr.right)
-    if isinstance(expr, Call):
-        return contains_var(expr.arg)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +224,7 @@ class _Parser:
             pos = self.tok.pos
             self.advance()
             expo = self.parse_factor()
-            if contains_var(expo):
+            if expo.reads:
                 raise ParseError("exponent must be a constant expression", pos)
             return BinOp("^", base, expo)
         return base
@@ -330,20 +334,25 @@ _ARITHMETIC = (ValueError, ZeroDivisionError, OverflowError)
 
 def eval_expr(expr: Expr, s: float, v: float) -> float:
     """Evaluate with IEEE doubles; raises DomainError naming the bad node."""
+    return _evaluate(expr, s, v, False)
+
+
+def _evaluate(expr: Expr, s: float, v: float, jet: bool) -> float:
+    """The value of expr; with ``jet``, a power follows the jet's rule."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
         return s if expr.name == "s" else v
     if isinstance(expr, Neg):
-        return -eval_expr(expr.arg, s, v)
+        return -_evaluate(expr.arg, s, v, jet)
     if isinstance(expr, Call):
-        u = eval_expr(expr.arg, s, v)
+        u = _evaluate(expr.arg, s, v, jet)
         try:
             return _call_value(expr, u)
         except _ARITHMETIC as exc:
             raise _fail(expr, str(exc)) from exc
-    left = eval_expr(expr.left, s, v)
-    right = eval_expr(expr.right, s, v)
+    left = _evaluate(expr.left, s, v, jet)
+    right = _evaluate(expr.right, s, v, jet)
     op = expr.op
     if op == "+":
         return left + right
@@ -356,6 +365,8 @@ def eval_expr(expr: Expr, s: float, v: float) -> float:
             raise _fail(expr, "division by zero")
         return left / right
     # op == "^"; the exponent is constant by construction
+    if jet:
+        return _pow_factors(expr, left, right, 1)[0]
     if not float(right).is_integer():
         if left < 0.0:
             raise _fail(expr, "fractional power of a negative base")
@@ -557,44 +568,38 @@ def _call_jet(node: Call, u: Jet3) -> Jet3:
     return _compose(u, fresnel_c(x), cs, -px * sn, -math.pi * sn - px * px * cs)
 
 
+def _pow_factors(node: BinOp, x: float, p: float, count: int) -> list[float]:
+    """The first ``count`` derivatives of x**p in x, which _pow_jet composes."""
+    if not float(p).is_integer() and x <= 0.0:
+        raise _fail(node, "fractional power of a non-positive base")
+    f = [0.0] * count
+    coeff = 1.0
+    for order in range(count):
+        if coeff == 0.0:  # an integer exponent runs out of derivatives
+            break
+        m = p - order
+        if m < 0.0 and x == 0.0:
+            raise _fail(node, "zero base with negative exponent")
+        try:
+            f[order] = coeff * x**m
+        except OverflowError as exc:
+            raise _fail(node, str(exc)) from exc
+        coeff *= m
+    return f
+
+
 def _pow_jet(node: BinOp, base: Jet3, expo: Jet3) -> Jet3:
     if expo.c1 != 0.0 or expo.c2 != 0.0 or expo.c3 != 0.0:
         raise _fail(node, "exponent must be constant")
-    p = expo.c0
-    x = base.c0
-    if float(p).is_integer():
-        k = int(p)
-        f = [0.0, 0.0, 0.0, 0.0]
-        coeff = 1.0
-        for order in range(4):
-            m = k - order
-            if coeff == 0.0:
-                break
-            if m < 0 and x == 0.0:
-                raise _fail(node, "zero base with negative exponent")
-            if m == 0:
-                f[order] = coeff  # x**0 == 1, including x == 0
-            else:
-                f[order] = coeff * x**m
-            coeff *= k - order
-        return _compose(base, f[0], f[1], f[2], f[3])
-    if x <= 0.0:
-        raise _fail(node, "fractional power of a non-positive base")
-    f0 = x**p
-    f1 = p * x ** (p - 1.0)
-    f2 = p * (p - 1.0) * x ** (p - 2.0)
-    f3 = p * (p - 1.0) * (p - 2.0) * x ** (p - 3.0)
-    return _compose(base, f0, f1, f2, f3)
+    return _compose(base, *_pow_factors(node, base.c0, expo.c0, 4))
 
 
 def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
-    if isinstance(expr, Num):
-        return Jet3(expr.value)
+    bit = _VAR_BITS[var]
+    if not expr.reads & bit:  # flat: the value, with the jet's rule for powers
+        return Jet3(_evaluate(expr, s, v, True))
     if isinstance(expr, Var):
-        value = s if expr.name == "s" else v
-        if expr.name == var:
-            return Jet3(value, 1.0)
-        return Jet3(value)
+        return Jet3(s if var == "s" else v, 1.0)
     if isinstance(expr, Neg):
         return -_jet_eval(expr.arg, var, s, v)
     if isinstance(expr, Call):
@@ -611,22 +616,33 @@ def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
     if op == "-":
         return left - right
     if op == "*":
+        if not expr.right.reads & bit:
+            b0 = right.c0
+            return Jet3(left.c0 * b0, left.c1 * b0, left.c2 * b0, left.c3 * b0)
+        if not expr.left.reads & bit:
+            a0 = left.c0
+            return Jet3(a0 * right.c0, a0 * right.c1, a0 * right.c2, a0 * right.c3)
         return left * right
     if op == "/":
-        try:
-            return left / right
-        except ZeroDivisionError as exc:
-            raise _fail(expr, "division by zero") from exc
-    try:
-        return _pow_jet(expr, left, right)
-    except _ARITHMETIC as exc:
-        raise _fail(expr, str(exc)) from exc
+        if right.c0 == 0.0:
+            raise _fail(expr, "division by zero")
+        if not expr.right.reads & bit:
+            b0 = right.c0
+            return Jet3(left.c0 / b0, left.c1 / b0, left.c2 / b0, left.c3 / b0)
+        return left / right
+    return _pow_jet(expr, left, right)
 
 
 def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
     """Value and exact partial derivatives of expr with respect to var.
 
     The other variable is held fixed.  ``var`` must be ``"s"`` or ``"v"``.
+    A subtree that does not read var has the flat jet (value, 0, 0, 0):
+    its value is computed as :func:`eval_expr` does, except that a power
+    keeps the jet's rule (a fractional power of a base <= 0 fails), and an
+    abs() in it does not warn.  A product with a flat factor b takes
+    c_k = a_k * b0 (or a0 * b_k), and a quotient by a flat divisor
+    c_k = a_k / b0.
     """
     if var not in VARIABLES:
         raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
@@ -637,14 +653,15 @@ def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
 # Compilation (fast path for dense grids; same operations, same order)
 # ---------------------------------------------------------------------------
 
-# Dependency levels: the set of variables a subtree reads, as bits.
-_CONST, _S, _V, _SV = 0, 1, 2, 3
-
 _NONFINITE_NAMES = {"inf": "_inf", "-inf": "_neg_inf", "nan": "_nan"}
 
 # An operand of generated code: its text (a name or a literal) and level.
 _Operand = tuple[str, int]
 _ZERO: _Operand = ("0.0", _CONST)
+# A unit of generated code: its lines, the names it defines, the operand
+# texts it reads, and whether it stays when nothing reads what it defines
+# (a guard, or the sign of an abs() that warns at its kink).
+_Unit = tuple[list[str], tuple[str, ...], list[str], bool]
 
 # The formulas of Jet3.__mul__, Jet3.__truediv__ and _compose, written as
 # they are there, so that Python evaluates them in the same order; {a1} is
@@ -708,9 +725,9 @@ def _children(expr: Expr) -> tuple:
     return (expr.arg,)
 
 
-def _fold(expr: Expr) -> float:
+def _fold(expr: Expr, jet: bool = False) -> float:
     """Value of a constant subtree, computed by the tree evaluator."""
-    return eval_expr(expr, 0.0, 0.0)
+    return _evaluate(expr, 0.0, 0.0, jet)
 
 
 class _Emitter:
@@ -723,17 +740,19 @@ class _Emitter:
     evaluators and inlined, and so is every statement whose operands are
     all constants.  Every other statement is filed under the variables it
     reads, so that s-only work can be hoisted out of a loop over v and
-    v-only work out of a loop over s.
+    v-only work out of a loop over s, as a unit that names what it defines
+    and reads, so that :func:`_function` can drop what nothing returned
+    reads.
 
     Each statement performs the operations the tree evaluators perform at
-    that node (:func:`eval_expr` for values; ``Jet3`` arithmetic,
-    :func:`_compose`, :func:`_call_jet` and :func:`_pow_jet` for jets) in
-    the same order, so results agree bitwise.  The same checks raise the
-    same DomainError, and an abs() kink warns as the tree evaluator does.
+    that node (:func:`eval_expr` for values; :func:`_jet_eval`, with its
+    flat-jet rule, for jets) in the same order, so results agree bitwise.
+    The same checks raise the same DomainError, and an abs() kink warns as
+    the tree evaluator does.
     """
 
     def __init__(self) -> None:
-        self.lines: dict[int, list[str]] = {_CONST: [], _S: [], _V: [], _SV: []}
+        self.lines: dict[int, list[_Unit]] = {_CONST: [], _S: [], _V: [], _SV: []}
         self.carried: list[str] = []  # v-level names read by s-and-v statements
         self.env: dict[str, object] = {
             "__builtins__": {},
@@ -749,6 +768,7 @@ class _Emitter:
             "_fresnel": _fresnel,
             "_kink": _kink,
             "_pow_jet": _pow_jet,
+            "_pow_factors": _pow_factors,
             "_Jet3": Jet3,
             "_INFS": _INFS,
             "_ARITHMETIC": _ARITHMETIC,
@@ -766,6 +786,12 @@ class _Emitter:
             return name
         return f"({text})" if text.startswith("-") else text
 
+    def _node(self, node: Expr) -> str:
+        """A name under which generated code reads node itself."""
+        name = f"_node{len(self.env)}"
+        self.env[name] = node
+        return name
+
     def _outputs(self, operands, count: int) -> list[_Operand]:
         """Fresh names at the level of operands."""
         level = _level(operands)
@@ -775,16 +801,16 @@ class _Emitter:
             names.append((f"_{'_svw'[level]}{self._count}", level))
         return names
 
-    def _file(self, lines: list[str], operands) -> None:
-        """Append lines that read operands at their level."""
+    def _file(self, lines: list[str], operands, defines=(), keep: bool = False) -> None:
+        """Append the unit of lines that reads operands, at their level."""
         level = _level(operands)
-        self.lines[level] += lines
+        self.lines[level].append((lines, tuple(defines), [text for text, _ in operands], keep))
         if level == _SV:
             for operand, operand_level in operands:
                 if operand_level == _V:
                     self.carry(operand)
 
-    def stmt(self, text: str, operands, guards=(), owner: Call | None = None) -> _Operand:
+    def stmt(self, text: str, operands, guards=(), owner: Expr | None = None) -> _Operand:
         """Operand holding the value of text, which reads operands.
 
         ``guards`` are (condition, operands, message) checks that run
@@ -808,7 +834,7 @@ class _Emitter:
                 "except _ARITHMETIC as exc:",
                 f"    raise _DomainError(f'{{exc}}' + {suffix!r}) from exc",
             ]
-        self._file(lines, operands)
+        self._file(lines, operands, (out[0],))
         self._names[text] = out
         return out
 
@@ -816,25 +842,30 @@ class _Emitter:
         """Raise DomainError(message) where condition holds."""
         if _level(operands) == _CONST and not eval(condition, self.env):
             return
-        self._file([f"if {condition}: raise _DomainError({message!r})"], operands)
+        self._file([f"if {condition}: raise _DomainError({message!r})"], operands, keep=True)
 
-    def formula(self, template: str, **jets) -> _Operand:
+    def formula(self, template: str, owner: Expr | None = None, **jets) -> _Operand:
         """Statement for template, in which {a1} is coefficient 1 of jets["a"]."""
         ops = {f"{key}{i}": op for key, jet in jets.items() for i, op in enumerate(jet)}
         used = [op for key, op in ops.items() if "{" + key + "}" in template]
-        return self.stmt(template.format(**{key: text for key, (text, _) in ops.items()}), used)
+        text = template.format(**{key: text for key, (text, _) in ops.items()})
+        return self.stmt(text, used, owner=owner)
 
     # -- values ------------------------------------------------------------
 
-    def emit(self, expr: Expr) -> _Operand:
-        """Operand holding the value of expr."""
+    def emit(self, expr: Expr, jet: bool = False) -> _Operand:
+        """Operand holding the value of expr.
+
+        With ``jet``, the value term of its flat jet (see :func:`eval_jet3`):
+        the same statements, except that a power follows the jet's rule.
+        """
         if isinstance(expr, Num):
             return self._constant(expr.value), _CONST
         if isinstance(expr, Var):
-            return expr.name, _S if expr.name == "s" else _V
-        args = [self.emit(child) for child in _children(expr)]
+            return expr.name, expr.reads
+        args = [self.emit(child, jet) for child in _children(expr)]
         if _level(args) == _CONST:
-            return self._constant(_fold(expr)), _CONST
+            return self._constant(_fold(expr, jet)), _CONST
         if isinstance(expr, Neg):
             return self.stmt(f"-{args[0][0]}", args)
         if isinstance(expr, Call):
@@ -845,6 +876,10 @@ class _Emitter:
             guards.append((f"{right} == 0.0", args[1:], str(_fail(expr, "division by zero"))))
         if expr.op != "^":
             return self.stmt(f"{left} {expr.op} {right}", args, guards)
+        if jet and right_level == _CONST:
+            return self._pow_factors(expr, args[0], right, 1)[0]
+        if jet:  # an exponent that reads s or v (only trees built by hand)
+            return self.stmt(f"_pow_factors({self._node(expr)}, {left}, {right}, 1)[0]", args)
         if right_level != _CONST or not float(_fold(expr.right)).is_integer():
             # Python returns a complex number here, where eval_expr refuses.
             # The grammar keeps exponents constant; any other is checked as
@@ -859,17 +894,12 @@ class _Emitter:
     def _call(self, node: Call, x: _Operand) -> _Operand:
         f = node.func
         if f in ("fresnelS", "fresnelC"):
-            pair = self._fresnel_pair(node, x)
+            # the _fresnel call that a fresnelS/fresnelC pair on x shares;
+            # its errors name the node that emitted it first, which is the
+            # node the tree evaluators reach first
+            pair = self.stmt(f"_fresnel({x[0]})", [x], owner=node)
             return self.stmt(f"{pair[0]}[{0 if f == 'fresnelS' else 1}]", [pair])
         return self.stmt(f"{f}({x[0]})", [x], self._argument_guards(node, x))
-
-    def _fresnel_pair(self, node: Call, x: _Operand) -> _Operand:
-        """The _fresnel(x) call that a fresnelS/fresnelC pair on x shares.
-
-        Its math errors name the node that emitted it first, which is the
-        node the tree evaluators reach first.
-        """
-        return self.stmt(f"_fresnel({x[0]})", [x], owner=node)
 
     def _argument_guards(self, node: Call, x: _Operand) -> list:
         """The checks :func:`eval_expr` makes on the argument of node."""
@@ -885,29 +915,22 @@ class _Emitter:
 
     def emit_jet(self, expr: Expr, var: str) -> tuple[_Operand, ...]:
         """Four operands holding the jet of expr in var, c0 to c3."""
-        if isinstance(expr, Num):
-            return (self._constant(expr.value), _CONST), _ZERO, _ZERO, _ZERO
+        bit = _VAR_BITS[var]
+        if not expr.reads & bit:
+            return self.emit(expr, jet=True), _ZERO, _ZERO, _ZERO
         if isinstance(expr, Var):
-            seed = ("1.0", _CONST) if expr.name == var else _ZERO
-            return self.emit(expr), seed, _ZERO, _ZERO
-        args = [self.emit_jet(child, var) for child in _children(expr)]
-        if all(arg[0][1] == _CONST for arg in args):
-            return self._constant_jet(expr, var)
+            return (var, bit), ("1.0", _CONST), _ZERO, _ZERO
+        children = _children(expr)
+        args = [self.emit_jet(child, var) for child in children]
         kind = expr.op if isinstance(expr, BinOp) else expr.func if isinstance(expr, Call) else "neg"
-        key = (kind, *(text for arg in args for text, _ in arg))
+        # which children are flat picks the formulas, so it is part of the key
+        flat = tuple(not child.reads & bit for child in children)
+        key = (kind, flat, *(text for arg in args for text, _ in arg))
         if key not in self._jets:
-            self._jets[key] = self._jet(expr, args)
+            self._jets[key] = self._jet(expr, args, flat)
         return self._jets[key]
 
-    def _constant_jet(self, expr: Expr, var: str) -> tuple[_Operand, ...]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", KinkWarning)
-            jet = _jet_eval(expr, var, 0.0, 0.0)
-        # the tree evaluator warns on every evaluation
-        self.lines[_CONST] += [f"_kink({str(w.message)!r})" for w in caught]
-        return tuple((self._constant(c), _CONST) for c in (jet.c0, jet.c1, jet.c2, jet.c3))
-
-    def _jet(self, expr: Expr, args) -> tuple[_Operand, ...]:
+    def _jet(self, expr: Expr, args, flat: tuple) -> tuple[_Operand, ...]:
         if isinstance(expr, Neg):
             return tuple(self.stmt(f"-{c[0]}", [c]) for c in args[0])
         if isinstance(expr, Call):
@@ -916,14 +939,26 @@ class _Emitter:
         if expr.op in ("+", "-"):
             return tuple(self.stmt(f"{x[0]} {expr.op} {y[0]}", [x, y]) for x, y in zip(a, b))
         if expr.op == "*":
+            if flat[1]:
+                return tuple(self.stmt(f"{c[0]} * {b[0][0]}", [c, b[0]]) for c in a)
+            if flat[0]:
+                return tuple(self.stmt(f"{a[0][0]} * {c[0]}", [a[0], c]) for c in b)
             return tuple(self.formula(t, a=a, b=b) for t in _MUL_JET)
         if expr.op == "/":
             self.guard(f"{b[0][0]} == 0.0", b[:1], str(_fail(expr, "division by zero")))
+            if flat[1]:
+                return tuple(self.stmt(f"{c[0]} / {b[0][0]}", [c, b[0]]) for c in a)
             h: list[_Operand] = []
             for t in _DIV_JET:
                 h.append(self.formula(t, a=a, b=b, h=h))
             return tuple(h)
-        return self._pow_jet(expr, a, b)
+        if b[0][1] != _CONST:
+            # An exponent that reads s or v (only trees built by hand): the
+            # tree evaluator's own code runs, and refuses where it does.
+            jets = ", ".join(f"_Jet3({', '.join(text for text, _ in j)})" for j in (a, b))
+            jet = self.stmt(f"_pow_jet({self._node(expr)}, {jets})", [*a, *b])
+            return tuple(self.stmt(f"{jet[0]}.c{k}", [jet]) for k in range(4))
+        return self._compose(a, self._pow_factors(expr, a[0], b[0][0], 4))
 
     def _compose(self, u, f) -> tuple[_Operand, ...]:
         return (f[0], *(self.formula(t, f=f, u=u) for t in _COMPOSE_JET))
@@ -936,12 +971,14 @@ class _Emitter:
             return self._sqrt_jet(node, u)
         if node.func == "abs":
             return self._abs_jet(node, u)
-        if node.func in ("fresnelS", "fresnelC"):
-            self._fresnel_pair(node, x)  # the first step below reuses it
+        # a huge argument fails in the Fresnel steps that call _fresnel, sin
+        # or cos, and their errors name the node
+        fresnel = node.func in ("fresnelS", "fresnelC")
         steps, picks = _CALL_JET[node.func]
         t: list[_Operand] = []
         for template in steps:
-            t.append(self.formula(template, x=[x], t=t))
+            owner = node if fresnel and "(" in template else None
+            t.append(self.formula(template, owner, x=[x], t=t))
         return self._compose(u, [t[i] for i in picks])
 
     def _sqrt_jet(self, node: Call, u) -> tuple[_Operand, ...]:
@@ -966,6 +1003,7 @@ class _Emitter:
                 f" + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
             ],
             u,
+            [name for name, _ in out],
         )
         return tuple(out[:4])
 
@@ -981,47 +1019,36 @@ class _Emitter:
                 f"    {sign[0]} = 1.0",
             ],
             [x],
+            (sign[0],),
+            keep=True,
         )
         return (
             self.stmt(f"abs({x[0]})", [x]),
             *(self.stmt(f"{sign[0]} * {c[0]}", [sign, c]) for c in u[1:]),
         )
 
-    def _pow_jet(self, node: BinOp, base, expo) -> tuple[_Operand, ...]:
-        p_text, p_level = expo[0]
-        p = eval(p_text, self.env) if p_level == _CONST else None
-        if p is None or not float(p).is_integer() or any(eval(c, self.env) for c, _ in expo[1:]):
-            # Fractional or not constant (only trees built by hand): the
-            # tree evaluator's own code runs, and refuses where it does.
-            node_name = f"_node{len(self.env)}"
-            self.env[node_name] = node
-            out = self._outputs([*base, *expo], 5)
-            jet, names = out[0][0], ", ".join(name for name, _ in out[1:])
-            args = ", ".join(f"_Jet3({', '.join(text for text, _ in j)})" for j in (base, expo))
-            lines = [
-                f"{jet} = _pow_jet({node_name}, {args})",
-                f"{names} = {jet}.c0, {jet}.c1, {jet}.c2, {jet}.c3",
-            ]
-            self._file(lines, [*base, *expo])
-            return tuple(out[1:])
-        # the loop of the tree's _pow_jet, unrolled for this exponent
-        k = int(p)
-        x = [base[0]]
-        if k < 0:
-            message = str(_fail(node, "zero base with negative exponent"))
-            self.guard(f"{x[0][0]} == 0.0", x, message)
-        f = [_ZERO] * 4
+    def _pow_factors(self, node: BinOp, x: _Operand, p: str, count: int) -> list[_Operand]:
+        """Operands of f0.. of :func:`_pow_factors` for the constant exponent p."""
+        # the loop of the tree's _pow_factors, unrolled for this exponent
+        value = eval(p, self.env)
+        if not float(value).is_integer():
+            message = str(_fail(node, "fractional power of a non-positive base"))
+            self.guard(f"{x[0]} <= 0.0", [x], message)
+        elif value < 0.0:
+            self.guard(f"{x[0]} == 0.0", [x], str(_fail(node, "zero base with negative exponent")))
+        f = [_ZERO] * count
         coeff = 1.0
-        for order in range(4):
-            m = k - order
+        for order in range(count):
             if coeff == 0.0:
                 break
-            if m == 0:
-                f[order] = (self._constant(coeff), _CONST)
+            m = value - order
+            if m == 0.0:
+                f[order] = (self._constant(coeff), _CONST)  # coeff * x**0.0 == coeff
             else:
-                f[order] = self.formula(f"{self._constant(coeff)} * {{x0}} ** ({m})", x=x)
-            coeff *= k - order
-        return self._compose(base, f)
+                template = f"{self._constant(coeff)} * {{x0}} ** {self._constant(m)}"
+                f[order] = self.formula(template, x=[x])
+            coeff *= m
+        return f
 
     def carry(self, name: str) -> None:
         """Mark a v-level name as needed inside a loop over v."""
@@ -1034,18 +1061,30 @@ class _Emitter:
         return self.env[name]
 
 
-def _block(lines: list[str], depth: int) -> str:
+def _block(units: list, depth: int) -> str:
+    """The lines of units, indented by depth."""
     pad = "    " * depth
-    return "".join(f"{pad}{line}\n" for line in lines)
+    return "".join(f"{pad}{line}\n" for unit in units for line in unit[0])
 
 
-def _function(em: _Emitter, result: str) -> Callable:
-    """Compile the emitted statements into f(s, v) returning result."""
-    body = em.lines[_CONST] + em.lines[_S] + em.lines[_V] + em.lines[_SV]
+def _function(em: _Emitter, results: list[str], tuple_result: bool = True) -> Callable:
+    """Compile the emitted statements into f(s, v) returning results.
+
+    The statements whose results nothing returned reads are dropped; every
+    guard and abs() kink stays, with the statements it reads.
+    """
+    live = set(results)
+    kept = []
+    for unit in reversed(em.lines[_CONST] + em.lines[_S] + em.lines[_V] + em.lines[_SV]):
+        _, defines, reads, keep = unit
+        if keep or not live.isdisjoint(defines):
+            kept.append(unit)
+            live.update(reads)
+    result = "(" + "".join(f"{r}, " for r in results) + ")" if tuple_result else results[0]
     source = (
         "def _compiled(s, v):\n"
         "    try:\n"
-        + _block(body + [f"return {result}"], 2)
+        + _block(kept[::-1] + [([f"return {result}"],)], 2)
         + "    except _ARITHMETIC as exc:\n"
         "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
     )
@@ -1061,7 +1100,7 @@ def compile_expr(expr: Expr) -> Callable[[float, float], float]:
     domain raises DomainError here, at compile time.
     """
     em = _Emitter()
-    return _function(em, em.emit(expr)[0])
+    return _function(em, [em.emit(expr)[0]], tuple_result=False)
 
 
 def compile_values(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float, ...]]:
@@ -1071,35 +1110,44 @@ def compile_values(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[floa
     computed once.  Failures are as for :func:`compile_expr`.
     """
     em = _Emitter()
-    return _function(em, "(" + "".join(f"{em.emit(e)[0]}, " for e in exprs) + ")")
+    return _function(em, [em.emit(e)[0] for e in exprs])
 
 
-def compile_jets(exprs: Sequence[Expr], var: str) -> Callable[[float, float], tuple[float, ...]]:
+def compile_jets(
+    exprs: Sequence[Expr], var: str, orders: Sequence[int] = (0, 1, 2, 3)
+) -> Callable[[float, float], tuple[float, ...]]:
     """Compile trees to one callable f(s, v) giving their jets in ``var``.
 
-    The result holds c0, c1, c2, c3 of each tree's jet in turn, each equal
-    bitwise to the coefficient of :func:`eval_jet3`.  The callable raises
-    DomainError where eval_jet3 fails and warns KinkWarning where it
-    warns; a constant subtree outside its domain raises DomainError here,
-    at compile time.  Common subtrees are computed once.
+    The result holds the coefficients of ``orders`` (c0 to c3 by default)
+    of each tree's jet in turn, each equal bitwise to the coefficient of
+    :func:`eval_jet3`, flat-jet rule included.  The callable computes only
+    what it returns, and so can fail only there: it raises DomainError
+    where eval_jet3 fails on a step that a returned coefficient needs, or
+    on a check (a guard) of any step, and warns KinkWarning where an abs()
+    in a tree reaches its kink.  Where the callable of all four orders
+    succeeds, every callable of fewer succeeds too.  A constant subtree
+    outside its domain raises DomainError here, at compile time.  Common
+    subtrees are computed once.
     """
     if var not in VARIABLES:
         raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
+    if not orders or not set(orders) <= {0, 1, 2, 3}:
+        raise ValueError(f"orders must be a non-empty selection of 0, 1, 2, 3, got {orders!r}")
     em = _Emitter()
-    texts = [text for e in exprs for text, _ in em.emit_jet(e, var)]
-    return _function(em, "(" + "".join(f"{t}, " for t in texts) + ")")
+    jets = [em.emit_jet(e, var) for e in exprs]
+    return _function(em, [jet[k][0] for jet in jets for k in orders])
 
 
 def compile_surface_rows(
     alpha: Expr, beta: Expr, gamma: Expr, v_values: Sequence[float]
-) -> Callable[[float, object, list], None]:
+) -> Callable[[float, object, object, list], None]:
     """Compile the points base + alpha t + beta n + gamma b of one grid row.
 
-    Returns ``row(s, frame, out)``, which extends the list ``out`` with
-    x, y, z of the point at (s, v) for every v in ``v_values``, in order;
-    ``frame`` supplies the base point ``r`` and the vectors ``t``, ``n``
-    and ``b``.  Each coordinate equals bitwise the one of
-    ``combine_on_frame(frame, a, b, g)`` with a, b, g from
+    Returns ``row(s, base, frame, out)``, which extends the list ``out``
+    with x, y, z of the point at (s, v) for every v in ``v_values``, in
+    order; ``base`` is the curve point at s and ``frame`` supplies the
+    vectors ``t``, ``n`` and ``b``.  Each coordinate equals bitwise the one
+    of ``combine_on_frame(base, frame, a, b, g)`` with a, b, g from
     :func:`eval_expr`, plus 0.0, which turns -0.0 into 0.0 and leaves every
     other value as it is.  The three trees share one emitter, so common
     subtrees are computed once; constant subtrees are computed here,
@@ -1138,9 +1186,9 @@ def compile_surface_rows(
         "        raise _DomainError(f'{exc} at v = {v!r}') from exc\n"
         "    return columns\n"
         "\n"
-        "def _row(s, frame, out):\n"
-        "    r, t, n, b = frame.r, frame.t, frame.n, frame.b\n"
-        "    px, py, pz = r.x, r.y, r.z\n"
+        "def _row(s, base, frame, out):\n"
+        "    t, n, b = frame.t, frame.n, frame.b\n"
+        "    px, py, pz = base.x, base.y, base.z\n"
         "    tx, ty, tz = t.x, t.y, t.z\n"
         "    nx, ny, nz = n.x, n.y, n.z\n"
         "    bx, by, bz = b.x, b.y, b.z\n"
@@ -1149,7 +1197,7 @@ def compile_surface_rows(
         "    try:\n"
         + _block(em.lines[_S], 2)
         + f"        for {column} in _cols:\n"
-        + _block(em.lines[_SV] + point, 3)
+        + _block(em.lines[_SV] + [(point,)], 3)
         + "    except _ARITHMETIC as exc:\n"
         "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
     )

@@ -22,7 +22,7 @@ from contextlib import ExitStack
 from itertools import chain
 from typing import BinaryIO, Callable, Sequence
 
-from .curve import frenet, spread_s_values, uniform_grid
+from .curve import frenet, point, spread_s_values, uniform_grid
 from .errors import GridTooCoarse
 from .exprjet import compile_surface_rows
 from .g3core import G3Vector, Record
@@ -209,9 +209,9 @@ def mesh_from_pencil(pencil: PencilSpec, ns: int, nv: int, *, workers: int = 1) 
     The s grid spans the pencil's :func:`usable_domain` (with a warning
     when guard bands or domain gaps are excised) and gives every usable
     interval at least two rows; the v grid spans [v_min, v_max]
-    uniformly.  Each row takes one frame, which carries the curve point,
-    and runs the pencil's compiled row kernel.  The rows are shared by up
-    to ``workers`` processes; the mesh is the same for any count.
+    uniformly.  Each row takes one curve point and one frame and runs the
+    pencil's compiled row kernel.  The rows are shared by up to
+    ``workers`` processes; the mesh is the same for any count.
     """
     curve = pencil.curve
     ms = pencil.marching
@@ -237,7 +237,7 @@ def mesh_from_pencil(pencil: PencilSpec, ns: int, nv: int, *, workers: int = 1) 
     def rows(lo: int, hi: int) -> bytes:
         out: list[float] = []
         for s in s_values[lo:hi]:
-            row_points(s, frenet(curve, s), out)
+            row_points(s, point(curve, s), frenet(curve, s), out)
         return (array("d", out).tobytes(),)
 
     data = bytearray()

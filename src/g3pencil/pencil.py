@@ -50,6 +50,7 @@ from .curve import (
     classify_curve,
     frenet,
     guard_probes,
+    point,
     probe_intervals,
     spread_s_values,
     uniform_grid,
@@ -106,7 +107,8 @@ class MarchingScale(Record):
     """The three coefficient functions alpha, beta, gamma of the pencil.
 
     Surface points and normals run through kernels compiled once per
-    marching scale, on first use.
+    marching scale, on first use; each computes only the coefficients that
+    :func:`surface_normal` reads.
     """
 
     _fields = ("alpha", "beta", "gamma", "product")
@@ -126,13 +128,13 @@ class MarchingScale(Record):
 
     @cached_property
     def _s_jets(self):
-        """(s, v) -> jets of alpha, beta, gamma in s, c0 to c3 of each."""
-        return compile_jets((self.alpha, self.beta, self.gamma), "s")
+        """(s, v) -> c0 and c1 of the jets of alpha, beta, gamma in s."""
+        return compile_jets((self.alpha, self.beta, self.gamma), "s", (0, 1))
 
     @cached_property
     def _v_jets(self):
-        """(s, v) -> jets of alpha, beta, gamma in v, c0 to c3 of each."""
-        return compile_jets((self.alpha, self.beta, self.gamma), "v")
+        """(s, v) -> c1 of the jets of alpha, beta, gamma in v."""
+        return compile_jets((self.alpha, self.beta, self.gamma), "v", (1,))
 
 
 def product_marching_scale(
@@ -238,22 +240,32 @@ def usable_domain(
 # ---------------------------------------------------------------------------
 
 
-def combine_on_frame(fr: FrenetFrame, a: float, b: float, g: float) -> G3Vector:
-    """r + a*t + b*n + g*b on the frame's base point r, in a fixed order."""
+def combine_on_frame(r: G3Vector, fr: FrenetFrame, a: float, b: float, g: float) -> G3Vector:
+    """r + a*t + b*n + g*b on the base point r, in a fixed order."""
     return G3Vector(
-        fr.r.x + a * fr.t.x + b * fr.n.x + g * fr.b.x,
-        fr.r.y + a * fr.t.y + b * fr.n.y + g * fr.b.y,
-        fr.r.z + a * fr.t.z + b * fr.n.z + g * fr.b.z,
+        r.x + a * fr.t.x + b * fr.n.x + g * fr.b.x,
+        r.y + a * fr.t.y + b * fr.n.y + g * fr.b.y,
+        r.z + a * fr.t.z + b * fr.n.z + g * fr.b.z,
     )
 
 
 def surface_point(
-    curve: CurveSpec, ms: MarchingScale, s: float, v: float, frame: FrenetFrame | None = None
+    curve: CurveSpec,
+    ms: MarchingScale,
+    s: float,
+    v: float,
+    frame: FrenetFrame | None = None,
+    base: G3Vector | None = None,
 ) -> G3Vector:
-    """phi(s, v) = r(s) + alpha t + beta n + gamma b."""
+    """phi(s, v) = r(s) + alpha t + beta n + gamma b.
+
+    ``frame`` and ``base`` are the frame and the curve point at s, when
+    the caller has them.
+    """
     fr = frame if frame is not None else frenet(curve, s)
+    r = base if base is not None else point(curve, s)
     a, b, g = ms._values(s, v)
-    return combine_on_frame(fr, a, b, g)
+    return combine_on_frame(r, fr, a, b, g)
 
 
 def surface_normal(
@@ -265,8 +277,8 @@ def surface_normal(
     returned; callers treat that as a degenerate (flagged) sample.
     """
     fr = frame if frame is not None else frenet(curve, s)
-    a, a_s, _, _, b, b_s, _, _, g, g_s, _, _ = ms._s_jets(s, v)
-    _, a_v, _, _, _, b_v, _, _, _, g_v, _, _ = ms._v_jets(s, v)
+    a, a_s, b, b_s, g, g_s = ms._s_jets(s, v)
+    a_v, b_v, g_v = ms._v_jets(s, v)
     phi_s_t = 1.0 + a_s
     phi_s_n = fr.kappa * a + b_s - fr.tau * g
     phi_s_b = fr.tau * b + g_s

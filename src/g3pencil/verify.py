@@ -120,11 +120,16 @@ def _fd_normal(
     h_s: float,
     h_v: float,
     frame: FrenetFrame,
+    base: G3Vector,
 ) -> G3Vector:
-    """Central difference normal at (s, v); ``frame`` is the frame at s."""
+    """Central difference normal at (s, v).
+
+    ``frame`` and ``base`` are the frame and the curve point at s, which
+    both points at v +- h_v share.
+    """
     ps = surface_point(curve, ms, s + h_s, v) - surface_point(curve, ms, s - h_s, v)
-    pv = surface_point(curve, ms, s, v + h_v, frame=frame) - surface_point(
-        curve, ms, s, v - h_v, frame=frame
+    pv = surface_point(curve, ms, s, v + h_v, frame, base) - surface_point(
+        curve, ms, s, v - h_v, frame, base
     )
     return cross(ps * (0.5 / h_s), pv * (0.5 / h_v))
 
@@ -174,7 +179,7 @@ def dtype_report(
         if mode == "analytic":
             eta = surface_normal(curve, ms, s, v0, frame=fr)
         else:
-            eta = _fd_normal(curve, ms, s, v0, h_s, h_v, fr)
+            eta = _fd_normal(curve, ms, s, v0, h_s, h_v, fr, point(curve, s))
         if not isotropic_norm(eta) >= DEGENERATE_NORM:  # tiny or NaN
             samples.append(InvariantSample(s, math.nan, True))
             continue
@@ -200,12 +205,17 @@ def dtype_report(
 def check_isoparametric(
     curve: CurveSpec, ms: MarchingScale, domain: ParamDomain, n_samples: int = 200
 ) -> float:
-    """Max componentwise gap between phi(s, v0) and r(s) over the base line."""
+    """Max componentwise gap between phi(s, v0) and r(s) over the base line.
+
+    phi is built on the same point r, so the gap is that of
+    alpha t + beta n + gamma b at v0, after adding r and subtracting it
+    again.
+    """
     svals = spread_s_values(usable_domain(curve, ms, domain), n_samples)
     worst = 0.0
     for s in svals:
-        p = surface_point(curve, ms, s, domain.v0)
         r = point(curve, s)
+        p = surface_point(curve, ms, s, domain.v0, base=r)
         worst = max(worst, abs(p.x - r.x), abs(p.y - r.y), abs(p.z - r.z))
     return worst
 
@@ -264,6 +274,7 @@ def normal_consistency(
     worst = 0.0
     for s in svals:
         fr = frenet(curve, s)
+        r = point(curve, s)
         for v in v_values:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", KinkWarning)
@@ -274,7 +285,7 @@ def normal_consistency(
                     f"kink sample flagged at (s, v) = ({s:g}, {v:g})", KinkWarning
                 )
                 continue
-            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, fr)
+            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, fr, r)
             if not (
                 isotropic_norm(eta_a) >= DEGENERATE_NORM
                 and isotropic_norm(eta_f) >= DEGENERATE_NORM

@@ -180,7 +180,7 @@ def frenet_reference(curve: CurveSpec, s: float) -> FrenetFrame:
     t = G3Vector(1.0, fj.c1, gj.c1)
     n = G3Vector(0.0, fj.c2 / kappa, gj.c2 / kappa)
     b = G3Vector(0.0, -gj.c2 / kappa, fj.c2 / kappa)
-    return FrenetFrame(s=s, r=point_reference(curve, s), t=t, n=n, b=b, kappa=kappa, tau=tau)
+    return FrenetFrame(s=s, t=t, n=n, b=b, kappa=kappa, tau=tau)
 
 
 def surface_point_reference(curve: CurveSpec, ms: MarchingScale, s: float, v: float) -> G3Vector:
@@ -188,7 +188,7 @@ def surface_point_reference(curve: CurveSpec, ms: MarchingScale, s: float, v: fl
     a = eval_expr(ms.alpha, s, v)
     b = eval_expr(ms.beta, s, v)
     g = eval_expr(ms.gamma, s, v)
-    return combine_on_frame(fr, a, b, g)
+    return combine_on_frame(point_reference(curve, s), fr, a, b, g)
 
 
 def surface_normal_reference(curve: CurveSpec, ms: MarchingScale, s: float, v: float) -> G3Vector:

@@ -22,6 +22,49 @@ def test_frenet_prints_frame(capsys):
     assert "t = (1," in out
 
 
+def test_frenet_prints_canonical_zeros(capsys):
+    # the frame of anti-salkowski at s = 0 holds signed zeros; none prints as -0
+    for at in ("0", "-0"):
+        assert main(["frenet", "configs/anti-salkowski.json", f"--at={at}"]) == 0
+        assert capsys.readouterr().out == (
+            "s = 0\n"
+            "t = (1, 0, -0.941176470588)\n"
+            "n = (0, 1, 0)\n"
+            "b = (0, 0, 1)\n"
+            "kappa = 1\n"
+            "tau = 1\n"
+            "E0 = (1, 0, 0.0588235294118)\n"
+        )
+
+
+def test_frenet_error_names_the_fresnel_node(capsys):
+    # the frame computes no Fresnel integral; its sin and cos steps fail
+    # on the huge argument, and name the node as the integral would
+    assert main(["frenet", "configs/fresnel-helix.json", "--at", "1e200"]) == 2
+    assert capsys.readouterr().err == (
+        "error: DomainError: math domain error in "
+        "'fresnelS(s/(2.0*sqrt(3.141592653589793)))'\n"
+    )
+
+
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf", "abc"])
+def test_frenet_parameter_must_be_a_finite_number(at, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["frenet", "configs/fresnel-helix.json", f"--at={at}"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "argument --at" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("config", ["fresnel-helix", "anti-salkowski"])
+def test_verify_report_bytes_match_the_golden_report(config, mode, capsys):
+    assert main(["verify", f"configs/{config}.json", "--mode", mode]) == 0
+    golden = Path(f"tests/golden/verify_{config}_{mode}.json").read_bytes()
+    assert capsys.readouterr().out.encode("ascii") == golden
+
+
 def test_classify_reports_helix(capsys):
     rc = main(["classify", "configs/fresnel-helix.json"])
     out = capsys.readouterr().out
@@ -391,12 +434,14 @@ def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, frames, fresnels",
     [
-        # 256 guard probes, 512 frames of the synthesis grid, 200 samples
-        (["verify", "configs/fresnel-helix.json"], 968, 968),
-        # the fd samples take frames at s +- h, and the frame's base point
-        (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 1368),
-        # one frame per grid row
-        (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 968),
+        # 256 guard probes, 512 frames of the synthesis grid, 200 samples;
+        # frames compute no curve point, so no Fresnel integral
+        (["verify", "configs/fresnel-helix.json"], 968, 0),
+        # the fd samples take frames at s +- h, and curve points at s and
+        # s +- h
+        (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 3 * 200),
+        # one frame and one curve point per grid row
+        (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 200),
     ],
     ids=["verify", "verify-fd", "build"],
 )

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 import re
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g3pencil.curve import FrenetFrame
 from g3pencil.errors import DomainError, ParseError
@@ -299,9 +301,9 @@ def test_compiled_matches_interpreted_bitwise():
             continue
         s = rng.uniform(-2.0, 2.0)
         v_values = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        base = G3Vector(s, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
         frame = FrenetFrame(
             s=s,
-            r=G3Vector(s, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
             t=G3Vector(1.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
             n=G3Vector(0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
             b=G3Vector(0.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
@@ -310,7 +312,7 @@ def test_compiled_matches_interpreted_bitwise():
         )
         try:
             want = [
-                combine_on_frame(frame, *(eval_expr(t, s, v) for t in trees))
+                combine_on_frame(base, frame, *(eval_expr(t, s, v) for t in trees))
                 for v in v_values
             ]
             fails = not all(math.isfinite(c) for p in want for c in p.as_tuple())
@@ -319,9 +321,9 @@ def test_compiled_matches_interpreted_bitwise():
         got: list[float] = []
         if fails:
             with pytest.raises(DomainError):
-                compile_surface_rows(*trees, v_values)(s, frame, got)
+                compile_surface_rows(*trees, v_values)(s, base, frame, got)
             continue
-        compile_surface_rows(*trees, v_values)(s, frame, got)
+        compile_surface_rows(*trees, v_values)(s, base, frame, got)
         # float.hex tells -0.0 from 0.0, which == does not
         canonical = [(c + 0.0).hex() for p in want for c in p.as_tuple()]
         assert [c.hex() for c in got] == canonical, texts
@@ -442,6 +444,95 @@ def test_compiled_jets_match_tree_jets_bitwise():
     assert failed > 20 and kinked > 20
 
 
+# Every non-empty selection of the coefficient orders a kernel returns.
+ORDER_SETS = [orders for k in range(1, 5) for orders in itertools.combinations(range(4), k)]
+POINTS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(SPECIAL))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from((2, 3, 4)), s=POINTS, v=POINTS)
+def test_reduced_jet_kernels_return_the_selected_coefficients(seed, depth, s, v):
+    """A kernel computes only the orders it returns, and fails only for them.
+
+    Where the kernel of all four orders succeeds, the kernel of any
+    selection returns exactly those coefficients of eval_jet3; where a
+    reduced kernel raises, the full kernel raises DomainError too.
+    """
+    try:
+        tree = parse(random_expression(random.Random(seed), depth=depth))
+    except ParseError:
+        return
+    for var in ("s", "v"):
+        want, _, _ = _run(lambda: eval_jet3(tree, var, s, v))
+        _, full_error, _ = _run(lambda: compile_jets([tree], var)(s, v))
+        for orders in ORDER_SETS:
+            got, got_error, _ = _run(lambda: compile_jets([tree], var, orders)(s, v))
+            case = (to_source(tree), var, s, v, orders)
+            if full_error is None:
+                assert got_error is None, case
+                coefficients = _coefficients(want)
+                assert [c.hex() for c in got] == [coefficients[k].hex() for k in orders], case
+            if got_error is not None:
+                assert isinstance(full_error, DomainError), case
+
+
+@pytest.mark.parametrize(
+    "text, orders, s, message",
+    [
+        # c1 of ln(s) needs no log, but the argument check stays
+        ("ln(s)", (1,), -1.0, "log of a non-positive value in 'ln(s)'"),
+        ("s*sqrt(2 - s)", (2,), 3.0, "square root of a negative value in 'sqrt(2.0 - s)'"),
+        ("s/(s - 1)", (3,), 1.0, "division by zero in 's/(s - 1.0)'"),
+    ],
+)
+def test_reduced_jet_kernels_keep_every_guard(text, orders, s, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        compile_jets([parse(text)], "s", orders)(s, 0.0)
+
+
+def test_reduced_jet_kernels_keep_every_kink():
+    # c0 of abs(s) needs no sign, but the kink still warns
+    with pytest.warns(KinkWarning):
+        assert compile_jets([parse("abs(s)")], "s", (0,))(0.0, 0.0) == (0.0,)
+
+
+@pytest.mark.parametrize("orders", [(), (4,), (-1,)])
+def test_jet_orders_must_be_a_selection_of_zero_to_three(orders):
+    with pytest.raises(ValueError, match="orders"):
+        compile_jets([parse("s")], "s", orders)
+
+
+@pytest.mark.parametrize(
+    "text, var, s, v, want",
+    [
+        # a flat factor b gives c_k = a_k * b0, with no 0 * inf term
+        ("s*1e308*v", "s", 5.0, 2.0, (math.inf, math.inf, 0.0, 0.0)),
+        ("abs(v)*s", "s", math.nan, 2.0, (math.nan, 2.0, 0.0, 0.0)),
+        # a flat divisor gives c_k = a_k / b0
+        ("s*1e308/v", "s", 5.0, 2.0, (math.inf, 5e307, 0.0, 0.0)),
+        # a flat subtree has exact zeros as derivatives
+        ("-v", "s", 1.0, 2.0, (-2.0, 0.0, 0.0, 0.0)),
+        # and computes no derivative of its own, here one that overflows
+        ("(v*1e-200)^-1", "s", 1.0, 1.0, (1e200, 0.0, 0.0, 0.0)),
+    ],
+)
+def test_flat_jet_rule(text, var, s, v, want):
+    tree = parse(text)
+    jets = (_coefficients(eval_jet3(tree, var, s, v)), compile_jets([tree], var)(s, v))
+    for got in jets:
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+
+
+def test_abs_of_a_flat_argument_does_not_warn():
+    tree = parse("abs(v)*s")
+    for evaluate in (
+        lambda: eval_jet3(tree, "s", 2.0, 0.0),
+        lambda: compile_jets([tree], "s")(2.0, 0.0),
+    ):
+        assert _run(evaluate)[2] == set()
+    assert _run(lambda: eval_jet3(tree, "v", 2.0, 0.0))[2]  # in v, the kink is real
+
+
 def test_compiled_jets_of_a_non_constant_exponent():
     # the parser refuses these; a tree built by hand runs the tree's own code
     tree = BinOp("^", Var("v"), BinOp("+", Var("s"), Num(1.0)))
@@ -507,9 +598,9 @@ def test_row_kernel_rejects_non_finite_points():
     row = compile_surface_rows(parse("exp(300*v)"), zero, zero, [0.0, 5.0])
     unit = G3Vector(0.0, 1.0, 0.0)
     origin, tangent = G3Vector(0.0, 0.0, 0.0), G3Vector(1.0, 0.0, 0.0)
-    frame = FrenetFrame(s=0.0, r=origin, t=tangent, n=unit, b=unit, kappa=1.0, tau=1.0)
+    frame = FrenetFrame(s=0.0, t=tangent, n=unit, b=unit, kappa=1.0, tau=1.0)
     with pytest.raises(DomainError, match="non-finite"):
-        row(0.0, frame, [])
+        row(0.0, origin, frame, [])
 
 
 def test_row_kernel_writes_signed_zeros_as_zero():
@@ -517,9 +608,9 @@ def test_row_kernel_writes_signed_zeros_as_zero():
     zero = Num(0.0)
     row = compile_surface_rows(zero, zero, zero, [0.0, 1.0])
     minus = G3Vector(-0.0, -0.0, -0.0)
-    frame = FrenetFrame(s=0.0, r=minus, t=minus, n=minus, b=minus, kappa=1.0, tau=1.0)
+    frame = FrenetFrame(s=0.0, t=minus, n=minus, b=minus, kappa=1.0, tau=1.0)
     out: list[float] = []
-    row(0.0, frame, out)
+    row(0.0, minus, frame, out)
     assert [c.hex() for c in out] == [(0.0).hex()] * 6
 
 

@@ -463,7 +463,7 @@ class TestCompiledKernels:
     def _bits(value):
         # float.hex tells -0.0 from 0.0, which == does not
         if isinstance(value, FrenetFrame):
-            vectors = (value.r, value.t, value.n, value.b)
+            vectors = (value.t, value.n, value.b)
             scalars = (value.s, value.kappa, value.tau)
         else:
             vectors, scalars = (value,), ()
@@ -504,9 +504,9 @@ class TestCompiledKernels:
         compiled = []
 
         def counting(compile_jets):
-            def wrapper(exprs, var):
+            def wrapper(exprs, var, orders):
                 compiled.append(var)
-                return compile_jets(exprs, var)
+                return compile_jets(exprs, var, orders)
 
             return wrapper
 

@@ -50,7 +50,7 @@ RECORDS = [
     (Jet3, dict(c0=1.0, c1=2.0, c2=3.0, c3=4.0)),
     (G3Vector, dict(x=1.0, y=2.0, z=3.0)),
     (CurveSpec, dict(name="c", f=parse("s"), g=parse("s^2/2"), kappa_form=ONE, tau_form=None)),
-    (FrenetFrame, dict(s=0.5, r=E1, t=E1, n=E2, b=E3, kappa=1.0, tau=0.25)),
+    (FrenetFrame, dict(s=0.5, t=E1, n=E2, b=E3, kappa=1.0, tau=0.25)),
     (DarbouxData, dict(w=E1, e0=E2, d_axis=E3)),
     (CurveClass, dict(kind="generic", constant=None)),
     (ParamDomain, dict(s_min=-1.0, s_max=1.0, v_min=0.0, v_max=1.0, v0=0.0)),
