@@ -14,7 +14,6 @@ from .curve import (
     anti_salkowski,
     classify_curve,
     darboux,
-    explicit_curve,
     frenet,
     fresnel_helix,
     point,
@@ -68,7 +67,6 @@ __all__ = [
     "DarbouxData",
     "fresnel_helix",
     "anti_salkowski",
-    "explicit_curve",
     "point",
     "frenet",
     "darboux",

@@ -208,8 +208,6 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
         )
     except ValueError as exc:
         raise SchemaError(f"{path}.domain", str(exc)) from exc
-    if domain.v_min == domain.v_max:  # ParamDomain allows it for frenet_residuals
-        raise SchemaError(f"{path}.domain", "v_min must be below v_max")
     gdoc = _need(doc, "grid", path)
     if not isinstance(gdoc, dict):
         raise SchemaError(f"{path}.grid", "expected an object")

@@ -138,23 +138,6 @@ def anti_salkowski() -> CurveSpec:
     )
 
 
-def explicit_curve(
-    f_text: str,
-    g_text: str,
-    kappa_text: str | None = None,
-    tau_text: str | None = None,
-    name: str = "explicit",
-) -> CurveSpec:
-    """Curve from user expressions in s; closed forms are optional."""
-    return CurveSpec(
-        name=name,
-        f=parse(f_text),
-        g=parse(g_text),
-        kappa_form=parse(kappa_text) if kappa_text else None,
-        tau_form=parse(tau_text) if tau_text else None,
-    )
-
-
 BUILTIN_CURVES = {
     "fresnel-helix": fresnel_helix,
     "anti-salkowski": anti_salkowski,
@@ -171,15 +154,15 @@ def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
     """Moving frame, curvature and torsion at s.
 
     Raises CurvatureVanishes or TorsionVanishes when the respective
-    quantity is NaN or falls below ``KAPPA_MIN``; the frame is undefined
-    there.
+    quantity is NaN or falls below ``KAPPA_MIN``, and TorsionVanishes
+    when the torsion is infinite; the frame is undefined there.
     """
     f1, f2, f3, g1, g2, g3 = curve._frame_jets(s, 0.0)
     kappa = math.hypot(f2, g2)
     if not kappa >= KAPPA_MIN:
         raise CurvatureVanishes(s, kappa)
     tau = (f2 * g3 - f3 * g2) / (kappa * kappa)
-    if not abs(tau) >= KAPPA_MIN:
+    if not KAPPA_MIN <= abs(tau) < math.inf:
         raise TorsionVanishes(s, tau)
     t = G3Vector(1.0, f1, g1)
     n = G3Vector(0.0, f2 / kappa, g2 / kappa)

@@ -52,10 +52,16 @@ class CurvatureVanishes(G3PencilError):
 
 
 class TorsionVanishes(G3PencilError):
-    """The torsion dropped below the configured floor at parameter s."""
+    """The torsion dropped below the configured floor at parameter s.
+
+    A torsion that is not finite (NaN or infinite) is refused the same way:
+    the frame and the Darboux axis are undefined there too.
+    """
 
     def __init__(self, s: float, tau: float):
-        super().__init__(f"torsion {tau:g} below floor at s = {s:g}")
+        # tau - tau is 0.0 exactly when tau is finite
+        reason = "below floor" if tau - tau == 0.0 else "is not finite"
+        super().__init__(f"torsion {tau:g} {reason} at s = {s:g}")
         self.s = s
         self.tau = tau
 

@@ -13,21 +13,25 @@ Grammar (whitespace between tokens is ignored)::
 
 "^" binds tighter than unary minus and associates to the right, so
 ``-s^2`` parses as ``-(s^2)`` and ``2^3^2`` as ``2^(3^2)``.  Exponents must
-be constant (no s or v inside them); fractional exponents additionally
-require a positive base at evaluation time.
+be constant (no s or v inside them): the parser refuses others with a
+ParseError at their offset, and :class:`BinOp` refuses them in trees built
+by hand with ValueError.  At evaluation time a fractional exponent needs a
+base >= 0, and a negative exponent a base other than 0.
 
 Derivatives are computed with truncated Taylor (jet) arithmetic carried to
 third order, which is exactly what the curvature and torsion formulas of an
-admissible curve consume.  ``abs`` is differentiated as sign(u) * u', with
-sign(0) taken as +1 and a :class:`KinkWarning` emitted.  exp, sinh and cosh
-overflow to +-inf; sin, cos and tan of an infinite value, and every other
-math error, raise DomainError naming the node.
+admissible curve consume.  A subtree that does not read the jet's variable
+takes the value :func:`eval_expr` gives; where the base of a fractional
+power reads it, that base must be > 0.  ``abs`` is differentiated as
+sign(u) * u', with sign(0) taken as +1 and a :class:`KinkWarning` emitted.
+exp, sinh and cosh overflow to +-inf; sin, cos and tan of an infinite
+value, and every other math error, raise DomainError naming the node.
 
 The tree evaluators :func:`eval_expr` and :func:`eval_jet3` are the
 reference.  :func:`compile_expr`, :func:`compile_values`,
 :func:`compile_jets` and :func:`compile_surface_rows` generate straight-line
 code that performs the same operations in the same order, so results agree
-bitwise.
+bitwise; where they fail, it raises DomainError naming a failing node.
 """
 
 from __future__ import annotations
@@ -103,6 +107,8 @@ class BinOp(Record):
     __slots__ = _fields + ("reads",)
 
     def __init__(self, op: str, left: Expr, right: Expr):
+        if op == "^" and right.reads:
+            raise ValueError("exponent must be a constant expression")
         self.op = op  # one of + - * / ^
         self.left = left
         self.right = right
@@ -334,25 +340,24 @@ _ARITHMETIC = (ValueError, ZeroDivisionError, OverflowError)
 
 def eval_expr(expr: Expr, s: float, v: float) -> float:
     """Evaluate with IEEE doubles; raises DomainError naming the bad node."""
-    return _evaluate(expr, s, v, False)
+    return _evaluate(expr, s, v)
 
 
-def _evaluate(expr: Expr, s: float, v: float, jet: bool) -> float:
-    """The value of expr; with ``jet``, a power follows the jet's rule."""
+def _evaluate(expr: Expr, s: float, v: float) -> float:
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
         return s if expr.name == "s" else v
     if isinstance(expr, Neg):
-        return -_evaluate(expr.arg, s, v, jet)
+        return -_evaluate(expr.arg, s, v)
     if isinstance(expr, Call):
-        u = _evaluate(expr.arg, s, v, jet)
+        u = _evaluate(expr.arg, s, v)
         try:
             return _call_value(expr, u)
         except _ARITHMETIC as exc:
             raise _fail(expr, str(exc)) from exc
-    left = _evaluate(expr.left, s, v, jet)
-    right = _evaluate(expr.right, s, v, jet)
+    left = _evaluate(expr.left, s, v)
+    right = _evaluate(expr.right, s, v)
     op = expr.op
     if op == "+":
         return left + right
@@ -365,8 +370,6 @@ def _evaluate(expr: Expr, s: float, v: float, jet: bool) -> float:
             raise _fail(expr, "division by zero")
         return left / right
     # op == "^"; the exponent is constant by construction
-    if jet:
-        return _pow_factors(expr, left, right, 1)[0]
     if not float(right).is_integer():
         if left < 0.0:
             raise _fail(expr, "fractional power of a negative base")
@@ -376,7 +379,7 @@ def _evaluate(expr: Expr, s: float, v: float, jet: bool) -> float:
         raise _fail(expr, "zero base with negative exponent")
     try:
         return left**right
-    except (ValueError, OverflowError) as exc:  # pragma: no cover - guarded above
+    except (ValueError, OverflowError) as exc:  # a result too large for a double
         raise _fail(expr, str(exc)) from exc
 
 
@@ -568,13 +571,13 @@ def _call_jet(node: Call, u: Jet3) -> Jet3:
     return _compose(u, fresnel_c(x), cs, -px * sn, -math.pi * sn - px * px * cs)
 
 
-def _pow_factors(node: BinOp, x: float, p: float, count: int) -> list[float]:
-    """The first ``count`` derivatives of x**p in x, which _pow_jet composes."""
+def _pow_factors(node: BinOp, x: float, p: float) -> list[float]:
+    """The value and first three derivatives of x**p in x."""
     if not float(p).is_integer() and x <= 0.0:
         raise _fail(node, "fractional power of a non-positive base")
-    f = [0.0] * count
+    f = [0.0] * 4
     coeff = 1.0
-    for order in range(count):
+    for order in range(4):
         if coeff == 0.0:  # an integer exponent runs out of derivatives
             break
         m = p - order
@@ -588,16 +591,10 @@ def _pow_factors(node: BinOp, x: float, p: float, count: int) -> list[float]:
     return f
 
 
-def _pow_jet(node: BinOp, base: Jet3, expo: Jet3) -> Jet3:
-    if expo.c1 != 0.0 or expo.c2 != 0.0 or expo.c3 != 0.0:
-        raise _fail(node, "exponent must be constant")
-    return _compose(base, *_pow_factors(node, base.c0, expo.c0, 4))
-
-
 def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
     bit = _VAR_BITS[var]
-    if not expr.reads & bit:  # flat: the value, with the jet's rule for powers
-        return Jet3(_evaluate(expr, s, v, True))
+    if not expr.reads & bit:  # flat: the value of eval_expr
+        return Jet3(_evaluate(expr, s, v))
     if isinstance(expr, Var):
         return Jet3(s if var == "s" else v, 1.0)
     if isinstance(expr, Neg):
@@ -630,7 +627,7 @@ def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
             b0 = right.c0
             return Jet3(left.c0 / b0, left.c1 / b0, left.c2 / b0, left.c3 / b0)
         return left / right
-    return _pow_jet(expr, left, right)
+    return _compose(left, *_pow_factors(expr, left.c0, right.c0))
 
 
 def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
@@ -638,11 +635,11 @@ def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
 
     The other variable is held fixed.  ``var`` must be ``"s"`` or ``"v"``.
     A subtree that does not read var has the flat jet (value, 0, 0, 0):
-    its value is computed as :func:`eval_expr` does, except that a power
-    keeps the jet's rule (a fractional power of a base <= 0 fails), and an
-    abs() in it does not warn.  A product with a flat factor b takes
-    c_k = a_k * b0 (or a0 * b_k), and a quotient by a flat divisor
-    c_k = a_k / b0.
+    its value is exactly the one :func:`eval_expr` gives, and an abs() in
+    it does not warn.  A power whose base reads var fails for a fractional
+    exponent at a base <= 0, where its derivatives do not exist.  A product
+    with a flat factor b takes c_k = a_k * b0 (or a0 * b_k), and a quotient
+    by a flat divisor c_k = a_k / b0.
     """
     if var not in VARIABLES:
         raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
@@ -725,9 +722,20 @@ def _children(expr: Expr) -> tuple:
     return (expr.arg,)
 
 
-def _fold(expr: Expr, jet: bool = False) -> float:
+def _fold(expr: Expr) -> float:
     """Value of a constant subtree, computed by the tree evaluator."""
-    return _evaluate(expr, 0.0, 0.0, jet)
+    return _evaluate(expr, 0.0, 0.0)
+
+
+def _owned(lines: list[str], owner: Expr) -> list[str]:
+    """lines, whose math errors name owner as the tree evaluators do."""
+    suffix = str(_fail(owner, ""))
+    return [
+        "try:",
+        *(f"    {line}" for line in lines),
+        "except _ARITHMETIC as exc:",
+        f"    raise _DomainError(f'{{exc}}' + {suffix!r}) from exc",
+    ]
 
 
 class _Emitter:
@@ -745,10 +753,11 @@ class _Emitter:
     reads.
 
     Each statement performs the operations the tree evaluators perform at
-    that node (:func:`eval_expr` for values; :func:`_jet_eval`, with its
-    flat-jet rule, for jets) in the same order, so results agree bitwise.
-    The same checks raise the same DomainError, and an abs() kink warns as
-    the tree evaluator does.
+    that node (:func:`eval_expr` for values, and so for every flat subtree
+    of a jet; :func:`_jet_eval` for the rest of a jet) in the same order, so
+    results agree bitwise.  The same checks raise the same DomainError, a
+    math error names the node where the tree evaluators name it, and an
+    abs() kink warns as the tree evaluator does.
     """
 
     def __init__(self) -> None:
@@ -767,9 +776,6 @@ class _Emitter:
             "sqrt": math.sqrt,
             "_fresnel": _fresnel,
             "_kink": _kink,
-            "_pow_jet": _pow_jet,
-            "_pow_factors": _pow_factors,
-            "_Jet3": Jet3,
             "_INFS": _INFS,
             "_ARITHMETIC": _ARITHMETIC,
             "_DomainError": DomainError,
@@ -785,12 +791,6 @@ class _Emitter:
             self.env[name] = value
             return name
         return f"({text})" if text.startswith("-") else text
-
-    def _node(self, node: Expr) -> str:
-        """A name under which generated code reads node itself."""
-        name = f"_node{len(self.env)}"
-        self.env[name] = node
-        return name
 
     def _outputs(self, operands, count: int) -> list[_Operand]:
         """Fresh names at the level of operands."""
@@ -827,13 +827,7 @@ class _Emitter:
         (out,) = self._outputs(operands, 1)
         lines = [f"{out[0]} = {text}"]
         if owner is not None:
-            suffix = str(_fail(owner, ""))
-            lines = [
-                "try:",
-                f"    {lines[0]}",
-                "except _ARITHMETIC as exc:",
-                f"    raise _DomainError(f'{{exc}}' + {suffix!r}) from exc",
-            ]
+            lines = _owned(lines, owner)
         self._file(lines, operands, (out[0],))
         self._names[text] = out
         return out
@@ -853,43 +847,34 @@ class _Emitter:
 
     # -- values ------------------------------------------------------------
 
-    def emit(self, expr: Expr, jet: bool = False) -> _Operand:
-        """Operand holding the value of expr.
-
-        With ``jet``, the value term of its flat jet (see :func:`eval_jet3`):
-        the same statements, except that a power follows the jet's rule.
-        """
+    def emit(self, expr: Expr) -> _Operand:
+        """Operand holding the value of expr."""
         if isinstance(expr, Num):
             return self._constant(expr.value), _CONST
         if isinstance(expr, Var):
             return expr.name, expr.reads
-        args = [self.emit(child, jet) for child in _children(expr)]
+        args = [self.emit(child) for child in _children(expr)]
         if _level(args) == _CONST:
-            return self._constant(_fold(expr, jet)), _CONST
+            return self._constant(_fold(expr)), _CONST
         if isinstance(expr, Neg):
             return self.stmt(f"-{args[0][0]}", args)
         if isinstance(expr, Call):
             return self._call(expr, args[0])
-        (left, _), (right, right_level) = args
+        (left, _), (right, _) = args
         guards = []
         if expr.op == "/":
             guards.append((f"{right} == 0.0", args[1:], str(_fail(expr, "division by zero"))))
         if expr.op != "^":
             return self.stmt(f"{left} {expr.op} {right}", args, guards)
-        if jet and right_level == _CONST:
-            return self._pow_factors(expr, args[0], right, 1)[0]
-        if jet:  # an exponent that reads s or v (only trees built by hand)
-            return self.stmt(f"_pow_factors({self._node(expr)}, {left}, {right}, 1)[0]", args)
-        if right_level != _CONST or not float(_fold(expr.right)).is_integer():
-            # Python returns a complex number here, where eval_expr refuses.
-            # The grammar keeps exponents constant; any other is checked as
-            # a fractional one.
+        p = _fold(expr.right)  # the exponent is constant by construction
+        if not float(p).is_integer():
+            # Python returns a complex number here, where eval_expr refuses
             message = str(_fail(expr, "fractional power of a negative base"))
             guards.append((f"{left} < 0.0", args[:1], message))
-        if right_level == _CONST and _fold(expr.right) < 0.0:
+        if p < 0.0:
             message = str(_fail(expr, "zero base with negative exponent"))
             guards.append((f"{left} == 0.0", args[:1], message))
-        return self.stmt(f"{left} ** {right}", args, guards)
+        return self.stmt(f"{left} ** {right}", args, guards, owner=expr)
 
     def _call(self, node: Call, x: _Operand) -> _Operand:
         f = node.func
@@ -917,7 +902,7 @@ class _Emitter:
         """Four operands holding the jet of expr in var, c0 to c3."""
         bit = _VAR_BITS[var]
         if not expr.reads & bit:
-            return self.emit(expr, jet=True), _ZERO, _ZERO, _ZERO
+            return self.emit(expr), _ZERO, _ZERO, _ZERO
         if isinstance(expr, Var):
             return (var, bit), ("1.0", _CONST), _ZERO, _ZERO
         children = _children(expr)
@@ -952,13 +937,7 @@ class _Emitter:
             for t in _DIV_JET:
                 h.append(self.formula(t, a=a, b=b, h=h))
             return tuple(h)
-        if b[0][1] != _CONST:
-            # An exponent that reads s or v (only trees built by hand): the
-            # tree evaluator's own code runs, and refuses where it does.
-            jets = ", ".join(f"_Jet3({', '.join(text for text, _ in j)})" for j in (a, b))
-            jet = self.stmt(f"_pow_jet({self._node(expr)}, {jets})", [*a, *b])
-            return tuple(self.stmt(f"{jet[0]}.c{k}", [jet]) for k in range(4))
-        return self._compose(a, self._pow_factors(expr, a[0], b[0][0], 4))
+        return self._compose(a, self._pow_factors(expr, a[0]))
 
     def _compose(self, u, f) -> tuple[_Operand, ...]:
         return (f[0], *(self.formula(t, f=f, u=u) for t in _COMPOSE_JET))
@@ -986,6 +965,19 @@ class _Emitter:
         out = self._outputs(u, 6)
         c0, c1, c2, c3, f1, f2 = (name for name, _ in out)
         at_zero = str(_fail(node, "derivative of sqrt at zero"))
+        # at a subnormal x, x * c0 underflows to 0.0 and the division fails
+        nonzero = _owned(
+            [
+                f"{c0} = sqrt({x})",
+                f"{f1} = 0.5 / {c0}",
+                f"{f2} = -0.25 / ({x} * {c0})",
+                f"{c1} = {f1} * {u1}",
+                f"{c2} = {f2} * {u1} * {u1} + {f1} * {u2}",
+                f"{c3} = 0.375 / ({x} * {x} * {c0}) * {u1} * {u1} * {u1}"
+                f" + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
+            ],
+            node,
+        )
         self._file(
             [
                 f"if {x} == 0.0:",
@@ -994,13 +986,7 @@ class _Emitter:
                 f"        raise _DomainError({at_zero!r})",
                 f"    {c0} = {c1} = {c2} = {c3} = 0.0",
                 "else:",
-                f"    {c0} = sqrt({x})",
-                f"    {f1} = 0.5 / {c0}",
-                f"    {f2} = -0.25 / ({x} * {c0})",
-                f"    {c1} = {f1} * {u1}",
-                f"    {c2} = {f2} * {u1} * {u1} + {f1} * {u2}",
-                f"    {c3} = 0.375 / ({x} * {x} * {c0}) * {u1} * {u1} * {u1}"
-                f" + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
+                *(f"    {line}" for line in nonzero),
             ],
             u,
             [name for name, _ in out],
@@ -1027,26 +1013,26 @@ class _Emitter:
             *(self.stmt(f"{sign[0]} * {c[0]}", [sign, c]) for c in u[1:]),
         )
 
-    def _pow_factors(self, node: BinOp, x: _Operand, p: str, count: int) -> list[_Operand]:
-        """Operands of f0.. of :func:`_pow_factors` for the constant exponent p."""
-        # the loop of the tree's _pow_factors, unrolled for this exponent
-        value = eval(p, self.env)
-        if not float(value).is_integer():
+    def _pow_factors(self, node: BinOp, x: _Operand) -> list[_Operand]:
+        """Operands of f0..f3 of :func:`_pow_factors` at the base x."""
+        # the loop of the tree's _pow_factors, unrolled for the exponent
+        p = _fold(node.right)
+        if not float(p).is_integer():
             message = str(_fail(node, "fractional power of a non-positive base"))
             self.guard(f"{x[0]} <= 0.0", [x], message)
-        elif value < 0.0:
+        elif p < 0.0:
             self.guard(f"{x[0]} == 0.0", [x], str(_fail(node, "zero base with negative exponent")))
-        f = [_ZERO] * count
+        f = [_ZERO] * 4
         coeff = 1.0
-        for order in range(count):
+        for order in range(4):
             if coeff == 0.0:
                 break
-            m = value - order
+            m = p - order
             if m == 0.0:
                 f[order] = (self._constant(coeff), _CONST)  # coeff * x**0.0 == coeff
             else:
                 template = f"{self._constant(coeff)} * {{x0}} ** {self._constant(m)}"
-                f[order] = self.formula(template, x=[x])
+                f[order] = self.formula(template, node, x=[x])
             coeff *= m
         return f
 
@@ -1270,6 +1256,8 @@ def _fresnel(x: float) -> tuple[float, float]:
     ax = abs(x)
     if ax <= _FRESNEL_SWITCH:
         s, c = _fresnel_series(ax)
+    elif ax != ax:  # NaN, on which the continued fraction would run to its cap
+        return ax, ax
     else:
         s, c = _fresnel_fraction(ax)
     if x < 0.0:

@@ -314,16 +314,6 @@ def export_mesh(
             _run_rows(face_rows, mesh.ns - 1, workers, files[0].write)
 
 
-def export_obj(mesh: Mesh, path: str, *, workers: int = 1) -> None:
-    """Wavefront OBJ of the mesh; see :func:`export_mesh`."""
-    export_mesh(mesh, obj=path, workers=workers)
-
-
-def export_csv(mesh: Mesh, path: str, *, workers: int = 1) -> None:
-    """CSV of the mesh with header s,v,x,y,z; see :func:`export_mesh`."""
-    export_mesh(mesh, csv=path, workers=workers)
-
-
 def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:
     """CSV polyline of curve samples with header s,x,y,z."""
     lines = ["s,x,y,z"]

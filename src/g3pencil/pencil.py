@@ -73,7 +73,7 @@ _FACTOR_FLOOR = 1e-12
 
 
 class ParamDomain(Record):
-    """Parameter box with the base isoparameter v0 inside the v range."""
+    """Parameter box with s_min < s_max, v_min < v_max and v0 in the v range."""
 
     __slots__ = _fields = ("s_min", "s_max", "v_min", "v_max", "v0")
 
@@ -87,6 +87,8 @@ class ParamDomain(Record):
             raise ValueError("s_min must be below s_max")
         if not (self.v_min <= self.v0 <= self.v_max):
             raise ValueError("v0 must lie inside [v_min, v_max]")
+        if self.v_min == self.v_max:
+            raise ValueError("v_min must be below v_max")
 
 
 class ProductFactors(Record):

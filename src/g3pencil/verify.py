@@ -238,7 +238,7 @@ def frenet_residuals(
     against tau b and b' against -tau n.  Residuals shrink quadratically
     in h while truncation dominates rounding.
     """
-    domain = ParamDomain(s_range[0], s_range[1], 0.0, 0.0, 0.0)  # v plays no part
+    domain = ParamDomain(s_range[0], s_range[1], 0.0, 1.0, 0.0)  # v plays no part
     svals = spread_s_values(usable_domain(curve, None, domain), n_samples, inset=h)
     r_t = r_n = r_b = 0.0
     for s in svals:

@@ -175,7 +175,7 @@ def frenet_reference(curve: CurveSpec, s: float) -> FrenetFrame:
     if not kappa >= KAPPA_MIN:
         raise CurvatureVanishes(s, kappa)
     tau = (fj.c2 * gj.c3 - fj.c3 * gj.c2) / (kappa * kappa)
-    if not abs(tau) >= KAPPA_MIN:
+    if not KAPPA_MIN <= abs(tau) < math.inf:
         raise TorsionVanishes(s, tau)
     t = G3Vector(1.0, fj.c1, gj.c1)
     n = G3Vector(0.0, fj.c2 / kappa, gj.c2 / kappa)

@@ -36,7 +36,7 @@ from g3pencil.g3core import (
     isotropic_wedge,
     normalize_isotropic,
 )
-from g3pencil.mesh import _fmt, export_csv, mesh_from_pencil
+from g3pencil.mesh import _fmt, export_mesh, mesh_from_pencil
 from g3pencil.pencil import (
     ControlCoefficients,
     DTypeSpec,
@@ -256,7 +256,7 @@ def test_c09_isoparametric_reproduction(tmp_path):
             assert check_isoparametric(pencil.curve, pencil.marching, pencil.domain) == 0.0
             mesh = mesh_from_pencil(pencil, 40, 10)
             out = tmp_path / "mesh.csv"
-            export_csv(mesh, str(out))
+            export_mesh(mesh, csv=str(out))
             rows = out.read_text().splitlines()[1:]
             for i, s in enumerate(mesh.s_values):
                 r = point(pencil.curve, s)

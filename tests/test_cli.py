@@ -431,6 +431,27 @@ def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):
     assert errors[0].startswith("error: EmptyDomain: no usable s interval in [-0.05, 0.05]")
 
 
+def test_infinite_torsion_gives_no_frame_and_no_domain(tmp_path, capsys):
+    # the third derivative of f overflows there, and with it the torsion
+    doc = {
+        "curve": {"f": "1e-10*fresnelS(s)", "g": "s^2/2"},
+        "marching_scale": {"direct": {"alpha": "0", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 1e154, "s_max": 1.2e154, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "inf-tau.json"
+    path.write_text(json.dumps(doc))
+    assert main(["frenet", str(path), "--at", "1.05e154"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TorsionVanishes: torsion -inf is not finite at s = 1.05e+154\n"
+    for argv in (["build", str(path), "-o", str(tmp_path / "out.obj")], ["verify", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: EmptyDomain: no usable s interval in [1e+154, 1.2e+154]\n"
+        )
+
+
 @pytest.mark.parametrize(
     "argv, frames, fresnels",
     [

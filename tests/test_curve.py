@@ -3,10 +3,10 @@ import math
 import pytest
 
 from g3pencil.curve import (
+    CurveSpec,
     anti_salkowski,
     classify_curve,
     darboux,
-    explicit_curve,
     frenet,
     fresnel_helix,
     point,
@@ -14,9 +14,9 @@ from g3pencil.curve import (
     usable_s_intervals,
 )
 from g3pencil.errors import CurvatureVanishes, TorsionVanishes
-from g3pencil.exprjet import eval_expr
+from g3pencil.exprjet import eval_expr, parse
 from g3pencil.g3core import cross, dot, isotropic_norm
-from oracles import central_diff
+from oracles import central_diff, frenet_reference
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ class TestPoints:
         assert p.z == 0.0
 
     def test_explicit_curve(self):
-        c = explicit_curve("s^2", "s^3")
+        c = CurveSpec("explicit", parse("s^2"), parse("s^3"))
         p = point(c, 1.0)
         assert (p.x, p.y, p.z) == (1.0, 1.0, 1.0)
 
@@ -168,11 +168,11 @@ class TestClassification:
         assert cls.constant == pytest.approx(1.0, abs=1e-12)
 
     def test_generic_curve(self):
-        c = explicit_curve("s^3", "s^4")
+        c = CurveSpec("explicit", parse("s^3"), parse("s^4"))
         assert classify_curve(c, (0.5, 2.0)).kind == "generic"
 
     def test_planar_curve_raises_torsion_vanishes(self):
-        c = explicit_curve("s^2", "0")
+        c = CurveSpec("explicit", parse("s^2"), parse("0"))
         with pytest.raises(TorsionVanishes):
             classify_curve(c, (0.5, 2.0))
 
@@ -197,10 +197,20 @@ class TestGuards:
     def test_nan_jets_give_no_frame_and_no_usable_interval(self):
         # exp(s) overflows above s = 709.78, so exp(s) - exp(s) is NaN there;
         # below it the torsion is under KAPPA_MIN: nothing is usable
-        c = explicit_curve("exp(s) - exp(s) + s^3/6 + sin(s)", "cosh(s/2)")
+        c = CurveSpec("explicit", parse("exp(s) - exp(s) + s^3/6 + sin(s)"), parse("cosh(s/2)"))
         with pytest.raises(CurvatureVanishes):
             frenet(c, 720.0)
         assert usable_s_intervals(c, 700.0, 720.0) == []
+
+    def test_torsion_that_is_not_finite_is_refused(self):
+        assert str(TorsionVanishes(2.0, 1e-9)) == "torsion 1e-09 below floor at s = 2"
+        for tau in (math.nan, math.inf, -math.inf):
+            assert str(TorsionVanishes(2.0, tau)) == f"torsion {tau:g} is not finite at s = 2"
+        c = CurveSpec("explicit", parse("1e-10*fresnelS(s)"), parse("s^2/2"))
+        for frame in (frenet, frenet_reference):
+            with pytest.raises(TorsionVanishes, match="torsion -inf is not finite"):
+                frame(c, 5e153)  # the third derivative of f overflows, f itself does not
+        assert usable_s_intervals(c, 1e154, 1.2e154) == []
 
     def test_sample_values_cover_both_lobes(self, helix):
         values = spread_s_values(usable_s_intervals(helix, -2 * math.pi, 2 * math.pi), 64)

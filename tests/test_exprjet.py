@@ -344,6 +344,7 @@ def test_compiled_matches_interpreted_bitwise():
         ("cos(-cosh(v))", 0.0, 1000.0),
         ("tan(exp(s))", 800.0, 0.0),
         ("fresnelS(exp(s))", 800.0, 0.0),
+        ("(s*1e200)^2*v", 1.0, 1.0),  # the power overflows
     ],
 )
 def test_compiled_fails_where_tree_evaluator_fails(text, s, v):
@@ -514,6 +515,8 @@ def test_jet_orders_must_be_a_selection_of_zero_to_three(orders):
         ("-v", "s", 1.0, 2.0, (-2.0, 0.0, 0.0, 0.0)),
         # and computes no derivative of its own, here one that overflows
         ("(v*1e-200)^-1", "s", 1.0, 1.0, (1e200, 0.0, 0.0, 0.0)),
+        # its value is eval_expr's, also for a fractional power at a zero base
+        ("v^0.5*s", "s", 3.0, 0.0, (0.0, 0.0, 0.0, 0.0)),
     ],
 )
 def test_flat_jet_rule(text, var, s, v, want):
@@ -533,16 +536,12 @@ def test_abs_of_a_flat_argument_does_not_warn():
     assert _run(lambda: eval_jet3(tree, "v", 2.0, 0.0))[2]  # in v, the kink is real
 
 
-def test_compiled_jets_of_a_non_constant_exponent():
-    # the parser refuses these; a tree built by hand runs the tree's own code
-    tree = BinOp("^", Var("v"), BinOp("+", Var("s"), Num(1.0)))
-    for var in ("s", "v"):
-        want, want_error, _ = _run(lambda: eval_jet3(tree, var, 1.0, 2.0))
-        got, got_error, _ = _run(lambda: compile_jets([tree], var)(1.0, 2.0))
-        assert str(got_error) == str(want_error)
-        if want_error is None:
-            assert [c.hex() for c in got] == [c.hex() for c in _coefficients(want)]
-    assert "exponent must be constant" in str(_run(lambda: eval_jet3(tree, "s", 1.0, 2.0))[1])
+@pytest.mark.parametrize("exponent", [Var("s"), BinOp("+", Var("v"), Num(1.0))])
+def test_binop_refuses_an_exponent_that_reads_a_variable(exponent):
+    # the parser refuses these with an offset; a tree built by hand too
+    with pytest.raises(ValueError, match="exponent must be a constant expression"):
+        BinOp("^", Var("v"), exponent)
+    assert BinOp("*", Var("v"), exponent).reads  # other operators take any operand
 
 
 def test_compiled_jets_share_subtrees_across_trees():
@@ -570,6 +569,7 @@ def _coefficients(jet: Jet3) -> tuple[float, ...]:
         ("abs(1 - 1)*s", 2.0, 1.0),  # constant kink, folded at compile time
         ("s^0 + (s*v)^-2", 1.0, 0.0),
         ("1/(v - 1)*s", 2.0, 1.0),
+        ("sqrt(s)*v", 5e-324, 1.0),  # the sqrt jet divides by zero in s
     ],
 )
 def test_compiled_jets_edge_cases(text, s, v):
@@ -628,6 +628,14 @@ def test_fresnel_reference_values():
     # frozen from the adaptive Simpson oracle (tol 1e-13)
     assert fresnel_s(1.0) == pytest.approx(0.4382591473903547, abs=1e-12)
     assert fresnel_c(1.0) == pytest.approx(0.7798934003768228, abs=1e-12)
+
+
+def test_fresnel_of_nan_is_nan_at_once(monkeypatch):
+    def no_fraction(x):
+        raise AssertionError("the continued fraction ran on NaN")
+
+    monkeypatch.setattr("g3pencil.exprjet._fresnel_fraction", no_fraction)
+    assert math.isnan(fresnel_s(math.nan)) and math.isnan(fresnel_c(-math.nan))
 
 
 def test_fresnel_odd_extension():

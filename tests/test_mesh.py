@@ -15,9 +15,7 @@ from g3pencil.mesh import (
     _fmt,
     _pool_size,
     _run_rows,
-    export_csv,
     export_mesh,
-    export_obj,
     mesh_from_pencil,
 )
 
@@ -85,7 +83,7 @@ def grid_2x2():
 class TestObjExport:
     def test_two_by_two(self, tmp_path):
         path = tmp_path / "m.obj"
-        export_obj(grid_2x2(), str(path))
+        export_mesh(grid_2x2(), obj=str(path))
         lines = path.read_text().splitlines()
         assert [l for l in lines if l.startswith("v ")] == [
             "v 0 0 0",
@@ -98,7 +96,7 @@ class TestObjExport:
     def test_empty_mesh_rejected(self, tmp_path):
         empty = Mesh(ns=0, nv=0, s_values=[], v_values=[], coords=[])
         with pytest.raises(ValueError):
-            export_obj(empty, str(tmp_path / "e.obj"))
+            export_mesh(empty, obj=str(tmp_path / "e.obj"))
 
     def test_golden_fixture_reproduced_across_worker_counts(self, tmp_path):
         # fig1b's 40 rows straddle the guard band around s = 0, which lies
@@ -108,7 +106,7 @@ class TestObjExport:
         for workers in (1, 2, 8):
             mesh = small_mesh(pencil, 40, 10, workers=workers)
             path = tmp_path / f"m{workers}.obj"
-            export_obj(mesh, str(path), workers=workers)
+            export_mesh(mesh, obj=str(path), workers=workers)
             assert path.read_bytes() == golden
 
 
@@ -151,9 +149,9 @@ def _exotic_mesh(coords_type=list):
 def test_streaming_exporters_match_per_record_output(tmp_path):
     mesh = _exotic_mesh()
     for workers in (1, 2):
-        export_csv(mesh, str(tmp_path / "m.csv"), workers=workers)
+        export_mesh(mesh, csv=str(tmp_path / "m.csv"), workers=workers)
         assert (tmp_path / "m.csv").read_bytes() == _reference_csv(mesh)
-        export_obj(mesh, str(tmp_path / "m.obj"), workers=workers)
+        export_mesh(mesh, obj=str(tmp_path / "m.obj"), workers=workers)
         assert (tmp_path / "m.obj").read_bytes() == _reference_obj(mesh)
     data = (tmp_path / "m.obj").read_bytes()
     assert b"v 0 " in data and b"-0" not in data and b"f 1 4 2\n" in data
@@ -163,7 +161,7 @@ class TestCsvExport:
     def test_header_and_row_count(self, tmp_path, helix_pencil):
         mesh = small_mesh(helix_pencil, 8, 5)
         path = tmp_path / "m.csv"
-        export_csv(mesh, str(path))
+        export_mesh(mesh, csv=str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "s,v,x,y,z"
         assert len(lines) == 8 * 5 + 1
@@ -171,7 +169,7 @@ class TestCsvExport:
     def test_base_row_bytes_match_curve_points(self, tmp_path, helix_pencil):
         mesh = small_mesh(helix_pencil, 12, 4)
         path = tmp_path / "m.csv"
-        export_csv(mesh, str(path))
+        export_mesh(mesh, csv=str(path))
         rows = path.read_text().splitlines()[1:]
         base_rows = [rows[i * mesh.nv] for i in range(mesh.ns)]
         for s, row in zip(mesh.s_values, base_rows):
@@ -220,7 +218,7 @@ class TestWorkers:
         for workers in (1, 2, 8):
             mesh = small_mesh(pencil, 20, 6, workers=workers)
             path = tmp_path / f"m{workers}.obj"
-            export_obj(mesh, str(path), workers=workers)
+            export_mesh(mesh, obj=str(path), workers=workers)
             meshes.append(mesh.coords)
             blobs.append(path.read_bytes())
         assert meshes[0] == meshes[1] == meshes[2]
@@ -265,8 +263,8 @@ class TestOnePassExport:
         mesh = _exotic_mesh() if which == "exotic" else fig1c_mesh
         both_obj, both_csv = tmp_path / "both.obj", tmp_path / "both.csv"
         export_mesh(mesh, str(both_obj), str(both_csv), workers=workers)
-        export_obj(mesh, str(tmp_path / "one.obj"), workers=workers)
-        export_csv(mesh, str(tmp_path / "one.csv"), workers=workers)
+        export_mesh(mesh, obj=str(tmp_path / "one.obj"), workers=workers)
+        export_mesh(mesh, csv=str(tmp_path / "one.csv"), workers=workers)
         obj = both_obj.read_bytes()
         assert obj == (tmp_path / "one.obj").read_bytes() == _reference_obj(mesh)
         assert both_csv.read_bytes() == (tmp_path / "one.csv").read_bytes() == _reference_csv(mesh)

@@ -5,10 +5,10 @@ import warnings
 import pytest
 
 from g3pencil.curve import (
+    CurveSpec,
     FrenetFrame,
     anti_salkowski,
     darboux,
-    explicit_curve,
     frenet,
     fresnel_helix,
     point,
@@ -295,9 +295,7 @@ class TestSynthesis:
         assert "m" in str(info.value)
 
     def test_explicit_curve_without_closed_forms_rejected(self, dom):
-        from g3pencil.curve import explicit_curve
-
-        c = explicit_curve("s^3", "s^4")
+        c = CurveSpec("explicit", parse("s^3"), parse("s^4"))
         with pytest.raises(ValueError):
             synthesize_product_form(
                 c,
@@ -453,7 +451,8 @@ class TestCompiledKernels:
                 scaled=curve.name != "fresnel-helix-printed",
             )
             yield curve, apply_control_coefficients(ms, ControlCoefficients(1 / 3, 1 / 5, 1.0))
-        yield explicit_curve("s^3/6 + sin(s)", "cosh(s/2)*s^2/2 - s"), MarchingScale(
+        explicit = CurveSpec("explicit", parse("s^3/6 + sin(s)"), parse("cosh(s/2)*s^2/2 - s"))
+        yield explicit, MarchingScale(
             alpha=parse("s*v^2 - abs(v)"),
             beta=parse("sqrt(1 + s^2)*v/(2 + cos(s))"),
             gamma=parse("(abs(s)+0.5)^1.5*sinh(v/4)"),

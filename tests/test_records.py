@@ -192,6 +192,7 @@ def test_missing_required_field_is_a_type_error():
         ((1.0, -1.0, 0.0, 1.0, 0.0), "s_min must be below s_max"),
         ((-1.0, 1.0, 0.0, 1.0, 2.0), r"v0 must lie inside \[v_min, v_max\]"),
         ((-1.0, 1.0, 0.0, 1.0, -0.5), r"v0 must lie inside \[v_min, v_max\]"),
+        ((-1.0, 1.0, 1.0, 1.0, 1.0), "v_min must be below v_max"),
     ],
 )
 def test_param_domain_rejects_bad_boxes(args, message):
