@@ -265,14 +265,24 @@ def _check_base_line(cfg: PencilConfig, path: str) -> None:
 
 
 def load_config(path: str) -> PencilConfig:
-    """Read and validate a configuration document."""
+    """Read and validate a configuration document.
+
+    A file that cannot be read, is not UTF-8 text or is not JSON, JSON
+    nested too deeply included, raises SchemaError at ``path``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "no such file") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise SchemaError(path, f"cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(path, "not valid JSON: nested too deeply") from None
     return config_from_dict(doc, "$")
 
 

@@ -23,7 +23,7 @@ import math
 from functools import cached_property
 from itertools import groupby
 
-from .errors import CurvatureVanishes, G3PencilError, TorsionVanishes
+from .errors import CurvatureVanishes, EmptyDomain, G3PencilError, TorsionVanishes
 from .exprjet import Expr, compile_jets, compile_values, parse
 from .g3core import G3Vector, Record, cross
 
@@ -199,13 +199,16 @@ def _is_constant(values: list[float]) -> tuple[bool, float]:
 def classify_curve(curve: CurveSpec, s_range: tuple[float, float]) -> CurveClass:
     """Detect constant |tau|/kappa, constant kappa, or constant tau on 64 samples.
 
-    Precedence on overlaps: a curve with constant ratio reports as a
-    general helix even when kappa or tau is constant too, then constant
-    kappa wins over constant tau.
+    The samples spread over the usable s intervals of ``s_range``, which
+    every other command samples too, so the guard bands around curvature
+    zeros are left out; with none left, EmptyDomain is raised.  Precedence
+    on overlaps: a curve with constant ratio reports as a general helix
+    even when kappa or tau is constant too, then constant kappa wins over
+    constant tau.
     """
     kappas = []
     taus = []
-    for s in uniform_grid(s_range[0], s_range[1], _CLASSIFY_SAMPLES):
+    for s in usable_s_values(curve, *s_range, _CLASSIFY_SAMPLES):
         fr = frenet(curve, s)
         kappas.append(fr.kappa)
         taus.append(fr.tau)
@@ -256,6 +259,14 @@ def probe_intervals(
 def usable_s_intervals(curve: CurveSpec, s_min: float, s_max: float) -> list[tuple[float, float]]:
     """Sub-intervals of [s_min, s_max] where the frame is well conditioned."""
     return probe_intervals(guard_probes(curve, s_min, s_max), s_min, s_max)
+
+
+def usable_s_values(curve: CurveSpec, s_min: float, s_max: float, n: int) -> list[float]:
+    """n values spread over :func:`usable_s_intervals`; EmptyDomain if none is left."""
+    intervals = usable_s_intervals(curve, s_min, s_max)
+    if not intervals:
+        raise EmptyDomain(s_min, s_max)
+    return spread_s_values(intervals, n)
 
 
 def spread_s_values(

@@ -21,9 +21,23 @@ class ZeroVector(G3PencilError):
 class EmptyDomain(G3PencilError):
     """Guard bands and expression domain gaps cover the whole s range."""
 
+    def __init__(self, s_min: float, s_max: float):
+        super().__init__(f"no usable s interval in [{s_min:g}, {s_max:g}]")
+        self.s_min = s_min
+        self.s_max = s_max
+
 
 class GridTooCoarse(G3PencilError):
     """A surface grid has fewer rows than two per usable s interval."""
+
+
+class StepUnderflow(G3PencilError):
+    """A finite-difference step is zero: the extent in one direction is too small."""
+
+    def __init__(self, direction: str, extent: float):
+        super().__init__(f"fd step in {direction} underflows to 0 on an extent of {extent:g}")
+        self.direction = direction
+        self.extent = extent
 
 
 class ParseError(G3PencilError):

@@ -15,8 +15,10 @@ Grammar (whitespace between tokens is ignored)::
 ``-s^2`` parses as ``-(s^2)`` and ``2^3^2`` as ``2^(3^2)``.  Exponents must
 be constant (no s or v inside them): the parser refuses others with a
 ParseError at their offset, and :class:`BinOp` refuses them in trees built
-by hand with ValueError.  At evaluation time a fractional exponent needs a
-base >= 0, and a negative exponent a base other than 0.
+by hand with ValueError.  The parser also refuses, with a ParseError at an
+offset, trees deeper than :data:`MAX_DEPTH` levels and text nested deeper
+than that.  At evaluation time a fractional exponent needs a base >= 0,
+and a negative exponent a base other than 0.
 
 Derivatives are computed with truncated Taylor (jet) arithmetic carried to
 third order, which is exactly what the curvature and torsion formulas of an
@@ -30,8 +32,11 @@ value, and every other math error, raise DomainError naming the node.
 The tree evaluators :func:`eval_expr` and :func:`eval_jet3` are the
 reference.  :func:`compile_expr`, :func:`compile_values`,
 :func:`compile_jets` and :func:`compile_surface_rows` generate straight-line
-code that performs the same operations in the same order, so results agree
-bitwise; where they fail, it raises DomainError naming a failing node.
+code that performs the same operations and checks in the same order, so
+results agree bitwise, and where the tree fails the code raises the same
+DomainError, naming the node the tree reaches first.  Only constant parts
+are computed at compile time; one that fails, which the tree would fail on
+at every point, raises DomainError there.
 """
 
 from __future__ import annotations
@@ -69,42 +74,47 @@ class KinkWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-# The variables a subtree reads, as bits.  Every node caches its own in
-# ``reads``; compiled code is filed under the same levels.
+# The variables a subtree reads, as bits; compiled code is filed under the
+# same levels.  Every node caches its own in ``reads``, and the number of
+# nodes on its longest path down in ``depth``.
 _CONST, _S, _V, _SV = 0, 1, 2, 3
 _VAR_BITS = {"s": _S, "v": _V}
+_CACHED = ("reads", "depth")
 
 
 class Num(Record):
     _fields = ("value",)
-    __slots__ = _fields + ("reads",)
+    __slots__ = _fields + _CACHED
 
     def __init__(self, value: float):
         self.value = value
         self.reads = _CONST
+        self.depth = 1
 
 
 class Var(Record):
     _fields = ("name",)
-    __slots__ = _fields + ("reads",)
+    __slots__ = _fields + _CACHED
 
     def __init__(self, name: str):
         self.name = name  # "s" or "v"
         self.reads = _VAR_BITS[name]
+        self.depth = 1
 
 
 class Neg(Record):
     _fields = ("arg",)
-    __slots__ = _fields + ("reads",)
+    __slots__ = _fields + _CACHED
 
     def __init__(self, arg: Expr):
         self.arg = arg
         self.reads = arg.reads
+        self.depth = arg.depth + 1
 
 
 class BinOp(Record):
     _fields = ("op", "left", "right")
-    __slots__ = _fields + ("reads",)
+    __slots__ = _fields + _CACHED
 
     def __init__(self, op: str, left: Expr, right: Expr):
         if op == "^" and right.reads:
@@ -113,16 +123,18 @@ class BinOp(Record):
         self.left = left
         self.right = right
         self.reads = left.reads | right.reads
+        self.depth = max(left.depth, right.depth) + 1
 
 
 class Call(Record):
     _fields = ("func", "arg")
-    __slots__ = _fields + ("reads",)
+    __slots__ = _fields + _CACHED
 
     def __init__(self, func: str, arg: Expr):
         self.func = func
         self.arg = arg
         self.reads = arg.reads
+        self.depth = arg.depth + 1
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
@@ -184,10 +196,21 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The deepest tree, and the deepest nesting of groups, arguments, exponents
+# and negated operands, that parse accepts; the evaluators and the compiler
+# recurse once per level.
+MAX_DEPTH = 100
+
+
+def _too_deep(pos: int) -> ParseError:
+    return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # factors being parsed, one per level of nesting
 
     @property
     def tok(self) -> _Token:
@@ -204,25 +227,38 @@ class _Parser:
             return
         raise ParseError(f"expected {op!r}", self.tok.pos)
 
+    def node(self, node: Expr, pos: int) -> Expr:
+        """node, built at pos, unless it is deeper than MAX_DEPTH."""
+        if node.depth > MAX_DEPTH:
+            raise _too_deep(pos)
+        return node
+
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while self.tok.kind == "op" and self.tok.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
+            t = self.advance()
+            node = self.node(BinOp(t.text, node, self.parse_term()), t.pos)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.tok.kind == "op" and self.tok.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_factor())
+            t = self.advance()
+            node = self.node(BinOp(t.text, node, self.parse_factor()), t.pos)
         return node
 
     def parse_factor(self) -> Expr:
+        # every nested group, argument, exponent or negated operand opens one
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise _too_deep(self.tok.pos)
         if self.tok.kind == "op" and self.tok.text == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
+            pos = self.advance().pos
+            node = self.node(Neg(self.parse_factor()), pos)
+        else:
+            node = self.parse_power()
+        self.open -= 1
+        return node
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -232,7 +268,7 @@ class _Parser:
             expo = self.parse_factor()
             if expo.reads:
                 raise ParseError("exponent must be a constant expression", pos)
-            return BinOp("^", base, expo)
+            return self.node(BinOp("^", base, expo), pos)
         return base
 
     def parse_atom(self) -> Expr:
@@ -250,7 +286,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return Call(t.text, arg)
+                return self.node(Call(t.text, arg), t.pos)
             raise ParseError(f"unknown identifier {t.text!r}", t.pos)
         if t.kind == "op" and t.text == "(":
             self.advance()
@@ -261,7 +297,11 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text into an immutable syntax tree."""
+    """Parse expression text into an immutable syntax tree.
+
+    Text nested deeper than MAX_DEPTH levels is refused with a ParseError
+    at the offset where the limit is passed.
+    """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text))
@@ -656,9 +696,9 @@ _NONFINITE_NAMES = {"inf": "_inf", "-inf": "_neg_inf", "nan": "_nan"}
 _Operand = tuple[str, int]
 _ZERO: _Operand = ("0.0", _CONST)
 # A unit of generated code: its lines, the names it defines, the operand
-# texts it reads, and whether it stays when nothing reads what it defines
-# (a guard, or the sign of an abs() that warns at its kink).
-_Unit = tuple[list[str], tuple[str, ...], list[str], bool]
+# texts it reads, whether it stays when nothing reads what it defines (a
+# guard, or the sign of an abs() that warns at its kink), and its level.
+_Unit = tuple[list[str], tuple[str, ...], list[str], bool, int]
 
 # The formulas of Jet3.__mul__, Jet3.__truediv__ and _compose, written as
 # they are there, so that Python evaluates them in the same order; {a1} is
@@ -745,12 +785,17 @@ class _Emitter:
     variable, one operand per coefficient.  Every distinct statement is
     emitted once, so structurally equal subtrees, also across trees, are
     computed once.  Constant subtrees are evaluated here by the tree
-    evaluators and inlined, and so is every statement whose operands are
-    all constants.  Every other statement is filed under the variables it
-    reads, so that s-only work can be hoisted out of a loop over v and
-    v-only work out of a loop over s, as a unit that names what it defines
-    and reads, so that :func:`_function` can drop what nothing returned
-    reads.
+    evaluators and inlined.  A node that reads a variable never has a
+    constant value (a power computes ``coeff * x ** 0.0`` as the tree's
+    power rule does), so every constant operand is a literal: a statement
+    whose operands are all constant is evaluated here and inlined, and a
+    check on constant operands raises its DomainError here if it holds.
+    Every other statement is appended to one list of units, in the order
+    the tree evaluators run them, each tagged with the variables it reads
+    (its level) and naming what it defines and reads, so that
+    :func:`_function` can drop what nothing returned reads, and
+    :func:`compile_surface_rows` can hoist s-only work out of its loop over
+    v and v-only work out of its loop over s.
 
     Each statement performs the operations the tree evaluators perform at
     that node (:func:`eval_expr` for values, and so for every flat subtree
@@ -761,7 +806,7 @@ class _Emitter:
     """
 
     def __init__(self) -> None:
-        self.lines: dict[int, list[_Unit]] = {_CONST: [], _S: [], _V: [], _SV: []}
+        self.units: list[_Unit] = []  # in the order the tree evaluators run them
         self.carried: list[str] = []  # v-level names read by s-and-v statements
         self.env: dict[str, object] = {
             "__builtins__": {},
@@ -802,9 +847,9 @@ class _Emitter:
         return names
 
     def _file(self, lines: list[str], operands, defines=(), keep: bool = False) -> None:
-        """Append the unit of lines that reads operands, at their level."""
+        """Append the unit of lines that reads operands, tagged with their level."""
         level = _level(operands)
-        self.lines[level].append((lines, tuple(defines), [text for text, _ in operands], keep))
+        self.units.append((lines, tuple(defines), [text for text, _ in operands], keep, level))
         if level == _SV:
             for operand, operand_level in operands:
                 if operand_level == _V:
@@ -833,10 +878,11 @@ class _Emitter:
         return out
 
     def guard(self, condition: str, operands, message: str) -> None:
-        """Raise DomainError(message) where condition holds."""
-        if _level(operands) == _CONST and not eval(condition, self.env):
-            return
-        self._file([f"if {condition}: raise _DomainError({message!r})"], operands, keep=True)
+        """Raise DomainError(message) where condition holds: here if operands are constant."""
+        if _level(operands) != _CONST:
+            self._file([f"if {condition}: raise _DomainError({message!r})"], operands, keep=True)
+        elif eval(condition, self.env):
+            raise DomainError(message)
 
     def formula(self, template: str, owner: Expr | None = None, **jets) -> _Operand:
         """Statement for template, in which {a1} is coefficient 1 of jets["a"]."""
@@ -1028,11 +1074,8 @@ class _Emitter:
             if coeff == 0.0:
                 break
             m = p - order
-            if m == 0.0:
-                f[order] = (self._constant(coeff), _CONST)  # coeff * x**0.0 == coeff
-            else:
-                template = f"{self._constant(coeff)} * {{x0}} ** {self._constant(m)}"
-                f[order] = self.formula(template, node, x=[x])
+            template = f"{self._constant(coeff)} * {{x0}} ** {self._constant(m)}"
+            f[order] = self.formula(template, node, x=[x])
             coeff *= m
         return f
 
@@ -1061,8 +1104,8 @@ def _function(em: _Emitter, results: list[str], tuple_result: bool = True) -> Ca
     """
     live = set(results)
     kept = []
-    for unit in reversed(em.lines[_CONST] + em.lines[_S] + em.lines[_V] + em.lines[_SV]):
-        _, defines, reads, keep = unit
+    for unit in reversed(em.units):
+        _, defines, reads, keep, _ = unit
         if keep or not live.isdisjoint(defines):
             kept.append(unit)
             live.update(reads)
@@ -1080,10 +1123,11 @@ def _function(em: _Emitter, results: list[str], tuple_result: bool = True) -> Ca
 def compile_expr(expr: Expr) -> Callable[[float, float], float]:
     """Compile a tree to a Python callable f(s, v).
 
-    The generated code performs the tree's operations in the tree's order,
-    so values agree bitwise with :func:`eval_expr`, and it fails where the
-    tree evaluator fails, with DomainError.  A constant subtree outside its
-    domain raises DomainError here, at compile time.
+    The generated code performs the tree's operations and checks in the
+    tree's order, so values agree bitwise with :func:`eval_expr`, and it
+    fails where the tree evaluator fails, with the same DomainError.  A
+    constant subtree outside its domain, or a check on constants that holds
+    (the divisor of ``s/0``), raises DomainError here, at compile time.
     """
     em = _Emitter()
     return _function(em, [em.emit(expr)[0]], tuple_result=False)
@@ -1109,11 +1153,12 @@ def compile_jets(
     :func:`eval_jet3`, flat-jet rule included.  The callable computes only
     what it returns, and so can fail only there: it raises DomainError
     where eval_jet3 fails on a step that a returned coefficient needs, or
-    on a check (a guard) of any step, and warns KinkWarning where an abs()
-    in a tree reaches its kink.  Where the callable of all four orders
-    succeeds, every callable of fewer succeeds too.  A constant subtree
-    outside its domain raises DomainError here, at compile time.  Common
-    subtrees are computed once.
+    on a check (a guard) of any step, with the message of eval_jet3, and
+    warns KinkWarning where an abs() in a tree reaches its kink.  Where the
+    callable of all four orders succeeds, every callable of fewer succeeds
+    too.  A constant subtree outside its domain, or a check on constants
+    that holds, raises DomainError here, at compile time.  Common subtrees
+    are computed once.
     """
     if var not in VARIABLES:
         raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
@@ -1160,13 +1205,14 @@ def compile_surface_rows(
         "extend((x + 0.0, y + 0.0, z + 0.0))",
     ]
     column = ", ".join(["v", *em.carried]) + ","
+    units = {level: [unit for unit in em.units if unit[4] == level] for level in (_S, _V, _SV)}
     source = (
         "def _columns(v_values):\n"
         "    columns = []\n"
         "    v = None\n"
         "    try:\n"
         "        for v in v_values:\n"
-        + _block(em.lines[_V], 3)
+        + _block(units[_V], 3)
         + f"            columns.append(({column}))\n"
         "    except _ARITHMETIC as exc:\n"
         "        raise _DomainError(f'{exc} at v = {v!r}') from exc\n"
@@ -1181,9 +1227,9 @@ def compile_surface_rows(
         "    extend = out.extend\n"
         "    v = None\n"
         "    try:\n"
-        + _block(em.lines[_S], 2)
+        + _block(units[_S], 2)
         + f"        for {column} in _cols:\n"
-        + _block(em.lines[_SV] + [(point,)], 3)
+        + _block(units[_SV] + [(point,)], 3)
         + "    except _ARITHMETIC as exc:\n"
         "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
     )

@@ -53,8 +53,8 @@ from .curve import (
     point,
     probe_intervals,
     spread_s_values,
-    uniform_grid,
     usable_s_intervals,
+    usable_s_values,
 )
 from .errors import (
     ClassMismatch,
@@ -233,7 +233,7 @@ def usable_domain(
             probes.append((s, ok))
         intervals = probe_intervals(probes, d.s_min, d.s_max)
     if not intervals:
-        raise EmptyDomain(f"no usable s interval in [{d.s_min:g}, {d.s_max:g}]")
+        raise EmptyDomain(d.s_min, d.s_max)
     return intervals
 
 
@@ -534,13 +534,15 @@ def classify_dtype(dtype: DTypeSpec, curve: CurveSpec, s_range: tuple[float, flo
 
     Asymptotic means lam = 0 (normal orthogonal to the principal normal
     everywhere); geodesic applies the geometric criterion sin(theta) = 0,
-    i.e. |lam tau / (sigma kappa)| = 1 within 1e-9 at every sample.
-    Feasibility is the plain rule's, as :func:`_radicand` states it.
+    i.e. |lam tau / (sigma kappa)| = 1 within 1e-9 at every sample.  The 64
+    samples spread over the usable s intervals, as :func:`classify_curve`
+    takes them.  Feasibility is the plain rule's, as :func:`_radicand`
+    states it.
     """
     if dtype.lam == 0.0:
         return "asymptotic"
     geodesic = True
-    for s in uniform_grid(s_range[0], s_range[1], 64):
+    for s in usable_s_values(curve, *s_range, 64):
         fr = frenet(curve, s)
         ratio, _ = _radicand(fr.kappa, fr.tau, dtype._sigma(s, 0.0), dtype.lam, False, s)
         if abs(abs(ratio) - 1.0) > _GEODESIC_TOL:

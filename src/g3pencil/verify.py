@@ -22,6 +22,7 @@ import warnings
 from typing import NamedTuple
 
 from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, spread_s_values, uniform_grid
+from .errors import StepUnderflow
 from .exprjet import KinkWarning
 from .g3core import (
     G3Vector,
@@ -108,8 +109,15 @@ def _finite_or_none(x: float) -> float | None:  # RFC 8259 JSON has no NaN or in
 
 
 def _fd_steps(domain: ParamDomain) -> tuple[float, float]:
-    """Steps (h_s, h_v) of the fd normal: FD_REL_STEP times each extent."""
-    return FD_REL_STEP * (domain.s_max - domain.s_min), FD_REL_STEP * (domain.v_max - domain.v_min)
+    """Steps (h_s, h_v) of the fd normal: FD_REL_STEP times each extent.
+
+    Raises StepUnderflow where an extent is so small that its step is 0.
+    """
+    extents = {"s": domain.s_max - domain.s_min, "v": domain.v_max - domain.v_min}
+    for direction, extent in extents.items():
+        if FD_REL_STEP * extent == 0.0:
+            raise StepUnderflow(direction, extent)
+    return FD_REL_STEP * extents["s"], FD_REL_STEP * extents["v"]
 
 
 def _fd_normal(
@@ -167,9 +175,8 @@ def dtype_report(
         tol = ANALYTIC_TOL if mode == "analytic" else FD_TOL
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
-    h_s, h_v = _fd_steps(domain)
-    inset = h_s if mode == "fd" else 0.0
-    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=inset)
+    h_s, h_v = _fd_steps(domain) if mode == "fd" else (0.0, 0.0)
+    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=h_s)
     v0 = domain.v0
     samples: list[InvariantSample] = []
     sines: list[float] = []

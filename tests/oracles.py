@@ -154,6 +154,33 @@ def random_expression(rng: random.Random, depth: int = 3) -> str:
     return f"{func}({a})"
 
 
+_RICH_LEAVES = ("s", "v", "0", "0.5", "1", "2", "3", "0.78", "1e200")
+_RICH_EXPONENTS = ("0", "1", "-1", "2", "3", "0.5", "-0.5", "1.5", "-2")
+_FUNCS = ("sin", "cos", "tan", "sinh", "cosh", "exp", "ln", "sqrt", "abs", "fresnelS", "fresnelC")
+
+
+def failure_rich_expression(rng: random.Random, depth: int = 3) -> str:
+    """Random expression text that often leaves the domain.
+
+    Unlike :func:`random_expression` nothing is damped or shifted: leaves
+    include 0 and 1e200, exponents include 0 and negative or fractional
+    values, and every function takes its argument as drawn, so the corpus
+    reaches zero divisors, overflows, kinks and constant parts that fail.
+    """
+    if depth <= 0:
+        return rng.choice(_RICH_LEAVES)
+    roll = rng.random()
+    a = failure_rich_expression(rng, depth - 1)
+    if roll < 0.4:
+        b = failure_rich_expression(rng, depth - 1)
+        return f"({a}{rng.choice('+-*/')}{b})"
+    if roll < 0.5:
+        return f"(-{a})"
+    if roll < 0.65:
+        return f"({a})^{rng.choice(_RICH_EXPONENTS)}"
+    return f"{rng.choice(_FUNCS)}({a})"
+
+
 # ---------------------------------------------------------------------------
 # Tree-walked references for the compiled kernels
 # ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g3pencil.cli import main
+from g3pencil.errors import G3PencilError
+from oracles import failure_rich_expression
 
 
 def test_frenet_prints_frame(capsys):
@@ -63,6 +70,13 @@ def test_verify_report_bytes_match_the_golden_report(config, mode, capsys):
     assert main(["verify", f"configs/{config}.json", "--mode", mode]) == 0
     golden = Path(f"tests/golden/verify_{config}_{mode}.json").read_bytes()
     assert capsys.readouterr().out.encode("ascii") == golden
+
+
+@pytest.mark.parametrize("config", ["fresnel-helix", "anti-salkowski"])
+def test_classify_output_matches_the_golden_text(config, capsys):
+    assert main(["classify", f"configs/{config}.json"]) == 0
+    golden = Path(f"tests/golden/classify_{config}.txt").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def test_classify_reports_helix(capsys):
@@ -603,3 +617,201 @@ def test_warning_format_holds_only_inside_main(monkeypatch, capsys):
     assert main(["classify", "configs/fresnel-helix.json"]) == 2
     assert seen == ["warning: UserWarning: message\n"]
     assert warnings.formatwarning is before
+
+
+def test_classify_samples_the_usable_domain_as_verify_does(tmp_path, capsys):
+    # s in [-1, 2] holds the curvature zero of the helix at s = 0
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["domain"].update(s_min=-1.0, s_max=2.0)
+    path = tmp_path / "helix.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == "general-helix (constant = 0.25)\n"
+
+
+def test_planar_curve_gives_every_command_one_error(tmp_path, capsys):
+    doc = {
+        "curve": {"f": "s^2", "g": "0"},
+        "marching_scale": {"direct": {"alpha": "v", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "planar.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["build", str(path), "-o", str(tmp_path / "out.obj")], ["verify", str(path)],
+                 ["classify", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: EmptyDomain: no usable s interval in [0.5, 2]\n"
+
+
+@pytest.mark.parametrize(
+    "config, entry, direction",
+    [
+        ("fresnel-helix", {"v_max": 5e-324}, "v"),
+        ("anti-salkowski", {"s_min": 0.0, "s_max": 5e-324}, "s"),
+    ],
+)
+def test_fd_step_that_underflows_names_its_direction(config, entry, direction, tmp_path, capsys):
+    doc = json.loads(Path(f"configs/{config}.json").read_text())
+    doc["domain"].update(entry)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--mode", "fd"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: StepUnderflow: fd step in {direction} underflows to 0 "
+        "on an extent of 4.94066e-324\n"
+    )
+    # the analytic mode takes no step
+    assert main(["verify", str(path), "--mode", "analytic"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_constant_power_in_a_direct_scale_verifies_in_both_modes(tmp_path, capsys):
+    # v^0 has a jet without a literal value; its abs() sign is a run-time name
+    doc = json.loads(Path("configs/anti-salkowski.json").read_text())
+    doc["marching_scale"] = {"direct": {"alpha": "abs(v^0)*v", "beta": "v", "gamma": "v"}}
+    path = tmp_path / "abs.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("analytic", "fd"):
+        assert main(["verify", str(path), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["classification"] == "not-d-type"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "$DIR/cfg.json: not UTF-8 text: "),
+        (b"[" * 100000 + b"]" * 100000, "$DIR/cfg.json: not valid JSON: "),
+        (None, "$DIR/cfg.json: cannot be read: "),
+    ],
+    ids=["not-utf8", "deep-json", "directory"],
+)
+def test_unreadable_config_is_a_schema_error(content, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError: " + message.replace("$DIR", str(tmp_path)))
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "alpha, offset",
+    [("(" * 200 + "v" + ")" * 200, 100), ("+".join(["v"] * 500), 199)],
+    ids=["parentheses", "sum"],
+)
+def test_expression_nested_too_deeply_is_a_parse_error(alpha, offset, tmp_path, capsys):
+    doc = json.loads(Path("configs/anti-salkowski.json").read_text())
+    doc["marching_scale"] = {"direct": {"alpha": alpha, "beta": "v", "gamma": "v"}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ParseError: expression nested deeper than 100 levels (at offset {offset})\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract on fuzzed configuration documents
+# ---------------------------------------------------------------------------
+
+
+def _g3pencil_errors() -> set[str]:
+    names, todo = set(), [G3PencilError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return names
+
+
+# expressions that give a frame and finite scales somewhere, and the
+# failure-rich corpus, which leaves the domain often
+SENSIBLE = ("s", "v", "1", "-1", "s^3/6", "s^4/24", "cosh(s)", "sin(s)*v", "v*exp(s)", "s*v^2")
+EXPRESSIONS = st.one_of(
+    st.sampled_from(SENSIBLE),
+    st.builds(
+        lambda seed, depth: failure_rich_expression(random.Random(seed), depth),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+    ),
+)
+NUMBERS = st.sampled_from((0.0, 1.0, -1.0, 6.28, -6.28, 1e300, -1e300, 1e154, 5e-324))
+
+
+@st.composite
+def _configs(draw) -> dict:
+    s_range = [draw(NUMBERS), draw(NUMBERS)]
+    v_min, v0, v_max = v_range = [draw(NUMBERS) for _ in range(3)]
+    if draw(st.sampled_from((True, True, True, False))):  # most such domains are valid
+        s_range.sort()
+        v_min, v0, v_max = sorted(v_range)
+    if draw(st.booleans()):
+        curve = draw(st.sampled_from(("fresnel-helix", "anti-salkowski")))
+    else:
+        curve = {"f": draw(EXPRESSIONS), "g": draw(EXPRESSIONS)}
+        if draw(st.booleans()):
+            curve.update(kappa=draw(EXPRESSIONS), tau=draw(EXPRESSIONS))
+    kind = draw(st.sampled_from(("direct", "product", "synthesis")))
+    if kind == "direct":
+        block = {key: draw(EXPRESSIONS) for key in ("alpha", "beta", "gamma")}
+    elif kind == "product":
+        block = {key: draw(EXPRESSIONS) for key in ("l", "m", "n")}
+        for key in "XYZ":  # each must vanish at v0, as v - v0 times anything mostly does
+            root = draw(st.one_of(st.just(v0), NUMBERS))
+            block[key] = f"(v - ({root!r}))*({draw(EXPRESSIONS)})"
+    else:
+        block = {key: draw(EXPRESSIONS) for key in ("sigma", "l", "m", "n")}
+        block.update(sign=draw(st.sampled_from("+-")), **{"lambda": draw(NUMBERS)})
+    doc = {
+        "curve": curve,
+        "marching_scale": {kind: block},
+        "domain": {"s_min": s_range[0], "s_max": s_range[1], "v_min": v_min, "v_max": v_max,
+                   "v0": v0},
+        "grid": {"ns": 6, "nv": 3},
+    }
+    if kind == "product" and draw(st.booleans()):
+        doc["control"] = {key: draw(NUMBERS) for key in "abc"}
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    doc=_configs(),
+    command=st.sampled_from(("verify", "verify-fd", "build", "classify", "frenet")),
+    workers=st.sampled_from(("1", "2")),
+    at=NUMBERS,
+)
+def test_cli_contract_holds_on_fuzzed_configs(doc, command, workers, at):
+    """Exit 0 or 1, or exit 2 with one g3pencil error line; never another error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = {
+            "verify": ["verify", path, "--mode", "analytic"],
+            "verify-fd": ["verify", path, "--mode", "fd"],
+            "build": ["build", path, "--grid", "6x3", "--workers", workers,
+                      "-o", os.path.join(tmp, "out.obj")],
+            "classify": ["classify", path],
+            "frenet": ["frenet", path, f"--at={at!r}"],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+    case = (argv[0], doc)
+    if rc == 2:
+        match = re.fullmatch(r"error: (\w+): [^\n]*\n", err.getvalue())
+        assert match and match.group(1) in _g3pencil_errors(), (err.getvalue(), case)
+    else:
+        assert rc == 0 or (rc == 1 and command.startswith("verify")), case
+        assert "error:" not in err.getvalue(), case

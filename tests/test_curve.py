@@ -13,7 +13,7 @@ from g3pencil.curve import (
     spread_s_values,
     usable_s_intervals,
 )
-from g3pencil.errors import CurvatureVanishes, TorsionVanishes
+from g3pencil.errors import CurvatureVanishes, EmptyDomain, TorsionVanishes
 from g3pencil.exprjet import eval_expr, parse
 from g3pencil.g3core import cross, dot, isotropic_norm
 from oracles import central_diff, frenet_reference
@@ -171,10 +171,17 @@ class TestClassification:
         c = CurveSpec("explicit", parse("s^3"), parse("s^4"))
         assert classify_curve(c, (0.5, 2.0)).kind == "generic"
 
-    def test_planar_curve_raises_torsion_vanishes(self):
+    def test_planar_curve_raises_empty_domain(self):
+        # no frame exists anywhere, so no usable interval is left, as in build
         c = CurveSpec("explicit", parse("s^2"), parse("0"))
-        with pytest.raises(TorsionVanishes):
+        with pytest.raises(EmptyDomain, match=r"no usable s interval in \[0.5, 2\]"):
             classify_curve(c, (0.5, 2.0))
+
+    def test_samples_skip_the_guard_band(self, helix):
+        # the band around the curvature zero at s = 0 is left out, as in verify
+        cls = classify_curve(helix, (-1.0, 2.0))
+        assert cls.kind == "general-helix"
+        assert cls.constant == pytest.approx(0.25, abs=1e-12)
 
 
 class TestGuards:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from g3pencil.curve import FrenetFrame
 from g3pencil.errors import DomainError, ParseError
 from g3pencil.exprjet import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Jet3,
@@ -32,6 +33,7 @@ from g3pencil.g3core import G3Vector
 from g3pencil.pencil import combine_on_frame
 from oracles import (
     central_diff,
+    failure_rich_expression,
     fresnel_c_oracle,
     fresnel_s_oracle,
     fresnel_table,
@@ -118,6 +120,36 @@ def test_corpus_invalid(text, offset):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert info.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 200 + "v" + ")" * 200, 100),  # a tree of depth 1, nested 201 levels
+        ("+".join(["v"] * 500), 199),  # the 100th "+" makes the tree 101 deep
+        ("-" * 300 + "v", 100),
+        ("2^" * 300 + "2", 200),
+        ("sin(" * 150 + "s" + ")" * 150, 400),
+    ],
+    ids=["groups", "sum", "negations", "powers", "calls"],
+)
+def test_parse_refuses_nesting_deeper_than_max_depth(text, offset):
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as info:
+        parse(text)
+    assert info.value.offset == offset
+
+
+def test_trees_of_max_depth_parse_and_compile():
+    assert parse("(" * (MAX_DEPTH - 1) + "v" + ")" * (MAX_DEPTH - 1)) == Var("v")
+    tree = parse("+".join(["sin(v)*s"] * (MAX_DEPTH - 2)))
+    assert tree.depth == MAX_DEPTH
+    # synthesis builds about a dozen levels above parsed trees
+    for _ in range(12):
+        tree = BinOp("*", Neg(tree), Var("v"))
+    for var in ("s", "v"):
+        want = _coefficients(eval_jet3(tree, var, 0.5, 2.0))
+        assert compile_jets([tree], var)(0.5, 2.0) == want
+    assert compile_expr(tree)(0.5, 2.0) == eval_expr(tree, 0.5, 2.0)
 
 
 def test_parse_builds_expected_tree():
@@ -345,6 +377,9 @@ def test_compiled_matches_interpreted_bitwise():
         ("tan(exp(s))", 800.0, 0.0),
         ("fresnelS(exp(s))", 800.0, 0.0),
         ("(s*1e200)^2*v", 1.0, 1.0),  # the power overflows
+        # two nodes fail; the kernel names the one the tree reaches first
+        ("sin((ln(v)/(0.78/s))/1.608^1.5)", math.inf, 0.0),
+        ("s/0", 1.0, 2.0),  # a constant divisor of 0 fails at compile time
     ],
 )
 def test_compiled_fails_where_tree_evaluator_fails(text, s, v):
@@ -405,23 +440,29 @@ def _run(evaluate):
     return result, failure, kinks
 
 
-# Inputs at which the corpus reaches kinks, zero divisors and non-finite values.
-SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan)
+# Inputs at which the corpus reaches kinks, zero divisors, underflows and
+# non-finite values.
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, math.inf, -math.inf, math.nan)
 
 
 def test_compiled_jets_match_tree_jets_bitwise():
-    """Compiled jets in s and in v against eval_jet3 on the random corpus.
+    """Compiled jets in s and in v against eval_jet3 on two random corpora.
 
-    Coefficients must agree bitwise (float.hex tells -0.0 from 0.0), and
-    where the tree evaluator raises DomainError or warns KinkWarning the
-    kernel must too.
+    Coefficients must agree bitwise (float.hex tells -0.0 from 0.0).  Where
+    the tree evaluator raises DomainError the kernel raises the same
+    message, and it warns KinkWarning with the same messages.  Compiling
+    may fail, on a constant part outside its domain, only where eval_jet3
+    fails too.  Half the trees come from the failure-rich corpus, whose
+    zero divisors, zero exponents and constant parts reach every special
+    case of the compiler.
     """
     rng = random.Random(4242)
     checked = {"s": 0, "v": 0}
-    failed = kinked = 0
-    while min(checked.values()) < 1000:
+    failed = kinked = compile_failed = 0
+    while min(checked.values()) < 1500:
+        draw = random_expression if rng.random() < 0.5 else failure_rich_expression
         try:
-            tree = parse(random_expression(rng, depth=rng.choice((2, 3, 4))))
+            tree = parse(draw(rng, depth=rng.choice((2, 3, 4))))
         except ParseError:
             continue
         s, v = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
@@ -431,18 +472,21 @@ def test_compiled_jets_match_tree_jets_bitwise():
             v = rng.choice(SPECIAL)
         for var in ("s", "v"):
             want, want_error, want_kinks = _run(lambda: eval_jet3(tree, var, s, v))
-            got, got_error, got_kinks = _run(lambda: compile_jets([tree], var)(s, v))
             case = (to_source(tree), var, s, v)
-            assert (got_error is None) == (want_error is None), case
+            kernel, compile_error, _ = _run(lambda: compile_jets([tree], var))
+            if compile_error is not None:
+                assert want_error is not None, case
+                compile_failed += 1
+                continue
+            got, got_error, got_kinks = _run(lambda: kernel(s, v))
+            assert str(got_error) == str(want_error), case
+            assert got_kinks == want_kinks, case
             if want_error is None:
-                assert [c.hex() for c in got] == [
-                    c.hex() for c in (want.c0, want.c1, want.c2, want.c3)
-                ], case
-                assert got_kinks == want_kinks, case
+                assert [c.hex() for c in got] == [c.hex() for c in _coefficients(want)], case
             failed += want_error is not None
             kinked += bool(want_kinks)
             checked[var] += 1
-    assert failed > 20 and kinked > 20
+    assert failed > 20 and kinked > 20 and compile_failed > 20
 
 
 # Every non-empty selection of the coefficient orders a kernel returns.
@@ -570,6 +614,10 @@ def _coefficients(jet: Jet3) -> tuple[float, ...]:
         ("s^0 + (s*v)^-2", 1.0, 0.0),
         ("1/(v - 1)*s", 2.0, 1.0),
         ("sqrt(s)*v", 5e-324, 1.0),  # the sqrt jet divides by zero in s
+        # the jet of s^0 has a value that is a run-time name, not a literal
+        ("abs(s^0)", 2.0, 1.0),
+        ("sqrt(s^0)*2", 2.0, 1.0),
+        ("abs(s^0 - 1)*s", 2.0, 1.0),  # a kink in s, not in v
     ],
 )
 def test_compiled_jets_edge_cases(text, s, v):
