@@ -150,20 +150,30 @@ def point(curve: CurveSpec, s: float) -> G3Vector:
     return G3Vector(s, f, g)
 
 
-def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
-    """Moving frame, curvature and torsion at s.
+def curvature_torsion(curve: CurveSpec, s: float) -> tuple[float, float, tuple[float, ...]]:
+    """kappa, tau and the jets (f', f'', f''', g', g'', g''') at s, without a frame.
 
-    Raises CurvatureVanishes or TorsionVanishes when the respective
-    quantity is NaN or falls below ``KAPPA_MIN``, and TorsionVanishes
-    when the torsion is infinite; the frame is undefined there.
+    The one definition of both, for :func:`frenet` and the callers that read
+    only them.  Raises CurvatureVanishes when kappa is NaN or below
+    ``KAPPA_MIN``, and TorsionVanishes when |tau| is NaN, below it or infinite.
     """
-    f1, f2, f3, g1, g2, g3 = curve._frame_jets(s, 0.0)
+    jets = curve._frame_jets(s, 0.0)
+    _, f2, f3, _, g2, g3 = jets
     kappa = math.hypot(f2, g2)
     if not kappa >= KAPPA_MIN:
         raise CurvatureVanishes(s, kappa)
     tau = (f2 * g3 - f3 * g2) / (kappa * kappa)
     if not KAPPA_MIN <= abs(tau) < math.inf:
         raise TorsionVanishes(s, tau)
+    return kappa, tau, jets
+
+
+def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
+    """Moving frame at s, built on :func:`curvature_torsion` and failing as it does.
+
+    Commands build frames only at report samples, fd stencil points, mesh rows and ``frenet --at``.
+    """
+    kappa, tau, (f1, f2, _, g1, g2, _) = curvature_torsion(curve, s)
     t = G3Vector(1.0, f1, g1)
     n = G3Vector(0.0, f2 / kappa, g2 / kappa)
     b = G3Vector(0.0, -g2 / kappa, f2 / kappa)
@@ -209,9 +219,9 @@ def classify_curve(curve: CurveSpec, s_range: tuple[float, float]) -> CurveClass
     kappas = []
     taus = []
     for s in usable_s_values(curve, *s_range, _CLASSIFY_SAMPLES):
-        fr = frenet(curve, s)
-        kappas.append(fr.kappa)
-        taus.append(fr.tau)
+        kappa, tau, _ = curvature_torsion(curve, s)
+        kappas.append(kappa)
+        taus.append(tau)
     ratios = [abs(t) / k for t, k in zip(taus, kappas)]
     ratio_const, mu = _is_constant(ratios)
     if ratio_const:
@@ -228,7 +238,7 @@ def classify_curve(curve: CurveSpec, s_range: tuple[float, float]) -> CurveClass
 def guard_probes(curve: CurveSpec, s_min: float, s_max: float) -> list[tuple[float, bool]]:
     """256 uniform probes (s, passes) of [s_min, s_max], scanned once per range.
 
-    A probe passes where the frame exists with kappa >= ``DEFAULT_FRAME_GUARD``.
+    A probe passes where kappa >= ``DEFAULT_FRAME_GUARD`` (no frame is built).
     """
     key = (s_min, s_max)
     if key not in curve._guard_verdicts:
@@ -241,7 +251,7 @@ def _passes_guard(curve: CurveSpec, s: float) -> bool:
     try:
         # relative slack so a boundary chosen at exactly the guard value
         # survives rounding in the curvature computation
-        return frenet(curve, s).kappa >= DEFAULT_FRAME_GUARD * (1.0 - 1e-9)
+        return curvature_torsion(curve, s)[0] >= DEFAULT_FRAME_GUARD * (1.0 - 1e-9)
     except G3PencilError:
         return False  # no frame, or the expressions fail here
 

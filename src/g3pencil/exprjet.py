@@ -1144,29 +1144,36 @@ def compile_values(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[floa
 
 
 def compile_jets(
-    exprs: Sequence[Expr], var: str, orders: Sequence[int] = (0, 1, 2, 3)
+    exprs: Sequence[Expr], var: str, orders: Sequence[int] = (0, 1, 2, 3), *more
 ) -> Callable[[float, float], tuple[float, ...]]:
-    """Compile trees to one callable f(s, v) giving their jets in ``var``.
+    """Compile trees to one callable f(s, v) giving their jets, pair by pair.
 
-    The result holds the coefficients of ``orders`` (c0 to c3 by default)
-    of each tree's jet in turn, each equal bitwise to the coefficient of
-    :func:`eval_jet3`, flat-jet rule included.  The callable computes only
-    what it returns, and so can fail only there: it raises DomainError
-    where eval_jet3 fails on a step that a returned coefficient needs, or
-    on a check (a guard) of any step, with the message of eval_jet3, and
-    warns KinkWarning where an abs() in a tree reaches its kink.  Where the
-    callable of all four orders succeeds, every callable of fewer succeeds
-    too.  A constant subtree outside its domain, or a check on constants
-    that holds, raises DomainError here, at compile time.  Common subtrees
-    are computed once.
+    For the pair (``var``, ``orders``) and then each (variable, orders)
+    pair in ``more``, the result holds the coefficients of those orders (c0
+    to c3 by default) of each tree's jet in that variable in turn, each
+    equal bitwise to the coefficient of :func:`eval_jet3`, flat-jet rule
+    included.  The pairs share one emitter and run in order.  The callable
+    computes only what it returns, and so can fail only there: it raises
+    DomainError where eval_jet3 fails on a step that a returned coefficient
+    needs, or on a check (a guard) of any step, with the message of
+    eval_jet3, and warns KinkWarning where an abs() in a tree reaches its
+    kink.  Where the callable of all four orders succeeds, every callable
+    of fewer succeeds too.  When the first pair reads order 0, later pairs
+    read no value it skipped, so the callable fails and warns as the
+    callables of the single pairs, called in turn, would.  A constant
+    subtree outside its domain, or a check on constants that holds, raises
+    DomainError here, at compile time.  Common subtrees are computed once.
     """
-    if var not in VARIABLES:
-        raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
-    if not orders or not set(orders) <= {0, 1, 2, 3}:
-        raise ValueError(f"orders must be a non-empty selection of 0, 1, 2, 3, got {orders!r}")
     em = _Emitter()
-    jets = [em.emit_jet(e, var) for e in exprs]
-    return _function(em, [jet[k][0] for jet in jets for k in orders])
+    results = []
+    for var, orders in ((var, orders), *more):
+        if var not in VARIABLES:
+            raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
+        if not orders or not set(orders) <= {0, 1, 2, 3}:
+            raise ValueError(f"orders must be a non-empty selection of 0, 1, 2, 3, got {orders!r}")
+        jets = [em.emit_jet(e, var) for e in exprs]
+        results += [jet[k][0] for jet in jets for k in orders]
+    return _function(em, results)
 
 
 def compile_surface_rows(

@@ -48,6 +48,7 @@ from .curve import (
     CurveSpec,
     FrenetFrame,
     classify_curve,
+    curvature_torsion,
     frenet,
     guard_probes,
     point,
@@ -109,8 +110,8 @@ class MarchingScale(Record):
     """The three coefficient functions alpha, beta, gamma of the pencil.
 
     Surface points and normals run through kernels compiled once per
-    marching scale, on first use; each computes only the coefficients that
-    :func:`surface_normal` reads.
+    marching scale, on first use: the values, and the one jet kernel of
+    :func:`surface_normal`, c0 and c1 in s and then c1 in v.
     """
 
     _fields = ("alpha", "beta", "gamma", "product")
@@ -129,14 +130,9 @@ class MarchingScale(Record):
         return compile_values((self.alpha, self.beta, self.gamma))
 
     @cached_property
-    def _s_jets(self):
-        """(s, v) -> c0 and c1 of the jets of alpha, beta, gamma in s."""
-        return compile_jets((self.alpha, self.beta, self.gamma), "s", (0, 1))
-
-    @cached_property
-    def _v_jets(self):
-        """(s, v) -> c1 of the jets of alpha, beta, gamma in v."""
-        return compile_jets((self.alpha, self.beta, self.gamma), "v", (1,))
+    def _normal_jets(self):
+        """(s, v) -> c0, c1 in s of alpha, beta, gamma, then their c1 in v."""
+        return compile_jets((self.alpha, self.beta, self.gamma), "s", (0, 1), ("v", (1,)))
 
 
 def product_marching_scale(
@@ -215,19 +211,23 @@ def usable_domain(
     A probe of :func:`guard_probes` passes where the frame exists with
     kappa >= 0.1 and, given scales (synthesis has none yet), alpha, beta and
     gamma evaluate at the middle and far edge of the v range.  Raises
-    EmptyDomain when no interval is left.
+    EmptyDomain when no interval is left, at once if their kernel fails to compile.
     """
     d = domain
     if ms is None:
         intervals = usable_s_intervals(curve, d.s_min, d.s_max)
     else:
         v_mid = 0.5 * (d.v_min + d.v_max)
+        try:
+            values = ms._values
+        except G3PencilError:  # a constant part fails, as every probe would
+            raise EmptyDomain(d.s_min, d.s_max) from None
         probes = []
         for s, ok in guard_probes(curve, d.s_min, d.s_max):
             try:
                 if ok:
-                    ms._values(s, v_mid)
-                    ms._values(s, d.v_max)
+                    values(s, v_mid)
+                    values(s, d.v_max)
             except G3PencilError:
                 ok = False
             probes.append((s, ok))
@@ -275,12 +275,13 @@ def surface_normal(
 ) -> G3Vector:
     """Isotropic normal eta = phi_s x phi_v from exact first-order jets.
 
-    With a zero marching scale phi_v vanishes and the zero vector is
-    returned; callers treat that as a degenerate (flagged) sample.
+    One kernel call gives the jets of the scales in s, then in v; it fails
+    and warns as the jets in s and in v, taken in turn, would.  With a
+    zero marching scale phi_v vanishes and the zero vector is returned;
+    callers treat that as a degenerate (flagged) sample.
     """
     fr = frame if frame is not None else frenet(curve, s)
-    a, a_s, b, b_s, g, g_s = ms._s_jets(s, v)
-    a_v, b_v, g_v = ms._v_jets(s, v)
+    a, a_s, b, b_s, g, g_s, a_v, b_v, g_v = ms._normal_jets(s, v)
     phi_s_t = 1.0 + a_s
     phi_s_n = fr.kappa * a + b_s - fr.tau * g
     phi_s_b = fr.tau * b + g_s
@@ -348,9 +349,9 @@ def required_normal_components(
     ``scaled=True`` applies the sigma-scaled rule under which the verified
     invariant equals lam exactly (see the module docstring).
     """
-    fr = frenet(curve, s)
+    kappa, tau, _ = curvature_torsion(curve, s)
     sigma_val = dtype._sigma(s, 0.0)
-    phi2, phi3 = _phis(fr.kappa, fr.tau, sigma_val, dtype.lam, dtype.sign, scaled, s)
+    phi2, phi3 = _phis(kappa, tau, sigma_val, dtype.lam, dtype.sign, scaled, s)
     return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
 
@@ -377,12 +378,12 @@ def corollary_components(
     """
     if kind not in _COROLLARY_KINDS:
         raise ValueError(f"kind must be one of {_COROLLARY_KINDS}")
-    fr = frenet(curve, s)
+    kappa, tau, _ = curvature_torsion(curve, s)
     sigma_val = dtype._sigma(s, 0.0)
     if kind == "asymptotic":
-        phi2, phi3 = _phis(fr.kappa, fr.tau, sigma_val, 0.0, dtype.sign, False, s)
+        phi2, phi3 = _phis(kappa, tau, sigma_val, 0.0, dtype.sign, False, s)
     elif kind == "geodesic":
-        phi2, phi3 = _phis(fr.kappa, fr.tau, sigma_val, 1.0, dtype.sign, False, s)
+        phi2, phi3 = _phis(kappa, tau, sigma_val, 1.0, dtype.sign, False, s)
     else:
         cls = classify_curve(curve, s_range)
         if cls.kind != _KIND_TO_CLASS[kind]:
@@ -392,9 +393,9 @@ def corollary_components(
         if kind == "helix":
             kappa_eff, tau_eff = 1.0, cls.constant  # ratio |tau|/kappa = mu
         elif kind == "salkowski":
-            kappa_eff, tau_eff = cls.constant, fr.tau
+            kappa_eff, tau_eff = cls.constant, tau
         else:
-            kappa_eff, tau_eff = fr.kappa, cls.constant
+            kappa_eff, tau_eff = kappa, cls.constant
         phi2, phi3 = _phis(kappa_eff, tau_eff, sigma_val, dtype.lam, dtype.sign, False, s)
     return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
@@ -433,8 +434,8 @@ def check_feasibility(
     """
     hi = -math.inf
     for s in grid:
-        fr = frenet(curve, s)
-        _, radicand = _radicand(fr.kappa, fr.tau, dtype._sigma(s, 0.0), dtype.lam, scaled, s)
+        kappa, tau, _ = curvature_torsion(curve, s)
+        _, radicand = _radicand(kappa, tau, dtype._sigma(s, 0.0), dtype.lam, scaled, s)
         hi = max(hi, radicand)
     return hi
 
@@ -543,8 +544,8 @@ def classify_dtype(dtype: DTypeSpec, curve: CurveSpec, s_range: tuple[float, flo
         return "asymptotic"
     geodesic = True
     for s in usable_s_values(curve, *s_range, 64):
-        fr = frenet(curve, s)
-        ratio, _ = _radicand(fr.kappa, fr.tau, dtype._sigma(s, 0.0), dtype.lam, False, s)
+        kappa, tau, _ = curvature_torsion(curve, s)
+        ratio, _ = _radicand(kappa, tau, dtype._sigma(s, 0.0), dtype.lam, False, s)
         if abs(abs(ratio) - 1.0) > _GEODESIC_TOL:
             geodesic = False
     return "geodesic" if geodesic else "general-d-type"

@@ -89,23 +89,30 @@ class DTypeReport(Record):
         return self.classification != "not-d-type"
 
     def to_json(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "v0": self.v0,
-            "tolerance": self.tolerance,
-            "mean_lambda": _finite_or_none(self.mean_lambda),
-            "max_abs_deviation": _finite_or_none(self.max_abs_deviation),
-            "classification": self.classification,
-            "samples": [
-                {"s": p.s, "lambda_hat": _finite_or_none(p.lambda_hat), "flagged": p.flagged}
-                for p in self.samples
-            ],
-        }
-        return json.dumps(doc, indent=2, allow_nan=False)
+        """The report as the JSON text that ``json.dumps`` writes with an indent
+        of 2 and ``allow_nan=False``, from one fixed-shape template: numbers by
+        ``repr``, non-finite ones as ``null`` (RFC 8259 JSON has no NaN or
+        inf) and strings by ``json.dumps``.  A report has samples.
+        """
+        samples = ",\n".join(
+            f'    {{\n      "s": {_json_number(p.s)},\n'
+            f'      "lambda_hat": {_json_number(p.lambda_hat)},\n'
+            f'      "flagged": {"true" if p.flagged else "false"}\n    }}'
+            for p in self.samples
+        )
+        return (
+            f'{{\n  "mode": {json.dumps(self.mode)},\n'
+            f'  "v0": {_json_number(self.v0)},\n'
+            f'  "tolerance": {_json_number(self.tolerance)},\n'
+            f'  "mean_lambda": {_json_number(self.mean_lambda)},\n'
+            f'  "max_abs_deviation": {_json_number(self.max_abs_deviation)},\n'
+            f'  "classification": {json.dumps(self.classification)},\n'
+            f'  "samples": [\n{samples}\n  ]\n}}'
+        )
 
 
-def _finite_or_none(x: float) -> float | None:  # RFC 8259 JSON has no NaN or inf
-    return x if math.isfinite(x) else None
+def _json_number(x: float) -> str:
+    return repr(x) if math.isfinite(x) else "null"
 
 
 def _fd_steps(domain: ParamDomain) -> tuple[float, float]:

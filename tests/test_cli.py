@@ -467,24 +467,27 @@ def test_infinite_torsion_gives_no_frame_and_no_domain(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, frames, fresnels",
+    "argv, kernels, frames, fresnels",
     [
-        # 256 guard probes, 512 frames of the synthesis grid, 200 samples;
-        # frames compute no curve point, so no Fresnel integral
-        (["verify", "configs/fresnel-helix.json"], 968, 0),
-        # the fd samples take frames at s +- h, and curve points at s and
-        # s +- h
-        (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 3 * 200),
+        # the frame kernel runs at 256 guard probes, 512 points of the
+        # synthesis grid and 200 samples, and only the samples build a
+        # frame; frames compute no curve point, so no Fresnel integral
+        (["verify", "configs/fresnel-helix.json"], 968, 200, 0),
+        # the fd samples take frames at s and s +- h, and curve points at s
+        # and s +- h
+        (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 600, 3 * 200),
         # one frame and one curve point per grid row
-        (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 200),
+        (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 200, 200),
     ],
     ids=["verify", "verify-fd", "build"],
 )
-def test_each_command_scans_the_guard_bands_once(tmp_path, monkeypatch, argv, frames, fresnels):
+def test_each_command_scans_the_guard_bands_once(
+    tmp_path, monkeypatch, argv, kernels, frames, fresnels
+):
     import g3pencil.curve
     import g3pencil.exprjet
 
-    calls = {"_passes_guard": 0, "frenet": 0, "_fresnel": 0}
+    calls = {"_passes_guard": 0, "curvature_torsion": 0, "frenet": 0, "_fresnel": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -499,12 +502,18 @@ def test_each_command_scans_the_guard_bands_once(tmp_path, monkeypatch, argv, fr
                     monkeypatch.setattr(other, name, wrapper)
 
     counting(g3pencil.curve, "_passes_guard")
+    counting(g3pencil.curve, "curvature_torsion")  # one call per frame-kernel evaluation
     counting(g3pencil.curve, "frenet")
     counting(g3pencil.exprjet, "_fresnel")
     if argv[0] == "build":
         argv = argv + ["-o", str(tmp_path / "out.obj")]
     assert main(argv) == 0
-    assert calls == {"_passes_guard": 256, "frenet": frames, "_fresnel": fresnels}
+    assert calls == {
+        "_passes_guard": 256,
+        "curvature_torsion": kernels,
+        "frenet": frames,
+        "_fresnel": fresnels,
+    }
 
 
 @pytest.mark.parametrize("workers", ["0", "-1", "two"])
@@ -679,6 +688,29 @@ def test_constant_power_in_a_direct_scale_verifies_in_both_modes(tmp_path, capsy
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["classification"] == "not-d-type"
+
+
+@pytest.mark.parametrize("alpha", ["v/0", "ln(0)*v"])
+def test_scale_that_fails_to_compile_is_compiled_once(tmp_path, capsys, monkeypatch, alpha):
+    # a constant part outside its domain fails every probe, so the scan
+    # ends after one compile of the values kernel, not one per probe
+    import g3pencil.exprjet
+
+    emitters = []
+    original = g3pencil.exprjet._Emitter.__init__
+
+    def counting(self):
+        emitters.append(self)
+        original(self)
+
+    monkeypatch.setattr(g3pencil.exprjet._Emitter, "__init__", counting)
+    doc = json.loads(Path("configs/anti-salkowski.json").read_text())
+    doc["marching_scale"] = {"direct": {"alpha": alpha, "beta": "v", "gamma": "v"}}
+    path = tmp_path / "fails.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: EmptyDomain: no usable s interval in [-3, 3]\n"
+    assert len(emitters) == 1  # the scales' values kernel, before any probe
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from g3pencil.curve import (
     CurveSpec,
     anti_salkowski,
     classify_curve,
+    curvature_torsion,
     darboux,
     frenet,
     fresnel_helix,
@@ -103,6 +104,43 @@ class TestFrames:
         cls = classify_curve(printed, (0.5, 6.0))
         assert cls.kind == "general-helix"
         assert cls.constant == pytest.approx(1.0 / (4.0 * math.sqrt(2)), rel=1e-9)
+
+    def test_curvature_torsion_is_the_frames(self, helix, antis):
+        # bit for bit where the frame exists, and the same exception with
+        # the same text where it does not: a curvature that vanishes or is
+        # NaN, a torsion below the floor, NaN or infinite (at s = 800,
+        # f'' = 2e308 is inf and exp(s)'' is NaN, so kappa is inf, tau NaN)
+        curves = [
+            (helix, [0.0, 1e-9, 0.5, -2.0, 6.0]),
+            (antis, [0.0, -3.0, 2.5]),
+            (CurveSpec("planar", parse("s^2/2"), parse("s^2/3")), [1.0]),
+            (CurveSpec("nan", parse("exp(s) - exp(s) + s^3/6"), parse("cosh(s/2)")), [720.0]),
+            (CurveSpec("nan-tau", parse("1e308*s^2"), parse("exp(s)")), [800.0]),
+            (CurveSpec("inf-tau", parse("1e-10*fresnelS(s)"), parse("s^2/2")), [5e153]),
+        ]
+        outcomes = []
+        for curve, s_values in curves:
+            for s in s_values:
+                try:
+                    fr = frenet(curve, s)
+                except (CurvatureVanishes, TorsionVanishes) as exc:
+                    with pytest.raises(type(exc)) as info:
+                        curvature_torsion(curve, s)
+                    assert str(info.value) == str(exc)
+                    outcomes.append(str(exc).split(" at ")[0])
+                    continue
+                kappa, tau, _ = curvature_torsion(curve, s)
+                assert (kappa.hex(), tau.hex()) == (fr.kappa.hex(), fr.tau.hex())
+                outcomes.append("frame")
+        assert outcomes == [
+            "curvature 0 below floor",
+            "curvature 1e-09 below floor",
+            *["frame"] * 6,
+            "torsion 0 below floor",
+            "curvature nan below floor",
+            "torsion nan is not finite",
+            "torsion -inf is not finite",
+        ]
 
 
 class TestFrenetEquations:

@@ -30,7 +30,7 @@ from g3pencil.exprjet import (
     to_source,
 )
 from g3pencil.g3core import G3Vector
-from g3pencil.pencil import combine_on_frame
+from g3pencil.pencil import MarchingScale, combine_on_frame
 from oracles import (
     central_diff,
     failure_rich_expression,
@@ -487,6 +487,61 @@ def test_compiled_jets_match_tree_jets_bitwise():
             kinked += bool(want_kinks)
             checked[var] += 1
     assert failed > 20 and kinked > 20 and compile_failed > 20
+
+
+def test_normal_kernel_runs_the_jets_in_s_then_in_v():
+    """The one jet kernel of surface_normal, on the failure-rich corpus.
+
+    It must give the values, DomainError text and kink set of the kernels
+    of the jets in s and in v compiled and called in turn, which it
+    replaced.  Where eval_jet3 in s, then in v, succeeds on all three
+    trees, its coefficients are eval_jet3's.  The kernel of the same two
+    pairs with all four orders matches eval_jet3 in s, then in v, in
+    values, failures and kinks, and may fail to compile only where
+    eval_jet3 fails.
+    """
+    rng = random.Random(1515)
+    # c0 and c1 in s of each tree, then c1 in v, among eval_jet3's c0..c3
+    selected = [i * 4 + k for i in range(3) for k in (0, 1)] + [12 + i * 4 + 1 for i in range(3)]
+    checked = failed = kinked = 0
+    while checked < 600:
+        texts = [failure_rich_expression(rng, depth=rng.choice((1, 2, 3))) for _ in "abg"]
+        if rng.random() < 0.5:
+            texts[2] = f"abs(s*v)*{texts[2]}"  # a kink in s and in v where s or v is 0
+        try:
+            trees = [parse(text) for text in texts]
+        except ParseError:
+            continue
+        full, full_compile_error, _ = _run(
+            lambda: compile_jets(trees, "s", (0, 1, 2, 3), ("v", (0, 1, 2, 3)))
+        )
+        for _ in range(3):
+            s, v = (rng.choice(SPECIAL) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0) for _ in "sv")
+            case = ([to_source(t) for t in trees], s, v)
+            got = _run(lambda: MarchingScale(*trees)._normal_jets(s, v))
+            in_turn = _run(
+                lambda: compile_jets(trees, "s", (0, 1))(s, v) + compile_jets(trees, "v", (1,))(s, v)
+            )
+            assert _outcome(got) == _outcome(in_turn), case
+            want, want_error, want_kinks = _run(
+                lambda: [c for var in "sv" for t in trees for c in _coefficients(eval_jet3(t, var, s, v))]
+            )
+            if want_error is None:
+                assert _outcome(got) == _outcome(([want[k] for k in selected], None, want_kinks)), case
+            if full_compile_error is not None:
+                assert want_error is not None, case
+            else:
+                assert _outcome(_run(lambda: full(s, v))) == _outcome((want, want_error, want_kinks)), case
+            failed += got[1] is not None
+            kinked += bool(got[2])
+            checked += 1
+    assert failed > 100 and kinked > 50
+
+
+def _outcome(run) -> tuple:
+    """A result of _run with its coefficients as float.hex, which tells -0.0 from 0.0."""
+    result, failure, kinks = run
+    return None if result is None else [c.hex() for c in result], str(failure), kinks
 
 
 # Every non-empty selection of the coefficient orders a kernel returns.

@@ -417,7 +417,7 @@ class TestOneFeasibilityRule:
         import g3pencil.curve
         import g3pencil.pencil
 
-        calls = {"usable_s_intervals": 0, "frenet": 0}
+        calls = {"usable_s_intervals": 0, "curvature_torsion": 0, "frenet": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -429,11 +429,13 @@ class TestOneFeasibilityRule:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(g3pencil.pencil, "usable_s_intervals")
-        counting(g3pencil.curve, "frenet")
-        counting(g3pencil.pencil, "frenet")
+        for name in ("curvature_torsion", "frenet"):
+            counting(g3pencil.curve, name)
+            counting(g3pencil.pencil, name)
         realize(FIGURES["fig1f"].config())
-        # 256 guard-band probes, then one frame per point of the 512-point grid
-        assert calls == {"usable_s_intervals": 1, "frenet": 256 + 512}
+        # 256 guard-band probes, then one kappa and tau per point of the
+        # 512-point grid; none of them builds a frame
+        assert calls == {"usable_s_intervals": 1, "curvature_torsion": 256 + 512, "frenet": 0}
 
 
 class TestCompiledKernels:
@@ -503,9 +505,9 @@ class TestCompiledKernels:
         compiled = []
 
         def counting(compile_jets):
-            def wrapper(exprs, var, orders):
-                compiled.append(var)
-                return compile_jets(exprs, var, orders)
+            def wrapper(exprs, var, orders, *more):
+                compiled.append((var, *(other for other, _ in more)))
+                return compile_jets(exprs, var, orders, *more)
 
             return wrapper
 
@@ -516,4 +518,5 @@ class TestCompiledKernels:
         for s in (1.0, 2.0, 3.0):
             frenet(helix, s)
             surface_normal(helix, ms, s, 1.0)
-        assert compiled == ["s", "s", "v"]  # frames, then the scale's jets in s and v
+        # frames, then one kernel of the scale's jets in s and v
+        assert compiled == [("s",), ("s", "v")]

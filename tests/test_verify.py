@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g3pencil.curve import anti_salkowski, frenet, fresnel_helix
 from g3pencil.exprjet import KinkWarning, parse
@@ -13,6 +14,8 @@ from g3pencil.pencil import (
     synthesize_product_form,
 )
 from g3pencil.verify import (
+    DTypeReport,
+    InvariantSample,
     check_isoparametric,
     dtype_report,
     frenet_residuals,
@@ -165,6 +168,54 @@ class TestDTypeReport:
         assert doc["mode"] == "analytic"
         assert len(doc["samples"]) == 16
         assert {"s", "lambda_hat", "flagged"} <= set(doc["samples"][0])
+
+
+# Floats that JSON writes apart: non-finite ones as null, and the extremes
+# of float.__repr__.
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 1e16)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(st.tuples(JSON_FLOATS, JSON_FLOATS, st.booleans()), min_size=1, max_size=12),
+    numbers=st.tuples(JSON_FLOATS, JSON_FLOATS, JSON_FLOATS, JSON_FLOATS),
+    mode=st.sampled_from(("analytic", "fd")),
+    classification=st.sampled_from(
+        ("asymptotic", "geodesic", "general-d-type", "not-d-type")
+    ),
+)
+def test_report_text_is_the_json_module_s(samples, numbers, mode, classification):
+    """to_json is byte for byte json.dumps(doc, indent=2, allow_nan=False)."""
+    v0, tolerance, mean, deviation = numbers
+    rep = DTypeReport(
+        samples=tuple(InvariantSample(s, lam, flagged) for s, lam, flagged in samples),
+        mean_lambda=mean,
+        max_abs_deviation=deviation,
+        classification=classification,
+        mode=mode,
+        tolerance=tolerance,
+        v0=v0,
+    )
+
+    def finite(x):
+        return x if math.isfinite(x) else None
+
+    doc = {
+        "mode": mode,
+        "v0": finite(v0),
+        "tolerance": finite(tolerance),
+        "mean_lambda": finite(mean),
+        "max_abs_deviation": finite(deviation),
+        "classification": classification,
+        "samples": [
+            {"s": finite(s), "lambda_hat": finite(lam), "flagged": flagged}
+            for s, lam, flagged in samples
+        ],
+    }
+    assert rep.to_json() == json.dumps(doc, indent=2, allow_nan=False)
 
 
 class TestIsoparametric:
