@@ -36,13 +36,7 @@ from .pencil import (
     surface_point,
     synthesize_product_form,
 )
-from .verify import (
-    DTypeReport,
-    check_isoparametric,
-    dtype_report,
-    frenet_residuals,
-    normal_consistency,
-)
+from .verify import DTypeReport, dtype_report
 
 __version__ = "0.1.0"
 
@@ -86,8 +80,5 @@ __all__ = [
     "classify_dtype",
     "DTypeReport",
     "dtype_report",
-    "check_isoparametric",
-    "frenet_residuals",
-    "normal_consistency",
     "__version__",
 ]

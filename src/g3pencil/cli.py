@@ -5,21 +5,30 @@ except reproduce, which emits the built-in example figure datasets.
 Errors print one machine-readable line to stderr in the form
 ``error: <Category>: <detail>`` and exit nonzero; warnings print one line
 each in the form ``warning: <Category>: <message>``.
+
+One table, ``COMMANDS``, lists every subcommand's arguments, and two
+parsers read it.  ``_parse_fast`` takes a well-formed command line in
+full, or declines it.  Everything it declines (``-h``, an abbreviated,
+``=``-joined or repeated option, ``--``, a missing or invalid value) goes
+to the argparse parser that ``_build_parser`` makes from the same table,
+which prints argparse's usage text and errors and exits 2.  argparse is
+imported only then, so a command that runs pays nothing for it.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
+import re
 import sys
 import warnings
+from types import SimpleNamespace
 
 from . import figures
 from .config import build_curve, load_config, realize
 from .curve import classify_curve, darboux, frenet, point, uniform_grid
 from .errors import G3PencilError
-from .g3core import G3Vector
+from .g3core import G3Vector, Record
 from .mesh import export_curve_csv, export_mesh, mesh_from_pencil
 from .verify import dtype_report
 
@@ -41,14 +50,21 @@ def _vec(v: G3Vector) -> str:
     return f"({_num(v.x)}, {_num(v.y)}, {_num(v.z)})"
 
 
+def _usage_error(message: str) -> Exception:
+    """argparse's error for an invalid option value; only a failing check loads argparse."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         ns_text, nv_text = text.lower().split("x")
         ns, nv = int(ns_text), int(nv_text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected NSxNV, got {text!r}")
+        raise _usage_error(f"expected NSxNV, got {text!r}")
     if ns < 2 or nv < 2:
-        raise argparse.ArgumentTypeError("grid counts must be at least 2")
+        raise _usage_error("grid counts must be at least 2")
     return ns, nv
 
 
@@ -56,9 +72,9 @@ def _worker_count(text: str) -> int:
     try:
         workers = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+        raise _usage_error(f"expected a whole number, got {text!r}")
     if workers < 1:
-        raise argparse.ArgumentTypeError("the worker count must be at least 1")
+        raise _usage_error("the worker count must be at least 1")
     return workers
 
 
@@ -66,25 +82,21 @@ def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        raise _usage_error(f"expected a number, got {text!r}")
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise _usage_error(f"expected a finite number, got {text!r}")
     return value
 
 
 def _tolerance(text: str) -> float:
     tol = _finite(text)
     if not tol > 0.0:
-        raise argparse.ArgumentTypeError("the tolerance must be a finite number above 0")
+        raise _usage_error("the tolerance must be a finite number above 0")
     return tol
 
 
 def _one_line_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {category.__name__}: {message}\n"
-
-
-def _sign_value(text: str) -> float:
-    return 1.0 if text == "+" else -1.0
 
 
 def _cmd_frenet(args) -> int:
@@ -115,7 +127,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_build(args) -> int:
     cfg = load_config(args.config)
-    pencil = realize(cfg, as_printed=args.as_printed, sign=args.sign)
+    pencil = realize(cfg, as_printed=args.as_printed, sign=_SIGNS.get(args.sign))
     ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
     mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
     kind = "csv" if args.output.endswith(".csv") else "obj"
@@ -126,7 +138,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    pencil = realize(cfg, as_printed=args.as_printed, sign=args.sign)
+    pencil = realize(cfg, as_printed=args.as_printed, sign=_SIGNS.get(args.sign))
     mode = args.mode if args.mode else cfg.verify.mode
     # the configured tolerance belongs to the configured mode; another mode
     # gets its own default
@@ -175,57 +187,153 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Arg(Record):
+    """One argument of a subcommand, as both parsers read it.
+
+    ``flags`` are the option strings, or the one name of a positional.
+    ``check`` turns the text into the value (argparse's ``type``); a switch
+    has none, takes no value and reads True when given.  The text, once
+    checked, must be one of ``choices`` when they are given.
+    """
+
+    __slots__ = _fields = ("flags", "dest", "check", "choices", "default", "required", "metavar", "help")
+
+    def __init__(self, *flags, check=str, choices=None, default=None, required=False,
+                 metavar=None, help=None):
+        self.flags = flags
+        self.dest = flags[-1].lstrip("-").replace("-", "_")
+        self.check = check
+        self.choices = choices
+        self.default = default
+        self.required = required
+        self.metavar = metavar
+        self.help = help
+
+    @property
+    def positional(self) -> bool:
+        return not self.flags[0].startswith("-")
+
+
+_SIGNS = {"+": 1.0, "-": -1.0}  # the --sign texts and the branch each selects
+
+_AS_PRINTED = _Arg("--as-printed", check=None, default=False)
+_GRID = _Arg("--grid", check=_parse_grid, metavar="NSxNV")
+_WORKERS = _Arg("--workers", check=_worker_count, default=1, metavar="N", help=WORKERS_HELP)
+_SIGN = _Arg("--sign", choices=_SIGNS)
+
+# name: (help, function, arguments in the order argparse lists them)
+COMMANDS = {
+    "frenet": ("print the moving frame at a parameter value", _cmd_frenet, (
+        _Arg("config"),
+        _Arg("--at", check=_finite, required=True, metavar="S"),
+        _AS_PRINTED,
+    )),
+    "classify": ("classify the configured curve", _cmd_classify, (_Arg("config"), _AS_PRINTED)),
+    "build": ("sample the surface grid and export it", _cmd_build, (
+        _Arg("config"),
+        _Arg("-o", "--output", required=True),
+        _GRID,
+        _WORKERS,
+        _AS_PRINTED,
+        _SIGN,
+    )),
+    "verify": ("test the invariant for constancy", _cmd_verify, (
+        _Arg("config"),
+        _Arg("--mode", choices=("analytic", "fd")),
+        _Arg("--tol", check=_tolerance),
+        _AS_PRINTED,
+        _SIGN,
+    )),
+    "reproduce": ("emit a built-in example figure dataset", _cmd_reproduce, (
+        _Arg("figure", choices=sorted(figures.FIGURES)),
+        _Arg("-o", "--output", required=True, metavar="DIR"),
+        _GRID,
+        _WORKERS,
+        _AS_PRINTED,
+    )),
+}
+
+# a word that argparse reads as a negative number, so as an option's value
+_NEGATIVE_NUMBER = re.compile(r"-[0-9]*\.?[0-9]+")
+
+
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """The fields that argparse gives a well-formed ``argv``, or None.
+
+    Accepts only a subcommand followed by its positionals and options, each
+    option given once by its full flag, its value in the next word, every
+    value valid and nothing required missing.  Declines anything else and
+    leaves it to argparse; never prints and never exits.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    fields = {"command": argv[0], "func": func}
+    fields.update((arg.dest, arg.default) for arg in arguments)
+    positionals = [arg for arg in arguments if arg.positional]
+    options = {flag: arg for arg in arguments if not arg.positional for flag in arg.flags}
+    given = set()
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            arg = positionals.pop(0)
+        else:
+            arg = options.get(word)
+            if arg is None or arg.dest in given:
+                return None
+            given.add(arg.dest)
+            if arg.check is None:
+                fields[arg.dest] = True
+                continue
+            word = next(words, None)
+            if word is None or word.startswith("-") and not (
+                word == "-" or _NEGATIVE_NUMBER.fullmatch(word)
+            ):
+                return None
+        try:
+            value = arg.check(word)
+        except Exception:  # argparse.ArgumentTypeError or whatever else: argparse reports it
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        fields[arg.dest] = value
+    if positionals or any(arg.required and arg.dest not in given for arg in options.values()):
+        return None
+    return SimpleNamespace(**fields)
+
+
+def _build_parser():
+    """The argparse parser of ``COMMANDS``, for the command lines ``_parse_fast`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="g3pencil",
         description="Surface pencils through a common curve in Galilean 3-space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("frenet", help="print the moving frame at a parameter value")
-    p.add_argument("config")
-    p.add_argument("--at", type=_finite, required=True, metavar="S")
-    p.add_argument("--as-printed", action="store_true", dest="as_printed")
-    p.set_defaults(func=_cmd_frenet)
-
-    p = sub.add_parser("classify", help="classify the configured curve")
-    p.add_argument("config")
-    p.add_argument("--as-printed", action="store_true", dest="as_printed")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("build", help="sample the surface grid and export it")
-    p.add_argument("config")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--grid", type=_parse_grid, metavar="NSxNV")
-    p.add_argument("--workers", type=_worker_count, default=1, metavar="N", help=WORKERS_HELP)
-    p.add_argument("--as-printed", action="store_true", dest="as_printed")
-    p.add_argument("--sign", choices=["+", "-"], type=str)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("verify", help="test the invariant for constancy")
-    p.add_argument("config")
-    p.add_argument("--mode", choices=["analytic", "fd"])
-    p.add_argument("--tol", type=_tolerance)
-    p.add_argument("--as-printed", action="store_true", dest="as_printed")
-    p.add_argument("--sign", choices=["+", "-"], type=str)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("reproduce", help="emit a built-in example figure dataset")
-    p.add_argument("figure", choices=sorted(figures.FIGURES))
-    p.add_argument("-o", "--output", required=True, metavar="DIR")
-    p.add_argument("--grid", type=_parse_grid, metavar="NSxNV")
-    p.add_argument("--workers", type=_worker_count, default=1, metavar="N", help=WORKERS_HELP)
-    p.add_argument("--as-printed", action="store_true", dest="as_printed")
-    p.set_defaults(func=_cmd_reproduce)
-
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            if arg.check is None:
+                p.add_argument(*arg.flags, action="store_true", dest=arg.dest)
+            elif arg.positional:
+                p.add_argument(arg.dest, type=arg.check, choices=arg.choices)
+            else:
+                p.add_argument(*arg.flags, dest=arg.dest, type=arg.check, choices=arg.choices,
+                               default=arg.default, required=arg.required, metavar=arg.metavar,
+                               help=arg.help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "sign", None) is not None:
-        args.sign = _sign_value(args.sign)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     previous = warnings.formatwarning
     warnings.formatwarning = _one_line_warning
     try:

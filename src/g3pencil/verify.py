@@ -7,10 +7,6 @@ lam_hat(s) = <eta1, e0 x t> along the base line.  Two modes exist:
 * ``fd``: normals come from one central difference of surface positions
   only (step eps^(1/3) of the domain extent), so this path never touches
   the marching-scale jets and serves as an independent oracle.
-
-Also here: the isoparametric reproduction check, Frenet equation residuals
-under finite differences, and the analytic-versus-difference normal
-consistency sweep.
 """
 
 from __future__ import annotations
@@ -18,21 +14,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
-from typing import NamedTuple
 
-from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, spread_s_values, uniform_grid
+from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, spread_s_values
 from .errors import StepUnderflow
-from .exprjet import KinkWarning
-from .g3core import (
-    G3Vector,
-    Record,
-    cross,
-    dot,
-    isotropic_norm,
-    isotropic_wedge,
-    normalize_isotropic,
-)
+from .g3core import G3Vector, Record, cross, dot, isotropic_norm, normalize_isotropic
 from .pencil import MarchingScale, ParamDomain, surface_normal, surface_point, usable_domain
 
 DEGENERATE_NORM = 1e-12
@@ -214,99 +199,3 @@ def dtype_report(
         tolerance=tol,
         v0=v0,
     )
-
-
-def check_isoparametric(
-    curve: CurveSpec, ms: MarchingScale, domain: ParamDomain, n_samples: int = 200
-) -> float:
-    """Max componentwise gap between phi(s, v0) and r(s) over the base line.
-
-    phi is built on the same point r, so the gap is that of
-    alpha t + beta n + gamma b at v0, after adding r and subtracting it
-    again.
-    """
-    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples)
-    worst = 0.0
-    for s in svals:
-        r = point(curve, s)
-        p = surface_point(curve, ms, s, domain.v0, base=r)
-        worst = max(worst, abs(p.x - r.x), abs(p.y - r.y), abs(p.z - r.z))
-    return worst
-
-
-class FrenetResiduals(NamedTuple):
-    r_t: float
-    r_n: float
-    r_b: float
-
-
-def frenet_residuals(
-    curve: CurveSpec,
-    s_range: tuple[float, float],
-    n_samples: int = 100,
-    h: float = 1e-5,
-) -> FrenetResiduals:
-    """Max residuals of the frame equations under central differences.
-
-    Compares (t(s+h) - t(s-h)) / 2h against kappa n, and likewise n'
-    against tau b and b' against -tau n.  Residuals shrink quadratically
-    in h while truncation dominates rounding.
-    """
-    domain = ParamDomain(s_range[0], s_range[1], 0.0, 1.0, 0.0)  # v plays no part
-    svals = spread_s_values(usable_domain(curve, None, domain), n_samples, inset=h)
-    r_t = r_n = r_b = 0.0
-    for s in svals:
-        fr = frenet(curve, s)
-        plus = frenet(curve, s + h)
-        minus = frenet(curve, s - h)
-        scale = 0.5 / h
-        dt = (plus.t - minus.t) * scale
-        dn = (plus.n - minus.n) * scale
-        db = (plus.b - minus.b) * scale
-        r_t = max(r_t, isotropic_norm(G3Vector(0.0, dt.y, dt.z) - fr.kappa * fr.n))
-        r_n = max(r_n, isotropic_norm(dn - fr.tau * fr.b))
-        r_b = max(r_b, isotropic_norm(db + fr.tau * fr.n))
-    return FrenetResiduals(r_t, r_n, r_b)
-
-
-def normal_consistency(
-    curve: CurveSpec,
-    ms: MarchingScale,
-    domain: ParamDomain,
-    n_samples: int = 40,
-    nv: int = 9,
-) -> float:
-    """Max angle between analytic and finite difference normals on a grid.
-
-    Samples ``n_samples`` values of s by ``nv`` values of v.  Samples where
-    either normal is degenerate, or where the analytic jets cross an abs()
-    kink (a KinkWarning fires), are flagged and skipped.
-    """
-    h_s, h_v = _fd_steps(domain)
-    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=h_s)
-    v_values = uniform_grid(domain.v_min, domain.v_max, nv)
-    worst = 0.0
-    for s in svals:
-        fr = frenet(curve, s)
-        r = point(curve, s)
-        for v in v_values:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", KinkWarning)
-                eta_a = surface_normal(curve, ms, s, v, frame=fr)
-                kinked = any(issubclass(w.category, KinkWarning) for w in caught)
-            if kinked:
-                warnings.warn(
-                    f"kink sample flagged at (s, v) = ({s:g}, {v:g})", KinkWarning
-                )
-                continue
-            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, fr, r)
-            if not (
-                isotropic_norm(eta_a) >= DEGENERATE_NORM
-                and isotropic_norm(eta_f) >= DEGENERATE_NORM
-            ):
-                continue  # tiny or NaN
-            ua = normalize_isotropic(eta_a)
-            uf = normalize_isotropic(eta_f)
-            angle = math.atan2(abs(isotropic_wedge(ua, uf)), dot(ua, uf))
-            worst = max(worst, angle)
-    return worst

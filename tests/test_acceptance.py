@@ -47,8 +47,8 @@ from g3pencil.pencil import (
     surface_normal,
     synthesize_product_form,
 )
-from g3pencil.verify import check_isoparametric, dtype_report, frenet_residuals
-from oracles import fresnel_table
+from g3pencil.verify import dtype_report
+from oracles import check_isoparametric, fresnel_table, frenet_residuals
 
 ONE = parse("1")
 NEG_ONE = parse("-1")

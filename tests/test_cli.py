@@ -10,12 +10,14 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g3pencil.cli import main
+from g3pencil.cli import COMMANDS, _build_parser, _parse_fast, main
 from g3pencil.errors import G3PencilError
+from g3pencil.figures import FIGURES
 from oracles import failure_rich_expression
 
 
@@ -293,8 +295,6 @@ def test_unexpected_exception_maps_to_exit_2(monkeypatch, capsys):
 
 
 def _printed_fig1d(tmp_path):
-    from g3pencil.figures import FIGURES
-
     path = tmp_path / "fig1d-printed.json"
     path.write_text(json.dumps(FIGURES["fig1d"].printed))
     return str(path)
@@ -350,8 +350,6 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("figure", ["fig1b", "fig1c"])
 def test_fd_verify_of_corrected_figures_meets_its_tolerance(figure, tmp_path, capsys):
-    from g3pencil.figures import FIGURES
-
     config = tmp_path / f"{figure}.json"
     config.write_text(json.dumps(FIGURES[figure].corrected))
     assert main(["verify", str(config), "--mode", "fd"]) == 0
@@ -530,8 +528,6 @@ def test_invalid_worker_count_is_a_usage_error(tmp_path, capsys, workers):
 def test_build_bytes_do_not_depend_on_workers(tmp_path, capsys, recwarn):
     # fig1b's domain straddles the guard band around s = 0; with 40 rows it
     # lies between rows 19 and 20, where two workers split the rows
-    from g3pencil.figures import FIGURES
-
     config = tmp_path / "fig1b.json"
     config.write_text(json.dumps(FIGURES["fig1b"].corrected))
     for suffix in ("obj", "csv"):
@@ -814,14 +810,27 @@ def _configs(draw) -> dict:
     return doc
 
 
+# the corrected surface figures, whose domains all cross the guard band
+# at s = 0, so that 2 or 3 grid rows are too few for them (GridTooCoarse)
+FIGURE_DOCS = st.sampled_from([fig.corrected for _, fig in sorted(FIGURES.items()) if fig.corrected])
+
+
+@st.composite
+def _documents(draw) -> dict:
+    """A fuzzed configuration document, or one time in four a figure's."""
+    return draw(FIGURE_DOCS if draw(st.integers(0, 3)) == 0 else _configs())
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    doc=_configs(),
+    doc=_documents(),
     command=st.sampled_from(("verify", "verify-fd", "build", "classify", "frenet")),
     workers=st.sampled_from(("1", "2")),
+    # 2 or 3 rows are too few for a domain across a guard band (GridTooCoarse)
+    grid=st.builds("{}x{}".format, st.integers(2, 12), st.integers(2, 6)),
     at=NUMBERS,
 )
-def test_cli_contract_holds_on_fuzzed_configs(doc, command, workers, at):
+def test_cli_contract_holds_on_fuzzed_configs(doc, command, workers, grid, at):
     """Exit 0 or 1, or exit 2 with one g3pencil error line; never another error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -830,7 +839,7 @@ def test_cli_contract_holds_on_fuzzed_configs(doc, command, workers, at):
         argv = {
             "verify": ["verify", path, "--mode", "analytic"],
             "verify-fd": ["verify", path, "--mode", "fd"],
-            "build": ["build", path, "--grid", "6x3", "--workers", workers,
+            "build": ["build", path, "--grid", grid, "--workers", workers,
                       "-o", os.path.join(tmp, "out.obj")],
             "classify": ["classify", path],
             "frenet": ["frenet", path, f"--at={at!r}"],
@@ -847,3 +856,185 @@ def test_cli_contract_holds_on_fuzzed_configs(doc, command, workers, at):
     else:
         assert rc == 0 or (rc == 1 and command.startswith("verify")), case
         assert "error:" not in err.getvalue(), case
+
+
+# ---------------------------------------------------------------------------
+# The argv parser without argparse, against argparse
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """A directory with the shipped configs cut to a 6x3 grid and 8 report samples."""
+    tmp = tmp_path_factory.mktemp("argv")
+    for name in ("fresnel-helix", "anti-salkowski"):
+        doc = json.loads(Path(f"configs/{name}.json").read_text())
+        doc["grid"] = {"ns": 6, "nv": 3}
+        doc.setdefault("verify", {})["samples"] = 8
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    return tmp
+
+
+def _words(dest: str, tmp: Path) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Values to draw for an argument: those both parsers take, and the rest."""
+    return {
+        "config": ((str(tmp / "fresnel-helix.json"), str(tmp / "anti-salkowski.json"),
+                    str(tmp / "missing.json"), ""), ("-1.5", "-")),
+        "figure": (("fig1a", "fig1c", "fig1e"), ("fig1i", "FIG1A", "-fig1a", "")),
+        "at": (("2", "-1.5", "-.5", "1e5"), ("-1e5", "nan", "abc", "", "-")),
+        "mode": (("analytic", "fd"), ("FD", "", "-")),
+        "tol": (("1e-4", "1e-18"), ("0", "-1", "inf", "x")),
+        "sign": (("+", "-"), ("x", "", "-1")),
+        "grid": (("6x3", "10X5", "2x2", "6 x 3"), ("1x5", "6x", "-6x3")),
+        "workers": (("1", "2"), ("0", "-1", "two")),
+        "output": ((str(tmp / "out"), str(tmp / "out.obj"), str(tmp / "out.csv")), ("-x", "--grid")),
+        "as_printed": (("",), ("1",)),
+    }[dest]
+
+
+@st.composite
+def _argvs(draw, tmp: Path) -> list[str]:
+    """A subcommand and its arguments in any order.  Half of them are well
+    formed.  In the rest each option comes once, twice or not at all, with
+    any value, apart from it, joined to it by '=' or without, abbreviated or
+    bare, maybe with '--', '-h' or a stray word.
+    """
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    noisy = draw(st.booleans())
+    groups = []
+    for arg in COMMANDS[name][2]:
+        needed = arg.positional or arg.required
+        counts = (1, 1, 1, 0, 2) if noisy else (1,) if needed else (0, 1)
+        valid, invalid = _words(arg.dest, tmp)
+        for _ in range(draw(st.sampled_from(counts))):
+            value = draw(st.sampled_from(valid + invalid if noisy else valid))
+            if arg.positional:
+                groups.append([value])
+                continue
+            flag = draw(st.sampled_from(arg.flags))
+            forms = ("apart",) * 5 + ("joined", "stuck", "abbreviated", "bare")
+            form = draw(st.sampled_from(forms)) if noisy else "apart"
+            if form == "joined":
+                groups.append([f"{flag}={value}"])
+            elif form == "stuck":
+                groups.append([flag + value])
+            elif form == "abbreviated" and len(flag) > 3:
+                groups.append([flag[:-1]] + ([value] if arg.check else []))
+            elif form == "bare" or arg.check is None:
+                groups.append([flag])
+            else:
+                groups.append([flag, value])
+    if noisy:
+        groups += [[word] for word in draw(st.lists(
+            st.sampled_from(("--", "-h", "--help", "extra")), max_size=1))]
+    return [name] + [word for group in draw(st.permutations(groups)) for word in group]
+
+
+def _argparse_fields(argv):
+    """argparse's fields for argv, or None where it prints and exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _run_main(argv, force_argparse: bool):
+    """stdout, stderr and exit status of main(argv), on argparse alone if asked."""
+    out, err = io.StringIO(), io.StringIO()
+    decline = mock.patch("g3pencil.cli._parse_fast", lambda argv: None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with decline if force_argparse else contextlib.nullcontext():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_parser_accepts_only_what_argparse_reads_the_same(small_files, data):
+    argv = data.draw(st.one_of(
+        _argvs(small_files),
+        st.sampled_from(([], ["-h"], ["--help"], ["nope"], ["verif", "x.json"], ["--", "verify", "x.json"])),
+    ))
+    fast = _parse_fast(argv)
+    if fast is None:
+        return  # main hands argv to argparse, as the forced path below does
+    assert vars(fast) == _argparse_fields(argv), argv
+    assert _run_main(argv, False) == _run_main(argv, True), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frenet", "configs/fresnel-helix.json", "--at", "-1.5"],
+        ["frenet", "--at", "-.5", "--as-printed", "configs/anti-salkowski.json"],
+        ["classify", "configs/anti-salkowski.json"],
+        ["verify", "--sign", "-", "--mode", "fd", "configs/anti-salkowski.json", "--tol", "1e-4"],
+        ["build", "configs/fresnel-helix.json", "--grid", "10X5", "-o", "out.obj", "--workers", "2"],
+        ["build", "configs/fresnel-helix.json", "--output", "-"],
+        ["reproduce", "-o", "out", "fig1c", "--grid", "6 x 3"],
+    ],
+)
+def test_fast_parser_reads_well_formed_argvs_as_argparse_does(argv):
+    fast = _parse_fast(argv)
+    assert fast is not None
+    assert vars(fast) == _argparse_fields(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["verify", "configs/fresnel-helix.json", "-h"],
+        ["verify", "configs/fresnel-helix.json", "--mod", "fd"],
+        ["verify", "configs/fresnel-helix.json", "--tol=1e-4"],
+        ["verify", "configs/fresnel-helix.json", "--mode", "fd", "--mode", "fd"],
+        ["verify", "configs/fresnel-helix.json", "--as-printed", "--as-printed"],
+        ["verify", "--", "configs/fresnel-helix.json"],
+        ["verify", "configs/fresnel-helix.json", "--tol"],
+        ["verify", "configs/fresnel-helix.json", "--tol", "0"],
+        ["verify", "configs/fresnel-helix.json", "--sign", "x"],
+        ["verify", "configs/fresnel-helix.json", "extra"],
+        ["verify", "-"],
+        ["frenet", "configs/fresnel-helix.json"],
+        ["frenet", "configs/fresnel-helix.json", "--at", "-1e5"],
+        ["build", "configs/fresnel-helix.json", "-oout.obj"],
+        ["build", "configs/fresnel-helix.json", "-o", "--grid", "6x3"],
+        ["reproduce", "fig1i", "-o", "out"],
+    ],
+)
+def test_fast_parser_leaves_the_rest_to_argparse(argv):
+    assert _parse_fast(argv) is None
+
+
+def test_well_formed_commands_do_not_import_argparse(tmp_path):
+    argvs = [
+        ["verify", "configs/fresnel-helix.json"],
+        ["build", "configs/anti-salkowski.json", "--grid", "6x3", "-o", str(tmp_path / "a.obj")],
+        ["reproduce", "fig1c", "--grid", "6x3", "-o", str(tmp_path)],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from g3pencil.cli import main\n"
+        "loaded = ['argparse' in sys.modules]\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    loaded.append('argparse' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[False, False, False, False]\n"
+
+
+def test_golden_script_passes():
+    # tests/check_goldens.py runs the golden and worker-count comparisons on
+    # interpreters without pytest; it must hold here too
+    result = subprocess.run([sys.executable, "tests/check_goldens.py"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

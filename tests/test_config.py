@@ -8,7 +8,7 @@ from g3pencil.curve import CurveSpec, anti_salkowski, fresnel_helix
 from g3pencil.errors import NotProductForm, ParseError, SchemaError
 from g3pencil.exprjet import parse
 from g3pencil.pencil import MarchingScale, product_marching_scale
-from g3pencil.verify import check_isoparametric
+from oracles import check_isoparametric
 
 
 def minimal_doc(**overrides):

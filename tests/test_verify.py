@@ -13,15 +13,8 @@ from g3pencil.pencil import (
     product_marching_scale,
     synthesize_product_form,
 )
-from g3pencil.verify import (
-    DTypeReport,
-    InvariantSample,
-    check_isoparametric,
-    dtype_report,
-    frenet_residuals,
-    normal_consistency,
-)
-from oracles import marching_scale_zero
+from g3pencil.verify import DTypeReport, InvariantSample, dtype_report
+from oracles import check_isoparametric, frenet_residuals, marching_scale_zero, normal_consistency
 
 ONE = parse("1")
 NEG_ONE = parse("-1")
