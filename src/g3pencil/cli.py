@@ -27,9 +27,8 @@ from types import SimpleNamespace
 from . import figures
 from .config import build_curve, load_config, realize
 from .curve import classify_curve, darboux, frenet, point, uniform_grid
-from .errors import G3PencilError
 from .g3core import G3Vector, Record
-from .mesh import export_curve_csv, export_mesh, mesh_from_pencil
+from .mesh import export_curve_csv, write_mesh
 from .verify import dtype_report
 
 EXIT_OK = 0
@@ -129,10 +128,9 @@ def _cmd_build(args) -> int:
     cfg = load_config(args.config)
     pencil = realize(cfg, as_printed=args.as_printed, sign=_SIGNS.get(args.sign))
     ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
-    mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
     kind = "csv" if args.output.endswith(".csv") else "obj"
-    export_mesh(mesh, **{kind: args.output}, workers=args.workers)
-    print(f"wrote {args.output} ({mesh.ns}x{mesh.nv} vertices)")
+    write_mesh(pencil, ns, nv, **{kind: args.output}, workers=args.workers)
+    print(f"wrote {args.output} ({ns}x{nv} vertices)")
     return EXIT_OK
 
 
@@ -157,8 +155,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     name = args.figure
-    if name not in figures.FIGURES:
-        raise G3PencilError(f"unknown figure {name!r}; choose from {sorted(figures.FIGURES)}")
     os.makedirs(args.output, exist_ok=True)
     if args.as_printed:
         print(
@@ -178,10 +174,9 @@ def _cmd_reproduce(args) -> int:
         return EXIT_OK
     cfg = fig.config(as_printed=args.as_printed)
     pencil = realize(cfg, as_printed=args.as_printed)
-    mesh = mesh_from_pencil(pencil, ns, nv, workers=args.workers)
     obj_path = os.path.join(args.output, f"{name}.obj")
     csv_path = os.path.join(args.output, f"{name}.csv")
-    export_mesh(mesh, obj_path, csv_path, workers=args.workers)
+    write_mesh(pencil, ns, nv, obj_path, csv_path, workers=args.workers)
     print(f"wrote {obj_path}")
     print(f"wrote {csv_path}")
     return EXIT_OK

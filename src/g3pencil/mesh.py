@@ -1,16 +1,15 @@
-"""Grid sampling of pencil surfaces and OBJ / CSV export.
+"""Pencil surfaces written as OBJ / CSV files, and curve polylines as CSV.
 
-A mesh keeps its vertices as one flat array of doubles: x, y, z of each
-vertex in row-major (s-major) order, all v values of the first s row, then
-the next row.  The coordinates are canonical (the row kernel stores -0.0
-as 0.0), so every signed zero serializes as "0".
+A surface is never held whole: one pass over contiguous ranges of grid
+rows samples each range with the pencil's compiled row kernel and formats
+its records at once.  The row kernel stores -0.0 as 0.0, so every signed
+zero of a coordinate serializes as "0".
 
-Sampling and export run a task over contiguous ranges of grid rows.  With
-``workers`` above 1 the calling process runs the first range and forked
-child processes run the others; each child inherits the pencil or the
-mesh and sends its bytes back through a pipe, and the results are written
-in row order.  Output bytes depend only on the configuration, never on
-the worker count or on timing.
+With ``workers`` above 1 the calling process runs the first range of rows
+and forked child processes run the others; each child inherits the pencil
+and sends its bytes back through a pipe, and the results are written in
+row order.  Output bytes depend only on the configuration, never on the
+worker count or on timing.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
+from bisect import bisect_left
 from contextlib import ExitStack
 from itertools import chain
 from typing import BinaryIO, Callable, Sequence
@@ -25,27 +25,8 @@ from typing import BinaryIO, Callable, Sequence
 from .curve import frenet, point, spread_s_values, uniform_grid
 from .errors import GridTooCoarse
 from .exprjet import compile_surface_rows
-from .g3core import G3Vector, Record
+from .g3core import G3Vector
 from .pencil import PencilSpec, usable_domain
-
-
-class Mesh(Record):
-    __slots__ = _fields = ("ns", "nv", "s_values", "v_values", "coords")
-    __hash__ = None  # holds mutable sequences
-
-    def __init__(
-        self,
-        ns: int,
-        nv: int,
-        s_values: list[float],
-        v_values: list[float],
-        coords: Sequence[float],
-    ):
-        self.ns = ns
-        self.nv = nv
-        self.s_values = s_values
-        self.v_values = v_values
-        self.coords = coords  # x, y, z per vertex, row major, s-major; len == 3 * ns * nv
 
 
 def _fmt(x: float) -> str:
@@ -58,7 +39,8 @@ def _fmt(x: float) -> str:
 # Row pool
 # ---------------------------------------------------------------------------
 
-# Rows per task call: bounds the bytes the calling process holds at once.
+# Rows per task call: bounds the v and CSV bytes the calling process holds
+# at once.  The OBJ face text is held until the last v record is written.
 _BLOCK_ROWS = 64
 
 
@@ -199,20 +181,37 @@ def _rewarn(notes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Surface files
 # ---------------------------------------------------------------------------
 
+_V_RECORD = "v %.17g %.17g %.17g\n"
 
-def mesh_from_pencil(pencil: PencilSpec, ns: int, nv: int, *, workers: int = 1) -> Mesh:
-    """Sample the surface on a uniform grid.
+
+def write_mesh(
+    pencil: PencilSpec, ns: int, nv: int, obj: str | None = None, csv: str | None = None,
+    *, workers: int = 1,
+) -> None:
+    """Sample the surface on a uniform grid and write it as OBJ to ``obj`` and as CSV to ``csv``.
 
     The s grid spans the pencil's :func:`usable_domain` (with a warning
     when guard bands or domain gaps are excised) and gives every usable
     interval at least two rows; the v grid spans [v_min, v_max]
     uniformly.  Each row takes one curve point and one frame and runs the
-    pencil's compiled row kernel.  The rows are shared by up to
-    ``workers`` processes; the mesh is the same for any count.
+    pencil's compiled row kernel.
+
+    The OBJ holds v records in row-major order, then the two triangles of
+    each grid cell, the lower left first, with consistent winding; a cell
+    whose rows lie in two usable intervals has none, so each interval is a
+    face patch of its own.  The CSV has
+    the header s,v,x,y,z and one row per vertex.  Every number has 17
+    significant digits.  Each coordinate is formatted once: with both
+    files, the CSV reuses the text of the OBJ's v records.  Up to
+    ``workers`` processes sample and format the records, a range of grid
+    rows each, in one pass; the bytes are the same for any count.  When
+    the pass fails, the files it opened are removed.
     """
+    if nv < 2:
+        raise ValueError(f"a surface grid needs at least two v values, got {nv}")
     curve = pencil.curve
     ms = pencil.marching
     d = pencil.domain
@@ -228,60 +227,23 @@ def mesh_from_pencil(pencil: PencilSpec, ns: int, nv: int, *, workers: int = 1) 
         raise GridTooCoarse(
             f"{ns} rows cannot give each of the {len(intervals)} usable s intervals two rows"
         )
-    from array import array  # imported here, so that commands without a mesh skip it
-
     s_values = spread_s_values(intervals, ns)
     v_values = uniform_grid(d.v_min, d.v_max, nv)
     row_points = compile_surface_rows(ms.alpha, ms.beta, ms.gamma, v_values)
-
-    def rows(lo: int, hi: int) -> bytes:
-        out: list[float] = []
-        for s in s_values[lo:hi]:
-            row_points(s, point(curve, s), frenet(curve, s), out)
-        return (array("d", out).tobytes(),)
-
-    data = bytearray()
-    _run_rows(rows, len(s_values), workers, data.extend)
-    return Mesh(
-        ns=len(s_values),
-        nv=nv,
-        s_values=s_values,
-        v_values=v_values,
-        coords=array("d", data),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-_V_RECORD = "v %.17g %.17g %.17g\n"
-
-
-def export_mesh(
-    mesh: Mesh, obj: str | None = None, csv: str | None = None, *, workers: int = 1
-) -> None:
-    """Write the mesh as Wavefront OBJ to ``obj`` and as CSV to ``csv``, in one pass.
-
-    The OBJ holds v records in row-major order, then each grid cell's two
-    triangles, the lower left first, with consistent winding.  The CSV has
-    the header s,v,x,y,z and one row per vertex.  Every number has 17
-    significant digits.  Each coordinate is formatted once: with both
-    files, the CSV reuses the text of the OBJ's v records.  Up to
-    ``workers`` processes format the records, a range of grid rows each;
-    the bytes are the same for any count.
-    """
-    if not mesh.coords:
-        raise ValueError("refusing to export an empty mesh")
-    nv, coords, width = mesh.nv, mesh.coords, 3 * mesh.nv
     # a CSV row takes x, y and z of each vertex as numbers, or as the text of its v record
-    xyz, per_row = ("%.17g,%.17g,%.17g", width) if obj is None else ("%s", nv)
-    columns = [f",{_fmt(v)},{xyz}\n" for v in mesh.v_values]
+    xyz, per_row = ("%.17g,%.17g,%.17g", 3 * nv) if obj is None else ("%s", nv)
+    columns = [f",{_fmt(v)},{xyz}\n" for v in v_values]
     faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
+    # the last row of each usable interval but the last: no face joins it to the next row
+    patch_ends = {
+        bisect_left(s_values, 0.5 * (b + a)) - 1 for (_, b), (a, _) in zip(intervals, intervals[1:])
+    }
 
-    def vertex_rows(lo: int, hi: int) -> list[bytes]:
+    def rows(lo: int, hi: int) -> list[bytes]:
+        values: list[float] = []  # x, y, z per vertex, row major; canonical, so no -0.0
+        for s in s_values[lo:hi]:
+            row_points(s, point(curve, s), frenet(curve, s), values)
         out = []
-        values = coords[lo * width : hi * width]
         if obj is not None:
             text = _V_RECORD * (nv * (hi - lo)) % tuple(values)
             out.append(text.encode("ascii"))
@@ -289,29 +251,42 @@ def export_mesh(
                 values = text[2:-1].replace(" ", ",").split("\nv,")  # "x,y,z" per vertex
         if csv is not None:
             parts = []
-            for k, s in enumerate(map(_fmt, mesh.s_values[lo:hi])):
+            for k, s in enumerate(map(_fmt, s_values[lo:hi])):
                 parts.append((s + s.join(columns)) % tuple(values[k * per_row : (k + 1) * per_row]))
+            out.append("".join(parts).encode("ascii"))
+        if obj is not None:
+            parts = []
+            for i in range(lo, min(hi, ns - 1)):
+                if i in patch_ends:
+                    continue  # rows i and i + 1 lie in different usable intervals
+                # cell j of row i: a = i*nv + j + 1, b = a + nv, c = b + 1, d = a + 1
+                a = range(i * nv + 1, (i + 1) * nv)
+                b = range((i + 1) * nv + 1, (i + 2) * nv)
+                c = range((i + 1) * nv + 2, (i + 2) * nv + 1)
+                d = range(i * nv + 2, (i + 1) * nv + 1)
+                parts.append(faces % tuple(chain.from_iterable(zip(a, b, d, b, c, d))))
             out.append("".join(parts).encode("ascii"))
         return out
 
-    def face_rows(lo: int, hi: int) -> tuple[bytes]:
-        parts = []
-        for i in range(lo, hi):
-            # cell j of row i: a = i*nv + j + 1, b = a + nv, c = b + 1, d = a + 1
-            a = range(i * nv + 1, (i + 1) * nv)
-            b = range((i + 1) * nv + 1, (i + 2) * nv)
-            c = range((i + 1) * nv + 2, (i + 2) * nv + 1)
-            d = range(i * nv + 2, (i + 1) * nv + 1)
-            parts.append(faces % tuple(chain.from_iterable(zip(a, b, d, b, c, d))))
-        return ("".join(parts).encode("ascii"),)
-
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(p, "wb")) for p in (obj, csv) if p is not None]
-        if csv is not None:
-            files[-1].write(b"s,v,x,y,z\n")
-        _run_rows(vertex_rows, mesh.ns, workers, *(fh.write for fh in files))
-        if obj is not None:
-            _run_rows(face_rows, mesh.ns - 1, workers, files[0].write)
+    files: list[BinaryIO] = []
+    face_text: list[bytes] = []  # written after the last v record
+    try:
+        with ExitStack() as stack:
+            for path in (obj, csv):
+                if path is not None:
+                    files.append(stack.enter_context(open(path, "wb")))
+            if csv is not None:
+                files[-1].write(b"s,v,x,y,z\n")
+            sinks = [fh.write for fh in files]
+            if obj is not None:
+                sinks.append(face_text.append)
+            _run_rows(rows, ns, workers, *sinks)
+            if obj is not None:
+                files[0].writelines(face_text)
+    except BaseException:
+        for fh in files:
+            os.remove(fh.name)
+        raise
 
 
 def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:

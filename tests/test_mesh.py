@@ -1,23 +1,21 @@
+import json
 import math
 import os
 import warnings
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
 
+import g3pencil.mesh
+from g3pencil.cli import main
 from g3pencil.config import config_from_dict, load_config, realize
-from g3pencil.curve import point
+from g3pencil.curve import point, uniform_grid
 from g3pencil.errors import CurvatureVanishes, GridTooCoarse
 from g3pencil.exprjet import KinkWarning
 from g3pencil.figures import FIGURES
-from g3pencil.mesh import (
-    Mesh,
-    _fmt,
-    _pool_size,
-    _run_rows,
-    export_mesh,
-    mesh_from_pencil,
-)
+from g3pencil.mesh import _fmt, _pool_size, _run_rows, write_mesh
+from g3pencil.pencil import usable_domain
 
 
 @pytest.fixture(scope="module")
@@ -25,45 +23,62 @@ def helix_pencil():
     return realize(load_config("configs/fresnel-helix.json"))
 
 
-def small_mesh(pencil, ns=6, nv=4, **kw):
+def write_quietly(pencil, ns, nv, obj=None, csv=None, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return mesh_from_pencil(pencil, ns, nv, **kw)
+        write_mesh(pencil, ns, nv, None if obj is None else str(obj),
+                   None if csv is None else str(csv), **kw)
+
+
+def read_csv(path):
+    """The s, v, x, y, z of each CSV row; 17 significant digits give back each double."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == "s,v,x,y,z"
+    return [tuple(map(float, line.split(","))) for line in lines[1:]]
+
+
+def sampled(pencil, ns, nv, tmp_path):
+    """The CSV rows of the pencil's ns x nv surface."""
+    path = tmp_path / "sampled.csv"
+    write_quietly(pencil, ns, nv, csv=path)
+    return read_csv(path)
 
 
 class TestSampling:
-    def test_vertex_count(self, helix_pencil):
-        mesh = small_mesh(helix_pencil, 20, 5)
-        assert 3 * mesh.ns * mesh.nv == len(mesh.coords) == 300
+    def test_vertex_count(self, helix_pencil, tmp_path):
+        rows = sampled(helix_pencil, 20, 5, tmp_path)
+        assert len(rows) == 100 and all(len(r) == 5 for r in rows)
 
-    def test_config_grid_counts(self):
+    def test_config_grid_counts(self, tmp_path):
         cfg = load_config("configs/fresnel-helix.json")
-        mesh = mesh_from_pencil(realize(cfg), cfg.grid.ns, cfg.grid.nv)
-        assert len(mesh.coords) == 3 * 200 * 50
+        assert len(sampled(realize(cfg), cfg.grid.ns, cfg.grid.nv, tmp_path)) == 200 * 50
 
-    def test_guard_band_warns_and_respans(self):
+    def test_guard_band_warns_and_respans(self, tmp_path):
         cfg = FIGURES["fig1b"].config()
         pencil = realize(cfg)
+        path = tmp_path / "m.csv"
         with pytest.warns(UserWarning, match="re-spans"):
-            mesh = mesh_from_pencil(pencil, 24, 4)
-        assert len(mesh.coords) == 3 * 24 * 4
-        assert all(abs(s) >= 0.09 for s in mesh.s_values)
-        assert min(mesh.s_values) < -1.0 and max(mesh.s_values) > 1.0
+            write_mesh(pencil, 24, 4, csv=str(path))
+        s_values = [row[0] for row in read_csv(path)]
+        assert len(s_values) == 24 * 4
+        assert all(abs(s) >= 0.09 for s in s_values)
+        assert min(s_values) < -1.0 and max(s_values) > 1.0
 
-    def test_base_row_equals_curve(self, helix_pencil):
-        mesh = small_mesh(helix_pencil, 40, 10)
-        for i, s in enumerate(mesh.s_values):
-            k = 3 * i * mesh.nv
-            assert tuple(mesh.coords[k : k + 3]) == point(helix_pencil.curve, s).as_tuple()
+    def test_base_row_equals_curve(self, helix_pencil, tmp_path):
+        rows = sampled(helix_pencil, 40, 10, tmp_path)
+        for s, v, *xyz in rows[::10]:
+            assert v == 0.0
+            assert tuple(xyz) == point(helix_pencil.curve, s).as_tuple()
 
-    def test_each_usable_interval_needs_two_rows(self):
+    def test_each_usable_interval_needs_two_rows(self, tmp_path):
         # fig1c's guard band around s = 0 leaves two usable intervals
         pencil = realize(FIGURES["fig1c"].config())
         for ns in (2, 3):
             with pytest.raises(GridTooCoarse):
-                small_mesh(pencil, ns, 2)
-        mesh = small_mesh(pencil, 4, 2)
-        assert sum(1 for s in mesh.s_values if s < 0.0) == 2
+                write_quietly(pencil, ns, 2, obj=tmp_path / "m.obj")
+            assert not (tmp_path / "m.obj").exists()
+        rows = sampled(pencil, 4, 2, tmp_path)
+        assert sum(1 for s, *_ in rows if s < 0.0) == 2 * 2
 
 
 class TestFormatting:
@@ -75,15 +90,46 @@ class TestFormatting:
         assert _fmt(math.pi) == "3.1415926535897931"
 
 
-def grid_2x2():
-    coords = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.5]
-    return Mesh(ns=2, nv=2, s_values=[0.0, 1.0], v_values=[0.0, 1.0], coords=coords)
+# A direct-scale surface on a stretch of the helix without a guard band; its
+# v grid is 0, 1e-17, 2e-17.
+SMALL = {
+    "curve": "fresnel-helix",
+    "marching_scale": {"direct": {"alpha": "v", "beta": "v", "gamma": "v"}},
+    "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 2e-17, "v0": 0.0},
+    "grid": {"ns": 4, "nv": 3},
+}
+
+
+@pytest.fixture
+def small_pencil():
+    return realize(config_from_dict(SMALL))
+
+
+def script_rows(monkeypatch, rows):
+    """Make the row kernel emit ``rows[s]``, x, y, z per vertex, for the row at s."""
+
+    def compile_rows(alpha, beta, gamma, v_values):
+        return lambda s, base, frame, out: out.extend(rows[s])
+
+    monkeypatch.setattr(g3pencil.mesh, "compile_surface_rows", compile_rows)
+
+
+def exotic_rows(monkeypatch, ns=4, nv=3):
+    """Script extreme coordinates into the small surface's rows; its coordinates, flat."""
+    # the row kernel's coordinates are canonical (no -0.0)
+    values = [0.0, math.pi, -2.5, 1e-300, -1e300, 1 / 3, 5e-324, 7.0]
+    coords = [values[(k + c) % 8] for k in range(ns * nv) for c in (0, 3, 5)]
+    s_values = uniform_grid(0.5, 2.0, ns)
+    script_rows(monkeypatch, {s: coords[3 * nv * i : 3 * nv * (i + 1)] for i, s in enumerate(s_values)})
+    return s_values, uniform_grid(0.0, 2e-17, nv), coords
 
 
 class TestObjExport:
-    def test_two_by_two(self, tmp_path):
+    def test_two_by_two(self, small_pencil, monkeypatch, tmp_path):
+        script_rows(monkeypatch, {0.5: [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                                  2.0: [1.0, 0.0, 0.5, 1.0, 1.0, 0.5]})
         path = tmp_path / "m.obj"
-        export_mesh(grid_2x2(), obj=str(path))
+        write_mesh(small_pencil, 2, 2, obj=str(path))
         lines = path.read_text().splitlines()
         assert [l for l in lines if l.startswith("v ")] == [
             "v 0 0 0",
@@ -93,10 +139,11 @@ class TestObjExport:
         ]
         assert [l for l in lines if l.startswith("f ")] == ["f 1 3 2", "f 3 4 2"]
 
-    def test_empty_mesh_rejected(self, tmp_path):
-        empty = Mesh(ns=0, nv=0, s_values=[], v_values=[], coords=[])
-        with pytest.raises(ValueError):
-            export_mesh(empty, obj=str(tmp_path / "e.obj"))
+    def test_empty_mesh_rejected(self, small_pencil, tmp_path):
+        for nv in (0, 1):
+            with pytest.raises(ValueError):
+                write_mesh(small_pencil, 4, nv, obj=str(tmp_path / "e.obj"))
+            assert not (tmp_path / "e.obj").exists()
 
     def test_golden_fixture_reproduced_across_worker_counts(self, tmp_path):
         # fig1b's 40 rows straddle the guard band around s = 0, which lies
@@ -104,17 +151,21 @@ class TestObjExport:
         golden = Path("tests/golden/fig1b_40x10.obj").read_bytes()
         pencil = realize(FIGURES["fig1b"].config())
         for workers in (1, 2, 8):
-            mesh = small_mesh(pencil, 40, 10, workers=workers)
             path = tmp_path / f"m{workers}.obj"
-            export_mesh(mesh, obj=str(path), workers=workers)
+            write_quietly(pencil, 40, 10, obj=path, workers=workers)
             assert path.read_bytes() == golden
 
 
-def _reference_obj(mesh):
-    """Per-record OBJ writer: every record its own string, one join."""
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in _triples(mesh.coords)]
-    nv = mesh.nv
-    for i in range(mesh.ns - 1):
+def _reference_obj(s_values, nv, coords, intervals):
+    """Per-record OBJ writer: every record its own string, one join.
+
+    A face joins rows i and i + 1 only when both lie in one usable interval.
+    """
+    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in _triples(coords)]
+    starts = [a for a, _ in intervals]
+    for i in range(len(s_values) - 1):
+        if bisect_right(starts, s_values[i]) != bisect_right(starts, s_values[i + 1]):
+            continue
         for j in range(nv - 1):
             a, b = i * nv + j + 1, (i + 1) * nv + j + 1
             c, d = b + 1, a + 1
@@ -123,11 +174,11 @@ def _reference_obj(mesh):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _reference_csv(mesh):
+def _reference_csv(s_values, v_values, coords):
     lines = ["s,v,x,y,z"]
-    points = iter(_triples(mesh.coords))
-    for s in mesh.s_values:
-        for v in mesh.v_values:
+    points = iter(_triples(coords))
+    for s in s_values:
+        for v in v_values:
             x, y, z = next(points)
             lines.append(f"{_fmt(s)},{_fmt(v)},{_fmt(x)},{_fmt(y)},{_fmt(z)}")
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -137,65 +188,73 @@ def _triples(values):
     return [tuple(values[k : k + 3]) for k in range(0, len(values), 3)]
 
 
-def _exotic_mesh(coords_type=list):
-    # mesh coordinates are canonical (no -0.0); s and v values need not be
-    values = [0.0, math.pi, -2.5, 1e-300, -1e300, 1 / 3, 5e-324, 7.0]
-    coords = coords_type(values[(k + c) % 8] for k in range(12) for c in (0, 3, 5))
-    return Mesh(
-        ns=4, nv=3, s_values=[-0.0, 0.5, 1.0, 2.0], v_values=[-0.0, 1e-17, 3.0], coords=coords
-    )
-
-
-def test_streaming_exporters_match_per_record_output(tmp_path):
-    mesh = _exotic_mesh()
+def test_streaming_exporters_match_per_record_output(small_pencil, monkeypatch, tmp_path):
+    s_values, v_values, coords = exotic_rows(monkeypatch)
+    intervals = usable_domain(small_pencil.curve, small_pencil.marching, small_pencil.domain)
     for workers in (1, 2):
-        export_mesh(mesh, csv=str(tmp_path / "m.csv"), workers=workers)
-        assert (tmp_path / "m.csv").read_bytes() == _reference_csv(mesh)
-        export_mesh(mesh, obj=str(tmp_path / "m.obj"), workers=workers)
-        assert (tmp_path / "m.obj").read_bytes() == _reference_obj(mesh)
+        write_mesh(small_pencil, 4, 3, csv=str(tmp_path / "m.csv"), workers=workers)
+        assert (tmp_path / "m.csv").read_bytes() == _reference_csv(s_values, v_values, coords)
+        write_mesh(small_pencil, 4, 3, obj=str(tmp_path / "m.obj"), workers=workers)
+        assert (tmp_path / "m.obj").read_bytes() == _reference_obj(s_values, 3, coords, intervals)
     data = (tmp_path / "m.obj").read_bytes()
     assert b"v 0 " in data and b"-0" not in data and b"f 1 4 2\n" in data
+    assert b",1.0000000000000001e-17," in (tmp_path / "m.csv").read_bytes()
 
 
 class TestCsvExport:
     def test_header_and_row_count(self, tmp_path, helix_pencil):
-        mesh = small_mesh(helix_pencil, 8, 5)
         path = tmp_path / "m.csv"
-        export_mesh(mesh, csv=str(path))
+        write_quietly(helix_pencil, 8, 5, csv=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "s,v,x,y,z"
         assert len(lines) == 8 * 5 + 1
 
     def test_base_row_bytes_match_curve_points(self, tmp_path, helix_pencil):
-        mesh = small_mesh(helix_pencil, 12, 4)
         path = tmp_path / "m.csv"
-        export_mesh(mesh, csv=str(path))
+        write_quietly(helix_pencil, 12, 4, csv=path)
         rows = path.read_text().splitlines()[1:]
-        base_rows = [rows[i * mesh.nv] for i in range(mesh.ns)]
-        for s, row in zip(mesh.s_values, base_rows):
+        d = helix_pencil.domain
+        for s, row in zip(uniform_grid(d.s_min, d.s_max, 12), rows[::4]):
             r = point(helix_pencil.curve, s)
             expected = f"{_fmt(s)},{_fmt(0.0)},{_fmt(r.x)},{_fmt(r.y)},{_fmt(r.z)}"
             assert row == expected
 
 
 class TestDomainGaps:
-    def test_printed_fig1d_excises_infeasible_band(self):
+    def test_printed_fig1d_excises_infeasible_band(self, tmp_path):
         # the as-printed flexion factor sqrt(s^2 - 1/64) is undefined for
         # |s| < 1/8; those rows must be excised, not produced partially
         cfg = FIGURES["fig1d"].config(as_printed=True)
         pencil = realize(cfg, as_printed=True)
+        path = tmp_path / "m.csv"
         with pytest.warns(UserWarning, match="re-spans"):
-            mesh = mesh_from_pencil(pencil, 30, 4)
-        assert all(abs(s) >= 0.125 - 1e-6 for s in mesh.s_values)
-        assert len(mesh.coords) == 3 * 30 * 4
+            write_mesh(pencil, 30, 4, csv=str(path))
+        rows = read_csv(path)
+        assert all(abs(s) >= 0.125 - 1e-6 for s, *_ in rows)
+        assert len(rows) == 30 * 4
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # two processes share the rows even on a one-CPU machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls so far, as a one-item list."""
+    count = [0]
+    fork = os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
 
 
 class TestWorkers:
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        # two processes share the rows even on a one-CPU machine
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
     def test_pool_size_is_capped_by_cpus_and_rows(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
         assert _pool_size(1000, 10**6) == 6
@@ -214,16 +273,43 @@ class TestWorkers:
     def test_mesh_does_not_depend_on_workers(self, two_cpus, tmp_path):
         # fig1b's rows straddle the guard band around s = 0
         pencil = realize(FIGURES["fig1b"].config())
-        meshes, blobs = [], []
+        blobs = []
         for workers in (1, 2, 8):
-            mesh = small_mesh(pencil, 20, 6, workers=workers)
-            path = tmp_path / f"m{workers}.obj"
-            export_mesh(mesh, obj=str(path), workers=workers)
-            meshes.append(mesh.coords)
-            blobs.append(path.read_bytes())
-        assert meshes[0] == meshes[1] == meshes[2]
+            obj, csv = tmp_path / f"m{workers}.obj", tmp_path / f"m{workers}.csv"
+            write_quietly(pencil, 20, 6, obj, csv, workers=workers)
+            blobs.append((obj.read_bytes(), csv.read_bytes()))
         assert blobs[0] == blobs[1] == blobs[2]
-        assert blobs[0].count(b"v ") == 20 * 6
+        assert blobs[0][0].count(b"v ") == 20 * 6
+
+    def test_build_with_two_workers_forks_once(self, two_cpus, forks, tmp_path, capsys):
+        # one pass samples and formats the rows, so one child shares them
+        out = tmp_path / "m.obj"
+        assert main(["build", "configs/fresnel-helix.json", "-o", str(out), "--workers", "2"]) == 0
+        assert forks[0] == 1
+        assert capsys.readouterr().out == f"wrote {out} (200x50 vertices)\n"
+
+    def test_error_in_the_parents_rows_leaves_no_file(self, two_cpus, forks, tmp_path, capsys):
+        # only the first row, s = 0.5, overflows: the calling process has it
+        # while a child works on the later rows
+        doc = {
+            "curve": "fresnel-helix",
+            "marching_scale": {"direct": {"alpha": "exp(3000*(0.6 - s)*v)", "beta": "v", "gamma": "v"}},
+            "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
+            "grid": {"ns": 10, "nv": 5},
+        }
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        for out in (tmp_path / "out.obj", tmp_path / "out.csv"):
+            assert main(["build", str(path), "-o", str(out), "--workers", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("error: DomainError: non-finite surface point")
+            assert "at s = 0.5, v = " in err
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)  # the child was reaped
+        assert forks[0] == 2
+        assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
     def test_child_error_and_warnings_reach_the_caller(self, two_cpus, recwarn):
         def task(lo, hi):
@@ -249,38 +335,49 @@ class TestOnePassExport:
         # three processes share the rows even on a machine with fewer CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
-    @pytest.fixture(scope="class")
-    def fig1c_mesh(self):
-        pencil = realize(FIGURES["fig1c"].config())
-        with pytest.warns(UserWarning, match="guard bands excised"):
-            return mesh_from_pencil(pencil, 20, 6)
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("which", ["exotic", "fig1c"])
     def test_two_file_pass_matches_single_file_and_reference_output(
-        self, three_cpus, fig1c_mesh, tmp_path, which, workers
+        self, three_cpus, small_pencil, monkeypatch, tmp_path, which, workers
     ):
-        mesh = _exotic_mesh() if which == "exotic" else fig1c_mesh
+        if which == "exotic":
+            pencil, ns, nv = small_pencil, 4, 3
+            s_values, v_values, coords = exotic_rows(monkeypatch)
+        else:
+            pencil, ns, nv = realize(FIGURES["fig1c"].config()), 20, 6
+            rows = sampled(pencil, ns, nv, tmp_path)
+            s_values, v_values = [r[0] for r in rows[::nv]], [r[1] for r in rows[:nv]]
+            coords = [c for r in rows for c in r[2:]]
+        intervals = usable_domain(pencil.curve, pencil.marching, pencil.domain)
         both_obj, both_csv = tmp_path / "both.obj", tmp_path / "both.csv"
-        export_mesh(mesh, str(both_obj), str(both_csv), workers=workers)
-        export_mesh(mesh, obj=str(tmp_path / "one.obj"), workers=workers)
-        export_mesh(mesh, csv=str(tmp_path / "one.csv"), workers=workers)
+        write_quietly(pencil, ns, nv, both_obj, both_csv, workers=workers)
+        write_quietly(pencil, ns, nv, obj=tmp_path / "one.obj", workers=workers)
+        write_quietly(pencil, ns, nv, csv=tmp_path / "one.csv", workers=workers)
         obj = both_obj.read_bytes()
-        assert obj == (tmp_path / "one.obj").read_bytes() == _reference_obj(mesh)
-        assert both_csv.read_bytes() == (tmp_path / "one.csv").read_bytes() == _reference_csv(mesh)
-        assert obj.count(b"v ") == mesh.ns * mesh.nv
+        assert obj == (tmp_path / "one.obj").read_bytes() == _reference_obj(s_values, nv, coords, intervals)
+        assert (
+            both_csv.read_bytes()
+            == (tmp_path / "one.csv").read_bytes()
+            == _reference_csv(s_values, v_values, coords)
+        )
+        assert obj.count(b"v ") == ns * nv
 
-    def test_worker_error_in_a_two_file_pass_reaches_the_caller(self, three_cpus, tmp_path):
-        class Poisoned(list):
-            def __getitem__(self, key):
-                # rows 2 and 3 (from coordinate 18 on) belong to the third process
-                if isinstance(key, slice) and key.start >= 18:
+    def test_worker_error_in_a_two_file_pass_reaches_the_caller(
+        self, three_cpus, small_pencil, monkeypatch, tmp_path
+    ):
+        def compile_rows(alpha, beta, gamma, v_values):
+            def row(s, base, frame, out):
+                # rows 2 and 3 (s = 1.5 and 2) belong to the third process
+                if s >= 1.5:
                     raise CurvatureVanishes(1.5, 1e-9)
-                return super().__getitem__(key)
+                out.extend([1.0] * 9)
 
-        mesh = _exotic_mesh(Poisoned)
+            return row
+
+        monkeypatch.setattr(g3pencil.mesh, "compile_surface_rows", compile_rows)
         with pytest.raises(CurvatureVanishes) as info:
-            export_mesh(mesh, str(tmp_path / "m.obj"), str(tmp_path / "m.csv"), workers=3)
+            write_mesh(small_pencil, 4, 3, str(tmp_path / "m.obj"), str(tmp_path / "m.csv"), workers=3)
         assert (info.value.s, info.value.kappa) == (1.5, 1e-9)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
+        assert os.listdir(tmp_path) == []

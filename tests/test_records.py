@@ -17,7 +17,6 @@ from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
 from g3pencil.exprjet import BinOp, Call, Jet3, Neg, Num, Var, _Token, parse
 from g3pencil.figures import FigureDef
 from g3pencil.g3core import G3Vector, Record
-from g3pencil.mesh import Mesh
 from g3pencil.pencil import (
     ControlCoefficients,
     DTypeSpec,
@@ -88,10 +87,8 @@ RECORDS = [
         ),
     ),
     (FigureDef, dict(name="fig1a", kind="curve", corrected=None, printed=None)),
-    (Mesh, dict(ns=2, nv=2, s_values=[0.0, 1.0], v_values=[0.0, 1.0], coords=[0.0] * 12)),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
-HASHABLE = [(cls, kw) for cls, kw in RECORDS if cls is not Mesh]
 
 
 @pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
@@ -103,20 +100,13 @@ def test_positional_and_keyword_construction_agree(cls, kw):
     assert tuple(getattr(by_keyword, k) for k in kw) == tuple(kw.values())
 
 
-@pytest.mark.parametrize("cls, kw", HASHABLE, ids=[cls.__name__ for cls, _ in HASHABLE])
+@pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
 def test_equal_fields_give_equal_records_and_hashes(cls, kw):
     a, b = cls(**kw), cls(**kw)
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_mutable_mesh_compares_but_does_not_hash():
-    kw = dict(RECORDS)[Mesh]
-    assert Mesh(**kw) == Mesh(**kw)
-    with pytest.raises(TypeError):
-        hash(Mesh(**kw))
 
 
 @pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
