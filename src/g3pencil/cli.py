@@ -25,7 +25,7 @@ import warnings
 from types import SimpleNamespace
 
 from . import figures
-from .config import build_curve, load_config, realize
+from .config import build_curve, config_from_dict, load_config, realize
 from .curve import classify_curve, darboux, frenet, point, uniform_grid
 from .g3core import G3Vector, Record
 from .mesh import export_curve_csv, write_mesh
@@ -162,17 +162,17 @@ def _cmd_reproduce(args) -> int:
             "corrected defaults; the invariant check may fail on them",
             file=sys.stderr,
         )
-    fig = figures.FIGURES[name]
-    ns, nv = args.grid if args.grid else (200, 50)
-    if fig.kind == "curve":
+    if name in figures.CURVE_FIGURES:
+        ns = args.grid[0] if args.grid else figures.GRID[0]
         curve = build_curve(figures.CURVE_FIGURES[name], as_printed=args.as_printed)
-        svals = uniform_grid(*figures.CURVE_RANGE, ns)
+        svals = uniform_grid(figures.DOMAIN["s_min"], figures.DOMAIN["s_max"], ns)
         pts = [point(curve, s) for s in svals]
         out = os.path.join(args.output, f"{name}.csv")
         export_curve_csv(svals, pts, out)
         print(f"wrote {out}")
         return EXIT_OK
-    cfg = fig.config(as_printed=args.as_printed)
+    cfg = config_from_dict(figures.figure_doc(name, as_printed=args.as_printed))
+    ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
     pencil = realize(cfg, as_printed=args.as_printed)
     obj_path = os.path.join(args.output, f"{name}.obj")
     csv_path = os.path.join(args.output, f"{name}.csv")
@@ -240,7 +240,7 @@ COMMANDS = {
         _SIGN,
     )),
     "reproduce": ("emit a built-in example figure dataset", _cmd_reproduce, (
-        _Arg("figure", choices=sorted(figures.FIGURES)),
+        _Arg("figure", choices=figures.FIGURES),
         _Arg("-o", "--output", required=True, metavar="DIR"),
         _GRID,
         _WORKERS,

@@ -11,6 +11,9 @@ Grammar (whitespace between tokens is ignored)::
            | "sqrt" | "abs" | "fresnelS" | "fresnelC"
     NUMBER = digits [ "." digits ] [ ("e" | "E") [sign] digits ] | "." digits
 
+Digits are the ASCII digits 0-9, and a NUMBER must be finite as a double:
+the parser refuses ``1e999`` with a ParseError at its offset.
+
 "^" binds tighter than unary minus and associates to the right, so
 ``-s^2`` parses as ``-(s^2)`` and ``2^3^2`` as ``2^(3^2)``.  Exponents must
 be constant (no s or v inside them): the parser refuses others with a
@@ -154,6 +157,9 @@ class _Token(Record):
         self.pos = pos
 
 
+_DIGITS = frozenset("0123456789")  # the grammar's digits: ASCII only, as float() reads them
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -163,21 +169,21 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in _DIGITS:
                         i += 1
             tokens.append(_Token("num", text[start:i], start))
             continue
@@ -275,7 +281,10 @@ class _Parser:
         t = self.tok
         if t.kind == "num":
             self.advance()
-            return Num(float(t.text))
+            value = float(t.text)
+            if math.isinf(value):
+                raise ParseError(f"number {t.text!r} is too large for a double", t.pos)
+            return Num(value)
         if t.kind == "ident":
             self.advance()
             if t.text in VARIABLES:

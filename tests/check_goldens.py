@@ -10,6 +10,9 @@ example the installed console script, ``g3pencil``.  In order it checks
 * both ``classify`` outputs,
 * ``reproduce fig1b --grid 40x10`` against ``fig1b_40x10.obj``, and its
   one-line warning on stderr,
+* every file that ``reproduce`` writes for fig1a..fig1h at the default
+  grid, corrected and ``--as-printed``, and each run's stderr, against the
+  SHA-256 digests in ``figures.sha256``,
 * that ``build`` (OBJ and CSV) and ``reproduce`` write the same bytes with
   1 and 2 workers.
 
@@ -20,6 +23,7 @@ interpreters that have no pytest.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,6 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = ("fresnel-helix", "anti-salkowski")
 WARNING = b"warning: UserWarning: grid re-spans usable sub-intervals "
+FIGURE_DIGESTS = GOLDEN / "figures.sha256"
+# each run's name, as the digests name it, and the reproduce arguments it adds
+FIGURE_RUNS = {f"fig1{c}{flag}": (f"fig1{c}", *filter(None, [flag]))
+               for c in "abcdefgh" for flag in ("", "--as-printed")}
 
 
 class Mismatch(Exception):
@@ -45,6 +53,16 @@ def _first_difference(got: bytes, want: bytes) -> str:
 def _same(got: bytes, want: bytes, what: str) -> None:
     if got != want:
         raise Mismatch(f"{what}: {_first_difference(got, want)}")
+
+
+def pinned_digests() -> dict[str, str]:
+    """``figures.sha256`` as {"RUN/FILE": hex digest}; FILE ``stderr`` is the run's stderr."""
+    lines = FIGURE_DIGESTS.read_text().splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class Cli:
@@ -81,6 +99,18 @@ def check(cli: Cli, out: Path) -> None:
     if not (stderr.startswith(WARNING) and stderr.count(b"\n") == 1):
         raise Mismatch(f"reproduce fig1b --grid 40x10: stderr is not one re-span warning: {stderr!r}")
     print("ok reproduce fig1b --grid 40x10")
+
+    digests = {}
+    for run, argv in FIGURE_RUNS.items():
+        digests[f"{run}/stderr"] = sha256(cli("reproduce", *argv, "-o", str(out / run)).stderr)
+        digests.update((f"{run}/{path.name}", sha256(path.read_bytes()))
+                       for path in (out / run).iterdir())
+    pinned = pinned_digests()
+    for name in sorted(pinned.keys() | digests.keys()):
+        if digests.get(name) != pinned.get(name):
+            raise Mismatch(f"reproduce {name}: sha256 {digests.get(name)} against "
+                           f"{pinned.get(name)} in {FIGURE_DIGESTS.name}")
+    print(f"ok reproduce fig1a..fig1h, {len(pinned)} digests")
 
     for ext in ("obj", "csv"):
         for workers in ("1", "2"):

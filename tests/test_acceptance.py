@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import pytest
 
 from g3pencil.cli import main
-from g3pencil.config import load_config, realize
+from g3pencil.config import config_from_dict, load_config, realize
 from g3pencil.curve import (
     anti_salkowski,
     darboux,
@@ -28,7 +28,7 @@ from g3pencil.curve import (
 )
 from g3pencil.errors import InfeasibleLambda
 from g3pencil.exprjet import eval_expr, fresnel_c, fresnel_s, parse
-from g3pencil.figures import FIGURES
+from g3pencil.figures import figure_doc
 from g3pencil.g3core import (
     cross,
     dot,
@@ -147,7 +147,7 @@ def test_c05_second_example_invariant():
         assert rep.mean_lambda == pytest.approx(0.86602540, abs=1e-6)
         assert rep.max_abs_deviation <= 1e-6
         # the formulas as printed fail the same check, loudly
-        printed_cfg = FIGURES["fig1f"].config(as_printed=True)
+        printed_cfg = config_from_dict(figure_doc("fig1f", as_printed=True))
         printed = realize(printed_cfg, as_printed=True)
         bad = dtype_report(antis, printed.marching, DOM39, 200, "analytic", 1e-6)
         assert bad.classification == "not-d-type"

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from g3pencil.cli import COMMANDS, _build_parser, _parse_fast, main
 from g3pencil.errors import G3PencilError
-from g3pencil.figures import FIGURES
+from g3pencil.figures import SURFACE_FIGURES, figure_doc
 from oracles import failure_rich_expression
 
 
@@ -175,6 +175,16 @@ def test_reproduce_curve_figures(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reproduce_takes_the_default_grid_from_the_figure_table(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("g3pencil.figures.GRID", (6, 3))
+    assert main(["reproduce", "fig1b", "-o", str(tmp_path)]) == 0
+    assert main(["reproduce", "fig1a", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    obj = (tmp_path / "fig1b.obj").read_text().splitlines()
+    assert sum(line.startswith("v ") for line in obj) == 18
+    assert len((tmp_path / "fig1a.csv").read_text().splitlines()) == 1 + 6
+
+
 def test_reproduce_as_printed_notice(tmp_path, capsys):
     rc = main(["reproduce", "fig1f", "-o", str(tmp_path), "--grid", "12x4", "--as-printed"])
     captured = capsys.readouterr()
@@ -296,7 +306,7 @@ def test_unexpected_exception_maps_to_exit_2(monkeypatch, capsys):
 
 def _printed_fig1d(tmp_path):
     path = tmp_path / "fig1d-printed.json"
-    path.write_text(json.dumps(FIGURES["fig1d"].printed))
+    path.write_text(json.dumps(figure_doc("fig1d", as_printed=True)))
     return str(path)
 
 
@@ -351,7 +361,7 @@ def _reject_constant(name):
 @pytest.mark.parametrize("figure", ["fig1b", "fig1c"])
 def test_fd_verify_of_corrected_figures_meets_its_tolerance(figure, tmp_path, capsys):
     config = tmp_path / f"{figure}.json"
-    config.write_text(json.dumps(FIGURES[figure].corrected))
+    config.write_text(json.dumps(figure_doc(figure)))
     assert main(["verify", str(config), "--mode", "fd"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tolerance"] == 1e-5
@@ -529,7 +539,7 @@ def test_build_bytes_do_not_depend_on_workers(tmp_path, capsys, recwarn):
     # fig1b's domain straddles the guard band around s = 0; with 40 rows it
     # lies between rows 19 and 20, where two workers split the rows
     config = tmp_path / "fig1b.json"
-    config.write_text(json.dumps(FIGURES["fig1b"].corrected))
+    config.write_text(json.dumps(figure_doc("fig1b")))
     for suffix in ("obj", "csv"):
         blobs = []
         for workers in ("1", "2", "8"):
@@ -746,6 +756,23 @@ def test_expression_nested_too_deeply_is_a_parse_error(alpha, offset, tmp_path, 
     )
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("s^\u00b2", "unexpected character '\u00b2'"),
+        ("s*1e999", "number '1e999' is too large for a double"),
+    ],
+    ids=["superscript-two", "overflowing-literal"],
+)
+def test_number_tokens_outside_the_grammar_are_parse_errors(f, message, tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["curve"] = {"f": f, "g": "s^3"}
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: ParseError: {message} (at offset 2)\n"
+
+
 # ---------------------------------------------------------------------------
 # The CLI contract on fuzzed configuration documents
 # ---------------------------------------------------------------------------
@@ -812,7 +839,7 @@ def _configs(draw) -> dict:
 
 # the corrected surface figures, whose domains all cross the guard band
 # at s = 0, so that 2 or 3 grid rows are too few for them (GridTooCoarse)
-FIGURE_DOCS = st.sampled_from([fig.corrected for _, fig in sorted(FIGURES.items()) if fig.corrected])
+FIGURE_DOCS = st.sampled_from([figure_doc(name) for name in sorted(SURFACE_FIGURES)])
 
 
 @st.composite

@@ -139,6 +139,33 @@ def test_parse_refuses_nesting_deeper_than_max_depth(text, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("s^\u00b2", "unexpected character '\u00b2'", 2),  # superscript two
+        ("\u0663", "unexpected character '\u0663'", 0),  # Arabic-Indic three
+        ("1.\u0665", "unexpected character '\u0665'", 2),
+        ("s*1e999", "number '1e999' is too large for a double", 2),
+        ("-1e309", "number '1e309' is too large for a double", 1),
+        ("2^(1+.5e400)", "number '.5e400' is too large for a double", 5),
+    ],
+    ids=["superscript", "arabic-indic", "after-point", "overflow", "negated", "exponent"],
+)
+def test_numbers_are_ascii_digits_and_finite(text, message, offset):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
+
+
+def test_extreme_finite_literals_round_trip():
+    for text, value in [("1.7976931348623157e308", 1.7976931348623157e308), ("1e-999", 0.0),
+                        ("5e-324", 5e-324)]:
+        tree = parse(f"s*{text}")
+        assert tree == BinOp("*", Var("s"), Num(value))
+        assert parse(to_source(tree)) == tree
+
+
 def test_trees_of_max_depth_parse_and_compile():
     assert parse("(" * (MAX_DEPTH - 1) + "v" + ")" * (MAX_DEPTH - 1)) == Var("v")
     tree = parse("+".join(["sin(v)*s"] * (MAX_DEPTH - 2)))

@@ -13,7 +13,7 @@ from g3pencil.config import config_from_dict, load_config, realize
 from g3pencil.curve import point, uniform_grid
 from g3pencil.errors import CurvatureVanishes, GridTooCoarse
 from g3pencil.exprjet import KinkWarning
-from g3pencil.figures import FIGURES
+from g3pencil.figures import figure_doc
 from g3pencil.mesh import _fmt, _pool_size, _run_rows, write_mesh
 from g3pencil.pencil import usable_domain
 
@@ -54,7 +54,7 @@ class TestSampling:
         assert len(sampled(realize(cfg), cfg.grid.ns, cfg.grid.nv, tmp_path)) == 200 * 50
 
     def test_guard_band_warns_and_respans(self, tmp_path):
-        cfg = FIGURES["fig1b"].config()
+        cfg = config_from_dict(figure_doc("fig1b"))
         pencil = realize(cfg)
         path = tmp_path / "m.csv"
         with pytest.warns(UserWarning, match="re-spans"):
@@ -72,7 +72,7 @@ class TestSampling:
 
     def test_each_usable_interval_needs_two_rows(self, tmp_path):
         # fig1c's guard band around s = 0 leaves two usable intervals
-        pencil = realize(FIGURES["fig1c"].config())
+        pencil = realize(config_from_dict(figure_doc("fig1c")))
         for ns in (2, 3):
             with pytest.raises(GridTooCoarse):
                 write_quietly(pencil, ns, 2, obj=tmp_path / "m.obj")
@@ -149,7 +149,7 @@ class TestObjExport:
         # fig1b's 40 rows straddle the guard band around s = 0, which lies
         # between rows 19 and 20, where two workers split the rows
         golden = Path("tests/golden/fig1b_40x10.obj").read_bytes()
-        pencil = realize(FIGURES["fig1b"].config())
+        pencil = realize(config_from_dict(figure_doc("fig1b")))
         for workers in (1, 2, 8):
             path = tmp_path / f"m{workers}.obj"
             write_quietly(pencil, 40, 10, obj=path, workers=workers)
@@ -224,7 +224,7 @@ class TestDomainGaps:
     def test_printed_fig1d_excises_infeasible_band(self, tmp_path):
         # the as-printed flexion factor sqrt(s^2 - 1/64) is undefined for
         # |s| < 1/8; those rows must be excised, not produced partially
-        cfg = FIGURES["fig1d"].config(as_printed=True)
+        cfg = config_from_dict(figure_doc("fig1d", as_printed=True))
         pencil = realize(cfg, as_printed=True)
         path = tmp_path / "m.csv"
         with pytest.warns(UserWarning, match="re-spans"):
@@ -272,7 +272,7 @@ class TestWorkers:
 
     def test_mesh_does_not_depend_on_workers(self, two_cpus, tmp_path):
         # fig1b's rows straddle the guard band around s = 0
-        pencil = realize(FIGURES["fig1b"].config())
+        pencil = realize(config_from_dict(figure_doc("fig1b")))
         blobs = []
         for workers in (1, 2, 8):
             obj, csv = tmp_path / f"m{workers}.obj", tmp_path / f"m{workers}.csv"
@@ -344,7 +344,7 @@ class TestOnePassExport:
             pencil, ns, nv = small_pencil, 4, 3
             s_values, v_values, coords = exotic_rows(monkeypatch)
         else:
-            pencil, ns, nv = realize(FIGURES["fig1c"].config()), 20, 6
+            pencil, ns, nv = realize(config_from_dict(figure_doc("fig1c"))), 20, 6
             rows = sampled(pencil, ns, nv, tmp_path)
             s_values, v_values = [r[0] for r in rows[::nv]], [r[1] for r in rows[:nv]]
             coords = [c for r in rows for c in r[2:]]

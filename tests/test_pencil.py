@@ -20,9 +20,9 @@ from g3pencil.errors import (
     NotProductForm,
     SigmaVanishes,
 )
-from g3pencil.config import realize
+from g3pencil.config import config_from_dict, realize
 from g3pencil.exprjet import KinkWarning, eval_expr, eval_jet3, parse
-from g3pencil.figures import FIGURES
+from g3pencil.figures import figure_doc
 from g3pencil.g3core import dot, isotropic_norm, isotropic_wedge, normalize_isotropic
 from g3pencil.pencil import (
     ControlCoefficients,
@@ -432,7 +432,7 @@ class TestOneFeasibilityRule:
         for name in ("curvature_torsion", "frenet"):
             counting(g3pencil.curve, name)
             counting(g3pencil.pencil, name)
-        realize(FIGURES["fig1f"].config())
+        realize(config_from_dict(figure_doc("fig1f")))
         # 256 guard-band probes, then one kappa and tau per point of the
         # 512-point grid; none of them builds a frame
         assert calls == {"usable_s_intervals": 1, "curvature_torsion": 256 + 512, "frenet": 0}

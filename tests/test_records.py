@@ -15,7 +15,6 @@ import g3pencil
 from g3pencil.config import GridSpec, PencilConfig, SynthesisMS, VerifySpec
 from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
 from g3pencil.exprjet import BinOp, Call, Jet3, Neg, Num, Var, _Token, parse
-from g3pencil.figures import FigureDef
 from g3pencil.g3core import G3Vector, Record
 from g3pencil.pencil import (
     ControlCoefficients,
@@ -86,7 +85,6 @@ RECORDS = [
             v0=0.0,
         ),
     ),
-    (FigureDef, dict(name="fig1a", kind="curve", corrected=None, printed=None)),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
