@@ -1260,6 +1260,13 @@ def compile_surface_rows(
 
 _FRESNEL_SWITCH = 1.6
 _SERIES_EPS = 1e-17
+# 4n+1, 4n+3, (2n+1)(2n+2) and (2n+2)(2n+3) for the series' terms n = 0..200
+# (it converges long before), as floats: each int converts exactly, so a
+# division by it keeps its bits
+_SERIES_DIVISORS = tuple(
+    tuple(map(float, (4 * n + 1, 4 * n + 3, (2 * n + 1) * (2 * n + 2), (2 * n + 2) * (2 * n + 3))))
+    for n in range(201)
+)
 _CF_EPS = 5e-16
 _CF_MAXIT = 5000
 
@@ -1273,19 +1280,15 @@ def _fresnel_series(x: float) -> tuple[float, float]:
     s_sum = 0.0
     uc = x  # x * (-w^2)^n / (2n)!
     us = x * w  # x * w * (-w^2)^n / (2n+1)!
-    n = 0
-    while True:
-        tc = uc / (4 * n + 1)
-        ts = us / (4 * n + 3)
+    for dc, ds, ec, es in _SERIES_DIVISORS:
+        tc = uc / dc
+        ts = us / ds
         c_sum += tc
         s_sum += ts
         if abs(uc) + abs(us) < _SERIES_EPS * (1.0 + abs(c_sum) + abs(s_sum)):
             break
-        uc *= -w2 / ((2 * n + 1) * (2 * n + 2))
-        us *= -w2 / ((2 * n + 2) * (2 * n + 3))
-        n += 1
-        if n > 200:  # pragma: no cover - series converges long before this
-            break
+        uc *= -w2 / ec
+        us *= -w2 / es
     return s_sum, c_sum
 
 

@@ -147,7 +147,11 @@ def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:
 
 
 def _collect(pipe: BinaryIO, sinks) -> None:
-    """Issue one child's warnings, then raise its error or sink its bytes."""
+    """Issue one child's warnings, then raise its error or sink its bytes.
+
+    A result cut short, by a child that died while it wrote, raises
+    ChildProcessError.
+    """
     import pickle
 
     size = int.from_bytes(pipe.read(8), "little")
@@ -162,8 +166,12 @@ def _collect(pipe: BinaryIO, sinks) -> None:
         exc.__dict__.update(state)
         raise exc
     for sink, size in zip(sinks, sizes):
-        for at in range(0, size, 1 << 20):
-            sink(pipe.read(min(1 << 20, size - at)))
+        while size:
+            part = pipe.read(min(1 << 20, size))
+            if not part:
+                raise ChildProcessError("a row worker process ended before its whole result")
+            sink(part)
+            size -= len(part)
 
 
 def _rewarn(notes) -> None:
@@ -205,7 +213,9 @@ def write_mesh(
     face patch of its own.  The CSV has
     the header s,v,x,y,z and one row per vertex.  Every number has 17
     significant digits.  Each coordinate is formatted once: with both
-    files, the CSV reuses the text of the OBJ's v records.  Up to
+    files, the CSV reuses the text of the OBJ's v records.  Each vertex
+    number is formatted once per range of rows, and the face records are
+    joined from those strings.  Up to
     ``workers`` processes sample and format the records, a range of grid
     rows each, in one pass; the bytes are the same for any count.  When
     the pass fails, the files it opened are removed.
@@ -233,7 +243,6 @@ def write_mesh(
     # a CSV row takes x, y and z of each vertex as numbers, or as the text of its v record
     xyz, per_row = ("%.17g,%.17g,%.17g", 3 * nv) if obj is None else ("%s", nv)
     columns = [f",{_fmt(v)},{xyz}\n" for v in v_values]
-    faces = "f %d %d %d\nf %d %d %d\n" * (nv - 1)
     # the last row of each usable interval but the last: no face joins it to the next row
     patch_ends = {
         bisect_left(s_values, 0.5 * (b + a)) - 1 for (_, b), (a, _) in zip(intervals, intervals[1:])
@@ -255,16 +264,22 @@ def write_mesh(
                 parts.append((s + s.join(columns)) % tuple(values[k * per_row : (k + 1) * per_row]))
             out.append("".join(parts).encode("ascii"))
         if obj is not None:
+            top = min(hi, ns - 1)  # the last row that a face of rows [lo, hi) reaches
+            # the vertex numbers of rows lo..top, each formatted once
+            labels = list(map(str, range(lo * nv + 1, (top + 1) * nv + 1)))
+            # the two face records of each cell of a row; the vertex numbers go at the odd indices
+            faces = ["f ", "", " ", "", " ", "", "\nf ", "", " ", "", " ", "", "\n"] * (nv - 1)
             parts = []
-            for i in range(lo, min(hi, ns - 1)):
+            for i in range(lo, top):
                 if i in patch_ends:
                     continue  # rows i and i + 1 lie in different usable intervals
                 # cell j of row i: a = i*nv + j + 1, b = a + nv, c = b + 1, d = a + 1
-                a = range(i * nv + 1, (i + 1) * nv)
-                b = range((i + 1) * nv + 1, (i + 2) * nv)
-                c = range((i + 1) * nv + 2, (i + 2) * nv + 1)
-                d = range(i * nv + 2, (i + 1) * nv + 1)
-                parts.append(faces % tuple(chain.from_iterable(zip(a, b, d, b, c, d))))
+                k = (i - lo) * nv  # labels[k] is a of cell 0
+                faces[1::13] = labels[k : k + nv - 1]  # a
+                faces[3::13] = faces[7::13] = labels[k + nv : k + 2 * nv - 1]  # b
+                faces[9::13] = labels[k + nv + 1 : k + 2 * nv]  # c
+                faces[5::13] = faces[11::13] = labels[k + 1 : k + nv]  # d
+                parts.append("".join(faces))
             out.append("".join(parts).encode("ascii"))
         return out
 

@@ -13,8 +13,9 @@ example the installed console script, ``g3pencil``.  In order it checks
 * every file that ``reproduce`` writes for fig1a..fig1h at the default
   grid, corrected and ``--as-printed``, and each run's stderr, against the
   SHA-256 digests in ``figures.sha256``,
-* that ``build`` (OBJ and CSV) and ``reproduce`` write the same bytes with
-  1 and 2 workers.
+* that ``build`` (OBJ and CSV) and ``reproduce fig1c --grid 300x40`` write
+  the same bytes with 1 and 2 workers, and ``reproduce fig1c --grid 128x6``
+  with 1, 2 and 3 workers.
 
 It stops at the first difference, names it and exits 1, and exits 0 when
 every check holds.  It needs only the standard library, so it runs under
@@ -119,14 +120,18 @@ def check(cli: Cli, out: Path) -> None:
         _same((out / f"w2.{ext}").read_bytes(), (out / f"w1.{ext}").read_bytes(),
               f"build --grid 300x40 to {ext} with 2 workers against 1")
         print(f"ok build {ext} with 1 and 2 workers")
-    for workers in ("1", "2"):
-        cli("reproduce", "fig1c", "--grid", "300x40", "-o", str(out / f"fig1c-w{workers}"),
-            "--workers", workers)
-    for ext in ("obj", "csv"):
-        _same((out / "fig1c-w2" / f"fig1c.{ext}").read_bytes(),
-              (out / "fig1c-w1" / f"fig1c.{ext}").read_bytes(),
-              f"reproduce fig1c --grid 300x40 to {ext} with 2 workers against 1")
-    print("ok reproduce fig1c with 1 and 2 workers")
+    # at 128x6 the first face patch ends at row 63, the last row of the
+    # first 64-row block and of the calling process's rows with 2 workers
+    for grid, counts in (("300x40", ("1", "2")), ("128x6", ("1", "2", "3"))):
+        for workers in counts:
+            cli("reproduce", "fig1c", "--grid", grid, "-o", str(out / f"fig1c-{grid}-w{workers}"),
+                "--workers", workers)
+        for workers in counts[1:]:
+            for ext in ("obj", "csv"):
+                _same((out / f"fig1c-{grid}-w{workers}" / f"fig1c.{ext}").read_bytes(),
+                      (out / f"fig1c-{grid}-w1" / f"fig1c.{ext}").read_bytes(),
+                      f"reproduce fig1c --grid {grid} to {ext} with {workers} workers against 1")
+        print(f"ok reproduce fig1c --grid {grid} with {', '.join(counts)} workers")
 
 
 def main(argv: list[str]) -> int:

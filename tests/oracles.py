@@ -119,6 +119,34 @@ def fresnel_table(points: list[float], tol_per_segment: float = 5e-15) -> dict[f
     return out
 
 
+def fresnel_series_reference(x: float) -> tuple[float, float]:
+    """(S(x), C(x)) by the Maclaurin series with integer divisors, for x in [0, 1.6].
+
+    The package's series divides by the same numbers held as floats; an
+    int converts to the same double, so both give the same bits.
+    """
+    w = 0.5 * math.pi * x * x
+    w2 = w * w
+    c_sum = 0.0
+    s_sum = 0.0
+    uc = x
+    us = x * w
+    n = 0
+    while True:
+        tc = uc / (4 * n + 1)
+        ts = us / (4 * n + 3)
+        c_sum += tc
+        s_sum += ts
+        if abs(uc) + abs(us) < 1e-17 * (1.0 + abs(c_sum) + abs(s_sum)):
+            break
+        uc *= -w2 / ((2 * n + 1) * (2 * n + 2))
+        us *= -w2 / ((2 * n + 2) * (2 * n + 3))
+        n += 1
+        if n > 200:
+            break
+    return s_sum, c_sum
+
+
 # ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from g3pencil.exprjet import (
     Neg,
     Num,
     Var,
+    _fresnel_series,
     compile_expr,
     compile_jets,
     compile_surface_rows,
@@ -36,6 +37,7 @@ from oracles import (
     failure_rich_expression,
     fresnel_c_oracle,
     fresnel_s_oracle,
+    fresnel_series_reference,
     fresnel_table,
     random_expression,
     second_diff,
@@ -758,6 +760,13 @@ def test_fresnel_reference_values():
     # frozen from the adaptive Simpson oracle (tol 1e-13)
     assert fresnel_s(1.0) == pytest.approx(0.4382591473903547, abs=1e-12)
     assert fresnel_c(1.0) == pytest.approx(0.7798934003768228, abs=1e-12)
+
+
+def test_fresnel_series_keeps_the_bits_of_integer_divisors():
+    # the goldens pin these bits; the series divides by float copies of ints
+    for x in [1.6 * k / 4000 for k in range(4001)] + [0.0, 5e-324, math.nextafter(1.6, 0.0)]:
+        got, want = _fresnel_series(x), fresnel_series_reference(x)
+        assert [v.hex() for v in got] == [v.hex() for v in want], x
 
 
 def test_fresnel_of_nan_is_nan_at_once(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import warnings
 from bisect import bisect_right
 from pathlib import Path
@@ -311,6 +312,40 @@ class TestWorkers:
         assert forks[0] == 2
         assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
+    @pytest.fixture
+    def dying_child(self, monkeypatch):
+        """Row workers that send their header and half their bytes, then exit 9."""
+
+        def child(task, lo, hi, read_end, write_end):
+            try:
+                os.close(read_end)
+                parts = [b"".join(p) for p in zip(*g3pencil.mesh._blocks(task, lo, hi))]
+                head = pickle.dumps((None, [], [len(p) for p in parts]))
+                data = b"".join(parts)
+                with open(write_end, "wb") as pipe:
+                    pipe.write(len(head).to_bytes(8, "little") + head + data[: len(data) // 2])
+            finally:
+                os._exit(9)
+
+        monkeypatch.setattr(g3pencil.mesh, "_child", child)
+
+    def test_a_result_cut_short_is_an_error(self, two_cpus, dying_child):
+        parts = []
+        with pytest.raises(ChildProcessError, match="before its whole result"):
+            _run_rows(lambda lo, hi: (bytes(range(lo, hi)),), 200, 2, parts.append)
+        assert len(b"".join(parts)) < 200
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+    def test_build_with_a_dying_worker_leaves_no_file(self, two_cpus, dying_child, tmp_path, capsys):
+        for out in (tmp_path / "out.obj", tmp_path / "out.csv"):
+            assert main(["build", "configs/fresnel-helix.json", "-o", str(out), "--workers", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: ChildProcessError: a row worker process ended before its whole result\n"
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)  # the child was reaped
+        assert os.listdir(tmp_path) == []
+
     def test_child_error_and_warnings_reach_the_caller(self, two_cpus, recwarn):
         def task(lo, hi):
             for row in range(lo, hi):
@@ -361,6 +396,27 @@ class TestOnePassExport:
             == _reference_csv(s_values, v_values, coords)
         )
         assert obj.count(b"v ") == ns * nv
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 64])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("which", ["exotic", "fig1c"])
+    def test_face_text_at_block_process_and_patch_edges(
+        self, three_cpus, small_pencil, monkeypatch, tmp_path, which, workers, block_rows
+    ):
+        # fig1c at 128 rows ends its first face patch at row 63: the last row
+        # of the first 64-row block, and of the calling process's rows with 2
+        # workers; the exotic grid has one cell per row
+        if which == "exotic":
+            pencil, ns, nv = small_pencil, 4, 2
+            s_values, _, coords = exotic_rows(monkeypatch, ns, nv)
+        else:
+            pencil, ns, nv = realize(config_from_dict(figure_doc("fig1c"))), 128, 6
+            rows = sampled(pencil, ns, nv, tmp_path)
+            s_values, coords = [r[0] for r in rows[::nv]], [c for r in rows for c in r[2:]]
+        intervals = usable_domain(pencil.curve, pencil.marching, pencil.domain)
+        monkeypatch.setattr(g3pencil.mesh, "_BLOCK_ROWS", block_rows)
+        write_quietly(pencil, ns, nv, obj=tmp_path / "m.obj", workers=workers)
+        assert (tmp_path / "m.obj").read_bytes() == _reference_obj(s_values, nv, coords, intervals)
 
     def test_worker_error_in_a_two_file_pass_reaches_the_caller(
         self, three_cpus, small_pencil, monkeypatch, tmp_path
