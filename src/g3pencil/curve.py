@@ -20,6 +20,7 @@ so its torsion is constant while its curvature is not.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cached_property
 from itertools import groupby
 
@@ -74,7 +75,7 @@ class CurveSpec(Record):
 
     @cached_property
     def _guard_verdicts(self) -> dict:
-        """(s_min, s_max) -> the probes of guard_probes."""
+        """(s_min, s_max) -> the curvature verdicts (s, passes) of usable_s_intervals."""
         return {}
 
 
@@ -218,7 +219,7 @@ def classify_curve(curve: CurveSpec, s_range: tuple[float, float]) -> CurveClass
     """
     kappas = []
     taus = []
-    for s in usable_s_values(curve, *s_range, _CLASSIFY_SAMPLES):
+    for s in spread_s_values(usable_s_intervals(curve, *s_range), _CLASSIFY_SAMPLES):
         kappa, tau, _ = curvature_torsion(curve, s)
         kappas.append(kappa)
         taus.append(tau)
@@ -235,16 +236,32 @@ def classify_curve(curve: CurveSpec, s_range: tuple[float, float]) -> CurveClass
     return CurveClass("generic", None)
 
 
-def guard_probes(curve: CurveSpec, s_min: float, s_max: float) -> list[tuple[float, bool]]:
-    """256 uniform probes (s, passes) of [s_min, s_max], scanned once per range.
+def usable_s_intervals(
+    curve: CurveSpec, s_min: float, s_max: float, probe: Callable[[float], bool] | None = None
+) -> list[tuple[float, float]]:
+    """Sub-intervals of [s_min, s_max] where the frame is well conditioned.
 
-    A probe passes where kappa >= ``DEFAULT_FRAME_GUARD`` (no frame is built).
+    The one guard scan: 256 uniform probes, each passing where
+    kappa >= ``DEFAULT_FRAME_GUARD`` (no frame is built), scanned once per
+    range and kept on the curve.  ``probe(s)``, given, must hold too; it is
+    called only where the curvature guard passes.  Runs of passing probes
+    become the intervals, or [s_min, s_max] itself if every probe passes.
+    Raises EmptyDomain when no interval is left.
     """
     key = (s_min, s_max)
-    if key not in curve._guard_verdicts:
+    verdicts = curve._guard_verdicts.get(key)
+    if verdicts is None:
         grid = uniform_grid(s_min, s_max, 256)
-        curve._guard_verdicts[key] = [(s, _passes_guard(curve, s)) for s in grid]
-    return curve._guard_verdicts[key]
+        verdicts = curve._guard_verdicts[key] = [(s, _passes_guard(curve, s)) for s in grid]
+    if probe is not None:
+        verdicts = [(s, ok and probe(s)) for s, ok in verdicts]
+    if all(ok for _, ok in verdicts):
+        return [(s_min, s_max)]
+    runs = [[s for s, _ in run] for ok, run in groupby(verdicts, key=lambda p: p[1]) if ok]
+    intervals = [(run[0], run[-1]) for run in runs if run[-1] > run[0]]
+    if not intervals:
+        raise EmptyDomain(s_min, s_max)
+    return intervals
 
 
 def _passes_guard(curve: CurveSpec, s: float) -> bool:
@@ -256,39 +273,18 @@ def _passes_guard(curve: CurveSpec, s: float) -> bool:
         return False  # no frame, or the expressions fail here
 
 
-def probe_intervals(
-    probes: list[tuple[float, bool]], s_min: float, s_max: float
-) -> list[tuple[float, float]]:
-    """Runs of passing probes as intervals; [s_min, s_max] itself if all pass."""
-    if all(ok for _, ok in probes):
-        return [(s_min, s_max)]
-    runs = [[s for s, _ in run] for ok, run in groupby(probes, key=lambda p: p[1]) if ok]
-    return [(run[0], run[-1]) for run in runs if run[-1] > run[0]]
-
-
-def usable_s_intervals(curve: CurveSpec, s_min: float, s_max: float) -> list[tuple[float, float]]:
-    """Sub-intervals of [s_min, s_max] where the frame is well conditioned."""
-    return probe_intervals(guard_probes(curve, s_min, s_max), s_min, s_max)
-
-
-def usable_s_values(curve: CurveSpec, s_min: float, s_max: float, n: int) -> list[float]:
-    """n values spread over :func:`usable_s_intervals`; EmptyDomain if none is left."""
-    intervals = usable_s_intervals(curve, s_min, s_max)
-    if not intervals:
-        raise EmptyDomain(s_min, s_max)
-    return spread_s_values(intervals, n)
-
-
 def spread_s_values(
     intervals: list[tuple[float, float]], n: int, *, inset: float = 0.0
 ) -> list[float]:
     """n parameter values over disjoint intervals, shrunk at both ends by ``inset``.
 
     Each interval gets a share of the points in proportion to its length,
-    at least two while enough remain, placed uniformly inside it with both
-    endpoints included; an interval left with one point gets its midpoint.
+    at least two, placed uniformly inside it with both endpoints included.
+    With fewer than two points per interval, the first intervals take two
+    each, an odd point left over takes the midpoint of the next, and the
+    rest get none: the result always holds exactly n ascending values.
     """
-    intervals = [(a + inset, b - inset) for a, b in intervals if b - a > 2.0 * inset]
+    intervals = [(a + inset, b - inset) for a, b in intervals if a + inset < b - inset]
     total = sum(b - a for a, b in intervals)
     values: list[float] = []
     remaining = n
@@ -297,7 +293,8 @@ def spread_s_values(
             count = remaining
         else:
             count = max(2, round(n * (b - a) / total))
-            count = min(count, remaining - 2 * (len(intervals) - idx - 1))
+            # keep two for each later interval, while this one can have two
+            count = min(count, max(remaining - 2 * (len(intervals) - idx - 1), min(remaining, 2)))
         remaining -= count
         if count == 1:
             values.append(0.5 * (a + b))

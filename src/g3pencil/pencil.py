@@ -50,12 +50,9 @@ from .curve import (
     classify_curve,
     curvature_torsion,
     frenet,
-    guard_probes,
     point,
-    probe_intervals,
     spread_s_values,
     usable_s_intervals,
-    usable_s_values,
 )
 from .errors import (
     ClassMismatch,
@@ -204,37 +201,31 @@ class PencilSpec(Record):
 
 
 def usable_domain(
-    curve: CurveSpec, ms: MarchingScale | None, domain: ParamDomain
+    curve: CurveSpec, ms: MarchingScale, domain: ParamDomain
 ) -> list[tuple[float, float]]:
     """The s intervals, sampled by every command, on which the pencil exists.
 
-    A probe of :func:`guard_probes` passes where the frame exists with
-    kappa >= 0.1 and, given scales (synthesis has none yet), alpha, beta and
-    gamma evaluate at the middle and far edge of the v range.  Raises
-    EmptyDomain when no interval is left, at once if their kernel fails to compile.
+    A probe of :func:`usable_s_intervals` passes where the frame exists
+    with kappa >= 0.1 and alpha, beta and gamma evaluate at the middle and
+    far edge of the v range.  Raises EmptyDomain when no interval is left,
+    at once if their kernel fails to compile.
     """
     d = domain
-    if ms is None:
-        intervals = usable_s_intervals(curve, d.s_min, d.s_max)
-    else:
-        v_mid = 0.5 * (d.v_min + d.v_max)
+    v_mid = 0.5 * (d.v_min + d.v_max)
+    try:
+        values = ms._values
+    except G3PencilError:  # a constant part fails, as every probe would
+        raise EmptyDomain(d.s_min, d.s_max) from None
+
+    def probe(s: float) -> bool:
         try:
-            values = ms._values
-        except G3PencilError:  # a constant part fails, as every probe would
-            raise EmptyDomain(d.s_min, d.s_max) from None
-        probes = []
-        for s, ok in guard_probes(curve, d.s_min, d.s_max):
-            try:
-                if ok:
-                    values(s, v_mid)
-                    values(s, d.v_max)
-            except G3PencilError:
-                ok = False
-            probes.append((s, ok))
-        intervals = probe_intervals(probes, d.s_min, d.s_max)
-    if not intervals:
-        raise EmptyDomain(d.s_min, d.s_max)
-    return intervals
+            values(s, v_mid)
+            values(s, d.v_max)
+        except G3PencilError:
+            return False
+        return True
+
+    return usable_s_intervals(curve, d.s_min, d.s_max, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +451,16 @@ def synthesize_product_form(
 
     ``scaled`` selects the sigma-scaled rule (default, exact invariant) or
     the plain rule; see the module docstring.  One 512-point grid over
-    the curve's :func:`usable_domain` serves the m and n factor scans and
-    the feasibility check up front; the square root's domain check still
-    guards each point.
+    the curve's :func:`usable_s_intervals` serves the m and n factor scans
+    and the feasibility check up front; the square root's domain check
+    still guards each point.
     """
     if curve.kappa_form is None or curve.tau_form is None:
         raise ValueError(
             "synthesis builds expression trees and needs closed-form kappa and "
             "tau on the curve; built-in curves provide them"
         )
-    grid = spread_s_values(usable_domain(curve, None, domain), 512)
+    grid = spread_s_values(usable_s_intervals(curve, domain.s_min, domain.s_max), 512)
     for label, factor in (("m", m), ("n", n_ms)):
         prev = None
         factor_at = compile_expr(factor)
@@ -543,7 +534,7 @@ def classify_dtype(dtype: DTypeSpec, curve: CurveSpec, s_range: tuple[float, flo
     if dtype.lam == 0.0:
         return "asymptotic"
     geodesic = True
-    for s in usable_s_values(curve, *s_range, 64):
+    for s in spread_s_values(usable_s_intervals(curve, *s_range), 64):
         kappa, tau, _ = curvature_torsion(curve, s)
         ratio, _ = _radicand(kappa, tau, dtype._sigma(s, 0.0), dtype.lam, False, s)
         if abs(abs(ratio) - 1.0) > _GEODESIC_TOL:

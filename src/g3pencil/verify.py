@@ -154,10 +154,13 @@ def dtype_report(
 ) -> DTypeReport:
     """Sample lam_hat(s) on the base line and test it for constancy.
 
-    In ``fd`` mode the normal is built purely from central differences of
-    surface positions (step = eps^(1/3) of the domain extent per direction),
-    so agreement with analytic mode is a genuine cross-check.  Degenerate
-    normals are flagged per sample and excluded from the statistics.
+    The report holds exactly ``n_samples`` samples, spread over the
+    pencil's :func:`usable_domain` by :func:`spread_s_values`, however
+    many intervals it has.  In ``fd`` mode the normal is built purely
+    from central differences of surface positions (step = eps^(1/3) of
+    the domain extent per direction), so agreement with analytic mode is
+    a genuine cross-check.  Degenerate normals are flagged per sample and
+    excluded from the statistics.
     """
     if n_samples < MIN_REPORT_SAMPLES:
         raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")

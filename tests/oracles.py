@@ -25,6 +25,7 @@ from g3pencil.curve import (
     point,
     spread_s_values,
     uniform_grid,
+    usable_s_intervals,
 )
 from g3pencil.errors import CurvatureVanishes, TorsionVanishes
 from g3pencil.exprjet import KinkWarning, Num, eval_expr, eval_jet3
@@ -331,8 +332,7 @@ def frenet_residuals(
     against tau b and b' against -tau n.  Residuals shrink quadratically
     in h while truncation dominates rounding.
     """
-    domain = ParamDomain(s_range[0], s_range[1], 0.0, 1.0, 0.0)  # v plays no part
-    svals = spread_s_values(usable_domain(curve, None, domain), n_samples, inset=h)
+    svals = spread_s_values(usable_s_intervals(curve, *s_range), n_samples, inset=h)
     r_t = r_n = r_b = 0.0
     for s in svals:
         fr = frenet(curve, s)

@@ -486,14 +486,27 @@ def test_infinite_torsion_gives_no_frame_and_no_domain(tmp_path, capsys):
         (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 600, 3 * 200),
         # one frame and one curve point per grid row
         (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 200, 200),
+        # no synthesis: the 256 probes, then kappa and tau at 64 samples
+        (["classify", "configs/fresnel-helix.json"], 256 + 64, 0, 0),
+        # a direct scale takes no synthesis grid: the probes, then one
+        # frame per sample
+        (["verify", "direct-helix"], 256 + 100, 100, 0),
     ],
-    ids=["verify", "verify-fd", "build"],
+    ids=["verify", "verify-fd", "build", "classify", "verify-direct"],
 )
 def test_each_command_scans_the_guard_bands_once(
     tmp_path, monkeypatch, argv, kernels, frames, fresnels
 ):
     import g3pencil.curve
     import g3pencil.exprjet
+
+    if argv[1] == "direct-helix":
+        doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+        doc["marching_scale"] = {"direct": {"alpha": "v", "beta": "v", "gamma": "v"}}
+        doc["verify"]["samples"] = 100
+        path = tmp_path / "direct-helix.json"
+        path.write_text(json.dumps(doc))
+        argv = [argv[0], str(path)]
 
     calls = {"_passes_guard": 0, "curvature_torsion": 0, "frenet": 0, "_fresnel": 0}
 
@@ -632,6 +645,24 @@ def test_warning_format_holds_only_inside_main(monkeypatch, capsys):
     assert main(["classify", "configs/fresnel-helix.json"]) == 2
     assert seen == ["warning: UserWarning: message\n"]
     assert warnings.formatwarning is before
+
+
+def test_verify_keeps_its_sample_count_on_many_usable_intervals(tmp_path, capsys):
+    # sqrt(sin(10*s)) exists on ten intervals of [0.1, 6.2]: eight samples
+    # cannot give each interval two, and the report still holds eight
+    doc = {
+        "curve": "anti-salkowski",
+        "marching_scale": {"direct": {"alpha": "sqrt(sin(10*s))*v", "beta": "v", "gamma": "-v"}},
+        "domain": {"s_min": 0.1, "s_max": 6.2, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 40, "nv": 5},
+        "verify": {"samples": 8},
+    }
+    path = tmp_path / "gaps.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) in (0, 1)
+    s_values = [p["s"] for p in json.loads(capsys.readouterr().out)["samples"]]
+    assert len(s_values) == 8
+    assert s_values == sorted(s_values) and 0.1 <= s_values[0] and s_values[-1] <= 6.2
 
 
 def test_classify_samples_the_usable_domain_as_verify_does(tmp_path, capsys):

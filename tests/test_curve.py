@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from g3pencil.curve import (
     CurveSpec,
@@ -245,7 +246,8 @@ class TestGuards:
         c = CurveSpec("explicit", parse("exp(s) - exp(s) + s^3/6 + sin(s)"), parse("cosh(s/2)"))
         with pytest.raises(CurvatureVanishes):
             frenet(c, 720.0)
-        assert usable_s_intervals(c, 700.0, 720.0) == []
+        with pytest.raises(EmptyDomain, match=r"no usable s interval in \[700, 720\]"):
+            usable_s_intervals(c, 700.0, 720.0)
 
     def test_torsion_that_is_not_finite_is_refused(self):
         assert str(TorsionVanishes(2.0, 1e-9)) == "torsion 1e-09 below floor at s = 2"
@@ -255,7 +257,32 @@ class TestGuards:
         for frame in (frenet, frenet_reference):
             with pytest.raises(TorsionVanishes, match="torsion -inf is not finite"):
                 frame(c, 5e153)  # the third derivative of f overflows, f itself does not
-        assert usable_s_intervals(c, 1e154, 1.2e154) == []
+        with pytest.raises(EmptyDomain, match=r"no usable s interval in \[1e\+154, 1.2e\+154\]"):
+            usable_s_intervals(c, 1e154, 1.2e154)
+
+    @given(
+        # ends on a grid of 0.001, so rounding never closes the gap between intervals
+        cuts=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=30, unique=True),
+        n=st.integers(0, 40),
+        inset=st.floats(0.0, 10.0),
+    )
+    @example(cuts=list(range(0, 20_000, 1000)), n=8, inset=0.0)  # ten intervals, eight values
+    def test_spread_gives_exactly_n_ascending_values_inside_the_intervals(self, cuts, n, inset):
+        cuts = sorted(c / 1000 for c in cuts)
+        intervals = list(zip(cuts[::2], cuts[1::2]))
+        kept = [(a + inset, b - inset) for a, b in intervals if a + inset < b - inset]
+        assume(kept)
+        values = spread_s_values(intervals, n, inset=inset)
+        assert len(values) == n
+        assert values == sorted(values)
+        # the last uniform value a + (b - a) may round past b
+        slack = {(a, b): 2 * math.ulp(max(abs(a), abs(b), b - a)) for a, b in kept}
+        for s in values:
+            assert any(a <= s <= b + slack[a, b] for a, b in kept)
+        if n >= 2 * len(kept):
+            # enough for two in each: both ends of every interval are sampled
+            for a, b in kept:
+                assert a in values and any(abs(s - b) <= slack[a, b] for s in values)
 
     def test_sample_values_cover_both_lobes(self, helix):
         values = spread_s_values(usable_s_intervals(helix, -2 * math.pi, 2 * math.pi), 64)
