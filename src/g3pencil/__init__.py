@@ -19,19 +19,15 @@ from .curve import (
     point,
 )
 from .errors import G3PencilError
-from .exprjet import Expr, Jet3, eval_expr, eval_jet3, fresnel_c, fresnel_s, parse, to_source
+from .exprjet import Expr, eval_expr, fresnel_c, fresnel_s, parse, to_source
 from .g3core import G3Vector, cross, dot, isotropic_norm, normalize_isotropic
 from .pencil import (
     ControlCoefficients,
     DTypeSpec,
     MarchingScale,
-    NormalComponents,
     ParamDomain,
     PencilSpec,
     apply_control_coefficients,
-    classify_dtype,
-    corollary_components,
-    required_normal_components,
     surface_normal,
     surface_point,
     synthesize_product_form,
@@ -48,11 +44,9 @@ __all__ = [
     "isotropic_norm",
     "normalize_isotropic",
     "Expr",
-    "Jet3",
     "parse",
     "to_source",
     "eval_expr",
-    "eval_jet3",
     "fresnel_s",
     "fresnel_c",
     "CurveSpec",
@@ -68,16 +62,12 @@ __all__ = [
     "ParamDomain",
     "MarchingScale",
     "DTypeSpec",
-    "NormalComponents",
     "ControlCoefficients",
     "PencilSpec",
     "surface_point",
     "surface_normal",
-    "required_normal_components",
-    "corollary_components",
     "synthesize_product_form",
     "apply_control_coefficients",
-    "classify_dtype",
     "DTypeReport",
     "dtype_report",
     "__version__",

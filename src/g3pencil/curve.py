@@ -304,5 +304,11 @@ def spread_s_values(
 
 
 def uniform_grid(a: float, b: float, n: int) -> list[float]:
-    """n values from a to b, both included, as a + (b - a) * i / (n - 1)."""
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
+    """n values from a to b, both included, as a + (b - a) * i / (n - 1).
+
+    The last value is b itself, where the formula may round past it.
+    """
+    values = [a + (b - a) * i / (n - 1) for i in range(n)]
+    if values:
+        values[-1] = b
+    return values

@@ -116,10 +116,6 @@ class NotProductForm(G3PencilError):
     """Control coefficients require a marching scale in product form."""
 
 
-class ClassMismatch(G3PencilError):
-    """The curve's classification does not match the requested special case."""
-
-
 class SchemaError(G3PencilError):
     """A configuration document violates the published schema.
 

@@ -32,8 +32,9 @@ sign(u) * u', with sign(0) taken as +1 and a :class:`KinkWarning` emitted.
 exp, sinh and cosh overflow to +-inf; sin, cos and tan of an infinite
 value, and every other math error, raise DomainError naming the node.
 
-The tree evaluators :func:`eval_expr` and :func:`eval_jet3` are the
-reference.  :func:`compile_expr`, :func:`compile_values`,
+The tree evaluators are the reference: :func:`eval_expr` for values, and
+for jets ``eval_jet3`` in ``tests/oracles.py``, which the test suite holds
+the compiled jets against.  :func:`compile_expr`, :func:`compile_values`,
 :func:`compile_jets` and :func:`compile_surface_rows` generate straight-line
 code that performs the same operations and checks in the same order, so
 results agree bitwise, and where the tree fails the code raises the same
@@ -505,197 +506,6 @@ def _call_value(node: Call, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jets
-# ---------------------------------------------------------------------------
-
-
-class Jet3(Record):
-    """Value and first three derivatives with respect to one variable."""
-
-    __slots__ = _fields = ("c0", "c1", "c2", "c3")
-
-    def __init__(self, c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0.0):
-        self.c0 = c0
-        self.c1 = c1
-        self.c2 = c2
-        self.c3 = c3
-
-    def __add__(self, o: "Jet3") -> "Jet3":
-        return Jet3(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2, self.c3 + o.c3)
-
-    def __sub__(self, o: "Jet3") -> "Jet3":
-        return Jet3(self.c0 - o.c0, self.c1 - o.c1, self.c2 - o.c2, self.c3 - o.c3)
-
-    def __neg__(self) -> "Jet3":
-        return Jet3(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __mul__(self, o: "Jet3") -> "Jet3":
-        # Leibniz rule through third order
-        return Jet3(
-            self.c0 * o.c0,
-            self.c1 * o.c0 + self.c0 * o.c1,
-            self.c2 * o.c0 + 2.0 * self.c1 * o.c1 + self.c0 * o.c2,
-            self.c3 * o.c0 + 3.0 * self.c2 * o.c1 + 3.0 * self.c1 * o.c2 + self.c0 * o.c3,
-        )
-
-    def __truediv__(self, o: "Jet3") -> "Jet3":
-        if o.c0 == 0.0:
-            raise ZeroDivisionError("jet division by zero value")
-        g0 = o.c0
-        h0 = self.c0 / g0
-        h1 = (self.c1 - h0 * o.c1) / g0
-        h2 = (self.c2 - h0 * o.c2 - 2.0 * h1 * o.c1) / g0
-        h3 = (self.c3 - h0 * o.c3 - 3.0 * h1 * o.c2 - 3.0 * h2 * o.c1) / g0
-        return Jet3(h0, h1, h2, h3)
-
-
-def _compose(u: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
-    """Chain rule for a scalar function applied to an inner jet."""
-    return Jet3(
-        f0,
-        f1 * u.c1,
-        f2 * u.c1 * u.c1 + f1 * u.c2,
-        f3 * u.c1 * u.c1 * u.c1 + 3.0 * f2 * u.c1 * u.c2 + f1 * u.c3,
-    )
-
-
-def _call_jet(node: Call, u: Jet3) -> Jet3:
-    f = node.func
-    x = u.c0
-    if f in _TRIG and x in _INFS:
-        raise DomainError(_infinite_argument(node))
-    if f == "sin":
-        sn, cs = math.sin(x), math.cos(x)
-        return _compose(u, sn, cs, -sn, -cs)
-    if f == "cos":
-        sn, cs = math.sin(x), math.cos(x)
-        return _compose(u, cs, -sn, -cs, sn)
-    if f == "tan":
-        t = math.tan(x)
-        d1 = 1.0 + t * t
-        return _compose(u, t, d1, 2.0 * t * d1, d1 * (2.0 + 6.0 * t * t))
-    if f == "sinh":
-        sh, ch = _sinh(x), _cosh(x)
-        return _compose(u, sh, ch, sh, ch)
-    if f == "cosh":
-        sh, ch = _sinh(x), _cosh(x)
-        return _compose(u, ch, sh, ch, sh)
-    if f == "exp":
-        e = _exp(x)
-        return _compose(u, e, e, e, e)
-    if f == "ln":
-        if x <= 0.0:
-            raise _fail(node, "log of a non-positive value")
-        inv = 1.0 / x
-        return _compose(u, math.log(x), inv, -inv * inv, 2.0 * inv * inv * inv)
-    if f == "sqrt":
-        if x < 0.0:
-            raise _fail(node, "square root of a negative value")
-        if x == 0.0:
-            # The zero function has a zero jet; anything else is a true
-            # derivative singularity.
-            if u.c1 == 0.0 and u.c2 == 0.0 and u.c3 == 0.0:
-                return Jet3(0.0)
-            raise _fail(node, "derivative of sqrt at zero")
-        r = math.sqrt(x)
-        return _compose(u, r, 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r))
-    if f == "abs":
-        if x > 0.0:
-            sign = 1.0
-        elif x < 0.0:
-            sign = -1.0
-        else:
-            _kink(_kink_message(node))
-            sign = 1.0
-        return Jet3(abs(x), sign * u.c1, sign * u.c2, sign * u.c3)
-    if f == "fresnelS":
-        w = 0.5 * math.pi * x * x
-        sn, cs = math.sin(w), math.cos(w)
-        px = math.pi * x
-        return _compose(u, fresnel_s(x), sn, px * cs, math.pi * cs - px * px * sn)
-    # fresnelC
-    w = 0.5 * math.pi * x * x
-    sn, cs = math.sin(w), math.cos(w)
-    px = math.pi * x
-    return _compose(u, fresnel_c(x), cs, -px * sn, -math.pi * sn - px * px * cs)
-
-
-def _pow_factors(node: BinOp, x: float, p: float) -> list[float]:
-    """The value and first three derivatives of x**p in x."""
-    if not float(p).is_integer() and x <= 0.0:
-        raise _fail(node, "fractional power of a non-positive base")
-    f = [0.0] * 4
-    coeff = 1.0
-    for order in range(4):
-        if coeff == 0.0:  # an integer exponent runs out of derivatives
-            break
-        m = p - order
-        if m < 0.0 and x == 0.0:
-            raise _fail(node, "zero base with negative exponent")
-        try:
-            f[order] = coeff * x**m
-        except OverflowError as exc:
-            raise _fail(node, str(exc)) from exc
-        coeff *= m
-    return f
-
-
-def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
-    bit = _VAR_BITS[var]
-    if not expr.reads & bit:  # flat: the value of eval_expr
-        return Jet3(_evaluate(expr, s, v))
-    if isinstance(expr, Var):
-        return Jet3(s if var == "s" else v, 1.0)
-    if isinstance(expr, Neg):
-        return -_jet_eval(expr.arg, var, s, v)
-    if isinstance(expr, Call):
-        u = _jet_eval(expr.arg, var, s, v)
-        try:
-            return _call_jet(expr, u)
-        except _ARITHMETIC as exc:
-            raise _fail(expr, str(exc)) from exc
-    left = _jet_eval(expr.left, var, s, v)
-    right = _jet_eval(expr.right, var, s, v)
-    op = expr.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        if not expr.right.reads & bit:
-            b0 = right.c0
-            return Jet3(left.c0 * b0, left.c1 * b0, left.c2 * b0, left.c3 * b0)
-        if not expr.left.reads & bit:
-            a0 = left.c0
-            return Jet3(a0 * right.c0, a0 * right.c1, a0 * right.c2, a0 * right.c3)
-        return left * right
-    if op == "/":
-        if right.c0 == 0.0:
-            raise _fail(expr, "division by zero")
-        if not expr.right.reads & bit:
-            b0 = right.c0
-            return Jet3(left.c0 / b0, left.c1 / b0, left.c2 / b0, left.c3 / b0)
-        return left / right
-    return _compose(left, *_pow_factors(expr, left.c0, right.c0))
-
-
-def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
-    """Value and exact partial derivatives of expr with respect to var.
-
-    The other variable is held fixed.  ``var`` must be ``"s"`` or ``"v"``.
-    A subtree that does not read var has the flat jet (value, 0, 0, 0):
-    its value is exactly the one :func:`eval_expr` gives, and an abs() in
-    it does not warn.  A power whose base reads var fails for a fractional
-    exponent at a base <= 0, where its derivatives do not exist.  A product
-    with a flat factor b takes c_k = a_k * b0 (or a0 * b_k), and a quotient
-    by a flat divisor c_k = a_k / b0.
-    """
-    if var not in VARIABLES:
-        raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
-    return _jet_eval(expr, var, s, v)
-
-
-# ---------------------------------------------------------------------------
 # Compilation (fast path for dense grids; same operations, same order)
 # ---------------------------------------------------------------------------
 
@@ -709,9 +519,10 @@ _ZERO: _Operand = ("0.0", _CONST)
 # guard, or the sign of an abs() that warns at its kink), and its level.
 _Unit = tuple[list[str], tuple[str, ...], list[str], bool, int]
 
-# The formulas of Jet3.__mul__, Jet3.__truediv__ and _compose, written as
-# they are there, so that Python evaluates them in the same order; {a1} is
-# coefficient 1 of jet a.
+# The formulas of Jet3.__mul__, Jet3.__truediv__ and _compose of the
+# reference jet evaluator in tests/oracles.py, written as they are there, so
+# that Python evaluates them in the same order; {a1} is coefficient 1 of
+# jet a.
 _MUL_JET = (
     "{a0} * {b0}",
     "{a1} * {b0} + {a0} * {b1}",
@@ -729,7 +540,7 @@ _COMPOSE_JET = (
     "{f2} * {u1} * {u1} + {f1} * {u2}",
     "{f3} * {u1} * {u1} * {u1} + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
 )
-# The derivatives f0..f3 that _call_jet composes with the argument's jet, as
+# The derivatives f0..f3 that the reference _call_jet composes with the argument's jet, as
 # steps computed in turn from the argument {x0} and earlier steps {tK}, and
 # the steps that are f0..f3.  sqrt and abs branch and are emitted apart; a
 # fresnelS/fresnelC pair on one argument shares its _fresnel call.
@@ -808,10 +619,10 @@ class _Emitter:
 
     Each statement performs the operations the tree evaluators perform at
     that node (:func:`eval_expr` for values, and so for every flat subtree
-    of a jet; :func:`_jet_eval` for the rest of a jet) in the same order, so
-    results agree bitwise.  The same checks raise the same DomainError, a
-    math error names the node where the tree evaluators name it, and an
-    abs() kink warns as the tree evaluator does.
+    of a jet; ``_jet_eval`` in ``tests/oracles.py`` for the rest of a jet)
+    in the same order, so results agree bitwise.  The same checks raise the
+    same DomainError, a math error names the node where the tree evaluators
+    name it, and an abs() kink warns as the tree evaluator does.
     """
 
     def __init__(self) -> None:
@@ -1069,8 +880,9 @@ class _Emitter:
         )
 
     def _pow_factors(self, node: BinOp, x: _Operand) -> list[_Operand]:
-        """Operands of f0..f3 of :func:`_pow_factors` at the base x."""
-        # the loop of the tree's _pow_factors, unrolled for the exponent
+        """Operands of f0..f3 of the reference ``_pow_factors`` at the base x."""
+        # the loop of the tree's _pow_factors in tests/oracles.py, unrolled
+        # for the exponent
         p = _fold(node.right)
         if not float(p).is_integer():
             message = str(_fail(node, "fractional power of a non-positive base"))
@@ -1160,9 +972,10 @@ def compile_jets(
     For the pair (``var``, ``orders``) and then each (variable, orders)
     pair in ``more``, the result holds the coefficients of those orders (c0
     to c3 by default) of each tree's jet in that variable in turn, each
-    equal bitwise to the coefficient of :func:`eval_jet3`, flat-jet rule
-    included.  The pairs share one emitter and run in order.  The callable
-    computes only what it returns, and so can fail only there: it raises
+    equal bitwise to the coefficient of the reference ``eval_jet3`` in
+    ``tests/oracles.py``, flat-jet rule included.  The pairs share one
+    emitter and run in order.  The callable computes only what it returns,
+    and so can fail only there: it raises
     DomainError where eval_jet3 fails on a step that a returned coefficient
     needs, or on a check (a guard) of any step, with the message of
     eval_jet3, and warns KinkWarning where an abs() in a tree reaches its

@@ -100,14 +100,3 @@ def normalize_isotropic(a: G3Vector) -> G3Vector:
         raise ZeroVector(f"cannot normalize near-zero vector {a.as_tuple()}")
     return G3Vector(0.0, a.y / n, a.z / n)
 
-
-def isotropic_wedge(a: G3Vector, b: G3Vector) -> float:
-    """Signed area spanned by the (y, z) parts of two isotropic vectors.
-
-    Zero iff the vectors are parallel.  The G3 cross product of two
-    isotropic vectors vanishes identically, so parallelism tests must use
-    this planar wedge instead.
-    """
-    if a.x != 0.0 or b.x != 0.0:
-        raise NonIsotropicInput("wedge is defined for isotropic vectors only")
-    return a.y * b.z - a.z * b.y

@@ -27,16 +27,15 @@ Two construction rules for (phi2, phi3) are provided:
 
 Both rules need the radicand 1 - ratio^2 to stay non-negative, where
 ratio = lam tau / (sigma kappa) under the plain rule and lam tau / kappa
-under the scaled rule.  `_radicand` is the one place that computes the
-ratio and the radicand and tests that condition, for the normal
-components, for the grid check of synthesis (`check_feasibility`) and for
-`classify_dtype` alike; radicands down to -1e-12 count as zero.
+under the scaled rule.  `check_feasibility` computes the ratio and the
+radicand on the grid synthesis samples and tests that condition; radicands
+down to -1e-12 count as zero.
 
 Synthesis defaults to the scaled rule; the plain rule is what the classical
-derivation states and is kept both for `required_normal_components` and as
-the opt-out (`scaled=False`), because the two coincide whenever sigma is 1.
-The finite difference oracle in :mod:`g3pencil.verify` adjudicates between
-them on concrete surfaces.
+derivation states and is kept as the opt-out (`scaled=False`), because the
+two coincide whenever sigma is 1.  The finite difference oracle of
+:mod:`g3pencil.verify` adjudicates between them on concrete surfaces; that
+module's report is also the one verdict on which kind of d-type a pencil is.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from functools import cached_property
 from .curve import (
     CurveSpec,
     FrenetFrame,
-    classify_curve,
     curvature_torsion,
     frenet,
     point,
@@ -55,7 +53,6 @@ from .curve import (
     usable_s_intervals,
 )
 from .errors import (
-    ClassMismatch,
     EmptyDomain,
     G3PencilError,
     InfeasibleLambda,
@@ -160,22 +157,6 @@ class DTypeSpec(Record):
     def _sigma(self):
         """(s, v) -> sigma, compiled on first use."""
         return compile_expr(self.sigma)
-
-
-class NormalComponents(Record):
-    """Frame components of the surface normal along the base line.
-
-    phi1 (tangential) is identically zero; theta is the angle of the
-    normal against the principal normal, atan2(phi3, phi2).
-    """
-
-    __slots__ = _fields = ("phi1", "phi2", "phi3", "theta")
-
-    def __init__(self, phi1: float, phi2: float, phi3: float, theta: float):
-        self.phi1 = phi1
-        self.phi2 = phi2
-        self.phi3 = phi3
-        self.theta = theta
 
 
 class ControlCoefficients(Record):
@@ -290,108 +271,6 @@ def surface_normal(
 
 
 # ---------------------------------------------------------------------------
-# Normal components prescribed by the invariant
-# ---------------------------------------------------------------------------
-
-
-def _radicand(
-    kappa: float, tau: float, sigma_val: float, lam: float, scaled: bool, s: float
-) -> tuple[float, float]:
-    """The rule's ratio and the radicand 1 - ratio^2 at parameter s.
-
-    The ratio is lam tau / kappa under the scaled rule and
-    lam tau / (sigma kappa) under the plain rule.  Raises SigmaVanishes
-    where sigma does, and InfeasibleLambda where the radicand falls below
-    the clamping threshold -1e-12.
-    """
-    if abs(sigma_val) < _FACTOR_FLOOR:
-        raise SigmaVanishes(s)
-    if scaled:
-        ratio = lam * tau / kappa
-    else:
-        ratio = lam * tau / (sigma_val * kappa)
-    radicand = 1.0 - ratio * ratio
-    if radicand < -_RADICAND_CLAMP:
-        raise InfeasibleLambda(s, ratio)
-    return ratio, radicand
-
-
-def _phis(
-    kappa: float, tau: float, sigma_val: float, lam: float, sign: float, scaled: bool, s: float
-) -> tuple[float, float]:
-    _, radicand = _radicand(kappa, tau, sigma_val, lam, scaled, s)
-    abs_tau = abs(tau)
-    if scaled:
-        phi2 = sigma_val * lam * abs_tau / kappa
-    else:
-        phi2 = lam * abs_tau / kappa
-    if radicand < 0.0:
-        radicand = 0.0
-    phi3 = sign * sigma_val * math.sqrt(radicand)
-    return phi2, phi3
-
-
-def required_normal_components(
-    curve: CurveSpec, dtype: DTypeSpec, s: float, *, scaled: bool = False
-) -> NormalComponents:
-    """Normal components that realize the invariant at parameter s.
-
-    The default applies the plain rule stated by the classical derivation;
-    ``scaled=True`` applies the sigma-scaled rule under which the verified
-    invariant equals lam exactly (see the module docstring).
-    """
-    kappa, tau, _ = curvature_torsion(curve, s)
-    sigma_val = dtype._sigma(s, 0.0)
-    phi2, phi3 = _phis(kappa, tau, sigma_val, dtype.lam, dtype.sign, scaled, s)
-    return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
-
-
-_COROLLARY_KINDS = ("geodesic", "asymptotic", "helix", "salkowski", "anti-salkowski")
-
-_KIND_TO_CLASS = {
-    "helix": "general-helix",
-    "salkowski": "salkowski",
-    "anti-salkowski": "anti-salkowski",
-}
-
-
-def corollary_components(
-    curve: CurveSpec, kind: str, dtype: DTypeSpec, s: float, s_range: tuple[float, float]
-) -> NormalComponents:
-    """Specializations of the plain rule for notable curve classes.
-
-    geodesic fixes lam = 1 (the classical statement), asymptotic fixes
-    lam = 0, and the helix / salkowski / anti-salkowski cases substitute
-    the constant the classification finds (|tau|/kappa, kappa or tau).
-    Note that the geodesic specialization does not generally make the unit
-    normal parallel to the principal normal; :func:`classify_dtype` applies
-    the geometric criterion instead of lam = 1.
-    """
-    if kind not in _COROLLARY_KINDS:
-        raise ValueError(f"kind must be one of {_COROLLARY_KINDS}")
-    kappa, tau, _ = curvature_torsion(curve, s)
-    sigma_val = dtype._sigma(s, 0.0)
-    if kind == "asymptotic":
-        phi2, phi3 = _phis(kappa, tau, sigma_val, 0.0, dtype.sign, False, s)
-    elif kind == "geodesic":
-        phi2, phi3 = _phis(kappa, tau, sigma_val, 1.0, dtype.sign, False, s)
-    else:
-        cls = classify_curve(curve, s_range)
-        if cls.kind != _KIND_TO_CLASS[kind]:
-            raise ClassMismatch(
-                f"curve classifies as {cls.kind}, not {_KIND_TO_CLASS[kind]}"
-            )
-        if kind == "helix":
-            kappa_eff, tau_eff = 1.0, cls.constant  # ratio |tau|/kappa = mu
-        elif kind == "salkowski":
-            kappa_eff, tau_eff = cls.constant, tau
-        else:
-            kappa_eff, tau_eff = kappa, cls.constant
-        phi2, phi3 = _phis(kappa_eff, tau_eff, sigma_val, dtype.lam, dtype.sign, False, s)
-    return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
-
-
-# ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------
 
@@ -417,16 +296,28 @@ def _const(x: float) -> Expr:
 def check_feasibility(
     curve: CurveSpec, dtype: DTypeSpec, grid: list[float], *, scaled: bool
 ) -> float:
-    """Radicand of the construction rule at every point of an s grid.
+    """Radicand 1 - ratio^2 of the construction rule at every point of an s grid.
 
-    ``grid`` is the guarded grid synthesis samples on.  Returns the largest
-    radicand over it; raises SigmaVanishes or InfeasibleLambda at the first
-    grid point where :func:`_radicand` does.
+    ``grid`` is the guarded grid synthesis samples on.  The ratio is
+    lam tau / kappa under the scaled rule and lam tau / (sigma kappa) under
+    the plain rule.  Returns the largest radicand over the grid; raises
+    SigmaVanishes at the first grid point where sigma does, and
+    InfeasibleLambda at the first where the radicand falls below the
+    clamping threshold -1e-12.
     """
     hi = -math.inf
     for s in grid:
         kappa, tau, _ = curvature_torsion(curve, s)
-        _, radicand = _radicand(kappa, tau, dtype._sigma(s, 0.0), dtype.lam, scaled, s)
+        sigma_val = dtype._sigma(s, 0.0)
+        if abs(sigma_val) < _FACTOR_FLOOR:
+            raise SigmaVanishes(s)
+        if scaled:
+            ratio = dtype.lam * tau / kappa
+        else:
+            ratio = dtype.lam * tau / (sigma_val * kappa)
+        radicand = 1.0 - ratio * ratio
+        if radicand < -_RADICAND_CLAMP:
+            raise InfeasibleLambda(s, ratio)
         hi = max(hi, radicand)
     return hi
 
@@ -513,30 +404,3 @@ def apply_control_coefficients(ms: MarchingScale, cc: ControlCoefficients) -> Ma
         _mul(_const(cc.c), p.z),
     )
 
-
-# ---------------------------------------------------------------------------
-# Classification of a d-type spec
-# ---------------------------------------------------------------------------
-
-_GEODESIC_TOL = 1e-9
-
-
-def classify_dtype(dtype: DTypeSpec, curve: CurveSpec, s_range: tuple[float, float]) -> str:
-    """"asymptotic", "geodesic" or "general-d-type" for a feasible spec.
-
-    Asymptotic means lam = 0 (normal orthogonal to the principal normal
-    everywhere); geodesic applies the geometric criterion sin(theta) = 0,
-    i.e. |lam tau / (sigma kappa)| = 1 within 1e-9 at every sample.  The 64
-    samples spread over the usable s intervals, as :func:`classify_curve`
-    takes them.  Feasibility is the plain rule's, as :func:`_radicand`
-    states it.
-    """
-    if dtype.lam == 0.0:
-        return "asymptotic"
-    geodesic = True
-    for s in spread_s_values(usable_s_intervals(curve, *s_range), 64):
-        kappa, tau, _ = curvature_torsion(curve, s)
-        ratio, _ = _radicand(kappa, tau, dtype._sigma(s, 0.0), dtype.lam, False, s)
-        if abs(abs(ratio) - 1.0) > _GEODESIC_TOL:
-            geodesic = False
-    return "geodesic" if geodesic else "general-d-type"

@@ -2,12 +2,15 @@
 
 Nothing in here may call into the code paths it checks: the quadrature
 oracle integrates the Fresnel integrands directly, the finite difference
-helpers differentiate black-box callables, and the references for the
-compiled frame, point and normal kernels walk the expression trees with
-the tree evaluators.  The whole-pencil checks at the end are the
-exception: they hold the package's own surface points, frames and
-normals against its curve points and against central differences of the
-same functions.
+helpers differentiate black-box callables, the jet tree evaluator
+:func:`eval_jet3` walks an expression tree with Jet3 arithmetic, and the
+references for the compiled frame, point and normal kernels walk the
+trees with the tree evaluators.  The normal components that realize an
+invariant, and their corollary specializations, state the construction
+rules and their feasibility test on their own, apart from synthesis.
+The whole-pencil checks at the end are the exception: they hold the
+package's own surface points, frames and normals against its curve
+points and against central differences of the same functions.
 """
 
 from __future__ import annotations
@@ -21,16 +24,51 @@ from g3pencil.curve import (
     KAPPA_MIN,
     CurveSpec,
     FrenetFrame,
+    classify_curve,
+    curvature_torsion,
     frenet,
     point,
     spread_s_values,
     uniform_grid,
     usable_s_intervals,
 )
-from g3pencil.errors import CurvatureVanishes, TorsionVanishes
-from g3pencil.exprjet import KinkWarning, Num, eval_expr, eval_jet3
-from g3pencil.g3core import G3Vector, cross, dot, isotropic_norm, isotropic_wedge, normalize_isotropic
+from g3pencil.errors import (
+    CurvatureVanishes,
+    DomainError,
+    G3PencilError,
+    InfeasibleLambda,
+    NonIsotropicInput,
+    SigmaVanishes,
+    TorsionVanishes,
+)
+from g3pencil.exprjet import (
+    _ARITHMETIC,
+    _INFS,
+    _TRIG,
+    _VAR_BITS,
+    VARIABLES,
+    BinOp,
+    Call,
+    Expr,
+    KinkWarning,
+    Neg,
+    Num,
+    Var,
+    _cosh,
+    _evaluate,
+    _exp,
+    _fail,
+    _infinite_argument,
+    _kink,
+    _kink_message,
+    _sinh,
+    eval_expr,
+    fresnel_c,
+    fresnel_s,
+)
+from g3pencil.g3core import G3Vector, Record, cross, dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
+    DTypeSpec,
     MarchingScale,
     ParamDomain,
     combine_on_frame,
@@ -228,6 +266,326 @@ def failure_rich_expression(rng: random.Random, depth: int = 3) -> str:
     if roll < 0.65:
         return f"({a})^{rng.choice(_RICH_EXPONENTS)}"
     return f"{rng.choice(_FUNCS)}({a})"
+
+
+# ---------------------------------------------------------------------------
+# Jet tree evaluator: the reference the compiled jets are held against
+# ---------------------------------------------------------------------------
+
+
+class Jet3(Record):
+    """Value and first three derivatives with respect to one variable."""
+
+    __slots__ = _fields = ("c0", "c1", "c2", "c3")
+
+    def __init__(self, c0: float, c1: float = 0.0, c2: float = 0.0, c3: float = 0.0):
+        self.c0 = c0
+        self.c1 = c1
+        self.c2 = c2
+        self.c3 = c3
+
+    def __add__(self, o: "Jet3") -> "Jet3":
+        return Jet3(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2, self.c3 + o.c3)
+
+    def __sub__(self, o: "Jet3") -> "Jet3":
+        return Jet3(self.c0 - o.c0, self.c1 - o.c1, self.c2 - o.c2, self.c3 - o.c3)
+
+    def __neg__(self) -> "Jet3":
+        return Jet3(-self.c0, -self.c1, -self.c2, -self.c3)
+
+    def __mul__(self, o: "Jet3") -> "Jet3":
+        # Leibniz rule through third order
+        return Jet3(
+            self.c0 * o.c0,
+            self.c1 * o.c0 + self.c0 * o.c1,
+            self.c2 * o.c0 + 2.0 * self.c1 * o.c1 + self.c0 * o.c2,
+            self.c3 * o.c0 + 3.0 * self.c2 * o.c1 + 3.0 * self.c1 * o.c2 + self.c0 * o.c3,
+        )
+
+    def __truediv__(self, o: "Jet3") -> "Jet3":
+        if o.c0 == 0.0:
+            raise ZeroDivisionError("jet division by zero value")
+        g0 = o.c0
+        h0 = self.c0 / g0
+        h1 = (self.c1 - h0 * o.c1) / g0
+        h2 = (self.c2 - h0 * o.c2 - 2.0 * h1 * o.c1) / g0
+        h3 = (self.c3 - h0 * o.c3 - 3.0 * h1 * o.c2 - 3.0 * h2 * o.c1) / g0
+        return Jet3(h0, h1, h2, h3)
+
+
+def _compose(u: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
+    """Chain rule for a scalar function applied to an inner jet."""
+    return Jet3(
+        f0,
+        f1 * u.c1,
+        f2 * u.c1 * u.c1 + f1 * u.c2,
+        f3 * u.c1 * u.c1 * u.c1 + 3.0 * f2 * u.c1 * u.c2 + f1 * u.c3,
+    )
+
+
+def _call_jet(node: Call, u: Jet3) -> Jet3:
+    f = node.func
+    x = u.c0
+    if f in _TRIG and x in _INFS:
+        raise DomainError(_infinite_argument(node))
+    if f == "sin":
+        sn, cs = math.sin(x), math.cos(x)
+        return _compose(u, sn, cs, -sn, -cs)
+    if f == "cos":
+        sn, cs = math.sin(x), math.cos(x)
+        return _compose(u, cs, -sn, -cs, sn)
+    if f == "tan":
+        t = math.tan(x)
+        d1 = 1.0 + t * t
+        return _compose(u, t, d1, 2.0 * t * d1, d1 * (2.0 + 6.0 * t * t))
+    if f == "sinh":
+        sh, ch = _sinh(x), _cosh(x)
+        return _compose(u, sh, ch, sh, ch)
+    if f == "cosh":
+        sh, ch = _sinh(x), _cosh(x)
+        return _compose(u, ch, sh, ch, sh)
+    if f == "exp":
+        e = _exp(x)
+        return _compose(u, e, e, e, e)
+    if f == "ln":
+        if x <= 0.0:
+            raise _fail(node, "log of a non-positive value")
+        inv = 1.0 / x
+        return _compose(u, math.log(x), inv, -inv * inv, 2.0 * inv * inv * inv)
+    if f == "sqrt":
+        if x < 0.0:
+            raise _fail(node, "square root of a negative value")
+        if x == 0.0:
+            # The zero function has a zero jet; anything else is a true
+            # derivative singularity.
+            if u.c1 == 0.0 and u.c2 == 0.0 and u.c3 == 0.0:
+                return Jet3(0.0)
+            raise _fail(node, "derivative of sqrt at zero")
+        r = math.sqrt(x)
+        return _compose(u, r, 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r))
+    if f == "abs":
+        if x > 0.0:
+            sign = 1.0
+        elif x < 0.0:
+            sign = -1.0
+        else:
+            _kink(_kink_message(node))
+            sign = 1.0
+        return Jet3(abs(x), sign * u.c1, sign * u.c2, sign * u.c3)
+    if f == "fresnelS":
+        w = 0.5 * math.pi * x * x
+        sn, cs = math.sin(w), math.cos(w)
+        px = math.pi * x
+        return _compose(u, fresnel_s(x), sn, px * cs, math.pi * cs - px * px * sn)
+    # fresnelC
+    w = 0.5 * math.pi * x * x
+    sn, cs = math.sin(w), math.cos(w)
+    px = math.pi * x
+    return _compose(u, fresnel_c(x), cs, -px * sn, -math.pi * sn - px * px * cs)
+
+
+def _pow_factors(node: BinOp, x: float, p: float) -> list[float]:
+    """The value and first three derivatives of x**p in x."""
+    if not float(p).is_integer() and x <= 0.0:
+        raise _fail(node, "fractional power of a non-positive base")
+    f = [0.0] * 4
+    coeff = 1.0
+    for order in range(4):
+        if coeff == 0.0:  # an integer exponent runs out of derivatives
+            break
+        m = p - order
+        if m < 0.0 and x == 0.0:
+            raise _fail(node, "zero base with negative exponent")
+        try:
+            f[order] = coeff * x**m
+        except OverflowError as exc:
+            raise _fail(node, str(exc)) from exc
+        coeff *= m
+    return f
+
+
+def _jet_eval(expr: Expr, var: str, s: float, v: float) -> Jet3:
+    bit = _VAR_BITS[var]
+    if not expr.reads & bit:  # flat: the value of eval_expr
+        return Jet3(_evaluate(expr, s, v))
+    if isinstance(expr, Var):
+        return Jet3(s if var == "s" else v, 1.0)
+    if isinstance(expr, Neg):
+        return -_jet_eval(expr.arg, var, s, v)
+    if isinstance(expr, Call):
+        u = _jet_eval(expr.arg, var, s, v)
+        try:
+            return _call_jet(expr, u)
+        except _ARITHMETIC as exc:
+            raise _fail(expr, str(exc)) from exc
+    left = _jet_eval(expr.left, var, s, v)
+    right = _jet_eval(expr.right, var, s, v)
+    op = expr.op
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        if not expr.right.reads & bit:
+            b0 = right.c0
+            return Jet3(left.c0 * b0, left.c1 * b0, left.c2 * b0, left.c3 * b0)
+        if not expr.left.reads & bit:
+            a0 = left.c0
+            return Jet3(a0 * right.c0, a0 * right.c1, a0 * right.c2, a0 * right.c3)
+        return left * right
+    if op == "/":
+        if right.c0 == 0.0:
+            raise _fail(expr, "division by zero")
+        if not expr.right.reads & bit:
+            b0 = right.c0
+            return Jet3(left.c0 / b0, left.c1 / b0, left.c2 / b0, left.c3 / b0)
+        return left / right
+    return _compose(left, *_pow_factors(expr, left.c0, right.c0))
+
+
+def eval_jet3(expr: Expr, var: str, s: float, v: float) -> Jet3:
+    """Value and exact partial derivatives of expr with respect to var.
+
+    The other variable is held fixed.  ``var`` must be ``"s"`` or ``"v"``.
+    A subtree that does not read var has the flat jet (value, 0, 0, 0):
+    its value is exactly the one :func:`eval_expr` gives, and an abs() in
+    it does not warn.  A power whose base reads var fails for a fractional
+    exponent at a base <= 0, where its derivatives do not exist.  A product
+    with a flat factor b takes c_k = a_k * b0 (or a0 * b_k), and a quotient
+    by a flat divisor c_k = a_k / b0.
+    """
+    if var not in VARIABLES:
+        raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
+    return _jet_eval(expr, var, s, v)
+
+
+# ---------------------------------------------------------------------------
+# Normal components prescribed by the invariant
+# ---------------------------------------------------------------------------
+
+
+class ClassMismatch(G3PencilError):
+    """The curve's classification does not match the requested special case."""
+
+
+def isotropic_wedge(a: G3Vector, b: G3Vector) -> float:
+    """Signed area spanned by the (y, z) parts of two isotropic vectors.
+
+    Zero iff the vectors are parallel.  The G3 cross product of two
+    isotropic vectors vanishes identically, so parallelism tests must use
+    this planar wedge instead.
+    """
+    if a.x != 0.0 or b.x != 0.0:
+        raise NonIsotropicInput("wedge is defined for isotropic vectors only")
+    return a.y * b.z - a.z * b.y
+
+
+class NormalComponents(Record):
+    """Frame components of the surface normal along the base line.
+
+    phi1 (tangential) is identically zero; theta is the angle of the
+    normal against the principal normal, atan2(phi3, phi2).
+    """
+
+    __slots__ = _fields = ("phi1", "phi2", "phi3", "theta")
+
+    def __init__(self, phi1: float, phi2: float, phi3: float, theta: float):
+        self.phi1 = phi1
+        self.phi2 = phi2
+        self.phi3 = phi3
+        self.theta = theta
+
+
+def _phis(
+    kappa: float, tau: float, sigma_val: float, lam: float, sign: float, scaled: bool, s: float
+) -> tuple[float, float]:
+    """(phi2, phi3) of the construction rule at parameter s.
+
+    The ratio is lam tau / kappa under the scaled rule and
+    lam tau / (sigma kappa) under the plain rule.  Raises SigmaVanishes
+    where |sigma| < 1e-12, and InfeasibleLambda where the radicand
+    1 - ratio^2 falls below -1e-12; a radicand down to that counts as
+    zero.  These are the floors of synthesis's feasibility check, stated
+    here apart from it.
+    """
+    if abs(sigma_val) < 1e-12:
+        raise SigmaVanishes(s)
+    if scaled:
+        ratio = lam * tau / kappa
+    else:
+        ratio = lam * tau / (sigma_val * kappa)
+    radicand = 1.0 - ratio * ratio
+    if radicand < -1e-12:
+        raise InfeasibleLambda(s, ratio)
+    abs_tau = abs(tau)
+    if scaled:
+        phi2 = sigma_val * lam * abs_tau / kappa
+    else:
+        phi2 = lam * abs_tau / kappa
+    if radicand < 0.0:
+        radicand = 0.0
+    phi3 = sign * sigma_val * math.sqrt(radicand)
+    return phi2, phi3
+
+
+def required_normal_components(
+    curve: CurveSpec, dtype: DTypeSpec, s: float, *, scaled: bool = False
+) -> NormalComponents:
+    """Normal components that realize the invariant at parameter s.
+
+    The default applies the plain rule stated by the classical derivation;
+    ``scaled=True`` applies the sigma-scaled rule under which the verified
+    invariant equals lam exactly (see the docstring of g3pencil.pencil).
+    """
+    kappa, tau, _ = curvature_torsion(curve, s)
+    sigma_val = dtype._sigma(s, 0.0)
+    phi2, phi3 = _phis(kappa, tau, sigma_val, dtype.lam, dtype.sign, scaled, s)
+    return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
+
+
+_COROLLARY_KINDS = ("geodesic", "asymptotic", "helix", "salkowski", "anti-salkowski")
+
+_KIND_TO_CLASS = {
+    "helix": "general-helix",
+    "salkowski": "salkowski",
+    "anti-salkowski": "anti-salkowski",
+}
+
+
+def corollary_components(
+    curve: CurveSpec, kind: str, dtype: DTypeSpec, s: float, s_range: tuple[float, float]
+) -> NormalComponents:
+    """Specializations of the plain rule for notable curve classes.
+
+    geodesic fixes lam = 1 (the classical statement), asymptotic fixes
+    lam = 0, and the helix / salkowski / anti-salkowski cases substitute
+    the constant the classification finds (|tau|/kappa, kappa or tau).
+    Note that the geodesic specialization does not generally make the unit
+    normal parallel to the principal normal; the verdict of ``verify``
+    applies the geometric criterion sin(theta) = 0 instead of lam = 1.
+    """
+    if kind not in _COROLLARY_KINDS:
+        raise ValueError(f"kind must be one of {_COROLLARY_KINDS}")
+    kappa, tau, _ = curvature_torsion(curve, s)
+    sigma_val = dtype._sigma(s, 0.0)
+    if kind == "asymptotic":
+        phi2, phi3 = _phis(kappa, tau, sigma_val, 0.0, dtype.sign, False, s)
+    elif kind == "geodesic":
+        phi2, phi3 = _phis(kappa, tau, sigma_val, 1.0, dtype.sign, False, s)
+    else:
+        cls = classify_curve(curve, s_range)
+        if cls.kind != _KIND_TO_CLASS[kind]:
+            raise ClassMismatch(
+                f"curve classifies as {cls.kind}, not {_KIND_TO_CLASS[kind]}"
+            )
+        if kind == "helix":
+            kappa_eff, tau_eff = 1.0, cls.constant  # ratio |tau|/kappa = mu
+        elif kind == "salkowski":
+            kappa_eff, tau_eff = cls.constant, tau
+        else:
+            kappa_eff, tau_eff = kappa, cls.constant
+        phi2, phi3 = _phis(kappa_eff, tau_eff, sigma_val, dtype.lam, dtype.sign, False, s)
+    return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
 
 # ---------------------------------------------------------------------------

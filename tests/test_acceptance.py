@@ -33,7 +33,6 @@ from g3pencil.g3core import (
     cross,
     dot,
     isotropic_norm,
-    isotropic_wedge,
     normalize_isotropic,
 )
 from g3pencil.mesh import _fmt, write_mesh
@@ -42,13 +41,18 @@ from g3pencil.pencil import (
     DTypeSpec,
     ParamDomain,
     apply_control_coefficients,
-    corollary_components,
-    required_normal_components,
     surface_normal,
     synthesize_product_form,
 )
 from g3pencil.verify import dtype_report
-from oracles import check_isoparametric, fresnel_table, frenet_residuals
+from oracles import (
+    check_isoparametric,
+    corollary_components,
+    fresnel_table,
+    frenet_residuals,
+    isotropic_wedge,
+    required_normal_components,
+)
 
 ONE = parse("1")
 NEG_ONE = parse("-1")

@@ -436,6 +436,14 @@ def test_synthesis_on_a_curve_without_closed_forms_fails_at_load(tmp_path, capsy
     ] * 3
 
 
+def test_vanishing_marching_factor_exits_2_naming_it(tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["marching_scale"]["synthesis"]["m"] = "0"
+    assert _load_errors(doc, tmp_path, capsys) == [
+        "error: ZeroMarchingFactor: marching factor m(s) vanishes at s = 0.1\n"
+    ] * 3
+
+
 def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):
     doc = {
         "curve": "fresnel-helix",

@@ -13,6 +13,7 @@ from g3pencil.curve import (
     fresnel_helix,
     point,
     spread_s_values,
+    uniform_grid,
     usable_s_intervals,
 )
 from g3pencil.errors import CurvatureVanishes, EmptyDomain, TorsionVanishes
@@ -275,14 +276,26 @@ class TestGuards:
         values = spread_s_values(intervals, n, inset=inset)
         assert len(values) == n
         assert values == sorted(values)
-        # the last uniform value a + (b - a) may round past b
-        slack = {(a, b): 2 * math.ulp(max(abs(a), abs(b), b - a)) for a, b in kept}
         for s in values:
-            assert any(a <= s <= b + slack[a, b] for a, b in kept)
+            assert any(a <= s <= b for a, b in kept)
         if n >= 2 * len(kept):
             # enough for two in each: both ends of every interval are sampled
             for a, b in kept:
-                assert a in values and any(abs(s - b) <= slack[a, b] for s in values)
+                assert a in values and b in values
+
+    @given(
+        a=st.floats(-1e6, 1e6),
+        b=st.floats(-1e6, 1e6),
+        n=st.integers(2, 300),
+    )
+    @example(a=0.1, b=6.283185307179586, n=4)  # a + (b - a) * 3 / 3 rounds past b
+    def test_uniform_grid_ends_exactly_at_both_ends(self, a, b, n):
+        a, b = min(a, b), max(a, b)
+        values = uniform_grid(a, b, n)
+        assert len(values) == n
+        assert values[0] == a and values[-1] == b
+        assert all(a <= s <= b for s in values)
+        assert uniform_grid(a, b, 0) == []
 
     def test_sample_values_cover_both_lobes(self, helix):
         values = spread_s_values(usable_s_intervals(helix, -2 * math.pi, 2 * math.pi), 64)

@@ -13,7 +13,6 @@ from g3pencil.exprjet import (
     MAX_DEPTH,
     BinOp,
     Call,
-    Jet3,
     KinkWarning,
     Neg,
     Num,
@@ -24,7 +23,6 @@ from g3pencil.exprjet import (
     compile_surface_rows,
     compile_values,
     eval_expr,
-    eval_jet3,
     fresnel_c,
     fresnel_s,
     parse,
@@ -33,7 +31,9 @@ from g3pencil.exprjet import (
 from g3pencil.g3core import G3Vector
 from g3pencil.pencil import MarchingScale, combine_on_frame
 from oracles import (
+    Jet3,
     central_diff,
+    eval_jet3,
     failure_rich_expression,
     fresnel_c_oracle,
     fresnel_s_oracle,

@@ -9,9 +9,9 @@ from g3pencil.g3core import (
     cross,
     dot,
     isotropic_norm,
-    isotropic_wedge,
     normalize_isotropic,
 )
+from oracles import isotropic_wedge
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 

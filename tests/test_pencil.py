@@ -14,34 +14,36 @@ from g3pencil.curve import (
     point,
 )
 from g3pencil.errors import (
-    ClassMismatch,
     G3PencilError,
     InfeasibleLambda,
     NotProductForm,
     SigmaVanishes,
+    ZeroMarchingFactor,
 )
 from g3pencil.config import config_from_dict, realize
-from g3pencil.exprjet import KinkWarning, eval_expr, eval_jet3, parse
+from g3pencil.exprjet import KinkWarning, eval_expr, parse
 from g3pencil.figures import figure_doc
-from g3pencil.g3core import dot, isotropic_norm, isotropic_wedge, normalize_isotropic
+from g3pencil.g3core import dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
     ControlCoefficients,
     DTypeSpec,
     MarchingScale,
     ParamDomain,
     apply_control_coefficients,
-    classify_dtype,
-    corollary_components,
     product_marching_scale,
-    required_normal_components,
     surface_normal,
     surface_point,
     synthesize_product_form,
 )
 from oracles import (
+    ClassMismatch,
+    corollary_components,
+    eval_jet3,
     frenet_reference,
+    isotropic_wedge,
     marching_scale_zero,
     point_reference,
+    required_normal_components,
     surface_normal_reference,
     surface_point_reference,
 )
@@ -288,11 +290,20 @@ class TestSynthesis:
             )
 
     def test_zero_marching_factor_rejected(self, helix, dom):
-        with pytest.raises(Exception) as info:
-            synthesize_product_form(
-                helix, DTypeSpec(0.5, parse("1")), ONE, parse("s - 2"), NEG_ONE, dom
-            )
-        assert "m" in str(info.value)
+        # a sign change is caught at the first point of the 512-point grid
+        # past it, a constant zero at the first point, s_min
+        step = (dom.s_max - dom.s_min) / 511
+        cases = (("s - 2", "-1", "m"), ("0", "-1", "m"), ("1", "2 - s", "n"), ("1", "0", "n"))
+        for m, n, factor in cases:
+            with pytest.raises(ZeroMarchingFactor) as info:
+                synthesize_product_form(helix, DTypeSpec(0.5, ONE), ONE, parse(m), parse(n), dom)
+            s = info.value.s
+            assert info.value.factor == factor
+            assert str(info.value) == f"marching factor {factor}(s) vanishes at s = {s:g}"
+            if "s" in m + n:
+                assert 2.0 < s <= 2.0 + step
+            else:
+                assert s == dom.s_min
 
     def test_explicit_curve_without_closed_forms_rejected(self, dom):
         c = CurveSpec("explicit", parse("s^3"), parse("s^4"))
@@ -372,27 +383,9 @@ class TestControlCoefficients:
             apply_control_coefficients(direct, ControlCoefficients(1.0, 2.0, 3.0))
 
 
-class TestClassifyDType:
-    def test_lambda_zero_is_asymptotic(self, helix):
-        assert classify_dtype(DTypeSpec(0.0, parse("1")), helix, (0.5, 6.0)) == "asymptotic"
-
-    def test_matched_lambda_is_geodesic(self, helix):
-        assert classify_dtype(DTypeSpec(4.0, parse("1")), helix, (0.5, 6.0)) == "geodesic"
-
-    def test_worked_example_is_general(self, helix):
-        assert (
-            classify_dtype(DTypeSpec(0.5, parse("1")), helix, (0.5, 6.0))
-            == "general-d-type"
-        )
-
-    def test_infeasible_spec_raises(self, helix):
-        with pytest.raises(InfeasibleLambda):
-            classify_dtype(DTypeSpec(6.0, parse("1")), helix, (0.5, 6.0))
-
-
 class TestOneFeasibilityRule:
-    """classify_dtype, required_normal_components and synthesis test
-    feasibility through one routine, so they agree at the boundary."""
+    """Synthesis's feasibility check agrees at the boundary with the rule
+    that the oracle required_normal_components states on its own."""
 
     @pytest.mark.parametrize("excess, feasible", [(7.5e-13, False), (-7.5e-13, True)])
     def test_agreement_at_the_geodesic_boundary(self, helix, excess, feasible):
@@ -400,7 +393,6 @@ class TestOneFeasibilityRule:
         dtype = DTypeSpec(4.0 * (1.0 + excess), ONE)
         dom = ParamDomain(0.5, 6.0, 0.0, 1.0, 0.0)
         calls = (
-            lambda: classify_dtype(dtype, helix, (0.5, 6.0)),
             lambda: required_normal_components(helix, dtype, 3.0),
             lambda: synthesize_product_form(
                 helix, dtype, ONE, ONE, NEG_ONE, dom, scaled=False

@@ -14,18 +14,19 @@ import pytest
 import g3pencil
 from g3pencil.config import GridSpec, PencilConfig, SynthesisMS, VerifySpec
 from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
-from g3pencil.exprjet import BinOp, Call, Jet3, Neg, Num, Var, _Token, parse
+from g3pencil.exprjet import BinOp, Call, Neg, Num, Var, _Token, parse
 from g3pencil.g3core import G3Vector, Record
 from g3pencil.pencil import (
     ControlCoefficients,
     DTypeSpec,
     MarchingScale,
-    NormalComponents,
     ParamDomain,
     PencilSpec,
     ProductFactors,
 )
 from g3pencil.verify import DTypeReport, InvariantSample
+import oracles
+from oracles import Jet3, NormalComponents
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -224,6 +225,36 @@ def test_every_public_name_imports():
     exec("from g3pencil import *", namespace)
     for name in g3pencil.__all__:
         assert namespace[name] is getattr(g3pencil, name)
+
+
+# Reference oracles that no command runs, by the module they moved out
+# of; each now lives in tests/oracles.py.
+MOVED_TO_ORACLES = {
+    "g3pencil.pencil": (
+        "required_normal_components",
+        "corollary_components",
+        "_phis",
+        "NormalComponents",
+        "_COROLLARY_KINDS",
+        "_KIND_TO_CLASS",
+    ),
+    "g3pencil.errors": ("ClassMismatch",),
+    "g3pencil.g3core": ("isotropic_wedge",),
+    "g3pencil.exprjet": ("Jet3", "_compose", "_call_jet", "_pow_factors", "_jet_eval", "eval_jet3"),
+}
+
+
+def test_the_package_holds_only_what_the_commands_run():
+    gone = ("Jet3", "eval_jet3", "NormalComponents", "required_normal_components",
+            "corollary_components", "classify_dtype")
+    for name in gone:
+        assert name not in g3pencil.__all__ and not hasattr(g3pencil, name), name
+    for name in ("classify_dtype", "_GEODESIC_TOL", "_radicand"):
+        assert not hasattr(sys.modules["g3pencil.pencil"], name), name
+    for module, names in MOVED_TO_ORACLES.items():
+        for name in names:
+            assert not hasattr(sys.modules[module], name), f"{module}.{name}"
+            assert hasattr(oracles, name), name
 
 
 def test_cli_import_needs_no_dataclasses():
