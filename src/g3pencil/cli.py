@@ -127,7 +127,7 @@ def _cmd_classify(args) -> int:
 def _cmd_build(args) -> int:
     cfg = load_config(args.config)
     pencil = realize(cfg, as_printed=args.as_printed, sign=_SIGNS.get(args.sign))
-    ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
+    ns, nv = args.grid or cfg.grid
     kind = "csv" if args.output.endswith(".csv") else "obj"
     write_mesh(pencil, ns, nv, **{kind: args.output}, workers=args.workers)
     print(f"wrote {args.output} ({ns}x{nv} vertices)")
@@ -172,7 +172,7 @@ def _cmd_reproduce(args) -> int:
         print(f"wrote {out}")
         return EXIT_OK
     cfg = config_from_dict(figures.figure_doc(name, as_printed=args.as_printed))
-    ns, nv = args.grid if args.grid else (cfg.grid.ns, cfg.grid.nv)
+    ns, nv = args.grid or cfg.grid
     pencil = realize(cfg, as_printed=args.as_printed)
     obj_path = os.path.join(args.output, f"{name}.obj")
     csv_path = os.path.join(args.output, f"{name}.csv")

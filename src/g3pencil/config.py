@@ -65,14 +65,6 @@ class SynthesisMS(Record):
         self.n = n
 
 
-class GridSpec(Record):
-    __slots__ = _fields = ("ns", "nv")
-
-    def __init__(self, ns: int, nv: int):
-        self.ns = ns
-        self.nv = nv
-
-
 class VerifySpec(Record):
     __slots__ = _fields = ("mode", "tol", "samples")
 
@@ -91,14 +83,14 @@ class PencilConfig(Record):
         marching: MarchingScale | SynthesisMS,
         control: ControlCoefficients | None,
         domain: ParamDomain,
-        grid: GridSpec,
+        grid: tuple[int, int],
         verify: VerifySpec,
     ):
         self.curve = curve  # a builtin name or the explicit curve
         self.marching = marching  # a direct or product scale, or the input to synthesis
         self.control = control
         self.domain = domain
-        self.grid = grid
+        self.grid = grid  # (ns, nv)
         self.verify = verify
 
 
@@ -211,11 +203,11 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
     gdoc = _need(doc, "grid", path)
     if not isinstance(gdoc, dict):
         raise SchemaError(f"{path}.grid", "expected an object")
-    grid = GridSpec(
-        ns=_integer(_need(gdoc, "ns", f"{path}.grid"), f"{path}.grid.ns"),
-        nv=_integer(_need(gdoc, "nv", f"{path}.grid"), f"{path}.grid.nv"),
+    grid = (
+        _integer(_need(gdoc, "ns", f"{path}.grid"), f"{path}.grid.ns"),
+        _integer(_need(gdoc, "nv", f"{path}.grid"), f"{path}.grid.nv"),
     )
-    if grid.ns < 2 or grid.nv < 2:
+    if min(grid) < 2:
         raise SchemaError(f"{path}.grid", "grid counts must be at least 2")
     vdoc = doc.get("verify", {})
     if not isinstance(vdoc, dict):
@@ -257,7 +249,7 @@ def _check_base_line(cfg: PencilConfig, path: str) -> None:
                 value = eval_expr(factor, s, d.v0)
             except DomainError:
                 continue  # domain gaps are handled later by grid guards
-            if abs(value) > _MS_VANISH_TOL:
+            if not abs(value) <= _MS_VANISH_TOL:  # NaN fails too
                 raise SchemaError(
                     f"{path}.marching_scale.product.{label}",
                     f"must vanish at v0 = {d.v0:g}, got {value:g} at s = {s:g}",

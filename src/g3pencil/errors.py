@@ -95,21 +95,28 @@ class InfeasibleLambda(G3PencilError):
         self.ratio = ratio
 
 
-class SigmaVanishes(G3PencilError):
-    """The scale function sigma(s) is numerically zero at parameter s."""
+def _vanishes(value: float) -> str:
+    # value - value is 0.0 exactly when value is finite
+    return "vanishes" if value - value == 0.0 else f"= {value:g} is not finite"
 
-    def __init__(self, s: float):
-        super().__init__(f"sigma(s) vanishes at s = {s:g}")
+
+class SigmaVanishes(G3PencilError):
+    """The scale function sigma(s) is numerically zero, or not finite, at s."""
+
+    def __init__(self, s: float, sigma: float):
+        super().__init__(f"sigma(s) {_vanishes(sigma)} at s = {s:g}")
         self.s = s
+        self.sigma = sigma
 
 
 class ZeroMarchingFactor(G3PencilError):
-    """A product-form factor that must stay nonzero vanishes at parameter s."""
+    """A product-form factor that must stay nonzero vanishes, or is not finite, at s."""
 
-    def __init__(self, factor: str, s: float):
-        super().__init__(f"marching factor {factor}(s) vanishes at s = {s:g}")
+    def __init__(self, factor: str, s: float, value: float):
+        super().__init__(f"marching factor {factor}(s) {_vanishes(value)} at s = {s:g}")
         self.factor = factor
         self.s = s
+        self.value = value
 
 
 class NotProductForm(G3PencilError):

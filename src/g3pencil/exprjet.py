@@ -34,13 +34,13 @@ value, and every other math error, raise DomainError naming the node.
 
 The tree evaluators are the reference: :func:`eval_expr` for values, and
 for jets ``eval_jet3`` in ``tests/oracles.py``, which the test suite holds
-the compiled jets against.  :func:`compile_expr`, :func:`compile_values`,
-:func:`compile_jets` and :func:`compile_surface_rows` generate straight-line
-code that performs the same operations and checks in the same order, so
-results agree bitwise, and where the tree fails the code raises the same
-DomainError, naming the node the tree reaches first.  Only constant parts
-are computed at compile time; one that fails, which the tree would fail on
-at every point, raises DomainError there.
+the compiled jets against.  :func:`compile_values`, :func:`compile_jets` and
+:func:`compile_surface_rows` generate straight-line code that performs the
+same operations and checks in the same order, so results agree bitwise,
+and where the tree fails the code raises the same DomainError, naming the
+node the tree reaches first.  Only constant parts are computed at compile
+time; one that fails, which the tree would fail on at every point, raises
+DomainError there.
 """
 
 from __future__ import annotations
@@ -917,8 +917,8 @@ def _block(units: list, depth: int) -> str:
     return "".join(f"{pad}{line}\n" for unit in units for line in unit[0])
 
 
-def _function(em: _Emitter, results: list[str], tuple_result: bool = True) -> Callable:
-    """Compile the emitted statements into f(s, v) returning results.
+def _function(em: _Emitter, results: list[str]) -> Callable:
+    """Compile the emitted statements into f(s, v) returning the results' tuple.
 
     The statements whose results nothing returned reads are dropped; every
     guard and abs() kink stays, with the statements it reads.
@@ -930,7 +930,7 @@ def _function(em: _Emitter, results: list[str], tuple_result: bool = True) -> Ca
         if keep or not live.isdisjoint(defines):
             kept.append(unit)
             live.update(reads)
-    result = "(" + "".join(f"{r}, " for r in results) + ")" if tuple_result else results[0]
+    result = "(" + "".join(f"{r}, " for r in results) + ")"
     source = (
         "def _compiled(s, v):\n"
         "    try:\n"
@@ -941,24 +941,14 @@ def _function(em: _Emitter, results: list[str], tuple_result: bool = True) -> Ca
     return em.define(source, "_compiled")
 
 
-def compile_expr(expr: Expr) -> Callable[[float, float], float]:
-    """Compile a tree to a Python callable f(s, v).
-
-    The generated code performs the tree's operations and checks in the
-    tree's order, so values agree bitwise with :func:`eval_expr`, and it
-    fails where the tree evaluator fails, with the same DomainError.  A
-    constant subtree outside its domain, or a check on constants that holds
-    (the divisor of ``s/0``), raises DomainError here, at compile time.
-    """
-    em = _Emitter()
-    return _function(em, [em.emit(expr)[0]], tuple_result=False)
-
-
 def compile_values(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float, ...]]:
     """Compile trees to one callable f(s, v) giving their values in order.
 
-    Each value agrees bitwise with :func:`eval_expr`; common subtrees are
-    computed once.  Failures are as for :func:`compile_expr`.
+    Tree after tree, in each tree's order, the code performs its operations
+    and checks, so values agree bitwise with :func:`eval_expr` and the first
+    tree to fail raises eval_expr's DomainError; common subtrees are computed
+    once.  A constant subtree outside its domain, or a check on constants
+    that holds (the divisor of ``s/0``), raises DomainError at compile time.
     """
     em = _Emitter()
     return _function(em, [em.emit(e)[0] for e in exprs])

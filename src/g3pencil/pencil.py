@@ -27,9 +27,11 @@ Two construction rules for (phi2, phi3) are provided:
 
 Both rules need the radicand 1 - ratio^2 to stay non-negative, where
 ratio = lam tau / (sigma kappa) under the plain rule and lam tau / kappa
-under the scaled rule.  `check_feasibility` computes the ratio and the
-radicand on the grid synthesis samples and tests that condition; radicands
-down to -1e-12 count as zero.
+under the scaled rule.  `check_feasibility` walks the grid synthesis
+samples on once, checking at each point m, then n (the product form
+divides by them), then sigma and the radicand; the first failing point
+raises.  NaN and +-inf fail the 1e-12 floors of m, n and sigma, and
+radicands down to -1e-12 count as zero.
 
 Synthesis defaults to the scaled rule; the plain rule is what the classical
 derivation states and is kept as the opt-out (`scaled=False`), because the
@@ -60,7 +62,7 @@ from .errors import (
     SigmaVanishes,
     ZeroMarchingFactor,
 )
-from .exprjet import BinOp, Call, Expr, Neg, Num, Var, compile_expr, compile_jets, compile_values
+from .exprjet import BinOp, Call, Expr, Neg, Num, Var, compile_jets, compile_values
 from .g3core import G3Vector, Record, cross
 
 _RADICAND_CLAMP = 1e-12
@@ -144,7 +146,7 @@ def product_marching_scale(
 class DTypeSpec(Record):
     """Target invariant lam, scale function sigma(s) and the sign branch."""
 
-    _fields = ("lam", "sigma", "sign")
+    __slots__ = _fields = ("lam", "sigma", "sign")
 
     def __init__(self, lam: float, sigma: Expr, sign: float = 1.0):
         self.lam = lam
@@ -152,11 +154,6 @@ class DTypeSpec(Record):
         self.sign = sign
         if self.sign not in (1.0, -1.0):
             raise ValueError("sign must be +1.0 or -1.0")
-
-    @cached_property
-    def _sigma(self):
-        """(s, v) -> sigma, compiled on first use."""
-        return compile_expr(self.sigma)
 
 
 class ControlCoefficients(Record):
@@ -294,23 +291,33 @@ def _const(x: float) -> Expr:
 
 
 def check_feasibility(
-    curve: CurveSpec, dtype: DTypeSpec, grid: list[float], *, scaled: bool
+    curve: CurveSpec, dtype: DTypeSpec, m: Expr, n: Expr, grid: list[float], *, scaled: bool
 ) -> float:
-    """Radicand 1 - ratio^2 of the construction rule at every point of an s grid.
+    """Check m, n, sigma and the radicand 1 - ratio^2 on an s grid, in one pass.
 
-    ``grid`` is the guarded grid synthesis samples on.  The ratio is
-    lam tau / kappa under the scaled rule and lam tau / (sigma kappa) under
-    the plain rule.  Returns the largest radicand over the grid; raises
-    SigmaVanishes at the first grid point where sigma does, and
-    InfeasibleLambda at the first where the radicand falls below the
-    clamping threshold -1e-12.
+    ``grid`` is the guarded grid synthesis samples on; one kernel gives
+    m, n and sigma at each point.  Point by point, m and then n must be
+    finite, at least 1e-12 from zero and keep the previous point's sign,
+    else ZeroMarchingFactor; sigma must be finite and at least 1e-12 from
+    zero, else SigmaVanishes; the radicand must not fall below -1e-12, else
+    InfeasibleLambda.  The ratio is lam tau / kappa under the scaled rule
+    and lam tau / (sigma kappa) under the plain rule.  Returns the largest
+    radicand over the grid.
     """
+    factors_at = compile_values((m, n, dtype.sigma))
     hi = -math.inf
+    prev_m = prev_n = 0.0
     for s in grid:
+        m_val, n_val, sigma_val = factors_at(s, 0.0)
+        for label, value, prev in (("m", m_val, prev_m), ("n", n_val, prev_n)):
+            # NaN and +-inf fail the floor; a continuous factor that
+            # changes sign must vanish in between
+            if not _FACTOR_FLOOR <= abs(value) < math.inf or prev * value < 0.0:
+                raise ZeroMarchingFactor(label, s, value)
+        prev_m, prev_n = m_val, n_val
         kappa, tau, _ = curvature_torsion(curve, s)
-        sigma_val = dtype._sigma(s, 0.0)
-        if abs(sigma_val) < _FACTOR_FLOOR:
-            raise SigmaVanishes(s)
+        if not _FACTOR_FLOOR <= abs(sigma_val) < math.inf:
+            raise SigmaVanishes(s, sigma_val)
         if scaled:
             ratio = dtype.lam * tau / kappa
         else:
@@ -341,10 +348,10 @@ def synthesize_product_form(
     kappa and tau (both built-ins do).
 
     ``scaled`` selects the sigma-scaled rule (default, exact invariant) or
-    the plain rule; see the module docstring.  One 512-point grid over
-    the curve's :func:`usable_s_intervals` serves the m and n factor scans
-    and the feasibility check up front; the square root's domain check
-    still guards each point.
+    the plain rule; see the module docstring.  :func:`check_feasibility`
+    checks m, n, sigma and the radicand in one pass over a 512-point grid
+    on the curve's :func:`usable_s_intervals`; the square root's domain
+    check still guards each point.
     """
     if curve.kappa_form is None or curve.tau_form is None:
         raise ValueError(
@@ -352,16 +359,7 @@ def synthesize_product_form(
             "tau on the curve; built-in curves provide them"
         )
     grid = spread_s_values(usable_s_intervals(curve, domain.s_min, domain.s_max), 512)
-    for label, factor in (("m", m), ("n", n_ms)):
-        prev = None
-        factor_at = compile_expr(factor)
-        for s in grid:
-            value = factor_at(s, 0.0)
-            # a continuous factor that changes sign must vanish in between
-            if abs(value) < _FACTOR_FLOOR or (prev is not None and prev * value < 0.0):
-                raise ZeroMarchingFactor(label, s)
-            prev = value
-    hi = check_feasibility(curve, dtype, grid, scaled=scaled)
+    hi = check_feasibility(curve, dtype, m, n_ms, grid, scaled=scaled)
 
     lam_e = _const(dtype.lam)
     kappa_e = curve.kappa_form

@@ -503,13 +503,13 @@ def _phis(
 
     The ratio is lam tau / kappa under the scaled rule and
     lam tau / (sigma kappa) under the plain rule.  Raises SigmaVanishes
-    where |sigma| < 1e-12, and InfeasibleLambda where the radicand
-    1 - ratio^2 falls below -1e-12; a radicand down to that counts as
-    zero.  These are the floors of synthesis's feasibility check, stated
-    here apart from it.
+    where sigma is not finite or |sigma| < 1e-12, and InfeasibleLambda
+    where the radicand 1 - ratio^2 falls below -1e-12; a radicand down to
+    that counts as zero.  These are the floors of synthesis's feasibility
+    check, stated here apart from it.
     """
-    if abs(sigma_val) < 1e-12:
-        raise SigmaVanishes(s)
+    if not 1e-12 <= abs(sigma_val) < math.inf:
+        raise SigmaVanishes(s, sigma_val)
     if scaled:
         ratio = lam * tau / kappa
     else:
@@ -538,7 +538,7 @@ def required_normal_components(
     invariant equals lam exactly (see the docstring of g3pencil.pencil).
     """
     kappa, tau, _ = curvature_torsion(curve, s)
-    sigma_val = dtype._sigma(s, 0.0)
+    sigma_val = eval_expr(dtype.sigma, s, 0.0)
     phi2, phi3 = _phis(kappa, tau, sigma_val, dtype.lam, dtype.sign, scaled, s)
     return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
@@ -567,7 +567,7 @@ def corollary_components(
     if kind not in _COROLLARY_KINDS:
         raise ValueError(f"kind must be one of {_COROLLARY_KINDS}")
     kappa, tau, _ = curvature_torsion(curve, s)
-    sigma_val = dtype._sigma(s, 0.0)
+    sigma_val = eval_expr(dtype.sigma, s, 0.0)
     if kind == "asymptotic":
         phi2, phi3 = _phis(kappa, tau, sigma_val, 0.0, dtype.sign, False, s)
     elif kind == "geodesic":

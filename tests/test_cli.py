@@ -444,6 +444,37 @@ def test_vanishing_marching_factor_exits_2_naming_it(tmp_path, capsys):
     ] * 3
 
 
+@pytest.mark.parametrize(
+    "key, text, error",
+    [
+        ("sigma", "0*exp(1000)", "SigmaVanishes: sigma(s) = nan"),
+        ("m", "0*exp(1000)", "ZeroMarchingFactor: marching factor m(s) = nan"),
+        ("n", "0*exp(1000)", "ZeroMarchingFactor: marching factor n(s) = nan"),
+        ("sigma", "exp(1000)", "SigmaVanishes: sigma(s) = inf"),
+        ("m", "exp(1000)", "ZeroMarchingFactor: marching factor m(s) = inf"),
+        ("n", "-exp(1000)", "ZeroMarchingFactor: marching factor n(s) = -inf"),
+    ],
+)
+def test_non_finite_synthesis_input_exits_2_naming_it(key, text, error, tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["marching_scale"]["synthesis"][key] = text
+    assert _load_errors(doc, tmp_path, capsys) == [f"error: {error} is not finite at s = 0.1\n"] * 3
+
+
+def test_nan_product_factor_fails_at_load(tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    product = {"l": "1", "m": "1", "n": "-1", "X": "v*(0*exp(1000))", "Y": "v", "Z": "v"}
+    doc["marching_scale"] = {"product": product}
+    doc["domain"]["s_max"] = 6.28
+    error = (
+        "error: SchemaError: $.marching_scale.product.X: must vanish at v0 = 0, "
+        "got nan at s = 0.718\n"
+    )
+    assert _load_errors(doc, tmp_path, capsys) == [error] * 3
+    assert main(["classify", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr() == ("", error)
+
+
 def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):
     doc = {
         "curve": "fresnel-helix",

@@ -120,6 +120,20 @@ class TestSchema:
             config_from_dict(doc)
         assert "X" in str(info.value)
 
+    def test_nan_factor_at_v0_rejected(self):
+        # NaN fails the vanishing test as a value far from zero does
+        product = {"l": "1", "m": "1", "n": "-1", "X": "v*(0*exp(1000))", "Y": "v", "Z": "v"}
+        doc = minimal_doc(marching_scale={"product": product})
+        doc["domain"]["s_max"] = 6.28
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == (
+            "$.marching_scale.product.X: must vanish at v0 = 0, got nan at s = 0.718"
+        )
+
+    def test_grid_is_the_ns_nv_pair(self):
+        assert config_from_dict(minimal_doc()).grid == (20, 5)
+
     def test_missing_file(self):
         with pytest.raises(SchemaError):
             load_config("/nonexistent/config.json")

@@ -18,7 +18,6 @@ from g3pencil.exprjet import (
     Num,
     Var,
     _fresnel_series,
-    compile_expr,
     compile_jets,
     compile_surface_rows,
     compile_values,
@@ -178,7 +177,8 @@ def test_trees_of_max_depth_parse_and_compile():
     for var in ("s", "v"):
         want = _coefficients(eval_jet3(tree, var, 0.5, 2.0))
         assert compile_jets([tree], var)(0.5, 2.0) == want
-    assert compile_expr(tree)(0.5, 2.0) == eval_expr(tree, 0.5, 2.0)
+    (got,) = compile_values([tree])(0.5, 2.0)
+    assert got == eval_expr(tree, 0.5, 2.0)
 
 
 def test_parse_builds_expected_tree():
@@ -337,13 +337,14 @@ def test_compiled_matches_interpreted_bitwise():
         text = random_expression(rng, depth=3)
         try:
             tree = parse(text)
-            fn = compile_expr(tree)
+            fn = compile_values([tree])
             s = rng.uniform(-2.0, 2.0)
             v = rng.uniform(-2.0, 2.0)
             want = eval_expr(tree, s, v)
         except DomainError:
             continue
-        assert fn(s, v) == want
+        (got,) = fn(s, v)
+        assert got == want
 
     # A row kernel over three trees that share subtrees agrees bitwise with
     # eval_expr + combine_on_frame, with -0.0 written as 0.0, and fails
@@ -415,7 +416,6 @@ def test_compiled_fails_where_tree_evaluator_fails(text, s, v):
     tree = parse(text)
     # Compiled code names the failing node as the tree evaluators do.
     pairs = [
-        (lambda: eval_expr(tree, s, v), lambda: compile_expr(tree)(s, v)),
         (lambda: eval_expr(tree, s, v), lambda: compile_values([tree])(s, v)),
     ]
     for var in ("s", "v"):
@@ -438,7 +438,8 @@ def _domain_error(evaluate) -> str:
 def test_hyperbolic_overflow_gives_inf_everywhere():
     for text, want in (("sinh(v)", math.inf), ("-sinh(-v)", math.inf), ("cosh(-v)", math.inf)):
         tree = parse(text)
-        assert eval_expr(tree, 0.0, 1000.0) == compile_expr(tree)(0.0, 1000.0) == want
+        (got,) = compile_values([tree])(0.0, 1000.0)
+        assert eval_expr(tree, 0.0, 1000.0) == got == want
         assert eval_jet3(tree, "v", 0.0, 1000.0).c0 == want
         assert compile_jets([tree], "v")(0.0, 1000.0)[0] == want
 
@@ -449,7 +450,7 @@ def test_trig_of_infinity_names_the_node(func):
     message = f"{func} of an infinite value in '{func}(exp(v))'"
     for evaluate in (
         lambda: eval_expr(tree, 0.0, 1000.0),
-        lambda: compile_expr(tree)(0.0, 1000.0),
+        lambda: compile_values([tree])(0.0, 1000.0),
         lambda: eval_jet3(tree, "v", 0.0, 1000.0),
         lambda: compile_jets([tree], "v")(0.0, 1000.0),
     ):
@@ -717,12 +718,13 @@ def test_compiled_jets_edge_cases(text, s, v):
 
 def test_compiled_exp_overflows_to_inf():
     tree = parse("exp(300*v)")
-    assert compile_expr(tree)(0.0, 5.0) == eval_expr(tree, 0.0, 5.0) == math.inf
+    (got,) = compile_values([tree])(0.0, 5.0)
+    assert got == eval_expr(tree, 0.0, 5.0) == math.inf
 
 
 def test_compiled_constant_outside_domain_fails_at_compile_time():
     with pytest.raises(DomainError, match="log of a non-positive value"):
-        compile_expr(parse("s + ln(1 - 1)"))
+        compile_values([parse("s + ln(1 - 1)")])
 
 
 def test_row_kernel_rejects_non_finite_points():

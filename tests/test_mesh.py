@@ -52,7 +52,7 @@ class TestSampling:
 
     def test_config_grid_counts(self, tmp_path):
         cfg = load_config("configs/fresnel-helix.json")
-        assert len(sampled(realize(cfg), cfg.grid.ns, cfg.grid.nv, tmp_path)) == 200 * 50
+        assert len(sampled(realize(cfg), *cfg.grid, tmp_path)) == 200 * 50
 
     def test_guard_band_warns_and_respans(self, tmp_path):
         cfg = config_from_dict(figure_doc("fig1b"))

@@ -305,6 +305,36 @@ class TestSynthesis:
             else:
                 assert s == dom.s_min
 
+    @pytest.mark.parametrize(
+        "m, n, sigma, error, message",
+        [
+            ("exp(1000)", "-1", "1", ZeroMarchingFactor, "marching factor m(s) = inf"),
+            ("0*exp(1000)", "-1", "1", ZeroMarchingFactor, "marching factor m(s) = nan"),
+            ("1", "-exp(1000)", "1", ZeroMarchingFactor, "marching factor n(s) = -inf"),
+            ("1", "-1", "exp(1000)", SigmaVanishes, "sigma(s) = inf"),
+            ("1", "-1", "0*exp(1000)", SigmaVanishes, "sigma(s) = nan"),
+        ],
+    )
+    def test_non_finite_factor_or_sigma_rejected(self, helix, dom, m, n, sigma, error, message):
+        with pytest.raises(error) as info:
+            synthesize_product_form(
+                helix, DTypeSpec(0.5, parse(sigma)), ONE, parse(m), parse(n), dom
+            )
+        assert str(info.value) == f"{message} is not finite at s = 0.1"
+        assert info.value.s == dom.s_min
+        value = info.value.value if error is ZeroMarchingFactor else info.value.sigma
+        assert not math.isfinite(value)
+
+    def test_first_failing_grid_point_wins(self, helix):
+        # m changes sign at s = 3, but |ratio| = 4.5 |tau| / kappa = 1.125
+        # exceeds 1 from the first grid point on, and that point is checked
+        # in full before the next
+        dom = ParamDomain(0.5, 6.0, 0.0, 1.0, 0.0)
+        with pytest.raises(InfeasibleLambda) as info:
+            synthesize_product_form(helix, DTypeSpec(4.5, ONE), ONE, parse("s - 3"), NEG_ONE, dom)
+        assert info.value.s == 0.5
+        assert str(info.value) == "invariant infeasible at s = 0.5: |ratio| = 1.125 exceeds 1"
+
     def test_explicit_curve_without_closed_forms_rejected(self, dom):
         c = CurveSpec("explicit", parse("s^3"), parse("s^4"))
         with pytest.raises(ValueError):
@@ -404,6 +434,23 @@ class TestOneFeasibilityRule:
             else:
                 with pytest.raises(InfeasibleLambda):
                     call()
+
+    def test_synthesis_compiles_one_kernel_for_m_n_and_sigma(self, helix, dom, monkeypatch):
+        import g3pencil.pencil
+
+        compiled = []
+        original = g3pencil.pencil.compile_values
+
+        def counting(exprs):
+            compiled.append(tuple(exprs))
+            return original(exprs)
+
+        monkeypatch.setattr(g3pencil.pencil, "compile_values", counting)
+        m, n, sigma = parse("2 + cos(s)"), NEG_ONE, parse("s")
+        for scaled in (True, False):
+            compiled.clear()
+            synthesize_product_form(helix, DTypeSpec(0.1, sigma), ONE, m, n, dom, scaled=scaled)
+            assert compiled == [(m, n, sigma)]
 
     def test_synthesis_scans_the_guard_bands_once(self, monkeypatch):
         import g3pencil.curve

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import g3pencil
-from g3pencil.config import GridSpec, PencilConfig, SynthesisMS, VerifySpec
+from g3pencil.config import PencilConfig, SynthesisMS, VerifySpec
 from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
 from g3pencil.exprjet import BinOp, Call, Neg, Num, Var, _Token, parse
 from g3pencil.g3core import G3Vector, Record
@@ -60,7 +60,6 @@ RECORDS = [
     (ControlCoefficients, dict(a=1.0, b=3.0, c=5.0)),
     (PencilSpec, dict(curve=CURVE, marching=SCALE, domain=DOMAIN)),
     (SynthesisMS, dict(lam=0.5, sigma=ONE, sign=1.0, l=ONE, m=ONE, n=Num(-1.0))),
-    (GridSpec, dict(ns=200, nv=50)),
     (VerifySpec, dict(mode="fd", tol=1e-5, samples=100)),
     (
         PencilConfig,
@@ -69,7 +68,7 @@ RECORDS = [
             marching=SCALE,
             control=None,
             domain=DOMAIN,
-            grid=GridSpec(200, 50),
+            grid=(200, 50),
             verify=VerifySpec(),
         ),
     ),
@@ -169,8 +168,6 @@ def test_defaults():
 
 def test_missing_required_field_is_a_type_error():
     with pytest.raises(TypeError):
-        GridSpec(200)
-    with pytest.raises(TypeError):
         Jet3()
 
 
@@ -196,15 +193,14 @@ def test_dtype_spec_rejects_bad_signs(sign):
 
 
 def test_kernel_caches_keep_a_dict_and_stay_out_of_equality():
-    for record in (CurveSpec("c", S, V), MarchingScale(V, V, V), DTypeSpec(0.5, ONE)):
+    for record in (CurveSpec("c", S, V), MarchingScale(V, V, V)):
         assert hasattr(record, "__dict__")
     warm = CurveSpec("c", parse("s"), parse("s^2/2"))
     warm._point_values(0.5, 0.0)
     assert "_point_values" in vars(warm)
     assert warm == CURVE and hash(warm) == hash(CURVE)
-    spec = DTypeSpec(0.5, parse("1/cosh(s/4)"))
-    assert spec._sigma(0.0, 0.0) == 1.0
-    assert spec == DTypeSpec(0.5, parse("1/cosh(s/4)"))
+    # synthesis compiles sigma with m and n, so DTypeSpec caches no kernel
+    assert not hasattr(DTypeSpec(0.5, ONE), "__dict__")
 
 
 @pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
@@ -216,7 +212,7 @@ def test_records_are_written_in_their_modules(cls, kw):
         method = getattr(cls, name)
         if method is not None:
             assert method.__code__.co_filename == sys.modules["g3pencil.g3core"].__file__
-    if cls not in (CurveSpec, MarchingScale, DTypeSpec):
+    if cls not in (CurveSpec, MarchingScale):
         assert not hasattr(cls(**kw), "__dict__")
 
 
@@ -251,6 +247,10 @@ def test_the_package_holds_only_what_the_commands_run():
         assert name not in g3pencil.__all__ and not hasattr(g3pencil, name), name
     for name in ("classify_dtype", "_GEODESIC_TOL", "_radicand"):
         assert not hasattr(sys.modules["g3pencil.pencil"], name), name
+    # one kernel per synthesis for m, n and sigma; the grid size is a tuple
+    assert not hasattr(sys.modules["g3pencil.exprjet"], "compile_expr")
+    assert not hasattr(sys.modules["g3pencil.config"], "GridSpec")
+    assert not hasattr(DTypeSpec, "_sigma")
     for module, names in MOVED_TO_ORACLES.items():
         for name in names:
             assert not hasattr(sys.modules[module], name), f"{module}.{name}"
