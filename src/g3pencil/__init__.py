@@ -19,7 +19,7 @@ from .curve import (
     point,
 )
 from .errors import G3PencilError
-from .exprjet import Expr, eval_expr, fresnel_c, fresnel_s, parse, to_source
+from .exprjet import Expr, parse, to_source
 from .g3core import G3Vector, cross, dot, isotropic_norm, normalize_isotropic
 from .pencil import (
     ControlCoefficients,
@@ -46,9 +46,6 @@ __all__ = [
     "Expr",
     "parse",
     "to_source",
-    "eval_expr",
-    "fresnel_s",
-    "fresnel_c",
     "CurveSpec",
     "CurveClass",
     "FrenetFrame",

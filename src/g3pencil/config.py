@@ -36,7 +36,7 @@ import math
 
 from .curve import BUILTIN_CURVES, CurveSpec, fresnel_helix
 from .errors import DomainError, SchemaError
-from .exprjet import Expr, eval_expr, parse
+from .exprjet import Expr, compile_values, parse
 from .g3core import Record
 from .pencil import (
     ControlCoefficients,
@@ -237,16 +237,25 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
 
 
 def _check_base_line(cfg: PencilConfig, path: str) -> None:
-    """Product factors must vanish on the base line (checked numerically)."""
+    """Product factors must vanish on the base line (checked numerically).
+
+    Each factor gets its own kernel, so X, Y and Z are checked apart.  A
+    factor whose kernel fails to compile is skipped, as every point of it
+    would be, and so is a point where a factor fails.
+    """
     if isinstance(cfg.marching, SynthesisMS) or cfg.marching.product is None:
         return
     product = cfg.marching.product
     d = cfg.domain
     for label, factor in (("X", product.x), ("Y", product.y), ("Z", product.z)):
+        try:
+            value_at = compile_values((factor,))
+        except DomainError:
+            continue  # a constant part fails; the grid guards handle it later
         for i in range(5):
             s = d.s_min + (d.s_max - d.s_min) * (i + 0.5) / 5.0
             try:
-                value = eval_expr(factor, s, d.v0)
+                (value,) = value_at(s, d.v0)
             except DomainError:
                 continue  # domain gaps are handled later by grid guards
             if not abs(value) <= _MS_VANISH_TOL:  # NaN fails too

@@ -110,7 +110,7 @@ class SigmaVanishes(G3PencilError):
 
 
 class ZeroMarchingFactor(G3PencilError):
-    """A product-form factor that must stay nonzero vanishes, or is not finite, at s."""
+    """A product-form factor is not finite at s, or a divisor m or n vanishes there."""
 
     def __init__(self, factor: str, s: float, value: float):
         super().__init__(f"marching factor {factor}(s) {_vanishes(value)} at s = {s:g}")

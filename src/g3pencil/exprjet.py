@@ -26,21 +26,22 @@ and a negative exponent a base other than 0.
 Derivatives are computed with truncated Taylor (jet) arithmetic carried to
 third order, which is exactly what the curvature and torsion formulas of an
 admissible curve consume.  A subtree that does not read the jet's variable
-takes the value :func:`eval_expr` gives; where the base of a fractional
-power reads it, that base must be > 0.  ``abs`` is differentiated as
-sign(u) * u', with sign(0) taken as +1 and a :class:`KinkWarning` emitted.
-exp, sinh and cosh overflow to +-inf; sin, cos and tan of an infinite
-value, and every other math error, raise DomainError naming the node.
+takes its plain value; where the base of a fractional power reads it, that
+base must be > 0.  ``abs`` is differentiated as sign(u) * u', with sign(0)
+taken as +1 and a :class:`KinkWarning` emitted.  exp, sinh and cosh
+overflow to +-inf; sin, cos and tan of an infinite value, and every other
+math error, raise DomainError naming the node.
 
-The tree evaluators are the reference: :func:`eval_expr` for values, and
-for jets ``eval_jet3`` in ``tests/oracles.py``, which the test suite holds
-the compiled jets against.  :func:`compile_values`, :func:`compile_jets` and
-:func:`compile_surface_rows` generate straight-line code that performs the
-same operations and checks in the same order, so results agree bitwise,
-and where the tree fails the code raises the same DomainError, naming the
-node the tree reaches first.  Only constant parts are computed at compile
-time; one that fails, which the tree would fail on at every point, raises
-DomainError there.
+The compiler is the one evaluator: :func:`compile_values`,
+:func:`compile_jets` and :func:`compile_surface_rows` generate straight-line
+code for values and jets alike.  The tree oracles in ``tests/oracles.py``,
+one for values and one for jets, are its reference: the code performs
+their operations and checks in the same order, so results agree bitwise,
+and where an oracle fails the code raises the same DomainError, naming the
+node the oracle reaches first.  Constant parts are folded at compile time
+by running the emitted statement itself, after its checks, in the
+namespace the code runs in; one that fails, which the oracle would fail on
+at every point, raises DomainError there.
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ def to_source(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Plain evaluation
+# Domain errors, and the functions that overflow to infinity
 # ---------------------------------------------------------------------------
 
 
@@ -383,54 +384,9 @@ def _fail(node: Expr, reason: str) -> DomainError:
     return DomainError(f"{reason} in '{to_source(node)}'")
 
 
-# Math errors that the evaluators, tree and compiled alike, re-raise as
-# DomainError.
+# Math errors that compiled code, and the emitter as it folds constants,
+# re-raise as DomainError.
 _ARITHMETIC = (ValueError, ZeroDivisionError, OverflowError)
-
-
-def eval_expr(expr: Expr, s: float, v: float) -> float:
-    """Evaluate with IEEE doubles; raises DomainError naming the bad node."""
-    return _evaluate(expr, s, v)
-
-
-def _evaluate(expr: Expr, s: float, v: float) -> float:
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        return s if expr.name == "s" else v
-    if isinstance(expr, Neg):
-        return -_evaluate(expr.arg, s, v)
-    if isinstance(expr, Call):
-        u = _evaluate(expr.arg, s, v)
-        try:
-            return _call_value(expr, u)
-        except _ARITHMETIC as exc:
-            raise _fail(expr, str(exc)) from exc
-    left = _evaluate(expr.left, s, v)
-    right = _evaluate(expr.right, s, v)
-    op = expr.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0.0:
-            raise _fail(expr, "division by zero")
-        return left / right
-    # op == "^"; the exponent is constant by construction
-    if not float(right).is_integer():
-        if left < 0.0:
-            raise _fail(expr, "fractional power of a negative base")
-        if left == 0.0 and right < 0.0:
-            raise _fail(expr, "zero base with negative exponent")
-    elif left == 0.0 and right < 0.0:
-        raise _fail(expr, "zero base with negative exponent")
-    try:
-        return left**right
-    except (ValueError, OverflowError) as exc:  # a result too large for a double
-        raise _fail(expr, str(exc)) from exc
 
 
 def _exp(x: float) -> float:
@@ -472,37 +428,6 @@ def _kink_message(node: Call) -> str:
 
 def _kink(message: str) -> None:
     warnings.warn(message, KinkWarning)
-
-
-def _call_value(node: Call, u: float) -> float:
-    f = node.func
-    if f in _TRIG and u in _INFS:
-        raise DomainError(_infinite_argument(node))
-    if f == "sin":
-        return math.sin(u)
-    if f == "cos":
-        return math.cos(u)
-    if f == "tan":
-        return math.tan(u)
-    if f == "sinh":
-        return _sinh(u)
-    if f == "cosh":
-        return _cosh(u)
-    if f == "exp":
-        return _exp(u)
-    if f == "ln":
-        if u <= 0.0:
-            raise _fail(node, "log of a non-positive value")
-        return math.log(u)
-    if f == "sqrt":
-        if u < 0.0:
-            raise _fail(node, "square root of a negative value")
-        return math.sqrt(u)
-    if f == "abs":
-        return abs(u)
-    if f == "fresnelS":
-        return fresnel_s(u)
-    return fresnel_c(u)
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +507,8 @@ def _children(expr: Expr) -> tuple:
     return (expr.arg,)
 
 
-def _fold(expr: Expr) -> float:
-    """Value of a constant subtree, computed by the tree evaluator."""
-    return _evaluate(expr, 0.0, 0.0)
-
-
 def _owned(lines: list[str], owner: Expr) -> list[str]:
-    """lines, whose math errors name owner as the tree evaluators do."""
+    """lines, whose math errors name owner as the tree oracles do."""
     suffix = str(_fail(owner, ""))
     return [
         "try:",
@@ -604,29 +524,28 @@ class _Emitter:
     :meth:`emit` gives the value of a tree, :meth:`emit_jet` its jet in one
     variable, one operand per coefficient.  Every distinct statement is
     emitted once, so structurally equal subtrees, also across trees, are
-    computed once.  Constant subtrees are evaluated here by the tree
-    evaluators and inlined.  A node that reads a variable never has a
-    constant value (a power computes ``coeff * x ** 0.0`` as the tree's
-    power rule does), so every constant operand is a literal: a statement
-    whose operands are all constant is evaluated here and inlined, and a
-    check on constant operands raises its DomainError here if it holds.
-    Every other statement is appended to one list of units, in the order
-    the tree evaluators run them, each tagged with the variables it reads
-    (its level) and naming what it defines and reads, so that
-    :func:`_function` can drop what nothing returned reads, and
-    :func:`compile_surface_rows` can hoist s-only work out of its loop over
-    v and v-only work out of its loop over s.
+    computed once.  A node that reads a variable never has a constant value
+    (a power computes ``coeff * x ** 0.0`` as the tree's power rule does),
+    so every constant operand is a literal: a statement whose operands are
+    all constant runs its checks and then its own text here, in
+    :attr:`env`, and its value is inlined as a literal; a check that holds
+    or a math error raises DomainError here.  Every other statement is
+    appended to one list of units, in the order the tree oracles run them,
+    each tagged with the variables it reads (its level) and naming what it
+    defines and reads, so that :func:`_function` can drop what nothing
+    returned reads, and :func:`compile_surface_rows` can hoist s-only work
+    out of its loop over v and v-only work out of its loop over s.
 
-    Each statement performs the operations the tree evaluators perform at
-    that node (:func:`eval_expr` for values, and so for every flat subtree
-    of a jet; ``_jet_eval`` in ``tests/oracles.py`` for the rest of a jet)
-    in the same order, so results agree bitwise.  The same checks raise the
-    same DomainError, a math error names the node where the tree evaluators
-    name it, and an abs() kink warns as the tree evaluator does.
+    Each statement performs the operations the tree oracles of
+    ``tests/oracles.py`` perform at that node (the value oracle, also for
+    every flat subtree of a jet; ``_jet_eval`` for the rest of a jet) in the
+    same order, so results agree bitwise.  The same checks raise the same
+    DomainError, a math error names the node where the oracles name it, and
+    an abs() kink warns as the jet oracle does.
     """
 
     def __init__(self) -> None:
-        self.units: list[_Unit] = []  # in the order the tree evaluators run them
+        self.units: list[_Unit] = []  # in the order the tree oracles run them
         self.carried: list[str] = []  # v-level names read by s-and-v statements
         self.env: dict[str, object] = {
             "__builtins__": {},
@@ -680,20 +599,29 @@ class _Emitter:
 
         ``guards`` are (condition, operands, message) checks that run
         before the statement, the first time it is emitted.  A math error
-        that the statement raises names ``owner``, when given, as the tree
-        evaluators name the node.
+        that the statement raises names ``owner``, when given.  When every
+        operand is constant, the guards and then the statement run here,
+        in this emitter's namespace, and the operand is the literal of the
+        value; the literal is kept for text, so each text folds once.
         """
         if text in self._names:
             return self._names[text]
-        if _level(operands) == _CONST:
-            return self._constant(eval(text, self.env)), _CONST
         for guard in guards:
             self.guard(*guard)
-        (out,) = self._outputs(operands, 1)
-        lines = [f"{out[0]} = {text}"]
-        if owner is not None:
-            lines = _owned(lines, owner)
-        self._file(lines, operands, (out[0],))
+        if _level(operands) == _CONST:
+            try:
+                value = eval(text, self.env)
+            except _ARITHMETIC as exc:
+                if owner is None:
+                    raise
+                raise _fail(owner, str(exc)) from exc
+            out = self._constant(value), _CONST
+        else:
+            (out,) = self._outputs(operands, 1)
+            lines = [f"{out[0]} = {text}"]
+            if owner is not None:
+                lines = _owned(lines, owner)
+            self._file(lines, operands, (out[0],))
         self._names[text] = out
         return out
 
@@ -720,8 +648,6 @@ class _Emitter:
         if isinstance(expr, Var):
             return expr.name, expr.reads
         args = [self.emit(child) for child in _children(expr)]
-        if _level(args) == _CONST:
-            return self._constant(_fold(expr)), _CONST
         if isinstance(expr, Neg):
             return self.stmt(f"-{args[0][0]}", args)
         if isinstance(expr, Call):
@@ -732,9 +658,9 @@ class _Emitter:
             guards.append((f"{right} == 0.0", args[1:], str(_fail(expr, "division by zero"))))
         if expr.op != "^":
             return self.stmt(f"{left} {expr.op} {right}", args, guards)
-        p = _fold(expr.right)  # the exponent is constant by construction
+        p = eval(right, self.env)  # the exponent is constant by construction
         if not float(p).is_integer():
-            # Python returns a complex number here, where eval_expr refuses
+            # Python returns a complex number here, where the tree refuses
             message = str(_fail(expr, "fractional power of a negative base"))
             guards.append((f"{left} < 0.0", args[:1], message))
         if p < 0.0:
@@ -745,15 +671,18 @@ class _Emitter:
     def _call(self, node: Call, x: _Operand) -> _Operand:
         f = node.func
         if f in ("fresnelS", "fresnelC"):
+            k = 0 if f == "fresnelS" else 1
+            if x[1] == _CONST:  # a tuple has no literal: fold the one value
+                return self.stmt(f"_fresnel({x[0]})[{k}]", [x], owner=node)
             # the _fresnel call that a fresnelS/fresnelC pair on x shares;
             # its errors name the node that emitted it first, which is the
-            # node the tree evaluators reach first
+            # node the tree oracles reach first
             pair = self.stmt(f"_fresnel({x[0]})", [x], owner=node)
-            return self.stmt(f"{pair[0]}[{0 if f == 'fresnelS' else 1}]", [pair])
+            return self.stmt(f"{pair[0]}[{k}]", [pair])
         return self.stmt(f"{f}({x[0]})", [x], self._argument_guards(node, x))
 
     def _argument_guards(self, node: Call, x: _Operand) -> list:
-        """The checks :func:`eval_expr` makes on the argument of node."""
+        """The checks on the argument of node, made before node is called."""
         if node.func in _TRIG:
             return [(f"{x[0]} in _INFS", [x], _infinite_argument(node))]
         if node.func == "sqrt":
@@ -803,7 +732,7 @@ class _Emitter:
             for t in _DIV_JET:
                 h.append(self.formula(t, a=a, b=b, h=h))
             return tuple(h)
-        return self._compose(a, self._pow_factors(expr, a[0]))
+        return self._compose(a, self._pow_factors(expr, a[0], b[0]))
 
     def _compose(self, u, f) -> tuple[_Operand, ...]:
         return (f[0], *(self.formula(t, f=f, u=u) for t in _COMPOSE_JET))
@@ -879,11 +808,11 @@ class _Emitter:
             *(self.stmt(f"{sign[0]} * {c[0]}", [sign, c]) for c in u[1:]),
         )
 
-    def _pow_factors(self, node: BinOp, x: _Operand) -> list[_Operand]:
+    def _pow_factors(self, node: BinOp, x: _Operand, exponent: _Operand) -> list[_Operand]:
         """Operands of f0..f3 of the reference ``_pow_factors`` at the base x."""
         # the loop of the tree's _pow_factors in tests/oracles.py, unrolled
-        # for the exponent
-        p = _fold(node.right)
+        # for the exponent, which is constant and so a literal
+        p = eval(exponent[0], self.env)
         if not float(p).is_integer():
             message = str(_fail(node, "fractional power of a non-positive base"))
             self.guard(f"{x[0]} <= 0.0", [x], message)
@@ -945,10 +874,12 @@ def compile_values(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[floa
     """Compile trees to one callable f(s, v) giving their values in order.
 
     Tree after tree, in each tree's order, the code performs its operations
-    and checks, so values agree bitwise with :func:`eval_expr` and the first
-    tree to fail raises eval_expr's DomainError; common subtrees are computed
-    once.  A constant subtree outside its domain, or a check on constants
-    that holds (the divisor of ``s/0``), raises DomainError at compile time.
+    and checks, so values agree bitwise with the value tree oracle in
+    ``tests/oracles.py`` and the first tree to fail raises the oracle's
+    DomainError; common subtrees are computed once.  Constant parts are
+    folded here by running their statements; one outside its domain, or a
+    check on constants that holds (the divisor of ``s/0``), raises
+    DomainError at compile time.
     """
     em = _Emitter()
     return _function(em, [em.emit(e)[0] for e in exprs])
@@ -997,15 +928,16 @@ def compile_surface_rows(
     with x, y, z of the point at (s, v) for every v in ``v_values``, in
     order; ``base`` is the curve point at s and ``frame`` supplies the
     vectors ``t``, ``n`` and ``b``.  Each coordinate equals bitwise the one
-    of ``combine_on_frame(base, frame, a, b, g)`` with a, b, g from
-    :func:`eval_expr`, plus 0.0, which turns -0.0 into 0.0 and leaves every
-    other value as it is.  The three trees share one emitter, so common
-    subtrees are computed once; constant subtrees are computed here,
-    v-only subtrees once per column (here, for all rows), s-only subtrees
-    once per row, and only the rest once per point.
+    of ``combine_on_frame(base, frame, a, b, g)`` with a, b, g the values
+    :func:`compile_values` gives, plus 0.0, which turns -0.0 into 0.0 and
+    leaves every other value as it is.  The three trees share one emitter,
+    so common subtrees are computed once; constant parts are folded here as
+    :func:`compile_values` folds them, v-only subtrees are computed once per
+    column (here, for all rows), s-only subtrees once per row, and only the
+    rest once per point.
 
-    Raises DomainError where :func:`eval_expr` would fail and for points
-    that are not finite.
+    Raises DomainError where :func:`compile_values` would fail and for
+    points that are not finite.
     """
     em = _Emitter()
     roots = [em.emit(tree) for tree in (alpha, beta, gamma)]
@@ -1131,13 +1063,3 @@ def _fresnel(x: float) -> tuple[float, float]:
     if x < 0.0:
         return -s, -c
     return s, c
-
-
-def fresnel_s(x: float) -> float:
-    """Fresnel sine integral of sin(pi t^2 / 2) from 0 to x; odd in x."""
-    return _fresnel(x)[0]
-
-
-def fresnel_c(x: float) -> float:
-    """Fresnel cosine integral of cos(pi t^2 / 2) from 0 to x; odd in x."""
-    return _fresnel(x)[1]

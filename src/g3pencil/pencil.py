@@ -28,10 +28,11 @@ Two construction rules for (phi2, phi3) are provided:
 Both rules need the radicand 1 - ratio^2 to stay non-negative, where
 ratio = lam tau / (sigma kappa) under the plain rule and lam tau / kappa
 under the scaled rule.  `check_feasibility` walks the grid synthesis
-samples on once, checking at each point m, then n (the product form
-divides by them), then sigma and the radicand; the first failing point
-raises.  NaN and +-inf fail the 1e-12 floors of m, n and sigma, and
-radicands down to -1e-12 count as zero.
+samples on once, checking at each point that l is finite, then m and n
+(the product form divides by them), then sigma and the radicand; the
+first failing point raises.  l may vanish, as alpha = l X may; NaN and
++-inf fail the 1e-12 floors of m, n and sigma, and radicands down to
+-1e-12 count as zero.
 
 Synthesis defaults to the scaled rule; the plain rule is what the classical
 derivation states and is kept as the opt-out (`scaled=False`), because the
@@ -291,24 +292,34 @@ def _const(x: float) -> Expr:
 
 
 def check_feasibility(
-    curve: CurveSpec, dtype: DTypeSpec, m: Expr, n: Expr, grid: list[float], *, scaled: bool
+    curve: CurveSpec,
+    dtype: DTypeSpec,
+    l: Expr,
+    m: Expr,
+    n: Expr,
+    grid: list[float],
+    *,
+    scaled: bool,
 ) -> float:
-    """Check m, n, sigma and the radicand 1 - ratio^2 on an s grid, in one pass.
+    """Check l, m, n, sigma and the radicand 1 - ratio^2 on an s grid, in one pass.
 
     ``grid`` is the guarded grid synthesis samples on; one kernel gives
-    m, n and sigma at each point.  Point by point, m and then n must be
-    finite, at least 1e-12 from zero and keep the previous point's sign,
-    else ZeroMarchingFactor; sigma must be finite and at least 1e-12 from
+    l, m, n and sigma at each point.  Point by point, l must be finite,
+    else ZeroMarchingFactor; m and then n must be finite, at least 1e-12
+    from zero and keep the previous point's sign, else
+    ZeroMarchingFactor; sigma must be finite and at least 1e-12 from
     zero, else SigmaVanishes; the radicand must not fall below -1e-12, else
     InfeasibleLambda.  The ratio is lam tau / kappa under the scaled rule
     and lam tau / (sigma kappa) under the plain rule.  Returns the largest
     radicand over the grid.
     """
-    factors_at = compile_values((m, n, dtype.sigma))
+    factors_at = compile_values((l, m, n, dtype.sigma))
     hi = -math.inf
     prev_m = prev_n = 0.0
     for s in grid:
-        m_val, n_val, sigma_val = factors_at(s, 0.0)
+        l_val, m_val, n_val, sigma_val = factors_at(s, 0.0)
+        if not abs(l_val) < math.inf:  # NaN fails too; l may vanish
+            raise ZeroMarchingFactor("l", s, l_val)
         for label, value, prev in (("m", m_val, prev_m), ("n", n_val, prev_n)):
             # NaN and +-inf fail the floor; a continuous factor that
             # changes sign must vanish in between
@@ -349,7 +360,7 @@ def synthesize_product_form(
 
     ``scaled`` selects the sigma-scaled rule (default, exact invariant) or
     the plain rule; see the module docstring.  :func:`check_feasibility`
-    checks m, n, sigma and the radicand in one pass over a 512-point grid
+    checks l, m, n, sigma and the radicand in one pass over a 512-point grid
     on the curve's :func:`usable_s_intervals`; the square root's domain
     check still guards each point.
     """
@@ -359,7 +370,7 @@ def synthesize_product_form(
             "tau on the curve; built-in curves provide them"
         )
     grid = spread_s_values(usable_s_intervals(curve, domain.s_min, domain.s_max), 512)
-    hi = check_feasibility(curve, dtype, m, n_ms, grid, scaled=scaled)
+    hi = check_feasibility(curve, dtype, l, m, n_ms, grid, scaled=scaled)
 
     lam_e = _const(dtype.lam)
     kappa_e = curve.kappa_form

@@ -2,15 +2,18 @@
 
 Nothing in here may call into the code paths it checks: the quadrature
 oracle integrates the Fresnel integrands directly, the finite difference
-helpers differentiate black-box callables, the jet tree evaluator
-:func:`eval_jet3` walks an expression tree with Jet3 arithmetic, and the
-references for the compiled frame, point and normal kernels walk the
-trees with the tree evaluators.  The normal components that realize an
-invariant, and their corollary specializations, state the construction
-rules and their feasibility test on their own, apart from synthesis.
-The whole-pencil checks at the end are the exception: they hold the
-package's own surface points, frames and normals against its curve
-points and against central differences of the same functions.
+helpers differentiate black-box callables, the tree evaluators
+:func:`eval_expr` and :func:`eval_jet3` walk an expression tree with IEEE
+doubles and with Jet3 arithmetic, and the references for the compiled
+frame, point and normal kernels walk the trees with them.  The package
+evaluates expressions only through its compiled kernels; these tree
+evaluators are the reference those kernels are held against, bit for
+bit.  The normal components that realize an invariant, and their
+corollary specializations, state the construction rules and their
+feasibility test on their own, apart from synthesis.  The whole-pencil
+checks at the end are the exception: they hold the package's own surface
+points, frames and normals against its curve points and against central
+differences of the same functions.
 """
 
 from __future__ import annotations
@@ -55,16 +58,13 @@ from g3pencil.exprjet import (
     Num,
     Var,
     _cosh,
-    _evaluate,
     _exp,
     _fail,
+    _fresnel,
     _infinite_argument,
     _kink,
     _kink_message,
     _sinh,
-    eval_expr,
-    fresnel_c,
-    fresnel_s,
 )
 from g3pencil.g3core import G3Vector, Record, cross, dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
@@ -266,6 +266,102 @@ def failure_rich_expression(rng: random.Random, depth: int = 3) -> str:
     if roll < 0.65:
         return f"({a})^{rng.choice(_RICH_EXPONENTS)}"
     return f"{rng.choice(_FUNCS)}({a})"
+
+
+# ---------------------------------------------------------------------------
+# Value tree evaluator: the reference the compiled values are held against
+# ---------------------------------------------------------------------------
+
+
+def eval_expr(expr: Expr, s: float, v: float) -> float:
+    """Evaluate with IEEE doubles; raises DomainError naming the bad node."""
+    return _evaluate(expr, s, v)
+
+
+def _evaluate(expr: Expr, s: float, v: float) -> float:
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        return s if expr.name == "s" else v
+    if isinstance(expr, Neg):
+        return -_evaluate(expr.arg, s, v)
+    if isinstance(expr, Call):
+        u = _evaluate(expr.arg, s, v)
+        try:
+            return _call_value(expr, u)
+        except _ARITHMETIC as exc:
+            raise _fail(expr, str(exc)) from exc
+    left = _evaluate(expr.left, s, v)
+    right = _evaluate(expr.right, s, v)
+    op = expr.op
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0.0:
+            raise _fail(expr, "division by zero")
+        return left / right
+    # op == "^"; the exponent is constant by construction
+    if not float(right).is_integer():
+        if left < 0.0:
+            raise _fail(expr, "fractional power of a negative base")
+        if left == 0.0 and right < 0.0:
+            raise _fail(expr, "zero base with negative exponent")
+    elif left == 0.0 and right < 0.0:
+        raise _fail(expr, "zero base with negative exponent")
+    try:
+        return left**right
+    except (ValueError, OverflowError) as exc:  # a result too large for a double
+        raise _fail(expr, str(exc)) from exc
+
+
+def _call_value(node: Call, u: float) -> float:
+    f = node.func
+    if f in _TRIG and u in _INFS:
+        raise DomainError(_infinite_argument(node))
+    if f == "sin":
+        return math.sin(u)
+    if f == "cos":
+        return math.cos(u)
+    if f == "tan":
+        return math.tan(u)
+    if f == "sinh":
+        return _sinh(u)
+    if f == "cosh":
+        return _cosh(u)
+    if f == "exp":
+        return _exp(u)
+    if f == "ln":
+        if u <= 0.0:
+            raise _fail(node, "log of a non-positive value")
+        return math.log(u)
+    if f == "sqrt":
+        if u < 0.0:
+            raise _fail(node, "square root of a negative value")
+        return math.sqrt(u)
+    if f == "abs":
+        return abs(u)
+    if f == "fresnelS":
+        return fresnel_s(u)
+    return fresnel_c(u)
+
+
+def _fold(expr: Expr) -> float:
+    """Value of a constant subtree, computed by the tree evaluator."""
+    return _evaluate(expr, 0.0, 0.0)
+
+
+def fresnel_s(x: float) -> float:
+    """Fresnel sine integral of sin(pi t^2 / 2) from 0 to x; odd in x."""
+    return _fresnel(x)[0]
+
+
+def fresnel_c(x: float) -> float:
+    """Fresnel cosine integral of cos(pi t^2 / 2) from 0 to x; odd in x."""
+    return _fresnel(x)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from g3pencil.curve import (
     usable_s_intervals,
 )
 from g3pencil.errors import InfeasibleLambda
-from g3pencil.exprjet import eval_expr, fresnel_c, fresnel_s, parse
+from g3pencil.exprjet import parse
 from g3pencil.figures import figure_doc
 from g3pencil.g3core import (
     cross,
@@ -48,6 +48,9 @@ from g3pencil.verify import dtype_report
 from oracles import (
     check_isoparametric,
     corollary_components,
+    eval_expr,
+    fresnel_c,
+    fresnel_s,
     fresnel_table,
     frenet_residuals,
     isotropic_wedge,

@@ -158,7 +158,8 @@ def test_build_sign_flag_flips_surface(tmp_path, capsys):
 
 
 def test_reproduce_fig1c(tmp_path, capsys):
-    rc = main(["reproduce", "fig1c", "-o", str(tmp_path), "--grid", "16x4"])
+    with pytest.warns(UserWarning, match="grid re-spans"):
+        rc = main(["reproduce", "fig1c", "-o", str(tmp_path), "--grid", "16x4"])
     captured = capsys.readouterr()
     assert rc == 0
     assert (tmp_path / "fig1c.obj").exists()
@@ -177,7 +178,8 @@ def test_reproduce_curve_figures(tmp_path, capsys):
 
 def test_reproduce_takes_the_default_grid_from_the_figure_table(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("g3pencil.figures.GRID", (6, 3))
-    assert main(["reproduce", "fig1b", "-o", str(tmp_path)]) == 0
+    with pytest.warns(UserWarning, match="grid re-spans"):
+        assert main(["reproduce", "fig1b", "-o", str(tmp_path)]) == 0
     assert main(["reproduce", "fig1a", "-o", str(tmp_path)]) == 0
     capsys.readouterr()
     obj = (tmp_path / "fig1b.obj").read_text().splitlines()
@@ -285,7 +287,8 @@ def test_overflowing_sinh_scale_names_the_point(tmp_path, capsys, recwarn):
 
 @pytest.mark.parametrize("grid", ["2x2", "3x2"])
 def test_grid_too_coarse_for_usable_intervals_exits_2(tmp_path, capsys, grid):
-    rc = main(["reproduce", "fig1c", "-o", str(tmp_path), "--grid", grid])
+    with pytest.warns(UserWarning, match="grid re-spans"):
+        rc = main(["reproduce", "fig1c", "-o", str(tmp_path), "--grid", grid])
     captured = capsys.readouterr()
     assert rc == 2
     assert "error: GridTooCoarse:" in captured.err
@@ -447,6 +450,8 @@ def test_vanishing_marching_factor_exits_2_naming_it(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, text, error",
     [
+        ("l", "0*exp(1000)", "ZeroMarchingFactor: marching factor l(s) = nan"),
+        ("l", "exp(1000)", "ZeroMarchingFactor: marching factor l(s) = inf"),
         ("sigma", "0*exp(1000)", "SigmaVanishes: sigma(s) = nan"),
         ("m", "0*exp(1000)", "ZeroMarchingFactor: marching factor m(s) = nan"),
         ("n", "0*exp(1000)", "ZeroMarchingFactor: marching factor n(s) = nan"),
@@ -461,6 +466,16 @@ def test_non_finite_synthesis_input_exits_2_naming_it(key, text, error, tmp_path
     assert _load_errors(doc, tmp_path, capsys) == [f"error: {error} is not finite at s = 0.1\n"] * 3
 
 
+def test_synthesis_evaluates_l_on_its_whole_grid(tmp_path, capsys):
+    # l shares the kernel of m, n and sigma, so a point where it fails to
+    # evaluate fails synthesis, as one of theirs does
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["marching_scale"]["synthesis"]["l"] = "sqrt(s - 3)"
+    assert _load_errors(doc, tmp_path, capsys) == [
+        "error: DomainError: square root of a negative value in 'sqrt(s - 3.0)'\n"
+    ] * 3
+
+
 def test_nan_product_factor_fails_at_load(tmp_path, capsys):
     doc = json.loads(Path("configs/fresnel-helix.json").read_text())
     product = {"l": "1", "m": "1", "n": "-1", "X": "v*(0*exp(1000))", "Y": "v", "Z": "v"}
@@ -473,6 +488,27 @@ def test_nan_product_factor_fails_at_load(tmp_path, capsys):
     assert _load_errors(doc, tmp_path, capsys) == [error] * 3
     assert main(["classify", str(tmp_path / "cfg.json")]) == 2
     assert capsys.readouterr() == ("", error)
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [
+        # sqrt fails at the checked points s = 0.718 and 1.954, which are
+        # skipped; the point at s = 3.19 is still checked
+        (
+            "v*sqrt(s - 3) + sqrt(s - 3)",
+            "SchemaError: $.marching_scale.product.X: must vanish at v0 = 0, got 0.43589 at s = 3.19",
+        ),
+        # a constant part fails, as every point would, so the factor is
+        # skipped and the config loads; then no s interval is usable
+        ("v + ln(1 - 1)", "EmptyDomain: no usable s interval in [0.1, 6.28]"),
+    ],
+)
+def test_base_line_check_skips_what_fails_to_evaluate(x, error, tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["marching_scale"] = {"product": {"l": "1", "m": "1", "n": "-1", "X": x, "Y": "v", "Z": "v"}}
+    doc["domain"]["s_max"] = 6.28
+    assert _load_errors(doc, tmp_path, capsys) == [f"error: {error}\n"] * 3
 
 
 def test_empty_domain_gives_build_and_verify_one_error(tmp_path, capsys):

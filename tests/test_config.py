@@ -243,7 +243,7 @@ class TestRealize:
         cfg = config_from_dict(minimal_doc())
         plus = realize(cfg)
         minus = realize(cfg, sign=-1.0)
-        from g3pencil.exprjet import eval_expr
+        from oracles import eval_expr
 
         assert eval_expr(plus.marching.beta, 2.0, 1.0) == pytest.approx(
             -eval_expr(minus.marching.beta, 2.0, 1.0)

@@ -17,9 +17,9 @@ from g3pencil.curve import (
     usable_s_intervals,
 )
 from g3pencil.errors import CurvatureVanishes, EmptyDomain, TorsionVanishes
-from g3pencil.exprjet import eval_expr, parse
+from g3pencil.exprjet import parse
 from g3pencil.g3core import cross, dot, isotropic_norm
-from oracles import central_diff, frenet_reference
+from oracles import central_diff, eval_expr, frenet_reference
 
 
 @pytest.fixture(scope="module")

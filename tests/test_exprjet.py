@@ -21,9 +21,6 @@ from g3pencil.exprjet import (
     compile_jets,
     compile_surface_rows,
     compile_values,
-    eval_expr,
-    fresnel_c,
-    fresnel_s,
     parse,
     to_source,
 )
@@ -32,9 +29,12 @@ from g3pencil.pencil import MarchingScale, combine_on_frame
 from oracles import (
     Jet3,
     central_diff,
+    eval_expr,
     eval_jet3,
     failure_rich_expression,
+    fresnel_c,
     fresnel_c_oracle,
+    fresnel_s,
     fresnel_s_oracle,
     fresnel_series_reference,
     fresnel_table,
@@ -725,6 +725,53 @@ def test_compiled_exp_overflows_to_inf():
 def test_compiled_constant_outside_domain_fails_at_compile_time():
     with pytest.raises(DomainError, match="log of a non-positive value"):
         compile_values([parse("s + ln(1 - 1)")])
+
+
+# Constant parts run at compile time.  The texts that fold give the tree
+# oracle's value bit for bit, with no Fresnel call left in the kernel; the
+# others fail there with the oracle's DomainError.
+@pytest.mark.parametrize(
+    "text, want_hex, error",
+    [
+        ("fresnelS(1)*s", None, None),
+        ("fresnelC(2) + fresnelS(2)*v", None, None),  # a shared pair
+        ("-(0.0)*s", "-0x0.0p+0", None),
+        ("s + (-0)^3", None, None),
+        ("s + (1e200)^2", None, "(34, 'Numerical result out of range') in '1e+200^2.0'"),
+        ("fresnelS(1e200) + s", None, "math domain error in 'fresnelS(1e+200)'"),
+        ("(-1)^0.5 + s", None, "fractional power of a negative base in '(-1.0)^0.5'"),
+        ("0^-1*s", None, "zero base with negative exponent in '0.0^-1.0'"),
+        ("s*ln(0)", None, "log of a non-positive value in 'ln(0.0)'"),
+        ("tan(exp(1000))*v", None, "tan of an infinite value in 'tan(exp(1000.0))'"),
+        ("s/(1 - 1)", None, "division by zero in 's/(1.0 - 1.0)'"),
+    ],
+)
+def test_constant_parts_fold_at_compile_time(text, want_hex, error):
+    tree = parse(text)
+    if error is not None:
+        assert _domain_error(lambda: compile_values([tree])) == error
+        return
+    kernel = compile_values([tree])
+    assert "_fresnel" not in kernel.__code__.co_names
+    (got,) = kernel(0.5, 2.0)
+    assert got.hex() == eval_expr(tree, 0.5, 2.0).hex()
+    if want_hex is not None:
+        assert got.hex() == want_hex
+
+
+def test_a_constant_text_folds_once(monkeypatch):
+    import g3pencil.exprjet
+
+    calls = []
+    original = g3pencil.exprjet._fresnel
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(g3pencil.exprjet, "_fresnel", counting)
+    compile_values([parse("fresnelS(2)*s + fresnelS(2)*v")])
+    assert calls == [2.0]
 
 
 def test_row_kernel_rejects_non_finite_points():

@@ -79,10 +79,11 @@ def test_reproduce_writes_the_pinned_bytes(tmp_path, capsys):
     pinned = {name: digest for name, digest in pinned_digests().items()
               if not name.endswith("/stderr")}
     got = {}
-    for run, argv in FIGURE_RUNS.items():
-        assert main(["reproduce", *argv, "-o", str(tmp_path / run)]) == 0
-        got.update((f"{run}/{path.name}", sha256(path.read_bytes()))
-                   for path in (tmp_path / run).iterdir())
+    with pytest.warns(UserWarning, match="grid re-spans"):
+        for run, argv in FIGURE_RUNS.items():
+            assert main(["reproduce", *argv, "-o", str(tmp_path / run)]) == 0
+            got.update((f"{run}/{path.name}", sha256(path.read_bytes()))
+                       for path in (tmp_path / run).iterdir())
     capsys.readouterr()
     assert len(pinned) == 28
     assert got == pinned

@@ -21,7 +21,7 @@ from g3pencil.errors import (
     ZeroMarchingFactor,
 )
 from g3pencil.config import config_from_dict, realize
-from g3pencil.exprjet import KinkWarning, eval_expr, parse
+from g3pencil.exprjet import KinkWarning, parse
 from g3pencil.figures import figure_doc
 from g3pencil.g3core import dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
@@ -38,6 +38,7 @@ from g3pencil.pencil import (
 from oracles import (
     ClassMismatch,
     corollary_components,
+    eval_expr,
     eval_jet3,
     frenet_reference,
     isotropic_wedge,
@@ -450,7 +451,7 @@ class TestOneFeasibilityRule:
         for scaled in (True, False):
             compiled.clear()
             synthesize_product_form(helix, DTypeSpec(0.1, sigma), ONE, m, n, dom, scaled=scaled)
-            assert compiled == [(m, n, sigma)]
+            assert compiled == [(ONE, m, n, sigma)]
 
     def test_synthesis_scans_the_guard_bands_once(self, monkeypatch):
         import g3pencil.curve

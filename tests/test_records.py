@@ -236,13 +236,26 @@ MOVED_TO_ORACLES = {
     ),
     "g3pencil.errors": ("ClassMismatch",),
     "g3pencil.g3core": ("isotropic_wedge",),
-    "g3pencil.exprjet": ("Jet3", "_compose", "_call_jet", "_pow_factors", "_jet_eval", "eval_jet3"),
+    "g3pencil.exprjet": (
+        "Jet3",
+        "_compose",
+        "_call_jet",
+        "_pow_factors",
+        "_jet_eval",
+        "eval_jet3",
+        "eval_expr",
+        "_evaluate",
+        "_call_value",
+        "_fold",
+        "fresnel_s",
+        "fresnel_c",
+    ),
 }
 
 
 def test_the_package_holds_only_what_the_commands_run():
     gone = ("Jet3", "eval_jet3", "NormalComponents", "required_normal_components",
-            "corollary_components", "classify_dtype")
+            "corollary_components", "classify_dtype", "eval_expr", "fresnel_s", "fresnel_c")
     for name in gone:
         assert name not in g3pencil.__all__ and not hasattr(g3pencil, name), name
     for name in ("classify_dtype", "_GEODESIC_TOL", "_radicand"):
