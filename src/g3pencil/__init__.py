@@ -3,7 +3,7 @@
 The package constructs parametric surface families sharing a given curve,
 synthesizes marching-scale functions so the curve realizes a constant
 Darboux-axis invariant along the family, and verifies the invariant with
-an independent finite difference oracle.
+surface normals from exact jets or from finite differences of positions.
 """
 
 from .curve import (
@@ -22,12 +22,10 @@ from .errors import G3PencilError
 from .exprjet import Expr, parse, to_source
 from .g3core import G3Vector, cross, dot, isotropic_norm, normalize_isotropic
 from .pencil import (
-    ControlCoefficients,
-    DTypeSpec,
     MarchingScale,
     ParamDomain,
     PencilSpec,
-    apply_control_coefficients,
+    SynthesisSpec,
     surface_normal,
     surface_point,
     synthesize_product_form,
@@ -58,13 +56,11 @@ __all__ = [
     "classify_curve",
     "ParamDomain",
     "MarchingScale",
-    "DTypeSpec",
-    "ControlCoefficients",
+    "SynthesisSpec",
     "PencilSpec",
     "surface_point",
     "surface_normal",
     "synthesize_product_form",
-    "apply_control_coefficients",
     "DTypeReport",
     "dtype_report",
     "__version__",

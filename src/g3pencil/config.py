@@ -10,23 +10,26 @@ A document looks like::
         // or {"direct": {"alpha": ..., "beta": ..., "gamma": ...}}
         // or {"product": {"l", "m", "n", "X", "Y", "Z"}}
       },
-      "control": {"a": 1, "b": 1, "c": 1},     // optional, product form only
+      "control": {"a": 1, "b": 1, "c": 1},     // optional, not beside direct
       "domain": {"s_min": 0.1, "s_max": 6.28, "v_min": 0, "v_max": 5, "v0": 0},
       "grid": {"ns": 200, "nv": 50},
       "verify": {"mode": "analytic", "tol": 1e-9, "samples": 200}   // optional
     }
 
-Exactly one marching-scale block must be present.  All expression strings
-use the grammar documented in :mod:`g3pencil.exprjet` and are parsed
-eagerly so errors surface at load time.  Explicit curves may carry
+Exactly one marching-scale block must be present.  A direct block's alpha,
+beta and gamma, and a product block's X, Y and Z, must vanish at v = v0
+(checked at five points of the s range).  All expression strings use the
+grammar documented in :mod:`g3pencil.exprjet` and are parsed eagerly so
+errors surface at load time.  Explicit curves may carry
 optional "kappa" and "tau" closed forms, which synthesis requires.  Every
 number must be finite (json's NaN and Infinity literals are rejected),
 v_min must be below v_max, and a configured "tol" must be above 0.
 
 A document parses into the pencil's own records: the curve stays a builtin
 name or becomes the explicit :class:`CurveSpec`, a direct or product block
-becomes its :class:`MarchingScale`, and only a synthesis block keeps a
-record of its own, :class:`SynthesisMS`, which :func:`realize` synthesizes.
+becomes its :class:`MarchingScale`, the product one with its control
+coefficients applied, and a synthesis block becomes the
+:class:`SynthesisSpec`, control included, that :func:`realize` synthesizes.
 """
 
 from __future__ import annotations
@@ -39,30 +42,16 @@ from .errors import DomainError, SchemaError
 from .exprjet import Expr, compile_values, parse
 from .g3core import Record
 from .pencil import (
-    ControlCoefficients,
-    DTypeSpec,
     MarchingScale,
     ParamDomain,
     PencilSpec,
-    apply_control_coefficients,
+    SynthesisSpec,
     product_marching_scale,
     synthesize_product_form,
 )
 from .verify import MIN_REPORT_SAMPLES
 
 _MS_VANISH_TOL = 1e-12
-
-
-class SynthesisMS(Record):
-    __slots__ = _fields = ("lam", "sigma", "sign", "l", "m", "n")
-
-    def __init__(self, lam: float, sigma: Expr, sign: float, l: Expr, m: Expr, n: Expr):
-        self.lam = lam
-        self.sigma = sigma
-        self.sign = sign
-        self.l = l
-        self.m = m
-        self.n = n
 
 
 class VerifySpec(Record):
@@ -75,20 +64,18 @@ class VerifySpec(Record):
 
 
 class PencilConfig(Record):
-    __slots__ = _fields = ("curve", "marching", "control", "domain", "grid", "verify")
+    __slots__ = _fields = ("curve", "marching", "domain", "grid", "verify")
 
     def __init__(
         self,
         curve: str | CurveSpec,
-        marching: MarchingScale | SynthesisMS,
-        control: ControlCoefficients | None,
+        marching: MarchingScale | SynthesisSpec,
         domain: ParamDomain,
         grid: tuple[int, int],
         verify: VerifySpec,
     ):
         self.curve = curve  # a builtin name or the explicit curve
         self.marching = marching  # a direct or product scale, or the input to synthesis
-        self.control = control
         self.domain = domain
         self.grid = grid  # (ns, nv)
         self.verify = verify
@@ -138,7 +125,9 @@ def _curve_config(doc, path: str) -> str | CurveSpec:
     return CurveSpec(name="explicit", f=f, g=g, kappa_form=kappa, tau_form=tau)
 
 
-def _marching_config(doc, path: str) -> MarchingScale | SynthesisMS:
+def _marching_config(doc, path: str) -> tuple[str, dict]:
+    """The one block's kind and its entries: the expressions of a direct or
+    product block by key, or the fields of a :class:`SynthesisSpec`."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     blocks = [k for k in ("direct", "product", "synthesis") if k in doc]
@@ -152,27 +141,27 @@ def _marching_config(doc, path: str) -> MarchingScale | SynthesisMS:
         raise SchemaError(f"{path}.{kind}", "expected an object")
     p = f"{path}.{kind}"
 
-    def exprs(*keys: str) -> list[Expr]:
-        return [_expr(_need(block, k, p), f"{p}.{k}") for k in keys]
+    def exprs(*keys: str) -> dict[str, Expr]:
+        return {k: _expr(_need(block, k, p), f"{p}.{k}") for k in keys}
 
     if kind == "direct":
-        return MarchingScale(*exprs("alpha", "beta", "gamma"))
+        return kind, exprs("alpha", "beta", "gamma")
     if kind == "product":
-        return product_marching_scale(*exprs("l", "m", "n", "X", "Y", "Z"))
+        return kind, exprs("l", "m", "n", "X", "Y", "Z")
     sign_text = block.get("sign", "+")
     if sign_text not in ("+", "-"):
         raise SchemaError(f"{p}.sign", "expected '+' or '-'")
     lam = _number(_need(block, "lambda", p), f"{p}.lambda")
-    sigma, l, m, n = exprs("sigma", "l", "m", "n")
-    return SynthesisMS(lam, sigma, 1.0 if sign_text == "+" else -1.0, l, m, n)
+    sign = 1.0 if sign_text == "+" else -1.0
+    return kind, dict(lam=lam, **exprs("sigma", "l", "m", "n"), sign=sign)
 
 
 def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
     if not isinstance(doc, dict):
         raise SchemaError(path, "top level must be an object")
     curve = _curve_config(_need(doc, "curve", path), f"{path}.curve")
-    marching = _marching_config(_need(doc, "marching_scale", path), f"{path}.marching_scale")
-    if isinstance(marching, SynthesisMS) and isinstance(curve, CurveSpec):
+    kind, entries = _marching_config(_need(doc, "marching_scale", path), f"{path}.marching_scale")
+    if kind == "synthesis" and isinstance(curve, CurveSpec):
         if curve.kappa_form is None or curve.tau_form is None:
             raise SchemaError(
                 f"{path}.curve", "synthesis needs closed-form kappa and tau on an explicit curve"
@@ -182,11 +171,7 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
         cdoc = doc["control"]
         if not isinstance(cdoc, dict):
             raise SchemaError(f"{path}.control", "expected an object")
-        control = ControlCoefficients(
-            a=_number(cdoc.get("a", 1.0), f"{path}.control.a"),
-            b=_number(cdoc.get("b", 1.0), f"{path}.control.b"),
-            c=_number(cdoc.get("c", 1.0), f"{path}.control.c"),
-        )
+        control = tuple(_number(cdoc.get(k, 1.0), f"{path}.control.{k}") for k in "abc")
     ddoc = _need(doc, "domain", path)
     if not isinstance(ddoc, dict):
         raise SchemaError(f"{path}.domain", "expected an object")
@@ -224,30 +209,28 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
             f"{path}.verify.samples", f"a report needs at least {MIN_REPORT_SAMPLES} samples"
         )
     verify = VerifySpec(mode=mode, tol=tol, samples=samples)
-    cfg = PencilConfig(
-        curve=curve,
-        marching=marching,
-        control=control,
-        domain=domain,
-        grid=grid,
-        verify=verify,
-    )
-    _check_base_line(cfg, path)
-    return cfg
+    if kind == "synthesis":
+        marching = SynthesisSpec(**entries, control=control)
+    else:
+        # the last three entries are alpha, beta, gamma or X, Y, Z
+        _check_base_line(list(entries.items())[-3:], domain, f"{path}.marching_scale.{kind}")
+        if kind == "product":
+            marching = product_marching_scale(*entries.values(), control)
+        elif control is not None:
+            raise SchemaError(f"{path}.control", "not allowed beside a direct block")
+        else:
+            marching = MarchingScale(*entries.values())
+    return PencilConfig(curve=curve, marching=marching, domain=domain, grid=grid, verify=verify)
 
 
-def _check_base_line(cfg: PencilConfig, path: str) -> None:
-    """Product factors must vanish on the base line (checked numerically).
+def _check_base_line(factors: list[tuple[str, Expr]], d: ParamDomain, path: str) -> None:
+    """Each named factor must vanish on the base line v = v0 (checked numerically).
 
-    Each factor gets its own kernel, so X, Y and Z are checked apart.  A
-    factor whose kernel fails to compile is skipped, as every point of it
-    would be, and so is a point where a factor fails.
+    Each factor gets its own kernel, so they are checked apart, in turn.
+    A factor whose kernel fails to compile is skipped, as every point of
+    it would be, and so is a point where a factor fails.
     """
-    if isinstance(cfg.marching, SynthesisMS) or cfg.marching.product is None:
-        return
-    product = cfg.marching.product
-    d = cfg.domain
-    for label, factor in (("X", product.x), ("Y", product.y), ("Z", product.z)):
+    for label, factor in factors:
         try:
             value_at = compile_values((factor,))
         except DomainError:
@@ -260,7 +243,7 @@ def _check_base_line(cfg: PencilConfig, path: str) -> None:
                 continue  # domain gaps are handled later by grid guards
             if not abs(value) <= _MS_VANISH_TOL:  # NaN fails too
                 raise SchemaError(
-                    f"{path}.marching_scale.product.{label}",
+                    f"{path}.{label}",
                     f"must vanish at v0 = {d.v0:g}, got {value:g} at s = {s:g}",
                 )
 
@@ -307,17 +290,13 @@ def realize(
 
     ``as_printed`` switches the built-in curve to its historical formula
     and makes synthesis use the plain construction rule.  ``sign``
-    overrides the synthesis sign branch.
+    overrides the sign branch of a synthesis block; a direct or product
+    scale has none.
     """
     curve = build_curve(cfg.curve, as_printed)
-    ms = marching = cfg.marching
-    if isinstance(ms, SynthesisMS):
-        dtype = DTypeSpec(
-            lam=ms.lam, sigma=ms.sigma, sign=sign if sign is not None else ms.sign
-        )
-        marching = synthesize_product_form(
-            curve, dtype, ms.l, ms.m, ms.n, cfg.domain, scaled=not as_printed
-        )
-    if cfg.control is not None:
-        marching = apply_control_coefficients(marching, cfg.control)
+    marching = spec = cfg.marching
+    if isinstance(spec, SynthesisSpec):
+        if sign is not None:
+            spec = SynthesisSpec(spec.lam, spec.sigma, spec.l, spec.m, spec.n, sign, spec.control)
+        marching = synthesize_product_form(curve, spec, cfg.domain, scaled=not as_printed)
     return PencilSpec(curve=curve, marching=marching, domain=cfg.domain)

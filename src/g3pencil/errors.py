@@ -119,10 +119,6 @@ class ZeroMarchingFactor(G3PencilError):
         self.value = value
 
 
-class NotProductForm(G3PencilError):
-    """Control coefficients require a marching scale in product form."""
-
-
 class SchemaError(G3PencilError):
     """A configuration document violates the published schema.
 

@@ -59,7 +59,6 @@ from .errors import (
     EmptyDomain,
     G3PencilError,
     InfeasibleLambda,
-    NotProductForm,
     SigmaVanishes,
     ZeroMarchingFactor,
 )
@@ -89,20 +88,6 @@ class ParamDomain(Record):
             raise ValueError("v_min must be below v_max")
 
 
-class ProductFactors(Record):
-    """Retained factors of a product-form marching scale."""
-
-    __slots__ = _fields = ("l", "m", "n", "x", "y", "z")
-
-    def __init__(self, l: Expr, m: Expr, n: Expr, x: Expr, y: Expr, z: Expr):
-        self.l = l
-        self.m = m
-        self.n = n
-        self.x = x
-        self.y = y
-        self.z = z
-
-
 class MarchingScale(Record):
     """The three coefficient functions alpha, beta, gamma of the pencil.
 
@@ -111,15 +96,12 @@ class MarchingScale(Record):
     :func:`surface_normal`, c0 and c1 in s and then c1 in v.
     """
 
-    _fields = ("alpha", "beta", "gamma", "product")
+    _fields = ("alpha", "beta", "gamma")
 
-    def __init__(
-        self, alpha: Expr, beta: Expr, gamma: Expr, product: ProductFactors | None = None
-    ):
+    def __init__(self, alpha: Expr, beta: Expr, gamma: Expr):
         self.alpha = alpha
         self.beta = beta
         self.gamma = gamma
-        self.product = product
 
     @cached_property
     def _values(self):
@@ -133,39 +115,52 @@ class MarchingScale(Record):
 
 
 def product_marching_scale(
-    l: Expr, m: Expr, n: Expr, x: Expr, y: Expr, z: Expr
+    l: Expr,
+    m: Expr,
+    n: Expr,
+    x: Expr,
+    y: Expr,
+    z: Expr,
+    control: tuple[float, float, float] | None = None,
 ) -> MarchingScale:
-    """Assemble alpha = l*x, beta = m*y, gamma = n*z keeping the factors."""
-    return MarchingScale(
-        alpha=BinOp("*", l, x),
-        beta=BinOp("*", m, y),
-        gamma=BinOp("*", n, z),
-        product=ProductFactors(l, m, n, x, y, z),
-    )
+    """alpha = l*x, beta = m*y, gamma = n*z.
+
+    ``control``, the coefficients (a, b, c), first multiplies x, y and z
+    into a*x, b*y and c*z; without it the factors stay as they are.
+    """
+    if control is not None:
+        a, b, c = control
+        x, y, z = _mul(_const(a), x), _mul(_const(b), y), _mul(_const(c), z)
+    return MarchingScale(_mul(l, x), _mul(m, y), _mul(n, z))
 
 
-class DTypeSpec(Record):
-    """Target invariant lam, scale function sigma(s) and the sign branch."""
+class SynthesisSpec(Record):
+    """The input to synthesis: target invariant lam, scale function sigma(s),
+    the product factors l, m, n, the sign branch, and the control
+    coefficients (a, b, c) or None.
+    """
 
-    __slots__ = _fields = ("lam", "sigma", "sign")
+    __slots__ = _fields = ("lam", "sigma", "l", "m", "n", "sign", "control")
 
-    def __init__(self, lam: float, sigma: Expr, sign: float = 1.0):
+    def __init__(
+        self,
+        lam: float,
+        sigma: Expr,
+        l: Expr,
+        m: Expr,
+        n: Expr,
+        sign: float = 1.0,
+        control: tuple[float, float, float] | None = None,
+    ):
         self.lam = lam
         self.sigma = sigma
+        self.l = l
+        self.m = m
+        self.n = n
         self.sign = sign
+        self.control = control
         if self.sign not in (1.0, -1.0):
             raise ValueError("sign must be +1.0 or -1.0")
-
-
-class ControlCoefficients(Record):
-    """Multipliers applied to the product factors X, Y and Z."""
-
-    __slots__ = _fields = ("a", "b", "c")
-
-    def __init__(self, a: float = 1.0, b: float = 1.0, c: float = 1.0):
-        self.a = a
-        self.b = b
-        self.c = c
 
 
 class PencilSpec(Record):
@@ -292,19 +287,12 @@ def _const(x: float) -> Expr:
 
 
 def check_feasibility(
-    curve: CurveSpec,
-    dtype: DTypeSpec,
-    l: Expr,
-    m: Expr,
-    n: Expr,
-    grid: list[float],
-    *,
-    scaled: bool,
+    curve: CurveSpec, spec: SynthesisSpec, grid: list[float], *, scaled: bool
 ) -> float:
     """Check l, m, n, sigma and the radicand 1 - ratio^2 on an s grid, in one pass.
 
     ``grid`` is the guarded grid synthesis samples on; one kernel gives
-    l, m, n and sigma at each point.  Point by point, l must be finite,
+    the spec's l, m, n and sigma at each point.  Point by point, l must be finite,
     else ZeroMarchingFactor; m and then n must be finite, at least 1e-12
     from zero and keep the previous point's sign, else
     ZeroMarchingFactor; sigma must be finite and at least 1e-12 from
@@ -313,7 +301,7 @@ def check_feasibility(
     and lam tau / (sigma kappa) under the plain rule.  Returns the largest
     radicand over the grid.
     """
-    factors_at = compile_values((l, m, n, dtype.sigma))
+    factors_at = compile_values((spec.l, spec.m, spec.n, spec.sigma))
     hi = -math.inf
     prev_m = prev_n = 0.0
     for s in grid:
@@ -330,9 +318,9 @@ def check_feasibility(
         if not _FACTOR_FLOOR <= abs(sigma_val) < math.inf:
             raise SigmaVanishes(s, sigma_val)
         if scaled:
-            ratio = dtype.lam * tau / kappa
+            ratio = spec.lam * tau / kappa
         else:
-            ratio = dtype.lam * tau / (sigma_val * kappa)
+            ratio = spec.lam * tau / (sigma_val * kappa)
         radicand = 1.0 - ratio * ratio
         if radicand < -_RADICAND_CLAMP:
             raise InfeasibleLambda(s, ratio)
@@ -341,20 +329,15 @@ def check_feasibility(
 
 
 def synthesize_product_form(
-    curve: CurveSpec,
-    dtype: DTypeSpec,
-    l: Expr,
-    m: Expr,
-    n_ms: Expr,
-    domain: ParamDomain,
-    *,
-    scaled: bool = True,
+    curve: CurveSpec, spec: SynthesisSpec, domain: ParamDomain, *, scaled: bool = True
 ) -> MarchingScale:
     """Build product-form marching scales realizing the invariant.
 
     X(v) = v - v0, Y = [phi3(s)/m(s)] (v - v0), Z = [-phi2(s)/n(s)] (v - v0),
     so alpha, beta, gamma vanish identically on the base line and the
-    normal there is exactly phi2 n + phi3 b.  The factors become closed
+    normal there is exactly phi2 n + phi3 b; the spec's control
+    coefficients, when given, scale X, Y and Z (see
+    :func:`product_marching_scale`).  The factors become closed
     expression trees, which requires the curve to carry closed forms for
     kappa and tau (both built-ins do).
 
@@ -370,18 +353,18 @@ def synthesize_product_form(
             "tau on the curve; built-in curves provide them"
         )
     grid = spread_s_values(usable_s_intervals(curve, domain.s_min, domain.s_max), 512)
-    hi = check_feasibility(curve, dtype, l, m, n_ms, grid, scaled=scaled)
+    hi = check_feasibility(curve, spec, grid, scaled=scaled)
 
-    lam_e = _const(dtype.lam)
+    lam_e = _const(spec.lam)
     kappa_e = curve.kappa_form
     tau_e = curve.tau_form
     abs_tau_e = Call("abs", tau_e)
     if scaled:
-        phi2_e: Expr = _mul(dtype.sigma, _mul(lam_e, _div(abs_tau_e, kappa_e)))
+        phi2_e: Expr = _mul(spec.sigma, _mul(lam_e, _div(abs_tau_e, kappa_e)))
         ratio_e: Expr = _mul(lam_e, _div(tau_e, kappa_e))
     else:
         phi2_e = _mul(lam_e, _div(abs_tau_e, kappa_e))
-        ratio_e = _mul(lam_e, _div(tau_e, _mul(dtype.sigma, kappa_e)))
+        ratio_e = _mul(lam_e, _div(tau_e, _mul(spec.sigma, kappa_e)))
     if hi <= _RADICAND_CLAMP:
         # The radicand vanishes identically on the grid: the boundary case
         # in which the normal is parallel to the principal normal and the
@@ -389,27 +372,12 @@ def synthesize_product_form(
         phi3_e: Expr = Num(0.0)
     else:
         root = Call("sqrt", _sub(Num(1.0), _mul(ratio_e, ratio_e)))
-        phi3_e = _mul(dtype.sigma, root)
-        if dtype.sign < 0:
+        phi3_e = _mul(spec.sigma, root)
+        if spec.sign < 0:
             phi3_e = Neg(phi3_e)
 
     x_e = _sub(Var("v"), Num(domain.v0))
-    y_e = _mul(_div(phi3_e, m), x_e)
-    z_e = _mul(_div(Neg(phi2_e), n_ms), x_e)
-    return product_marching_scale(l, m, n_ms, x_e, y_e, z_e)
-
-
-def apply_control_coefficients(ms: MarchingScale, cc: ControlCoefficients) -> MarchingScale:
-    """Multiply the product factors X, Y, Z by a, b, c respectively."""
-    if ms.product is None:
-        raise NotProductForm("control coefficients need a product-form marching scale")
-    p = ms.product
-    return product_marching_scale(
-        p.l,
-        p.m,
-        p.n,
-        _mul(_const(cc.a), p.x),
-        _mul(_const(cc.b), p.y),
-        _mul(_const(cc.c), p.z),
-    )
+    y_e = _mul(_div(phi3_e, spec.m), x_e)
+    z_e = _mul(_div(Neg(phi2_e), spec.n), x_e)
+    return product_marching_scale(spec.l, spec.m, spec.n, x_e, y_e, z_e, spec.control)
 

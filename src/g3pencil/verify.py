@@ -6,7 +6,12 @@ lam_hat(s) = <eta1, e0 x t> along the base line.  Two modes exist:
 * ``analytic``: normals come from exact expression jets.
 * ``fd``: normals come from one central difference of surface positions
   only (step eps^(1/3) of the domain extent), so this path never touches
-  the marching-scale jets and serves as an independent oracle.
+  the marching-scale jets.
+
+Only the normal is independent between the two modes.  Both take t, n,
+b, kappa, tau and the Darboux axis from the same frame kernel
+(:func:`g3pencil.curve.frenet`), so a fault there shows in both reports
+alike, and agreement of the modes says nothing about the frame.
 """
 
 from __future__ import annotations
@@ -158,9 +163,10 @@ def dtype_report(
     pencil's :func:`usable_domain` by :func:`spread_s_values`, however
     many intervals it has.  In ``fd`` mode the normal is built purely
     from central differences of surface positions (step = eps^(1/3) of
-    the domain extent per direction), so agreement with analytic mode is
-    a genuine cross-check.  Degenerate normals are flagged per sample and
-    excluded from the statistics.
+    the domain extent per direction), so agreement with analytic mode
+    cross-checks the normal only: the frame and the Darboux axis come from
+    the same :func:`frenet` in both modes.  Degenerate normals are flagged
+    per sample and excluded from the statistics.
     """
     if n_samples < MIN_REPORT_SAMPLES:
         raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")

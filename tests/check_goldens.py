@@ -6,7 +6,8 @@ PROGRAM is the command that runs g3pencil: by default this interpreter
 with ``-m g3pencil.cli`` and the repository's ``src`` on the path, or for
 example the installed console script, ``g3pencil``.  In order it checks
 
-* the four ``verify`` reports (both shipped configs, both modes),
+* the eight ``verify`` reports (both shipped configs, both modes, each
+  sign branch: the configured ``+`` and ``--sign -``),
 * both ``classify`` outputs,
 * ``reproduce fig1b --grid 40x10`` against ``fig1b_40x10.obj``, and its
   one-line warning on stderr,
@@ -34,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = ("fresnel-helix", "anti-salkowski")
+# a verify golden's name suffix, and the arguments that verify run adds
+VERIFY_SIGNS = {"": (), "_sign-": ("--sign", "-")}
 WARNING = b"warning: UserWarning: grid re-spans usable sub-intervals "
 FIGURE_DIGESTS = GOLDEN / "figures.sha256"
 # each run's name, as the digests name it, and the reproduce arguments it adds
@@ -84,10 +87,12 @@ class Cli:
 def check(cli: Cli, out: Path) -> None:
     for config in CONFIGS:
         for mode in ("analytic", "fd"):
-            golden = GOLDEN / f"verify_{config}_{mode}.json"
-            got = cli("verify", f"configs/{config}.json", "--mode", mode).stdout
-            _same(got, golden.read_bytes(), f"verify {config} --mode {mode} against {golden.name}")
-            print(f"ok verify {config} --mode {mode}")
+            for suffix, sign in VERIFY_SIGNS.items():
+                golden = GOLDEN / f"verify_{config}_{mode}{suffix}.json"
+                run = " ".join(("verify", config, "--mode", mode, *sign))
+                got = cli("verify", f"configs/{config}.json", "--mode", mode, *sign).stdout
+                _same(got, golden.read_bytes(), f"{run} against {golden.name}")
+                print(f"ok {run}")
         golden = GOLDEN / f"classify_{config}.txt"
         _same(cli("classify", f"configs/{config}.json").stdout, golden.read_bytes(),
               f"classify {config} against {golden.name}")

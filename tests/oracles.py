@@ -68,9 +68,9 @@ from g3pencil.exprjet import (
 )
 from g3pencil.g3core import G3Vector, Record, cross, dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
-    DTypeSpec,
     MarchingScale,
     ParamDomain,
+    SynthesisSpec,
     combine_on_frame,
     surface_normal,
     surface_point,
@@ -625,7 +625,7 @@ def _phis(
 
 
 def required_normal_components(
-    curve: CurveSpec, dtype: DTypeSpec, s: float, *, scaled: bool = False
+    curve: CurveSpec, spec: SynthesisSpec, s: float, *, scaled: bool = False
 ) -> NormalComponents:
     """Normal components that realize the invariant at parameter s.
 
@@ -634,8 +634,8 @@ def required_normal_components(
     invariant equals lam exactly (see the docstring of g3pencil.pencil).
     """
     kappa, tau, _ = curvature_torsion(curve, s)
-    sigma_val = eval_expr(dtype.sigma, s, 0.0)
-    phi2, phi3 = _phis(kappa, tau, sigma_val, dtype.lam, dtype.sign, scaled, s)
+    sigma_val = eval_expr(spec.sigma, s, 0.0)
+    phi2, phi3 = _phis(kappa, tau, sigma_val, spec.lam, spec.sign, scaled, s)
     return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
 
@@ -649,7 +649,7 @@ _KIND_TO_CLASS = {
 
 
 def corollary_components(
-    curve: CurveSpec, kind: str, dtype: DTypeSpec, s: float, s_range: tuple[float, float]
+    curve: CurveSpec, kind: str, spec: SynthesisSpec, s: float, s_range: tuple[float, float]
 ) -> NormalComponents:
     """Specializations of the plain rule for notable curve classes.
 
@@ -663,11 +663,11 @@ def corollary_components(
     if kind not in _COROLLARY_KINDS:
         raise ValueError(f"kind must be one of {_COROLLARY_KINDS}")
     kappa, tau, _ = curvature_torsion(curve, s)
-    sigma_val = eval_expr(dtype.sigma, s, 0.0)
+    sigma_val = eval_expr(spec.sigma, s, 0.0)
     if kind == "asymptotic":
-        phi2, phi3 = _phis(kappa, tau, sigma_val, 0.0, dtype.sign, False, s)
+        phi2, phi3 = _phis(kappa, tau, sigma_val, 0.0, spec.sign, False, s)
     elif kind == "geodesic":
-        phi2, phi3 = _phis(kappa, tau, sigma_val, 1.0, dtype.sign, False, s)
+        phi2, phi3 = _phis(kappa, tau, sigma_val, 1.0, spec.sign, False, s)
     else:
         cls = classify_curve(curve, s_range)
         if cls.kind != _KIND_TO_CLASS[kind]:
@@ -680,7 +680,7 @@ def corollary_components(
             kappa_eff, tau_eff = cls.constant, tau
         else:
             kappa_eff, tau_eff = kappa, cls.constant
-        phi2, phi3 = _phis(kappa_eff, tau_eff, sigma_val, dtype.lam, dtype.sign, False, s)
+        phi2, phi3 = _phis(kappa_eff, tau_eff, sigma_val, spec.lam, spec.sign, False, s)
     return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
 

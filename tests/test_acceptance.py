@@ -37,10 +37,8 @@ from g3pencil.g3core import (
 )
 from g3pencil.mesh import _fmt, write_mesh
 from g3pencil.pencil import (
-    ControlCoefficients,
-    DTypeSpec,
     ParamDomain,
-    apply_control_coefficients,
+    SynthesisSpec,
     surface_normal,
     synthesize_product_form,
 )
@@ -131,7 +129,7 @@ def test_c04_first_example_invariant():
     with criterion(4, "worked example one: mean invariant 0.5 (1e-9; fd within 1e-4)"):
         start = time.perf_counter()
         helix = fresnel_helix()
-        ms = synthesize_product_form(helix, DTypeSpec(0.5, ONE), ONE, ONE, NEG_ONE, DOM38)
+        ms = synthesize_product_form(helix, SynthesisSpec(0.5, ONE, ONE, ONE, NEG_ONE), DOM38)
         rep = dtype_report(helix, ms, DOM38, 200, "analytic")
         assert rep.mean_lambda == pytest.approx(0.5, abs=1e-9)
         assert rep.max_abs_deviation <= 1e-9
@@ -143,8 +141,8 @@ def test_c04_first_example_invariant():
 def test_c05_second_example_invariant():
     with criterion(5, "worked example two: corrected 0.8660254, as-printed rejected"):
         antis = anti_salkowski()
-        dtype = DTypeSpec(SQRT3_2, parse("1/cosh(s/4)"))
-        ms = synthesize_product_form(antis, dtype, ONE, ONE, NEG_ONE, DOM39)
+        synth = SynthesisSpec(SQRT3_2, parse("1/cosh(s/4)"), ONE, ONE, NEG_ONE)
+        ms = synthesize_product_form(antis, synth, DOM39)
         # the independent position-only oracle runs first and establishes
         # that the corrected construction really is the constant one
         fd = dtype_report(antis, ms, DOM39, 200, "fd")
@@ -177,10 +175,14 @@ def test_c06_synthesis_roundtrip_fuzz():
             sign = rng.choice((1.0, -1.0))
             ms = synthesize_product_form(
                 helix,
-                DTypeSpec(lam, parse(repr(sigma)), sign),
-                parse(repr(rng.choice(factors))),
-                parse(repr(rng.choice(factors))),
-                parse(repr(rng.choice(factors))),
+                SynthesisSpec(
+                    lam,
+                    parse(repr(sigma)),
+                    parse(repr(rng.choice(factors))),
+                    parse(repr(rng.choice(factors))),
+                    parse(repr(rng.choice(factors))),
+                    sign,
+                ),
                 dom,
             )
             rep = dtype_report(helix, ms, dom, 32, "analytic")
@@ -194,16 +196,13 @@ def test_c06_synthesis_roundtrip_fuzz():
             with pytest.raises(InfeasibleLambda):
                 synthesize_product_form(
                     helix,
-                    DTypeSpec(lam, parse(repr(sigma))),
-                    ONE,
-                    ONE,
-                    NEG_ONE,
+                    SynthesisSpec(lam, parse(repr(sigma)), ONE, ONE, NEG_ONE),
                     dom,
                     scaled=False,
                 )
         # the scaled rule's own bound |lam tau / kappa| <= 1 is enforced too
         with pytest.raises(InfeasibleLambda):
-            synthesize_product_form(helix, DTypeSpec(4.2, ONE), ONE, ONE, NEG_ONE, dom)
+            synthesize_product_form(helix, SynthesisSpec(4.2, ONE, ONE, ONE, NEG_ONE), dom)
 
 
 def test_c07_corollary_specializations():
@@ -212,22 +211,22 @@ def test_c07_corollary_specializations():
         antis = anti_salkowski()
         # lam = 0: the unit normal stays orthogonal to the principal normal
         for curve, dom in ((helix, DOM38), (antis, DOM39)):
-            ms = synthesize_product_form(curve, DTypeSpec(0.0, ONE), ONE, ONE, NEG_ONE, dom)
+            ms = synthesize_product_form(curve, SynthesisSpec(0.0, ONE, ONE, ONE, NEG_ONE), dom)
             for s in spread_s_values(usable_s_intervals(curve, dom.s_min, dom.s_max), 64):
                 fr = frenet(curve, s)
                 eta1 = normalize_isotropic(surface_normal(curve, ms, s, 0.0, frame=fr))
                 assert abs(dot(eta1, fr.n)) <= 1e-9
         # lam matched to kappa/|tau| = 4: the unit normal is parallel to it
-        msg = synthesize_product_form(helix, DTypeSpec(4.0, ONE), ONE, ONE, NEG_ONE, DOM38)
+        msg = synthesize_product_form(helix, SynthesisSpec(4.0, ONE, ONE, ONE, NEG_ONE), DOM38)
         for s in spread_s_values(usable_s_intervals(helix, 0.1, 2.0 * math.pi), 64):
             fr = frenet(helix, s)
             eta1 = normalize_isotropic(surface_normal(helix, msg, s, 0.0, frame=fr))
             assert abs(isotropic_wedge(eta1, fr.n)) <= 1e-9
         # helix specialization with ratio 0.25 reproduces criterion 4's numbers
-        dtype = DTypeSpec(0.5, ONE)
+        synth = SynthesisSpec(0.5, ONE, ONE, ONE, NEG_ONE)
         for s in [0.2 + 0.3 * i for i in range(20)]:
-            via_helix = corollary_components(helix, "helix", dtype, s, (0.5, 6.0))
-            direct = required_normal_components(helix, dtype, s)
+            via_helix = corollary_components(helix, "helix", synth, s, (0.5, 6.0))
+            direct = required_normal_components(helix, synth, s)
             assert abs(via_helix.phi2 - direct.phi2) <= 1e-12
             assert abs(via_helix.phi3 - direct.phi3) <= 1e-12
             assert abs(via_helix.phi2 - 0.125) <= 1e-12
@@ -237,13 +236,17 @@ def test_c07_corollary_specializations():
 def test_c08_control_coefficient_behavior():
     with criterion(8, "control coefficients: b=c keeps 0.5; (1/3,1/5,1) stays constant"):
         helix = fresnel_helix()
-        base = synthesize_product_form(helix, DTypeSpec(0.5, ONE), ONE, ONE, NEG_ONE, DOM38)
+
+        def controlled(control):
+            synth = SynthesisSpec(0.5, ONE, ONE, ONE, NEG_ONE, control=control)
+            return synthesize_product_form(helix, synth, DOM38)
+
         for b in (0.5, 1.0, 3.0):
-            ms = apply_control_coefficients(base, ControlCoefficients(2.0, b, b))
+            ms = controlled((2.0, b, b))
             rep = dtype_report(helix, ms, DOM38, 64, "analytic")
             assert rep.mean_lambda == pytest.approx(0.5, abs=1e-9)
             assert rep.max_abs_deviation <= 1e-9
-        ms = apply_control_coefficients(base, ControlCoefficients(1 / 3, 1 / 5, 1.0))
+        ms = controlled((1 / 3, 1 / 5, 1.0))
         rep = dtype_report(helix, ms, DOM38, 200, "analytic")
         assert rep.max_abs_deviation <= 1e-9
         fd = dtype_report(helix, ms, DOM38, 100, "fd")

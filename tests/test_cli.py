@@ -157,6 +157,26 @@ def test_build_sign_flag_flips_surface(tmp_path, capsys):
     assert plus.read_bytes() != minus.read_bytes()
 
 
+def test_build_sign_flag_keeps_the_control_coefficients(tmp_path, capsys):
+    # --sign rebuilds the synthesis input, control coefficients included
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["control"] = {"a": 1 / 3, "b": 1 / 5, "c": 1.0}
+
+    def build(name, *flags):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}.obj"
+        assert main(["build", str(path), "-o", str(out), "--grid", "8x4", *flags]) == 0
+        return out.read_bytes()
+
+    flagged = build("flag", "--sign", "-")
+    doc["marching_scale"]["synthesis"]["sign"] = "-"
+    assert flagged == build("config")
+    del doc["control"]
+    assert flagged != build("uncontrolled")
+    capsys.readouterr()
+
+
 def test_reproduce_fig1c(tmp_path, capsys):
     with pytest.warns(UserWarning, match="grid re-spans"):
         rc = main(["reproduce", "fig1c", "-o", str(tmp_path), "--grid", "16x4"])
@@ -249,7 +269,7 @@ def test_module_entrypoint_smoke(tmp_path):
 def test_overflowing_direct_scale_exits_2_without_output(tmp_path, capsys):
     doc = {
         "curve": "fresnel-helix",
-        "marching_scale": {"direct": {"alpha": "exp(300*v)", "beta": "v", "gamma": "v"}},
+        "marching_scale": {"direct": {"alpha": "v*exp(300*v)", "beta": "v", "gamma": "v"}},
         "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
         "grid": {"ns": 10, "nv": 5},
     }
@@ -337,12 +357,15 @@ def test_printed_fig1d_verifies_on_the_domain_build_uses(tmp_path, capsys):
 
 
 def test_nan_normals_fail_verify_as_not_d_type(tmp_path, capsys):
-    # beta_v = exp(800) overflows, so every normal on the base line is NaN:
-    # each sample is flagged, the report says not-d-type and the exit agrees,
-    # and the report stays RFC 8259 JSON, with null for each missing value
+    # beta vanishes on the base line, yet every normal there is NaN: the
+    # s-derivative of the first term is 0 times an overflowing 1e400*cos
+    # (analytic), and the second term is +inf at both v0 - h_v and v0 + h_v
+    # (fd).  Each sample is flagged, the report says not-d-type and the exit
+    # agrees, and the report stays RFC 8259 JSON, with null for each missing value
+    beta = "v*(1e100*sin(1e300*s)) + v^2*exp(1e15*v^2)"
     doc = {
         "curve": "fresnel-helix",
-        "marching_scale": {"direct": {"alpha": "0", "beta": "v*exp(800)", "gamma": "v"}},
+        "marching_scale": {"direct": {"alpha": "0", "beta": beta, "gamma": "v"}},
         "domain": {"s_min": 0.5, "s_max": 3.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
         "grid": {"ns": 10, "nv": 5},
     }
@@ -488,6 +511,40 @@ def test_nan_product_factor_fails_at_load(tmp_path, capsys):
     assert _load_errors(doc, tmp_path, capsys) == [error] * 3
     assert main(["classify", str(tmp_path / "cfg.json")]) == 2
     assert capsys.readouterr() == ("", error)
+
+
+@pytest.mark.parametrize(
+    "scale, error",
+    [
+        # a surface that does not contain the curve, which every command ran on
+        ({"alpha": "1", "beta": "v", "gamma": "-v"}, "got 1"),
+        # NaN on the base line, which verify reported as null samples
+        ({"alpha": "v*(0*exp(1000))", "beta": "v", "gamma": "v"}, "got nan"),
+    ],
+    ids=["off-the-curve", "nan"],
+)
+def test_direct_scale_that_leaves_the_curve_fails_at_load(scale, error, tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["marching_scale"] = {"direct": scale}
+    error = (
+        f"error: SchemaError: $.marching_scale.direct.alpha: must vanish at v0 = 0, "
+        f"{error} at s = 0.718319\n"
+    )
+    assert _load_errors(doc, tmp_path, capsys) == [error] * 3
+    assert main(["classify", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr() == ("", error)
+
+
+def test_control_beside_a_direct_block_fails_at_load(tmp_path, capsys):
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["marching_scale"] = {"direct": {"alpha": "v", "beta": "v", "gamma": "-v"}}
+    doc["control"] = {"a": 1.0, "b": 2.0, "c": 3.0}
+    error = "error: SchemaError: $.control: not allowed beside a direct block\n"
+    assert _load_errors(doc, tmp_path, capsys) == [error] * 3
+    path = str(tmp_path / "cfg.json")
+    for argv in (["classify", path], ["frenet", path, "--at", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", error)
 
 
 @pytest.mark.parametrize(
@@ -644,9 +701,10 @@ def test_build_bytes_do_not_depend_on_workers(tmp_path, capsys, recwarn):
 
 def test_non_finite_point_in_a_worker_gives_one_error(tmp_path, capsys):
     # only the last row, s = 2, overflows; with two workers a child has it
+    alpha = "v*exp(3000*(s - 1.9)*v)"
     doc = {
         "curve": "fresnel-helix",
-        "marching_scale": {"direct": {"alpha": "exp(3000*(s - 1.9)*v)", "beta": "v", "gamma": "v"}},
+        "marching_scale": {"direct": {"alpha": alpha, "beta": "v", "gamma": "v"}},
         "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
         "grid": {"ns": 10, "nv": 5},
     }
@@ -805,7 +863,8 @@ def test_constant_power_in_a_direct_scale_verifies_in_both_modes(tmp_path, capsy
 @pytest.mark.parametrize("alpha", ["v/0", "ln(0)*v"])
 def test_scale_that_fails_to_compile_is_compiled_once(tmp_path, capsys, monkeypatch, alpha):
     # a constant part outside its domain fails every probe, so the scan
-    # ends after one compile of the values kernel, not one per probe
+    # ends after one compile of the values kernel, not one per probe; the
+    # load compiles one kernel per scale for its base-line check first
     import g3pencil.exprjet
 
     emitters = []
@@ -822,7 +881,8 @@ def test_scale_that_fails_to_compile_is_compiled_once(tmp_path, capsys, monkeypa
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == "error: EmptyDomain: no usable s interval in [-3, 3]\n"
-    assert len(emitters) == 1  # the scales' values kernel, before any probe
+    # alpha, beta and gamma at load, then the scales' values kernel, before any probe
+    assert len(emitters) == 3 + 1
 
 
 @pytest.mark.parametrize(
@@ -921,13 +981,16 @@ def _configs(draw) -> dict:
         if draw(st.booleans()):
             curve.update(kappa=draw(EXPRESSIONS), tau=draw(EXPRESSIONS))
     kind = draw(st.sampled_from(("direct", "product", "synthesis")))
+
+    def vanishing() -> str:  # must vanish at v0, as v - v0 times anything mostly does
+        root = draw(st.one_of(st.just(v0), NUMBERS))
+        return f"(v - ({root!r}))*({draw(EXPRESSIONS)})"
+
     if kind == "direct":
-        block = {key: draw(EXPRESSIONS) for key in ("alpha", "beta", "gamma")}
+        block = {key: vanishing() for key in ("alpha", "beta", "gamma")}
     elif kind == "product":
         block = {key: draw(EXPRESSIONS) for key in ("l", "m", "n")}
-        for key in "XYZ":  # each must vanish at v0, as v - v0 times anything mostly does
-            root = draw(st.one_of(st.just(v0), NUMBERS))
-            block[key] = f"(v - ({root!r}))*({draw(EXPRESSIONS)})"
+        block.update((key, vanishing()) for key in "XYZ")
     else:
         block = {key: draw(EXPRESSIONS) for key in ("sigma", "l", "m", "n")}
         block.update(sign=draw(st.sampled_from("+-")), **{"lambda": draw(NUMBERS)})
@@ -938,7 +1001,7 @@ def _configs(draw) -> dict:
                    "v0": v0},
         "grid": {"ns": 6, "nv": 3},
     }
-    if kind == "product" and draw(st.booleans()):
+    if draw(st.booleans()):  # beside a direct block, it fails at load
         doc["control"] = {key: draw(NUMBERS) for key in "abc"}
     return doc
 

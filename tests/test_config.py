@@ -3,11 +3,16 @@ import math
 
 import pytest
 
-from g3pencil.config import SynthesisMS, build_curve, config_from_dict, load_config, realize
+from g3pencil.config import build_curve, config_from_dict, load_config, realize
 from g3pencil.curve import CurveSpec, anti_salkowski, fresnel_helix
-from g3pencil.errors import NotProductForm, ParseError, SchemaError
+from g3pencil.errors import ParseError, SchemaError
 from g3pencil.exprjet import parse
-from g3pencil.pencil import MarchingScale, product_marching_scale
+from g3pencil.pencil import (
+    MarchingScale,
+    SynthesisSpec,
+    product_marching_scale,
+    synthesize_product_form,
+)
 from oracles import check_isoparametric
 
 
@@ -36,9 +41,10 @@ class TestShippedConfigs:
         cfg = load_config("configs/fresnel-helix.json")
         assert cfg.curve == "fresnel-helix"
         ms = cfg.marching
-        assert isinstance(ms, SynthesisMS)
+        assert isinstance(ms, SynthesisSpec)
         assert ms.lam == 0.5
         assert ms.sign == 1.0
+        assert ms.control is None
 
     def test_anti_salkowski_config_loads(self):
         cfg = load_config("configs/anti-salkowski.json")
@@ -130,6 +136,31 @@ class TestSchema:
         assert str(info.value) == (
             "$.marching_scale.product.X: must vanish at v0 = 0, got nan at s = 0.718"
         )
+
+    @pytest.mark.parametrize(
+        "scale, label, value",
+        [
+            ({"alpha": "1", "beta": "v", "gamma": "-v"}, "alpha", "1"),
+            ({"alpha": "v*(0*exp(1000))", "beta": "v", "gamma": "v"}, "alpha", "nan"),
+            ({"alpha": "v", "beta": "1 + v", "gamma": "v"}, "beta", "1"),
+            ({"alpha": "v", "beta": "v", "gamma": "s + v"}, "gamma", "0.718"),
+        ],
+    )
+    def test_direct_scale_not_vanishing_at_v0_rejected(self, scale, label, value):
+        doc = minimal_doc(marching_scale={"direct": scale})
+        doc["domain"]["s_max"] = 6.28
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == (
+            f"$.marching_scale.direct.{label}: must vanish at v0 = 0, got {value} at s = 0.718"
+        )
+
+    def test_direct_scale_check_skips_what_fails_to_evaluate(self):
+        # a kernel that fails to compile, and points outside a factor's
+        # domain, are left to the grid guards, as for product factors
+        scale = {"alpha": "ln(0)*v", "beta": "sqrt(s - 3)*v", "gamma": "v"}
+        cfg = config_from_dict(minimal_doc(marching_scale={"direct": scale}))
+        assert cfg.marching == MarchingScale(*map(parse, scale.values()))
 
     def test_grid_is_the_ns_nv_pair(self):
         assert config_from_dict(minimal_doc()).grid == (20, 5)
@@ -227,17 +258,56 @@ class TestRealize:
             marching_scale={"direct": {"alpha": "0", "beta": "v", "gamma": "0"}}
         )
         cfg = config_from_dict(doc)
-        pencil = realize(cfg)
+        pencil = realize(cfg, sign=-1.0)  # a direct scale has no sign branch
         assert pencil.marching is cfg.marching  # parsed scales pass straight through
-        assert pencil.marching.product is None
+        assert pencil.marching == MarchingScale(parse("0"), parse("v"), parse("0"))
 
     def test_control_with_direct_scale_rejected(self):
         doc = minimal_doc(
             marching_scale={"direct": {"alpha": "0", "beta": "v", "gamma": "0"}},
             control={"a": 1.0, "b": 2.0, "c": 3.0},
         )
-        with pytest.raises(NotProductForm):
-            realize(config_from_dict(doc))
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == "$.control: not allowed beside a direct block"
+
+    def test_control_beside_direct_is_checked_after_the_rest(self):
+        # a document with several faults reports the one it reported before
+        direct = {"direct": {"alpha": "1", "beta": "v", "gamma": "0"}}
+        doc = minimal_doc(marching_scale=direct, control={"a": 2.0}, grid={"ns": 1, "nv": 5})
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(doc)
+        assert info.value.path == "$.grid"
+        doc["grid"]["ns"] = 20
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(doc)
+        assert info.value.path == "$.marching_scale.direct.alpha"
+
+    def test_control_is_applied_where_the_scale_is_built(self):
+        control = {"a": 0.5, "b": -2.0}
+        product = {"l": "1", "m": "s", "n": "-1", "X": "v", "Y": "v^2", "Z": "s*v"}
+        cfg = config_from_dict(minimal_doc(marching_scale={"product": product}, control=control))
+        factors = [parse(product[k]) for k in ("l", "m", "n", "X", "Y", "Z")]
+        assert cfg.marching == product_marching_scale(*factors, (0.5, -2.0, 1.0))
+        cfg = config_from_dict(minimal_doc(control=control))
+        assert cfg.marching.control == (0.5, -2.0, 1.0)
+        one = parse("1")
+        synth = SynthesisSpec(0.5, one, one, one, parse("-1"), control=(0.5, -2.0, 1.0))
+        assert cfg.marching == synth
+        assert realize(cfg).marching == synthesize_product_form(
+            fresnel_helix(), synth, cfg.domain
+        )
+
+    def test_product_factors_are_checked_before_control(self):
+        # a = 0 would make a*X vanish, but X itself must
+        product = {"l": "1", "m": "1", "n": "-1", "X": "v + 1", "Y": "v", "Z": "v"}
+        doc = minimal_doc(marching_scale={"product": product}, control={"a": 0.0})
+        doc["domain"]["s_max"] = 6.28
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == (
+            "$.marching_scale.product.X: must vanish at v0 = 0, got 1 at s = 0.718"
+        )
 
     def test_sign_override(self):
         cfg = config_from_dict(minimal_doc())
@@ -248,6 +318,13 @@ class TestRealize:
         assert eval_expr(plus.marching.beta, 2.0, 1.0) == pytest.approx(
             -eval_expr(minus.marching.beta, 2.0, 1.0)
         )
+
+    def test_sign_override_keeps_the_control_coefficients(self):
+        control = {"a": 2.0, "b": 0.5, "c": 3.0}
+        doc = minimal_doc(control=control)
+        overridden = realize(config_from_dict(doc), sign=-1.0)
+        doc["marching_scale"]["synthesis"]["sign"] = "-"
+        assert overridden == realize(config_from_dict(doc))
 
     def test_as_printed_switches_curve_and_rule(self):
         cfg = config_from_dict(minimal_doc())

@@ -5,8 +5,15 @@ import pytest
 from check_goldens import FIGURE_RUNS, pinned_digests, sha256
 from g3pencil import figures
 from g3pencil.cli import main
-from g3pencil.config import SynthesisMS, config_from_dict
+from g3pencil.config import config_from_dict
+from g3pencil.exprjet import parse
 from g3pencil.figures import CURVE_FIGURES, FIGURES, SURFACE_FIGURES, figure_doc
+from g3pencil.pencil import SynthesisSpec, product_marching_scale
+
+
+def _printed_factors(name):
+    _, _, _, _, y, z = SURFACE_FIGURES[name]
+    return [parse(text) for text in ("1", "1", "-1", "v", y, z)]
 
 
 def _config(name, as_printed=False):
@@ -30,15 +37,17 @@ def test_all_eight_figures_defined():
     ],
 )
 def test_control_coefficients_per_figure(name, control):
-    cfg = _config(name)
-    assert (cfg.control.a, cfg.control.b, cfg.control.c) == control
+    assert _config(name).marching.control == control
+    # the printed product factors X, Y, Z take the same coefficients at load
+    printed = _config(name, as_printed=True).marching
+    assert printed == product_marching_scale(*_printed_factors(name), control)
 
 
 def test_first_example_targets():
     cfg = _config("fig1b")
     assert cfg.curve == "fresnel-helix"
     ms = cfg.marching
-    assert isinstance(ms, SynthesisMS)
+    assert isinstance(ms, SynthesisSpec)
     assert ms.lam == 0.5
     assert cfg.domain.s_min == -2 * math.pi and cfg.domain.s_max == 2 * math.pi
     assert cfg.domain.v_min == 0.0 and cfg.domain.v_max == 5.0
@@ -48,8 +57,9 @@ def test_second_example_targets():
     cfg = _config("fig1f")
     assert cfg.curve == "anti-salkowski"
     assert cfg.marching.lam == pytest.approx(math.sqrt(3) / 2)
+    assert cfg.marching.control is None
     printed = _config("fig1f", as_printed=True)
-    assert printed.marching.product is not None
+    assert printed.marching == product_marching_scale(*_printed_factors("fig1f"))
 
 
 def test_fig1d_uses_varying_sigma():

@@ -292,9 +292,10 @@ class TestWorkers:
     def test_error_in_the_parents_rows_leaves_no_file(self, two_cpus, forks, tmp_path, capsys):
         # only the first row, s = 0.5, overflows: the calling process has it
         # while a child works on the later rows
+        alpha = "v*exp(3000*(0.6 - s)*v)"
         doc = {
             "curve": "fresnel-helix",
-            "marching_scale": {"direct": {"alpha": "exp(3000*(0.6 - s)*v)", "beta": "v", "gamma": "v"}},
+            "marching_scale": {"direct": {"alpha": alpha, "beta": "v", "gamma": "v"}},
             "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
             "grid": {"ns": 10, "nv": 5},
         }

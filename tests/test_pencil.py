@@ -16,7 +16,6 @@ from g3pencil.curve import (
 from g3pencil.errors import (
     G3PencilError,
     InfeasibleLambda,
-    NotProductForm,
     SigmaVanishes,
     ZeroMarchingFactor,
 )
@@ -25,11 +24,9 @@ from g3pencil.exprjet import KinkWarning, parse
 from g3pencil.figures import figure_doc
 from g3pencil.g3core import dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
-    ControlCoefficients,
-    DTypeSpec,
     MarchingScale,
     ParamDomain,
-    apply_control_coefficients,
+    SynthesisSpec,
     product_marching_scale,
     surface_normal,
     surface_point,
@@ -51,6 +48,11 @@ from oracles import (
 
 ONE = parse("1")
 NEG_ONE = parse("-1")
+
+
+def spec(lam, sigma, sign=1.0, control=None):
+    """The synthesis input with the worked examples' factors l = m = 1, n = -1."""
+    return SynthesisSpec(lam, sigma, ONE, ONE, NEG_ONE, sign, control)
 PHI3_38 = 3.0 * math.sqrt(7.0) / 8.0  # binormal component of the worked example
 
 
@@ -71,7 +73,7 @@ def dom():
 
 @pytest.fixture(scope="module")
 def ms38(helix, dom):
-    return synthesize_product_form(helix, DTypeSpec(0.5, parse("1")), ONE, ONE, NEG_ONE, dom)
+    return synthesize_product_form(helix, spec(0.5, parse("1")), dom)
 
 
 def lam_hat(curve, ms, s, v0=0.0):
@@ -155,32 +157,32 @@ class TestSurfaceNormal:
 
 class TestRequiredComponents:
     def test_worked_example(self, helix):
-        nc = required_normal_components(helix, DTypeSpec(0.5, parse("1")), 2.0)
+        nc = required_normal_components(helix, spec(0.5, parse("1")), 2.0)
         assert nc.phi1 == 0.0
         assert nc.phi2 == pytest.approx(0.125, abs=1e-14)
         assert nc.phi3 == pytest.approx(PHI3_38, abs=1e-12)
         assert nc.theta == pytest.approx(math.atan2(PHI3_38, 0.125), abs=1e-12)
 
     def test_lambda_zero(self, helix):
-        nc = required_normal_components(helix, DTypeSpec(0.0, parse("1")), 2.0)
+        nc = required_normal_components(helix, spec(0.0, parse("1")), 2.0)
         assert nc.phi2 == 0.0
         assert nc.phi3 == pytest.approx(1.0, abs=1e-14)
-        minus = required_normal_components(helix, DTypeSpec(0.0, parse("1"), -1.0), 2.0)
+        minus = required_normal_components(helix, spec(0.0, parse("1"), -1.0), 2.0)
         assert minus.phi3 == pytest.approx(-1.0, abs=1e-14)
 
     def test_infeasible_lambda(self, helix):
         # lam tau / (sigma kappa) = 1 / (4 s); at s = 1/8 that is 2 > 1
         with pytest.raises(InfeasibleLambda):
-            required_normal_components(helix, DTypeSpec(1.0, parse("s")), 0.125)
+            required_normal_components(helix, spec(1.0, parse("s")), 0.125)
 
     def test_sigma_vanishes(self, helix):
         with pytest.raises(SigmaVanishes):
-            required_normal_components(helix, DTypeSpec(0.5, parse("s - 2")), 2.0)
+            required_normal_components(helix, spec(0.5, parse("s - 2")), 2.0)
 
     def test_component_magnitude_is_sigma(self, helix):
         for lam, sig in ((0.5, 1.0), (1.0, 2.0), (-0.7, 0.5)):
             nc = required_normal_components(
-                helix, DTypeSpec(lam, parse(repr(sig))), 1.4
+                helix, spec(lam, parse(repr(sig))), 1.4
             )
             assert math.hypot(nc.phi2, nc.phi3) == pytest.approx(sig, rel=1e-12)
 
@@ -188,20 +190,20 @@ class TestRequiredComponents:
 class TestCorollaries:
     def test_asymptotic(self, helix):
         nc = corollary_components(
-            helix, "asymptotic", DTypeSpec(0.0, parse("1")), 2.0, (0.5, 6.0)
+            helix, "asymptotic", spec(0.0, parse("1")), 2.0, (0.5, 6.0)
         )
         assert (nc.phi2, nc.phi3) == (0.0, 1.0)
 
     def test_helix_specialization_matches_required(self, helix):
-        dtype = DTypeSpec(0.5, parse("1"))
-        via_class = corollary_components(helix, "helix", dtype, 2.0, (0.5, 6.0))
-        direct = required_normal_components(helix, dtype, 2.0)
+        synth = spec(0.5, parse("1"))
+        via_class = corollary_components(helix, "helix", synth, 2.0, (0.5, 6.0))
+        direct = required_normal_components(helix, synth, 2.0)
         assert via_class.phi2 == pytest.approx(direct.phi2, abs=1e-12)
         assert via_class.phi3 == pytest.approx(direct.phi3, abs=1e-12)
 
     def test_geodesic_fixes_lambda_one(self, helix):
         nc = corollary_components(
-            helix, "geodesic", DTypeSpec(5.0, parse("1")), 2.0, (0.5, 6.0)
+            helix, "geodesic", spec(5.0, parse("1")), 2.0, (0.5, 6.0)
         )
         # lam is pinned to 1 regardless of the requested value
         assert nc.phi2 == pytest.approx(0.25, abs=1e-12)
@@ -210,22 +212,20 @@ class TestCorollaries:
     def test_class_mismatch(self, helix):
         with pytest.raises(ClassMismatch):
             corollary_components(
-                helix, "salkowski", DTypeSpec(0.5, parse("1")), 2.0, (0.5, 6.0)
+                helix, "salkowski", spec(0.5, parse("1")), 2.0, (0.5, 6.0)
             )
 
     def test_anti_salkowski_specialization(self, antis):
-        dtype = DTypeSpec(0.25, parse("1"))
-        nc = corollary_components(antis, "anti-salkowski", dtype, 1.0, (-3.0, 3.0))
-        direct = required_normal_components(antis, dtype, 1.0)
+        synth = spec(0.25, parse("1"))
+        nc = corollary_components(antis, "anti-salkowski", synth, 1.0, (-3.0, 3.0))
+        direct = required_normal_components(antis, synth, 1.0)
         assert nc.phi2 == pytest.approx(direct.phi2, rel=1e-9)
 
 
 class TestSynthesis:
     def test_worked_example_factors(self, helix, ms38):
-        # X = v, Y = (3 sqrt 7 / 8) v, Z = (1/8) v
-        assert eval_expr(ms38.product.x, 2.0, 1.0) == 1.0
-        assert eval_expr(ms38.product.y, 2.0, 1.0) == pytest.approx(PHI3_38, abs=1e-12)
-        assert eval_expr(ms38.product.z, 2.0, 1.0) == pytest.approx(0.125, abs=1e-12)
+        # X = v, Y = (3 sqrt 7 / 8) v, Z = (1/8) v, times l = m = 1 and n = -1
+        assert eval_expr(ms38.alpha, 2.0, 1.0) == 1.0
         assert eval_expr(ms38.beta, 2.0, 1.0) == pytest.approx(PHI3_38, abs=1e-12)
         assert eval_expr(ms38.gamma, 2.0, 1.0) == pytest.approx(-0.125, abs=1e-12)
 
@@ -239,7 +239,7 @@ class TestSynthesis:
         # binormal factor sqrt(s^2 - 1/64) of the worked example's variant
         dom = ParamDomain(0.2, 2 * math.pi, 0.0, 5.0, 0.0)
         ms = synthesize_product_form(
-            helix, DTypeSpec(0.5, parse("s")), ONE, ONE, NEG_ONE, dom, scaled=False
+            helix, spec(0.5, parse("s")), dom, scaled=False
         )
         for s in (0.5, 2.0, 5.0):
             assert eval_expr(ms.beta, s, 1.0) == pytest.approx(
@@ -251,21 +251,22 @@ class TestSynthesis:
     def test_scaled_rule_keeps_invariant_for_varying_sigma(self, helix):
         dom = ParamDomain(0.2, 2 * math.pi, 0.0, 5.0, 0.0)
         ms = synthesize_product_form(
-            helix, DTypeSpec(0.5, parse("s")), ONE, ONE, NEG_ONE, dom, scaled=True
+            helix, spec(0.5, parse("s")), dom, scaled=True
         )
         for s in (0.3, 1.0, 2.0, 5.0):
             assert lam_hat(helix, ms, s) == pytest.approx(0.5, abs=1e-12)
 
     def test_corrected_second_example_factors(self, antis):
         dom = ParamDomain(-3.0, 3.0, 0.0, 5.0, 0.0)
-        dtype = DTypeSpec(math.sqrt(3.0) / 2.0, parse("1/cosh(s/4)"))
-        ms = synthesize_product_form(antis, dtype, ONE, ONE, NEG_ONE, dom)
+        synth = spec(math.sqrt(3.0) / 2.0, parse("1/cosh(s/4)"))
+        ms = synthesize_product_form(antis, synth, dom)
         for s in (-2.0, 0.0, 1.5):
             c = math.cosh(s / 4.0)
-            assert eval_expr(ms.product.z, s, 1.0) == pytest.approx(
+            # Z and Y, times n = -1 and m = 1
+            assert -eval_expr(ms.gamma, s, 1.0) == pytest.approx(
                 math.sqrt(3.0) / 2.0 / (c * c), rel=1e-12
             )
-            assert eval_expr(ms.product.y, s, 1.0) == pytest.approx(
+            assert eval_expr(ms.beta, s, 1.0) == pytest.approx(
                 (1.0 / c) * math.sqrt(1.0 - 0.75 / (c * c)), rel=1e-12
             )
             assert lam_hat(antis, ms, s) == pytest.approx(
@@ -273,7 +274,7 @@ class TestSynthesis:
             )
 
     def test_geodesic_boundary_zeroes_binormal_factor(self, helix, dom):
-        ms = synthesize_product_form(helix, DTypeSpec(4.0, parse("1")), ONE, ONE, NEG_ONE, dom)
+        ms = synthesize_product_form(helix, spec(4.0, parse("1")), dom)
         for s in (0.3, 2.0, 6.0):
             assert eval_expr(ms.beta, s, 3.0) == 0.0
             fr = frenet(helix, s)
@@ -282,12 +283,12 @@ class TestSynthesis:
 
     def test_infeasible_draw_raises(self, helix, dom):
         with pytest.raises(InfeasibleLambda):
-            synthesize_product_form(helix, DTypeSpec(4.5, parse("1")), ONE, ONE, NEG_ONE, dom)
+            synthesize_product_form(helix, spec(4.5, parse("1")), dom)
         with pytest.raises(InfeasibleLambda):
             # plain rule feasibility involves sigma: |lam tau / (sigma kappa)|
             # is 1.2 here even though |lam tau / kappa| stays below 1
             synthesize_product_form(
-                helix, DTypeSpec(1.2, parse("0.25")), ONE, ONE, NEG_ONE, dom, scaled=False
+                helix, spec(1.2, parse("0.25")), dom, scaled=False
             )
 
     def test_zero_marching_factor_rejected(self, helix, dom):
@@ -297,7 +298,9 @@ class TestSynthesis:
         cases = (("s - 2", "-1", "m"), ("0", "-1", "m"), ("1", "2 - s", "n"), ("1", "0", "n"))
         for m, n, factor in cases:
             with pytest.raises(ZeroMarchingFactor) as info:
-                synthesize_product_form(helix, DTypeSpec(0.5, ONE), ONE, parse(m), parse(n), dom)
+                synthesize_product_form(
+                    helix, SynthesisSpec(0.5, ONE, ONE, parse(m), parse(n)), dom
+                )
             s = info.value.s
             assert info.value.factor == factor
             assert str(info.value) == f"marching factor {factor}(s) vanishes at s = {s:g}"
@@ -319,7 +322,7 @@ class TestSynthesis:
     def test_non_finite_factor_or_sigma_rejected(self, helix, dom, m, n, sigma, error, message):
         with pytest.raises(error) as info:
             synthesize_product_form(
-                helix, DTypeSpec(0.5, parse(sigma)), ONE, parse(m), parse(n), dom
+                helix, SynthesisSpec(0.5, parse(sigma), ONE, parse(m), parse(n)), dom
             )
         assert str(info.value) == f"{message} is not finite at s = 0.1"
         assert info.value.s == dom.s_min
@@ -332,7 +335,9 @@ class TestSynthesis:
         # in full before the next
         dom = ParamDomain(0.5, 6.0, 0.0, 1.0, 0.0)
         with pytest.raises(InfeasibleLambda) as info:
-            synthesize_product_form(helix, DTypeSpec(4.5, ONE), ONE, parse("s - 3"), NEG_ONE, dom)
+            synthesize_product_form(
+                helix, SynthesisSpec(4.5, ONE, ONE, parse("s - 3"), NEG_ONE), dom
+            )
         assert info.value.s == 0.5
         assert str(info.value) == "invariant infeasible at s = 0.5: |ratio| = 1.125 exceeds 1"
 
@@ -340,12 +345,7 @@ class TestSynthesis:
         c = CurveSpec("explicit", parse("s^3"), parse("s^4"))
         with pytest.raises(ValueError):
             synthesize_product_form(
-                c,
-                DTypeSpec(0.1, parse("1")),
-                ONE,
-                ONE,
-                NEG_ONE,
-                ParamDomain(0.5, 2.0, 0.0, 1.0, 0.0),
+                c, spec(0.1, parse("1")), ParamDomain(0.5, 2.0, 0.0, 1.0, 0.0)
             )
 
 
@@ -362,7 +362,7 @@ class TestSynthesisRoundtrip:
             m = parse(repr(float(rng.choice((1, -1, 2, -2)))))
             n = parse(repr(float(rng.choice((1, -1, 2, -2)))))
             ms = synthesize_product_form(
-                helix, DTypeSpec(lam, parse(repr(sigma)), sign), l, m, n, dom
+                helix, SynthesisSpec(lam, parse(repr(sigma)), l, m, n, sign), dom
             )
             for s in (0.4, 1.7, 5.2):
                 assert abs(lam_hat(helix, ms, s) - lam) <= 1e-9
@@ -374,44 +374,48 @@ class TestSynthesisRoundtrip:
             sigma = rng.choice((0.5, 1.0, 2.0))
             lam = rng.uniform(-0.9, 0.9) * 4.0 * sigma
             ms = synthesize_product_form(
-                helix,
-                DTypeSpec(lam, parse(repr(sigma))),
-                ONE,
-                ONE,
-                NEG_ONE,
-                dom,
-                scaled=False,
+                helix, spec(lam, parse(repr(sigma))), dom, scaled=False
             )
             for s in (0.4, 2.9):
                 assert abs(lam_hat(helix, ms, s) - lam / sigma) <= 1e-9
 
 
 class TestControlCoefficients:
-    def test_identity(self, ms38, helix):
-        same = apply_control_coefficients(ms38, ControlCoefficients(1.0, 1.0, 1.0))
+    @staticmethod
+    def controlled(helix, dom, control):
+        return synthesize_product_form(helix, spec(0.5, ONE, control=control), dom)
+
+    def test_identity(self, ms38, helix, dom):
+        same = self.controlled(helix, dom, (1.0, 1.0, 1.0))
         for s, v in ((0.4, 0.3), (2.0, 4.0)):
             assert eval_expr(same.alpha, s, v) == eval_expr(ms38.alpha, s, v)
             assert eval_expr(same.beta, s, v) == eval_expr(ms38.beta, s, v)
             assert eval_expr(same.gamma, s, v) == eval_expr(ms38.gamma, s, v)
 
-    def test_equal_b_c_preserves_invariant(self, helix, ms38):
+    def test_equal_b_c_preserves_invariant(self, helix, dom):
         for b in (0.5, 2.0, 3.0):
-            cc = apply_control_coefficients(ms38, ControlCoefficients(7.0, b, b))
+            cc = self.controlled(helix, dom, (7.0, b, b))
             for s in (0.4, 2.0, 5.0):
                 assert lam_hat(helix, cc, s) == pytest.approx(0.5, abs=1e-12)
 
-    def test_uneven_b_c_changes_but_keeps_constancy(self, helix, ms38):
-        cc = apply_control_coefficients(ms38, ControlCoefficients(1 / 3, 1 / 5, 1.0))
+    def test_uneven_b_c_changes_but_keeps_constancy(self, helix, dom):
+        cc = self.controlled(helix, dom, (1 / 3, 1 / 5, 1.0))
         values = [lam_hat(helix, cc, s) for s in (0.3, 1.0, 2.5, 4.0, 6.0)]
         expected = math.sqrt(50.0 / 11.0)  # 0.5 / sqrt(1/64 + (3 sqrt7/40)^2)
         for value in values:
             assert value == pytest.approx(expected, abs=1e-12)
         assert abs(values[0] - 0.5) > 1e-2
 
-    def test_requires_product_form(self):
-        direct = MarchingScale(alpha=parse("v"), beta=parse("v"), gamma=parse("v"))
-        with pytest.raises(NotProductForm):
-            apply_control_coefficients(direct, ControlCoefficients(1.0, 2.0, 3.0))
+    def test_control_scales_x_y_z_before_l_m_n(self):
+        # l*(a*x), not a*(l*x): the two round differently
+        l, m, n, x, y, z = (parse(text) for text in ("s", "2", "-1", "v", "s*v", "v^2"))
+        ms = product_marching_scale(l, m, n, x, y, z, (0.5, -2.0, 3.0))
+        assert ms == MarchingScale(
+            alpha=parse("s*(0.5*v)"), beta=parse("2*(-2*(s*v))"), gamma=parse("-1*(3*v^2)")
+        )
+        assert product_marching_scale(l, m, n, x, y, z) == MarchingScale(
+            alpha=parse("s*v"), beta=parse("2*(s*v)"), gamma=parse("-1*v^2")
+        )
 
 
 class TestOneFeasibilityRule:
@@ -421,13 +425,11 @@ class TestOneFeasibilityRule:
     @pytest.mark.parametrize("excess, feasible", [(7.5e-13, False), (-7.5e-13, True)])
     def test_agreement_at_the_geodesic_boundary(self, helix, excess, feasible):
         # on the helix |tau| / kappa = 1/4, so lam = 4 puts |ratio| at 1
-        dtype = DTypeSpec(4.0 * (1.0 + excess), ONE)
+        synth = spec(4.0 * (1.0 + excess), ONE)
         dom = ParamDomain(0.5, 6.0, 0.0, 1.0, 0.0)
         calls = (
-            lambda: required_normal_components(helix, dtype, 3.0),
-            lambda: synthesize_product_form(
-                helix, dtype, ONE, ONE, NEG_ONE, dom, scaled=False
-            ),
+            lambda: required_normal_components(helix, synth, 3.0),
+            lambda: synthesize_product_form(helix, synth, dom, scaled=False),
         )
         for call in calls:
             if feasible:
@@ -450,7 +452,7 @@ class TestOneFeasibilityRule:
         m, n, sigma = parse("2 + cos(s)"), NEG_ONE, parse("s")
         for scaled in (True, False):
             compiled.clear()
-            synthesize_product_form(helix, DTypeSpec(0.1, sigma), ONE, m, n, dom, scaled=scaled)
+            synthesize_product_form(helix, SynthesisSpec(0.1, sigma, ONE, m, n), dom, scaled=scaled)
             assert compiled == [(ONE, m, n, sigma)]
 
     def test_synthesis_scans_the_guard_bands_once(self, monkeypatch):
@@ -486,13 +488,19 @@ class TestCompiledKernels:
     @staticmethod
     def _pencils():
         dom = ParamDomain(-3.0, 3.0, -1.0, 2.0, 0.0)
-        spec = DTypeSpec(lam=0.5, sigma=parse("1+s^2/16"), sign=-1.0)
+        synth = SynthesisSpec(
+            lam=0.5,
+            sigma=parse("1+s^2/16"),
+            l=parse("1+s^2/16"),
+            m=parse("2+sin(s)"),
+            n=parse("-1-s^2/8"),
+            sign=-1.0,
+            control=(1 / 3, 1 / 5, 1.0),
+        )
         for curve in (fresnel_helix(), fresnel_helix(as_printed=True), anti_salkowski()):
-            ms = synthesize_product_form(
-                curve, spec, parse("1+s^2/16"), parse("2+sin(s)"), parse("-1-s^2/8"), dom,
-                scaled=curve.name != "fresnel-helix-printed",
+            yield curve, synthesize_product_form(
+                curve, synth, dom, scaled=curve.name != "fresnel-helix-printed"
             )
-            yield curve, apply_control_coefficients(ms, ControlCoefficients(1 / 3, 1 / 5, 1.0))
         explicit = CurveSpec("explicit", parse("s^3/6 + sin(s)"), parse("cosh(s/2)*s^2/2 - s"))
         yield explicit, MarchingScale(
             alpha=parse("s*v^2 - abs(v)"),
@@ -554,7 +562,7 @@ class TestCompiledKernels:
         monkeypatch.setattr(g3pencil.curve, "compile_jets", counting(g3pencil.curve.compile_jets))
         monkeypatch.setattr(g3pencil.pencil, "compile_jets", counting(g3pencil.pencil.compile_jets))
         helix = fresnel_helix()
-        ms = synthesize_product_form(helix, DTypeSpec(0.5, ONE), ONE, ONE, NEG_ONE, dom)
+        ms = synthesize_product_form(helix, spec(0.5, ONE), dom)
         for s in (1.0, 2.0, 3.0):
             frenet(helix, s)
             surface_normal(helix, ms, s, 1.0)

@@ -12,18 +12,11 @@ from pathlib import Path
 import pytest
 
 import g3pencil
-from g3pencil.config import PencilConfig, SynthesisMS, VerifySpec
+from g3pencil.config import PencilConfig, VerifySpec
 from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
 from g3pencil.exprjet import BinOp, Call, Neg, Num, Var, _Token, parse
 from g3pencil.g3core import G3Vector, Record
-from g3pencil.pencil import (
-    ControlCoefficients,
-    DTypeSpec,
-    MarchingScale,
-    ParamDomain,
-    PencilSpec,
-    ProductFactors,
-)
+from g3pencil.pencil import MarchingScale, ParamDomain, PencilSpec, SynthesisSpec
 from g3pencil.verify import DTypeReport, InvariantSample
 import oracles
 from oracles import Jet3, NormalComponents
@@ -34,9 +27,8 @@ S, V = Var("s"), Var("v")
 ONE = Num(1.0)
 E1, E2, E3 = G3Vector(1.0, 0.0, 0.0), G3Vector(0.0, 1.0, 0.0), G3Vector(0.0, 0.0, 1.0)
 CURVE = CurveSpec("c", parse("s"), parse("s^2/2"), None, None)
-SCALE = MarchingScale(V, V, V, None)
+SCALE = MarchingScale(V, V, V)
 DOMAIN = ParamDomain(-1.0, 1.0, 0.0, 1.0, 0.0)
-FACTORS = (ONE, ONE, Num(-1.0), V, V, V)
 
 # Each record with its fields in declaration order, as keyword arguments.
 RECORDS = [
@@ -53,20 +45,19 @@ RECORDS = [
     (DarbouxData, dict(w=E1, e0=E2, d_axis=E3)),
     (CurveClass, dict(kind="generic", constant=None)),
     (ParamDomain, dict(s_min=-1.0, s_max=1.0, v_min=0.0, v_max=1.0, v0=0.0)),
-    (ProductFactors, dict(zip("lmnxyz", FACTORS))),
-    (MarchingScale, dict(alpha=V, beta=V, gamma=V, product=ProductFactors(*FACTORS))),
-    (DTypeSpec, dict(lam=0.5, sigma=ONE, sign=-1.0)),
+    (MarchingScale, dict(alpha=V, beta=V, gamma=V)),
+    (
+        SynthesisSpec,
+        dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Num(-1.0), sign=-1.0, control=(1.0, 3.0, 5.0)),
+    ),
     (NormalComponents, dict(phi1=0.0, phi2=1.0, phi3=0.0, theta=0.0)),
-    (ControlCoefficients, dict(a=1.0, b=3.0, c=5.0)),
     (PencilSpec, dict(curve=CURVE, marching=SCALE, domain=DOMAIN)),
-    (SynthesisMS, dict(lam=0.5, sigma=ONE, sign=1.0, l=ONE, m=ONE, n=Num(-1.0))),
     (VerifySpec, dict(mode="fd", tol=1e-5, samples=100)),
     (
         PencilConfig,
         dict(
             curve="fresnel-helix",
             marching=SCALE,
-            control=None,
             domain=DOMAIN,
             grid=(200, 50),
             verify=VerifySpec(),
@@ -117,14 +108,15 @@ def test_another_class_with_the_same_values_is_not_equal(cls, kw):
 
 def test_records_with_the_same_field_names_differ_by_class():
     class Twin(Record):  # not a subclass: only the field names agree
-        __slots__ = _fields = ProductFactors._fields
+        __slots__ = _fields = SynthesisSpec._fields
 
         def __init__(self, *values):
             for name, value in zip(self._fields, values):
                 setattr(self, name, value)
 
-    assert Twin(*FACTORS) != ProductFactors(*FACTORS)
-    assert ProductFactors(*FACTORS) != Twin(*FACTORS)
+    fields = (0.5, ONE, ONE, ONE, Num(-1.0), 1.0, None)
+    assert Twin(*fields) != SynthesisSpec(*fields)
+    assert SynthesisSpec(*fields) != Twin(*fields)
 
 
 @pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
@@ -160,9 +152,7 @@ def test_signed_zero_numbers_are_equal():
 def test_defaults():
     assert Jet3(1.0) == Jet3(1.0, 0.0, 0.0, 0.0)
     assert VerifySpec() == VerifySpec("analytic", None, 200)
-    assert ControlCoefficients() == ControlCoefficients(1.0, 1.0, 1.0)
-    assert MarchingScale(alpha=V, beta=S, gamma=ONE).product is None
-    assert DTypeSpec(0.5, ONE).sign == 1.0
+    assert SynthesisSpec(0.5, ONE, ONE, ONE, ONE) == SynthesisSpec(0.5, ONE, ONE, ONE, ONE, 1.0, None)
     assert CurveSpec("c", S, V) == CurveSpec("c", S, V, None, None)
 
 
@@ -187,9 +177,9 @@ def test_param_domain_rejects_bad_boxes(args, message):
 
 
 @pytest.mark.parametrize("sign", [0.0, 0.5, 2.0])
-def test_dtype_spec_rejects_bad_signs(sign):
+def test_synthesis_spec_rejects_bad_signs(sign):
     with pytest.raises(ValueError, match=r"sign must be \+1.0 or -1.0"):
-        DTypeSpec(0.5, ONE, sign)
+        SynthesisSpec(0.5, ONE, ONE, ONE, ONE, sign)
 
 
 def test_kernel_caches_keep_a_dict_and_stay_out_of_equality():
@@ -199,8 +189,8 @@ def test_kernel_caches_keep_a_dict_and_stay_out_of_equality():
     warm._point_values(0.5, 0.0)
     assert "_point_values" in vars(warm)
     assert warm == CURVE and hash(warm) == hash(CURVE)
-    # synthesis compiles sigma with m and n, so DTypeSpec caches no kernel
-    assert not hasattr(DTypeSpec(0.5, ONE), "__dict__")
+    # synthesis compiles sigma with l, m and n, so SynthesisSpec caches no kernel
+    assert not hasattr(SynthesisSpec(0.5, ONE, ONE, ONE, ONE), "__dict__")
 
 
 @pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
@@ -255,7 +245,8 @@ MOVED_TO_ORACLES = {
 
 def test_the_package_holds_only_what_the_commands_run():
     gone = ("Jet3", "eval_jet3", "NormalComponents", "required_normal_components",
-            "corollary_components", "classify_dtype", "eval_expr", "fresnel_s", "fresnel_c")
+            "corollary_components", "classify_dtype", "eval_expr", "fresnel_s", "fresnel_c",
+            "DTypeSpec", "ControlCoefficients", "apply_control_coefficients")
     for name in gone:
         assert name not in g3pencil.__all__ and not hasattr(g3pencil, name), name
     for name in ("classify_dtype", "_GEODESIC_TOL", "_radicand"):
@@ -263,7 +254,13 @@ def test_the_package_holds_only_what_the_commands_run():
     # one kernel per synthesis for m, n and sigma; the grid size is a tuple
     assert not hasattr(sys.modules["g3pencil.exprjet"], "compile_expr")
     assert not hasattr(sys.modules["g3pencil.config"], "GridSpec")
-    assert not hasattr(DTypeSpec, "_sigma")
+    assert not hasattr(SynthesisSpec, "_sigma")
+    # one record holds the synthesis input; control is applied where a scale is built
+    for name in ("DTypeSpec", "ControlCoefficients", "ProductFactors", "apply_control_coefficients"):
+        assert not hasattr(sys.modules["g3pencil.pencil"], name), name
+    assert not hasattr(sys.modules["g3pencil.config"], "SynthesisMS")
+    assert not hasattr(sys.modules["g3pencil.errors"], "NotProductForm")
+    assert "control" not in PencilConfig._fields and "product" not in MarchingScale._fields
     for module, names in MOVED_TO_ORACLES.items():
         for name in names:
             assert not hasattr(sys.modules[module], name), f"{module}.{name}"

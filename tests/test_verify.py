@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from g3pencil.curve import anti_salkowski, frenet, fresnel_helix
 from g3pencil.exprjet import KinkWarning, parse
 from g3pencil.pencil import (
-    DTypeSpec,
     MarchingScale,
     ParamDomain,
+    SynthesisSpec,
     product_marching_scale,
     synthesize_product_form,
 )
@@ -43,13 +43,13 @@ def dom39():
 
 @pytest.fixture(scope="module")
 def ms38(helix, dom38):
-    return synthesize_product_form(helix, DTypeSpec(0.5, ONE), ONE, ONE, NEG_ONE, dom38)
+    return synthesize_product_form(helix, SynthesisSpec(0.5, ONE, ONE, ONE, NEG_ONE), dom38)
 
 
 @pytest.fixture(scope="module")
 def ms39(antis, dom39):
-    dtype = DTypeSpec(SQRT3_2, parse("1/cosh(s/4)"))
-    return synthesize_product_form(antis, dtype, ONE, ONE, NEG_ONE, dom39)
+    synth = SynthesisSpec(SQRT3_2, parse("1/cosh(s/4)"), ONE, ONE, NEG_ONE)
+    return synthesize_product_form(antis, synth, dom39)
 
 
 def printed_39_marching():
@@ -84,7 +84,7 @@ class TestDTypeReport:
             raise AssertionError("fd mode called analytic surface_normal")
 
         ms = synthesize_product_form(
-            helix, DTypeSpec(0.5, ONE), ONE, ONE, NEG_ONE, dom38
+            helix, SynthesisSpec(0.5, ONE, ONE, ONE, NEG_ONE), dom38
         )
         monkeypatch.setattr(verify_module, "surface_normal", forbidden)
         rep = dtype_report(helix, ms, dom38, 16, "fd")
@@ -105,12 +105,12 @@ class TestDTypeReport:
         assert not rep.holds
 
     def test_asymptotic_classification(self, helix, dom38):
-        ms = synthesize_product_form(helix, DTypeSpec(0.0, ONE), ONE, ONE, NEG_ONE, dom38)
+        ms = synthesize_product_form(helix, SynthesisSpec(0.0, ONE, ONE, ONE, NEG_ONE), dom38)
         rep = dtype_report(helix, ms, dom38, 32)
         assert rep.classification == "asymptotic"
 
     def test_geodesic_classification(self, helix, dom38):
-        ms = synthesize_product_form(helix, DTypeSpec(4.0, ONE), ONE, ONE, NEG_ONE, dom38)
+        ms = synthesize_product_form(helix, SynthesisSpec(4.0, ONE, ONE, ONE, NEG_ONE), dom38)
         rep = dtype_report(helix, ms, dom38, 32)
         assert rep.classification == "geodesic"
 
