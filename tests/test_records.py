@@ -50,6 +50,8 @@ RECORDS = [
         SynthesisSpec,
         dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Num(-1.0), sign=-1.0, control=(1.0, 3.0, 5.0)),
     ),
+    # and at its defaults, as a synthesis block without control is loaded
+    (SynthesisSpec, dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Num(-1.0), sign=1.0, control=None)),
     (NormalComponents, dict(phi1=0.0, phi2=1.0, phi3=0.0, theta=0.0)),
     (PencilSpec, dict(curve=CURVE, marching=SCALE, domain=DOMAIN)),
     (VerifySpec, dict(mode="fd", tol=1e-5, samples=100)),
@@ -77,7 +79,11 @@ RECORDS = [
         ),
     ),
 ]
-IDS = [cls.__name__ for cls, _ in RECORDS]
+# A record's second row is named for its defaults.
+IDS = [
+    cls.__name__ + ("-defaults" if any(c is cls for c, _ in RECORDS[:i]) else "")
+    for i, (cls, _) in enumerate(RECORDS)
+]
 
 
 @pytest.mark.parametrize("cls, kw", RECORDS, ids=IDS)
