@@ -87,6 +87,12 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _object(doc, path: str) -> dict:
+    if not isinstance(doc, dict):
+        raise SchemaError(path, "expected an object")
+    return doc
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
@@ -128,24 +134,21 @@ def _curve_config(doc, path: str) -> str | CurveSpec:
 def _marching_config(doc, path: str) -> tuple[str, dict]:
     """The one block's kind and its entries: the expressions of a direct or
     product block by key, or the fields of a :class:`SynthesisSpec`."""
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
+    _object(doc, path)
     blocks = [k for k in ("direct", "product", "synthesis") if k in doc]
     if len(blocks) != 1:
         raise SchemaError(
             path, f"exactly one of direct, product, synthesis required, found {blocks}"
         )
     kind = blocks[0]
-    block = doc[kind]
-    if not isinstance(block, dict):
-        raise SchemaError(f"{path}.{kind}", "expected an object")
     p = f"{path}.{kind}"
+    block = _object(doc[kind], p)
 
     def exprs(*keys: str) -> dict[str, Expr]:
         return {k: _expr(_need(block, k, p), f"{p}.{k}") for k in keys}
 
     if kind == "direct":
-        return kind, exprs("alpha", "beta", "gamma")
+        return kind, exprs(*MarchingScale._fields)
     if kind == "product":
         return kind, exprs("l", "m", "n", "X", "Y", "Z")
     sign_text = block.get("sign", "+")
@@ -168,35 +171,21 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
             )
     control = None
     if "control" in doc:
-        cdoc = doc["control"]
-        if not isinstance(cdoc, dict):
-            raise SchemaError(f"{path}.control", "expected an object")
+        cdoc = _object(doc["control"], f"{path}.control")
         control = tuple(_number(cdoc.get(k, 1.0), f"{path}.control.{k}") for k in "abc")
-    ddoc = _need(doc, "domain", path)
-    if not isinstance(ddoc, dict):
-        raise SchemaError(f"{path}.domain", "expected an object")
+    p = f"{path}.domain"
+    ddoc = _object(_need(doc, "domain", path), p)
+    values = [_number(_need(ddoc, k, p), f"{p}.{k}") for k in ParamDomain._fields]
     try:
-        domain = ParamDomain(
-            s_min=_number(_need(ddoc, "s_min", f"{path}.domain"), f"{path}.domain.s_min"),
-            s_max=_number(_need(ddoc, "s_max", f"{path}.domain"), f"{path}.domain.s_max"),
-            v_min=_number(_need(ddoc, "v_min", f"{path}.domain"), f"{path}.domain.v_min"),
-            v_max=_number(_need(ddoc, "v_max", f"{path}.domain"), f"{path}.domain.v_max"),
-            v0=_number(_need(ddoc, "v0", f"{path}.domain"), f"{path}.domain.v0"),
-        )
+        domain = ParamDomain(*values)
     except ValueError as exc:
-        raise SchemaError(f"{path}.domain", str(exc)) from exc
-    gdoc = _need(doc, "grid", path)
-    if not isinstance(gdoc, dict):
-        raise SchemaError(f"{path}.grid", "expected an object")
-    grid = (
-        _integer(_need(gdoc, "ns", f"{path}.grid"), f"{path}.grid.ns"),
-        _integer(_need(gdoc, "nv", f"{path}.grid"), f"{path}.grid.nv"),
-    )
+        raise SchemaError(p, str(exc)) from exc
+    p = f"{path}.grid"
+    gdoc = _object(_need(doc, "grid", path), p)
+    grid = tuple(_integer(_need(gdoc, k, p), f"{p}.{k}") for k in ("ns", "nv"))
     if min(grid) < 2:
-        raise SchemaError(f"{path}.grid", "grid counts must be at least 2")
-    vdoc = doc.get("verify", {})
-    if not isinstance(vdoc, dict):
-        raise SchemaError(f"{path}.verify", "expected an object")
+        raise SchemaError(p, "grid counts must be at least 2")
+    vdoc = _object(doc.get("verify", {}), f"{path}.verify")
     mode = vdoc.get("mode", "analytic")
     if mode not in ("analytic", "fd"):
         raise SchemaError(f"{path}.verify.mode", "expected 'analytic' or 'fd'")

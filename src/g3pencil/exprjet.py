@@ -9,7 +9,8 @@ Grammar (whitespace between tokens is ignored)::
     atom   = NUMBER | "pi" | "s" | "v" | FUNC "(" expr ")" | "(" expr ")"
     FUNC   = "sin" | "cos" | "tan" | "sinh" | "cosh" | "exp" | "ln"
            | "sqrt" | "abs" | "fresnelS" | "fresnelC"
-    NUMBER = digits [ "." digits ] [ ("e" | "E") [sign] digits ] | "." digits
+    NUMBER = digits [ "." [ digits ] ] [ exponent ] | "." digits [ exponent ]
+    exponent = ("e" | "E") [ "+" | "-" ] digits
 
 Digits are the ASCII digits 0-9, and a NUMBER must be finite as a double:
 the parser refuses ``1e999`` with a ParseError at its offset.
@@ -47,6 +48,7 @@ at every point, raises DomainError there.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from typing import Callable, Sequence, Union
 
@@ -150,57 +152,35 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 # ---------------------------------------------------------------------------
 
 
-class _Token(Record):
-    __slots__ = _fields = ("kind", "text", "pos")
+# The tokens, tried in order at each offset: whitespace (the characters
+# str.isspace accepts), a NUMBER of ASCII digits, a word, an operator or
+# parenthesis, and any other character, which is refused.  No word or
+# number is spelled like an operator, so an operator's text alone tells it.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)"
+    r"|(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>\w+)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>.)"
+)
 
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # "num", "ident", "op", "end"
-        self.text = text
-        self.pos = pos
+# A token: its kind ("num", "ident", "op" or "end"), text and offset.
+_Tok = tuple[str, str, int]
 
 
-_DIGITS = frozenset("0123456789")  # the grammar's digits: ASCII only, as float() reads them
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[_Tok]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j] in _DIGITS:
-                    i = j
-                    while i < n and text[i] in _DIGITS:
-                        i += 1
-            tokens.append(_Token("num", text[start:i], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+        word = m.group()
+        # \w also matches digits and numerals other than ASCII ones, which
+        # start no word
+        if kind == "bad" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", m.start())
+        tokens.append((kind, word, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -214,26 +194,33 @@ def _too_deep(pos: int) -> ParseError:
     return ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
 
 
+# Each binary operator's binding: an operator binds tighter than those
+# below it.  "+ -" and "* /" associate to the left; "^" associates to the
+# right and binds tighter than unary minus.
+_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+_BINDING = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Tok]):
         self.tokens = tokens
         self.i = 0
         self.open = 0  # factors being parsed, one per level of nesting
 
     @property
-    def tok(self) -> _Token:
+    def tok(self) -> _Tok:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> _Tok:
         t = self.tok
         self.i += 1
         return t
 
     def expect_op(self, op: str) -> None:
-        if self.tok.kind == "op" and self.tok.text == op:
-            self.advance()
-            return
-        raise ParseError(f"expected {op!r}", self.tok.pos)
+        _, text, pos = self.tok
+        if text != op:
+            raise ParseError(f"expected {op!r}", pos)
+        self.i += 1
 
     def node(self, node: Expr, pos: int) -> Expr:
         """node, built at pos, unless it is deeper than MAX_DEPTH."""
@@ -241,27 +228,22 @@ class _Parser:
             raise _too_deep(pos)
         return node
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.tok.kind == "op" and self.tok.text in "+-":
-            t = self.advance()
-            node = self.node(BinOp(t.text, node, self.parse_term()), t.pos)
-        return node
-
-    def parse_term(self) -> Expr:
+    def parse_expr(self, binding: int = _ADD) -> Expr:
+        """Factors joined by the left-associative operators that bind at
+        ``binding`` or tighter; parse_power reads every "^"."""
         node = self.parse_factor()
-        while self.tok.kind == "op" and self.tok.text in "*/":
-            t = self.advance()
-            node = self.node(BinOp(t.text, node, self.parse_factor()), t.pos)
+        while _BINDING.get(self.tok[1], 0) >= binding:
+            _, op, pos = self.advance()
+            node = self.node(BinOp(op, node, self.parse_expr(_BINDING[op] + 1)), pos)
         return node
 
     def parse_factor(self) -> Expr:
         # every nested group, argument, exponent or negated operand opens one
         self.open += 1
         if self.open > MAX_DEPTH:
-            raise _too_deep(self.tok.pos)
-        if self.tok.kind == "op" and self.tok.text == "-":
-            pos = self.advance().pos
+            raise _too_deep(self.tok[2])
+        if self.tok[1] == "-":
+            pos = self.advance()[2]
             node = self.node(Neg(self.parse_factor()), pos)
         else:
             node = self.parse_power()
@@ -270,9 +252,8 @@ class _Parser:
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        if self.tok.kind == "op" and self.tok.text == "^":
-            pos = self.tok.pos
-            self.advance()
+        if self.tok[1] == "^":
+            pos = self.advance()[2]
             expo = self.parse_factor()
             if expo.reads:
                 raise ParseError("exponent must be a constant expression", pos)
@@ -280,31 +261,28 @@ class _Parser:
         return base
 
     def parse_atom(self) -> Expr:
-        t = self.tok
-        if t.kind == "num":
-            self.advance()
-            value = float(t.text)
+        kind, text, pos = self.advance()
+        if kind == "num":
+            value = float(text)
             if math.isinf(value):
-                raise ParseError(f"number {t.text!r} is too large for a double", t.pos)
+                raise ParseError(f"number {text!r} is too large for a double", pos)
             return Num(value)
-        if t.kind == "ident":
-            self.advance()
-            if t.text in VARIABLES:
-                return Var(t.text)
-            if t.text == "pi":
+        if kind == "ident":
+            if text in VARIABLES:
+                return Var(text)
+            if text == "pi":
                 return Num(math.pi)
-            if t.text in FUNCTIONS:
+            if text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return self.node(Call(t.text, arg), t.pos)
-            raise ParseError(f"unknown identifier {t.text!r}", t.pos)
-        if t.kind == "op" and t.text == "(":
-            self.advance()
+                return self.node(Call(text, arg), pos)
+            raise ParseError(f"unknown identifier {text!r}", pos)
+        if text == "(":
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        raise ParseError("expected a number, variable, function or '('", t.pos)
+        raise ParseError("expected a number, variable, function or '('", pos)
 
 
 def parse(text: str) -> Expr:
@@ -317,8 +295,9 @@ def parse(text: str) -> Expr:
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
-    if parser.tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {parser.tok.text!r}", parser.tok.pos)
+    kind, rest, pos = parser.tok
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {rest!r}", pos)
     return node
 
 
@@ -326,25 +305,13 @@ def parse(text: str) -> Expr:
 # Printing
 # ---------------------------------------------------------------------------
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, BinOp):
-        if expr.op in "+-":
-            return _PREC_ADD
-        if expr.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(expr, Neg):
-        return _PREC_NEG
-    if isinstance(expr, Num) and expr.value < 0:
-        return _PREC_NEG
-    return _PREC_ATOM
+        return _BINDING[expr.op]
+    if isinstance(expr, Neg) or (isinstance(expr, Num) and expr.value < 0):
+        return _NEG
+    return _ATOM
 
 
 def _render(expr: Expr, min_prec: int) -> str:
@@ -353,18 +320,17 @@ def _render(expr: Expr, min_prec: int) -> str:
     elif isinstance(expr, Var):
         out = expr.name
     elif isinstance(expr, Neg):
-        out = "-" + _render(expr.arg, _PREC_NEG)
+        out = "-" + _render(expr.arg, _NEG)
     elif isinstance(expr, Call):
         out = f"{expr.func}({_render(expr.arg, 0)})"
+    elif expr.op == "^":
+        # right associative; the base must be an atom to survive reparsing
+        out = f"{_render(expr.left, _ATOM)}^{_render(expr.right, _NEG)}"
     else:
-        if expr.op in "+-":
-            # left associative: the right child needs strictly higher binding
-            out = f"{_render(expr.left, _PREC_ADD)} {expr.op} {_render(expr.right, _PREC_ADD + 1)}"
-        elif expr.op in "*/":
-            out = f"{_render(expr.left, _PREC_MUL)}{expr.op}{_render(expr.right, _PREC_MUL + 1)}"
-        else:
-            # right associative; the base must be an atom to survive reparsing
-            out = f"{_render(expr.left, _PREC_ATOM)}^{_render(expr.right, _PREC_NEG)}"
+        # left associative: the right child needs strictly higher binding
+        binding = _BINDING[expr.op]
+        left, right = _render(expr.left, binding), _render(expr.right, binding + 1)
+        out = f"{left} {expr.op} {right}" if binding == _ADD else f"{left}{expr.op}{right}"
     if _prec(expr) < min_prec:
         return f"({out})"
     return out

@@ -165,8 +165,8 @@ def dtype_report(
     from central differences of surface positions (step = eps^(1/3) of
     the domain extent per direction), so agreement with analytic mode
     cross-checks the normal only: the frame and the Darboux axis come from
-    the same :func:`frenet` in both modes.  Degenerate normals are flagged
-    per sample and excluded from the statistics.
+    the same :func:`frenet` in both modes.  Normals that are degenerate or
+    not finite are flagged per sample and excluded from the statistics.
     """
     if n_samples < MIN_REPORT_SAMPLES:
         raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")
@@ -188,7 +188,7 @@ def dtype_report(
             eta = surface_normal(curve, ms, s, v0, frame=fr)
         else:
             eta = _fd_normal(curve, ms, s, v0, h_s, h_v, fr, point(curve, s))
-        if not isotropic_norm(eta) >= DEGENERATE_NORM:  # tiny or NaN
+        if not DEGENERATE_NORM <= isotropic_norm(eta) < math.inf:  # tiny, infinite or NaN
             samples.append(InvariantSample(s, math.nan, True))
             continue
         eta1 = normalize_isotropic(eta)

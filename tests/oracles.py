@@ -834,10 +834,10 @@ def normal_consistency(
                 continue
             eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, fr, r)
             if not (
-                isotropic_norm(eta_a) >= DEGENERATE_NORM
-                and isotropic_norm(eta_f) >= DEGENERATE_NORM
+                DEGENERATE_NORM <= isotropic_norm(eta_a) < math.inf
+                and DEGENERATE_NORM <= isotropic_norm(eta_f) < math.inf
             ):
-                continue  # tiny or NaN
+                continue  # tiny, infinite or NaN
             ua = normalize_isotropic(eta_a)
             uf = normalize_isotropic(eta_f)
             angle = math.atan2(abs(isotropic_wedge(ua, uf)), dot(ua, uf))

@@ -93,6 +93,15 @@ VALID_CASES = [
     ("cosh(s/4)", math.cosh(0.5)),
     ("sin(s)^2 + cos(s)^2", 1.0),
     ("1/(1+v)", 0.25),
+    # the NUMBER rule's optional parts
+    ("1.", 1.0),
+    ("1.e5", 1e5),
+    (".5e3", 500.0),
+    ("2.5E-3", 0.0025),
+    # whitespace is every character str.isspace accepts
+    ("s\u00a0+\u2003v", 5.0),
+    ("s\x1c*v", 6.0),
+    ("sin\u3000(s)", math.sin(S0)),
 ]
 
 INVALID_CASES = [
@@ -149,8 +158,21 @@ def test_parse_refuses_nesting_deeper_than_max_depth(text, offset):
         ("s*1e999", "number '1e999' is too large for a double", 2),
         ("-1e309", "number '1e309' is too large for a double", 1),
         ("2^(1+.5e400)", "number '.5e400' is too large for a double", 5),
+        # an exponent without digits, or a second point, ends the number
+        ("1e", "unexpected trailing input 'e'", 1),
+        ("1e+", "unexpected trailing input 'e'", 1),
+        ("1..2", "unexpected trailing input '.2'", 2),
+        # a word starts with a letter or "_" and runs on over digits of any script
+        ("\u00e9*s", "unknown identifier '\u00e9'", 0),
+        ("s*x\u00b2", "unknown identifier 'x\u00b2'", 2),
+        ("_s", "unknown identifier '_s'", 0),
+        # numerals are neither digits nor letters
+        ("\u2167", "unexpected character '\u2167'", 0),  # Roman numeral eight
+        ("\u00bd", "unexpected character '\u00bd'", 0),  # vulgar fraction one half
     ],
-    ids=["superscript", "arabic-indic", "after-point", "overflow", "negated", "exponent"],
+    ids=["superscript", "arabic-indic", "after-point", "overflow", "negated", "exponent",
+         "bare-e", "bare-e-sign", "two-points", "accented-word", "superscript-in-word",
+         "underscore-word", "roman-numeral", "vulgar-fraction"],
 )
 def test_numbers_are_ascii_digits_and_finite(text, message, offset):
     with pytest.raises(ParseError) as info:

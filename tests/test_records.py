@@ -14,7 +14,7 @@ import pytest
 import g3pencil
 from g3pencil.config import PencilConfig, VerifySpec
 from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
-from g3pencil.exprjet import BinOp, Call, Neg, Num, Var, _Token, parse
+from g3pencil.exprjet import BinOp, Call, Neg, Num, Var, parse
 from g3pencil.g3core import G3Vector, Record
 from g3pencil.pencil import MarchingScale, ParamDomain, PencilSpec, SynthesisSpec
 from g3pencil.verify import DTypeReport, InvariantSample
@@ -37,7 +37,6 @@ RECORDS = [
     (Neg, dict(arg=S)),
     (BinOp, dict(op="+", left=S, right=Num(2.0))),
     (Call, dict(func="sin", arg=S)),
-    (_Token, dict(kind="num", text="1", pos=0)),
     (Jet3, dict(c0=1.0, c1=2.0, c2=3.0, c3=4.0)),
     (G3Vector, dict(x=1.0, y=2.0, z=3.0)),
     (CurveSpec, dict(name="c", f=parse("s"), g=parse("s^2/2"), kappa_form=ONE, tau_form=None)),
@@ -267,6 +266,9 @@ def test_the_package_holds_only_what_the_commands_run():
     assert not hasattr(sys.modules["g3pencil.config"], "SynthesisMS")
     assert not hasattr(sys.modules["g3pencil.errors"], "NotProductForm")
     assert "control" not in PencilConfig._fields and "product" not in MarchingScale._fields
+    # one compiled pattern tokenizes expressions
+    for name in ("_Token", "_DIGITS"):
+        assert not hasattr(sys.modules["g3pencil.exprjet"], name), name
     for module, names in MOVED_TO_ORACLES.items():
         for name in names:
             assert not hasattr(sys.modules[module], name), f"{module}.{name}"

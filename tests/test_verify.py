@@ -120,10 +120,20 @@ class TestDTypeReport:
         assert rep.classification == "not-d-type"
         assert math.isnan(rep.mean_lambda)
 
-    @pytest.mark.parametrize("mode", ["analytic", "fd"])
-    def test_nan_normals_are_flagged(self, helix, mode):
-        # beta_v = exp(800) overflows: every normal on the base line is NaN
-        ms = MarchingScale(parse("0"), parse("v*exp(800)"), parse("v"))
+    @pytest.mark.parametrize(
+        "mode, beta",
+        [
+            # beta_v = exp(800) overflows: every normal on the base line is NaN
+            ("analytic", "v*exp(800)"),
+            ("fd", "v*exp(800)"),
+            # beta_v = 1e310 overflows: every analytic normal is infinite
+            ("analytic", "sinh(1e300*v)*1e10"),
+            ("fd", "sinh(1e300*v)*1e10"),
+        ],
+        ids=["analytic", "fd", "analytic-infinite", "fd-infinite"],
+    )
+    def test_nan_normals_are_flagged(self, helix, mode, beta):
+        ms = MarchingScale(parse("0"), parse(beta), parse("v"))
         dom = ParamDomain(0.5, 3.0, 0.0, 1.0, 0.0)
         rep = dtype_report(helix, ms, dom, 16, mode)
         assert all(p.flagged and math.isnan(p.lambda_hat) for p in rep.samples)
