@@ -18,12 +18,12 @@ A document looks like::
 
 Exactly one marching-scale block must be present.  A direct block's alpha,
 beta and gamma, and a product block's X, Y and Z, must vanish at v = v0
-(checked at five points of the s range).  All expression strings use the
-grammar documented in :mod:`g3pencil.exprjet` and are parsed eagerly so
-errors surface at load time.  Explicit curves may carry
-optional "kappa" and "tau" closed forms, which synthesis requires.  Every
-number must be finite (json's NaN and Infinity literals are rejected),
-v_min must be below v_max, and a configured "tol" must be above 0.
+(see :func:`_check_base_line`).  All expression strings use the grammar
+documented in :mod:`g3pencil.exprjet` and are parsed eagerly so errors
+surface at load time.  Explicit curves may carry optional "kappa" and "tau"
+closed forms, which synthesis requires.  Every number must be finite
+(json's NaN and Infinity literals are rejected), and so must the s and v
+extents; v_min must be below v_max, and a configured "tol" must be above 0.
 
 A document parses into the pencil's own records: the curve stays a builtin
 name or becomes the explicit :class:`CurveSpec`, a direct or product block
@@ -50,8 +50,6 @@ from .pencil import (
     synthesize_product_form,
 )
 from .verify import MIN_REPORT_SAMPLES
-
-_MS_VANISH_TOL = 1e-12
 
 
 class VerifySpec(Record):
@@ -201,39 +199,41 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
     if kind == "synthesis":
         marching = SynthesisSpec(**entries, control=control)
     else:
-        # the last three entries are alpha, beta, gamma or X, Y, Z
-        _check_base_line(list(entries.items())[-3:], domain, f"{path}.marching_scale.{kind}")
-        if kind == "product":
-            marching = product_marching_scale(*entries.values(), control)
-        elif control is not None:
-            raise SchemaError(f"{path}.control", "not allowed beside a direct block")
+        direct = kind == "direct"
+        labels = MarchingScale._fields if direct else ("X", "Y", "Z")  # unscaled by control
+        marching = MarchingScale(*entries.values()) if direct else product_marching_scale(
+            *entries.values(), control)
+        try:
+            values_at = marching._values if direct else compile_values([entries[k] for k in labels])
+        except DomainError:
+            pass  # a constant part fails, as every point would
         else:
-            marching = MarchingScale(*entries.values())
+            _check_base_line(values_at, labels, domain, f"{path}.marching_scale.{kind}")
+        if direct and control is not None:
+            raise SchemaError(f"{path}.control", "not allowed beside a direct block")
     return PencilConfig(curve=curve, marching=marching, domain=domain, grid=grid, verify=verify)
 
 
-def _check_base_line(factors: list[tuple[str, Expr]], d: ParamDomain, path: str) -> None:
-    """Each named factor must vanish on the base line v = v0 (checked numerically).
+def _check_base_line(values_at, labels: tuple[str, ...], d: ParamDomain, path: str) -> None:
+    """The entries of one values kernel, named by ``labels``, must vanish at v = v0.
 
-    Each factor gets its own kernel, so they are checked apart, in turn.
-    A factor whose kernel fails to compile is skipped, as every point of
-    it would be, and so is a point where a factor fails.
+    The kernel runs once at each of five points of the s range, and a point
+    where it fails is skipped for every entry (the grid guards handle domain
+    gaps later); then each entry in turn raises at its first point.
     """
-    for label, factor in factors:
+    points = []
+    for i in range(5):
+        s = d.s_min + (d.s_max - d.s_min) * (i + 0.5) / 5.0
         try:
-            value_at = compile_values((factor,))
+            points.append((s, values_at(s, d.v0)))
         except DomainError:
-            continue  # a constant part fails; the grid guards handle it later
-        for i in range(5):
-            s = d.s_min + (d.s_max - d.s_min) * (i + 0.5) / 5.0
-            try:
-                (value,) = value_at(s, d.v0)
-            except DomainError:
-                continue  # domain gaps are handled later by grid guards
-            if not abs(value) <= _MS_VANISH_TOL:  # NaN fails too
+            pass
+    for k, label in enumerate(labels):
+        for s, values in points:
+            if not abs(values[k]) <= 1e-12:  # NaN fails too
                 raise SchemaError(
                     f"{path}.{label}",
-                    f"must vanish at v0 = {d.v0:g}, got {value:g} at s = {s:g}",
+                    f"must vanish at v0 = {d.v0:g}, got {values[k]:g} at s = {s:g}",
                 )
 
 

@@ -70,7 +70,8 @@ _FACTOR_FLOOR = 1e-12
 
 
 class ParamDomain(Record):
-    """Parameter box with s_min < s_max, v_min < v_max and v0 in the v range."""
+    """Parameter box with s_min < s_max, v_min < v_max, v0 in the v range and
+    finite extents s_max - s_min and v_max - v_min."""
 
     __slots__ = _fields = ("s_min", "s_max", "v_min", "v_max", "v0")
 
@@ -86,6 +87,9 @@ class ParamDomain(Record):
             raise ValueError("v0 must lie inside [v_min, v_max]")
         if self.v_min == self.v_max:
             raise ValueError("v_min must be below v_max")
+        for x, extent in (("s", self.s_max - self.s_min), ("v", self.v_max - self.v_min)):
+            if extent == math.inf:  # grid spacings and fd steps are fractions of it
+                raise ValueError(f"{x}_max - {x}_min overflows to inf")
 
 
 class MarchingScale(Record):
@@ -93,7 +97,9 @@ class MarchingScale(Record):
 
     Surface points and normals run through kernels compiled once per
     marching scale, on first use: the values, and the one jet kernel of
-    :func:`surface_normal`, c0 and c1 in s and then c1 in v.
+    :func:`surface_normal`, c0 and c1 in s and then c1 in v.  The values
+    kernel of a direct block is the one its load check and the probes of
+    :func:`usable_domain` run too.
     """
 
     _fields = ("alpha", "beta", "gamma")
@@ -281,7 +287,9 @@ def _div(a: Expr, b: Expr) -> Expr:
 
 
 def _const(x: float) -> Expr:
-    if x < 0:
+    """x as a tree that :func:`~g3pencil.exprjet.to_source` round-trips:
+    no Num is negative, -0.0 included."""
+    if math.copysign(1.0, x) < 0:
         return Neg(Num(-x))
     return Num(x)
 
@@ -376,7 +384,7 @@ def synthesize_product_form(
         if spec.sign < 0:
             phi3_e = Neg(phi3_e)
 
-    x_e = _sub(Var("v"), Num(domain.v0))
+    x_e = _sub(Var("v"), _const(domain.v0))
     y_e = _mul(_div(phi3_e, spec.m), x_e)
     z_e = _mul(_div(Neg(phi2_e), spec.n), x_e)
     return product_marching_scale(spec.l, spec.m, spec.n, x_e, y_e, z_e, spec.control)

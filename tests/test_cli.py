@@ -453,6 +453,17 @@ def test_empty_v_range_fails_at_load(tmp_path, capsys):
     ] * 3
 
 
+@pytest.mark.parametrize("x", ["s", "v"])
+def test_domain_extent_that_overflows_fails_at_load(x, tmp_path, capsys):
+    # analytic verify passed, fd verify flagged every sample, and build
+    # failed at a v that was never configured (nan)
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["domain"].update({f"{x}_min": -1e308, f"{x}_max": 1e308})
+    assert _load_errors(doc, tmp_path, capsys) == [
+        f"error: SchemaError: $.domain: {x}_max - {x}_min overflows to inf\n"
+    ] * 3
+
+
 def test_synthesis_on_a_curve_without_closed_forms_fails_at_load(tmp_path, capsys):
     doc = json.loads(Path("configs/fresnel-helix.json").read_text())
     doc["curve"] = {"f": "s^3/6", "g": "s^4/24"}
@@ -863,8 +874,64 @@ def test_constant_power_in_a_direct_scale_verifies_in_both_modes(tmp_path, capsy
 @pytest.mark.parametrize("alpha", ["v/0", "ln(0)*v"])
 def test_scale_that_fails_to_compile_is_compiled_once(tmp_path, capsys, monkeypatch, alpha):
     # a constant part outside its domain fails every probe, so the scan
-    # ends after one compile of the values kernel, not one per probe; the
-    # load compiles one kernel per scale for its base-line check first
+    # ends after one compile of the values kernel, not one per probe
+    emitters = _count_emitters(monkeypatch)
+    doc = json.loads(Path("configs/anti-salkowski.json").read_text())
+    doc["marching_scale"] = {"direct": {"alpha": alpha, "beta": "v", "gamma": "v"}}
+    path = tmp_path / "fails.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: EmptyDomain: no usable s interval in [-3, 3]\n"
+    # the values kernel at load, for the base-line check, and again before
+    # the first probe: a cached_property that raises keeps nothing
+    assert len(emitters) == 1 + 1
+
+
+@pytest.mark.parametrize(
+    "block, counts",
+    [
+        # classify and frenet compile the frame kernel; verify adds the
+        # kernel of l, m, n and sigma, the scale's values for the probes, and
+        # its normal jets or (fd) the curve's points; build adds the points
+        # and the row kernel
+        (None, (1, 1, 4, 4, 5)),
+        # the scale's values serve the load check and then the probes
+        ({"direct": {"alpha": "0", "beta": "v", "gamma": "-v"}}, (2, 2, 3, 3, 4)),
+        # X, Y and Z are checked before control scales them, so the load
+        # check has a kernel of its own
+        ({"product": {"l": "1", "m": "1", "n": "-1", "X": "v", "Y": "v", "Z": "v"}},
+         (2, 2, 4, 4, 5)),
+    ],
+    ids=["synthesis", "direct", "product"],
+)
+def test_each_command_compiles_each_tree_set_once(block, counts, tmp_path, capsys, monkeypatch):
+    emitters = _count_emitters(monkeypatch)
+    doc = json.loads(Path("configs/fresnel-helix.json").read_text())
+    doc["grid"] = {"ns": 20, "nv": 5}
+    if block is not None:
+        doc["marching_scale"] = block
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    compiled = []
+    for argv in (["classify"], ["frenet", "--at", "1"], ["verify"], ["verify", "--mode", "fd"],
+                 ["build", "-o", str(tmp_path / "out.obj")]):
+        emitters.clear()
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        compiled.append(len(emitters))
+    assert tuple(compiled) == counts
+
+
+@pytest.mark.parametrize("flag", [[], ["--as-printed"]], ids=["corrected", "as-printed"])
+def test_figure_compiles_five_kernels_in_either_form(flag, tmp_path, monkeypatch, recwarn):
+    # an as-printed figure checks its product block with one kernel, where
+    # the corrected one runs synthesis's kernel of l, m, n and sigma
+    emitters = _count_emitters(monkeypatch)
+    assert main(["reproduce", "fig1c", "-o", str(tmp_path), "--grid", "20x5", *flag]) == 0
+    assert len(emitters) == 5
+
+
+def _count_emitters(monkeypatch) -> list:
+    """A list that every `_Emitter` made from now on is appended to."""
     import g3pencil.exprjet
 
     emitters = []
@@ -875,14 +942,7 @@ def test_scale_that_fails_to_compile_is_compiled_once(tmp_path, capsys, monkeypa
         original(self)
 
     monkeypatch.setattr(g3pencil.exprjet._Emitter, "__init__", counting)
-    doc = json.loads(Path("configs/anti-salkowski.json").read_text())
-    doc["marching_scale"] = {"direct": {"alpha": alpha, "beta": "v", "gamma": "v"}}
-    path = tmp_path / "fails.json"
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 2
-    assert capsys.readouterr().err == "error: EmptyDomain: no usable s interval in [-3, 3]\n"
-    # alpha, beta and gamma at load, then the scales' values kernel, before any probe
-    assert len(emitters) == 3 + 1
+    return emitters
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,28 @@ class TestSchema:
             config_from_dict(doc)
         assert "v0" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"s_min": 7.0}, "s_min must be below s_max"),
+            ({"v0": 6.0}, r"v0 must lie inside \[v_min, v_max\]"),
+            ({"v_min": 5.0, "v0": 5.0}, "v_min must be below v_max"),
+            # finite ends whose distance is not: no grid spacing or fd step exists
+            ({"v_min": -1e308, "v_max": 1e308}, "v_max - v_min overflows to inf"),
+            ({"s_min": -1e308, "s_max": 1e308}, "s_max - s_min overflows to inf"),
+        ],
+        ids=["s-inverted", "v0-outside", "v-empty", "v-overflows", "s-overflows"],
+    )
+    def test_domain_rejected(self, entries, message):
+        doc = minimal_doc()
+        doc["domain"].update(entries)
+        with pytest.raises(SchemaError, match=message) as info:
+            config_from_dict(doc)
+        assert info.value.path == "$.domain"
+        # the largest extents that stay finite load
+        doc["domain"].update(s_min=-8e307, s_max=8e307, v_min=-8e307, v_max=8e307, v0=0.0)
+        assert config_from_dict(doc).domain.v_max == 8e307
+
     def test_bad_expression_surfaces_parse_error(self):
         doc = minimal_doc()
         doc["marching_scale"]["synthesis"]["sigma"] = "sin("

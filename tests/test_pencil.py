@@ -20,7 +20,7 @@ from g3pencil.errors import (
     ZeroMarchingFactor,
 )
 from g3pencil.config import config_from_dict, realize
-from g3pencil.exprjet import KinkWarning, parse
+from g3pencil.exprjet import KinkWarning, parse, to_source
 from g3pencil.figures import figure_doc
 from g3pencil.g3core import dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
@@ -340,6 +340,18 @@ class TestSynthesis:
             )
         assert info.value.s == 0.5
         assert str(info.value) == "invariant infeasible at s = 0.5: |ratio| = 1.125 exceeds 1"
+
+    @pytest.mark.parametrize("v0", [-1.0, -0.0, 0.0, 2.5])
+    def test_every_subtree_of_a_synthesized_scale_round_trips(self, helix, v0):
+        # no tree that synthesis builds holds a negative Num, which would
+        # print as a negation and parse back as one
+        dom = ParamDomain(0.1, 2 * math.pi, -2.0, 5.0, v0)
+        ms = synthesize_product_form(helix, spec(0.5, parse("2 + sin(s)")), dom)
+        trees = [ms.alpha, ms.beta, ms.gamma]
+        while trees:
+            tree = trees.pop()
+            assert parse(to_source(tree)) == tree
+            trees += [getattr(tree, f) for f in ("arg", "left", "right") if hasattr(tree, f)]
 
     def test_explicit_curve_without_closed_forms_rejected(self, dom):
         c = CurveSpec("explicit", parse("s^3"), parse("s^4"))
