@@ -39,9 +39,10 @@ import math
 
 from .curve import BUILTIN_CURVES, CurveSpec, fresnel_helix
 from .errors import DomainError, SchemaError
-from .exprjet import Expr, compile_values, parse
+from .exprjet import Expr, compile_or_defer, compile_values, parse
 from .g3core import Record
 from .pencil import (
+    SIGNS,
     MarchingScale,
     ParamDomain,
     PencilSpec,
@@ -49,7 +50,7 @@ from .pencil import (
     product_marching_scale,
     synthesize_product_form,
 )
-from .verify import MIN_REPORT_SAMPLES
+from .verify import MIN_REPORT_SAMPLES, MODES
 
 
 class VerifySpec(Record):
@@ -149,12 +150,11 @@ def _marching_config(doc, path: str) -> tuple[str, dict]:
         return kind, exprs(*MarchingScale._fields)
     if kind == "product":
         return kind, exprs("l", "m", "n", "X", "Y", "Z")
-    sign_text = block.get("sign", "+")
-    if sign_text not in ("+", "-"):
-        raise SchemaError(f"{p}.sign", "expected '+' or '-'")
+    sign = block.get("sign", "+")
+    if sign not in tuple(SIGNS):  # a tuple: a JSON list or object has no hash
+        raise SchemaError(f"{p}.sign", "expected " + " or ".join(map(repr, SIGNS)))
     lam = _number(_need(block, "lambda", p), f"{p}.lambda")
-    sign = 1.0 if sign_text == "+" else -1.0
-    return kind, dict(lam=lam, **exprs("sigma", "l", "m", "n"), sign=sign)
+    return kind, dict(lam=lam, **exprs("sigma", "l", "m", "n"), sign=SIGNS[sign])
 
 
 def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
@@ -185,8 +185,8 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
         raise SchemaError(p, "grid counts must be at least 2")
     vdoc = _object(doc.get("verify", {}), f"{path}.verify")
     mode = vdoc.get("mode", "analytic")
-    if mode not in ("analytic", "fd"):
-        raise SchemaError(f"{path}.verify.mode", "expected 'analytic' or 'fd'")
+    if mode not in MODES:
+        raise SchemaError(f"{path}.verify.mode", "expected " + " or ".join(map(repr, MODES)))
     tol = _number(vdoc["tol"], f"{path}.verify.tol") if "tol" in vdoc else None
     if tol is not None and tol <= 0.0:
         raise SchemaError(f"{path}.verify.tol", "expected a number above 0")
@@ -203,12 +203,9 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
         labels = MarchingScale._fields if direct else ("X", "Y", "Z")  # unscaled by control
         marching = MarchingScale(*entries.values()) if direct else product_marching_scale(
             *entries.values(), control)
-        try:
-            values_at = marching._values if direct else compile_values([entries[k] for k in labels])
-        except DomainError:
-            pass  # a constant part fails, as every point would
-        else:
-            _check_base_line(values_at, labels, domain, f"{path}.marching_scale.{kind}")
+        values_at = marching._values if direct else compile_or_defer(
+            compile_values, [entries[k] for k in labels])
+        _check_base_line(values_at, labels, domain, f"{path}.marching_scale.{kind}")
         if direct and control is not None:
             raise SchemaError(f"{path}.control", "not allowed beside a direct block")
     return PencilConfig(curve=curve, marching=marching, domain=domain, grid=grid, verify=verify)
@@ -219,7 +216,8 @@ def _check_base_line(values_at, labels: tuple[str, ...], d: ParamDomain, path: s
 
     The kernel runs once at each of five points of the s range, and a point
     where it fails is skipped for every entry (the grid guards handle domain
-    gaps later); then each entry in turn raises at its first point.
+    gaps later; a failed compile fails at every point); then each entry in
+    turn raises at its first point.
     """
     points = []
     for i in range(5):

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import groupby
 
 from .errors import CurvatureVanishes, EmptyDomain, G3PencilError, TorsionVanishes
-from .exprjet import Expr, compile_jets, compile_values, parse
+from .exprjet import Expr, compile_jets, compile_or_defer, compile_values, parse
 from .g3core import G3Vector, Record, cross
 
 KAPPA_MIN = 1e-8
@@ -44,7 +44,8 @@ class CurveSpec(Record):
     the frame kernel returns the first three derivatives of f and g and
     never computes their values, which the point kernel gives.  A frame
     therefore costs no Fresnel integral on the built-in helix, and a frame
-    fails only where a derivative does.
+    fails only where a derivative does.  A kernel whose constant part fails
+    is kept failing at every call, so the guard probes compile it once too.
     """
 
     _fields = ("name", "f", "g", "kappa_form", "tau_form")
@@ -66,12 +67,12 @@ class CurveSpec(Record):
     @cached_property
     def _frame_jets(self):
         """(s, v) -> c1, c2, c3 of the jets of f and g in s."""
-        return compile_jets((self.f, self.g), "s", (1, 2, 3))
+        return compile_or_defer(compile_jets, (self.f, self.g), "s", (1, 2, 3))
 
     @cached_property
     def _point_values(self):
         """(s, v) -> values of f and g."""
-        return compile_values((self.f, self.g))
+        return compile_or_defer(compile_values, (self.f, self.g))
 
     @cached_property
     def _guard_verdicts(self) -> dict:

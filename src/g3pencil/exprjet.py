@@ -39,10 +39,12 @@ code for values and jets alike.  The tree oracles in ``tests/oracles.py``,
 one for values and one for jets, are its reference: the code performs
 their operations and checks in the same order, so results agree bitwise,
 and where an oracle fails the code raises the same DomainError, naming the
-node the oracle reaches first.  Constant parts are folded at compile time
+node the oracle reaches first, from a check or from the statement's owner:
+the code has no other handler.  Constant parts are folded at compile time
 by running the emitted statement itself, after its checks, in the
 namespace the code runs in; one that fails, which the oracle would fail on
-at every point, raises DomainError there.
+at every point, raises DomainError there, and :func:`compile_or_defer`
+makes that failure a kernel that raises it at every call.
 """
 
 from __future__ import annotations
@@ -94,6 +96,8 @@ class Num(Record):
     __slots__ = _fields + _CACHED
 
     def __init__(self, value: float):
+        if math.copysign(1.0, value) < 0.0:  # -0.0 too; the parser builds Neg(Num(x))
+            raise ValueError("a constant must not be negative: negate it with Neg")
         self.value = value
         self.reads = _CONST
         self.depth = 1
@@ -309,7 +313,7 @@ def parse(text: str) -> Expr:
 def _prec(expr: Expr) -> int:
     if isinstance(expr, BinOp):
         return _BINDING[expr.op]
-    if isinstance(expr, Neg) or (isinstance(expr, Num) and expr.value < 0):
+    if isinstance(expr, Neg):
         return _NEG
     return _ATOM
 
@@ -350,8 +354,8 @@ def _fail(node: Expr, reason: str) -> DomainError:
     return DomainError(f"{reason} in '{to_source(node)}'")
 
 
-# Math errors that compiled code, and the emitter as it folds constants,
-# re-raise as DomainError.
+# Math errors that an owned statement of compiled code, and the emitter as
+# it folds one, re-raise as DomainError.
 _ARITHMETIC = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -382,14 +386,6 @@ def _cosh(x: float) -> float:
 # Functions that refuse infinite arguments with a DomainError naming the node.
 _TRIG = ("sin", "cos", "tan")
 _INFS = (math.inf, -math.inf)
-
-
-def _infinite_argument(node: Call) -> str:
-    return str(_fail(node, f"{node.func} of an infinite value"))
-
-
-def _kink_message(node: Call) -> str:
-    return f"abs() differentiated at its kink in '{to_source(node)}'"
 
 
 def _kink(message: str) -> None:
@@ -531,6 +527,7 @@ class _Emitter:
             "_DomainError": DomainError,
         }
         self._names: dict[str, _Operand] = {}  # statement text -> its name
+        self._guarded: set[str] = set()  # the conditions checked so far
         self._jets: dict[tuple, tuple[_Operand, ...]] = {}
         self._count = 0
 
@@ -564,8 +561,9 @@ class _Emitter:
         """Operand holding the value of text, which reads operands.
 
         ``guards`` are (condition, operands, message) checks that run
-        before the statement, the first time it is emitted.  A math error
-        that the statement raises names ``owner``, when given.  When every
+        before the statement, the first time it is emitted.  A statement
+        that can raise a math error past its guards (a power, a Fresnel
+        step) is given an ``owner``, which the error then names.  When every
         operand is constant, the guards and then the statement run here,
         in this emitter's namespace, and the operand is the literal of the
         value; the literal is kept for text, so each text folds once.
@@ -577,9 +575,7 @@ class _Emitter:
         if _level(operands) == _CONST:
             try:
                 value = eval(text, self.env)
-            except _ARITHMETIC as exc:
-                if owner is None:
-                    raise
+            except _ARITHMETIC as exc:  # only an owned statement fails past its guards
                 raise _fail(owner, str(exc)) from exc
             out = self._constant(value), _CONST
         else:
@@ -592,7 +588,13 @@ class _Emitter:
         return out
 
     def guard(self, condition: str, operands, message: str) -> None:
-        """Raise DomainError(message) where condition holds: here if operands are constant."""
+        """Raise DomainError(message) where condition holds: here if operands are constant.
+
+        A condition is filed once: a later guard on it, run after the first, never fires.
+        """
+        if condition in self._guarded:
+            return
+        self._guarded.add(condition)
         if _level(operands) != _CONST:
             self._file([f"if {condition}: raise _DomainError({message!r})"], operands, keep=True)
         elif eval(condition, self.env):
@@ -650,12 +652,14 @@ class _Emitter:
     def _argument_guards(self, node: Call, x: _Operand) -> list:
         """The checks on the argument of node, made before node is called."""
         if node.func in _TRIG:
-            return [(f"{x[0]} in _INFS", [x], _infinite_argument(node))]
-        if node.func == "sqrt":
-            return [(f"{x[0]} < 0.0", [x], str(_fail(node, "square root of a negative value")))]
-        if node.func == "ln":
-            return [(f"{x[0]} <= 0.0", [x], str(_fail(node, "log of a non-positive value")))]
-        return []
+            condition, reason = f"{x[0]} in _INFS", f"{node.func} of an infinite value"
+        elif node.func == "sqrt":
+            condition, reason = f"{x[0]} < 0.0", "square root of a negative value"
+        elif node.func == "ln":
+            condition, reason = f"{x[0]} <= 0.0", "log of a non-positive value"
+        else:
+            return []
+        return [(condition, [x], str(_fail(node, reason)))]
 
     # -- jets --------------------------------------------------------------
 
@@ -762,7 +766,7 @@ class _Emitter:
                 f"if {x[0]} > 0.0: {sign[0]} = 1.0",
                 f"elif {x[0]} < 0.0: {sign[0]} = -1.0",
                 "else:",
-                f"    _kink({_kink_message(node)!r})",
+                f"    _kink({str(_fail(node, 'abs() differentiated at its kink'))!r})",
                 f"    {sign[0]} = 1.0",
             ],
             [x],
@@ -826,13 +830,7 @@ def _function(em: _Emitter, results: list[str]) -> Callable:
             kept.append(unit)
             live.update(reads)
     result = "(" + "".join(f"{r}, " for r in results) + ")"
-    source = (
-        "def _compiled(s, v):\n"
-        "    try:\n"
-        + _block(kept[::-1] + [([f"return {result}"],)], 2)
-        + "    except _ARITHMETIC as exc:\n"
-        "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
-    )
+    source = "def _compiled(s, v):\n" + _block(kept[::-1] + [([f"return {result}"],)], 1)
     return em.define(source, "_compiled")
 
 
@@ -845,7 +843,7 @@ def compile_values(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[floa
     DomainError; common subtrees are computed once.  Constant parts are
     folded here by running their statements; one outside its domain, or a
     check on constants that holds (the divisor of ``s/0``), raises
-    DomainError at compile time.
+    DomainError at compile time; see :func:`compile_or_defer`.
     """
     em = _Emitter()
     return _function(em, [em.emit(e)[0] for e in exprs])
@@ -883,6 +881,20 @@ def compile_jets(
         jets = [em.emit_jet(e, var) for e in exprs]
         results += [jet[k][0] for jet in jets for k in orders]
     return _function(em, results)
+
+
+def compile_or_defer(compile: Callable[..., Callable], *args) -> Callable:
+    """``compile(*args)``, or, where a constant part fails there, a kernel that
+    raises a DomainError of that text at every call, for a record to keep."""
+    try:
+        return compile(*args)
+    except DomainError as exc:
+        message = str(exc)
+
+    def failing(s: float, v: float) -> tuple[float, ...]:
+        raise DomainError(message)  # a fresh error: a kept one's traceback grows per raise
+
+    return failing
 
 
 def compile_surface_rows(
@@ -926,13 +938,9 @@ def compile_surface_rows(
     source = (
         "def _columns(v_values):\n"
         "    columns = []\n"
-        "    v = None\n"
-        "    try:\n"
-        "        for v in v_values:\n"
-        + _block(units[_V], 3)
-        + f"            columns.append(({column}))\n"
-        "    except _ARITHMETIC as exc:\n"
-        "        raise _DomainError(f'{exc} at v = {v!r}') from exc\n"
+        "    for v in v_values:\n"
+        + _block(units[_V], 2)
+        + f"        columns.append(({column}))\n"
         "    return columns\n"
         "\n"
         "def _row(s, base, frame, out):\n"
@@ -942,13 +950,9 @@ def compile_surface_rows(
         "    nx, ny, nz = n.x, n.y, n.z\n"
         "    bx, by, bz = b.x, b.y, b.z\n"
         "    extend = out.extend\n"
-        "    v = None\n"
-        "    try:\n"
-        + _block(units[_S], 2)
-        + f"        for {column} in _cols:\n"
-        + _block(units[_SV] + [(point,)], 3)
-        + "    except _ARITHMETIC as exc:\n"
-        "        raise _DomainError(f'{exc} at s = {s!r}, v = {v!r}') from exc\n"
+        + _block(units[_S], 1)
+        + f"    for {column} in _cols:\n"
+        + _block(units[_SV] + [(point,)], 2)
     )
     row = em.define(source, "_row")
     em.env["_cols"] = em.env["_columns"](v_values)

@@ -55,14 +55,9 @@ from .curve import (
     spread_s_values,
     usable_s_intervals,
 )
-from .errors import (
-    EmptyDomain,
-    G3PencilError,
-    InfeasibleLambda,
-    SigmaVanishes,
-    ZeroMarchingFactor,
-)
-from .exprjet import BinOp, Call, Expr, Neg, Num, Var, compile_jets, compile_values
+from .errors import G3PencilError, InfeasibleLambda, SigmaVanishes, ZeroMarchingFactor
+from .exprjet import BinOp, Call, Expr, Neg, Num, Var
+from .exprjet import compile_jets, compile_or_defer, compile_values
 from .g3core import G3Vector, Record, cross
 
 _RADICAND_CLAMP = 1e-12
@@ -97,9 +92,9 @@ class MarchingScale(Record):
 
     Surface points and normals run through kernels compiled once per
     marching scale, on first use: the values, and the one jet kernel of
-    :func:`surface_normal`, c0 and c1 in s and then c1 in v.  The values
-    kernel of a direct block is the one its load check and the probes of
-    :func:`usable_domain` run too.
+    :func:`surface_normal`, c0 and c1 in s and then c1 in v; one whose
+    constant part fails is kept failing at every call.  The values kernel of
+    a direct block is the one its load check and :func:`usable_domain` run.
     """
 
     _fields = ("alpha", "beta", "gamma")
@@ -112,12 +107,14 @@ class MarchingScale(Record):
     @cached_property
     def _values(self):
         """(s, v) -> values of alpha, beta, gamma."""
-        return compile_values((self.alpha, self.beta, self.gamma))
+        return compile_or_defer(compile_values, (self.alpha, self.beta, self.gamma))
 
     @cached_property
     def _normal_jets(self):
         """(s, v) -> c0, c1 in s of alpha, beta, gamma, then their c1 in v."""
-        return compile_jets((self.alpha, self.beta, self.gamma), "s", (0, 1), ("v", (1,)))
+        return compile_or_defer(
+            compile_jets, (self.alpha, self.beta, self.gamma), "s", (0, 1), ("v", (1,))
+        )
 
 
 def product_marching_scale(
@@ -138,6 +135,9 @@ def product_marching_scale(
         a, b, c = control
         x, y, z = _mul(_const(a), x), _mul(_const(b), y), _mul(_const(c), z)
     return MarchingScale(_mul(l, x), _mul(m, y), _mul(n, z))
+
+
+SIGNS = {"+": 1.0, "-": -1.0}  # the sign branch's texts, in configs and --sign
 
 
 class SynthesisSpec(Record):
@@ -165,7 +165,7 @@ class SynthesisSpec(Record):
         self.n = n
         self.sign = sign
         self.control = control
-        if self.sign not in (1.0, -1.0):
+        if self.sign not in SIGNS.values():
             raise ValueError("sign must be +1.0 or -1.0")
 
 
@@ -187,15 +187,11 @@ def usable_domain(
 
     A probe of :func:`usable_s_intervals` passes where the frame exists
     with kappa >= 0.1 and alpha, beta and gamma evaluate at the middle and
-    far edge of the v range.  Raises EmptyDomain when no interval is left,
-    at once if their kernel fails to compile.
+    far edge of the v range.  Raises EmptyDomain when no interval is left.
     """
     d = domain
     v_mid = 0.5 * (d.v_min + d.v_max)
-    try:
-        values = ms._values
-    except G3PencilError:  # a constant part fails, as every probe would
-        raise EmptyDomain(d.s_min, d.s_max) from None
+    values = ms._values
 
     def probe(s: float) -> bool:
         try:

@@ -27,6 +27,7 @@ from .pencil import MarchingScale, ParamDomain, surface_normal, surface_point, u
 
 DEGENERATE_NORM = 1e-12
 MIN_REPORT_SAMPLES = 8
+MODES = ("analytic", "fd")
 ANALYTIC_TOL = 1e-9
 FD_TOL = 1e-5
 # eps^(1/3) balances truncation against rounding in a central difference
@@ -170,7 +171,7 @@ def dtype_report(
     """
     if n_samples < MIN_REPORT_SAMPLES:
         raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")
-    if mode not in ("analytic", "fd"):
+    if mode not in MODES:
         raise ValueError("mode must be 'analytic' or 'fd'")
     if tol is None:
         tol = ANALYTIC_TOL if mode == "analytic" else FD_TOL

@@ -1,16 +1,31 @@
-"""Run one command list on two source trees and report every difference.
+"""Run the same work on two source trees and report every difference.
 
-    python tests/differential.py OLD_SRC NEW_SRC
+    python tests/differential.py OLD_SRC NEW_SRC [--seed N] [--count N]
 
 OLD_SRC and NEW_SRC are directories that hold the ``g3pencil`` package,
-such as the ``src`` of two checkouts.  Each command of ``COMMANDS`` runs in
-a fresh interpreter per tree (``python -m g3pencil.cli``, the tree on
-``PYTHONPATH``), in an empty temporary directory that holds only the
-config documents it names.  The exit code, stdout, stderr (the temporary
+such as the ``src`` of two checkouts.  Two families run, each in a fresh
+interpreter per tree, with the tree on ``PYTHONPATH`` and its own hash
+seed, so output that depends on set or dict order shows as a difference
+even between a tree and itself.  It prints one line per difference and
+one count line per family, and exits 1 on any difference, 0 otherwise.
+It needs only the standard library, and the package of this checkout for
+``tests/oracles.py``, which draws the texts of the compiled family.
+
+The command family: each command of ``COMMANDS`` runs as ``python -m
+g3pencil.cli`` in an empty temporary directory that holds only the config
+documents it names.  The exit code, stdout, stderr (the temporary
 directory's path replaced by ``$DIR``) and every file the command writes
-are compared.  It prints one line per difference and a count line, and
-exits 1 on any difference, 0 otherwise.  It needs only the standard
-library.
+are compared.
+
+The compiled family: ``--count`` triples of expression texts (default
+200), drawn here with ``--seed`` (default 1) from
+``oracles.failure_rich_expression``, go to both trees as the same text.
+Each tree compiles, per triple, its values kernel, its jets in s and in v,
+the jets of orders 1 to 3 in s, the pairs of the surface normal, and its
+surface rows over ``ROW_V`` on one helix frame, and runs them at every
+point of ``SPECIAL_S`` x ``SPECIAL_V`` (the rows at every s of it).  A compile
+and a call each give one outcome: ``float.hex`` of every value, or the
+error's type and text, and the messages of the kink warnings.
 
 The commands are
 
@@ -26,11 +41,16 @@ The commands are
 
 from __future__ import annotations
 
+import argparse
+import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,15 +210,139 @@ def differences(old_src: Path, new_src: Path, commands: list[list[str]]) -> list
     return found
 
 
+# The points the compiled kernels run at: signed zeros, the smallest
+# subnormal, huge and infinite values and NaN, beside ordinary ones
+SPECIAL_S = (0.0, -0.0, 0.5, -2.0, 5e-324, 1e300, math.inf, math.nan)
+SPECIAL_V = (0.0, -0.0, 1.0, -1e300, 5e-324, -math.inf, math.nan)
+# the columns of the surface rows, which a row kernel computes as it is
+# compiled, so that a v-only subtree failing at one fails the compile
+ROW_V = (5e-324, 0.5, 1.0, 3.0, 1e300)
+# the (variable, orders) pairs of each jet kernel
+JET_KERNELS = {
+    "jets in s": (("s", (0, 1, 2, 3)),),
+    "jets in v": (("v", (0, 1, 2, 3)),),
+    "orders 1-3 in s": (("s", (1, 2, 3)),),
+    "normal pairs": (("s", (0, 1)), ("v", (1,))),
+}
+
+
+def draw_texts(seed: int, count: int) -> list[list[str]]:
+    """``count`` triples of failure-rich expression texts, drawn with ``seed``."""
+    from oracles import failure_rich_expression
+
+    rng = random.Random(seed)
+    return [[failure_rich_expression(rng) for _ in range(3)] for _ in range(count)]
+
+
+def _outcome(call) -> tuple[object, list]:
+    """What call() returns, None where it raises, and its error's type and
+    text, or None, with the messages of the kink warnings it gave."""
+    with warnings.catch_warnings(record=True) as kinks:
+        warnings.simplefilter("always")
+        try:
+            result, error = call(), None
+        except Exception as exc:  # the kernels' own errors, or any other
+            result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, [error, [str(w.message) for w in kinks]]
+
+
+def _kernel_outcomes(compile, points, run) -> list:
+    """The outcome of compile(), then, if it compiled, of run(kernel, point) at
+    each point, with float.hex of every value run returns."""
+    kernel, outcome = _outcome(compile)
+    outcomes = [outcome]
+    if kernel is not None:
+        for point in points:
+            values, outcome = _outcome(lambda: run(kernel, point))
+            outcomes.append([None if values is None else [x.hex() for x in values], *outcome])
+    return outcomes
+
+
+def compiled_outcomes(triples: list[list[str]]) -> list[dict]:
+    """Per triple, each kernel's outcomes, from the g3pencil this interpreter imports."""
+    from g3pencil.curve import fresnel_helix, frenet, point
+    from g3pencil.exprjet import compile_jets, compile_surface_rows, compile_values, parse
+
+    helix = fresnel_helix()
+    frame, base = frenet(helix, 1.5), point(helix, 1.5)
+    points = [(s, v) for s in SPECIAL_S for v in SPECIAL_V]
+
+    def rows(row, s):
+        out = []
+        row(s, base, frame, out)
+        return out
+
+    found = []
+    for texts in triples:
+        trees, parsed = _outcome(lambda: [parse(text) for text in texts])
+        if trees is None:
+            found.append({"parse": [parsed]})
+            continue
+        kernels = {"values": (lambda: compile_values(trees))}
+        for name, pairs in JET_KERNELS.items():
+            kernels[name] = lambda pairs=pairs: compile_jets(trees, *pairs[0], *pairs[1:])
+        outcomes = {
+            name: _kernel_outcomes(compile, points, lambda kernel, p: kernel(*p))
+            for name, compile in kernels.items()
+        }
+        outcomes["rows"] = _kernel_outcomes(
+            lambda: compile_surface_rows(*trees, ROW_V), SPECIAL_S, rows
+        )
+        found.append(outcomes)
+    return found
+
+
+def _run_outcomes(src: Path, triples: list[list[str]]):
+    """compiled_outcomes(triples) in a fresh interpreter on ``src``, or its error text."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    proc = subprocess.run(
+        [sys.executable, __file__, "--outcomes"],
+        input=json.dumps(triples), env=env, capture_output=True, text=True, timeout=3600,
+    )
+    if proc.returncode:
+        return f"exit {proc.returncode}: {(proc.stderr.strip().splitlines() or [''])[-1]}"
+    return json.loads(proc.stdout)
+
+
+def compiled_differences(old_src: Path, new_src: Path, seed: int, count: int) -> tuple[list, int]:
+    """One line per outcome that differs between the trees, and the number of outcomes."""
+    triples = draw_texts(seed, count)
+    runs = [_run_outcomes(src, triples) for src in (old_src, new_src)]
+    failed = [f"{side} tree: {run}" for side, run in zip(("old", "new"), runs)
+              if isinstance(run, str)]
+    if failed:
+        return failed, 0
+    found, total = [], 0
+    for texts, a, b in zip(triples, *runs):
+        for name in dict.fromkeys([*a, *b]):
+            for i, (x, y) in enumerate(itertools.zip_longest(a.get(name, []), b.get(name, []))):
+                total += 1
+                if x != y:
+                    found.append(f"{texts} {name} {f'call {i}' if i else 'compile'}: {x} -> {y}")
+    return found, total
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    found = differences(Path(argv[0]), Path(argv[1]), COMMANDS)
+    if argv == ["--outcomes"]:  # the side of the compiled family that runs in a tree
+        print(json.dumps(compiled_outcomes(json.load(sys.stdin))))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the compiled family's draws")
+    parser.add_argument("--count", type=int, default=200, help="triples of the compiled family")
+    args = parser.parse_args(argv)
+    found = differences(args.old_src, args.new_src, COMMANDS)
     for line in found:
         print(line)
     print(f"{len(found)} differences in {len(COMMANDS)} commands")
-    return 1 if found else 0
+    sys.path.append(str(ROOT / "src"))  # tests/oracles.py imports the package
+    compiled, total = compiled_differences(args.old_src, args.new_src, args.seed, args.count)
+    for line in compiled:
+        print(line)
+    print(f"{len(compiled)} differences in {total} compiled outcomes "
+          f"of {args.count} triples (seed {args.seed})")
+    return 1 if found or compiled else 0
 
 
 if __name__ == "__main__":

@@ -61,9 +61,7 @@ from g3pencil.exprjet import (
     _exp,
     _fail,
     _fresnel,
-    _infinite_argument,
     _kink,
-    _kink_message,
     _sinh,
 )
 from g3pencil.g3core import G3Vector, Record, cross, dot, isotropic_norm, normalize_isotropic
@@ -321,7 +319,7 @@ def _evaluate(expr: Expr, s: float, v: float) -> float:
 def _call_value(node: Call, u: float) -> float:
     f = node.func
     if f in _TRIG and u in _INFS:
-        raise DomainError(_infinite_argument(node))
+        raise _fail(node, f"{f} of an infinite value")
     if f == "sin":
         return math.sin(u)
     if f == "cos":
@@ -423,7 +421,7 @@ def _call_jet(node: Call, u: Jet3) -> Jet3:
     f = node.func
     x = u.c0
     if f in _TRIG and x in _INFS:
-        raise DomainError(_infinite_argument(node))
+        raise _fail(node, f"{f} of an infinite value")
     if f == "sin":
         sn, cs = math.sin(x), math.cos(x)
         return _compose(u, sn, cs, -sn, -cs)
@@ -465,7 +463,7 @@ def _call_jet(node: Call, u: Jet3) -> Jet3:
         elif x < 0.0:
             sign = -1.0
         else:
-            _kink(_kink_message(node))
+            _kink(str(_fail(node, "abs() differentiated at its kink")))
             sign = 1.0
         return Jet3(abs(x), sign * u.c1, sign * u.c2, sign * u.c3)
     if f == "fresnelS":

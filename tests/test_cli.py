@@ -882,9 +882,34 @@ def test_scale_that_fails_to_compile_is_compiled_once(tmp_path, capsys, monkeypa
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == "error: EmptyDomain: no usable s interval in [-3, 3]\n"
-    # the values kernel at load, for the base-line check, and again before
-    # the first probe: a cached_property that raises keeps nothing
+    # one values kernel, kept failing at every call, which the load check
+    # (skipping every point) and the probes share; and the curve's frame
+    # kernel, which the guard scan compiles
     assert len(emitters) == 1 + 1
+
+
+def test_curve_that_fails_to_compile_is_compiled_once(tmp_path, capsys, monkeypatch):
+    # the frame kernel fails at every guard probe: it is compiled once, not
+    # once per probe
+    emitters = _count_emitters(monkeypatch)
+    doc = {
+        "curve": {"f": "s^3/6 + sin(s) + ln(0)*s", "g": "cosh(s/2)"},
+        "marching_scale": {"direct": {"alpha": "v", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 1, "s_max": 3, "v_min": 0, "v_max": 1, "v0": 0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+    path = tmp_path / "fails.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["classify"], ["verify"], ["build", "-o", str(tmp_path / "out.obj")]):
+        emitters.clear()
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err == "error: EmptyDomain: no usable s interval in [1, 3]\n"
+        # the scale's values, at load, and the curve's frame kernel
+        assert len(emitters) == 2
+    assert main(["frenet", str(path), "--at", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: DomainError: log of a non-positive value in 'ln(0.0)'\n"
+    )
 
 
 @pytest.mark.parametrize(

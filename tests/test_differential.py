@@ -26,3 +26,28 @@ def test_a_run_holds_what_the_command_gave():
     assert sorted(files) == ["out/fig1b.csv", "out/fig1b.obj"]
     rows = files["out/fig1b.obj"].splitlines()
     assert sum(row.startswith(b"v ") for row in rows) == 40 * 10
+
+
+def test_the_compiled_family_of_a_tree_against_itself_shows_no_difference():
+    # each tree is a fresh interpreter with its own hash seed, so kernel
+    # text or output that follows set or dict order would differ here
+    found, total = differential.compiled_differences(SRC, SRC, seed=1, count=40)
+    assert found == []
+    assert total > 40 * 6 * len(differential.SPECIAL_S)
+
+
+def test_a_compiled_outcome_holds_values_errors_and_kinks():
+    (outcomes,) = differential.compiled_outcomes([["s*v", "abs(s)*v", "sqrt(v)"]])
+    assert list(outcomes) == ["values", *differential.JET_KERNELS, "rows"]
+    values = outcomes["values"]
+    assert values[0] == [None, []]  # compiled
+    assert len(values) == 1 + len(differential.SPECIAL_S) * len(differential.SPECIAL_V)
+    assert values[1] == [["0x0.0p+0"] * 3, None, []]  # (0.0, 0.0)
+    kink = "abs() differentiated at its kink in 'abs(s)'"
+    assert outcomes["jets in s"][1][1:] == [None, [kink]]
+    assert outcomes["jets in v"][1] == [
+        None, "DomainError: derivative of sqrt at zero in 'sqrt(v)'", []
+    ]
+    (failed,) = differential.compiled_outcomes([["v", "v", "ln(0)"]])
+    message = "DomainError: log of a non-positive value in 'ln(0.0)'"
+    assert all(outcomes == [[message, []]] for outcomes in failed.values())

@@ -7,9 +7,10 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g3pencil.curve import FrenetFrame
+from g3pencil.curve import CurveSpec, FrenetFrame
 from g3pencil.errors import DomainError, ParseError
 from g3pencil.exprjet import (
+    FUNCTIONS,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -19,6 +20,7 @@ from g3pencil.exprjet import (
     Var,
     _fresnel_series,
     compile_jets,
+    compile_or_defer,
     compile_surface_rows,
     compile_values,
     parse,
@@ -231,6 +233,31 @@ def test_roundtrip_random_corpus():
         except ParseError:
             continue
         assert parse(to_source(tree)) == tree
+
+
+def _signed(x: float):
+    """x as the parser reads its text: a negative constant is Neg(Num(-x))."""
+    return Neg(Num(-x)) if math.copysign(1.0, x) < 0.0 else Num(x)
+
+
+CONSTANTS = st.floats(allow_nan=False, allow_infinity=False).map(_signed)
+TREES = st.recursive(
+    st.one_of(CONSTANTS, st.sampled_from((Var("s"), Var("v"), Num(math.pi)))),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(BinOp, st.just("^"), sub, CONSTANTS),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+def test_every_tree_round_trips_through_its_text(tree):
+    # no Num is negative, so a minus sign in the text is always a Neg
+    assert parse(to_source(tree)) == tree
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +774,28 @@ def test_compiled_exp_overflows_to_inf():
 def test_compiled_constant_outside_domain_fails_at_compile_time():
     with pytest.raises(DomainError, match="log of a non-positive value"):
         compile_values([parse("s + ln(1 - 1)")])
+
+
+def test_a_failed_compile_is_deferred_to_every_call():
+    message = "log of a non-positive value in 'ln(1.0 - 1.0)'"
+    assert _domain_error(lambda: compile_values([parse("s + ln(1 - 1)")])) == message
+    kernel = compile_or_defer(compile_values, [parse("s + ln(1 - 1)")])
+    errors = []
+    for s in (0.0, 2.0):
+        with pytest.raises(DomainError) as info:
+            kernel(s, 1.0)
+        errors.append(info.value)
+    assert [str(e) for e in errors] == [message] * 2
+    assert errors[0] is not errors[1]  # a fresh error, whose traceback does not grow
+    # a compile that succeeds is returned as it is, and other errors propagate
+    assert compile_or_defer(compile_values, [parse("v/2")])(0.0, 1.0) == (0.5,)
+    with pytest.raises(ValueError, match="orders"):
+        compile_or_defer(compile_jets, [parse("v")], "s", ())
+    # a record keeps the failing kernel, so it compiles once
+    curve = CurveSpec("c", parse("ln(0)*s"), parse("s"))
+    assert curve._frame_jets is curve._frame_jets
+    message = "log of a non-positive value in 'ln(0.0)'"
+    assert _domain_error(lambda: curve._frame_jets(1.0, 0.0)) == message
 
 
 # Constant parts run at compile time.  The texts that fold give the tree

@@ -4,6 +4,7 @@ Every record derives from :class:`g3pencil.g3core.Record`, writes its own
 ``__init__`` and needs nothing generated at import time.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -47,10 +48,10 @@ RECORDS = [
     (MarchingScale, dict(alpha=V, beta=V, gamma=V)),
     (
         SynthesisSpec,
-        dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Num(-1.0), sign=-1.0, control=(1.0, 3.0, 5.0)),
+        dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Neg(ONE), sign=-1.0, control=(1.0, 3.0, 5.0)),
     ),
     # and at its defaults, as a synthesis block without control is loaded
-    (SynthesisSpec, dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Num(-1.0), sign=1.0, control=None)),
+    (SynthesisSpec, dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Neg(ONE), sign=1.0, control=None)),
     (NormalComponents, dict(phi1=0.0, phi2=1.0, phi3=0.0, theta=0.0)),
     (PencilSpec, dict(curve=CURVE, marching=SCALE, domain=DOMAIN)),
     (VerifySpec, dict(mode="fd", tol=1e-5, samples=100)),
@@ -119,7 +120,7 @@ def test_records_with_the_same_field_names_differ_by_class():
             for name, value in zip(self._fields, values):
                 setattr(self, name, value)
 
-    fields = (0.5, ONE, ONE, ONE, Num(-1.0), 1.0, None)
+    fields = (0.5, ONE, ONE, ONE, Neg(ONE), 1.0, None)
     assert Twin(*fields) != SynthesisSpec(*fields)
     assert SynthesisSpec(*fields) != Twin(*fields)
 
@@ -149,9 +150,15 @@ def test_repr_text_is_unchanged():
 
 
 def test_signed_zero_numbers_are_equal():
-    assert Num(0.0) == Num(-0.0)
-    assert hash(Num(0.0)) == hash(Num(-0.0))
     assert Jet3(-0.0) == Jet3(0.0)
+    assert hash(Jet3(-0.0)) == hash(Jet3(0.0))
+
+
+@pytest.mark.parametrize("value", [-1.0, -0.0, -math.inf, -math.nan], ids=str)
+def test_num_refuses_a_value_with_its_sign_bit_set(value):
+    # a negative constant is Neg(Num(x)), as the parser and to_source read it
+    with pytest.raises(ValueError, match="negate it with Neg"):
+        Num(value)
 
 
 def test_defaults():
