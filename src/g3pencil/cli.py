@@ -29,7 +29,6 @@ from .config import build_curve, config_from_dict, load_config, realize
 from .curve import classify_curve, darboux, frenet, point, uniform_grid
 from .g3core import G3Vector, Record
 from .mesh import export_curve_csv, write_mesh
-from .pencil import SIGNS
 from .verify import MODES, dtype_report
 
 EXIT_OK = 0
@@ -127,7 +126,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_build(args) -> int:
     cfg = load_config(args.config)
-    pencil = realize(cfg, as_printed=args.as_printed, sign=SIGNS.get(args.sign))
+    pencil = realize(cfg, as_printed=args.as_printed)
     ns, nv = args.grid or cfg.grid
     kind = "csv" if args.output.endswith(".csv") else "obj"
     write_mesh(pencil, ns, nv, **{kind: args.output}, workers=args.workers)
@@ -137,7 +136,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    pencil = realize(cfg, as_printed=args.as_printed, sign=SIGNS.get(args.sign))
+    pencil = realize(cfg, as_printed=args.as_printed)
     mode = args.mode if args.mode else cfg.verify.mode
     # the configured tolerance belongs to the configured mode; another mode
     # gets its own default
@@ -213,7 +212,6 @@ class _Arg(Record):
 _AS_PRINTED = _Arg("--as-printed", check=None, default=False)
 _GRID = _Arg("--grid", check=_parse_grid, metavar="NSxNV")
 _WORKERS = _Arg("--workers", check=_worker_count, default=1, metavar="N", help=WORKERS_HELP)
-_SIGN = _Arg("--sign", choices=SIGNS)
 
 # name: (help, function, arguments in the order argparse lists them)
 COMMANDS = {
@@ -229,14 +227,12 @@ COMMANDS = {
         _GRID,
         _WORKERS,
         _AS_PRINTED,
-        _SIGN,
     )),
     "verify": ("test the invariant for constancy", _cmd_verify, (
         _Arg("config"),
         _Arg("--mode", choices=MODES),
         _Arg("--tol", check=_tolerance),
         _AS_PRINTED,
-        _SIGN,
     )),
     "reproduce": ("emit a built-in example figure dataset", _cmd_reproduce, (
         _Arg("figure", choices=figures.FIGURES),

@@ -157,43 +157,43 @@ def _marching_config(doc, path: str) -> tuple[str, dict]:
     return kind, dict(lam=lam, **exprs("sigma", "l", "m", "n"), sign=SIGNS[sign])
 
 
-def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
+def config_from_dict(doc: dict) -> PencilConfig:
     if not isinstance(doc, dict):
-        raise SchemaError(path, "top level must be an object")
-    curve = _curve_config(_need(doc, "curve", path), f"{path}.curve")
-    kind, entries = _marching_config(_need(doc, "marching_scale", path), f"{path}.marching_scale")
+        raise SchemaError("$", "top level must be an object")
+    curve = _curve_config(_need(doc, "curve", "$"), "$.curve")
+    kind, entries = _marching_config(_need(doc, "marching_scale", "$"), "$.marching_scale")
     if kind == "synthesis" and isinstance(curve, CurveSpec):
         if curve.kappa_form is None or curve.tau_form is None:
             raise SchemaError(
-                f"{path}.curve", "synthesis needs closed-form kappa and tau on an explicit curve"
+                "$.curve", "synthesis needs closed-form kappa and tau on an explicit curve"
             )
     control = None
     if "control" in doc:
-        cdoc = _object(doc["control"], f"{path}.control")
-        control = tuple(_number(cdoc.get(k, 1.0), f"{path}.control.{k}") for k in "abc")
-    p = f"{path}.domain"
-    ddoc = _object(_need(doc, "domain", path), p)
+        cdoc = _object(doc["control"], "$.control")
+        control = tuple(_number(cdoc.get(k, 1.0), f"$.control.{k}") for k in "abc")
+    p = "$.domain"
+    ddoc = _object(_need(doc, "domain", "$"), p)
     values = [_number(_need(ddoc, k, p), f"{p}.{k}") for k in ParamDomain._fields]
     try:
         domain = ParamDomain(*values)
     except ValueError as exc:
         raise SchemaError(p, str(exc)) from exc
-    p = f"{path}.grid"
-    gdoc = _object(_need(doc, "grid", path), p)
+    p = "$.grid"
+    gdoc = _object(_need(doc, "grid", "$"), p)
     grid = tuple(_integer(_need(gdoc, k, p), f"{p}.{k}") for k in ("ns", "nv"))
     if min(grid) < 2:
         raise SchemaError(p, "grid counts must be at least 2")
-    vdoc = _object(doc.get("verify", {}), f"{path}.verify")
+    vdoc = _object(doc.get("verify", {}), "$.verify")
     mode = vdoc.get("mode", "analytic")
     if mode not in MODES:
-        raise SchemaError(f"{path}.verify.mode", "expected " + " or ".join(map(repr, MODES)))
-    tol = _number(vdoc["tol"], f"{path}.verify.tol") if "tol" in vdoc else None
+        raise SchemaError("$.verify.mode", "expected " + " or ".join(map(repr, MODES)))
+    tol = _number(vdoc["tol"], "$.verify.tol") if "tol" in vdoc else None
     if tol is not None and tol <= 0.0:
-        raise SchemaError(f"{path}.verify.tol", "expected a number above 0")
-    samples = _integer(vdoc.get("samples", 200), f"{path}.verify.samples")
+        raise SchemaError("$.verify.tol", "expected a number above 0")
+    samples = _integer(vdoc.get("samples", 200), "$.verify.samples")
     if samples < MIN_REPORT_SAMPLES:
         raise SchemaError(
-            f"{path}.verify.samples", f"a report needs at least {MIN_REPORT_SAMPLES} samples"
+            "$.verify.samples", f"a report needs at least {MIN_REPORT_SAMPLES} samples"
         )
     verify = VerifySpec(mode=mode, tol=tol, samples=samples)
     if kind == "synthesis":
@@ -205,9 +205,9 @@ def config_from_dict(doc: dict, path: str = "$") -> PencilConfig:
             *entries.values(), control)
         values_at = marching._values if direct else compile_or_defer(
             compile_values, [entries[k] for k in labels])
-        _check_base_line(values_at, labels, domain, f"{path}.marching_scale.{kind}")
+        _check_base_line(values_at, labels, domain, f"$.marching_scale.{kind}")
         if direct and control is not None:
-            raise SchemaError(f"{path}.control", "not allowed beside a direct block")
+            raise SchemaError("$.control", "not allowed beside a direct block")
     return PencilConfig(curve=curve, marching=marching, domain=domain, grid=grid, verify=verify)
 
 
@@ -254,7 +254,7 @@ def load_config(path: str) -> PencilConfig:
         raise SchemaError(path, f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(path, "not valid JSON: nested too deeply") from None
-    return config_from_dict(doc, "$")
+    return config_from_dict(doc)
 
 
 def build_curve(curve: str | CurveSpec, as_printed: bool = False) -> CurveSpec:
@@ -270,20 +270,15 @@ def build_curve(curve: str | CurveSpec, as_printed: bool = False) -> CurveSpec:
     return BUILTIN_CURVES[curve]()
 
 
-def realize(
-    cfg: PencilConfig, *, as_printed: bool = False, sign: float | None = None
-) -> PencilSpec:
+def realize(cfg: PencilConfig, *, as_printed: bool = False) -> PencilSpec:
     """Instantiate the configured pencil member.
 
     ``as_printed`` switches the built-in curve to its historical formula
-    and makes synthesis use the plain construction rule.  ``sign``
-    overrides the sign branch of a synthesis block; a direct or product
-    scale has none.
+    and makes synthesis use the plain construction rule.  A synthesis
+    block takes its sign branch from the document's ``sign``.
     """
     curve = build_curve(cfg.curve, as_printed)
-    marching = spec = cfg.marching
-    if isinstance(spec, SynthesisSpec):
-        if sign is not None:
-            spec = SynthesisSpec(spec.lam, spec.sigma, spec.l, spec.m, spec.n, sign, spec.control)
-        marching = synthesize_product_form(curve, spec, cfg.domain, scaled=not as_printed)
+    marching = cfg.marching
+    if isinstance(marching, SynthesisSpec):
+        marching = synthesize_product_form(curve, marching, cfg.domain, scaled=not as_printed)
     return PencilSpec(curve=curve, marching=marching, domain=cfg.domain)

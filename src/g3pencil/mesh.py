@@ -15,10 +15,11 @@ worker count or on timing.
 from __future__ import annotations
 
 import os
+import stat
 import sys
 import warnings
 from bisect import bisect_left
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from itertools import chain
 from typing import BinaryIO, Callable, Sequence
 
@@ -299,8 +300,12 @@ def write_mesh(
             if obj is not None:
                 files[0].writelines(face_text)
     except BaseException:
+        # remove only a regular file, never a symlink or a device such as
+        # /dev/null, and never let a failed removal hide the build's error
         for fh in files:
-            os.remove(fh.name)
+            with suppress(OSError):
+                if stat.S_ISREG(os.lstat(fh.name).st_mode):
+                    os.remove(fh.name)
         raise
 
 

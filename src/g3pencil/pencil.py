@@ -137,7 +137,7 @@ def product_marching_scale(
     return MarchingScale(_mul(l, x), _mul(m, y), _mul(n, z))
 
 
-SIGNS = {"+": 1.0, "-": -1.0}  # the sign branch's texts, in configs and --sign
+SIGNS = {"+": 1.0, "-": -1.0}  # the texts of a synthesis block's "sign", and their branches
 
 
 class SynthesisSpec(Record):

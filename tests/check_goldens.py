@@ -7,7 +7,8 @@ with ``-m g3pencil.cli`` and the repository's ``src`` on the path, or for
 example the installed console script, ``g3pencil``.  In order it checks
 
 * the eight ``verify`` reports (both shipped configs, both modes, each
-  sign branch: the configured ``+`` and ``--sign -``),
+  sign branch: the shipped documents, whose ``sign`` is ``+``, and copies
+  of them with ``"sign": "-"``, written to the temporary directory),
 * both ``classify`` outputs,
 * ``reproduce fig1b --grid 40x10`` against ``fig1b_40x10.obj``, and its
   one-line warning on stderr,
@@ -26,6 +27,7 @@ interpreters that have no pytest.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -35,8 +37,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = ("fresnel-helix", "anti-salkowski")
-# a verify golden's name suffix, and the arguments that verify run adds
-VERIFY_SIGNS = {"": (), "_sign-": ("--sign", "-")}
+# a verify golden's name suffix, and the sign its document's synthesis
+# block gives, or None for the shipped document as it is
+VERIFY_SIGNS = {"": None, "_sign-": "-"}
 WARNING = b"warning: UserWarning: grid re-spans usable sub-intervals "
 FIGURE_DIGESTS = GOLDEN / "figures.sha256"
 # each run's name, as the digests name it, and the reproduce arguments it adds
@@ -88,9 +91,15 @@ def check(cli: Cli, out: Path) -> None:
     for config in CONFIGS:
         for mode in ("analytic", "fd"):
             for suffix, sign in VERIFY_SIGNS.items():
+                path = ROOT / "configs" / f"{config}.json"
+                if sign is not None:
+                    doc = json.loads(path.read_text())
+                    doc["marching_scale"]["synthesis"]["sign"] = sign
+                    path = out / f"{config}{suffix}.json"
+                    path.write_text(json.dumps(doc))
                 golden = GOLDEN / f"verify_{config}_{mode}{suffix}.json"
-                run = " ".join(("verify", config, "--mode", mode, *sign))
-                got = cli("verify", f"configs/{config}.json", "--mode", mode, *sign).stdout
+                run = f"verify {path.name} --mode {mode}"
+                got = cli("verify", str(path), "--mode", mode).stdout
                 _same(got, golden.read_bytes(), f"{run} against {golden.name}")
                 print(f"ok {run}")
         golden = GOLDEN / f"classify_{config}.txt"

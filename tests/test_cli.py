@@ -149,32 +149,31 @@ def test_build_writes_obj_and_csv(tmp_path, capsys):
 
 
 def test_build_sign_flag_flips_surface(tmp_path, capsys):
-    plus = tmp_path / "plus.obj"
-    minus = tmp_path / "minus.obj"
-    main(["build", "configs/fresnel-helix.json", "-o", str(plus), "--grid", "8x4"])
-    main(["build", "configs/fresnel-helix.json", "-o", str(minus), "--grid", "8x4", "--sign", "-"])
-    capsys.readouterr()
-    assert plus.read_bytes() != minus.read_bytes()
-
-
-def test_build_sign_flag_keeps_the_control_coefficients(tmp_path, capsys):
-    # --sign rebuilds the synthesis input, control coefficients included
+    # the document's "sign" is the one way to choose the branch
     doc = json.loads(Path("configs/fresnel-helix.json").read_text())
-    doc["control"] = {"a": 1 / 3, "b": 1 / 5, "c": 1.0}
 
-    def build(name, *flags):
-        path = tmp_path / f"{name}.json"
+    def build(sign):
+        doc["marching_scale"]["synthesis"]["sign"] = sign
+        path = tmp_path / f"{sign}.json"
         path.write_text(json.dumps(doc))
-        out = tmp_path / f"{name}.obj"
-        assert main(["build", str(path), "-o", str(out), "--grid", "8x4", *flags]) == 0
+        out = tmp_path / f"{sign}.obj"
+        assert main(["build", str(path), "-o", str(out), "--grid", "8x4"]) == 0
         return out.read_bytes()
 
-    flagged = build("flag", "--sign", "-")
-    doc["marching_scale"]["synthesis"]["sign"] = "-"
-    assert flagged == build("config")
-    del doc["control"]
-    assert flagged != build("uncontrolled")
+    assert build("+") != build("-")
     capsys.readouterr()
+
+
+def test_build_and_verify_refuse_the_sign_option(capsys):
+    for argv in (["verify", "configs/fresnel-helix.json", "--sign", "-"],
+                 ["build", "configs/fresnel-helix.json", "-o", "out.obj", "--sign", "-"]):
+        assert _parse_fast(argv) is None
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: g3pencil ")
+        assert err.endswith("error: unrecognized arguments: --sign -\n")
 
 
 def test_reproduce_fig1c(tmp_path, capsys):
@@ -282,6 +281,29 @@ def test_overflowing_direct_scale_exits_2_without_output(tmp_path, capsys):
     assert captured.err.startswith("error: DomainError: non-finite surface point")
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+def test_failed_build_keeps_a_symlinked_output(tmp_path, capsys):
+    # the rows fail past s = 1.9; a failed build removes a regular file it
+    # opened, never a link to one
+    doc = {
+        "curve": "fresnel-helix",
+        "marching_scale": {
+            "direct": {"alpha": "v*exp(30000*(s - 1.9)*v)", "beta": "v", "gamma": "v"}
+        },
+        "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 40, "nv": 10},
+    }
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    keep, link = tmp_path / "keep.obj", tmp_path / "link.obj"
+    keep.write_text("kept\n")
+    link.symlink_to(keep)
+    rc = main(["build", str(path), "-o", str(link)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: DomainError: non-finite surface point")
+    assert link.is_symlink() and keep.is_file()
 
 
 def test_overflowing_sinh_scale_names_the_point(tmp_path, capsys, recwarn):
@@ -1165,7 +1187,6 @@ def _words(dest: str, tmp: Path) -> tuple[tuple[str, ...], tuple[str, ...]]:
         "at": (("2", "-1.5", "-.5", "1e5"), ("-1e5", "nan", "abc", "", "-")),
         "mode": (("analytic", "fd"), ("FD", "", "-")),
         "tol": (("1e-4", "1e-18"), ("0", "-1", "inf", "x")),
-        "sign": (("+", "-"), ("x", "", "-1")),
         "grid": (("6x3", "10X5", "2x2", "6 x 3"), ("1x5", "6x", "-6x3")),
         "workers": (("1", "2"), ("0", "-1", "two")),
         "output": ((str(tmp / "out"), str(tmp / "out.obj"), str(tmp / "out.csv")), ("-x", "--grid")),
@@ -1254,7 +1275,7 @@ def test_fast_parser_accepts_only_what_argparse_reads_the_same(small_files, data
         ["frenet", "configs/fresnel-helix.json", "--at", "-1.5"],
         ["frenet", "--at", "-.5", "--as-printed", "configs/anti-salkowski.json"],
         ["classify", "configs/anti-salkowski.json"],
-        ["verify", "--sign", "-", "--mode", "fd", "configs/anti-salkowski.json", "--tol", "1e-4"],
+        ["verify", "--mode", "fd", "configs/anti-salkowski.json", "--tol", "1e-4"],
         ["build", "configs/fresnel-helix.json", "--grid", "10X5", "-o", "out.obj", "--workers", "2"],
         ["build", "configs/fresnel-helix.json", "--output", "-"],
         ["reproduce", "-o", "out", "fig1c", "--grid", "6 x 3"],
@@ -1280,6 +1301,7 @@ def test_fast_parser_reads_well_formed_argvs_as_argparse_does(argv):
         ["verify", "configs/fresnel-helix.json", "--tol"],
         ["verify", "configs/fresnel-helix.json", "--tol", "0"],
         ["verify", "configs/fresnel-helix.json", "--sign", "x"],
+        ["verify", "configs/fresnel-helix.json", "--sign", "-"],
         ["verify", "configs/fresnel-helix.json", "extra"],
         ["verify", "-"],
         ["frenet", "configs/fresnel-helix.json"],

@@ -280,7 +280,7 @@ class TestRealize:
             marching_scale={"direct": {"alpha": "0", "beta": "v", "gamma": "0"}}
         )
         cfg = config_from_dict(doc)
-        pencil = realize(cfg, sign=-1.0)  # a direct scale has no sign branch
+        pencil = realize(cfg)
         assert pencil.marching is cfg.marching  # parsed scales pass straight through
         assert pencil.marching == MarchingScale(parse("0"), parse("v"), parse("0"))
 
@@ -332,21 +332,17 @@ class TestRealize:
         )
 
     def test_sign_override(self):
-        cfg = config_from_dict(minimal_doc())
-        plus = realize(cfg)
-        minus = realize(cfg, sign=-1.0)
+        # the document's "sign" selects the branch, control coefficients included
+        doc = minimal_doc(control={"a": 2.0, "b": 0.5, "c": 3.0})
+        plus = realize(config_from_dict(doc))
+        doc["marching_scale"]["synthesis"]["sign"] = "-"
+        minus = realize(config_from_dict(doc))
         from oracles import eval_expr
 
         assert eval_expr(plus.marching.beta, 2.0, 1.0) == pytest.approx(
             -eval_expr(minus.marching.beta, 2.0, 1.0)
         )
-
-    def test_sign_override_keeps_the_control_coefficients(self):
-        control = {"a": 2.0, "b": 0.5, "c": 3.0}
-        doc = minimal_doc(control=control)
-        overridden = realize(config_from_dict(doc), sign=-1.0)
-        doc["marching_scale"]["synthesis"]["sign"] = "-"
-        assert overridden == realize(config_from_dict(doc))
+        assert plus.marching.gamma == minus.marching.gamma
 
     def test_as_printed_switches_curve_and_rule(self):
         cfg = config_from_dict(minimal_doc())

@@ -31,8 +31,8 @@ def test_a_run_holds_what_the_command_gave():
 def test_the_compiled_family_of_a_tree_against_itself_shows_no_difference():
     # each tree is a fresh interpreter with its own hash seed, so kernel
     # text or output that follows set or dict order would differ here
-    found, total = differential.compiled_differences(SRC, SRC, seed=1, count=40)
-    assert found == []
+    found, total, triples = differential.family_differences(SRC, SRC, "compiled", 1, 40)
+    assert (found, triples) == ([], 40)
     assert total > 40 * 6 * len(differential.SPECIAL_S)
 
 
@@ -51,3 +51,57 @@ def test_a_compiled_outcome_holds_values_errors_and_kinks():
     (failed,) = differential.compiled_outcomes([["v", "v", "ln(0)"]])
     message = "DomainError: log of a non-positive value in 'ln(0.0)'"
     assert all(outcomes == [[message, []]] for outcomes in failed.values())
+
+
+def test_the_parse_family_of_a_tree_against_itself_shows_no_difference():
+    found, total, texts = differential.family_differences(SRC, SRC, "parse", 1, 20)
+    assert (found, total, texts) == ([], 1000, 1000)
+
+
+def test_a_parse_outcome_holds_the_tree_or_the_error_and_offset():
+    texts = ["s\u00a0+\u2003v", "1 \u2167", "(" * 101 + "v" + ")" * 101]
+    assert differential.parse_outcomes(texts) == [
+        {"parse": [["BinOp(op='+', left=Var(name='s'), right=Var(name='v'))"]]},
+        {"parse": [[None, "ParseError: unexpected character '\u2167' (at offset 2)", 2]]},
+        {"parse": [[None, "ParseError: expression nested deeper than 100 levels "
+                          "(at offset 100)", 100]]},
+    ]
+    drawn = differential.draw_parse_texts(1, 20)
+    assert any(len(text) > 90 and text.count("(") + text.count("-") >= 90 for text in drawn)
+    assert any(set(text) & set(differential.SPACES[4:]) for text in drawn)
+
+
+def test_the_to_source_family_of_a_tree_against_itself_shows_no_difference():
+    found, total, realizations = differential.family_differences(SRC, SRC, "to_source", 1, 1)
+    assert found == []
+    assert realizations == 2 * (len(differential._figure_docs(False)) + 2)
+    assert total > 1000
+
+
+def test_a_to_source_outcome_holds_each_subtree_text():
+    doc = differential.DOCS["direct-control"]
+    plain = {key: value for key, value in doc.items() if key != "control"}
+    realization = [["direct", plain, False]]
+    (outcomes,) = differential.to_source_outcomes(realization)
+    assert list(outcomes) == ["alpha", "beta", "gamma", "f", "g"]
+    assert outcomes["alpha"] == [["0.0", True, None, []]]
+    assert outcomes["beta"] == [["v", True, None, []]]
+    (failed,) = differential.to_source_outcomes([["direct", doc, False]])
+    assert failed == {"realize": [["SchemaError: $.control: not allowed beside a direct block",
+                                   []]]}
+
+
+def test_the_config_family_of_a_tree_against_itself_shows_no_difference():
+    found, total, documents = differential.family_differences(
+        SRC, SRC, "config_from_dict", 1, 20)
+    assert (found, total, documents) == ([], 200, 200)
+
+
+def test_a_config_outcome_holds_the_record_or_the_error():
+    documents = differential.draw_documents(1, 5)
+    assert len(documents) == 50
+    assert all(":" in label for label, _ in documents)
+    outcomes = differential.config_outcomes(documents)
+    errors = [outcome["config_from_dict"][0][1] for outcome in outcomes]
+    assert any(error is None for error in errors)
+    assert any(error and error.startswith("SchemaError: $.") for error in errors)
