@@ -28,7 +28,7 @@ from . import figures
 from .config import build_curve, config_from_dict, load_config, realize
 from .curve import classify_curve, darboux, frenet, point, uniform_grid
 from .g3core import G3Vector, Record
-from .mesh import export_curve_csv, write_mesh
+from .mesh import _MIN_POINTS, export_curve_csv, write_mesh
 from .verify import MODES, dtype_report
 
 EXIT_OK = 0
@@ -36,8 +36,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_ERROR = 2
 
 WORKERS_HELP = (
-    "processes that sample and format the grid rows (default 1; at most the "
-    "usable CPUs and the row count); the output is the same for any N"
+    f"processes that sample and format the grid rows (default: one per {_MIN_POINTS} grid points; "
+    "at most the usable CPUs and the row count); the output is the same for any N"
 )
 
 
@@ -211,7 +211,7 @@ class _Arg(Record):
 
 _AS_PRINTED = _Arg("--as-printed", check=None, default=False)
 _GRID = _Arg("--grid", check=_parse_grid, metavar="NSxNV")
-_WORKERS = _Arg("--workers", check=_worker_count, default=1, metavar="N", help=WORKERS_HELP)
+_WORKERS = _Arg("--workers", check=_worker_count, metavar="N", help=WORKERS_HELP)
 
 # name: (help, function, arguments in the order argparse lists them)
 COMMANDS = {

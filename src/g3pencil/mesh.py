@@ -5,22 +5,21 @@ rows samples each range with the pencil's compiled row kernel and formats
 its records at once.  The row kernel stores -0.0 as 0.0, so every signed
 zero of a coordinate serializes as "0".
 
-With ``workers`` above 1 the calling process runs the first range of rows
-and forked child processes run the others; each child inherits the pencil
-and sends its bytes back through a pipe, and the results are written in
-row order.  Output bytes depend only on the configuration, never on the
-worker count or on timing.
+With ``workers`` above 1, or None and enough grid points, the calling
+process runs the first range of rows and forked child processes run the
+others; each child inherits the pencil and sends its bytes back through a
+pipe, and the results are written in row order.  Output bytes depend only
+on the configuration, never on the worker count or on timing.
 """
 
 from __future__ import annotations
 
 import os
-import stat
 import sys
 import warnings
 from bisect import bisect_left
 from contextlib import ExitStack, suppress
-from itertools import chain
+from itertools import chain, count
 from typing import BinaryIO, Callable, Sequence
 
 from .curve import frenet, point, spread_s_values, uniform_grid
@@ -44,13 +43,18 @@ def _fmt(x: float) -> str:
 # at once.  The OBJ face text is held until the last v record is written.
 _BLOCK_ROWS = 64
 
+# Grid points per process that pay for a fork: two processes broke even with one
+# at 5000 to 7000 points writing one output and 3000 to 5000 writing two (fig1c).
+_MIN_POINTS = 3500
 
-def _pool_size(workers: int, rows: int) -> int:
-    """Processes that share ``rows`` grid rows when ``workers`` are asked for.
 
-    At most the CPUs this process may run on and the row count, and 1 on
-    a platform without fork.
+def _pool_size(workers: int | None, rows: int, points: int) -> int:
+    """Processes that share ``rows`` grid rows of ``points`` grid points in all.
+
+    At most ``workers`` (None: one per ``_MIN_POINTS`` points), the CPUs
+    this process may run on and the row count; 1 without fork.
     """
+    workers = max(1, points // _MIN_POINTS) if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if not hasattr(os, "fork"):
@@ -66,18 +70,17 @@ def _blocks(task: Callable[[int, int], Sequence[bytes]], lo: int, hi: int):
     return (task(a, min(a + _BLOCK_ROWS, hi)) for a in range(lo, hi, _BLOCK_ROWS))
 
 
-def _run_rows(task: Callable[[int, int], Sequence[bytes]], rows: int, workers: int, *sinks) -> None:
+def _run_rows(task: Callable[[int, int], Sequence[bytes]], rows: int, processes: int, *sinks) -> None:
     """Pass the k-th bytes of ``task(lo, hi)`` over ``range(rows)`` to the k-th sink, in row order.
 
-    The task returns one bytes per sink.  The rows split into one
-    contiguous range per process of :func:`_pool_size`.  This process runs
-    the first range; each other range runs in a forked child, which sends
-    back its bytes, the warnings it raised and its error.  Warnings are
-    issued here as if raised here, and the first error in row order is
-    raised here.  Every child is reaped before this returns or raises.
+    The task returns one bytes per sink.  The rows split into
+    ``processes`` contiguous ranges.  This process runs the first range;
+    each other range runs in a forked child, which sends back its bytes,
+    the warnings it raised and its error.  Warnings are issued here as if
+    raised here, and the first error in row order is raised here.  Every
+    child is reaped before this returns or raises.
     """
-    n = _pool_size(workers, rows)
-    bounds = [rows * k // n for k in range(n + 1)]
+    bounds = [rows * k // processes for k in range(processes + 1)]
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), in row order
     done = 0  # children whose whole result has been read
     try:
@@ -117,31 +120,29 @@ def _start_child(task, lo: int, hi: int) -> tuple[int, BinaryIO]:
 def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:
     """Run rows [lo, hi) in a forked child, send the result and exit.
 
-    The pipe carries an 8-byte length, a pickled (error, warnings, sizes)
-    header of that length, then the task's bytes of each output in turn,
-    ``sizes`` giving their lengths.  The child leaves through os._exit, so
-    it never runs the parent's cleanup or flushes its files.
+    The pipe carries an 8-byte length, a pickled (error, warnings) record
+    of that length, empty when the rows raised neither, then the 8-byte
+    size of each output and the bytes of each in turn.  The child leaves
+    through os._exit, so it never runs the parent's cleanup or flushes.
     """
     status = 1
     try:
-        import pickle
-
         os.close(read_end)
-        blocks, error = [], None
+        blocks, error, record = [], None, b""
         with warnings.catch_warnings(record=True) as caught:
             try:
                 blocks = list(_blocks(task, lo, hi))
             except Exception as exc:  # sent to the parent, which raises it
                 error = (type(exc), exc.args, vars(exc))
+        if error is not None or caught:
+            import pickle
+
+            notes = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+            record = pickle.dumps((error, notes))
         parts = list(zip(*blocks))  # per output, its blocks in row order
-        notes = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-        sizes = [sum(map(len, p)) for p in parts]
-        head = pickle.dumps((error, notes, sizes))
+        sizes = [sum(map(len, p)).to_bytes(8, "little") for p in parts]
         with open(write_end, "wb") as pipe:
-            pipe.write(len(head).to_bytes(8, "little"))
-            pipe.write(head)
-            for part in chain.from_iterable(parts):
-                pipe.write(part)
+            pipe.writelines([len(record).to_bytes(8, "little"), record, *sizes, *chain(*parts)])
         status = 0
     finally:
         os._exit(status)
@@ -153,26 +154,27 @@ def _collect(pipe: BinaryIO, sinks) -> None:
     A result cut short, by a child that died while it wrote, raises
     ChildProcessError.
     """
-    import pickle
 
-    size = int.from_bytes(pipe.read(8), "little")
-    head = pipe.read(size)
-    if size == 0 or len(head) < size:
-        raise ChildProcessError("a row worker process ended without a result")
-    error, notes, sizes = pickle.loads(head)
-    _rewarn(notes)
-    if error is not None:
-        cls, args, state = error
-        exc = cls.__new__(cls, *args)
-        exc.__dict__.update(state)
-        raise exc
-    for sink, size in zip(sinks, sizes):
-        while size:
-            part = pipe.read(min(1 << 20, size))
-            if not part:
-                raise ChildProcessError("a row worker process ended before its whole result")
-            sink(part)
-            size -= len(part)
+    def read(size: int) -> bytes:
+        data = pipe.read(size)
+        if len(data) < size:
+            raise ChildProcessError("a row worker process ended before its whole result")
+        return data
+
+    record = read(int.from_bytes(read(8), "little"))
+    if record:
+        import pickle
+
+        error, notes = pickle.loads(record)
+        _rewarn(notes)
+        if error is not None:
+            cls, args, state = error
+            exc = cls.__new__(cls, *args)
+            exc.__dict__.update(state)
+            raise exc
+    for sink, size in zip(sinks, [int.from_bytes(read(8), "little") for _ in sinks]):
+        for done in range(0, size, 1 << 20):
+            sink(read(min(1 << 20, size - done)))
 
 
 def _rewarn(notes) -> None:
@@ -198,7 +200,7 @@ _V_RECORD = "v %.17g %.17g %.17g\n"
 
 def write_mesh(
     pencil: PencilSpec, ns: int, nv: int, obj: str | None = None, csv: str | None = None,
-    *, workers: int = 1,
+    *, workers: int | None = 1,
 ) -> None:
     """Sample the surface on a uniform grid and write it as OBJ to ``obj`` and as CSV to ``csv``.
 
@@ -216,10 +218,10 @@ def write_mesh(
     significant digits.  Each coordinate is formatted once: with both
     files, the CSV reuses the text of the OBJ's v records.  Each vertex
     number is formatted once per range of rows, and the face records are
-    joined from those strings.  Up to
-    ``workers`` processes sample and format the records, a range of grid
-    rows each, in one pass; the bytes are the same for any count.  When
-    the pass fails, the files it opened are removed.
+    joined from those strings.  Up to ``workers`` processes (None: see
+    :func:`_pool_size`) sample and format the records, a range of grid
+    rows each, in one pass; the bytes are the same for any count.  Each
+    file from :func:`_open_output` replaces its target if the pass succeeds.
     """
     if nv < 2:
         raise ValueError(f"a surface grid needs at least two v values, got {nv}")
@@ -284,29 +286,47 @@ def write_mesh(
             out.append("".join(parts).encode("ascii"))
         return out
 
-    files: list[BinaryIO] = []
+    outputs: list[tuple[BinaryIO, str | None]] = []  # each file, and the file it replaces or None
     face_text: list[bytes] = []  # written after the last v record
     try:
         with ExitStack() as stack:
             for path in (obj, csv):
                 if path is not None:
-                    files.append(stack.enter_context(open(path, "wb")))
+                    fh, target = _open_output(path)
+                    outputs.append((stack.enter_context(fh), target))
             if csv is not None:
-                files[-1].write(b"s,v,x,y,z\n")
-            sinks = [fh.write for fh in files]
+                outputs[-1][0].write(b"s,v,x,y,z\n")
+            sinks = [fh.write for fh, _ in outputs]
             if obj is not None:
                 sinks.append(face_text.append)
-            _run_rows(rows, ns, workers, *sinks)
+            _run_rows(rows, ns, _pool_size(workers, ns, ns * nv), *sinks)
             if obj is not None:
-                files[0].writelines(face_text)
+                outputs[0][0].writelines(face_text)
+        for fh, target in outputs:
+            if target:
+                os.replace(fh.name, target)
     except BaseException:
-        # remove only a regular file, never a symlink or a device such as
-        # /dev/null, and never let a failed removal hide the build's error
-        for fh in files:
-            with suppress(OSError):
-                if stat.S_ISREG(os.lstat(fh.name).st_mode):
+        for fh, target in outputs:
+            with suppress(OSError):  # a failed removal never hides the build's error
+                if target:
                     os.remove(fh.name)
         raise
+
+
+def _open_output(path: str) -> tuple[BinaryIO, str | None]:
+    """An open temporary file beside the file ``path`` resolves to, and that file.
+
+    A device, a FIFO, a descriptor path or a directory that takes no new
+    file is opened in place instead, with None.
+    """
+    target = os.path.realpath(path)
+    descriptor = os.path.abspath(path).startswith(("/dev/fd/", "/dev/std", "/proc/"))
+    if not descriptor and (os.path.isfile(target) or not os.path.lexists(target)):
+        with suppress(OSError):  # a missing or read-only directory: open the path itself
+            for k in count():
+                with suppress(FileExistsError):  # a name left by a pass that was killed
+                    return open(f"{target}.{os.getpid()}.{k}.tmp", "xb"), target
+    return open(path, "wb"), None
 
 
 def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -283,19 +284,21 @@ def test_overflowing_direct_scale_exits_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+# a build of this document fails in its rows past s = 1.9
+LATE_FAILURE = {
+    "curve": "fresnel-helix",
+    "marching_scale": {
+        "direct": {"alpha": "v*exp(30000*(s - 1.9)*v)", "beta": "v", "gamma": "v"}
+    },
+    "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+    "grid": {"ns": 40, "nv": 10},
+}
+
+
 def test_failed_build_keeps_a_symlinked_output(tmp_path, capsys):
-    # the rows fail past s = 1.9; a failed build removes a regular file it
-    # opened, never a link to one
-    doc = {
-        "curve": "fresnel-helix",
-        "marching_scale": {
-            "direct": {"alpha": "v*exp(30000*(s - 1.9)*v)", "beta": "v", "gamma": "v"}
-        },
-        "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
-        "grid": {"ns": 40, "nv": 10},
-    }
+    # a failed build leaves the link, and the file it points to keeps its bytes
     path = tmp_path / "late.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(LATE_FAILURE))
     keep, link = tmp_path / "keep.obj", tmp_path / "link.obj"
     keep.write_text("kept\n")
     link.symlink_to(keep)
@@ -304,6 +307,83 @@ def test_failed_build_keeps_a_symlinked_output(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: DomainError: non-finite surface point")
     assert link.is_symlink() and keep.is_file()
+    assert keep.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["keep.obj", "late.json", "link.obj"]
+    # a build that succeeds replaces the file the link points to
+    assert main(["build", "configs/fresnel-helix.json", "-o", str(link), "--grid", "4x2"]) == 0
+    assert link.is_symlink() and keep.read_text().startswith("v ")
+    assert sorted(os.listdir(tmp_path)) == ["keep.obj", "late.json", "link.obj"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_build_keeps_an_existing_output(tmp_path, capsys, workers):
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(LATE_FAILURE))
+    for name in ("out.obj", "out.csv"):
+        out = tmp_path / name
+        out.write_text("kept\n")
+        assert main(["build", str(path), "-o", str(out), "--workers", workers]) == 2
+        assert capsys.readouterr().err.startswith("error: DomainError: non-finite surface point")
+        assert out.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["late.json", "out.csv", "out.obj"]
+    # a device is written in place, and stays where it is when the build fails
+    assert main(["build", str(path), "-o", os.devnull, "--workers", workers]) == 2
+    assert capsys.readouterr().err.startswith("error: DomainError: non-finite surface point")
+    assert main(["build", "configs/fresnel-helix.json", "-o", os.devnull, "--grid", "4x2"]) == 0
+    assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
+
+
+def test_descriptor_outputs_are_written_in_place(tmp_path):
+    # /dev/stdout into a pipe, and into a regular file opened for append
+    argv = [sys.executable, "-m", "g3pencil.cli", "build", "configs/fresnel-helix.json",
+            "-o", "/dev/stdout", "--grid", "4x2"]
+    result = subprocess.run(argv, capture_output=True)
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout.startswith(b"v ") and b"\nwrote /dev/stdout " in result.stdout
+    log = tmp_path / "log"
+    log.write_bytes(b"")
+    inode = os.stat(log).st_ino
+    with open(log, "ab") as fh:
+        assert subprocess.run(argv, stdout=fh).returncode == 0
+    assert os.stat(log).st_ino == inode
+    assert log.read_bytes() == result.stdout
+
+
+def test_an_output_without_room_for_a_temporary_file_is_written_in_place(
+    tmp_path, capsys, monkeypatch
+):
+    # as for a writable file in a directory that takes no new file
+    import g3pencil.mesh
+
+    def refuse_new_files(path, mode="r", *args, **kwargs):
+        if mode == "xb":
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(g3pencil.mesh, "open", refuse_new_files, raising=False)
+    out = tmp_path / "out.obj"
+    out.write_text("old\n")
+    inode = os.stat(out).st_ino
+    assert main(["build", "configs/fresnel-helix.json", "-o", str(out), "--grid", "4x2"]) == 0
+    assert os.stat(out).st_ino == inode and out.read_text().startswith("v ")
+    assert os.listdir(tmp_path) == ["out.obj"]
+
+
+def test_a_stale_temporary_file_is_passed_over(tmp_path, capsys):
+    # a pass killed before its rename leaves its temporary file behind, and
+    # a later pass may run under the same pid
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(LATE_FAILURE))
+    out = tmp_path / "out.obj"
+    out.write_text("kept\n")
+    stale = tmp_path / f"out.obj.{os.getpid()}.0.tmp"
+    stale.write_text("stale\n")
+    assert main(["build", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: DomainError: non-finite surface point")
+    assert out.read_text() == "kept\n" and stale.read_text() == "stale\n"
+    assert main(["build", "configs/fresnel-helix.json", "-o", str(out), "--grid", "4x2"]) == 0
+    assert out.read_text().startswith("v ") and stale.read_text() == "stale\n"
+    assert sorted(os.listdir(tmp_path)) == ["late.json", "out.obj", stale.name]
 
 
 def test_overflowing_sinh_scale_names_the_point(tmp_path, capsys, recwarn):
@@ -692,7 +772,8 @@ def test_each_command_scans_the_guard_bands_once(
     counting(g3pencil.curve, "frenet")
     counting(g3pencil.exprjet, "_fresnel")
     if argv[0] == "build":
-        argv = argv + ["-o", str(tmp_path / "out.obj")]
+        # the counts are this process's: no row worker takes rows from it
+        argv = argv + ["-o", str(tmp_path / "out.obj"), "--workers", "1"]
     assert main(argv) == 0
     assert calls == {
         "_passes_guard": 256,

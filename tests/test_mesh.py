@@ -1,7 +1,8 @@
 import json
 import math
 import os
-import pickle
+import subprocess
+import sys
 import warnings
 from bisect import bisect_right
 from pathlib import Path
@@ -15,7 +16,7 @@ from g3pencil.curve import point, uniform_grid
 from g3pencil.errors import CurvatureVanishes, GridTooCoarse
 from g3pencil.exprjet import KinkWarning
 from g3pencil.figures import figure_doc
-from g3pencil.mesh import _fmt, _pool_size, _run_rows, write_mesh
+from g3pencil.mesh import _MIN_POINTS, _fmt, _pool_size, _run_rows, write_mesh
 from g3pencil.pencil import usable_domain
 
 
@@ -258,13 +259,22 @@ def forks(monkeypatch):
 class TestWorkers:
     def test_pool_size_is_capped_by_cpus_and_rows(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
-        assert _pool_size(1000, 10**6) == 6
-        assert _pool_size(1000, 3) == 3
-        assert _pool_size(4, 10**6) == 4
-        assert _pool_size(1, 10**6) == 1
-        assert _pool_size(1000, 0) == 1
+        assert _pool_size(1000, 10**6, 10**6) == 6
+        assert _pool_size(1000, 3, 10**6) == 3
+        assert _pool_size(4, 10**6, 10**6) == 4
+        assert _pool_size(1, 10**6, 10**6) == 1
+        assert _pool_size(1000, 0, 0) == 1
         with pytest.raises(ValueError):
-            _pool_size(0, 10)
+            _pool_size(0, 10, 10**6)
+
+    def test_default_pool_size_gives_each_process_the_points_floor(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        assert _pool_size(None, 200, 200 * 50 * _MIN_POINTS) == 6  # the CPU cap
+        assert _pool_size(None, 3, 3 * 50 * _MIN_POINTS) == 3  # the row cap
+        assert _pool_size(None, 300, 3 * _MIN_POINTS) == 3  # the floor
+        assert _pool_size(None, 300, 3 * _MIN_POINTS - 1) == 2
+        assert _pool_size(None, 1, _MIN_POINTS - 1) == 1
+        assert _pool_size(None, 0, 0) == 1
 
     def test_rows_come_back_in_order(self, two_cpus):
         parts = []
@@ -288,6 +298,44 @@ class TestWorkers:
         assert main(["build", "configs/fresnel-helix.json", "-o", str(out), "--workers", "2"]) == 0
         assert forks[0] == 1
         assert capsys.readouterr().out == f"wrote {out} (200x50 vertices)\n"
+
+    def test_reproduce_forks_once_by_default(self, two_cpus, forks, tmp_path, capsys, recwarn):
+        # fig1c's 200x50 grid gives each of two processes its points floor
+        blobs = []
+        for extra in ([], ["--workers", "1"]):
+            out = tmp_path / str(len(extra))
+            assert main(["reproduce", "fig1c", "-o", str(out), *extra]) == 0
+            blobs.append([(out / f"fig1c.{ext}").read_bytes() for ext in ("obj", "csv")])
+            assert forks[0] == 1
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("ns, count", [(2 * _MIN_POINTS // 10 - 1, 0), (2 * _MIN_POINTS // 10, 1)])
+    @pytest.mark.parametrize("command", ["build", "reproduce"])
+    def test_a_grid_below_the_points_floor_forks_none(
+        self, two_cpus, forks, tmp_path, capsys, recwarn, command, ns, count
+    ):
+        if command == "reproduce":
+            argv = ["reproduce", "fig1c", "-o", str(tmp_path)]
+        else:
+            argv = ["build", "configs/fresnel-helix.json", "-o", str(tmp_path / "m.obj")]
+        assert main([*argv, "--grid", f"{ns}x10"]) == 0
+        assert forks[0] == count
+
+    def test_a_clean_result_needs_no_pickle(self, tmp_path):
+        # a child that raised no error and no warning sends only sizes and bytes
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "from g3pencil.cli import main\n"
+            f"argv = ['build', 'configs/fresnel-helix.json', '-o', {str(tmp_path / 'm.obj')!r}, '--workers', '2']\n"
+            "assert main(argv) == 0\n"
+            "print(len(forks), 'pickle' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout.splitlines()[-1] == "1 False"
 
     def test_error_in_the_parents_rows_leaves_no_file(self, two_cpus, forks, tmp_path, capsys):
         # only the first row, s = 0.5, overflows: the calling process has it
@@ -321,10 +369,11 @@ class TestWorkers:
             try:
                 os.close(read_end)
                 parts = [b"".join(p) for p in zip(*g3pencil.mesh._blocks(task, lo, hi))]
-                head = pickle.dumps((None, [], [len(p) for p in parts]))
+                # no error or warning record, then the size of each output
+                head = bytes(8) + b"".join(len(p).to_bytes(8, "little") for p in parts)
                 data = b"".join(parts)
                 with open(write_end, "wb") as pipe:
-                    pipe.write(len(head).to_bytes(8, "little") + head + data[: len(data) // 2])
+                    pipe.write(head + data[: len(data) // 2])
             finally:
                 os._exit(9)
 
