@@ -8,14 +8,16 @@ zero of a coordinate serializes as "0".
 With ``workers`` above 1, or None and enough grid points, the calling
 process runs the first range of rows and forked child processes run the
 others; each child inherits the pencil and sends its bytes back through a
-pipe, and the results are written in row order.  Output bytes depend only
-on the configuration, never on the worker count or on timing.
+pipe, and the results are written in row order.  A child whose rows raised
+or warned sends no bytes, and the calling process runs its range again, so
+errors and warnings come up there as with one process, at the cost of
+computing that range twice.  Output bytes depend only on the
+configuration, never on the worker count or on timing.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import warnings
 from bisect import bisect_left
 from contextlib import ExitStack, suppress
@@ -75,9 +77,10 @@ def _run_rows(task: Callable[[int, int], Sequence[bytes]], rows: int, processes:
 
     The task returns one bytes per sink.  The rows split into
     ``processes`` contiguous ranges.  This process runs the first range;
-    each other range runs in a forked child, which sends back its bytes,
-    the warnings it raised and its error.  Warnings are issued here as if
-    raised here, and the first error in row order is raised here.  Every
+    each other range runs in a forked child, which sends back its bytes.
+    A range that no child returned, because its rows raised or warned
+    there, runs again in this process, so its error and warnings come up
+    here as with one process; such a range is computed twice.  Every
     child is reaped before this returns or raises.
     """
     bounds = [rows * k // processes for k in range(processes + 1)]
@@ -86,12 +89,13 @@ def _run_rows(task: Callable[[int, int], Sequence[bytes]], rows: int, processes:
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             children.append(_start_child(task, lo, hi))
-        for out in _blocks(task, bounds[0], bounds[1]):
-            for sink, part in zip(sinks, out):
-                sink(part)
-        for _, pipe in children:
-            _collect(pipe, sinks)
-            done += 1
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            returned = k > 0 and _collect(children[k - 1][1], sinks)
+            done = k  # children[:k] have sent their whole result
+            if not returned:
+                for out in _blocks(task, lo, hi):
+                    for sink, part in zip(sinks, out):
+                        sink(part)
     finally:
         for k, (pid, pipe) in enumerate(children):
             pipe.close()
@@ -117,39 +121,37 @@ def _start_child(task, lo: int, hi: int) -> tuple[int, BinaryIO]:
     return pid, open(read_end, "rb")
 
 
+# The first byte a child sends: its bytes follow, or the caller runs its rows
+_RETURNED, _RUN_AGAIN = b"r", b"a"
+
+
 def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:
     """Run rows [lo, hi) in a forked child, send the result and exit.
 
-    The pipe carries an 8-byte length, a pickled (error, warnings) record
-    of that length, empty when the rows raised neither, then the 8-byte
-    size of each output and the bytes of each in turn.  The child leaves
+    The pipe carries _RETURNED, the 8-byte size of each output and the
+    bytes of each in turn, or _RUN_AGAIN alone when the rows raised or
+    warned under the filters the child inherited.  The child leaves
     through os._exit, so it never runs the parent's cleanup or flushes.
     """
     status = 1
     try:
         os.close(read_end)
-        blocks, error, record = [], None, b""
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                blocks = list(_blocks(task, lo, hi))
-            except Exception as exc:  # sent to the parent, which raises it
-                error = (type(exc), exc.args, vars(exc))
-        if error is not None or caught:
-            import pickle
-
-            notes = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-            record = pickle.dumps((error, notes))
-        parts = list(zip(*blocks))  # per output, its blocks in row order
-        sizes = [sum(map(len, p)).to_bytes(8, "little") for p in parts]
+        result = [_RUN_AGAIN]
+        # an error is raised, and a warning issued, when the caller runs these rows again
+        with warnings.catch_warnings(record=True) as caught, suppress(Exception):
+            parts = list(zip(*_blocks(task, lo, hi)))  # per output, its blocks in row order
+            if not caught:
+                sizes = [sum(map(len, p)).to_bytes(8, "little") for p in parts]
+                result = [_RETURNED, *sizes, *chain(*parts)]
         with open(write_end, "wb") as pipe:
-            pipe.writelines([len(record).to_bytes(8, "little"), record, *sizes, *chain(*parts)])
+            pipe.writelines(result)
         status = 0
     finally:
         os._exit(status)
 
 
-def _collect(pipe: BinaryIO, sinks) -> None:
-    """Issue one child's warnings, then raise its error or sink its bytes.
+def _collect(pipe: BinaryIO, sinks) -> bool:
+    """Sink one child's bytes; False if it sent none, for the caller to run its rows.
 
     A result cut short, by a child that died while it wrote, raises
     ChildProcessError.
@@ -161,34 +163,12 @@ def _collect(pipe: BinaryIO, sinks) -> None:
             raise ChildProcessError("a row worker process ended before its whole result")
         return data
 
-    record = read(int.from_bytes(read(8), "little"))
-    if record:
-        import pickle
-
-        error, notes = pickle.loads(record)
-        _rewarn(notes)
-        if error is not None:
-            cls, args, state = error
-            exc = cls.__new__(cls, *args)
-            exc.__dict__.update(state)
-            raise exc
+    if read(1) == _RUN_AGAIN:
+        return False
     for sink, size in zip(sinks, [int.from_bytes(read(8), "little") for _ in sinks]):
         for done in range(0, size, 1 << 20):
             sink(read(min(1 << 20, size - done)))
-
-
-def _rewarn(notes) -> None:
-    """Issue warnings recorded in a child through this process's filters.
-
-    Each goes to the registry of the module that raised it, as
-    warnings.warn would, so a warning shown once stays shown once.
-    """
-    for message, category, filename, lineno in notes:
-        modules = list(sys.modules.values())
-        module = next((m for m in modules if getattr(m, "__file__", None) == filename), None)
-        name = None if module is None else module.__name__
-        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
-        warnings.warn_explicit(message, category, filename, lineno, name, registry)
+    return True
 
 
 # ---------------------------------------------------------------------------

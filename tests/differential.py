@@ -54,8 +54,13 @@ The commands are
 * the direct and product documents of the load-check tests of
   ``tests/test_config.py`` and ``tests/test_cli.py``, and two documents
   with more than one fault in the checked entries,
-* a synthesis document with v0 = -1, and
-* documents whose s or v extent overflows to inf.
+* a synthesis document with v0 = -1,
+* documents whose s or v extent overflows to inf, and
+* the row pool with ``--workers 2``: a clean ``build`` of the helix
+  config, a ``build`` whose ``abs()`` kink warns on a child's row, and
+  ``build``s of a direct alpha that overflows only in a child's rows or
+  only in the calling process's first row; and ``reproduce fig1c`` at
+  128x6 with ``--workers 3``.  A machine with one usable CPU forks none.
 """
 
 from __future__ import annotations
@@ -106,6 +111,16 @@ def _direct(alpha: str, beta: str = "v", gamma: str = "v") -> dict:
     return {"direct": {"alpha": alpha, "beta": beta, "gamma": gamma}}
 
 
+def _overflow(alpha: str) -> dict:
+    """The helix curve over s in [0.5, 2] on a 10x5 grid, with ``alpha`` in a direct scale."""
+    return {
+        "curve": "fresnel-helix",
+        "marching_scale": _direct(alpha),
+        "domain": {"s_min": 0.5, "s_max": 2.0, "v_min": 0.0, "v_max": 5.0, "v0": 0.0},
+        "grid": {"ns": 10, "nv": 5},
+    }
+
+
 # name: document, written to NAME.json where a command names it
 DOCS = {
     "helix": _shipped("fresnel-helix"),
@@ -147,11 +162,23 @@ DOCS = {
     # extents that overflow to inf
     "v-overflows": _shipped("fresnel-helix", v_min=-1e308, v_max=1e308),
     "s-overflows": _shipped("fresnel-helix", s_min=-1e308, s_max=1e308),
+    # row pool: a kink of abs() on a child's row, and an alpha that
+    # overflows only in a child's rows or only in the first row
+    "kink": {
+        "curve": {"f": "s^3/6 + sin(s) + abs(s - 2.5)^3", "g": "cosh(s/2)"},
+        "marching_scale": _direct("v"),
+        "domain": {"s_min": 1.0, "s_max": 3.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 5, "nv": 3},
+    },
+    "overflow-late": _overflow("v*exp(3000*(s - 1.9)*v)"),
+    "overflow-first": _overflow("v*exp(3000*(0.6 - s)*v)"),
 }
 
-# the documents that the first commands name; every other one is a load check
+# the documents that the first commands name, and those of the row pool's
+# commands; every other one is a load check
 _SHIPPED = ("helix", "antis", "helix-minus", "antis-minus")
-_LOADS = [name for name in DOCS if name not in _SHIPPED]
+_POOL = ("kink", "overflow-late", "overflow-first")
+_LOADS = [name for name in DOCS if name not in _SHIPPED + _POOL]
 
 COMMANDS = [
     *(
@@ -187,6 +214,9 @@ COMMANDS = [
             ["build", f"{name}.json", "-o", "out.obj", "--grid", "4x4"],
         )
     ),
+    ["build", "helix.json", "-o", "out.obj", "--grid", "60x10", "--workers", "2"],
+    *(["build", f"{name}.json", "-o", "out.obj", "--workers", "2"] for name in _POOL),
+    ["reproduce", "fig1c", "-o", "out", "--grid", "128x6", "--workers", "3"],
 ]
 
 

@@ -369,8 +369,8 @@ class TestWorkers:
             try:
                 os.close(read_end)
                 parts = [b"".join(p) for p in zip(*g3pencil.mesh._blocks(task, lo, hi))]
-                # no error or warning record, then the size of each output
-                head = bytes(8) + b"".join(len(p).to_bytes(8, "little") for p in parts)
+                # the mark of a returned result, then the size of each output
+                head = g3pencil.mesh._RETURNED + b"".join(len(p).to_bytes(8, "little") for p in parts)
                 data = b"".join(parts)
                 with open(write_end, "wb") as pipe:
                     pipe.write(head + data[: len(data) // 2])
@@ -412,6 +412,53 @@ class TestWorkers:
         assert [str(w.message) for w in recwarn] == ["kink in row 9"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+    def test_child_error_of_a_local_class_reaches_the_caller(self, two_cpus):
+        # a class defined here has no import path by which another process could name it
+        class LocalError(Exception):
+            pass
+
+        def task(lo, hi):
+            if hi > 10:
+                raise LocalError("rows", lo, hi)
+            return (b"x" * (hi - lo),)
+
+        with pytest.raises(LocalError) as info:
+            _run_rows(task, 12, 2, [].append)
+        assert info.value.args == ("rows", 6, 12)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+    def test_caller_runs_again_only_the_ranges_that_raised_or_warned(self, recwarn):
+        # four ranges of two rows: the second warns, the third is clean, the last raises
+        calls = []  # the task's calls in this process; a child's calls stay in the child
+
+        def task(lo, hi):
+            calls.append((lo, hi))
+            if lo == 2:
+                warnings.warn("rows 2 and 3", KinkWarning)
+            if lo == 6:
+                raise CurvatureVanishes(1.5, 1e-9)
+            return (bytes(range(lo, hi)),)
+
+        parts = []
+        with pytest.raises(CurvatureVanishes):
+            _run_rows(task, 8, 4, parts.append)
+        assert calls == [(0, 2), (2, 4), (6, 8)]
+        assert b"".join(parts) == bytes(range(6))
+        assert [str(w.message) for w in recwarn] == ["rows 2 and 3"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+    def test_warning_at_one_place_in_two_ranges_shows_once(self):
+        def task(lo, hi):
+            warnings.warn("kink in every row", KinkWarning)
+            return (b"x" * (hi - lo),)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # once per place, through the module's registry
+            _run_rows(task, 4, 2, [].append)
+        assert [str(w.message) for w in caught] == ["kink in every row"]
 
 
 class TestOnePassExport:
