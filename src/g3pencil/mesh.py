@@ -8,11 +8,12 @@ zero of a coordinate serializes as "0".
 With ``workers`` above 1, or None and enough grid points, the calling
 process runs the first range of rows and forked child processes run the
 others; each child inherits the pencil and sends its bytes back through a
-pipe, and the results are written in row order.  A child whose rows raised
-or warned sends no bytes, and the calling process runs its range again, so
-errors and warnings come up there as with one process, at the cost of
-computing that range twice.  Output bytes depend only on the
-configuration, never on the worker count or on timing.
+pipe, and the results are written in row order.  A child whose rows raised,
+or issued a warning that the caller's filters would show, sends no bytes,
+and the caller runs its range again, so errors and warnings come up there as
+with one process, at the cost of computing that range twice.  One exit stack
+owns a pass's files and children, and reaps these after the last write.
+Output bytes depend only on the configuration, never on workers or timing.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 import os
 import warnings
 from bisect import bisect_left
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from itertools import chain, count
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .curve import frenet, point, spread_s_values, uniform_grid
 from .errors import GridTooCoarse
@@ -72,42 +73,29 @@ def _blocks(task: Callable[[int, int], Sequence[bytes]], lo: int, hi: int):
     return (task(a, min(a + _BLOCK_ROWS, hi)) for a in range(lo, hi, _BLOCK_ROWS))
 
 
-def _run_rows(task: Callable[[int, int], Sequence[bytes]], rows: int, processes: int, *sinks) -> None:
+def _run_rows(stack: ExitStack, task, rows: int, processes: int, *sinks) -> None:
     """Pass the k-th bytes of ``task(lo, hi)`` over ``range(rows)`` to the k-th sink, in row order.
 
     The task returns one bytes per sink.  The rows split into
     ``processes`` contiguous ranges.  This process runs the first range;
     each other range runs in a forked child, which sends back its bytes.
-    A range that no child returned, because its rows raised or warned
-    there, runs again in this process, so its error and warnings come up
-    here as with one process; such a range is computed twice.  Every
-    child is reaped before this returns or raises.
+    A range that no child returned, because its rows raised, or issued a
+    warning that this process's filters would show, runs again in this
+    process, so its error and warnings come up here as with one process;
+    such a range is computed twice.  ``stack`` kills and reaps each child
+    when it closes, after the caller's last write.
     """
     bounds = [rows * k // processes for k in range(processes + 1)]
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), in row order
-    done = 0  # children whose whole result has been read
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_start_child(task, lo, hi))
-        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            returned = k > 0 and _collect(children[k - 1][1], sinks)
-            done = k  # children[:k] have sent their whole result
-            if not returned:
-                for out in _blocks(task, lo, hi):
-                    for sink, part in zip(sinks, out):
-                        sink(part)
-    finally:
-        for k, (pid, pipe) in enumerate(children):
-            pipe.close()
-            if k >= done:  # still working or blocked on its pipe
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    pipes = [_start_child(stack, task, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if k == 0 or not _collect(pipes[k - 1], sinks):
+            for out in _blocks(task, lo, hi):
+                for sink, part in zip(sinks, out):
+                    sink(part)
 
 
-def _start_child(task, lo: int, hi: int) -> tuple[int, BinaryIO]:
-    """Fork a child that runs rows [lo, hi); its pid and the read end of its pipe."""
+def _start_child(stack: ExitStack, task, lo: int, hi: int) -> BinaryIO:
+    """Fork a child that runs rows [lo, hi), to be stopped when ``stack`` closes; its pipe's read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -118,7 +106,15 @@ def _start_child(task, lo: int, hi: int) -> tuple[int, BinaryIO]:
         raise
     finally:
         os.close(write_end)
-    return pid, open(read_end, "rb")
+    stack.callback(_stop, pid)
+    return stack.enter_context(open(read_end, "rb"))
+
+
+def _stop(pid: int) -> None:
+    # a child whose whole result was read has nothing left to do, and its pid is ours until reaped
+    with suppress(ProcessLookupError):  # some systems refuse a signal to a child that has exited
+        os.kill(pid, 9)  # SIGKILL, which POSIX numbers 9: the signal module would cost an import
+    os.waitpid(pid, 0)
 
 
 # The first byte a child sends: its bytes follow, or the caller runs its rows
@@ -130,17 +126,21 @@ def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:
 
     The pipe carries _RETURNED, the 8-byte size of each output and the
     bytes of each in turn, or _RUN_AGAIN alone when the rows raised or
-    warned under the filters the child inherited.  The child leaves
-    through os._exit, so it never runs the parent's cleanup or flushes.
+    issued a warning that the filters and registries it inherited would
+    show; only ``showwarning`` is replaced, as a change to the filters
+    would clear those registries.  The child leaves through os._exit, so
+    it never runs the parent's cleanup or flushes, nor restores anything.
     """
     status = 1
     try:
         os.close(read_end)
+        shown = []
+        warnings.showwarning = lambda *warning: shown.append(warning)
         result = [_RUN_AGAIN]
-        # an error is raised, and a warning issued, when the caller runs these rows again
-        with warnings.catch_warnings(record=True) as caught, suppress(Exception):
+        # an error is raised, and a warning shown, when the caller runs these rows again
+        with suppress(Exception):
             parts = list(zip(*_blocks(task, lo, hi)))  # per output, its blocks in row order
-            if not caught:
+            if not shown:
                 sizes = [sum(map(len, p)).to_bytes(8, "little") for p in parts]
                 result = [_RETURNED, *sizes, *chain(*parts)]
         with open(write_end, "wb") as pipe:
@@ -201,7 +201,7 @@ def write_mesh(
     joined from those strings.  Up to ``workers`` processes (None: see
     :func:`_pool_size`) sample and format the records, a range of grid
     rows each, in one pass; the bytes are the same for any count.  Each
-    file from :func:`_open_output` replaces its target if the pass succeeds.
+    file from :func:`_output` replaces its target if the pass succeeds.
     """
     if nv < 2:
         raise ValueError(f"a surface grid needs at least two v values, got {nv}")
@@ -266,54 +266,54 @@ def write_mesh(
             out.append("".join(parts).encode("ascii"))
         return out
 
-    outputs: list[tuple[BinaryIO, str | None]] = []  # each file, and the file it replaces or None
     face_text: list[bytes] = []  # written after the last v record
-    try:
-        with ExitStack() as stack:
-            for path in (obj, csv):
-                if path is not None:
-                    fh, target = _open_output(path)
-                    outputs.append((stack.enter_context(fh), target))
-            if csv is not None:
-                outputs[-1][0].write(b"s,v,x,y,z\n")
-            sinks = [fh.write for fh, _ in outputs]
-            if obj is not None:
-                sinks.append(face_text.append)
-            _run_rows(rows, ns, _pool_size(workers, ns, ns * nv), *sinks)
-            if obj is not None:
-                outputs[0][0].writelines(face_text)
-        for fh, target in outputs:
-            if target:
-                os.replace(fh.name, target)
-    except BaseException:
-        for fh, target in outputs:
-            with suppress(OSError):  # a failed removal never hides the build's error
-                if target:
-                    os.remove(fh.name)
-        raise
+    with ExitStack() as stack:
+        files = [stack.enter_context(_output(path)) for path in (obj, csv) if path is not None]
+        if csv is not None:
+            files[-1].write(b"s,v,x,y,z\n")
+        sinks = [fh.write for fh in files]
+        if obj is not None:
+            sinks.append(face_text.append)
+        _run_rows(stack, rows, ns, _pool_size(workers, ns, ns * nv), *sinks)
+        if obj is not None:
+            files[0].writelines(face_text)
 
 
-def _open_output(path: str) -> tuple[BinaryIO, str | None]:
-    """An open temporary file beside the file ``path`` resolves to, and that file.
+@contextmanager
+def _output(path: str) -> Iterator[BinaryIO]:
+    """A temporary file beside the file ``path`` resolves to, renamed over it if the block succeeds.
 
-    A device, a FIFO, a descriptor path or a directory that takes no new
-    file is opened in place instead, with None.
+    It is removed if the block fails.  A device, a FIFO, a descriptor path
+    or a directory that takes no new file is written in place instead.
     """
     target = os.path.realpath(path)
     descriptor = os.path.abspath(path).startswith(("/dev/fd/", "/dev/std", "/proc/"))
+    fh = None
     if not descriptor and (os.path.isfile(target) or not os.path.lexists(target)):
         with suppress(OSError):  # a missing or read-only directory: open the path itself
             for k in count():
                 with suppress(FileExistsError):  # a name left by a pass that was killed
-                    return open(f"{target}.{os.getpid()}.{k}.tmp", "xb"), target
-    return open(path, "wb"), None
+                    fh = open(f"{target}.{os.getpid()}.{k}.tmp", "xb")
+                    break
+    if fh is None:
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    try:
+        with fh:
+            yield fh
+        os.replace(fh.name, target)
+    except BaseException:
+        with suppress(OSError):  # a failed removal never hides the pass's error
+            os.remove(fh.name)
+        raise
 
 
 def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:
-    """CSV polyline of curve samples with header s,x,y,z."""
+    """CSV polyline of curve samples with header s,x,y,z, written as :func:`_output` writes."""
     lines = ["s,x,y,z"]
     for s, p in zip(s_values, points):
         lines.append(f"{_fmt(s)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
     data = "\n".join(lines) + "\n"
-    with open(path, "wb") as fh:
+    with _output(path) as fh:
         fh.write(data.encode("ascii"))

@@ -57,7 +57,8 @@ The commands are
 * a synthesis document with v0 = -1,
 * documents whose s or v extent overflows to inf, and
 * the row pool with ``--workers 2``: a clean ``build`` of the helix
-  config, a ``build`` whose ``abs()`` kink warns on a child's row, and
+  config, a ``build`` whose ``abs()`` kink warns on a child's row, one
+  whose kink the guard probe showed before the pool started, and
   ``build``s of a direct alpha that overflows only in a child's rows or
   only in the calling process's first row; and ``reproduce fig1c`` at
   128x6 with ``--workers 3``.  A machine with one usable CPU forks none.
@@ -170,6 +171,14 @@ DOCS = {
         "domain": {"s_min": 1.0, "s_max": 3.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
         "grid": {"ns": 5, "nv": 3},
     },
+    # a kink of abs() that the guard probe at s = 2 shows before the pool
+    # starts, and that a child's last row meets again
+    "kink-shown": {
+        "curve": {"f": "s^3/6 + abs(s - 2)^3", "g": "cosh(s/2)"},
+        "marching_scale": _direct("v"),
+        "domain": {"s_min": 0.0, "s_max": 2.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 9, "nv": 3},
+    },
     "overflow-late": _overflow("v*exp(3000*(s - 1.9)*v)"),
     "overflow-first": _overflow("v*exp(3000*(0.6 - s)*v)"),
 }
@@ -177,7 +186,7 @@ DOCS = {
 # the documents that the first commands name, and those of the row pool's
 # commands; every other one is a load check
 _SHIPPED = ("helix", "antis", "helix-minus", "antis-minus")
-_POOL = ("kink", "overflow-late", "overflow-first")
+_POOL = ("kink", "kink-shown", "overflow-late", "overflow-first")
 _LOADS = [name for name in DOCS if name not in _SHIPPED + _POOL]
 
 COMMANDS = [

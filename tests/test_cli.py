@@ -196,6 +196,16 @@ def test_reproduce_curve_figures(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reproduce_replaces_a_curve_csv_and_keeps_its_other_links(tmp_path, capsys):
+    keep = tmp_path / "keep.csv"
+    keep.write_text("kept")
+    os.link(keep, tmp_path / "fig1a.csv")
+    assert main(["reproduce", "fig1a", "-o", str(tmp_path), "--grid", "8x4"]) == 0
+    assert keep.read_text() == "kept"
+    assert (tmp_path / "fig1a.csv").read_text().startswith("s,x,y,z\n")
+    assert sorted(os.listdir(tmp_path)) == ["fig1a.csv", "keep.csv"]
+
+
 def test_reproduce_takes_the_default_grid_from_the_figure_table(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("g3pencil.figures.GRID", (6, 3))
     with pytest.warns(UserWarning, match="grid re-spans"):
@@ -859,6 +869,34 @@ def test_kink_warning_in_a_worker_row_reaches_stderr(tmp_path):
         runs.append((result.stderr, out.read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][0] == "warning: KinkWarning: abs() differentiated at its kink in 'abs(s - 2.5)'\n"
+
+
+def test_a_kink_shown_before_the_pool_leaves_the_child_its_rows(tmp_path):
+    # the guard probe at s = 2 shows the kink before the child forks; the
+    # child meets it again on row 8 of 9, which its inherited registry holds
+    doc = {
+        "curve": {"f": "s^3/6 + abs(s - 2)^3", "g": "cosh(s/2)"},
+        "marching_scale": {"direct": {"alpha": "v", "beta": "v", "gamma": "v"}},
+        "domain": {"s_min": 0.0, "s_max": 2.0, "v_min": 0.0, "v_max": 1.0, "v0": 0.0},
+        "grid": {"ns": 9, "nv": 3},
+    }
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps(doc))
+    argv = ["build", str(path), "-o", str(tmp_path / "kink.obj"), "--workers", "2"]
+    script = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "import g3pencil.mesh as mesh\n"
+        "blocks, calls = mesh._blocks, []  # the rows run in this process\n"
+        "mesh._blocks = lambda task, lo, hi: calls.append((lo, hi)) or blocks(task, lo, hi)\n"
+        "from g3pencil.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(calls)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stderr == "warning: KinkWarning: abs() differentiated at its kink in 'abs(s - 2.0)'\n"
+    assert result.stdout.splitlines()[-1] == "[(0, 4)]"
 
 
 def test_warning_is_one_line_on_stderr(tmp_path):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from bisect import bisect_right
+from contextlib import ExitStack, suppress
 from pathlib import Path
 
 import pytest
@@ -278,7 +279,8 @@ class TestWorkers:
 
     def test_rows_come_back_in_order(self, two_cpus):
         parts = []
-        _run_rows(lambda lo, hi: (bytes(range(lo, hi)),), 200, 2, parts.append)
+        with ExitStack() as stack:
+            _run_rows(stack, lambda lo, hi: (bytes(range(lo, hi)),), 200, 2, parts.append)
         assert b"".join(parts) == bytes(range(200))
 
     def test_mesh_does_not_depend_on_workers(self, two_cpus, tmp_path):
@@ -381,8 +383,8 @@ class TestWorkers:
 
     def test_a_result_cut_short_is_an_error(self, two_cpus, dying_child):
         parts = []
-        with pytest.raises(ChildProcessError, match="before its whole result"):
-            _run_rows(lambda lo, hi: (bytes(range(lo, hi)),), 200, 2, parts.append)
+        with pytest.raises(ChildProcessError, match="before its whole result"), ExitStack() as stack:
+            _run_rows(stack, lambda lo, hi: (bytes(range(lo, hi)),), 200, 2, parts.append)
         assert len(b"".join(parts)) < 200
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
@@ -405,8 +407,8 @@ class TestWorkers:
                     raise CurvatureVanishes(1.5, 1e-9)
             return (b"x" * (hi - lo),)
 
-        with pytest.raises(CurvatureVanishes) as info:
-            _run_rows(task, 12, 2, [].append)
+        with pytest.raises(CurvatureVanishes) as info, ExitStack() as stack:
+            _run_rows(stack, task, 12, 2, [].append)
         assert (info.value.s, info.value.kappa) == (1.5, 1e-9)
         assert str(info.value) == str(CurvatureVanishes(1.5, 1e-9))
         assert [str(w.message) for w in recwarn] == ["kink in row 9"]
@@ -423,8 +425,8 @@ class TestWorkers:
                 raise LocalError("rows", lo, hi)
             return (b"x" * (hi - lo),)
 
-        with pytest.raises(LocalError) as info:
-            _run_rows(task, 12, 2, [].append)
+        with pytest.raises(LocalError) as info, ExitStack() as stack:
+            _run_rows(stack, task, 12, 2, [].append)
         assert info.value.args == ("rows", 6, 12)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
@@ -442,8 +444,8 @@ class TestWorkers:
             return (bytes(range(lo, hi)),)
 
         parts = []
-        with pytest.raises(CurvatureVanishes):
-            _run_rows(task, 8, 4, parts.append)
+        with pytest.raises(CurvatureVanishes), ExitStack() as stack:
+            _run_rows(stack, task, 8, 4, parts.append)
         assert calls == [(0, 2), (2, 4), (6, 8)]
         assert b"".join(parts) == bytes(range(6))
         assert [str(w.message) for w in recwarn] == ["rows 2 and 3"]
@@ -451,14 +453,55 @@ class TestWorkers:
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
 
     def test_warning_at_one_place_in_two_ranges_shows_once(self):
-        def task(lo, hi):
+        # the child forks before range 0 runs here: it returns its range only
+        # if this process showed the warning before the pool started
+        def kink():
             warnings.warn("kink in every row", KinkWarning)
+
+        def task(lo, hi):
+            calls.append((lo, hi))
+            kink()
             return (b"x" * (hi - lo),)
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")  # once per place, through the module's registry
-            _run_rows(task, 4, 2, [].append)
-        assert [str(w.message) for w in caught] == ["kink in every row"]
+        for shown_before, calls_here in [(False, [(0, 2), (2, 4)]), (True, [(0, 2)])]:
+            calls = []  # the task's calls in this process
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")  # once per place, through the module's registry
+                if shown_before:
+                    kink()
+                with ExitStack() as stack:
+                    _run_rows(stack, task, 4, 2, [].append)
+            assert calls == calls_here
+            assert [str(w.message) for w in caught] == ["kink in every row"]
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("outcome", ["returned", "raised", "cut short"])
+    def test_children_are_reaped_after_the_last_write(self, monkeypatch, processes, outcome):
+        events = []
+        waitpid = os.waitpid
+
+        def reap(pid, options):
+            events.append("reap")
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", reap)
+        if outcome == "cut short":
+            monkeypatch.setattr(g3pencil.mesh, "_child", lambda task, lo, hi, r, w: os._exit(9))
+
+        def task(lo, hi):
+            if outcome == "raised" and hi == 12:
+                raise CurvatureVanishes(1.5, 1e-9)
+            return (bytes(range(lo, hi)),)
+
+        with suppress(CurvatureVanishes, ChildProcessError), ExitStack() as stack:
+            try:
+                _run_rows(stack, task, 12, processes, lambda part: events.append("write"))
+            finally:
+                events.append("last write")  # after _run_rows, with the stack still open
+        assert "reap" not in events[: events.index("last write")]
+        assert events.count("reap") == processes - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
 
 
 class TestOnePassExport:
