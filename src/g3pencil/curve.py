@@ -26,7 +26,7 @@ from itertools import groupby
 
 from .errors import CurvatureVanishes, EmptyDomain, G3PencilError, TorsionVanishes
 from .exprjet import Expr, compile_jets, compile_or_defer, compile_values, parse
-from .g3core import G3Vector, Record, cross
+from .g3core import G3Vector, Record, cross_parts
 
 KAPPA_MIN = 1e-8
 
@@ -96,6 +96,10 @@ class FrenetFrame(Record):
         self.kappa = kappa
         self.tau = tau
 
+    def parts(self) -> tuple:
+        """(kappa, tau, t, n, b) with t, n and b as tuples, as :func:`frame_parts` gives them."""
+        return self.kappa, self.tau, self.t.as_tuple(), self.n.as_tuple(), self.b.as_tuple()
+
 
 class DarbouxData(Record):
     __slots__ = _fields = ("w", "e0", "d_axis")
@@ -148,15 +152,19 @@ BUILTIN_CURVES = {
 
 def point(curve: CurveSpec, s: float) -> G3Vector:
     """Position (s, f(s), g(s))."""
-    f, g = curve._point_values(s, 0.0)
-    return G3Vector(s, f, g)
+    return G3Vector(*point_parts(curve, s))
+
+
+def point_parts(curve: CurveSpec, s: float) -> tuple[float, float, float]:
+    """:func:`point` as an (x, y, z) tuple."""
+    return (s, *curve._point_values(s, 0.0))
 
 
 def curvature_torsion(curve: CurveSpec, s: float) -> tuple[float, float, tuple[float, ...]]:
     """kappa, tau and the jets (f', f'', f''', g', g'', g''') at s, without a frame.
 
-    The one definition of both, for :func:`frenet` and the callers that read
-    only them.  Raises CurvatureVanishes when kappa is NaN or below
+    The one definition of both, for :func:`frame_parts` and the callers that
+    read only them.  Raises CurvatureVanishes when kappa is NaN or below
     ``KAPPA_MIN``, and TorsionVanishes when |tau| is NaN, below it or infinite.
     """
     jets = curve._frame_jets(s, 0.0)
@@ -171,23 +179,30 @@ def curvature_torsion(curve: CurveSpec, s: float) -> tuple[float, float, tuple[f
 
 
 def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
-    """Moving frame at s, built on :func:`curvature_torsion` and failing as it does.
+    """The frame record of :func:`frame_parts`; commands build one at mesh rows and ``frenet --at``."""
+    kappa, tau, t, n, b = frame_parts(curve, s)
+    return FrenetFrame(s, G3Vector(*t), G3Vector(*n), G3Vector(*b), kappa, tau)
 
-    Commands build frames only at report samples, fd stencil points, mesh rows and ``frenet --at``.
-    """
+
+def frame_parts(curve: CurveSpec, s: float) -> tuple:
+    """The frame at s on plain floats, (kappa, tau, t, n, b) with t, n and b as (x, y, z)
+    tuples, built on :func:`curvature_torsion` and failing as it does."""
     kappa, tau, (f1, f2, _, g1, g2, _) = curvature_torsion(curve, s)
-    t = G3Vector(1.0, f1, g1)
-    n = G3Vector(0.0, f2 / kappa, g2 / kappa)
-    b = G3Vector(0.0, -g2 / kappa, f2 / kappa)
-    return FrenetFrame(s=s, t=t, n=n, b=b, kappa=kappa, tau=tau)
+    return kappa, tau, (1.0, f1, g1), (0.0, f2 / kappa, g2 / kappa), (0.0, -g2 / kappa, f2 / kappa)
 
 
 def darboux(frame: FrenetFrame) -> DarbouxData:
     """Darboux rotation vector, its unit form and the axis e0 x t."""
-    abs_tau = abs(frame.tau)
-    w = frame.tau * frame.t + frame.kappa * frame.b
-    e0 = G3Vector(w.x / abs_tau, w.y / abs_tau, w.z / abs_tau)
-    return DarbouxData(w=w, e0=e0, d_axis=cross(e0, frame.t))
+    return DarbouxData(*(G3Vector(*v) for v in darboux_parts(frame.parts())))
+
+
+def darboux_parts(frame: tuple) -> tuple:
+    """:func:`darboux` on :func:`frame_parts`: w, e0 and the axis as (x, y, z) tuples."""
+    kappa, tau, t, _, b = frame
+    abs_tau = abs(tau)
+    w = (t[0] * tau + b[0] * kappa, t[1] * tau + b[1] * kappa, t[2] * tau + b[2] * kappa)
+    e0 = (w[0] / abs_tau, w[1] / abs_tau, w[2] / abs_tau)
+    return w, e0, cross_parts(e0, t)
 
 
 class CurveClass(Record):

@@ -83,7 +83,12 @@ def dot(a: G3Vector, b: G3Vector) -> float:
 
 def cross(a: G3Vector, b: G3Vector) -> G3Vector:
     """Galilean cross product; the result is always isotropic."""
-    return G3Vector(0.0, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
+    return G3Vector(*cross_parts(a.as_tuple(), b.as_tuple()))
+
+
+def cross_parts(a, b) -> tuple[float, float, float]:
+    """:func:`cross` on plain (x, y, z) sequences, as an (x, y, z) tuple."""
+    return (0.0, a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def isotropic_norm(a: G3Vector) -> float:

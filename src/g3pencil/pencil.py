@@ -50,15 +50,15 @@ from .curve import (
     CurveSpec,
     FrenetFrame,
     curvature_torsion,
-    frenet,
-    point,
+    frame_parts,
+    point_parts,
     spread_s_values,
     usable_s_intervals,
 )
 from .errors import G3PencilError, InfeasibleLambda, SigmaVanishes, ZeroMarchingFactor
 from .exprjet import BinOp, Call, Expr, Neg, Num, Var
 from .exprjet import compile_jets, compile_or_defer, compile_values
-from .g3core import G3Vector, Record, cross
+from .g3core import G3Vector, Record, cross_parts
 
 _RADICAND_CLAMP = 1e-12
 _FACTOR_FLOOR = 1e-12
@@ -211,10 +211,16 @@ def usable_domain(
 
 def combine_on_frame(r: G3Vector, fr: FrenetFrame, a: float, b: float, g: float) -> G3Vector:
     """r + a*t + b*n + g*b on the base point r, in a fixed order."""
-    return G3Vector(
-        r.x + a * fr.t.x + b * fr.n.x + g * fr.b.x,
-        r.y + a * fr.t.y + b * fr.n.y + g * fr.b.y,
-        r.z + a * fr.t.z + b * fr.n.z + g * fr.b.z,
+    return G3Vector(*_on_frame(r.as_tuple(), fr.parts(), a, b, g))
+
+
+def _on_frame(r, frame: tuple, a: float, b: float, g: float) -> tuple[float, float, float]:
+    """:func:`combine_on_frame` on an (x, y, z) sequence r and the parts of a frame."""
+    _, _, t, n, bn = frame
+    return (
+        r[0] + a * t[0] + b * n[0] + g * bn[0],
+        r[1] + a * t[1] + b * n[1] + g * bn[1],
+        r[2] + a * t[2] + b * n[2] + g * bn[2],
     )
 
 
@@ -231,10 +237,17 @@ def surface_point(
     ``frame`` and ``base`` are the frame and the curve point at s, when
     the caller has them.
     """
-    fr = frame if frame is not None else frenet(curve, s)
-    r = base if base is not None else point(curve, s)
-    a, b, g = ms._values(s, v)
-    return combine_on_frame(r, fr, a, b, g)
+    parts = None if frame is None else frame.parts()
+    r = None if base is None else base.as_tuple()
+    return G3Vector(*surface_point_parts(curve, ms, s, v, parts, r))
+
+
+def surface_point_parts(curve: CurveSpec, ms: MarchingScale, s: float, v: float, frame=None, base=None):
+    """:func:`surface_point` on plain floats; ``frame`` and ``base`` as :func:`frame_parts`
+    and :func:`point_parts` give them."""
+    frame = frame if frame is not None else frame_parts(curve, s)
+    base = base if base is not None else point_parts(curve, s)
+    return _on_frame(base, frame, *ms._values(s, v))
 
 
 def surface_normal(
@@ -247,22 +260,21 @@ def surface_normal(
     zero marching scale phi_v vanishes and the zero vector is returned;
     callers treat that as a degenerate (flagged) sample.
     """
-    fr = frame if frame is not None else frenet(curve, s)
-    a, a_s, b, b_s, g, g_s, a_v, b_v, g_v = ms._normal_jets(s, v)
+    parts = frame.parts() if frame is not None else frame_parts(curve, s)
+    return G3Vector(*normal_parts(parts, ms._normal_jets(s, v)))
+
+
+def normal_parts(frame: tuple, jets: tuple) -> tuple[float, float, float]:
+    """:func:`surface_normal` on the :func:`frame_parts` at s and the ``_normal_jets`` there."""
+    kappa, tau, t, n, bn = frame
+    a, a_s, b, b_s, g, g_s, a_v, b_v, g_v = jets
     phi_s_t = 1.0 + a_s
-    phi_s_n = fr.kappa * a + b_s - fr.tau * g
-    phi_s_b = fr.tau * b + g_s
-    phi_s = G3Vector(
-        phi_s_t * fr.t.x,
-        phi_s_t * fr.t.y + phi_s_n * fr.n.y + phi_s_b * fr.b.y,
-        phi_s_t * fr.t.z + phi_s_n * fr.n.z + phi_s_b * fr.b.z,
-    )
-    phi_v = G3Vector(
-        a_v * fr.t.x,
-        a_v * fr.t.y + b_v * fr.n.y + g_v * fr.b.y,
-        a_v * fr.t.z + b_v * fr.n.z + g_v * fr.b.z,
-    )
-    return cross(phi_s, phi_v)
+    phi_s_n = kappa * a + b_s - tau * g
+    phi_s_b = tau * b + g_s
+    phi_s_y = phi_s_t * t[1] + phi_s_n * n[1] + phi_s_b * bn[1]
+    phi_s_z = phi_s_t * t[2] + phi_s_n * n[2] + phi_s_b * bn[2]
+    phi_v = (a_v * t[0], a_v * t[1] + b_v * n[1] + g_v * bn[1], a_v * t[2] + b_v * n[2] + g_v * bn[2])
+    return cross_parts((phi_s_t * t[0], phi_s_y, phi_s_z), phi_v)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ lam_hat(s) = <eta1, e0 x t> along the base line.  Two modes exist:
   the marching-scale jets.
 
 Only the normal is independent between the two modes.  Both take t, n,
-b, kappa, tau and the Darboux axis from the same frame kernel
-(:func:`g3pencil.curve.frenet`), so a fault there shows in both reports
+b, kappa, tau and the Darboux axis from the same float frame code
+(:func:`g3pencil.curve.frame_parts`), so a fault there shows in both reports
 alike, and agreement of the modes says nothing about the frame.
 """
 
@@ -20,10 +20,10 @@ import json
 import math
 import sys
 
-from .curve import CurveSpec, FrenetFrame, darboux, frenet, point, spread_s_values
+from .curve import CurveSpec, darboux_parts, frame_parts, point_parts, spread_s_values
 from .errors import StepUnderflow
-from .g3core import G3Vector, Record, cross, dot, isotropic_norm, normalize_isotropic
-from .pencil import MarchingScale, ParamDomain, surface_normal, surface_point, usable_domain
+from .g3core import Record, cross_parts
+from .pencil import MarchingScale, ParamDomain, normal_parts, surface_point_parts, usable_domain
 
 DEGENERATE_NORM = 1e-12
 MIN_REPORT_SAMPLES = 8
@@ -119,25 +119,17 @@ def _fd_steps(domain: ParamDomain) -> tuple[float, float]:
 
 
 def _fd_normal(
-    curve: CurveSpec,
-    ms: MarchingScale,
-    s: float,
-    v: float,
-    h_s: float,
-    h_v: float,
-    frame: FrenetFrame,
-    base: G3Vector,
-) -> G3Vector:
-    """Central difference normal at (s, v).
-
-    ``frame`` and ``base`` are the frame and the curve point at s, which
-    both points at v +- h_v share.
-    """
-    ps = surface_point(curve, ms, s + h_s, v) - surface_point(curve, ms, s - h_s, v)
-    pv = surface_point(curve, ms, s, v + h_v, frame, base) - surface_point(
-        curve, ms, s, v - h_v, frame, base
-    )
-    return cross(ps * (0.5 / h_s), pv * (0.5 / h_v))
+    curve: CurveSpec, ms: MarchingScale, s: float, v: float, h_s: float, h_v: float, frame, base
+) -> tuple[float, float, float]:
+    """Central difference normal at (s, v), as an (x, y, z) tuple; the points at
+    v +- h_v share ``frame`` and ``base``, the :func:`frame_parts` and point at s."""
+    p, m = surface_point_parts(curve, ms, s + h_s, v), surface_point_parts(curve, ms, s - h_s, v)
+    k = 0.5 / h_s
+    phi_s = ((p[0] - m[0]) * k, (p[1] - m[1]) * k, (p[2] - m[2]) * k)
+    p = surface_point_parts(curve, ms, s, v + h_v, frame, base)
+    m = surface_point_parts(curve, ms, s, v - h_v, frame, base)
+    k = 0.5 / h_v
+    return cross_parts(phi_s, ((p[0] - m[0]) * k, (p[1] - m[1]) * k, (p[2] - m[2]) * k))
 
 
 def _classify_report(mean: float, deviation: float, sines: list[float], tol: float) -> str:
@@ -166,8 +158,9 @@ def dtype_report(
     from central differences of surface positions (step = eps^(1/3) of
     the domain extent per direction), so agreement with analytic mode
     cross-checks the normal only: the frame and the Darboux axis come from
-    the same :func:`frenet` in both modes.  Normals that are degenerate or
-    not finite are flagged per sample and excluded from the statistics.
+    the same float frame code on ``curvature_torsion`` in both modes, and
+    no frame, vector or normal record is built.  Normals that are degenerate
+    or not finite are flagged per sample and excluded from the statistics.
     """
     if n_samples < MIN_REPORT_SAMPLES:
         raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")
@@ -183,19 +176,19 @@ def dtype_report(
     samples: list[InvariantSample] = []
     sines: list[float] = []
     for s in svals:
-        fr = frenet(curve, s)
-        axis = darboux(fr).d_axis
+        frame = frame_parts(curve, s)
+        (_, b_y, b_z), (_, axis_y, axis_z) = frame[4], darboux_parts(frame)[2]  # b and e0 x t
         if mode == "analytic":
-            eta = surface_normal(curve, ms, s, v0, frame=fr)
+            _, y, z = normal_parts(frame, ms._normal_jets(s, v0))
         else:
-            eta = _fd_normal(curve, ms, s, v0, h_s, h_v, fr, point(curve, s))
-        if not DEGENERATE_NORM <= isotropic_norm(eta) < math.inf:  # tiny, infinite or NaN
+            _, y, z = _fd_normal(curve, ms, s, v0, h_s, h_v, frame, point_parts(curve, s))
+        norm = math.hypot(y, z)  # the isotropic norm of eta
+        if not DEGENERATE_NORM <= norm < math.inf:  # tiny, infinite or NaN
             samples.append(InvariantSample(s, math.nan, True))
             continue
-        eta1 = normalize_isotropic(eta)
-        lam_hat = dot(eta1, axis)
-        sines.append(dot(eta1, fr.b))
-        samples.append(InvariantSample(s, lam_hat, False))
+        y, z = y / norm, z / norm  # eta1
+        sines.append(y * b_y + z * b_z)  # <eta1, b>: both are isotropic
+        samples.append(InvariantSample(s, y * axis_y + z * axis_z, False))
     valid = [p.lambda_hat for p in samples if not p.flagged]
     mean = math.fsum(valid) / len(valid) if valid else math.nan
     deviation = max((abs(x - mean) for x in valid), default=math.inf)

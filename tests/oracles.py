@@ -11,9 +11,11 @@ evaluators are the reference those kernels are held against, bit for
 bit.  The normal components that realize an invariant, and their
 corollary specializations, state the construction rules and their
 feasibility test on their own, apart from synthesis.  The whole-pencil
-checks at the end are the exception: they hold the package's own surface
-points, frames and normals against its curve points and against central
-differences of the same functions.
+checks are the exception: they hold the package's own surface points,
+frames and normals against its curve points and against central
+differences of the same functions.  Last comes the invariant report as
+it was composed from frame, Darboux and normal records, the bit-for-bit
+reference of the report's float loop.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from g3pencil.curve import (
     FrenetFrame,
     classify_curve,
     curvature_torsion,
+    darboux,
     frenet,
     point,
     spread_s_values,
@@ -74,7 +77,18 @@ from g3pencil.pencil import (
     surface_point,
     usable_domain,
 )
-from g3pencil.verify import DEGENERATE_NORM, _fd_normal, _fd_steps
+from g3pencil.verify import (
+    ANALYTIC_TOL,
+    DEGENERATE_NORM,
+    FD_TOL,
+    MIN_REPORT_SAMPLES,
+    MODES,
+    DTypeReport,
+    InvariantSample,
+    _classify_report,
+    _fd_normal,
+    _fd_steps,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +833,7 @@ def normal_consistency(
     worst = 0.0
     for s in svals:
         fr = frenet(curve, s)
-        r = point(curve, s)
+        parts, r = fr.parts(), point(curve, s).as_tuple()
         for v in v_values:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", KinkWarning)
@@ -830,7 +844,7 @@ def normal_consistency(
                     f"kink sample flagged at (s, v) = ({s:g}, {v:g})", KinkWarning
                 )
                 continue
-            eta_f = _fd_normal(curve, ms, s, v, h_s, h_v, fr, r)
+            eta_f = G3Vector(*_fd_normal(curve, ms, s, v, h_s, h_v, parts, r))
             if not (
                 DEGENERATE_NORM <= isotropic_norm(eta_a) < math.inf
                 and DEGENERATE_NORM <= isotropic_norm(eta_f) < math.inf
@@ -841,3 +855,88 @@ def normal_consistency(
             angle = math.atan2(abs(isotropic_wedge(ua, uf)), dot(ua, uf))
             worst = max(worst, angle)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# The invariant report composed from records: the reference of dtype_report
+# ---------------------------------------------------------------------------
+
+
+def fd_normal_reference(
+    curve: CurveSpec,
+    ms: MarchingScale,
+    s: float,
+    v: float,
+    h_s: float,
+    h_v: float,
+    frame: FrenetFrame,
+    base: G3Vector,
+) -> G3Vector:
+    """The fd normal from surface point records: phi_s x phi_v by central differences."""
+    ps = surface_point(curve, ms, s + h_s, v) - surface_point(curve, ms, s - h_s, v)
+    pv = surface_point(curve, ms, s, v + h_v, frame, base) - surface_point(
+        curve, ms, s, v - h_v, frame, base
+    )
+    return cross(ps * (0.5 / h_s), pv * (0.5 / h_v))
+
+
+def dtype_report_reference(
+    curve: CurveSpec,
+    ms: MarchingScale,
+    domain: ParamDomain,
+    n_samples: int = 200,
+    mode: str = "analytic",
+    tol: float | None = None,
+) -> DTypeReport:
+    """:func:`g3pencil.verify.dtype_report` with each sample composed from records.
+
+    Per sample: :func:`frenet`, then :func:`darboux`, then
+    :func:`surface_normal` or :func:`fd_normal_reference`, then
+    ``isotropic_norm``, ``normalize_isotropic`` and ``dot``.  The float
+    loop of the package must give the same report bit for bit, and fail
+    and warn as this one does, in the same order.  The records are built
+    from the float code the loop runs, so this checks the loop's own
+    composition: its operands, their order, the flags and the failures;
+    the frame, point and normal references above and the record tests
+    check that float code.
+    """
+    if n_samples < MIN_REPORT_SAMPLES:
+        raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")
+    if mode not in MODES:
+        raise ValueError("mode must be 'analytic' or 'fd'")
+    if tol is None:
+        tol = ANALYTIC_TOL if mode == "analytic" else FD_TOL
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
+    h_s, h_v = _fd_steps(domain) if mode == "fd" else (0.0, 0.0)
+    svals = spread_s_values(usable_domain(curve, ms, domain), n_samples, inset=h_s)
+    v0 = domain.v0
+    samples: list[InvariantSample] = []
+    sines: list[float] = []
+    for s in svals:
+        fr = frenet(curve, s)
+        axis = darboux(fr).d_axis
+        if mode == "analytic":
+            eta = surface_normal(curve, ms, s, v0, frame=fr)
+        else:
+            eta = fd_normal_reference(curve, ms, s, v0, h_s, h_v, fr, point(curve, s))
+        if not DEGENERATE_NORM <= isotropic_norm(eta) < math.inf:  # tiny, infinite or NaN
+            samples.append(InvariantSample(s, math.nan, True))
+            continue
+        eta1 = normalize_isotropic(eta)
+        lam_hat = dot(eta1, axis)
+        sines.append(dot(eta1, fr.b))
+        samples.append(InvariantSample(s, lam_hat, False))
+    valid = [p.lambda_hat for p in samples if not p.flagged]
+    mean = math.fsum(valid) / len(valid) if valid else math.nan
+    deviation = max((abs(x - mean) for x in valid), default=math.inf)
+    classification = _classify_report(mean, deviation, sines, tol)
+    return DTypeReport(
+        samples=tuple(samples),
+        mean_lambda=mean,
+        max_abs_deviation=deviation,
+        classification=classification,
+        mode=mode,
+        tolerance=tol,
+        v0=v0,
+    )

@@ -730,27 +730,28 @@ def test_infinite_torsion_gives_no_frame_and_no_domain(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, kernels, frames, fresnels",
+    "argv, kernels, frames, records, fresnels",
     [
         # the frame kernel runs at 256 guard probes, 512 points of the
-        # synthesis grid and 200 samples, and only the samples build a
-        # frame; frames compute no curve point, so no Fresnel integral
-        (["verify", "configs/fresnel-helix.json"], 968, 200, 0),
+        # synthesis grid and 200 samples, and only the samples take a
+        # frame, on plain floats; frames compute no curve point, so no
+        # Fresnel integral
+        (["verify", "configs/fresnel-helix.json"], 968, 200, 0, 0),
         # the fd samples take frames at s and s +- h, and curve points at s
         # and s +- h
-        (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 600, 3 * 200),
-        # one frame and one curve point per grid row
-        (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 200, 200),
+        (["verify", "configs/fresnel-helix.json", "--mode", "fd"], 1368, 600, 0, 3 * 200),
+        # one frame record and one curve point per grid row
+        (["build", "configs/fresnel-helix.json", "--grid", "200x50"], 968, 200, 200, 200),
         # no synthesis: the 256 probes, then kappa and tau at 64 samples
-        (["classify", "configs/fresnel-helix.json"], 256 + 64, 0, 0),
+        (["classify", "configs/fresnel-helix.json"], 256 + 64, 0, 0, 0),
         # a direct scale takes no synthesis grid: the probes, then one
         # frame per sample
-        (["verify", "direct-helix"], 256 + 100, 100, 0),
+        (["verify", "direct-helix"], 256 + 100, 100, 0, 0),
     ],
     ids=["verify", "verify-fd", "build", "classify", "verify-direct"],
 )
 def test_each_command_scans_the_guard_bands_once(
-    tmp_path, monkeypatch, argv, kernels, frames, fresnels
+    tmp_path, monkeypatch, argv, kernels, frames, records, fresnels
 ):
     import g3pencil.curve
     import g3pencil.exprjet
@@ -763,7 +764,7 @@ def test_each_command_scans_the_guard_bands_once(
         path.write_text(json.dumps(doc))
         argv = [argv[0], str(path)]
 
-    calls = {"_passes_guard": 0, "curvature_torsion": 0, "frenet": 0, "_fresnel": 0}
+    calls = {"_passes_guard": 0, "curvature_torsion": 0, "frame_parts": 0, "frenet": 0, "_fresnel": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -779,7 +780,8 @@ def test_each_command_scans_the_guard_bands_once(
 
     counting(g3pencil.curve, "_passes_guard")
     counting(g3pencil.curve, "curvature_torsion")  # one call per frame-kernel evaluation
-    counting(g3pencil.curve, "frenet")
+    counting(g3pencil.curve, "frame_parts")  # one call per frame, a record's included
+    counting(g3pencil.curve, "frenet")  # one call per frame record
     counting(g3pencil.exprjet, "_fresnel")
     if argv[0] == "build":
         # the counts are this process's: no row worker takes rows from it
@@ -788,7 +790,8 @@ def test_each_command_scans_the_guard_bands_once(
     assert calls == {
         "_passes_guard": 256,
         "curvature_torsion": kernels,
-        "frenet": frames,
+        "frame_parts": frames,
+        "frenet": records,
         "_fresnel": fresnels,
     }
 

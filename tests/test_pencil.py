@@ -22,11 +22,12 @@ from g3pencil.errors import (
 from g3pencil.config import config_from_dict, realize
 from g3pencil.exprjet import KinkWarning, parse, to_source
 from g3pencil.figures import figure_doc
-from g3pencil.g3core import dot, isotropic_norm, normalize_isotropic
+from g3pencil.g3core import G3Vector, dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
     MarchingScale,
     ParamDomain,
     SynthesisSpec,
+    combine_on_frame,
     product_marching_scale,
     surface_normal,
     surface_point,
@@ -471,7 +472,7 @@ class TestOneFeasibilityRule:
         import g3pencil.curve
         import g3pencil.pencil
 
-        calls = {"usable_s_intervals": 0, "curvature_torsion": 0, "frenet": 0}
+        calls = {"usable_s_intervals": 0, "curvature_torsion": 0, "frame_parts": 0, "frenet": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -483,13 +484,19 @@ class TestOneFeasibilityRule:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(g3pencil.pencil, "usable_s_intervals")
-        for name in ("curvature_torsion", "frenet"):
+        for name in ("curvature_torsion", "frame_parts"):
             counting(g3pencil.curve, name)
             counting(g3pencil.pencil, name)
+        counting(g3pencil.curve, "frenet")
         realize(config_from_dict(figure_doc("fig1f")))
         # 256 guard-band probes, then one kappa and tau per point of the
-        # 512-point grid; none of them builds a frame
-        assert calls == {"usable_s_intervals": 1, "curvature_torsion": 256 + 512, "frenet": 0}
+        # 512-point grid; none of them takes a frame, as floats or as a record
+        assert calls == {
+            "usable_s_intervals": 1,
+            "curvature_torsion": 256 + 512,
+            "frame_parts": 0,
+            "frenet": 0,
+        }
 
 
 class TestCompiledKernels:
@@ -580,3 +587,22 @@ class TestCompiledKernels:
             surface_normal(helix, ms, s, 1.0)
         # frames, then one kernel of the scale's jets in s and v
         assert compiled == [("s",), ("s", "v")]
+
+
+def test_combine_on_frame_adds_every_product_in_order():
+    # r + a*t + b*n + g*b, summed left to right with all four terms: a zero
+    # component of the frame still turns an infinite factor into nan
+    r = G3Vector(1.0, 0.5, -0.25)
+    frame = FrenetFrame(
+        s=0.0,
+        t=G3Vector(1.0, 0.25, 2.0),
+        n=G3Vector(1.0, -0.5, 0.0),
+        b=G3Vector(0.0, 0.75, 1.5),
+        kappa=1.0,
+        tau=1.0,
+    )
+    got = combine_on_frame(r, frame, 1e16, -1e16, 3.0)
+    assert got.x == 0.0  # (1 + 1e16) - 1e16, where 1 + (1e16 - 1e16) is 1
+    assert got.y == 0.5 + 1e16 * 0.25 + -1e16 * -0.5 + 3.0 * 0.75
+    assert got.z == -0.25 + 1e16 * 2.0 + -1e16 * 0.0 + 3.0 * 1.5
+    assert math.isnan(combine_on_frame(r, frame, 0.0, 0.0, math.inf).x)  # inf * b.x = inf * 0.0

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,14 @@ from g3pencil.pencil import (
     synthesize_product_form,
 )
 from g3pencil.verify import DTypeReport, InvariantSample, dtype_report
-from oracles import check_isoparametric, frenet_residuals, marching_scale_zero, normal_consistency
+from oracles import (
+    check_isoparametric,
+    dtype_report_reference,
+    failure_rich_expression,
+    frenet_residuals,
+    marching_scale_zero,
+    normal_consistency,
+)
 
 ONE = parse("1")
 NEG_ONE = parse("-1")
@@ -76,17 +85,16 @@ class TestDTypeReport:
         assert rep.mean_lambda == pytest.approx(0.5, abs=1e-4)
         assert rep.classification == "general-d-type"
 
-    def test_fd_uses_positions_only(self, helix, dom38, monkeypatch):
-        # an fd report must never differentiate the marching scale
-        import g3pencil.verify as verify_module
-
+    def test_fd_uses_positions_only(self, helix, dom38):
+        # an fd report must never differentiate the marching scale: its jet
+        # kernel, which every analytic normal runs, is forbidden
         def forbidden(*args, **kwargs):
-            raise AssertionError("fd mode called analytic surface_normal")
+            raise AssertionError("fd mode ran the marching scale's jets")
 
         ms = synthesize_product_form(
             helix, SynthesisSpec(0.5, ONE, ONE, ONE, NEG_ONE), dom38
         )
-        monkeypatch.setattr(verify_module, "surface_normal", forbidden)
+        ms.__dict__["_normal_jets"] = forbidden  # the cached kernel, on this instance
         rep = dtype_report(helix, ms, dom38, 16, "fd")
         assert rep.mean_lambda == pytest.approx(0.5, abs=1e-4)
 
@@ -171,6 +179,90 @@ class TestDTypeReport:
         assert doc["mode"] == "analytic"
         assert len(doc["samples"]) == 16
         assert {"s", "lambda_hat", "flagged"} <= set(doc["samples"][0])
+
+
+def _reference_cases():
+    """(name, build) pairs; build() makes a fresh curve, scale and domain, so
+    each report compiles its own kernels and shows their warnings itself."""
+    from g3pencil.config import load_config, realize
+
+    def shipped(path):
+        spec = realize(load_config(path))
+        return spec.curve, spec.marching, spec.domain
+
+    def scale(curve, alpha, beta, gamma, domain):
+        return curve(), MarchingScale(parse(alpha), parse(beta), parse(gamma)), domain
+
+    def geodesic():
+        curve, domain = fresnel_helix(), ParamDomain(0.1, 2 * math.pi, 0.0, 5.0, 0.0)
+        synth = SynthesisSpec(4.0, ONE, ONE, ONE, NEG_ONE)
+        return curve, synthesize_product_form(curve, synth, domain), domain
+
+    dom, wide = ParamDomain(0.5, 3.0, 0.0, 1.0, 0.0), ParamDomain(-3.0, 3.0, 0.0, 5.0, 0.0)
+    cases = [
+        ("helix", lambda: shipped("configs/fresnel-helix.json")),
+        ("anti-salkowski", lambda: shipped("configs/anti-salkowski.json")),
+        ("direct", lambda: scale(fresnel_helix, "v*s", "v*sin(s)", "-v + v^2", dom)),
+        ("product", lambda: (anti_salkowski(), printed_39_marching(), wide)),
+        ("nan", lambda: scale(fresnel_helix, "0", "v*exp(800)", "v", dom)),
+        ("inf", lambda: scale(fresnel_helix, "0", "sinh(1e300*v)*1e10", "v", dom)),
+        # the jets in v cross abs()'s kink at v0; fd steps below v0 leave sqrt's domain
+        ("kink", lambda: scale(fresnel_helix, "abs(v)", "v", "v*s", dom)),
+        ("sqrt", lambda: scale(anti_salkowski, "v", "sqrt(v)*s", "v", dom)),
+        # fd: the points at s +- h divide by v0 = 0 before the one at v0 - h
+        # leaves sqrt's domain
+        ("pole", lambda: scale(fresnel_helix, "v", "sqrt(v) + 1/v", "v", dom)),
+        # normals of norm exactly DEGENERATE_NORM at most samples, and of a
+        # hair more or less at the rest
+        ("threshold", lambda: scale(fresnel_helix, "0", "1e-12*v", "0", dom)),
+        # a normal along n: <eta1, b> vanishes, and the verdict is geodesic
+        ("geodesic", geodesic),
+    ]
+    rng = random.Random(3207)
+    for i in range(40):
+        texts = [failure_rich_expression(rng) for _ in "abg"]
+        texts = [f"v*({text})" if rng.random() < 0.7 else text for text in texts]
+        curve = (fresnel_helix, anti_salkowski)[i % 2]
+        s_min, s_max = rng.uniform(-3.0, 0.5), rng.uniform(1.0, 4.0)
+        domain = ParamDomain(s_min, s_max, -1.0, 1.0, rng.choice((0.0, 0.5)))
+        cases.append((f"rich-{i}", lambda c=curve, t=texts, d=domain: scale(c, *t, d)))
+    return cases
+
+
+def _report_outcome(report, build, mode):
+    """The report's JSON text and the bits of its numbers, which the text
+    writes as null where they are not finite, or the class and text of its
+    error; then the warnings it showed, in order."""
+    curve, ms, domain = build()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rep = report(curve, ms, domain, 24, mode)
+            numbers = [x for p in rep.samples for x in (p.s, p.lambda_hat)]
+            numbers += [rep.mean_lambda, rep.max_abs_deviation, rep.tolerance]
+            outcome = (rep.to_json(), [x.hex() for x in numbers])
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_report_is_the_record_reference_bit_for_bit(mode):
+    # the float loop of dtype_report against the same loop on frame, Darboux
+    # and normal records, bit for bit
+    kinds = set()
+    for name, build in _reference_cases():
+        got = _report_outcome(dtype_report, build, mode)
+        assert got == _report_outcome(dtype_report_reference, build, mode), name
+        if isinstance(got[0][0], str):
+            kinds.update(("report", json.loads(got[0][0])["classification"]))
+        else:
+            kinds.add(got[0][0].__name__)
+        kinds.update(category.__name__ for category, _ in got[1])
+    # the cases reach reports, errors in the loop and before it, and kink
+    # warnings, which only the jets of analytic mode give
+    assert {"report", "DomainError", "EmptyDomain", "geodesic"} <= kinds, kinds
+    assert ("KinkWarning" in kinds) == (mode == "analytic"), kinds
 
 
 # Floats that JSON writes apart: non-finite ones as null, and the extremes
