@@ -9,25 +9,23 @@ surface normals from exact jets or from finite differences of positions.
 from .curve import (
     CurveClass,
     CurveSpec,
-    DarbouxData,
-    FrenetFrame,
     anti_salkowski,
     classify_curve,
-    darboux,
-    frenet,
+    darboux_parts,
+    frame_parts,
     fresnel_helix,
-    point,
+    point_parts,
 )
 from .errors import G3PencilError
 from .exprjet import Expr, parse, to_source
-from .g3core import G3Vector, cross, dot, isotropic_norm, normalize_isotropic
+from .g3core import cross_parts
 from .pencil import (
     MarchingScale,
     ParamDomain,
     PencilSpec,
     SynthesisSpec,
-    surface_normal,
-    surface_point,
+    normal_parts,
+    surface_point_parts,
     synthesize_product_form,
 )
 from .verify import DTypeReport, dtype_report
@@ -36,30 +34,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "G3PencilError",
-    "G3Vector",
-    "cross",
-    "dot",
-    "isotropic_norm",
-    "normalize_isotropic",
+    "cross_parts",
     "Expr",
     "parse",
     "to_source",
     "CurveSpec",
     "CurveClass",
-    "FrenetFrame",
-    "DarbouxData",
     "fresnel_helix",
     "anti_salkowski",
-    "point",
-    "frenet",
-    "darboux",
+    "point_parts",
+    "frame_parts",
+    "darboux_parts",
     "classify_curve",
     "ParamDomain",
     "MarchingScale",
     "SynthesisSpec",
     "PencilSpec",
-    "surface_point",
-    "surface_normal",
+    "surface_point_parts",
+    "normal_parts",
     "synthesize_product_form",
     "DTypeReport",
     "dtype_report",

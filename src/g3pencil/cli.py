@@ -26,8 +26,8 @@ from types import SimpleNamespace
 
 from . import figures
 from .config import build_curve, config_from_dict, load_config, realize
-from .curve import classify_curve, darboux, frenet, point, uniform_grid
-from .g3core import G3Vector, Record
+from .curve import classify_curve, darboux_parts, frame_parts, point_parts, uniform_grid
+from .g3core import Record
 from .mesh import _MIN_POINTS, export_curve_csv, write_mesh
 from .verify import MODES, dtype_report
 
@@ -45,8 +45,8 @@ def _num(x: float) -> str:
     return f"{x + 0.0:.12g}"  # adding 0.0 turns -0.0 into 0.0, so "-0" never shows
 
 
-def _vec(v: G3Vector) -> str:
-    return f"({_num(v.x)}, {_num(v.y)}, {_num(v.z)})"
+def _vec(v: tuple[float, float, float]) -> str:
+    return f"({_num(v[0])}, {_num(v[1])}, {_num(v[2])})"
 
 
 def _usage_error(message: str) -> Exception:
@@ -101,15 +101,15 @@ def _one_line_warning(message, category, filename, lineno, line=None) -> str:
 def _cmd_frenet(args) -> int:
     cfg = load_config(args.config)
     curve = build_curve(cfg.curve, as_printed=args.as_printed)
-    fr = frenet(curve, args.at)
-    dd = darboux(fr)
-    print(f"s = {_num(fr.s)}")
-    print(f"t = {_vec(fr.t)}")
-    print(f"n = {_vec(fr.n)}")
-    print(f"b = {_vec(fr.b)}")
-    print(f"kappa = {_num(fr.kappa)}")
-    print(f"tau = {_num(fr.tau)}")
-    print(f"E0 = {_vec(dd.e0)}")
+    frame = frame_parts(curve, args.at)
+    kappa, tau, t, n, b = frame
+    print(f"s = {_num(args.at)}")
+    print(f"t = {_vec(t)}")
+    print(f"n = {_vec(n)}")
+    print(f"b = {_vec(b)}")
+    print(f"kappa = {_num(kappa)}")
+    print(f"tau = {_num(tau)}")
+    print(f"E0 = {_vec(darboux_parts(frame)[1])}")
     return EXIT_OK
 
 
@@ -166,7 +166,7 @@ def _cmd_reproduce(args) -> int:
         ns = args.grid[0] if args.grid else figures.GRID[0]
         curve = build_curve(figures.CURVE_FIGURES[name], as_printed=args.as_printed)
         svals = uniform_grid(figures.DOMAIN["s_min"], figures.DOMAIN["s_max"], ns)
-        pts = [point(curve, s) for s in svals]
+        pts = [point_parts(curve, s) for s in svals]
         out = os.path.join(args.output, f"{name}.csv")
         export_curve_csv(svals, pts, out)
         print(f"wrote {out}")

@@ -26,7 +26,7 @@ from itertools import groupby
 
 from .errors import CurvatureVanishes, EmptyDomain, G3PencilError, TorsionVanishes
 from .exprjet import Expr, compile_jets, compile_or_defer, compile_values, parse
-from .g3core import G3Vector, Record, cross_parts
+from .g3core import Record, cross_parts
 
 KAPPA_MIN = 1e-8
 
@@ -80,36 +80,6 @@ class CurveSpec(Record):
         return {}
 
 
-class FrenetFrame(Record):
-    """The frame at s: t, n, b, kappa and tau.
-
-    It carries no base point; :func:`point` gives r(s) = (s, f(s), g(s)).
-    """
-
-    __slots__ = _fields = ("s", "t", "n", "b", "kappa", "tau")
-
-    def __init__(self, s: float, t: G3Vector, n: G3Vector, b: G3Vector, kappa: float, tau: float):
-        self.s = s
-        self.t = t
-        self.n = n
-        self.b = b
-        self.kappa = kappa
-        self.tau = tau
-
-    def parts(self) -> tuple:
-        """(kappa, tau, t, n, b) with t, n and b as tuples, as :func:`frame_parts` gives them."""
-        return self.kappa, self.tau, self.t.as_tuple(), self.n.as_tuple(), self.b.as_tuple()
-
-
-class DarbouxData(Record):
-    __slots__ = _fields = ("w", "e0", "d_axis")
-
-    def __init__(self, w: G3Vector, e0: G3Vector, d_axis: G3Vector):
-        self.w = w            # tau * t + kappa * b, the frame's rotation vector
-        self.e0 = e0          # w / |tau|
-        self.d_axis = d_axis  # e0 x t, equal to (kappa / |tau|) * n
-
-
 def fresnel_helix(as_printed: bool = False) -> CurveSpec:
     """General helix built from Fresnel integrals; kappa = |s|, tau = s/4.
 
@@ -150,13 +120,8 @@ BUILTIN_CURVES = {
 }
 
 
-def point(curve: CurveSpec, s: float) -> G3Vector:
-    """Position (s, f(s), g(s))."""
-    return G3Vector(*point_parts(curve, s))
-
-
 def point_parts(curve: CurveSpec, s: float) -> tuple[float, float, float]:
-    """:func:`point` as an (x, y, z) tuple."""
+    """The curve point r(s) = (s, f(s), g(s)) as an (x, y, z) tuple."""
     return (s, *curve._point_values(s, 0.0))
 
 
@@ -178,26 +143,22 @@ def curvature_torsion(curve: CurveSpec, s: float) -> tuple[float, float, tuple[f
     return kappa, tau, jets
 
 
-def frenet(curve: CurveSpec, s: float) -> FrenetFrame:
-    """The frame record of :func:`frame_parts`; commands build one at mesh rows and ``frenet --at``."""
-    kappa, tau, t, n, b = frame_parts(curve, s)
-    return FrenetFrame(s, G3Vector(*t), G3Vector(*n), G3Vector(*b), kappa, tau)
-
-
 def frame_parts(curve: CurveSpec, s: float) -> tuple:
-    """The frame at s on plain floats, (kappa, tau, t, n, b) with t, n and b as (x, y, z)
-    tuples, built on :func:`curvature_torsion` and failing as it does."""
+    """The Frenet frame at s, (kappa, tau, t, n, b) with t, n and b as (x, y, z) tuples.
+
+    t has absolute component 1, n and b are isotropic, and no base point is
+    computed; it is built on :func:`curvature_torsion` and fails as it does.
+    """
     kappa, tau, (f1, f2, _, g1, g2, _) = curvature_torsion(curve, s)
     return kappa, tau, (1.0, f1, g1), (0.0, f2 / kappa, g2 / kappa), (0.0, -g2 / kappa, f2 / kappa)
 
 
-def darboux(frame: FrenetFrame) -> DarbouxData:
-    """Darboux rotation vector, its unit form and the axis e0 x t."""
-    return DarbouxData(*(G3Vector(*v) for v in darboux_parts(frame.parts())))
-
-
 def darboux_parts(frame: tuple) -> tuple:
-    """:func:`darboux` on :func:`frame_parts`: w, e0 and the axis as (x, y, z) tuples."""
+    """The Darboux data of a :func:`frame_parts` frame, as (x, y, z) tuples.
+
+    w = tau t + kappa b is the frame's rotation vector, e0 = w / |tau| its
+    unit form, and the axis e0 x t equals (kappa / |tau|) n.
+    """
     kappa, tau, t, _, b = frame
     abs_tau = abs(tau)
     w = (t[0] * tau + b[0] * kappa, t[1] * tau + b[1] * kappa, t[2] * tau + b[2] * kappa)

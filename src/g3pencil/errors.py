@@ -10,14 +10,6 @@ class G3PencilError(Exception):
     """Base class for all errors raised by g3pencil."""
 
 
-class NonIsotropicInput(G3PencilError):
-    """An operation restricted to isotropic vectors received one with x != 0."""
-
-
-class ZeroVector(G3PencilError):
-    """Normalization of a vector whose norm is numerically zero."""
-
-
 class EmptyDomain(G3PencilError):
     """Guard bands and expression domain gaps cover the whole s range."""
 

@@ -904,9 +904,12 @@ def compile_surface_rows(
 
     Returns ``row(s, base, frame, out)``, which extends the list ``out``
     with x, y, z of the point at (s, v) for every v in ``v_values``, in
-    order; ``base`` is the curve point at s and ``frame`` supplies the
-    vectors ``t``, ``n`` and ``b``.  Each coordinate equals bitwise the one
-    of ``combine_on_frame(base, frame, a, b, g)`` with a, b, g the values
+    order; ``base`` is the curve point at s as (x, y, z), and ``frame`` is
+    (kappa, tau, t, n, b) with t, n and b as (x, y, z), as
+    :func:`~g3pencil.curve.point_parts` and
+    :func:`~g3pencil.curve.frame_parts` give them.  Each coordinate equals
+    bitwise the one of :func:`~g3pencil.pencil.surface_point_parts`, base +
+    a*t + b*n + g*b summed left to right with a, b, g the values
     :func:`compile_values` gives, plus 0.0, which turns -0.0 into 0.0 and
     leaves every other value as it is.  The three trees share one emitter,
     so common subtrees are computed once; constant parts are folded here as
@@ -944,11 +947,8 @@ def compile_surface_rows(
         "    return columns\n"
         "\n"
         "def _row(s, base, frame, out):\n"
-        "    t, n, b = frame.t, frame.n, frame.b\n"
-        "    px, py, pz = base.x, base.y, base.z\n"
-        "    tx, ty, tz = t.x, t.y, t.z\n"
-        "    nx, ny, nz = n.x, n.y, n.z\n"
-        "    bx, by, bz = b.x, b.y, b.z\n"
+        "    px, py, pz = base\n"
+        "    _, _, (tx, ty, tz), (nx, ny, nz), (bx, by, bz) = frame\n"
         "    extend = out.extend\n"
         + _block(units[_S], 1)
         + f"    for {column} in _cols:\n"

@@ -25,10 +25,9 @@ from contextlib import ExitStack, contextmanager, suppress
 from itertools import chain, count
 from typing import BinaryIO, Callable, Iterator, Sequence
 
-from .curve import frenet, point, spread_s_values, uniform_grid
+from .curve import frame_parts, point_parts, spread_s_values, uniform_grid
 from .errors import GridTooCoarse
 from .exprjet import compile_surface_rows
-from .g3core import G3Vector
 from .pencil import PencilSpec, usable_domain
 
 
@@ -234,7 +233,7 @@ def write_mesh(
     def rows(lo: int, hi: int) -> list[bytes]:
         values: list[float] = []  # x, y, z per vertex, row major; canonical, so no -0.0
         for s in s_values[lo:hi]:
-            row_points(s, point(curve, s), frenet(curve, s), values)
+            row_points(s, point_parts(curve, s), frame_parts(curve, s), values)
         out = []
         if obj is not None:
             text = _V_RECORD * (nv * (hi - lo)) % tuple(values)
@@ -309,11 +308,12 @@ def _output(path: str) -> Iterator[BinaryIO]:
         raise
 
 
-def export_curve_csv(s_values: list[float], points: list[G3Vector], path: str) -> None:
-    """CSV polyline of curve samples with header s,x,y,z, written as :func:`_output` writes."""
+def export_curve_csv(s_values: list[float], points: list[tuple], path: str) -> None:
+    """CSV polyline of the curve points (x, y, z) at ``s_values``, with header s,x,y,z,
+    written as :func:`_output` writes."""
     lines = ["s,x,y,z"]
-    for s, p in zip(s_values, points):
-        lines.append(f"{_fmt(s)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
+    for s, (x, y, z) in zip(s_values, points):
+        lines.append(f"{_fmt(s)},{_fmt(x)},{_fmt(y)},{_fmt(z)}")
     data = "\n".join(lines) + "\n"
     with _output(path) as fh:
         fh.write(data.encode("ascii"))

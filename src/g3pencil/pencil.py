@@ -48,7 +48,6 @@ from functools import cached_property
 
 from .curve import (
     CurveSpec,
-    FrenetFrame,
     curvature_torsion,
     frame_parts,
     point_parts,
@@ -58,7 +57,7 @@ from .curve import (
 from .errors import G3PencilError, InfeasibleLambda, SigmaVanishes, ZeroMarchingFactor
 from .exprjet import BinOp, Call, Expr, Neg, Num, Var
 from .exprjet import compile_jets, compile_or_defer, compile_values
-from .g3core import G3Vector, Record, cross_parts
+from .g3core import Record, cross_parts
 
 _RADICAND_CLAMP = 1e-12
 _FACTOR_FLOOR = 1e-12
@@ -92,7 +91,7 @@ class MarchingScale(Record):
 
     Surface points and normals run through kernels compiled once per
     marching scale, on first use: the values, and the one jet kernel of
-    :func:`surface_normal`, c0 and c1 in s and then c1 in v; one whose
+    :func:`normal_parts`, c0 and c1 in s and then c1 in v; one whose
     constant part fails is kept failing at every call.  The values kernel of
     a direct block is the one its load check and :func:`usable_domain` run.
     """
@@ -209,13 +208,9 @@ def usable_domain(
 # ---------------------------------------------------------------------------
 
 
-def combine_on_frame(r: G3Vector, fr: FrenetFrame, a: float, b: float, g: float) -> G3Vector:
-    """r + a*t + b*n + g*b on the base point r, in a fixed order."""
-    return G3Vector(*_on_frame(r.as_tuple(), fr.parts(), a, b, g))
-
-
 def _on_frame(r, frame: tuple, a: float, b: float, g: float) -> tuple[float, float, float]:
-    """:func:`combine_on_frame` on an (x, y, z) sequence r and the parts of a frame."""
+    """r + a*t + b*n + g*b on an (x, y, z) sequence r and a :func:`frame_parts` frame,
+    each component summed left to right with all four terms."""
     _, _, t, n, bn = frame
     return (
         r[0] + a * t[0] + b * n[0] + g * bn[0],
@@ -224,50 +219,28 @@ def _on_frame(r, frame: tuple, a: float, b: float, g: float) -> tuple[float, flo
     )
 
 
-def surface_point(
-    curve: CurveSpec,
-    ms: MarchingScale,
-    s: float,
-    v: float,
-    frame: FrenetFrame | None = None,
-    base: G3Vector | None = None,
-) -> G3Vector:
-    """phi(s, v) = r(s) + alpha t + beta n + gamma b.
-
-    ``frame`` and ``base`` are the frame and the curve point at s, when
-    the caller has them.
-    """
-    parts = None if frame is None else frame.parts()
-    r = None if base is None else base.as_tuple()
-    return G3Vector(*surface_point_parts(curve, ms, s, v, parts, r))
-
-
 def surface_point_parts(curve: CurveSpec, ms: MarchingScale, s: float, v: float, frame=None, base=None):
-    """:func:`surface_point` on plain floats; ``frame`` and ``base`` as :func:`frame_parts`
-    and :func:`point_parts` give them."""
+    """phi(s, v) = r(s) + alpha t + beta n + gamma b, as an (x, y, z) tuple.
+
+    ``frame`` and ``base`` are the :func:`frame_parts` and the
+    :func:`point_parts` at s, when the caller has them.
+    """
     frame = frame if frame is not None else frame_parts(curve, s)
     base = base if base is not None else point_parts(curve, s)
     return _on_frame(base, frame, *ms._values(s, v))
 
 
-def surface_normal(
-    curve: CurveSpec, ms: MarchingScale, s: float, v: float, frame: FrenetFrame | None = None
-) -> G3Vector:
-    """Isotropic normal eta = phi_s x phi_v from exact first-order jets.
+def normal_parts(ms: MarchingScale, s: float, v: float, frame: tuple) -> tuple[float, float, float]:
+    """Isotropic normal eta = phi_s x phi_v at (s, v) from exact first-order jets.
 
-    One kernel call gives the jets of the scales in s, then in v; it fails
-    and warns as the jets in s and in v, taken in turn, would.  With a
-    zero marching scale phi_v vanishes and the zero vector is returned;
-    callers treat that as a degenerate (flagged) sample.
+    ``frame`` is the :func:`frame_parts` at s.  One kernel call gives the
+    jets of the scales in s, then in v; it fails and warns as the jets in s
+    and in v, taken in turn, would.  With a zero marching scale phi_v
+    vanishes and the zero vector is returned; callers treat that as a
+    degenerate (flagged) sample.
     """
-    parts = frame.parts() if frame is not None else frame_parts(curve, s)
-    return G3Vector(*normal_parts(parts, ms._normal_jets(s, v)))
-
-
-def normal_parts(frame: tuple, jets: tuple) -> tuple[float, float, float]:
-    """:func:`surface_normal` on the :func:`frame_parts` at s and the ``_normal_jets`` there."""
     kappa, tau, t, n, bn = frame
-    a, a_s, b, b_s, g, g_s, a_v, b_v, g_v = jets
+    a, a_s, b, b_s, g, g_s, a_v, b_v, g_v = ms._normal_jets(s, v)
     phi_s_t = 1.0 + a_s
     phi_s_n = kappa * a + b_s - tau * g
     phi_s_b = tau * b + g_s

@@ -158,9 +158,10 @@ def dtype_report(
     from central differences of surface positions (step = eps^(1/3) of
     the domain extent per direction), so agreement with analytic mode
     cross-checks the normal only: the frame and the Darboux axis come from
-    the same float frame code on ``curvature_torsion`` in both modes, and
-    no frame, vector or normal record is built.  Normals that are degenerate
-    or not finite are flagged per sample and excluded from the statistics.
+    the same float frame code on ``curvature_torsion`` in both modes.  A
+    sample runs on plain floats, and its ``InvariantSample`` is the one
+    record it builds.  Normals that are degenerate or not finite are
+    flagged per sample and excluded from the statistics.
     """
     if n_samples < MIN_REPORT_SAMPLES:
         raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")
@@ -179,7 +180,7 @@ def dtype_report(
         frame = frame_parts(curve, s)
         (_, b_y, b_z), (_, axis_y, axis_z) = frame[4], darboux_parts(frame)[2]  # b and e0 x t
         if mode == "analytic":
-            _, y, z = normal_parts(frame, ms._normal_jets(s, v0))
+            _, y, z = normal_parts(ms, s, v0, frame)
         else:
             _, y, z = _fd_normal(curve, ms, s, v0, h_s, h_v, frame, point_parts(curve, s))
         norm = math.hypot(y, z)  # the isotropic norm of eta

@@ -334,11 +334,17 @@ def _kernel_outcomes(compile, points, run) -> list:
 
 def compiled_outcomes(triples: list[list[str]]) -> list[dict]:
     """Per triple, each kernel's outcomes, from the g3pencil this interpreter imports."""
-    from g3pencil.curve import fresnel_helix, frenet, point
+    import g3pencil.curve as curve
     from g3pencil.exprjet import compile_jets, compile_surface_rows, compile_values, parse
 
-    helix = fresnel_helix()
-    frame, base = frenet(helix, 1.5), point(helix, 1.5)
+    helix = curve.fresnel_helix()
+    # each tree's row kernel gets the frame and point it reads: records in a
+    # tree that has FrenetFrame, tuples otherwise; the record branch can go
+    # once no compared tree has records
+    if hasattr(curve, "FrenetFrame"):
+        frame, base = curve.frenet(helix, 1.5), curve.point(helix, 1.5)
+    else:
+        frame, base = curve.frame_parts(helix, 1.5), curve.point_parts(helix, 1.5)
     points = [(s, v) for s in SPECIAL_S for v in SPECIAL_V]
 
     def rows(row, s):

@@ -13,9 +13,12 @@ corollary specializations, state the construction rules and their
 feasibility test on their own, apart from synthesis.  The whole-pencil
 checks are the exception: they hold the package's own surface points,
 frames and normals against its curve points and against central
-differences of the same functions.  Last comes the invariant report as
-it was composed from frame, Darboux and normal records, the bit-for-bit
-reference of the report's float loop.
+differences of the same functions.  Last comes the invariant report
+tree-walked on the frame, point and normal references, the bit-for-bit
+reference of the package's report.  The package writes vectors as plain
+(x, y, z) tuples; the references and the geometric checks write them as
+the small records of this module, ``G3Vector`` with its arithmetic,
+``FrenetFrame`` and ``DarbouxData``.
 """
 
 from __future__ import annotations
@@ -28,12 +31,10 @@ from typing import Callable, NamedTuple
 from g3pencil.curve import (
     KAPPA_MIN,
     CurveSpec,
-    FrenetFrame,
     classify_curve,
     curvature_torsion,
-    darboux,
-    frenet,
-    point,
+    frame_parts,
+    point_parts,
     spread_s_values,
     uniform_grid,
     usable_s_intervals,
@@ -43,7 +44,6 @@ from g3pencil.errors import (
     DomainError,
     G3PencilError,
     InfeasibleLambda,
-    NonIsotropicInput,
     SigmaVanishes,
     TorsionVanishes,
 )
@@ -67,14 +67,13 @@ from g3pencil.exprjet import (
     _kink,
     _sinh,
 )
-from g3pencil.g3core import G3Vector, Record, cross, dot, isotropic_norm, normalize_isotropic
+from g3pencil.g3core import Record
 from g3pencil.pencil import (
     MarchingScale,
     ParamDomain,
     SynthesisSpec,
-    combine_on_frame,
-    surface_normal,
-    surface_point,
+    normal_parts,
+    surface_point_parts,
     usable_domain,
 )
 from g3pencil.verify import (
@@ -89,6 +88,102 @@ from g3pencil.verify import (
     _fd_normal,
     _fd_steps,
 )
+
+
+# ---------------------------------------------------------------------------
+# Vectors and frames of G3 as records
+# ---------------------------------------------------------------------------
+
+
+class G3Vector(Record):
+    """A vector (x, y, z); x is the absolute component, y and z isotropic."""
+
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float):
+        self.x = x
+        self.y = y
+        self.z = z
+
+    def __add__(self, other: "G3Vector") -> "G3Vector":
+        return G3Vector(self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other: "G3Vector") -> "G3Vector":
+        return G3Vector(self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def __neg__(self) -> "G3Vector":
+        return G3Vector(-self.x, -self.y, -self.z)
+
+    def __mul__(self, k: float) -> "G3Vector":
+        return G3Vector(self.x * k, self.y * k, self.z * k)
+
+    __rmul__ = __mul__
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.x, self.y, self.z)
+
+
+class FrenetFrame(Record):
+    """The frame at s: t, n, b, kappa and tau, with no base point."""
+
+    __slots__ = _fields = ("s", "t", "n", "b", "kappa", "tau")
+
+    def __init__(self, s: float, t: G3Vector, n: G3Vector, b: G3Vector, kappa: float, tau: float):
+        self.s = s
+        self.t = t
+        self.n = n
+        self.b = b
+        self.kappa = kappa
+        self.tau = tau
+
+    def parts(self) -> tuple:
+        """(kappa, tau, t, n, b) with t, n and b as tuples, as ``curve.frame_parts`` gives them."""
+        return self.kappa, self.tau, self.t.as_tuple(), self.n.as_tuple(), self.b.as_tuple()
+
+
+class DarbouxData(Record):
+    __slots__ = _fields = ("w", "e0", "d_axis")
+
+    def __init__(self, w: G3Vector, e0: G3Vector, d_axis: G3Vector):
+        self.w = w            # tau * t + kappa * b, the frame's rotation vector
+        self.e0 = e0          # w / |tau|
+        self.d_axis = d_axis  # e0 x t, equal to (kappa / |tau|) * n
+
+
+def dot(a: G3Vector, b: G3Vector) -> float:
+    """Galilean scalar product: a1*b1 unless both vectors are isotropic."""
+    if a.x != 0.0 or b.x != 0.0:
+        return a.x * b.x
+    return a.y * b.y + a.z * b.z
+
+
+def cross(a: G3Vector, b: G3Vector) -> G3Vector:
+    """Galilean cross product; the result is always isotropic."""
+    return G3Vector(0.0, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
+
+
+def isotropic_norm(a: G3Vector) -> float:
+    """Euclidean length of an isotropic vector's (y, z) part; ValueError for x != 0."""
+    if a.x != 0.0:
+        raise ValueError(f"vector {a.as_tuple()} has nonzero absolute component")
+    return math.hypot(a.y, a.z)
+
+
+def normalize_isotropic(a: G3Vector) -> G3Vector:
+    """Scale an isotropic vector to unit isotropic norm; ValueError below a norm of 1e-14."""
+    n = isotropic_norm(a)
+    if n < 1e-14:
+        raise ValueError(f"cannot normalize near-zero vector {a.as_tuple()}")
+    return G3Vector(0.0, a.y / n, a.z / n)
+
+
+def combine_on_frame(r: G3Vector, fr: FrenetFrame, a: float, b: float, g: float) -> G3Vector:
+    """r + a*t + b*n + g*b on the base point r, each component summed left to right."""
+    return G3Vector(
+        r.x + a * fr.t.x + b * fr.n.x + g * fr.b.x,
+        r.y + a * fr.t.y + b * fr.n.y + g * fr.b.y,
+        r.z + a * fr.t.z + b * fr.n.z + g * fr.b.z,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +679,7 @@ def isotropic_wedge(a: G3Vector, b: G3Vector) -> float:
     this planar wedge instead.
     """
     if a.x != 0.0 or b.x != 0.0:
-        raise NonIsotropicInput("wedge is defined for isotropic vectors only")
+        raise ValueError("wedge is defined for isotropic vectors only")
     return a.y * b.z - a.z * b.y
 
 
@@ -725,16 +820,44 @@ def frenet_reference(curve: CurveSpec, s: float) -> FrenetFrame:
     return FrenetFrame(s=s, t=t, n=n, b=b, kappa=kappa, tau=tau)
 
 
-def surface_point_reference(curve: CurveSpec, ms: MarchingScale, s: float, v: float) -> G3Vector:
-    fr = frenet_reference(curve, s)
+def frame_record(curve: CurveSpec, s: float) -> FrenetFrame:
+    """The package's frame at s, ``curve.frame_parts``, as a record for vector arithmetic."""
+    kappa, tau, t, n, b = frame_parts(curve, s)
+    return FrenetFrame(s, G3Vector(*t), G3Vector(*n), G3Vector(*b), kappa, tau)
+
+
+def darboux_reference(fr: FrenetFrame) -> DarbouxData:
+    """w = t tau + b kappa, e0 = w / |tau| component by component, and the axis e0 x t."""
+    w = fr.t * fr.tau + fr.b * fr.kappa
+    abs_tau = abs(fr.tau)
+    e0 = G3Vector(w.x / abs_tau, w.y / abs_tau, w.z / abs_tau)
+    return DarbouxData(w, e0, cross(e0, fr.t))
+
+
+def surface_point_reference(
+    curve: CurveSpec,
+    ms: MarchingScale,
+    s: float,
+    v: float,
+    fr: FrenetFrame | None = None,
+    base: G3Vector | None = None,
+) -> G3Vector:
+    """phi(s, v) from the frame, then the curve point, then alpha, beta and gamma;
+    ``fr`` and ``base`` are the references at s, when the caller has them."""
+    fr = fr if fr is not None else frenet_reference(curve, s)
+    base = base if base is not None else point_reference(curve, s)
     a = eval_expr(ms.alpha, s, v)
     b = eval_expr(ms.beta, s, v)
     g = eval_expr(ms.gamma, s, v)
-    return combine_on_frame(point_reference(curve, s), fr, a, b, g)
+    return combine_on_frame(base, fr, a, b, g)
 
 
-def surface_normal_reference(curve: CurveSpec, ms: MarchingScale, s: float, v: float) -> G3Vector:
-    fr = frenet_reference(curve, s)
+def surface_normal_reference(
+    curve: CurveSpec, ms: MarchingScale, s: float, v: float, fr: FrenetFrame | None = None
+) -> G3Vector:
+    """phi_s x phi_v from the jets of alpha, beta and gamma in s, then in v;
+    ``fr`` is the reference frame at s, when the caller has it."""
+    fr = fr if fr is not None else frenet_reference(curve, s)
     aj_s = eval_jet3(ms.alpha, "s", s, v)
     bj_s = eval_jet3(ms.beta, "s", s, v)
     gj_s = eval_jet3(ms.gamma, "s", s, v)
@@ -767,16 +890,16 @@ def check_isoparametric(
 ) -> float:
     """Max componentwise gap between phi(s, v0) and r(s) over the base line.
 
-    phi is built on the same point r, so the gap is that of
-    alpha t + beta n + gamma b at v0, after adding r and subtracting it
-    again.
+    phi is the package's surface point built on its own curve point r, so
+    the gap is that of alpha t + beta n + gamma b at v0, after adding r and
+    subtracting it again.
     """
     svals = spread_s_values(usable_domain(curve, ms, domain), n_samples)
     worst = 0.0
     for s in svals:
-        r = point(curve, s)
-        p = surface_point(curve, ms, s, domain.v0, base=r)
-        worst = max(worst, abs(p.x - r.x), abs(p.y - r.y), abs(p.z - r.z))
+        r = point_parts(curve, s)
+        p = surface_point_parts(curve, ms, s, domain.v0, base=r)
+        worst = max(worst, abs(p[0] - r[0]), abs(p[1] - r[1]), abs(p[2] - r[2]))
     return worst
 
 
@@ -792,7 +915,7 @@ def frenet_residuals(
     n_samples: int = 100,
     h: float = 1e-5,
 ) -> FrenetResiduals:
-    """Max residuals of the frame equations under central differences.
+    """Max residuals of the package's frame equations under central differences.
 
     Compares (t(s+h) - t(s-h)) / 2h against kappa n, and likewise n'
     against tau b and b' against -tau n.  Residuals shrink quadratically
@@ -801,16 +924,15 @@ def frenet_residuals(
     svals = spread_s_values(usable_s_intervals(curve, *s_range), n_samples, inset=h)
     r_t = r_n = r_b = 0.0
     for s in svals:
-        fr = frenet(curve, s)
-        plus = frenet(curve, s + h)
-        minus = frenet(curve, s - h)
+        kappa, tau, _, n, b = frame_parts(curve, s)
+        n, b = G3Vector(*n), G3Vector(*b)
+        plus, minus = frame_parts(curve, s + h), frame_parts(curve, s - h)
         scale = 0.5 / h
-        dt = (plus.t - minus.t) * scale
-        dn = (plus.n - minus.n) * scale
-        db = (plus.b - minus.b) * scale
-        r_t = max(r_t, isotropic_norm(G3Vector(0.0, dt.y, dt.z) - fr.kappa * fr.n))
-        r_n = max(r_n, isotropic_norm(dn - fr.tau * fr.b))
-        r_b = max(r_b, isotropic_norm(db + fr.tau * fr.n))
+        # the differences of t, n and b
+        dt, dn, db = ((G3Vector(*plus[k]) - G3Vector(*minus[k])) * scale for k in (2, 3, 4))
+        r_t = max(r_t, isotropic_norm(G3Vector(0.0, dt.y, dt.z) - kappa * n))
+        r_n = max(r_n, isotropic_norm(dn - tau * b))
+        r_b = max(r_b, isotropic_norm(db + tau * n))
     return FrenetResiduals(r_t, r_n, r_b)
 
 
@@ -821,7 +943,7 @@ def normal_consistency(
     n_samples: int = 40,
     nv: int = 9,
 ) -> float:
-    """Max angle between analytic and finite difference normals on a grid.
+    """Max angle between the package's analytic and finite difference normals on a grid.
 
     Samples ``n_samples`` values of s by ``nv`` values of v.  Samples where
     either normal is degenerate, or where the analytic jets cross an abs()
@@ -832,19 +954,18 @@ def normal_consistency(
     v_values = uniform_grid(domain.v_min, domain.v_max, nv)
     worst = 0.0
     for s in svals:
-        fr = frenet(curve, s)
-        parts, r = fr.parts(), point(curve, s).as_tuple()
+        frame, r = frame_parts(curve, s), point_parts(curve, s)
         for v in v_values:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", KinkWarning)
-                eta_a = surface_normal(curve, ms, s, v, frame=fr)
+                eta_a = G3Vector(*normal_parts(ms, s, v, frame))
                 kinked = any(issubclass(w.category, KinkWarning) for w in caught)
             if kinked:
                 warnings.warn(
                     f"kink sample flagged at (s, v) = ({s:g}, {v:g})", KinkWarning
                 )
                 continue
-            eta_f = G3Vector(*_fd_normal(curve, ms, s, v, h_s, h_v, parts, r))
+            eta_f = G3Vector(*_fd_normal(curve, ms, s, v, h_s, h_v, frame, r))
             if not (
                 DEGENERATE_NORM <= isotropic_norm(eta_a) < math.inf
                 and DEGENERATE_NORM <= isotropic_norm(eta_f) < math.inf
@@ -858,7 +979,7 @@ def normal_consistency(
 
 
 # ---------------------------------------------------------------------------
-# The invariant report composed from records: the reference of dtype_report
+# The invariant report tree-walked: the reference of dtype_report
 # ---------------------------------------------------------------------------
 
 
@@ -869,13 +990,16 @@ def fd_normal_reference(
     v: float,
     h_s: float,
     h_v: float,
-    frame: FrenetFrame,
+    fr: FrenetFrame,
     base: G3Vector,
 ) -> G3Vector:
-    """The fd normal from surface point records: phi_s x phi_v by central differences."""
-    ps = surface_point(curve, ms, s + h_s, v) - surface_point(curve, ms, s - h_s, v)
-    pv = surface_point(curve, ms, s, v + h_v, frame, base) - surface_point(
-        curve, ms, s, v - h_v, frame, base
+    """phi_s x phi_v by central differences of tree-walked surface points; the
+    points at v +- h_v share ``fr`` and ``base``, the references at s."""
+    ps = surface_point_reference(curve, ms, s + h_s, v) - surface_point_reference(
+        curve, ms, s - h_s, v
+    )
+    pv = surface_point_reference(curve, ms, s, v + h_v, fr, base) - surface_point_reference(
+        curve, ms, s, v - h_v, fr, base
     )
     return cross(ps * (0.5 / h_s), pv * (0.5 / h_v))
 
@@ -888,17 +1012,19 @@ def dtype_report_reference(
     mode: str = "analytic",
     tol: float | None = None,
 ) -> DTypeReport:
-    """:func:`g3pencil.verify.dtype_report` with each sample composed from records.
+    """:func:`g3pencil.verify.dtype_report` with each sample tree-walked.
 
-    Per sample: :func:`frenet`, then :func:`darboux`, then
-    :func:`surface_normal` or :func:`fd_normal_reference`, then
-    ``isotropic_norm``, ``normalize_isotropic`` and ``dot``.  The float
-    loop of the package must give the same report bit for bit, and fail
-    and warn as this one does, in the same order.  The records are built
-    from the float code the loop runs, so this checks the loop's own
-    composition: its operands, their order, the flags and the failures;
-    the frame, point and normal references above and the record tests
-    check that float code.
+    Per sample: :func:`frenet_reference`, then the axis of
+    :func:`darboux_reference`, then :func:`surface_normal_reference` on that
+    frame or, in fd mode, :func:`fd_normal_reference` on the points of
+    :func:`surface_point_reference`, then ``isotropic_norm``,
+    ``normalize_isotropic`` and ``dot``.  No frame, axis, normal or point
+    comes from the package's code, so the report checks the package's
+    frame, Darboux and normal formulas as well as its loop: its operands,
+    their order, the flags and the failures.  The package must give the
+    same report bit for bit, and fail and warn as this one does, in the
+    same order.  Only the sample grid, the fd steps and the verdict are the
+    package's own.
     """
     if n_samples < MIN_REPORT_SAMPLES:
         raise ValueError(f"dtype_report needs at least {MIN_REPORT_SAMPLES} samples")
@@ -914,12 +1040,13 @@ def dtype_report_reference(
     samples: list[InvariantSample] = []
     sines: list[float] = []
     for s in svals:
-        fr = frenet(curve, s)
-        axis = darboux(fr).d_axis
+        fr = frenet_reference(curve, s)
+        axis = darboux_reference(fr).d_axis
         if mode == "analytic":
-            eta = surface_normal(curve, ms, s, v0, frame=fr)
+            eta = surface_normal_reference(curve, ms, s, v0, fr)
         else:
-            eta = fd_normal_reference(curve, ms, s, v0, h_s, h_v, fr, point(curve, s))
+            base = point_reference(curve, s)
+            eta = fd_normal_reference(curve, ms, s, v0, h_s, h_v, fr, base)
         if not DEGENERATE_NORM <= isotropic_norm(eta) < math.inf:  # tiny, infinite or NaN
             samples.append(InvariantSample(s, math.nan, True))
             continue

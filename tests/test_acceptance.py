@@ -19,39 +19,39 @@ from g3pencil.cli import main
 from g3pencil.config import config_from_dict, load_config, realize
 from g3pencil.curve import (
     anti_salkowski,
-    darboux,
-    frenet,
+    darboux_parts,
+    frame_parts,
     fresnel_helix,
-    point,
+    point_parts,
     spread_s_values,
     usable_s_intervals,
 )
 from g3pencil.errors import InfeasibleLambda
 from g3pencil.exprjet import parse
 from g3pencil.figures import figure_doc
-from g3pencil.g3core import (
-    cross,
-    dot,
-    isotropic_norm,
-    normalize_isotropic,
-)
 from g3pencil.mesh import _fmt, write_mesh
 from g3pencil.pencil import (
     ParamDomain,
     SynthesisSpec,
-    surface_normal,
+    normal_parts,
     synthesize_product_form,
 )
 from g3pencil.verify import dtype_report
 from oracles import (
+    G3Vector,
     check_isoparametric,
     corollary_components,
+    cross,
+    dot,
     eval_expr,
+    frame_record,
     fresnel_c,
     fresnel_s,
     fresnel_table,
     frenet_residuals,
+    isotropic_norm,
     isotropic_wedge,
+    normalize_isotropic,
     required_normal_components,
 )
 
@@ -78,15 +78,15 @@ def test_c01_builtin_closed_forms():
         helix = fresnel_helix()
         for i in range(200):
             s = 0.1 + (2.0 * math.pi - 0.1) * i / 199
-            fr = frenet(helix, s)
-            assert abs(fr.kappa - s) <= 1e-8
-            assert abs(fr.tau - s / 4.0) <= 1e-8
+            kappa, tau, *_ = frame_parts(helix, s)
+            assert abs(kappa - s) <= 1e-8
+            assert abs(tau - s / 4.0) <= 1e-8
         antis = anti_salkowski()
         for i in range(200):
             s = -3.0 + 6.0 * i / 199
-            fr = frenet(antis, s)
-            assert abs(fr.kappa - math.cosh(s / 4.0)) <= 1e-8
-            assert abs(fr.tau - 1.0) <= 1e-8
+            kappa, tau, *_ = frame_parts(antis, s)
+            assert abs(kappa - math.cosh(s / 4.0)) <= 1e-8
+            assert abs(tau - 1.0) <= 1e-8
         assert time.perf_counter() - start < 1.0
 
 
@@ -119,9 +119,9 @@ def test_c03_darboux_axis_identity():
                     s = -s
             else:
                 curve, s = antis, rng.uniform(-3.0, 3.0)
-            fr = frenet(curve, s)
-            dd = darboux(fr)
-            resid = cross(dd.e0, fr.t) - (fr.kappa / abs(fr.tau)) * fr.n
+            fr = frame_record(curve, s)
+            e0 = G3Vector(*darboux_parts(fr.parts())[1])
+            resid = cross(e0, fr.t) - (fr.kappa / abs(fr.tau)) * fr.n
             assert isotropic_norm(resid) <= 1e-12
 
 
@@ -213,14 +213,14 @@ def test_c07_corollary_specializations():
         for curve, dom in ((helix, DOM38), (antis, DOM39)):
             ms = synthesize_product_form(curve, SynthesisSpec(0.0, ONE, ONE, ONE, NEG_ONE), dom)
             for s in spread_s_values(usable_s_intervals(curve, dom.s_min, dom.s_max), 64):
-                fr = frenet(curve, s)
-                eta1 = normalize_isotropic(surface_normal(curve, ms, s, 0.0, frame=fr))
+                fr = frame_record(curve, s)
+                eta1 = normalize_isotropic(G3Vector(*normal_parts(ms, s, 0.0, fr.parts())))
                 assert abs(dot(eta1, fr.n)) <= 1e-9
         # lam matched to kappa/|tau| = 4: the unit normal is parallel to it
         msg = synthesize_product_form(helix, SynthesisSpec(4.0, ONE, ONE, ONE, NEG_ONE), DOM38)
         for s in spread_s_values(usable_s_intervals(helix, 0.1, 2.0 * math.pi), 64):
-            fr = frenet(helix, s)
-            eta1 = normalize_isotropic(surface_normal(helix, msg, s, 0.0, frame=fr))
+            fr = frame_record(helix, s)
+            eta1 = normalize_isotropic(G3Vector(*normal_parts(msg, s, 0.0, fr.parts())))
             assert abs(isotropic_wedge(eta1, fr.n)) <= 1e-9
         # helix specialization with ratio 0.25 reproduces criterion 4's numbers
         synth = SynthesisSpec(0.5, ONE, ONE, ONE, NEG_ONE)
@@ -270,8 +270,8 @@ def test_c09_isoparametric_reproduction(tmp_path):
             assert len(rows) == 40 * 10
             for row in rows[::10]:
                 s = float(row.split(",")[0])  # 17 significant digits give back the double
-                r = point(pencil.curve, s)
-                expected = f"{_fmt(s)},{_fmt(0.0)},{_fmt(r.x)},{_fmt(r.y)},{_fmt(r.z)}"
+                x, y, z = point_parts(pencil.curve, s)
+                expected = f"{_fmt(s)},{_fmt(0.0)},{_fmt(x)},{_fmt(y)},{_fmt(z)}"
                 assert row == expected
 
 

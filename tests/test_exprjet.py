@@ -7,7 +7,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g3pencil.curve import CurveSpec, FrenetFrame
+from g3pencil.curve import CurveSpec
 from g3pencil.errors import DomainError, ParseError
 from g3pencil.exprjet import (
     FUNCTIONS,
@@ -26,11 +26,13 @@ from g3pencil.exprjet import (
     parse,
     to_source,
 )
-from g3pencil.g3core import G3Vector
-from g3pencil.pencil import MarchingScale, combine_on_frame
+from g3pencil.pencil import MarchingScale
 from oracles import (
+    FrenetFrame,
+    G3Vector,
     Jet3,
     central_diff,
+    combine_on_frame,
     eval_expr,
     eval_jet3,
     failure_rich_expression,
@@ -430,11 +432,13 @@ def test_compiled_matches_interpreted_bitwise():
         except (DomainError, ValueError, OverflowError):
             fails = True
         got: list[float] = []
+        # the kernel takes the point and the frame as point_parts and frame_parts give them
+        args = (s, base.as_tuple(), frame.parts(), got)
         if fails:
             with pytest.raises(DomainError):
-                compile_surface_rows(*trees, v_values)(s, base, frame, got)
+                compile_surface_rows(*trees, v_values)(*args)
             continue
-        compile_surface_rows(*trees, v_values)(s, base, frame, got)
+        compile_surface_rows(*trees, v_values)(*args)
         # float.hex tells -0.0 from 0.0, which == does not
         canonical = [(c + 0.0).hex() for p in want for c in p.as_tuple()]
         assert [c.hex() for c in got] == canonical, texts
@@ -848,21 +852,19 @@ def test_a_constant_text_folds_once(monkeypatch):
 def test_row_kernel_rejects_non_finite_points():
     zero = Num(0.0)
     row = compile_surface_rows(parse("exp(300*v)"), zero, zero, [0.0, 5.0])
-    unit = G3Vector(0.0, 1.0, 0.0)
-    origin, tangent = G3Vector(0.0, 0.0, 0.0), G3Vector(1.0, 0.0, 0.0)
-    frame = FrenetFrame(s=0.0, t=tangent, n=unit, b=unit, kappa=1.0, tau=1.0)
+    unit = (0.0, 1.0, 0.0)
+    origin, tangent = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
     with pytest.raises(DomainError, match="non-finite"):
-        row(0.0, origin, frame, [])
+        row(0.0, origin, (1.0, 1.0, tangent, unit, unit), [])
 
 
 def test_row_kernel_writes_signed_zeros_as_zero():
     # every sum below is -0.0; the mesh stores it as 0.0, so it prints as "0"
     zero = Num(0.0)
     row = compile_surface_rows(zero, zero, zero, [0.0, 1.0])
-    minus = G3Vector(-0.0, -0.0, -0.0)
-    frame = FrenetFrame(s=0.0, t=minus, n=minus, b=minus, kappa=1.0, tau=1.0)
+    minus = (-0.0, -0.0, -0.0)
     out: list[float] = []
-    row(0.0, minus, frame, out)
+    row(0.0, minus, (1.0, 1.0, minus, minus, minus), out)
     assert [c.hex() for c in out] == [(0.0).hex()] * 6
 
 

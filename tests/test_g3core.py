@@ -1,17 +1,13 @@
+"""The package's cross product on (x, y, z) tuples, and the vector helpers of
+the oracles that the references and geometric checks use."""
+
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from g3pencil.errors import NonIsotropicInput, ZeroVector
-from g3pencil.g3core import (
-    G3Vector,
-    cross,
-    dot,
-    isotropic_norm,
-    normalize_isotropic,
-)
-from oracles import isotropic_wedge
+from g3pencil.g3core import cross_parts
+from oracles import G3Vector, cross, dot, isotropic_norm, isotropic_wedge, normalize_isotropic
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -40,21 +36,23 @@ class TestDot:
 
 class TestCross:
     def test_t_cross_n_is_b(self):
-        assert cross(vec(1, 0, 0), vec(0, 1, 0)) == vec(0, 0, 1)
+        assert cross_parts((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) == (0.0, 0.0, 1.0)
 
     def test_b_cross_t_is_n(self):
-        assert cross(vec(0, 0, 1), vec(1, 0, 0)) == vec(0, 1, 0)
+        assert cross_parts((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) == (0.0, 1.0, 0.0)
 
     def test_self_cross_vanishes(self):
-        a = vec(1.5, -2, 0.25)
-        assert cross(a, a) == vec(0, 0, 0)
+        a = (1.5, -2.0, 0.25)
+        assert cross_parts(a, a) == (0.0, 0.0, 0.0)
 
     @given(finite, finite, finite, finite, finite, finite)
     def test_always_isotropic_and_antisymmetric(self, ax, ay, az, bx, by, bz):
-        a, b = vec(ax, ay, az), vec(bx, by, bz)
-        c = cross(a, b)
-        assert c.x == 0.0
-        assert cross(b, a) == -c
+        a, b = (ax, ay, az), (bx, by, bz)
+        c = cross_parts(a, b)
+        assert c[0] == 0.0
+        assert cross_parts(b, a) == tuple(-x for x in c)
+        # the oracles' record cross, which the references use, is the same bit for bit
+        assert [x.hex() for x in cross(vec(*a), vec(*b)).as_tuple()] == [x.hex() for x in c]
 
     @given(finite, finite, finite, finite)
     def test_isotropic_dot_is_planar_euclidean(self, ay, az, by, bz):
@@ -76,7 +74,7 @@ class TestNorms:
         )
 
     def test_rejects_non_isotropic(self):
-        with pytest.raises(NonIsotropicInput):
+        with pytest.raises(ValueError, match="nonzero absolute component"):
             isotropic_norm(vec(1, 0, 0))
 
 
@@ -88,7 +86,7 @@ class TestNormalize:
         assert normalize_isotropic(vec(0, 0, 2)) == vec(0, 0, 1)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(ValueError, match="near-zero"):
             normalize_isotropic(vec(0, 0, 0))
 
     @given(finite, finite)
@@ -99,7 +97,7 @@ class TestNormalize:
         assert isotropic_norm(u) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalized_cross_has_unit_norm(self):
-        c = cross(vec(1, 2, 3), vec(2, -1, 0.5))
+        c = vec(*cross_parts((1.0, 2.0, 3.0), (2.0, -1.0, 0.5)))
         assert dot(c, c) >= 0.0
         assert isotropic_norm(normalize_isotropic(c)) == pytest.approx(1.0, abs=1e-15)
 
@@ -107,5 +105,5 @@ class TestNormalize:
 def test_wedge_detects_parallelism():
     assert isotropic_wedge(vec(0, 1, 2), vec(0, 2, 4)) == 0.0
     assert isotropic_wedge(vec(0, 1, 0), vec(0, 0, 1)) == 1.0
-    with pytest.raises(NonIsotropicInput):
+    with pytest.raises(ValueError):
         isotropic_wedge(vec(1, 0, 0), vec(0, 1, 0))

@@ -13,7 +13,7 @@ import pytest
 import g3pencil.mesh
 from g3pencil.cli import main
 from g3pencil.config import config_from_dict, load_config, realize
-from g3pencil.curve import point, uniform_grid
+from g3pencil.curve import point_parts, uniform_grid
 from g3pencil.errors import CurvatureVanishes, GridTooCoarse
 from g3pencil.exprjet import KinkWarning
 from g3pencil.figures import figure_doc
@@ -71,7 +71,7 @@ class TestSampling:
         rows = sampled(helix_pencil, 40, 10, tmp_path)
         for s, v, *xyz in rows[::10]:
             assert v == 0.0
-            assert tuple(xyz) == point(helix_pencil.curve, s).as_tuple()
+            assert tuple(xyz) == point_parts(helix_pencil.curve, s)
 
     def test_each_usable_interval_needs_two_rows(self, tmp_path):
         # fig1c's guard band around s = 0 leaves two usable intervals
@@ -218,8 +218,8 @@ class TestCsvExport:
         rows = path.read_text().splitlines()[1:]
         d = helix_pencil.domain
         for s, row in zip(uniform_grid(d.s_min, d.s_max, 12), rows[::4]):
-            r = point(helix_pencil.curve, s)
-            expected = f"{_fmt(s)},{_fmt(0.0)},{_fmt(r.x)},{_fmt(r.y)},{_fmt(r.z)}"
+            x, y, z = point_parts(helix_pencil.curve, s)
+            expected = f"{_fmt(s)},{_fmt(0.0)},{_fmt(x)},{_fmt(y)},{_fmt(z)}"
             assert row == expected
 
 

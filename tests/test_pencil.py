@@ -6,12 +6,11 @@ import pytest
 
 from g3pencil.curve import (
     CurveSpec,
-    FrenetFrame,
     anti_salkowski,
-    darboux,
-    frenet,
+    darboux_parts,
+    frame_parts,
     fresnel_helix,
-    point,
+    point_parts,
 )
 from g3pencil.errors import (
     G3PencilError,
@@ -22,25 +21,31 @@ from g3pencil.errors import (
 from g3pencil.config import config_from_dict, realize
 from g3pencil.exprjet import KinkWarning, parse, to_source
 from g3pencil.figures import figure_doc
-from g3pencil.g3core import G3Vector, dot, isotropic_norm, normalize_isotropic
 from g3pencil.pencil import (
     MarchingScale,
     ParamDomain,
     SynthesisSpec,
-    combine_on_frame,
+    _on_frame,
+    normal_parts,
     product_marching_scale,
-    surface_normal,
-    surface_point,
+    surface_point_parts,
     synthesize_product_form,
 )
 from oracles import (
     ClassMismatch,
+    FrenetFrame,
+    G3Vector,
+    combine_on_frame,
     corollary_components,
+    dot,
     eval_expr,
     eval_jet3,
+    frame_record,
     frenet_reference,
+    isotropic_norm,
     isotropic_wedge,
     marching_scale_zero,
+    normalize_isotropic,
     point_reference,
     required_normal_components,
     surface_normal_reference,
@@ -78,9 +83,9 @@ def ms38(helix, dom):
 
 
 def lam_hat(curve, ms, s, v0=0.0):
-    fr = frenet(curve, s)
-    eta = surface_normal(curve, ms, s, v0, frame=fr)
-    return dot(normalize_isotropic(eta), darboux(fr).d_axis)
+    frame = frame_parts(curve, s)
+    eta = G3Vector(*normal_parts(ms, s, v0, frame))
+    return dot(normalize_isotropic(eta), G3Vector(*darboux_parts(frame)[2]))
 
 
 class TestDomain:
@@ -97,20 +102,16 @@ class TestSurfacePoint:
     def test_zero_scale_reproduces_curve(self, helix):
         ms = marching_scale_zero()
         for s in (0.3, 1.2, 4.0):
-            p = surface_point(helix, ms, s, 3.7)
-            r = point(helix, s)
-            assert (p.x, p.y, p.z) == (r.x, r.y, r.z)
+            assert surface_point_parts(helix, ms, s, 3.7) == point_parts(helix, s)
 
     def test_base_line_of_worked_example(self, helix, ms38):
-        p = surface_point(helix, ms38, 2.0, 0.0)
-        r = point(helix, 2.0)
-        assert (p.x, p.y, p.z) == (r.x, r.y, r.z)
+        assert surface_point_parts(helix, ms38, 2.0, 0.0) == point_parts(helix, 2.0)
 
     def test_offset_lies_in_frame_span(self, helix, ms38):
         s, v = 1.5, 0.8
-        fr = frenet(helix, s)
-        p = surface_point(helix, ms38, s, v)
-        r = point(helix, s)
+        fr = frame_record(helix, s)
+        p = G3Vector(*surface_point_parts(helix, ms38, s, v))
+        r = G3Vector(*point_parts(helix, s))
         a = eval_expr(ms38.alpha, s, v)
         b = eval_expr(ms38.beta, s, v)
         g = eval_expr(ms38.gamma, s, v)
@@ -124,19 +125,19 @@ class TestSurfacePoint:
 
 class TestSurfaceNormal:
     def test_zero_scale_gives_degenerate_normal(self, helix):
-        eta = surface_normal(helix, marching_scale_zero(), 2.0, 0.0)
-        assert (eta.x, eta.y, eta.z) == (0.0, 0.0, 0.0)
+        eta = normal_parts(marching_scale_zero(), 2.0, 0.0, frame_parts(helix, 2.0))
+        assert eta == (0.0, 0.0, 0.0)
 
     def test_worked_example_components(self, helix, ms38):
-        fr = frenet(helix, 2.0)
-        eta = surface_normal(helix, ms38, 2.0, 0.0, frame=fr)
+        fr = frame_record(helix, 2.0)
+        eta = G3Vector(*normal_parts(ms38, 2.0, 0.0, fr.parts()))
         assert dot(eta, fr.n) == pytest.approx(0.125, abs=1e-12)
         assert dot(eta, fr.b) == pytest.approx(PHI3_38, abs=1e-12)
 
     def test_unit_flexion_gives_binormal(self, helix):
         ms = MarchingScale(alpha=parse("0"), beta=parse("v"), gamma=parse("0"))
-        fr = frenet(helix, 2.0)
-        eta = surface_normal(helix, ms, 2.0, 0.0, frame=fr)
+        fr = frame_record(helix, 2.0)
+        eta = G3Vector(*normal_parts(ms, 2.0, 0.0, fr.parts()))
         assert isotropic_norm(eta - fr.b) <= 1e-15
 
     def test_normal_direction_law_at_base_line(self, helix):
@@ -147,8 +148,8 @@ class TestSurfaceNormal:
             gamma=parse("v*cosh(s/4)"),
         )
         for s in (0.4, 1.1, 3.0):
-            fr = frenet(helix, s)
-            eta = surface_normal(helix, ms, s, 0.0, frame=fr)
+            fr = frame_record(helix, s)
+            eta = G3Vector(*normal_parts(ms, s, 0.0, fr.parts()))
             beta_v = eval_jet3(ms.beta, "v", s, 0.0).c1
             gamma_v = eval_jet3(ms.gamma, "v", s, 0.0).c1
             expected = -gamma_v * fr.n + beta_v * fr.b
@@ -278,8 +279,8 @@ class TestSynthesis:
         ms = synthesize_product_form(helix, spec(4.0, parse("1")), dom)
         for s in (0.3, 2.0, 6.0):
             assert eval_expr(ms.beta, s, 3.0) == 0.0
-            fr = frenet(helix, s)
-            eta = surface_normal(helix, ms, s, 0.0, frame=fr)
+            fr = frame_record(helix, s)
+            eta = G3Vector(*normal_parts(ms, s, 0.0, fr.parts()))
             assert abs(isotropic_wedge(normalize_isotropic(eta), fr.n)) <= 1e-9
 
     def test_infeasible_draw_raises(self, helix, dom):
@@ -472,7 +473,7 @@ class TestOneFeasibilityRule:
         import g3pencil.curve
         import g3pencil.pencil
 
-        calls = {"usable_s_intervals": 0, "curvature_torsion": 0, "frame_parts": 0, "frenet": 0}
+        calls = {"usable_s_intervals": 0, "curvature_torsion": 0, "frame_parts": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -487,22 +488,20 @@ class TestOneFeasibilityRule:
         for name in ("curvature_torsion", "frame_parts"):
             counting(g3pencil.curve, name)
             counting(g3pencil.pencil, name)
-        counting(g3pencil.curve, "frenet")
         realize(config_from_dict(figure_doc("fig1f")))
         # 256 guard-band probes, then one kappa and tau per point of the
-        # 512-point grid; none of them takes a frame, as floats or as a record
+        # 512-point grid; none of them takes a frame
         assert calls == {
             "usable_s_intervals": 1,
             "curvature_torsion": 256 + 512,
             "frame_parts": 0,
-            "frenet": 0,
         }
 
 
 class TestCompiledKernels:
-    """frenet, point, surface_point and surface_normal run compiled kernels
-    cached on the curve and marching scale; they must agree bitwise with
-    the tree-walked references, and fail where those fail."""
+    """frame_parts, point_parts, surface_point_parts and normal_parts run
+    compiled kernels cached on the curve and marching scale; they must agree
+    bitwise with the tree-walked references, and fail where those fail."""
 
     @staticmethod
     def _pencils():
@@ -529,13 +528,13 @@ class TestCompiledKernels:
 
     @staticmethod
     def _bits(value):
-        # float.hex tells -0.0 from 0.0, which == does not
+        # float.hex tells -0.0 from 0.0, which == does not; a reference's
+        # record flattens as the package's tuples do
         if isinstance(value, FrenetFrame):
-            vectors = (value.t, value.n, value.b)
-            scalars = (value.s, value.kappa, value.tau)
-        else:
-            vectors, scalars = (value,), ()
-        return [c.hex() for vec in vectors for c in vec.as_tuple()] + [x.hex() for x in scalars]
+            value = value.parts()
+        elif isinstance(value, G3Vector):
+            value = value.as_tuple()
+        return [c.hex() for part in value for c in (part if isinstance(part, tuple) else (part,))]
 
     def _same(self, evaluate, reference):
         def run(fn):
@@ -553,15 +552,15 @@ class TestCompiledKernels:
         for curve, ms in self._pencils():
             s_values = [0.0, -1.5, 2.75] + [rng.uniform(-3.0, 3.0) for _ in range(40)]
             for s in s_values:
-                self._same(lambda: frenet(curve, s), lambda: frenet_reference(curve, s))
-                self._same(lambda: point(curve, s), lambda: point_reference(curve, s))
+                self._same(lambda: frame_parts(curve, s), lambda: frenet_reference(curve, s))
+                self._same(lambda: point_parts(curve, s), lambda: point_reference(curve, s))
                 for v in (0.0, -1.0, rng.uniform(-1.0, 2.0)):
                     self._same(
-                        lambda: surface_point(curve, ms, s, v),
+                        lambda: surface_point_parts(curve, ms, s, v),
                         lambda: surface_point_reference(curve, ms, s, v),
                     )
                     self._same(
-                        lambda: surface_normal(curve, ms, s, v),
+                        lambda: normal_parts(ms, s, v, frame_parts(curve, s)),
                         lambda: surface_normal_reference(curve, ms, s, v),
                     )
 
@@ -583,15 +582,15 @@ class TestCompiledKernels:
         helix = fresnel_helix()
         ms = synthesize_product_form(helix, spec(0.5, ONE), dom)
         for s in (1.0, 2.0, 3.0):
-            frenet(helix, s)
-            surface_normal(helix, ms, s, 1.0)
+            normal_parts(ms, s, 1.0, frame_parts(helix, s))
         # frames, then one kernel of the scale's jets in s and v
         assert compiled == [("s",), ("s", "v")]
 
 
 def test_combine_on_frame_adds_every_product_in_order():
     # r + a*t + b*n + g*b, summed left to right with all four terms: a zero
-    # component of the frame still turns an infinite factor into nan
+    # component of the frame still turns an infinite factor into nan; the
+    # package's surface points and the oracle's combine alike
     r = G3Vector(1.0, 0.5, -0.25)
     frame = FrenetFrame(
         s=0.0,
@@ -601,8 +600,13 @@ def test_combine_on_frame_adds_every_product_in_order():
         kappa=1.0,
         tau=1.0,
     )
-    got = combine_on_frame(r, frame, 1e16, -1e16, 3.0)
-    assert got.x == 0.0  # (1 + 1e16) - 1e16, where 1 + (1e16 - 1e16) is 1
-    assert got.y == 0.5 + 1e16 * 0.25 + -1e16 * -0.5 + 3.0 * 0.75
-    assert got.z == -0.25 + 1e16 * 2.0 + -1e16 * 0.0 + 3.0 * 1.5
-    assert math.isnan(combine_on_frame(r, frame, 0.0, 0.0, math.inf).x)  # inf * b.x = inf * 0.0
+
+    def package(r, fr, a, b, g):
+        return G3Vector(*_on_frame(r.as_tuple(), fr.parts(), a, b, g))
+
+    for combine in (combine_on_frame, package):
+        got = combine(r, frame, 1e16, -1e16, 3.0)
+        assert got.x == 0.0  # (1 + 1e16) - 1e16, where 1 + (1e16 - 1e16) is 1
+        assert got.y == 0.5 + 1e16 * 0.25 + -1e16 * -0.5 + 3.0 * 0.75
+        assert got.z == -0.25 + 1e16 * 2.0 + -1e16 * 0.0 + 3.0 * 1.5
+        assert math.isnan(combine(r, frame, 0.0, 0.0, math.inf).x)  # inf * b.x = inf * 0.0

@@ -14,13 +14,13 @@ import pytest
 
 import g3pencil
 from g3pencil.config import PencilConfig, VerifySpec
-from g3pencil.curve import CurveClass, CurveSpec, DarbouxData, FrenetFrame
+from g3pencil.curve import CurveClass, CurveSpec
 from g3pencil.exprjet import BinOp, Call, Neg, Num, Var, parse
-from g3pencil.g3core import G3Vector, Record
+from g3pencil.g3core import Record
 from g3pencil.pencil import MarchingScale, ParamDomain, PencilSpec, SynthesisSpec
 from g3pencil.verify import DTypeReport, InvariantSample
 import oracles
-from oracles import Jet3, NormalComponents
+from oracles import DarbouxData, FrenetFrame, G3Vector, Jet3, NormalComponents
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -233,13 +233,22 @@ MOVED_TO_ORACLES = {
     "g3pencil.pencil": (
         "required_normal_components",
         "corollary_components",
+        "combine_on_frame",
         "_phis",
         "NormalComponents",
         "_COROLLARY_KINDS",
         "_KIND_TO_CLASS",
     ),
     "g3pencil.errors": ("ClassMismatch",),
-    "g3pencil.g3core": ("isotropic_wedge",),
+    "g3pencil.g3core": (
+        "isotropic_wedge",
+        "G3Vector",
+        "dot",
+        "cross",
+        "isotropic_norm",
+        "normalize_isotropic",
+    ),
+    "g3pencil.curve": ("FrenetFrame", "DarbouxData"),
     "g3pencil.exprjet": (
         "Jet3",
         "_compose",
@@ -260,9 +269,19 @@ MOVED_TO_ORACLES = {
 def test_the_package_holds_only_what_the_commands_run():
     gone = ("Jet3", "eval_jet3", "NormalComponents", "required_normal_components",
             "corollary_components", "classify_dtype", "eval_expr", "fresnel_s", "fresnel_c",
-            "DTypeSpec", "ControlCoefficients", "apply_control_coefficients")
+            "DTypeSpec", "ControlCoefficients", "apply_control_coefficients",
+            # the record twins of the float formulas: the float functions are the one form
+            "G3Vector", "FrenetFrame", "DarbouxData", "frenet", "darboux", "point",
+            "surface_point", "surface_normal", "combine_on_frame", "cross", "dot",
+            "isotropic_norm", "normalize_isotropic", "ZERO_NORM_FLOOR", "NonIsotropicInput",
+            "ZeroVector")
     for name in gone:
         assert name not in g3pencil.__all__ and not hasattr(g3pencil, name), name
+        for module in ("g3core", "curve", "pencil", "errors"):
+            assert not hasattr(sys.modules[f"g3pencil.{module}"], name), f"{module}.{name}"
+    for name in ("point_parts", "frame_parts", "darboux_parts", "cross_parts",
+                 "surface_point_parts", "normal_parts"):
+        assert name in g3pencil.__all__, name
     for name in ("classify_dtype", "_GEODESIC_TOL", "_radicand"):
         assert not hasattr(sys.modules["g3pencil.pencil"], name), name
     # one kernel per synthesis for m, n and sigma; the grid size is a tuple

@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g3pencil.curve import anti_salkowski, frenet, fresnel_helix
+from g3pencil.curve import anti_salkowski, frame_parts, fresnel_helix
 from g3pencil.exprjet import KinkWarning, parse
 from g3pencil.pencil import (
     MarchingScale,
@@ -248,8 +248,8 @@ def _report_outcome(report, build, mode):
 
 @pytest.mark.parametrize("mode", ["analytic", "fd"])
 def test_report_is_the_record_reference_bit_for_bit(mode):
-    # the float loop of dtype_report against the same loop on frame, Darboux
-    # and normal records, bit for bit
+    # dtype_report against the same report tree-walked on frame, Darboux,
+    # point and normal records, bit for bit
     kinds = set()
     for name, build in _reference_cases():
         got = _report_outcome(dtype_report, build, mode)
@@ -327,7 +327,7 @@ class TestIsoparametric:
         err = check_isoparametric(helix, shifted, dom38, 64)
         # offset 0.01 along the tangent; the worst component is 0.01 |t|_max
         worst_t = max(
-            max(abs(frenet(helix, s).t.y), abs(frenet(helix, s).t.z), 1.0)
+            max(abs(frame_parts(helix, s)[2][1]), abs(frame_parts(helix, s)[2][2]), 1.0)
             for s in [0.1 + (2 * math.pi - 0.1) * i / 63 for i in range(64)]
         )
         assert err == pytest.approx(0.01 * worst_t, rel=1e-6)
