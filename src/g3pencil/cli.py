@@ -128,7 +128,7 @@ def _cmd_build(args) -> int:
     cfg = load_config(args.config)
     pencil = realize(cfg, as_printed=args.as_printed)
     ns, nv = args.grid or cfg.grid
-    kind = "csv" if args.output.endswith(".csv") else "obj"
+    kind = "csv" if args.output.lower().endswith(".csv") else "obj"
     write_mesh(pencil, ns, nv, **{kind: args.output}, workers=args.workers)
     print(f"wrote {args.output} ({ns}x{nv} vertices)")
     return EXIT_OK

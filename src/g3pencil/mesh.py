@@ -8,12 +8,12 @@ zero of a coordinate serializes as "0".
 With ``workers`` above 1, or None and enough grid points, the calling
 process runs the first range of rows and forked child processes run the
 others; each child inherits the pencil and sends its bytes back through a
-pipe, and the results are written in row order.  A child whose rows raised,
-or issued a warning that the caller's filters would show, sends no bytes,
-and the caller runs its range again, so errors and warnings come up there as
-with one process, at the cost of computing that range twice.  One exit stack
-owns a pass's files and children, and reaps these after the last write.
-Output bytes depend only on the configuration, never on workers or timing.
+pipe, and the results are written in row order.  The caller computes each
+range that no child returned, as when a fork failed or a child's rows
+raised or gave a warning that the caller's filters would show, so errors
+and warnings come up there as with one process.  One exit stack owns a
+pass's files and children, and reaps these after the last write.  Output
+bytes depend only on the configuration, never on workers or timing.
 """
 
 from __future__ import annotations
@@ -76,35 +76,41 @@ def _run_rows(stack: ExitStack, task, rows: int, processes: int, *sinks) -> None
     """Pass the k-th bytes of ``task(lo, hi)`` over ``range(rows)`` to the k-th sink, in row order.
 
     The task returns one bytes per sink.  The rows split into
-    ``processes`` contiguous ranges.  This process runs the first range;
-    each other range runs in a forked child, which sends back its bytes.
-    A range that no child returned, because its rows raised, or issued a
-    warning that this process's filters would show, runs again in this
-    process, so its error and warnings come up here as with one process;
-    such a range is computed twice.  ``stack`` kills and reaps each child
-    when it closes, after the caller's last write.
+    ``processes`` contiguous ranges.  This process runs the first range,
+    and each other range that no forked child returned: one whose pipe or
+    fork failed, or whose child sent nothing, so an error or warning of
+    its rows comes up here as with one process.  Only a result cut short
+    once its bytes began to arrive raises ChildProcessError.  ``stack``
+    kills and reaps each child when it closes, after the caller's last
+    write.
     """
     bounds = [rows * k // processes for k in range(processes + 1)]
-    pipes = [_start_child(stack, task, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if k == 0 or not _collect(pipes[k - 1], sinks):
+    pipes = [None, *(_start_child(stack, task, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:]))]
+    for pipe, lo, hi in zip(pipes, bounds, bounds[1:]):
+        if not _collect(pipe, sinks):
             for out in _blocks(task, lo, hi):
                 for sink, part in zip(sinks, out):
                     sink(part)
 
 
-def _start_child(stack: ExitStack, task, lo: int, hi: int) -> BinaryIO:
-    """Fork a child that runs rows [lo, hi), to be stopped when ``stack`` closes; its pipe's read end."""
-    read_end, write_end = os.pipe()
+def _start_child(stack: ExitStack, task, lo: int, hi: int) -> BinaryIO | None:
+    """Fork a child that runs rows [lo, hi), to be stopped when ``stack`` closes; its pipe's read end.
+
+    None, with no child, if ``os.pipe`` or ``os.fork`` raises OSError.
+    """
     try:
-        pid = os.fork()
-        if pid == 0:
-            _child(task, lo, hi, read_end, write_end)  # never returns
-    except BaseException:
-        os.close(read_end)
-        raise
-    finally:
-        os.close(write_end)
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _child(task, lo, hi, read_end, write_end)  # never returns
+        except BaseException:
+            os.close(read_end)
+            raise
+        finally:
+            os.close(write_end)
+    except OSError:
+        return None
     stack.callback(_stop, pid)
     return stack.enter_context(open(read_end, "rb"))
 
@@ -116,45 +122,37 @@ def _stop(pid: int) -> None:
     os.waitpid(pid, 0)
 
 
-# The first byte a child sends: its bytes follow, or the caller runs its rows
-_RETURNED, _RUN_AGAIN = b"r", b"a"
-
-
 def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:
     """Run rows [lo, hi) in a forked child, send the result and exit.
 
-    The pipe carries _RETURNED, the 8-byte size of each output and the
-    bytes of each in turn, or _RUN_AGAIN alone when the rows raised or
-    issued a warning that the filters and registries it inherited would
-    show; only ``showwarning`` is replaced, as a change to the filters
-    would clear those registries.  The child leaves through os._exit, so
-    it never runs the parent's cleanup or flushes, nor restores anything.
+    The pipe carries the 8-byte size of each output and the bytes of each
+    in turn, or nothing when the rows raised or issued a warning that the
+    filters and registries it inherited would show.  Only ``showwarning``
+    is replaced, as a change to the filters would clear those registries.
+    The child leaves through os._exit, so it never runs the parent's
+    cleanup or flushes, nor restores anything.
     """
-    status = 1
     try:
         os.close(read_end)
         shown = []
         warnings.showwarning = lambda *warning: shown.append(warning)
-        result = [_RUN_AGAIN]
-        # an error is raised, and a warning shown, when the caller runs these rows again
-        with suppress(Exception):
-            parts = list(zip(*_blocks(task, lo, hi)))  # per output, its blocks in row order
-            if not shown:
-                sizes = [sum(map(len, p)).to_bytes(8, "little") for p in parts]
-                result = [_RETURNED, *sizes, *chain(*parts)]
-        with open(write_end, "wb") as pipe:
-            pipe.writelines(result)
-        status = 0
+        parts = list(zip(*_blocks(task, lo, hi)))  # per output, its blocks in row order
+        if not shown:
+            sizes = [sum(map(len, p)).to_bytes(8, "little") for p in parts]
+            with open(write_end, "wb") as pipe:
+                pipe.writelines([*sizes, *chain(*parts)])
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
-def _collect(pipe: BinaryIO, sinks) -> bool:
-    """Sink one child's bytes; False if it sent none, for the caller to run its rows.
+def _collect(pipe: BinaryIO | None, sinks) -> bool:
+    """Sink one child's bytes; False, for the caller to run its rows, if it sent none.
 
-    A result cut short, by a child that died while it wrote, raises
-    ChildProcessError.
+    A missing pipe, or one at its end, has none.  A result cut short, by a
+    child that died while it wrote, raises ChildProcessError.
     """
+    if pipe is None or not pipe.peek(1):
+        return False
 
     def read(size: int) -> bytes:
         data = pipe.read(size)
@@ -162,8 +160,6 @@ def _collect(pipe: BinaryIO, sinks) -> bool:
             raise ChildProcessError("a row worker process ended before its whole result")
         return data
 
-    if read(1) == _RUN_AGAIN:
-        return False
     for sink, size in zip(sinks, [int.from_bytes(read(8), "little") for _ in sinks]):
         for done in range(0, size, 1 << 20):
             sink(read(min(1 << 20, size - done)))

@@ -15,9 +15,10 @@ example the installed console script, ``g3pencil``.  In order it checks
 * every file that ``reproduce`` writes for fig1a..fig1h at the default
   grid, corrected and ``--as-printed``, and each run's stderr, against the
   SHA-256 digests in ``figures.sha256``,
-* that ``build`` (OBJ and CSV) and ``reproduce fig1c --grid 300x40`` write
-  the same bytes with 1 and 2 workers, and ``reproduce fig1c --grid 128x6``
-  with 1, 2 and 3 workers.
+* that ``build`` (OBJ and CSV) writes the same bytes with 1 and 2
+  workers, ``reproduce fig1c --grid 300x40`` with 1 and 2 workers and the
+  default count, and ``reproduce fig1c --grid 128x6`` with 1, 2 and 3
+  workers.
 
 It stops at the first difference, names it and exits 1, and exits 0 when
 every check holds.  It needs only the standard library, so it runs under
@@ -136,10 +137,11 @@ def check(cli: Cli, out: Path) -> None:
         print(f"ok build {ext} with 1 and 2 workers")
     # at 128x6 the first face patch ends at row 63, the last row of the
     # first 64-row block and of the calling process's rows with 2 workers
-    for grid, counts in (("300x40", ("1", "2")), ("128x6", ("1", "2", "3"))):
+    for grid, counts in (("300x40", ("1", "2", "default")), ("128x6", ("1", "2", "3"))):
         for workers in counts:
+            flags = [] if workers == "default" else ["--workers", workers]
             cli("reproduce", "fig1c", "--grid", grid, "-o", str(out / f"fig1c-{grid}-w{workers}"),
-                "--workers", workers)
+                *flags)
         for workers in counts[1:]:
             for ext in ("obj", "csv"):
                 _same((out / f"fig1c-{grid}-w{workers}" / f"fig1c.{ext}").read_bytes(),

@@ -61,7 +61,12 @@ The commands are
   whose kink the guard probe showed before the pool started, and
   ``build``s of a direct alpha that overflows only in a child's rows or
   only in the calling process's first row; and ``reproduce fig1c`` at
-  128x6 with ``--workers 3``.  A machine with one usable CPU forks none.
+  128x6 with ``--workers 3``.  A machine with one usable CPU forks none,
+* one command for each exit-2 category that no other command reaches:
+  curvature and torsion that vanish at a frame, an infeasible lambda, a
+  vanishing sigma or m, an expression that does not parse, an fd step
+  that underflows, a grid too coarse for its usable intervals, a missing
+  config file and an argument that argparse refuses.
 """
 
 from __future__ import annotations
@@ -101,6 +106,13 @@ def _scale(block: dict, control: dict | None = None, **domain) -> dict:
     doc["marching_scale"] = block
     if control is not None:
         doc["control"] = control
+    return doc
+
+
+def _synthesis(**entries) -> dict:
+    """The helix config with ``entries`` in its synthesis block."""
+    doc = _shipped("fresnel-helix")
+    doc["marching_scale"]["synthesis"].update(entries)
     return doc
 
 
@@ -181,13 +193,21 @@ DOCS = {
     },
     "overflow-late": _overflow("v*exp(3000*(s - 1.9)*v)"),
     "overflow-first": _overflow("v*exp(3000*(0.6 - s)*v)"),
+    # exit-2 categories that no other command reaches
+    "torsion-0": dict(_scale(_direct("v")), curve={"f": "s^2", "g": "0*s"}),
+    "lambda-5": _synthesis(**{"lambda": 5}),
+    "sigma-0": _synthesis(sigma="0*s"),
+    "m-0": _synthesis(m="0*s"),
+    "l-broken": _synthesis(l="1 +"),
+    "v-subnormal": _shipped("fresnel-helix", v_min=0.0, v_max=5e-324),
 }
 
-# the documents that the first commands name, and those of the row pool's
-# commands; every other one is a load check
+# the documents that the first commands name, those of the row pool's
+# commands and those of the error categories; every other one is a load check
 _SHIPPED = ("helix", "antis", "helix-minus", "antis-minus")
 _POOL = ("kink", "kink-shown", "overflow-late", "overflow-first")
-_LOADS = [name for name in DOCS if name not in _SHIPPED + _POOL]
+_FAULTS = ("torsion-0", "lambda-5", "sigma-0", "m-0", "l-broken", "v-subnormal")
+_LOADS = [name for name in DOCS if name not in _SHIPPED + _POOL + _FAULTS]
 
 COMMANDS = [
     *(
@@ -226,6 +246,16 @@ COMMANDS = [
     ["build", "helix.json", "-o", "out.obj", "--grid", "60x10", "--workers", "2"],
     *(["build", f"{name}.json", "-o", "out.obj", "--workers", "2"] for name in _POOL),
     ["reproduce", "fig1c", "-o", "out", "--grid", "128x6", "--workers", "3"],
+    # one command per exit-2 category: CurvatureVanishes, TorsionVanishes,
+    # InfeasibleLambda, SigmaVanishes, ZeroMarchingFactor, ParseError,
+    # StepUnderflow, GridTooCoarse, a missing file and a usage error
+    ["frenet", "helix.json", "--at", "0"],
+    ["frenet", "torsion-0.json", "--at", "1"],
+    *(["verify", f"{name}.json"] for name in ("lambda-5", "sigma-0", "m-0", "l-broken")),
+    ["verify", "v-subnormal.json", "--mode", "fd"],
+    ["reproduce", "fig1b", "-o", "out", "--grid", "3x4"],
+    ["verify", "missing.json"],
+    ["build", "helix.json", "-o", "out.obj", "--grid", "1x5"],
 ]
 
 
@@ -338,13 +368,7 @@ def compiled_outcomes(triples: list[list[str]]) -> list[dict]:
     from g3pencil.exprjet import compile_jets, compile_surface_rows, compile_values, parse
 
     helix = curve.fresnel_helix()
-    # each tree's row kernel gets the frame and point it reads: records in a
-    # tree that has FrenetFrame, tuples otherwise; the record branch can go
-    # once no compared tree has records
-    if hasattr(curve, "FrenetFrame"):
-        frame, base = curve.frenet(helix, 1.5), curve.point(helix, 1.5)
-    else:
-        frame, base = curve.frame_parts(helix, 1.5), curve.point_parts(helix, 1.5)
+    frame, base = curve.frame_parts(helix, 1.5), curve.point_parts(helix, 1.5)
     points = [(s, v) for s in SPECIAL_S for v in SPECIAL_V]
 
     def rows(row, s):

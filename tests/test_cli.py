@@ -142,10 +142,11 @@ def test_build_writes_obj_and_csv(tmp_path, capsys):
     rc = main(["build", "configs/fresnel-helix.json", "-o", str(obj), "--grid", "12x5"])
     assert rc == 0
     assert obj.read_text().startswith("v ")
-    csv = tmp_path / "out.csv"
-    rc = main(["build", "configs/fresnel-helix.json", "-o", str(csv), "--grid", "12x5"])
-    assert rc == 0
-    assert csv.read_text().startswith("s,v,x,y,z")
+    for name in ("out.csv", "out.CSV"):  # the suffix in any case
+        csv = tmp_path / name
+        rc = main(["build", "configs/fresnel-helix.json", "-o", str(csv), "--grid", "12x5"])
+        assert rc == 0
+        assert csv.read_text().startswith("s,v,x,y,z")
     capsys.readouterr()
 
 

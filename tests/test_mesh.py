@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -371,8 +372,7 @@ class TestWorkers:
             try:
                 os.close(read_end)
                 parts = [b"".join(p) for p in zip(*g3pencil.mesh._blocks(task, lo, hi))]
-                # the mark of a returned result, then the size of each output
-                head = g3pencil.mesh._RETURNED + b"".join(len(p).to_bytes(8, "little") for p in parts)
+                head = b"".join(len(p).to_bytes(8, "little") for p in parts)  # the size of each output
                 data = b"".join(parts)
                 with open(write_end, "wb") as pipe:
                     pipe.write(head + data[: len(data) // 2])
@@ -397,6 +397,59 @@ class TestWorkers:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)  # the child was reaped
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+            ("pipe", OSError(errno.EMFILE, "Too many open files")),
+        ],
+    )
+    def test_rows_with_no_pipe_or_no_child_run_here(
+        self, two_cpus, monkeypatch, tmp_path, capsys, recwarn, call, error
+    ):
+        def outputs(workers, *extra):
+            # reproduce fig1c with ``extra``, and build with ``workers``
+            out = tmp_path / workers
+            assert main(["reproduce", "fig1c", "-o", str(out), *extra]) == 0
+            argv = ["build", "configs/fresnel-helix.json", "-o", str(out / "m.obj")]
+            assert main([*argv, "--workers", workers]) == 0
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            return files, capsys.readouterr().err.replace(str(out), "$OUT")
+
+        one = outputs("1", "--workers", "1")
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise error
+
+        monkeypatch.setattr(os, call, fail)
+        assert outputs("2") == one  # the default count is 2 for fig1c here
+        assert len(calls) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child was left
+
+    def test_rows_of_a_child_that_ends_before_it_writes_run_here(
+        self, two_cpus, forks, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(g3pencil.mesh, "_child", lambda task, lo, hi, r, w: os._exit(9))
+        parts = []
+        with ExitStack() as stack:
+            _run_rows(stack, lambda lo, hi: (bytes(range(lo, hi)),), 200, 3, parts.append)
+        assert b"".join(parts) == bytes(range(200))
+        assert forks[0] == 2
+        blobs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"m{workers}.obj"
+            argv = ["build", "configs/fresnel-helix.json", "-o", str(out), "--workers", workers]
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert forks[0] == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
 
     def test_child_error_and_warnings_reach_the_caller(self, two_cpus, recwarn):
         def task(lo, hi):
