@@ -197,7 +197,11 @@ def config_from_dict(doc: dict) -> PencilConfig:
         )
     verify = VerifySpec(mode=mode, tol=tol, samples=samples)
     if kind == "synthesis":
-        marching = SynthesisSpec(**entries, control=control)
+        try:
+            marching = SynthesisSpec(**entries, control=control)
+        except ValueError as exc:  # a factor that reads v, named first in the message
+            field, _, detail = str(exc).partition(" ")
+            raise SchemaError(f"$.marching_scale.synthesis.{field}", detail) from exc
     else:
         direct = kind == "direct"
         labels = MarchingScale._fields if direct else ("X", "Y", "Z")  # unscaled by control

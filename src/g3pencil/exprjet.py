@@ -401,10 +401,10 @@ _NONFINITE_NAMES = {"inf": "_inf", "-inf": "_neg_inf", "nan": "_nan"}
 # An operand of generated code: its text (a name or a literal) and level.
 _Operand = tuple[str, int]
 _ZERO: _Operand = ("0.0", _CONST)
-# A unit of generated code: its lines, the names it defines, the operand
-# texts it reads, whether it stays when nothing reads what it defines (a
-# guard, or the sign of an abs() that warns at its kink), and its level.
-_Unit = tuple[list[str], tuple[str, ...], list[str], bool, int]
+# A unit of generated code, one statement or one check: its lines, the name
+# the statement defines (None for a check, which always stays), the operand
+# texts it reads, and its level.
+_Unit = tuple[list[str], str | None, list[str], int]
 
 # The formulas of Jet3.__mul__, Jet3.__truediv__ and _compose of the
 # reference jet evaluator in tests/oracles.py, written as they are there, so
@@ -427,10 +427,14 @@ _COMPOSE_JET = (
     "{f2} * {u1} * {u1} + {f1} * {u2}",
     "{f3} * {u1} * {u1} * {u1} + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
 )
+# The steps f0..f3 of sqrt, each from the argument {x0} and the earlier
+# steps {fK}; at a subnormal x0, x0 * f0 underflows to 0.0 and f2 fails.
+_SQRT = ("sqrt({x0})", "0.5 / {f0}", "-0.25 / ({x0} * {f0})", "0.375 / ({x0} * {x0} * {f0})")
 # The derivatives f0..f3 that the reference _call_jet composes with the argument's jet, as
 # steps computed in turn from the argument {x0} and earlier steps {tK}, and
-# the steps that are f0..f3.  sqrt and abs branch and are emitted apart; a
-# fresnelS/fresnelC pair on one argument shares its _fresnel call.
+# the steps that are f0..f3.  sqrt and abs check where their argument is 0
+# and are emitted apart; a fresnelS/fresnelC pair on one argument shares its
+# _fresnel call.
 _SIN_COS = ("sin({x0})", "cos({x0})", "-{t0}", "-{t1}")
 _SINH_COSH = ("sinh({x0})", "cosh({x0})")
 _FRESNEL = (
@@ -496,7 +500,10 @@ class _Emitter:
     each tagged with the variables it reads (its level) and naming what it
     defines and reads, so that :func:`_function` can drop what nothing
     returned reads, and :func:`compile_surface_rows` can hoist s-only work
-    out of its loop over v and v-only work out of its loop over s.
+    out of its loop over v and v-only work out of its loop over s.  Each
+    unit is one statement, which defines one name (inside its owner's
+    ``try`` block where it can fail past its checks), or one check, which
+    defines none and always stays.
 
     Each statement performs the operations the tree oracles of
     ``tests/oracles.py`` perform at that node (the value oracle, also for
@@ -508,7 +515,6 @@ class _Emitter:
 
     def __init__(self) -> None:
         self.units: list[_Unit] = []  # in the order the tree oracles run them
-        self.carried: list[str] = []  # v-level names read by s-and-v statements
         self.env: dict[str, object] = {
             "__builtins__": {},
             "abs": abs,
@@ -527,7 +533,7 @@ class _Emitter:
             "_DomainError": DomainError,
         }
         self._names: dict[str, _Operand] = {}  # statement text -> its name
-        self._guarded: set[str] = set()  # the conditions checked so far
+        self._guarded: set[tuple] = set()  # the checks filed so far
         self._jets: dict[tuple, tuple[_Operand, ...]] = {}
         self._count = 0
 
@@ -539,23 +545,9 @@ class _Emitter:
             return name
         return f"({text})" if text.startswith("-") else text
 
-    def _outputs(self, operands, count: int) -> list[_Operand]:
-        """Fresh names at the level of operands."""
-        level = _level(operands)
-        names = []
-        for _ in range(count):
-            self._count += 1
-            names.append((f"_{'_svw'[level]}{self._count}", level))
-        return names
-
-    def _file(self, lines: list[str], operands, defines=(), keep: bool = False) -> None:
-        """Append the unit of lines that reads operands, tagged with their level."""
-        level = _level(operands)
-        self.units.append((lines, tuple(defines), [text for text, _ in operands], keep, level))
-        if level == _SV:
-            for operand, operand_level in operands:
-                if operand_level == _V:
-                    self.carry(operand)
+    def _file(self, lines: list[str], operands, name: str | None = None) -> None:
+        """Append the unit of lines that reads operands and defines name (None: a check)."""
+        self.units.append((lines, name, [text for text, _ in operands], _level(operands)))
 
     def stmt(self, text: str, operands, guards=(), owner: Expr | None = None) -> _Operand:
         """Operand holding the value of text, which reads operands.
@@ -563,10 +555,11 @@ class _Emitter:
         ``guards`` are (condition, operands, message) checks that run
         before the statement, the first time it is emitted.  A statement
         that can raise a math error past its guards (a power, a Fresnel
-        step) is given an ``owner``, which the error then names.  When every
-        operand is constant, the guards and then the statement run here,
-        in this emitter's namespace, and the operand is the literal of the
-        value; the literal is kept for text, so each text folds once.
+        step, a square root's step) is given an ``owner``, which the error
+        then names.  When every operand is constant, the guards and then
+        the statement run here, in this emitter's namespace, and the
+        operand is the literal of the value; the literal is kept for text,
+        so each text folds once.
         """
         if text in self._names:
             return self._names[text]
@@ -579,24 +572,32 @@ class _Emitter:
                 raise _fail(owner, str(exc)) from exc
             out = self._constant(value), _CONST
         else:
-            (out,) = self._outputs(operands, 1)
+            level = _level(operands)
+            self._count += 1
+            out = f"_{'_svw'[level]}{self._count}", level
             lines = [f"{out[0]} = {text}"]
             if owner is not None:
                 lines = _owned(lines, owner)
-            self._file(lines, operands, (out[0],))
+            self._file(lines, operands, out[0])
         self._names[text] = out
         return out
 
-    def guard(self, condition: str, operands, message: str) -> None:
+    def guard(self, condition: str, operands, message: str, warn: bool = False) -> None:
         """Raise DomainError(message) where condition holds: here if operands are constant.
 
-        A condition is filed once: a later guard on it, run after the first, never fires.
+        With ``warn``, warn KinkWarning(message) there instead; the argument
+        of a kink reads the jet's variable, so its operands are never
+        constant.  A warning is filed once per condition and message, and a
+        raise once per condition: a later raise on it, run after the first,
+        never fires.
         """
-        if condition in self._guarded:
+        key = (condition, message if warn else None)
+        if key in self._guarded:
             return
-        self._guarded.add(condition)
+        self._guarded.add(key)
         if _level(operands) != _CONST:
-            self._file([f"if {condition}: raise _DomainError({message!r})"], operands, keep=True)
+            action = f"_kink({message!r})" if warn else f"raise _DomainError({message!r})"
+            self._file([f"if {condition}: {action}"], operands)
         elif eval(condition, self.env):
             raise DomainError(message)
 
@@ -727,52 +728,23 @@ class _Emitter:
 
     def _sqrt_jet(self, node: Call, u) -> tuple[_Operand, ...]:
         x, u1, u2, u3 = (text for text, _ in u)
-        out = self._outputs(u, 6)
-        c0, c1, c2, c3, f1, f2 = (name for name, _ in out)
-        at_zero = str(_fail(node, "derivative of sqrt at zero"))
-        # at a subnormal x, x * c0 underflows to 0.0 and the division fails
-        nonzero = _owned(
-            [
-                f"{c0} = sqrt({x})",
-                f"{f1} = 0.5 / {c0}",
-                f"{f2} = -0.25 / ({x} * {c0})",
-                f"{c1} = {f1} * {u1}",
-                f"{c2} = {f2} * {u1} * {u1} + {f1} * {u2}",
-                f"{c3} = 0.375 / ({x} * {x} * {c0}) * {u1} * {u1} * {u1}"
-                f" + 3.0 * {f2} * {u1} * {u2} + {f1} * {u3}",
-            ],
-            node,
-        )
-        self._file(
-            [
-                f"if {x} == 0.0:",
-                # the zero function has a zero jet
-                f"    if not ({u1} == 0.0 and {u2} == 0.0 and {u3} == 0.0):",
-                f"        raise _DomainError({at_zero!r})",
-                f"    {c0} = {c1} = {c2} = {c3} = 0.0",
-                "else:",
-                *(f"    {line}" for line in nonzero),
-            ],
-            u,
-            [name for name, _ in out],
-        )
-        return tuple(out[:4])
+        # at x = 0 only the zero function, whose jet is zero, has a jet
+        self.guard(f"{x} == 0.0 and not ({u1} == 0.0 and {u2} == 0.0 and {u3} == 0.0)", u,
+                   str(_fail(node, "derivative of sqrt at zero")))
+        # every step is +0.0 there, as each coefficient of that jet is; the
+        # node owns the steps f0..f3, where a division can fail
+        at_zero = "0.0 if {x0} == 0.0 else "
+        f: list[_Operand] = []
+        for template in _SQRT:
+            f.append(self.formula(at_zero + template, node, x=u[:1], f=f))
+        return (f[0], *(self.formula(at_zero + t, x=u[:1], f=f, u=u) for t in _COMPOSE_JET))
 
     def _abs_jet(self, node: Call, u) -> tuple[_Operand, ...]:
         x = u[0]
-        (sign,) = self._outputs([x], 1)
-        self._file(
-            [
-                f"if {x[0]} > 0.0: {sign[0]} = 1.0",
-                f"elif {x[0]} < 0.0: {sign[0]} = -1.0",
-                "else:",
-                f"    _kink({str(_fail(node, 'abs() differentiated at its kink'))!r})",
-                f"    {sign[0]} = 1.0",
-            ],
-            [x],
-            (sign[0],),
-            keep=True,
-        )
+        # a NaN argument, neither above nor below 0, warns too
+        self.guard(f"not ({x[0]} > 0.0 or {x[0]} < 0.0)", [x],
+                   str(_fail(node, "abs() differentiated at its kink")), warn=True)
+        sign = self.stmt(f"-1.0 if {x[0]} < 0.0 else 1.0", [x])
         return (
             self.stmt(f"abs({x[0]})", [x]),
             *(self.stmt(f"{sign[0]} * {c[0]}", [sign, c]) for c in u[1:]),
@@ -799,11 +771,6 @@ class _Emitter:
             coeff *= m
         return f
 
-    def carry(self, name: str) -> None:
-        """Mark a v-level name as needed inside a loop over v."""
-        if name != "v" and name not in self.carried:
-            self.carried.append(name)
-
     def define(self, source: str, name: str):
         """Execute generated source in this emitter's namespace."""
         exec(compile(source, f"<g3pencil {name}>", "exec"), self.env)
@@ -820,13 +787,13 @@ def _function(em: _Emitter, results: list[str]) -> Callable:
     """Compile the emitted statements into f(s, v) returning the results' tuple.
 
     The statements whose results nothing returned reads are dropped; every
-    guard and abs() kink stays, with the statements it reads.
+    check, an abs() kink's included, stays, with the statements it reads.
     """
     live = set(results)
     kept = []
     for unit in reversed(em.units):
-        _, defines, reads, keep, _ = unit
-        if keep or not live.isdisjoint(defines):
+        _, name, reads, _ = unit
+        if name is None or name in live:
             kept.append(unit)
             live.update(reads)
     result = "(" + "".join(f"{r}, " for r in results) + ")"
@@ -921,11 +888,11 @@ def compile_surface_rows(
     points that are not finite.
     """
     em = _Emitter()
-    roots = [em.emit(tree) for tree in (alpha, beta, gamma)]
-    for name, level in roots:
-        if level == _V:
-            em.carry(name)
-    a, b, g = (name for name, _ in roots)
+    a, b, g = roots = [em.emit(tree)[0] for tree in (alpha, beta, gamma)]
+    units = {level: [unit for unit in em.units if unit[3] == level] for level in (_S, _V, _SV)}
+    # the v-only names that the loop over v reads: each column carries them
+    read = {text for unit in units[_SV] for text in unit[2]}.union(roots)
+    column = ", ".join(["v", *(name for _, name, _, _ in units[_V] if name in read)]) + ","
     # x - x is 0.0 exactly when x is finite, and nan otherwise
     point = [
         f"x = px + {a} * tx + {b} * nx + {g} * bx",
@@ -936,8 +903,6 @@ def compile_surface_rows(
         " at s = {s!r}, v = {v!r}')",
         "extend((x + 0.0, y + 0.0, z + 0.0))",
     ]
-    column = ", ".join(["v", *em.carried]) + ","
-    units = {level: [unit for unit in em.units if unit[4] == level] for level in (_S, _V, _SV)}
     source = (
         "def _columns(v_values):\n"
         "    columns = []\n"

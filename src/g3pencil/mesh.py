@@ -81,8 +81,8 @@ def _run_rows(stack: ExitStack, task, rows: int, processes: int, *sinks) -> None
     fork failed, or whose child sent nothing, so an error or warning of
     its rows comes up here as with one process.  Only a result cut short
     once its bytes began to arrive raises ChildProcessError.  ``stack``
-    kills and reaps each child when it closes, after the caller's last
-    write.
+    reaps each child when it closes, after the caller's last write, and
+    kills one still running first.
     """
     bounds = [rows * k // processes for k in range(processes + 1)]
     pipes = [None, *(_start_child(stack, task, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:]))]
@@ -116,10 +116,14 @@ def _start_child(stack: ExitStack, task, lo: int, hi: int) -> BinaryIO | None:
 
 
 def _stop(pid: int) -> None:
-    # a child whose whole result was read has nothing left to do, and its pid is ours until reaped
-    with suppress(ProcessLookupError):  # some systems refuse a signal to a child that has exited
-        os.kill(pid, 9)  # SIGKILL, which POSIX numbers 9: the signal module would cost an import
-    os.waitpid(pid, 0)
+    # A child that has ended is reaped, never signalled; one still running, and so still holding
+    # its pid, has nothing left to do once its whole result was read.  Where SIGCHLD is ignored,
+    # the system reaps each child as it ends, and waitpid finds none.
+    with suppress(ChildProcessError):
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):
+            with suppress(ProcessLookupError):  # some systems refuse a signal to an exiting child
+                os.kill(pid, 9)  # SIGKILL, which POSIX numbers 9: the signal module costs an import
+            os.waitpid(pid, 0)
 
 
 def _child(task, lo: int, hi: int, read_end: int, write_end: int) -> None:

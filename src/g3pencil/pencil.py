@@ -141,8 +141,11 @@ SIGNS = {"+": 1.0, "-": -1.0}  # the texts of a synthesis block's "sign", and th
 
 class SynthesisSpec(Record):
     """The input to synthesis: target invariant lam, scale function sigma(s),
-    the product factors l, m, n, the sign branch, and the control
+    the product factors l(s), m(s), n(s), the sign branch, and the control
     coefficients (a, b, c) or None.
+
+    A sigma, l, m or n that reads v is refused with a ValueError whose
+    message opens with the field's name.
     """
 
     __slots__ = _fields = ("lam", "sigma", "l", "m", "n", "sign", "control")
@@ -166,6 +169,9 @@ class SynthesisSpec(Record):
         self.control = control
         if self.sign not in SIGNS.values():
             raise ValueError("sign must be +1.0 or -1.0")
+        for field in ("sigma", "l", "m", "n"):
+            if getattr(self, field).reads & Var("v").reads:
+                raise ValueError(f"{field} must be a function of s alone, but reads v")
 
 
 class PencilSpec(Record):

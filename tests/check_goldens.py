@@ -18,7 +18,10 @@ example the installed console script, ``g3pencil``.  In order it checks
 * that ``build`` (OBJ and CSV) writes the same bytes with 1 and 2
   workers, ``reproduce fig1c --grid 300x40`` with 1 and 2 workers and the
   default count, and ``reproduce fig1c --grid 128x6`` with 1, 2 and 3
-  workers.
+  workers,
+* that ``reproduce fig1c --grid 300x40`` with the default worker count,
+  started with SIGCHLD ignored (a disposition that ``exec`` keeps, so the
+  system reaps each child itself), writes the bytes of 1 worker.
 
 It stops at the first difference, names it and exits 1, and exits 0 when
 every check holds.  It needs only the standard library, so it runs under
@@ -30,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -80,8 +84,10 @@ class Cli:
         self.env = None if program else dict(
             os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
 
-    def __call__(self, *argv: str) -> subprocess.CompletedProcess:
-        proc = subprocess.run([*self.program, *argv], cwd=ROOT, env=self.env, capture_output=True)
+    def __call__(self, *argv: str, **options) -> subprocess.CompletedProcess:
+        """Run the program with argv; ``options`` go to subprocess.run."""
+        proc = subprocess.run([*self.program, *argv], cwd=ROOT, env=self.env, capture_output=True,
+                              **options)
         if proc.returncode != 0:
             raise Mismatch(f"g3pencil {' '.join(argv)} exited {proc.returncode}: "
                            f"{proc.stderr.decode(errors='replace').strip()}")
@@ -148,6 +154,14 @@ def check(cli: Cli, out: Path) -> None:
                       (out / f"fig1c-{grid}-w1" / f"fig1c.{ext}").read_bytes(),
                       f"reproduce fig1c --grid {grid} to {ext} with {workers} workers against 1")
         print(f"ok reproduce fig1c --grid {grid} with {', '.join(counts)} workers")
+    ignored = out / "fig1c-300x40-sigchld"
+    cli("reproduce", "fig1c", "--grid", "300x40", "-o", str(ignored),
+        preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+    for ext in ("obj", "csv"):
+        _same((ignored / f"fig1c.{ext}").read_bytes(),
+              (out / "fig1c-300x40-w1" / f"fig1c.{ext}").read_bytes(),
+              f"reproduce fig1c --grid 300x40 to {ext} under an ignored SIGCHLD against 1 worker")
+    print("ok reproduce fig1c --grid 300x40 with the default workers under an ignored SIGCHLD")
 
 
 def main(argv: list[str]) -> int:

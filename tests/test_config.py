@@ -203,6 +203,20 @@ class TestSchema:
         with pytest.raises(SchemaError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("key, text", [("sigma", "1 + 0*v"), ("l", "sqrt(v - 1)"),
+                                           ("m", "1/v"), ("n", "-v")])
+    def test_synthesis_factor_that_reads_v_rejected(self, key, text):
+        # synthesis checks its factors at v = 0, which lies outside v in [1, 5]
+        doc = minimal_doc()
+        doc["domain"].update(v_min=1.0, v_max=5.0, v0=1.0)
+        doc["marching_scale"]["synthesis"][key] = text
+        with pytest.raises(SchemaError, match="must be a function of s alone, but reads v") as info:
+            config_from_dict(doc)
+        assert info.value.path == f"$.marching_scale.synthesis.{key}"
+        factors = dict(sigma=parse("1"), l=parse("1"), m=parse("1"), n=parse("-1"))
+        with pytest.raises(ValueError, match=f"^{key} must be a function of s alone"):
+            SynthesisSpec(0.5, **dict(factors, **{key: parse(text)}))
+
     def test_explicit_curve_with_closed_forms(self):
         doc = minimal_doc(
             curve={"f": "s^2", "g": "s^3", "kappa": "sqrt(4+36*s^2)", "tau": "1"},

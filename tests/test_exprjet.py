@@ -679,6 +679,15 @@ def test_reduced_jet_kernels_keep_every_kink():
         assert compile_jets([parse("abs(s)")], "s", (0,))(0.0, 0.0) == (0.0,)
 
 
+def test_a_reduced_sqrt_jet_computes_no_step_it_does_not_return():
+    # at s = 5e-324, s * sqrt(s) underflows to 0.0: the steps of c2 and c3
+    # divide by zero, and those of c0 and c1 do not
+    r = math.sqrt(5e-324)
+    assert compile_jets([parse("sqrt(s)")], "s", (0, 1))(5e-324, 0.0) == (r, 0.5 / r)
+    with pytest.raises(DomainError, match=re.escape("float division by zero in 'sqrt(s)'")):
+        compile_jets([parse("sqrt(s)")], "s")(5e-324, 0.0)
+
+
 @pytest.mark.parametrize("orders", [(), (4,), (-1,)])
 def test_jet_orders_must_be_a_selection_of_zero_to_three(orders):
     with pytest.raises(ValueError, match="orders"):
@@ -746,6 +755,7 @@ def _coefficients(jet: Jet3) -> tuple[float, ...]:
     "text, s, v",
     [
         ("sqrt(s - s)", 3.0, 0.0),  # zero function: zero jet, no failure
+        ("sqrt(-(s - s))", 3.0, 0.0),  # at -0.0 too, with +0.0 coefficients
         ("sqrt(s*v)", 0.0, 2.0),  # derivative of sqrt at zero in s, not in v
         ("sqrt(s^3)", 0.0, 2.0),  # only the third coefficient is nonzero
         ("abs(1 - 1)*s", 2.0, 1.0),  # constant kink, folded at compile time
@@ -847,6 +857,28 @@ def test_a_constant_text_folds_once(monkeypatch):
     monkeypatch.setattr(g3pencil.exprjet, "_fresnel", counting)
     compile_values([parse("fresnelS(2)*s + fresnelS(2)*v")])
     assert calls == [2.0]
+
+
+def test_row_kernels_hoist_v_only_and_s_only_work(monkeypatch):
+    import g3pencil.exprjet
+
+    calls = []
+    original = g3pencil.exprjet._fresnel
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(g3pencil.exprjet, "_fresnel", counting)
+    v_values = [0.0, 0.5, 1.0, 1.5]
+    row = compile_surface_rows(parse("s*fresnelS(v)"), parse("fresnelC(s)*v"), parse("v"), v_values)
+    assert calls == v_values  # fresnelS(v), once per column
+    unit = (0.0, 1.0, 0.0)
+    out: list[float] = []
+    for s in (0.1, 0.2, 0.3, 0.4, 0.5):
+        row(s, (0.0, 0.0, 0.0), (1.0, 1.0, unit, unit, unit), out)
+    assert calls[4:] == [0.1, 0.2, 0.3, 0.4, 0.5]  # fresnelC(s), once per row
+    assert len(out) == 5 * 4 * 3
 
 
 def test_row_kernel_rejects_non_finite_points():

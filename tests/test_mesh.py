@@ -340,6 +340,23 @@ class TestWorkers:
         assert result.returncode == 0 and result.stderr == ""
         assert result.stdout.splitlines()[-1] == "1 False"
 
+    def test_an_ignored_sigchld_gives_the_bytes_of_one_process(self, tmp_path):
+        # the system reaps each child as it ends, so no reap finds it; a
+        # fresh interpreter, since SIGCHLD is this process's to keep
+        script = (
+            "import os, signal\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+            "from g3pencil.cli import main\n"
+            "for workers in ('1', '2'):\n"
+            f"    out = os.path.join({str(tmp_path)!r}, workers)\n"
+            "    assert main(['reproduce', 'fig1c', '-o', out, '--workers', workers]) == 0\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        for name in ("fig1c.obj", "fig1c.csv"):
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
     def test_error_in_the_parents_rows_leaves_no_file(self, two_cpus, forks, tmp_path, capsys):
         # only the first row, s = 0.5, overflows: the calling process has it
         # while a child works on the later rows
@@ -534,8 +551,10 @@ class TestWorkers:
         waitpid = os.waitpid
 
         def reap(pid, options):
-            events.append("reap")
-            return waitpid(pid, options)
+            reaped = waitpid(pid, options)
+            if reaped[0]:  # a call that finds the child still running reaps none
+                events.append("reap")
+            return reaped
 
         monkeypatch.setattr(os, "waitpid", reap)
         if outcome == "cut short":
