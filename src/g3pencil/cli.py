@@ -100,7 +100,7 @@ def _one_line_warning(message, category, filename, lineno, line=None) -> str:
 
 def _cmd_frenet(args) -> int:
     cfg = load_config(args.config)
-    curve = build_curve(cfg.curve, as_printed=args.as_printed)
+    curve = build_curve(cfg.curve)
     frame = frame_parts(curve, args.at)
     kappa, tau, t, n, b = frame
     print(f"s = {_num(args.at)}")
@@ -115,7 +115,7 @@ def _cmd_frenet(args) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = load_config(args.config)
-    curve = build_curve(cfg.curve, as_printed=args.as_printed)
+    curve = build_curve(cfg.curve)
     cls = classify_curve(curve, (cfg.domain.s_min, cfg.domain.s_max))
     if cls.constant is None:
         print(cls.kind)
@@ -126,7 +126,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_build(args) -> int:
     cfg = load_config(args.config)
-    pencil = realize(cfg, as_printed=args.as_printed)
+    pencil = realize(cfg)
     ns, nv = args.grid or cfg.grid
     kind = "csv" if args.output.lower().endswith(".csv") else "obj"
     write_mesh(pencil, ns, nv, **{kind: args.output}, workers=args.workers)
@@ -136,7 +136,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    pencil = realize(cfg, as_printed=args.as_printed)
+    pencil = realize(cfg)
     mode = args.mode if args.mode else cfg.verify.mode
     # the configured tolerance belongs to the configured mode; another mode
     # gets its own default
@@ -164,7 +164,8 @@ def _cmd_reproduce(args) -> int:
         )
     if name in figures.CURVE_FIGURES:
         ns = args.grid[0] if args.grid else figures.GRID[0]
-        curve = build_curve(figures.CURVE_FIGURES[name], as_printed=args.as_printed)
+        curve = figures.CURVE_FIGURES[name]
+        curve = build_curve(figures.PRINTED.get(curve, curve) if args.as_printed else curve)
         svals = uniform_grid(figures.DOMAIN["s_min"], figures.DOMAIN["s_max"], ns)
         pts = [point_parts(curve, s) for s in svals]
         out = os.path.join(args.output, f"{name}.csv")
@@ -173,7 +174,7 @@ def _cmd_reproduce(args) -> int:
         return EXIT_OK
     cfg = config_from_dict(figures.figure_doc(name, as_printed=args.as_printed))
     ns, nv = args.grid or cfg.grid
-    pencil = realize(cfg, as_printed=args.as_printed)
+    pencil = realize(cfg)
     obj_path = os.path.join(args.output, f"{name}.obj")
     csv_path = os.path.join(args.output, f"{name}.csv")
     write_mesh(pencil, ns, nv, obj_path, csv_path, workers=args.workers)
@@ -209,7 +210,6 @@ class _Arg(Record):
         return not self.flags[0].startswith("-")
 
 
-_AS_PRINTED = _Arg("--as-printed", check=None, default=False)
 _GRID = _Arg("--grid", check=_parse_grid, metavar="NSxNV")
 _WORKERS = _Arg("--workers", check=_worker_count, metavar="N", help=WORKERS_HELP)
 
@@ -218,28 +218,25 @@ COMMANDS = {
     "frenet": ("print the moving frame at a parameter value", _cmd_frenet, (
         _Arg("config"),
         _Arg("--at", check=_finite, required=True, metavar="S"),
-        _AS_PRINTED,
     )),
-    "classify": ("classify the configured curve", _cmd_classify, (_Arg("config"), _AS_PRINTED)),
+    "classify": ("classify the configured curve", _cmd_classify, (_Arg("config"),)),
     "build": ("sample the surface grid and export it", _cmd_build, (
         _Arg("config"),
         _Arg("-o", "--output", required=True),
         _GRID,
         _WORKERS,
-        _AS_PRINTED,
     )),
     "verify": ("test the invariant for constancy", _cmd_verify, (
         _Arg("config"),
         _Arg("--mode", choices=MODES),
         _Arg("--tol", check=_tolerance),
-        _AS_PRINTED,
     )),
     "reproduce": ("emit a built-in example figure dataset", _cmd_reproduce, (
         _Arg("figure", choices=figures.FIGURES),
         _Arg("-o", "--output", required=True, metavar="DIR"),
         _GRID,
         _WORKERS,
-        _AS_PRINTED,
+        _Arg("--as-printed", check=None, default=False),
     )),
 }
 

@@ -3,9 +3,9 @@
 A document looks like::
 
     {
-      "curve": "fresnel-helix",                // or {"f": "...", "g": "..."}
+      "curve": "fresnel-helix",  // a name of BUILTIN_CURVES, or {"f": "...", "g": "..."}
       "marching_scale": {
-        "synthesis": {"lambda": 0.5, "sigma": "1", "sign": "+",
+        "synthesis": {"lambda": 0.5, "sigma": "1", "sign": "+", "rule": "scaled",
                        "l": "1", "m": "1", "n": "-1"}
         // or {"direct": {"alpha": ..., "beta": ..., "gamma": ...}}
         // or {"product": {"l", "m", "n", "X", "Y", "Z"}}
@@ -21,9 +21,13 @@ beta and gamma, and a product block's X, Y and Z, must vanish at v = v0
 (see :func:`_check_base_line`).  All expression strings use the grammar
 documented in :mod:`g3pencil.exprjet` and are parsed eagerly so errors
 surface at load time.  Explicit curves may carry optional "kappa" and "tau"
-closed forms, which synthesis requires.  Every number must be finite
-(json's NaN and Infinity literals are rejected), and so must the s and v
-extents; v_min must be below v_max, and a configured "tol" must be above 0.
+closed forms, which synthesis requires.  A synthesis block's "sign" picks
+the branch of phi3, and its "rule" the construction rule of
+:mod:`g3pencil.pencil`, on any curve: the corrected helix under the plain
+rule and "fresnel-helix-printed" under the scaled one are documents too.
+Every number must be finite (json's NaN and Infinity literals are
+rejected), and so must the s and v extents; v_min must be below v_max, and
+a configured "tol" must be above 0.
 
 A document parses into the pencil's own records: the curve stays a builtin
 name or becomes the explicit :class:`CurveSpec`, a direct or product block
@@ -37,11 +41,12 @@ from __future__ import annotations
 import json
 import math
 
-from .curve import BUILTIN_CURVES, CurveSpec, fresnel_helix
+from .curve import BUILTIN_CURVES, CurveSpec
 from .errors import DomainError, SchemaError
 from .exprjet import Expr, compile_or_defer, compile_values, parse
 from .g3core import Record
 from .pencil import (
+    RULES,
     SIGNS,
     MarchingScale,
     ParamDomain,
@@ -150,11 +155,14 @@ def _marching_config(doc, path: str) -> tuple[str, dict]:
         return kind, exprs(*MarchingScale._fields)
     if kind == "product":
         return kind, exprs("l", "m", "n", "X", "Y", "Z")
-    sign = block.get("sign", "+")
-    if sign not in tuple(SIGNS):  # a tuple: a JSON list or object has no hash
-        raise SchemaError(f"{p}.sign", "expected " + " or ".join(map(repr, SIGNS)))
+    picked = {}
+    for key, field, table in (("sign", "sign", SIGNS), ("rule", "scaled", RULES)):
+        text = block.get(key, next(iter(table)))  # a table's first text is the default
+        if text not in tuple(table):  # a tuple: a JSON list or object has no hash
+            raise SchemaError(f"{p}.{key}", "expected " + " or ".join(map(repr, table)))
+        picked[field] = table[text]
     lam = _number(_need(block, "lambda", p), f"{p}.lambda")
-    return kind, dict(lam=lam, **exprs("sigma", "l", "m", "n"), sign=SIGNS[sign])
+    return kind, dict(lam=lam, **exprs("sigma", "l", "m", "n"), **picked)
 
 
 def config_from_dict(doc: dict) -> PencilConfig:
@@ -261,28 +269,15 @@ def load_config(path: str) -> PencilConfig:
     return config_from_dict(doc)
 
 
-def build_curve(curve: str | CurveSpec, as_printed: bool = False) -> CurveSpec:
-    """The curve a config names: a builtin by name, or the explicit curve itself.
-
-    ``as_printed`` switches the Fresnel helix to its historical formula;
-    the other curves have no printed variant.
-    """
-    if isinstance(curve, CurveSpec):
-        return curve
-    if curve == "fresnel-helix":
-        return fresnel_helix(as_printed=as_printed)
-    return BUILTIN_CURVES[curve]()
+def build_curve(curve: str | CurveSpec) -> CurveSpec:
+    """The curve a config names: a builtin by name, or the explicit curve itself."""
+    return curve if isinstance(curve, CurveSpec) else BUILTIN_CURVES[curve]()
 
 
-def realize(cfg: PencilConfig, *, as_printed: bool = False) -> PencilSpec:
-    """Instantiate the configured pencil member.
-
-    ``as_printed`` switches the built-in curve to its historical formula
-    and makes synthesis use the plain construction rule.  A synthesis
-    block takes its sign branch from the document's ``sign``.
-    """
-    curve = build_curve(cfg.curve, as_printed)
+def realize(cfg: PencilConfig) -> PencilSpec:
+    """Instantiate the configured pencil member; a synthesis block gives its sign and rule."""
+    curve = build_curve(cfg.curve)
     marching = cfg.marching
     if isinstance(marching, SynthesisSpec):
-        marching = synthesize_product_form(curve, marching, cfg.domain, scaled=not as_printed)
+        marching = synthesize_product_form(curve, marching, cfg.domain)
     return PencilSpec(curve=curve, marching=marching, domain=cfg.domain)

@@ -7,14 +7,13 @@ torsion come from exact jets of f and g:
     kappa = sqrt(f''^2 + g''^2)
     tau   = (f'' g''' - f''' g'') / kappa^2
 
-Two curves ship built in.  The first is a general helix whose tangent is
+``BUILTIN_CURVES`` names three curves.  "fresnel-helix" has the tangent
 (1, 4 sin(s^2/8), -4 cos(s^2/8)); integrating it gives Fresnel integrals
-with argument s / (2 sqrt(pi)), and then kappa = |s| and tau = s/4.  A
-historical variant of this curve ("as printed") uses the integral argument
-s / sqrt(2 pi) instead, which changes kappa and tau; it is kept for
-comparison because the corrected argument is the one consistent with the
-stated tangent.  The second built-in has kappa = cosh(s/4) and tau = 1,
-so its torsion is constant while its curvature is not.
+with argument s / (2 sqrt(pi)), and then kappa = |s| and tau = s/4.  Its
+variant as printed, "fresnel-helix-printed", uses the argument s / sqrt(2 pi),
+which changes kappa and tau; it is kept for comparison because the corrected
+argument is the one consistent with the stated tangent.  "anti-salkowski"
+has kappa = cosh(s/4) and tau = 1: constant torsion, varying curvature.
 """
 
 from __future__ import annotations
@@ -80,26 +79,25 @@ class CurveSpec(Record):
         return {}
 
 
-def fresnel_helix(as_printed: bool = False) -> CurveSpec:
-    """General helix built from Fresnel integrals; kappa = |s|, tau = s/4.
-
-    With ``as_printed`` the integral argument is s/sqrt(2 pi), reproducing
-    the uncorrected classical formula (kappa and tau then change).
-    """
-    if as_printed:
-        return CurveSpec(
-            name="fresnel-helix-printed",
-            f=parse("8*sqrt(pi)*fresnelS(s/sqrt(2*pi))"),
-            g=parse("-8*sqrt(pi)*fresnelC(s/sqrt(2*pi))"),
-            kappa_form=parse("2*sqrt(2)*abs(s)"),
-            tau_form=parse("s/2"),
-        )
+def fresnel_helix() -> CurveSpec:
+    """General helix built from Fresnel integrals; kappa = |s|, tau = s/4."""
     return CurveSpec(
         name="fresnel-helix",
         f=parse("8*sqrt(pi)*fresnelS(s/(2*sqrt(pi)))"),
         g=parse("-8*sqrt(pi)*fresnelC(s/(2*sqrt(pi)))"),
         kappa_form=parse("abs(s)"),
         tau_form=parse("s/4"),
+    )
+
+
+def fresnel_helix_printed() -> CurveSpec:
+    """The helix with the printed argument s/sqrt(2 pi); kappa = 2 sqrt(2) |s|, tau = s/2."""
+    return CurveSpec(
+        name="fresnel-helix-printed",
+        f=parse("8*sqrt(pi)*fresnelS(s/sqrt(2*pi))"),
+        g=parse("-8*sqrt(pi)*fresnelC(s/sqrt(2*pi))"),
+        kappa_form=parse("2*sqrt(2)*abs(s)"),
+        tau_form=parse("s/2"),
     )
 
 
@@ -116,6 +114,7 @@ def anti_salkowski() -> CurveSpec:
 
 BUILTIN_CURVES = {
     "fresnel-helix": fresnel_helix,
+    "fresnel-helix-printed": fresnel_helix_printed,
     "anti-salkowski": anti_salkowski,
 }
 

@@ -8,9 +8,10 @@ all eight their range and default grid.
 
 Each figure has two forms.  The corrected form (the default) synthesizes
 the marching scale for the row's lambda and sigma.  The as-printed form
-evaluates the historical formulas verbatim: the first example's curve
-takes the printed Fresnel argument, and a surface takes the printed
-product factors (l, m, n = 1, 1, -1, X = v and the row's Y and Z), whose
+evaluates the historical formulas verbatim: the first example's curve is
+the builtin "fresnel-helix-printed", with the printed Fresnel argument,
+and a surface's document names that curve and takes the printed product
+factors (l, m, n = 1, 1, -1, X = v and the row's Y and Z), whose
 retortion and flexion factors the finite difference oracle shows to be
 inconsistent (see g3pencil.verify).
 """
@@ -23,6 +24,7 @@ DOMAIN = {"s_min": -2.0 * math.pi, "s_max": 2.0 * math.pi, "v_min": 0.0, "v_max"
 GRID = (200, 50)  # (ns, nv); a curve figure samples ns points
 
 CURVE_FIGURES = {"fig1a": "fresnel-helix", "fig1e": "anti-salkowski"}
+PRINTED = {"fresnel-helix": "fresnel-helix-printed"}  # a curve's as-printed form, where it has one
 
 _EX2_Y = "sqrt(1/cosh(s/4) - 3/(4*cosh(s/4)^2))*v"
 _EX2_Z = "sqrt(3)/2*cosh(s/4)*v"
@@ -45,6 +47,7 @@ def figure_doc(name: str, as_printed: bool = False) -> dict:
     curve, lam, sigma, control, y, z = SURFACE_FIGURES[name]
     lmn = {"l": "1", "m": "1", "n": "-1"}
     if as_printed:
+        curve = PRINTED.get(curve, curve)
         marching = {"product": {**lmn, "X": "v", "Y": y, "Z": z}}
     else:
         marching = {"synthesis": {"lambda": lam, "sigma": sigma, "sign": "+", **lmn}}

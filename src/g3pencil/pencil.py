@@ -35,8 +35,9 @@ first failing point raises.  l may vanish, as alpha = l X may; NaN and
 -1e-12 count as zero.
 
 Synthesis defaults to the scaled rule; the plain rule is what the classical
-derivation states and is kept as the opt-out (`scaled=False`), because the
-two coincide whenever sigma is 1.  The finite difference oracle of
+derivation states and is kept as the opt-out (a synthesis block's ``"rule":
+"plain"``, a :class:`SynthesisSpec` with ``scaled=False``), because the two
+coincide whenever sigma is 1.  The finite difference oracle of
 :mod:`g3pencil.verify` adjudicates between them on concrete surfaces; that
 module's report is also the one verdict on which kind of d-type a pencil is.
 """
@@ -137,18 +138,19 @@ def product_marching_scale(
 
 
 SIGNS = {"+": 1.0, "-": -1.0}  # the texts of a synthesis block's "sign", and their branches
+RULES = {"scaled": True, "plain": False}  # the texts of its "rule", and whether sigma scales phi2
 
 
 class SynthesisSpec(Record):
     """The input to synthesis: target invariant lam, scale function sigma(s),
-    the product factors l(s), m(s), n(s), the sign branch, and the control
-    coefficients (a, b, c) or None.
+    the product factors l(s), m(s), n(s), the sign branch, the control
+    coefficients (a, b, c) or None, and the rule (False: plain, True: scaled).
 
     A sigma, l, m or n that reads v is refused with a ValueError whose
     message opens with the field's name.
     """
 
-    __slots__ = _fields = ("lam", "sigma", "l", "m", "n", "sign", "control")
+    __slots__ = _fields = ("lam", "sigma", "l", "m", "n", "sign", "control", "scaled")
 
     def __init__(
         self,
@@ -159,6 +161,7 @@ class SynthesisSpec(Record):
         n: Expr,
         sign: float = 1.0,
         control: tuple[float, float, float] | None = None,
+        scaled: bool = True,
     ):
         self.lam = lam
         self.sigma = sigma
@@ -167,8 +170,11 @@ class SynthesisSpec(Record):
         self.n = n
         self.sign = sign
         self.control = control
+        self.scaled = scaled
         if self.sign not in SIGNS.values():
             raise ValueError("sign must be +1.0 or -1.0")
+        if type(self.scaled) is not bool:  # 1 == True, and a text such as "plain" is truthy
+            raise ValueError("scaled must be True or False")
         for field in ("sigma", "l", "m", "n"):
             if getattr(self, field).reads & Var("v").reads:
                 raise ValueError(f"{field} must be a function of s alone, but reads v")
@@ -281,9 +287,7 @@ def _const(x: float) -> Expr:
     return Num(x)
 
 
-def check_feasibility(
-    curve: CurveSpec, spec: SynthesisSpec, grid: list[float], *, scaled: bool
-) -> float:
+def check_feasibility(curve: CurveSpec, spec: SynthesisSpec, grid: list[float]) -> float:
     """Check l, m, n, sigma and the radicand 1 - ratio^2 on an s grid, in one pass.
 
     ``grid`` is the guarded grid synthesis samples on; one kernel gives
@@ -292,8 +296,8 @@ def check_feasibility(
     from zero and keep the previous point's sign, else
     ZeroMarchingFactor; sigma must be finite and at least 1e-12 from
     zero, else SigmaVanishes; the radicand must not fall below -1e-12, else
-    InfeasibleLambda.  The ratio is lam tau / kappa under the scaled rule
-    and lam tau / (sigma kappa) under the plain rule.  Returns the largest
+    InfeasibleLambda.  The ratio is lam tau / kappa under the spec's scaled
+    rule and lam tau / (sigma kappa) under its plain rule.  Returns the largest
     radicand over the grid.
     """
     factors_at = compile_values((spec.l, spec.m, spec.n, spec.sigma))
@@ -312,7 +316,7 @@ def check_feasibility(
         kappa, tau, _ = curvature_torsion(curve, s)
         if not _FACTOR_FLOOR <= abs(sigma_val) < math.inf:
             raise SigmaVanishes(s, sigma_val)
-        if scaled:
+        if spec.scaled:
             ratio = spec.lam * tau / kappa
         else:
             ratio = spec.lam * tau / (sigma_val * kappa)
@@ -323,9 +327,7 @@ def check_feasibility(
     return hi
 
 
-def synthesize_product_form(
-    curve: CurveSpec, spec: SynthesisSpec, domain: ParamDomain, *, scaled: bool = True
-) -> MarchingScale:
+def synthesize_product_form(curve: CurveSpec, spec: SynthesisSpec, domain: ParamDomain) -> MarchingScale:
     """Build product-form marching scales realizing the invariant.
 
     X(v) = v - v0, Y = [phi3(s)/m(s)] (v - v0), Z = [-phi2(s)/n(s)] (v - v0),
@@ -336,8 +338,8 @@ def synthesize_product_form(
     expression trees, which requires the curve to carry closed forms for
     kappa and tau (both built-ins do).
 
-    ``scaled`` selects the sigma-scaled rule (default, exact invariant) or
-    the plain rule; see the module docstring.  :func:`check_feasibility`
+    The spec's rule is the sigma-scaled one (default, exact invariant) or
+    the plain one; see the module docstring.  :func:`check_feasibility`
     checks l, m, n, sigma and the radicand in one pass over a 512-point grid
     on the curve's :func:`usable_s_intervals`; the square root's domain
     check still guards each point.
@@ -348,13 +350,13 @@ def synthesize_product_form(
             "tau on the curve; built-in curves provide them"
         )
     grid = spread_s_values(usable_s_intervals(curve, domain.s_min, domain.s_max), 512)
-    hi = check_feasibility(curve, spec, grid, scaled=scaled)
+    hi = check_feasibility(curve, spec, grid)
 
     lam_e = _const(spec.lam)
     kappa_e = curve.kappa_form
     tau_e = curve.tau_form
     abs_tau_e = Call("abs", tau_e)
-    if scaled:
+    if spec.scaled:
         phi2_e: Expr = _mul(spec.sigma, _mul(lam_e, _div(abs_tau_e, kappa_e)))
         ratio_e: Expr = _mul(lam_e, _div(tau_e, kappa_e))
     else:

@@ -10,6 +10,13 @@ example the installed console script, ``g3pencil``.  In order it checks
   sign branch: the shipped documents, whose ``sign`` is ``+``, and copies
   of them with ``"sign": "-"``, written to the temporary directory),
 * both ``classify`` outputs,
+* the stdout of ``verify`` (both modes) on the as-printed twin of each
+  shipped config, and of ``frenet --at 1.5`` and ``classify`` on the
+  helix's twin, against the SHA-256 digests in ``twins.sha256``; a twin
+  is the shipped document on the printed helix, where it names the
+  helix, under the plain rule, written to the temporary directory, and
+  the digests were taken from the same commands run with ``--as-printed``
+  on the shipped documents, when those commands still took that flag,
 * ``reproduce fig1b --grid 40x10`` against ``fig1b_40x10.obj``, and its
   one-line warning on stderr,
 * every file that ``reproduce`` writes for fig1a..fig1h at the default
@@ -30,6 +37,7 @@ interpreters that have no pytest.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -47,6 +55,11 @@ CONFIGS = ("fresnel-helix", "anti-salkowski")
 VERIFY_SIGNS = {"": None, "_sign-": "-"}
 WARNING = b"warning: UserWarning: grid re-spans usable sub-intervals "
 FIGURE_DIGESTS = GOLDEN / "figures.sha256"
+TWIN_DIGESTS = GOLDEN / "twins.sha256"
+# the commands run on the as-printed twin of a shipped config: command,
+# config and the arguments after the document
+TWIN_RUNS = [*(("verify", config, "--mode", mode) for config in CONFIGS for mode in ("analytic", "fd")),
+             ("frenet", "fresnel-helix", "--at", "1.5"), ("classify", "fresnel-helix")]
 # each run's name, as the digests name it, and the reproduce arguments it adds
 FIGURE_RUNS = {f"fig1{c}{flag}": (f"fig1{c}", *filter(None, [flag]))
                for c in "abcdefgh" for flag in ("", "--as-printed")}
@@ -67,10 +80,29 @@ def _same(got: bytes, want: bytes, what: str) -> None:
         raise Mismatch(f"{what}: {_first_difference(got, want)}")
 
 
-def pinned_digests() -> dict[str, str]:
-    """``figures.sha256`` as {"RUN/FILE": hex digest}; FILE ``stderr`` is the run's stderr."""
-    lines = FIGURE_DIGESTS.read_text().splitlines()
+def pinned_digests(path: Path = FIGURE_DIGESTS) -> dict[str, str]:
+    """A digest file as {name: hex digest}.  In ``figures.sha256`` a name is
+    "RUN/FILE", and FILE ``stderr`` is the run's stderr."""
+    lines = path.read_text().splitlines()
     return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def _same_digests(got: dict[str, str], path: Path, what: str) -> None:
+    pinned = pinned_digests(path)
+    for name in sorted(pinned.keys() | got.keys()):
+        if got.get(name) != pinned.get(name):
+            raise Mismatch(f"{what} {name}: sha256 {got.get(name)} against "
+                           f"{pinned.get(name)} in {path.name}")
+
+
+def twin(doc: dict) -> dict:
+    """The as-printed twin of a synthesis document: a copy on the printed
+    helix where it names the helix, under the plain rule."""
+    doc = copy.deepcopy(doc)
+    if doc["curve"] == "fresnel-helix":
+        doc["curve"] = "fresnel-helix-printed"
+    doc["marching_scale"]["synthesis"]["rule"] = "plain"
+    return doc
 
 
 def sha256(data: bytes) -> str:
@@ -84,11 +116,12 @@ class Cli:
         self.env = None if program else dict(
             os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), path])))
 
-    def __call__(self, *argv: str, **options) -> subprocess.CompletedProcess:
-        """Run the program with argv; ``options`` go to subprocess.run."""
+    def __call__(self, *argv: str, codes=(0,), **options) -> subprocess.CompletedProcess:
+        """Run the program with argv, which must exit with one of ``codes``;
+        ``options`` go to subprocess.run."""
         proc = subprocess.run([*self.program, *argv], cwd=ROOT, env=self.env, capture_output=True,
                               **options)
-        if proc.returncode != 0:
+        if proc.returncode not in codes:
             raise Mismatch(f"g3pencil {' '.join(argv)} exited {proc.returncode}: "
                            f"{proc.stderr.decode(errors='replace').strip()}")
         return proc
@@ -114,6 +147,18 @@ def check(cli: Cli, out: Path) -> None:
               f"classify {config} against {golden.name}")
         print(f"ok classify {config}")
 
+    digests = {}
+    for command, config, *rest in TWIN_RUNS:
+        path = out / f"{config}_as-printed.json"
+        doc = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+        path.write_text(json.dumps(twin(doc)))
+        # verify exits 1 where the invariant does not hold, as on the plain
+        # rule's anti-Salkowski twin; its report is in the digest
+        proc = cli(command, str(path), *rest, codes=(0, 1) if command == "verify" else (0,))
+        digests[" ".join([command, path.name, *rest])] = sha256(proc.stdout)
+    _same_digests(digests, TWIN_DIGESTS, "twin")
+    print(f"ok the as-printed twins, {len(digests)} digests")
+
     stderr = cli("reproduce", "fig1b", "--grid", "40x10", "-o", str(out)).stderr
     golden = GOLDEN / "fig1b_40x10.obj"
     _same((out / "fig1b.obj").read_bytes(), golden.read_bytes(),
@@ -127,12 +172,8 @@ def check(cli: Cli, out: Path) -> None:
         digests[f"{run}/stderr"] = sha256(cli("reproduce", *argv, "-o", str(out / run)).stderr)
         digests.update((f"{run}/{path.name}", sha256(path.read_bytes()))
                        for path in (out / run).iterdir())
-    pinned = pinned_digests()
-    for name in sorted(pinned.keys() | digests.keys()):
-        if digests.get(name) != pinned.get(name):
-            raise Mismatch(f"reproduce {name}: sha256 {digests.get(name)} against "
-                           f"{pinned.get(name)} in {FIGURE_DIGESTS.name}")
-    print(f"ok reproduce fig1a..fig1h, {len(pinned)} digests")
+    _same_digests(digests, FIGURE_DIGESTS, "reproduce")
+    print(f"ok reproduce fig1a..fig1h, {len(digests)} digests")
 
     for ext in ("obj", "csv"):
         for workers in ("1", "2"):

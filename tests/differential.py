@@ -37,7 +37,8 @@ it gave.
   one character changed.  The outcome is the tree's repr, or the error's
   type, text and offset.
 * to_source: the corrected document of each surface figure and each
-  shipped config, realized plain and ``as_printed``.  For every subtree of
+  shipped config, and the as-printed twin of each: the same document on
+  the printed helix, where it names the helix, under the plain rule.  For every subtree of
   alpha, beta, gamma, f and g, the outcome is its ``to_source`` text and
   whether that parses back to the subtree; a realization that fails gives
   its error.  It draws nothing, so it ignores ``--seed`` and ``--count``.
@@ -48,8 +49,11 @@ it gave.
 
 The commands are
 
-* both shipped configs under every command and both verify modes, and
-  copies of them on the minus sign branch under build and verify,
+* both shipped configs under every command and both verify modes,
+  copies of them on the minus sign branch under build and verify, and
+  their as-printed twins (the helix config on "fresnel-helix-printed"
+  under the plain rule, the anti-Salkowski config under the plain rule)
+  under every command,
 * fig1a..fig1h at 40x10, corrected and ``--as-printed``,
 * the direct and product documents of the load-check tests of
   ``tests/test_config.py`` and ``tests/test_cli.py``, and two documents
@@ -83,6 +87,8 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+from check_goldens import twin
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +146,9 @@ DOCS = {
     "antis": _shipped("anti-salkowski"),
     "helix-minus": _minus("fresnel-helix"),
     "antis-minus": _minus("anti-salkowski"),
+    # the as-printed twins; the anti-Salkowski curve has no printed variant
+    "helix-printed": twin(_shipped("fresnel-helix")),
+    "antis-plain": twin(_shipped("anti-salkowski")),
     # tests/test_config.py
     "product-quadratic": _scale(_product(x="v^2")),
     "product-x-off": _scale(_product(x="v + 1")),
@@ -204,7 +213,7 @@ DOCS = {
 
 # the documents that the first commands name, those of the row pool's
 # commands and those of the error categories; every other one is a load check
-_SHIPPED = ("helix", "antis", "helix-minus", "antis-minus")
+_SHIPPED = ("helix", "antis", "helix-minus", "antis-minus", "helix-printed", "antis-plain")
 _POOL = ("kink", "kink-shown", "overflow-late", "overflow-first")
 _FAULTS = ("torsion-0", "lambda-5", "sigma-0", "m-0", "l-broken", "v-subnormal")
 _LOADS = [name for name in DOCS if name not in _SHIPPED + _POOL + _FAULTS]
@@ -212,21 +221,21 @@ _LOADS = [name for name in DOCS if name not in _SHIPPED + _POOL + _FAULTS]
 COMMANDS = [
     *(
         argv
-        for name in ("helix", "antis")
+        for name, twin in (("helix", "helix-printed"), ("antis", "antis-plain"))
         for argv in (
             ["frenet", f"{name}.json", "--at", "1.5"],
-            ["frenet", f"{name}.json", "--at", "1.5", "--as-printed"],
+            ["frenet", f"{twin}.json", "--at", "1.5"],
             ["classify", f"{name}.json"],
-            ["classify", f"{name}.json", "--as-printed"],
+            ["classify", f"{twin}.json"],
             ["build", f"{name}.json", "-o", "out.obj", "--grid", "40x10"],
             ["build", f"{name}-minus.json", "-o", "out.csv", "--grid", "40x10"],
-            ["build", f"{name}.json", "-o", "out.obj", "--grid", "40x10", "--as-printed"],
+            ["build", f"{twin}.json", "-o", "out.obj", "--grid", "40x10"],
             *(
                 ["verify", f"{name}{branch}.json", "--mode", mode]
                 for mode in ("analytic", "fd")
                 for branch in ("", "-minus")
             ),
-            ["verify", f"{name}.json", "--as-printed"],
+            ["verify", f"{twin}.json"],
         )
     ),
     *(
@@ -510,10 +519,11 @@ def _figure_docs(as_printed: bool) -> dict[str, dict]:
 
 
 def draw_realizations(seed: int, count: int) -> list[list]:
-    """[name, document, as_printed] for the corrected figures and the shipped
-    configs, plain and as printed; the same for every seed and count."""
+    """[name, document] for the corrected figures and the shipped configs, and
+    for the as-printed twin of each; the same for every seed and count."""
     docs = {**_figure_docs(False), "helix": DOCS["helix"], "antis": DOCS["antis"]}
-    return [[name, doc, as_printed] for name, doc in docs.items() for as_printed in (False, True)]
+    return [pair for name, doc in docs.items()
+            for pair in ([name, doc], [f"{name} twin", twin(doc)])]
 
 
 def _subtrees(node):
@@ -536,8 +546,8 @@ def to_source_outcomes(realizations: list[list]) -> list[dict]:
         return [text, back, *outcome]
 
     found = []
-    for _, doc, as_printed in realizations:
-        pencil, outcome = _outcome(lambda: realize(config_from_dict(doc), as_printed=as_printed))
+    for _, doc in realizations:
+        pencil, outcome = _outcome(lambda: realize(config_from_dict(doc)))
         if pencil is None:
             found.append({"realize": [outcome]})
             continue
@@ -618,8 +628,7 @@ def config_outcomes(documents: list[list]) -> list[dict]:
 FAMILIES = {
     "compiled": ("triples", draw_texts, compiled_outcomes, str),
     "parse": ("texts", draw_parse_texts, parse_outcomes, repr),
-    "to_source": ("realizations", draw_realizations, to_source_outcomes,
-                  lambda r: f"{r[0]} as_printed={r[2]}"),
+    "to_source": ("realizations", draw_realizations, to_source_outcomes, lambda r: r[0]),
     "config_from_dict": ("documents", draw_documents, config_outcomes, lambda d: d[0]),
 }
 

@@ -731,18 +731,16 @@ def _phis(
     return phi2, phi3
 
 
-def required_normal_components(
-    curve: CurveSpec, spec: SynthesisSpec, s: float, *, scaled: bool = False
-) -> NormalComponents:
+def required_normal_components(curve: CurveSpec, spec: SynthesisSpec, s: float) -> NormalComponents:
     """Normal components that realize the invariant at parameter s.
 
-    The default applies the plain rule stated by the classical derivation;
-    ``scaled=True`` applies the sigma-scaled rule under which the verified
+    The spec's rule picks the formulas: the plain rule stated by the
+    classical derivation, or the sigma-scaled rule under which the verified
     invariant equals lam exactly (see the docstring of g3pencil.pencil).
     """
     kappa, tau, _ = curvature_torsion(curve, s)
     sigma_val = eval_expr(spec.sigma, s, 0.0)
-    phi2, phi3 = _phis(kappa, tau, sigma_val, spec.lam, spec.sign, scaled, s)
+    phi2, phi3 = _phis(kappa, tau, sigma_val, spec.lam, spec.sign, spec.scaled, s)
     return NormalComponents(0.0, phi2, phi3, math.atan2(phi3, phi2))
 
 

@@ -153,7 +153,7 @@ def test_c05_second_example_invariant():
         assert rep.max_abs_deviation <= 1e-6
         # the formulas as printed fail the same check, loudly
         printed_cfg = config_from_dict(figure_doc("fig1f", as_printed=True))
-        printed = realize(printed_cfg, as_printed=True)
+        printed = realize(printed_cfg)
         bad = dtype_report(antis, printed.marching, DOM39, 200, "analytic", 1e-6)
         assert bad.classification == "not-d-type"
         assert bad.max_abs_deviation > 1e-2
@@ -196,9 +196,8 @@ def test_c06_synthesis_roundtrip_fuzz():
             with pytest.raises(InfeasibleLambda):
                 synthesize_product_form(
                     helix,
-                    SynthesisSpec(lam, parse(repr(sigma)), ONE, ONE, NEG_ONE),
+                    SynthesisSpec(lam, parse(repr(sigma)), ONE, ONE, NEG_ONE, scaled=False),
                     dom,
-                    scaled=False,
                 )
         # the scaled rule's own bound |lam tau / kappa| <= 1 is enforced too
         with pytest.raises(InfeasibleLambda):

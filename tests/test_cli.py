@@ -222,8 +222,32 @@ def test_reproduce_as_printed_notice(tmp_path, capsys):
     rc = main(["reproduce", "fig1f", "-o", str(tmp_path), "--grid", "12x4", "--as-printed"])
     captured = capsys.readouterr()
     assert rc == 0
-    assert "as-printed" in captured.err
+    assert captured.err == (
+        "note: fig1f uses the as-printed formulas, which differ from the corrected defaults; "
+        "the invariant check may fail on them\n"
+    )
     assert (tmp_path / "fig1f.obj").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["frenet", "configs/fresnel-helix.json", "--at", "1.5"],
+    ["classify", "configs/fresnel-helix.json"],
+    ["build", "configs/fresnel-helix.json", "-o", "out.obj"],
+    ["verify", "configs/fresnel-helix.json"],
+], ids=lambda argv: argv[0])
+def test_commands_on_a_document_refuse_the_as_printed_flag(argv, capsys):
+    # the document names the curve and the rule; only reproduce, which
+    # names figures, keeps --as-printed
+    argv = [*argv, "--as-printed"]
+    assert _parse_fast(argv) is None
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: g3pencil ")
+    assert captured.err.endswith("error: unrecognized arguments: --as-printed\n")
+    assert "Traceback" not in captured.err
 
 
 def test_reproduce_as_printed_differs_from_corrected(tmp_path, capsys):
@@ -451,14 +475,14 @@ def test_printed_fig1d_verifies_on_the_domain_build_uses(tmp_path, capsys):
     # usable intervals and verify samples the same ones
     config = _printed_fig1d(tmp_path)
     with pytest.warns(UserWarning, match="re-spans") as caught:
-        assert main(["build", config, "--as-printed", "-o", str(tmp_path / "d.obj")]) == 0
+        assert main(["build", config, "-o", str(tmp_path / "d.obj")]) == 0
     bounds = re.findall(r"\[([-\d.e]+), ([-\d.e]+)\]", str(caught[0].message))
     intervals = [(float(a), float(b)) for a, b in bounds]
     assert len(intervals) == 2
     capsys.readouterr()
     deviations = []
     for mode in ("analytic", "fd"):
-        assert main(["verify", config, "--as-printed", "--mode", mode]) == 1
+        assert main(["verify", config, "--mode", mode]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] == "not-d-type"
         assert len(doc["samples"]) == 200
@@ -1393,12 +1417,12 @@ def test_fast_parser_accepts_only_what_argparse_reads_the_same(small_files, data
     "argv",
     [
         ["frenet", "configs/fresnel-helix.json", "--at", "-1.5"],
-        ["frenet", "--at", "-.5", "--as-printed", "configs/anti-salkowski.json"],
+        ["frenet", "--at", "-.5", "configs/anti-salkowski.json"],
         ["classify", "configs/anti-salkowski.json"],
         ["verify", "--mode", "fd", "configs/anti-salkowski.json", "--tol", "1e-4"],
         ["build", "configs/fresnel-helix.json", "--grid", "10X5", "-o", "out.obj", "--workers", "2"],
         ["build", "configs/fresnel-helix.json", "--output", "-"],
-        ["reproduce", "-o", "out", "fig1c", "--grid", "6 x 3"],
+        ["reproduce", "-o", "out", "fig1c", "--as-printed", "--grid", "6 x 3"],
     ],
 )
 def test_fast_parser_reads_well_formed_argvs_as_argparse_does(argv):
@@ -1416,7 +1440,7 @@ def test_fast_parser_reads_well_formed_argvs_as_argparse_does(argv):
         ["verify", "configs/fresnel-helix.json", "--mod", "fd"],
         ["verify", "configs/fresnel-helix.json", "--tol=1e-4"],
         ["verify", "configs/fresnel-helix.json", "--mode", "fd", "--mode", "fd"],
-        ["verify", "configs/fresnel-helix.json", "--as-printed", "--as-printed"],
+        ["reproduce", "fig1c", "-o", "out", "--as-printed", "--as-printed"],
         ["verify", "--", "configs/fresnel-helix.json"],
         ["verify", "configs/fresnel-helix.json", "--tol"],
         ["verify", "configs/fresnel-helix.json", "--tol", "0"],

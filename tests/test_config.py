@@ -4,7 +4,7 @@ import math
 import pytest
 
 from g3pencil.config import build_curve, config_from_dict, load_config, realize
-from g3pencil.curve import CurveSpec, anti_salkowski, fresnel_helix
+from g3pencil.curve import CurveSpec, anti_salkowski, fresnel_helix, fresnel_helix_printed
 from g3pencil.errors import ParseError, SchemaError
 from g3pencil.exprjet import parse
 from g3pencil.pencil import (
@@ -13,6 +13,7 @@ from g3pencil.pencil import (
     product_marching_scale,
     synthesize_product_form,
 )
+from g3pencil.verify import dtype_report
 from oracles import check_isoparametric
 
 
@@ -197,6 +198,21 @@ class TestSchema:
         with pytest.raises(SchemaError):
             load_config(str(p))
 
+    def test_rule_defaults_to_scaled(self):
+        assert config_from_dict(minimal_doc()).marching.scaled is True
+        for rule, scaled in (("scaled", True), ("plain", False)):
+            doc = minimal_doc()
+            doc["marching_scale"]["synthesis"]["rule"] = rule
+            assert config_from_dict(doc).marching.scaled is scaled
+
+    @pytest.mark.parametrize("rule", ["Plain", "", 1, 1.0, True, ["plain"], {"plain": 1}])
+    def test_rule_validation(self, rule):
+        doc = minimal_doc()
+        doc["marching_scale"]["synthesis"]["rule"] = rule
+        with pytest.raises(SchemaError, match="expected 'scaled' or 'plain'") as info:
+            config_from_dict(doc)
+        assert info.value.path == "$.marching_scale.synthesis.rule"
+
     def test_sign_validation(self):
         doc = minimal_doc()
         doc["marching_scale"]["synthesis"]["sign"] = "?"
@@ -227,7 +243,7 @@ class TestSchema:
             "explicit", parse("s^2"), parse("s^3"), parse("sqrt(4+36*s^2)"), parse("1")
         )
         assert cfg.marching == MarchingScale(parse("0"), parse("v"), parse("0"))
-        assert build_curve(cfg.curve, as_printed=True) is cfg.curve
+        assert build_curve(cfg.curve) is cfg.curve
 
     def test_synthesis_needs_closed_forms_on_an_explicit_curve(self):
         curve = {"f": "s^3/6", "g": "s^4/24"}
@@ -283,9 +299,8 @@ class TestSchema:
 class TestBuildCurve:
     def test_builtin_names(self):
         assert build_curve("fresnel-helix") == fresnel_helix()
-        assert build_curve("fresnel-helix", as_printed=True) == fresnel_helix(as_printed=True)
+        assert build_curve("fresnel-helix-printed") == fresnel_helix_printed()
         assert build_curve("anti-salkowski") == anti_salkowski()
-        assert build_curve("anti-salkowski", as_printed=True) == anti_salkowski()
 
 
 class TestRealize:
@@ -359,6 +374,32 @@ class TestRealize:
         assert plus.marching.gamma == minus.marching.gamma
 
     def test_as_printed_switches_curve_and_rule(self):
-        cfg = config_from_dict(minimal_doc())
-        printed = realize(cfg, as_printed=True)
+        # the document's twin of the printed helix: the printed curve and the plain rule
+        doc = minimal_doc(curve="fresnel-helix-printed")
+        doc["marching_scale"]["synthesis"]["rule"] = "plain"
+        printed = realize(config_from_dict(doc))
         assert printed.curve.name == "fresnel-helix-printed"
+        assert printed.curve == fresnel_helix_printed()
+
+    @staticmethod
+    def _lambda_hats(doc):
+        pencil = realize(config_from_dict(doc))
+        report = dtype_report(pencil.curve, pencil.marching, pencil.domain, 16)
+        return report, [(x.s, x.lambda_hat) for x in report.samples]
+
+    def test_plain_rule_on_the_corrected_helix_realizes_lambda_over_sigma(self):
+        doc = minimal_doc()
+        doc["domain"]["s_min"] = 0.2
+        doc["marching_scale"]["synthesis"].update(sigma="s", rule="plain")
+        report, samples = self._lambda_hats(doc)
+        assert report.classification == "not-d-type"
+        for s, lambda_hat in samples:
+            assert lambda_hat == pytest.approx(0.5 / s, rel=1e-10)
+
+    def test_printed_helix_under_the_scaled_rule_realizes_lambda(self):
+        doc = minimal_doc(curve="fresnel-helix-printed")
+        doc["marching_scale"]["synthesis"]["sigma"] = "s"
+        report, samples = self._lambda_hats(doc)
+        assert report.holds
+        for _, lambda_hat in samples:
+            assert lambda_hat == pytest.approx(0.5, abs=1e-12)

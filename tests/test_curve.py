@@ -11,6 +11,7 @@ from g3pencil.curve import (
     darboux_parts,
     frame_parts,
     fresnel_helix,
+    fresnel_helix_printed,
     point_parts,
     spread_s_values,
     uniform_grid,
@@ -110,7 +111,7 @@ class TestFrames:
                 )
 
     def test_printed_variant_has_different_invariants(self):
-        printed = fresnel_helix(as_printed=True)
+        printed = fresnel_helix_printed()
         fr = frame_record(printed, 2.0)
         assert fr.kappa == pytest.approx(2 * math.sqrt(2) * 2.0, rel=1e-12)
         assert fr.tau == pytest.approx(1.0, rel=1e-12)

@@ -4,11 +4,13 @@ import differential
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a synthesis with v0 < 0, a load error and an as-printed figure's files
+# a synthesis with v0 < 0, a load error, an as-printed figure's files and
+# the printed helix's document twin
 SOME = [
     ["verify", "synthesis-v0-neg.json", "--mode", "fd"],
     ["build", "direct-two-faults.json", "-o", "out.obj", "--grid", "4x4"],
     ["reproduce", "fig1b", "-o", "out", "--grid", "40x10", "--as-printed"],
+    ["classify", "helix-printed.json"],
 ]
 
 
@@ -81,12 +83,12 @@ def test_the_to_source_family_of_a_tree_against_itself_shows_no_difference():
 def test_a_to_source_outcome_holds_each_subtree_text():
     doc = differential.DOCS["direct-control"]
     plain = {key: value for key, value in doc.items() if key != "control"}
-    realization = [["direct", plain, False]]
+    realization = [["direct", plain]]
     (outcomes,) = differential.to_source_outcomes(realization)
     assert list(outcomes) == ["alpha", "beta", "gamma", "f", "g"]
     assert outcomes["alpha"] == [["0.0", True, None, []]]
     assert outcomes["beta"] == [["v", True, None, []]]
-    (failed,) = differential.to_source_outcomes([["direct", doc, False]])
+    (failed,) = differential.to_source_outcomes([["direct", doc]])
     assert failed == {"realize": [["SchemaError: $.control: not allowed beside a direct block",
                                    []]]}
 

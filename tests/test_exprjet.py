@@ -688,6 +688,12 @@ def test_a_reduced_sqrt_jet_computes_no_step_it_does_not_return():
         compile_jets([parse("sqrt(s)")], "s")(5e-324, 0.0)
 
 
+def test_a_reduced_sqrt_jet_refuses_an_argument_that_starts_at_order_two():
+    # sqrt(v^2) = |v| has no first derivative at v = 0, though c1 of v^2 is 0
+    with pytest.raises(DomainError, match=re.escape("derivative of sqrt at zero in 'sqrt(v^2.0)'")):
+        compile_jets([parse("sqrt(v^2)")], "v", (1,))(0.0, 0.0)
+
+
 @pytest.mark.parametrize("orders", [(), (4,), (-1,)])
 def test_jet_orders_must_be_a_selection_of_zero_to_three(orders):
     with pytest.raises(ValueError, match="orders"):

@@ -229,7 +229,7 @@ class TestDomainGaps:
         # the as-printed flexion factor sqrt(s^2 - 1/64) is undefined for
         # |s| < 1/8; those rows must be excised, not produced partially
         cfg = config_from_dict(figure_doc("fig1d", as_printed=True))
-        pencil = realize(cfg, as_printed=True)
+        pencil = realize(cfg)
         path = tmp_path / "m.csv"
         with pytest.warns(UserWarning, match="re-spans"):
             write_mesh(pencil, 30, 4, csv=str(path))

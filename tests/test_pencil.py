@@ -10,6 +10,7 @@ from g3pencil.curve import (
     darboux_parts,
     frame_parts,
     fresnel_helix,
+    fresnel_helix_printed,
     point_parts,
 )
 from g3pencil.errors import (
@@ -56,9 +57,9 @@ ONE = parse("1")
 NEG_ONE = parse("-1")
 
 
-def spec(lam, sigma, sign=1.0, control=None):
+def spec(lam, sigma, sign=1.0, control=None, scaled=True):
     """The synthesis input with the worked examples' factors l = m = 1, n = -1."""
-    return SynthesisSpec(lam, sigma, ONE, ONE, NEG_ONE, sign, control)
+    return SynthesisSpec(lam, sigma, ONE, ONE, NEG_ONE, sign, control, scaled)
 PHI3_38 = 3.0 * math.sqrt(7.0) / 8.0  # binormal component of the worked example
 
 
@@ -159,32 +160,32 @@ class TestSurfaceNormal:
 
 class TestRequiredComponents:
     def test_worked_example(self, helix):
-        nc = required_normal_components(helix, spec(0.5, parse("1")), 2.0)
+        nc = required_normal_components(helix, spec(0.5, parse("1"), scaled=False), 2.0)
         assert nc.phi1 == 0.0
         assert nc.phi2 == pytest.approx(0.125, abs=1e-14)
         assert nc.phi3 == pytest.approx(PHI3_38, abs=1e-12)
         assert nc.theta == pytest.approx(math.atan2(PHI3_38, 0.125), abs=1e-12)
 
     def test_lambda_zero(self, helix):
-        nc = required_normal_components(helix, spec(0.0, parse("1")), 2.0)
+        nc = required_normal_components(helix, spec(0.0, parse("1"), scaled=False), 2.0)
         assert nc.phi2 == 0.0
         assert nc.phi3 == pytest.approx(1.0, abs=1e-14)
-        minus = required_normal_components(helix, spec(0.0, parse("1"), -1.0), 2.0)
+        minus = required_normal_components(helix, spec(0.0, parse("1"), -1.0, scaled=False), 2.0)
         assert minus.phi3 == pytest.approx(-1.0, abs=1e-14)
 
     def test_infeasible_lambda(self, helix):
         # lam tau / (sigma kappa) = 1 / (4 s); at s = 1/8 that is 2 > 1
         with pytest.raises(InfeasibleLambda):
-            required_normal_components(helix, spec(1.0, parse("s")), 0.125)
+            required_normal_components(helix, spec(1.0, parse("s"), scaled=False), 0.125)
 
     def test_sigma_vanishes(self, helix):
         with pytest.raises(SigmaVanishes):
-            required_normal_components(helix, spec(0.5, parse("s - 2")), 2.0)
+            required_normal_components(helix, spec(0.5, parse("s - 2"), scaled=False), 2.0)
 
     def test_component_magnitude_is_sigma(self, helix):
         for lam, sig in ((0.5, 1.0), (1.0, 2.0), (-0.7, 0.5)):
             nc = required_normal_components(
-                helix, spec(lam, parse(repr(sig))), 1.4
+                helix, spec(lam, parse(repr(sig)), scaled=False), 1.4
             )
             assert math.hypot(nc.phi2, nc.phi3) == pytest.approx(sig, rel=1e-12)
 
@@ -241,7 +242,7 @@ class TestSynthesis:
         # binormal factor sqrt(s^2 - 1/64) of the worked example's variant
         dom = ParamDomain(0.2, 2 * math.pi, 0.0, 5.0, 0.0)
         ms = synthesize_product_form(
-            helix, spec(0.5, parse("s")), dom, scaled=False
+            helix, spec(0.5, parse("s"), scaled=False), dom
         )
         for s in (0.5, 2.0, 5.0):
             assert eval_expr(ms.beta, s, 1.0) == pytest.approx(
@@ -253,7 +254,7 @@ class TestSynthesis:
     def test_scaled_rule_keeps_invariant_for_varying_sigma(self, helix):
         dom = ParamDomain(0.2, 2 * math.pi, 0.0, 5.0, 0.0)
         ms = synthesize_product_form(
-            helix, spec(0.5, parse("s")), dom, scaled=True
+            helix, spec(0.5, parse("s"), scaled=True), dom
         )
         for s in (0.3, 1.0, 2.0, 5.0):
             assert lam_hat(helix, ms, s) == pytest.approx(0.5, abs=1e-12)
@@ -290,7 +291,7 @@ class TestSynthesis:
             # plain rule feasibility involves sigma: |lam tau / (sigma kappa)|
             # is 1.2 here even though |lam tau / kappa| stays below 1
             synthesize_product_form(
-                helix, spec(1.2, parse("0.25")), dom, scaled=False
+                helix, spec(1.2, parse("0.25"), scaled=False), dom
             )
 
     def test_zero_marching_factor_rejected(self, helix, dom):
@@ -388,7 +389,7 @@ class TestSynthesisRoundtrip:
             sigma = rng.choice((0.5, 1.0, 2.0))
             lam = rng.uniform(-0.9, 0.9) * 4.0 * sigma
             ms = synthesize_product_form(
-                helix, spec(lam, parse(repr(sigma))), dom, scaled=False
+                helix, spec(lam, parse(repr(sigma)), scaled=False), dom
             )
             for s in (0.4, 2.9):
                 assert abs(lam_hat(helix, ms, s) - lam / sigma) <= 1e-9
@@ -439,11 +440,11 @@ class TestOneFeasibilityRule:
     @pytest.mark.parametrize("excess, feasible", [(7.5e-13, False), (-7.5e-13, True)])
     def test_agreement_at_the_geodesic_boundary(self, helix, excess, feasible):
         # on the helix |tau| / kappa = 1/4, so lam = 4 puts |ratio| at 1
-        synth = spec(4.0 * (1.0 + excess), ONE)
+        synth = spec(4.0 * (1.0 + excess), ONE, scaled=False)
         dom = ParamDomain(0.5, 6.0, 0.0, 1.0, 0.0)
         calls = (
             lambda: required_normal_components(helix, synth, 3.0),
-            lambda: synthesize_product_form(helix, synth, dom, scaled=False),
+            lambda: synthesize_product_form(helix, synth, dom),
         )
         for call in calls:
             if feasible:
@@ -466,7 +467,7 @@ class TestOneFeasibilityRule:
         m, n, sigma = parse("2 + cos(s)"), NEG_ONE, parse("s")
         for scaled in (True, False):
             compiled.clear()
-            synthesize_product_form(helix, SynthesisSpec(0.1, sigma, ONE, m, n), dom, scaled=scaled)
+            synthesize_product_form(helix, SynthesisSpec(0.1, sigma, ONE, m, n, scaled=scaled), dom)
             assert compiled == [(ONE, m, n, sigma)]
 
     def test_synthesis_scans_the_guard_bands_once(self, monkeypatch):
@@ -506,19 +507,18 @@ class TestCompiledKernels:
     @staticmethod
     def _pencils():
         dom = ParamDomain(-3.0, 3.0, -1.0, 2.0, 0.0)
-        synth = SynthesisSpec(
-            lam=0.5,
-            sigma=parse("1+s^2/16"),
-            l=parse("1+s^2/16"),
-            m=parse("2+sin(s)"),
-            n=parse("-1-s^2/8"),
-            sign=-1.0,
-            control=(1 / 3, 1 / 5, 1.0),
-        )
-        for curve in (fresnel_helix(), fresnel_helix(as_printed=True), anti_salkowski()):
-            yield curve, synthesize_product_form(
-                curve, synth, dom, scaled=curve.name != "fresnel-helix-printed"
+        for curve in (fresnel_helix(), fresnel_helix_printed(), anti_salkowski()):
+            synth = SynthesisSpec(
+                lam=0.5,
+                sigma=parse("1+s^2/16"),
+                l=parse("1+s^2/16"),
+                m=parse("2+sin(s)"),
+                n=parse("-1-s^2/8"),
+                sign=-1.0,
+                control=(1 / 3, 1 / 5, 1.0),
+                scaled=curve.name != "fresnel-helix-printed",
             )
+            yield curve, synthesize_product_form(curve, synth, dom)
         explicit = CurveSpec("explicit", parse("s^3/6 + sin(s)"), parse("cosh(s/2)*s^2/2 - s"))
         yield explicit, MarchingScale(
             alpha=parse("s*v^2 - abs(v)"),

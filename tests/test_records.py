@@ -48,10 +48,12 @@ RECORDS = [
     (MarchingScale, dict(alpha=V, beta=V, gamma=V)),
     (
         SynthesisSpec,
-        dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Neg(ONE), sign=-1.0, control=(1.0, 3.0, 5.0)),
+        dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Neg(ONE), sign=-1.0, control=(1.0, 3.0, 5.0),
+             scaled=False),
     ),
-    # and at its defaults, as a synthesis block without control is loaded
-    (SynthesisSpec, dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Neg(ONE), sign=1.0, control=None)),
+    # and at its defaults, as a synthesis block without control or rule is loaded
+    (SynthesisSpec,
+     dict(lam=0.5, sigma=ONE, l=ONE, m=ONE, n=Neg(ONE), sign=1.0, control=None, scaled=True)),
     (NormalComponents, dict(phi1=0.0, phi2=1.0, phi3=0.0, theta=0.0)),
     (PencilSpec, dict(curve=CURVE, marching=SCALE, domain=DOMAIN)),
     (VerifySpec, dict(mode="fd", tol=1e-5, samples=100)),
@@ -194,6 +196,12 @@ def test_param_domain_rejects_bad_boxes(args, message):
 def test_synthesis_spec_rejects_bad_signs(sign):
     with pytest.raises(ValueError, match=r"sign must be \+1.0 or -1.0"):
         SynthesisSpec(0.5, ONE, ONE, ONE, ONE, sign)
+
+
+@pytest.mark.parametrize("scaled", ["plain", "scaled", None, 0.5, 1, 0, 1.0, 0.0])
+def test_synthesis_spec_rejects_a_rule_that_is_not_a_bool(scaled):
+    with pytest.raises(ValueError, match="scaled must be True or False"):
+        SynthesisSpec(0.5, ONE, ONE, ONE, ONE, scaled=scaled)
 
 
 def test_kernel_caches_keep_a_dict_and_stay_out_of_equality():
