@@ -350,8 +350,13 @@ def to_source(expr: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _failure(reason: str, source: str) -> str:
+    """The text of a DomainError for reason at the node of source text."""
+    return f"{reason} in '{source}'"
+
+
 def _fail(node: Expr, reason: str) -> DomainError:
-    return DomainError(f"{reason} in '{to_source(node)}'")
+    return DomainError(_failure(reason, to_source(node)))
 
 
 # Math errors that an owned statement of compiled code, and the emitter as
@@ -409,7 +414,7 @@ _Unit = tuple[list[str], str | None, list[str], int]
 # The formulas of Jet3.__mul__, Jet3.__truediv__ and _compose of the
 # reference jet evaluator in tests/oracles.py, written as they are there, so
 # that Python evaluates them in the same order; {a1} is coefficient 1 of
-# jet a.
+# jet a.  A field is always one letter and one digit.
 _MUL_JET = (
     "{a0} * {b0}",
     "{a1} * {b0} + {a0} * {b1}",
@@ -473,14 +478,13 @@ def _children(expr: Expr) -> tuple:
     return (expr.arg,)
 
 
-def _owned(lines: list[str], owner: Expr) -> list[str]:
-    """lines, whose math errors name owner as the tree oracles do."""
-    suffix = str(_fail(owner, ""))
+def _owned(line: str, source: str) -> list[str]:
+    """line, whose math errors name the owner of source text as the tree oracles do."""
     return [
         "try:",
-        *(f"    {line}" for line in lines),
+        f"    {line}",
         "except _ARITHMETIC as exc:",
-        f"    raise _DomainError(f'{{exc}}' + {suffix!r}) from exc",
+        f"    raise _DomainError(f'{{exc}}' + {_failure('', source)!r}) from exc",
     ]
 
 
@@ -535,6 +539,8 @@ class _Emitter:
         self._names: dict[str, _Operand] = {}  # statement text -> its name
         self._guarded: set[tuple] = set()  # the checks filed so far
         self._jets: dict[tuple, tuple[_Operand, ...]] = {}
+        # id(node) -> (node, its source text); holding node keeps its id unique
+        self._sources: dict[int, tuple[Expr, str]] = {}
         self._count = 0
 
     def _constant(self, value: float) -> str:
@@ -545,14 +551,22 @@ class _Emitter:
             return name
         return f"({text})" if text.startswith("-") else text
 
-    def _file(self, lines: list[str], operands, name: str | None = None) -> None:
-        """Append the unit of lines that reads operands and defines name (None: a check)."""
-        self.units.append((lines, name, [text for text, _ in operands], _level(operands)))
+    def _source(self, node: Expr) -> str:
+        """``to_source(node)``, rendered once per node in this emitter."""
+        entry = self._sources.get(id(node))
+        if entry is None:
+            entry = self._sources[id(node)] = (node, to_source(node))
+        return entry[1]
+
+    def _file(self, lines: list[str], operands, name: str | None, level: int) -> None:
+        """Append the unit of lines, at level, that reads operands and defines name
+        (None: a check)."""
+        self.units.append((lines, name, [text for text, _ in operands], level))
 
     def stmt(self, text: str, operands, guards=(), owner: Expr | None = None) -> _Operand:
         """Operand holding the value of text, which reads operands.
 
-        ``guards`` are (condition, operands, message) checks that run
+        ``guards`` are (condition, operands, node, reason) checks that run
         before the statement, the first time it is emitted.  A statement
         that can raise a math error past its guards (a power, a Fresnel
         step, a square root's step) is given an ``owner``, which the error
@@ -565,48 +579,59 @@ class _Emitter:
             return self._names[text]
         for guard in guards:
             self.guard(*guard)
-        if _level(operands) == _CONST:
+        level = _level(operands)
+        if level == _CONST:
             try:
                 value = eval(text, self.env)
             except _ARITHMETIC as exc:  # only an owned statement fails past its guards
-                raise _fail(owner, str(exc)) from exc
+                raise DomainError(_failure(str(exc), self._source(owner))) from exc
             out = self._constant(value), _CONST
         else:
-            level = _level(operands)
             self._count += 1
             out = f"_{'_svw'[level]}{self._count}", level
-            lines = [f"{out[0]} = {text}"]
-            if owner is not None:
-                lines = _owned(lines, owner)
-            self._file(lines, operands, out[0])
+            line = f"{out[0]} = {text}"
+            lines = [line] if owner is None else _owned(line, self._source(owner))
+            self._file(lines, operands, out[0], level)
         self._names[text] = out
         return out
 
-    def guard(self, condition: str, operands, message: str, warn: bool = False) -> None:
-        """Raise DomainError(message) where condition holds: here if operands are constant.
+    def guard(self, condition: str, operands, node: Expr, reason: str, warn: bool = False) -> None:
+        """Raise the DomainError of ``_fail(node, reason)`` where condition
+        holds: here if operands are constant.
 
-        With ``warn``, warn KinkWarning(message) there instead; the argument
-        of a kink reads the jet's variable, so its operands are never
-        constant.  A warning is filed once per condition and message, and a
-        raise once per condition: a later raise on it, run after the first,
-        never fires.
+        With ``warn``, warn KinkWarning of that text there instead; the
+        argument of a kink reads the jet's variable, so its operands are
+        never constant.  A warning is filed once per condition and text,
+        and a raise once per condition: a later raise on it, run after the
+        first, never fires.  The text is rendered only where it is needed:
+        for a warning's key, a filed raise, or a raise here.
         """
-        key = (condition, message if warn else None)
+        message = _failure(reason, self._source(node)) if warn else None
+        key = (condition, message)
         if key in self._guarded:
             return
         self._guarded.add(key)
-        if _level(operands) != _CONST:
-            action = f"_kink({message!r})" if warn else f"raise _DomainError({message!r})"
-            self._file([f"if {condition}: {action}"], operands)
-        elif eval(condition, self.env):
+        level = _level(operands)
+        if level == _CONST and not eval(condition, self.env):
+            return
+        if message is None:
+            message = _failure(reason, self._source(node))
+        if level == _CONST:
             raise DomainError(message)
+        action = f"_kink({message!r})" if warn else f"raise _DomainError({message!r})"
+        self._file([f"if {condition}: {action}"], operands, None, level)
 
     def formula(self, template: str, owner: Expr | None = None, **jets) -> _Operand:
         """Statement for template, in which {a1} is coefficient 1 of jets["a"]."""
-        ops = {f"{key}{i}": op for key, jet in jets.items() for i, op in enumerate(jet)}
-        used = [op for key, op in ops.items() if "{" + key + "}" in template]
-        text = template.format(**{key: text for key, (text, _) in ops.items()})
-        return self.stmt(text, used, owner=owner)
+        pieces = template.split("{")
+        parts = [pieces[0]]
+        used = []
+        for piece in pieces[1:]:  # "a1} ..." after each "{"
+            op = jets[piece[0]][int(piece[1])]
+            used.append(op)
+            parts.append(op[0])
+            parts.append(piece[3:])
+        return self.stmt("".join(parts), used, owner=owner)
 
     # -- values ------------------------------------------------------------
 
@@ -624,17 +649,15 @@ class _Emitter:
         (left, _), (right, _) = args
         guards = []
         if expr.op == "/":
-            guards.append((f"{right} == 0.0", args[1:], str(_fail(expr, "division by zero"))))
+            guards.append((f"{right} == 0.0", args[1:], expr, "division by zero"))
         if expr.op != "^":
             return self.stmt(f"{left} {expr.op} {right}", args, guards)
         p = eval(right, self.env)  # the exponent is constant by construction
         if not float(p).is_integer():
             # Python returns a complex number here, where the tree refuses
-            message = str(_fail(expr, "fractional power of a negative base"))
-            guards.append((f"{left} < 0.0", args[:1], message))
+            guards.append((f"{left} < 0.0", args[:1], expr, "fractional power of a negative base"))
         if p < 0.0:
-            message = str(_fail(expr, "zero base with negative exponent"))
-            guards.append((f"{left} == 0.0", args[:1], message))
+            guards.append((f"{left} == 0.0", args[:1], expr, "zero base with negative exponent"))
         return self.stmt(f"{left} ** {right}", args, guards, owner=expr)
 
     def _call(self, node: Call, x: _Operand) -> _Operand:
@@ -660,7 +683,7 @@ class _Emitter:
             condition, reason = f"{x[0]} <= 0.0", "log of a non-positive value"
         else:
             return []
-        return [(condition, [x], str(_fail(node, reason)))]
+        return [(condition, [x], node, reason)]
 
     # -- jets --------------------------------------------------------------
 
@@ -696,7 +719,7 @@ class _Emitter:
                 return tuple(self.stmt(f"{a[0][0]} * {c[0]}", [a[0], c]) for c in b)
             return tuple(self.formula(t, a=a, b=b) for t in _MUL_JET)
         if expr.op == "/":
-            self.guard(f"{b[0][0]} == 0.0", b[:1], str(_fail(expr, "division by zero")))
+            self.guard(f"{b[0][0]} == 0.0", b[:1], expr, "division by zero")
             if flat[1]:
                 return tuple(self.stmt(f"{c[0]} / {b[0][0]}", [c, b[0]]) for c in a)
             h: list[_Operand] = []
@@ -730,7 +753,7 @@ class _Emitter:
         x, u1, u2, u3 = (text for text, _ in u)
         # at x = 0 only the zero function, whose jet is zero, has a jet
         self.guard(f"{x} == 0.0 and not ({u1} == 0.0 and {u2} == 0.0 and {u3} == 0.0)", u,
-                   str(_fail(node, "derivative of sqrt at zero")))
+                   node, "derivative of sqrt at zero")
         # every step is +0.0 there, as each coefficient of that jet is; the
         # node owns the steps f0..f3, where a division can fail
         at_zero = "0.0 if {x0} == 0.0 else "
@@ -743,7 +766,7 @@ class _Emitter:
         x = u[0]
         # a NaN argument, neither above nor below 0, warns too
         self.guard(f"not ({x[0]} > 0.0 or {x[0]} < 0.0)", [x],
-                   str(_fail(node, "abs() differentiated at its kink")), warn=True)
+                   node, "abs() differentiated at its kink", warn=True)
         sign = self.stmt(f"-1.0 if {x[0]} < 0.0 else 1.0", [x])
         return (
             self.stmt(f"abs({x[0]})", [x]),
@@ -756,10 +779,9 @@ class _Emitter:
         # for the exponent, which is constant and so a literal
         p = eval(exponent[0], self.env)
         if not float(p).is_integer():
-            message = str(_fail(node, "fractional power of a non-positive base"))
-            self.guard(f"{x[0]} <= 0.0", [x], message)
+            self.guard(f"{x[0]} <= 0.0", [x], node, "fractional power of a non-positive base")
         elif p < 0.0:
-            self.guard(f"{x[0]} == 0.0", [x], str(_fail(node, "zero base with negative exponent")))
+            self.guard(f"{x[0]} == 0.0", [x], node, "zero base with negative exponent")
         f = [_ZERO] * 4
         coeff = 1.0
         for order in range(4):
@@ -945,7 +967,8 @@ def _fresnel_series(x: float) -> tuple[float, float]:
     # Maclaurin series of the sine and cosine integrals; terms share the
     # factor (-1)^n (pi x^2 / 2)^(2n) / (2n)! and converge fast for |x| <= 1.6.
     w = 0.5 * math.pi * x * x
-    w2 = w * w
+    neg_w2 = -(w * w)  # negation is exact: -w2 / ec has the same bits
+    eps = _SERIES_EPS
     c_sum = 0.0
     s_sum = 0.0
     uc = x  # x * (-w^2)^n / (2n)!
@@ -955,10 +978,10 @@ def _fresnel_series(x: float) -> tuple[float, float]:
         ts = us / ds
         c_sum += tc
         s_sum += ts
-        if abs(uc) + abs(us) < _SERIES_EPS * (1.0 + abs(c_sum) + abs(s_sum)):
+        if abs(uc) + abs(us) < eps * (1.0 + abs(c_sum) + abs(s_sum)):
             break
-        uc *= -w2 / ec
-        us *= -w2 / es
+        uc *= neg_w2 / ec
+        us *= neg_w2 / es
     return s_sum, c_sum
 
 

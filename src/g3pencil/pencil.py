@@ -301,29 +301,29 @@ def check_feasibility(curve: CurveSpec, spec: SynthesisSpec, grid: list[float]) 
     radicand over the grid.
     """
     factors_at = compile_values((spec.l, spec.m, spec.n, spec.sigma))
-    hi = -math.inf
+    lam, scaled, inf, floor = spec.lam, spec.scaled, math.inf, _FACTOR_FLOOR
+    hi = -inf
     prev_m = prev_n = 0.0
     for s in grid:
         l_val, m_val, n_val, sigma_val = factors_at(s, 0.0)
-        if not abs(l_val) < math.inf:  # NaN fails too; l may vanish
+        if not abs(l_val) < inf:  # NaN fails too; l may vanish
             raise ZeroMarchingFactor("l", s, l_val)
-        for label, value, prev in (("m", m_val, prev_m), ("n", n_val, prev_n)):
-            # NaN and +-inf fail the floor; a continuous factor that
-            # changes sign must vanish in between
-            if not _FACTOR_FLOOR <= abs(value) < math.inf or prev * value < 0.0:
-                raise ZeroMarchingFactor(label, s, value)
+        # NaN and +-inf fail the floor; a continuous factor that changes
+        # sign must vanish in between
+        if not floor <= abs(m_val) < inf or prev_m * m_val < 0.0:
+            raise ZeroMarchingFactor("m", s, m_val)
+        if not floor <= abs(n_val) < inf or prev_n * n_val < 0.0:
+            raise ZeroMarchingFactor("n", s, n_val)
         prev_m, prev_n = m_val, n_val
         kappa, tau, _ = curvature_torsion(curve, s)
-        if not _FACTOR_FLOOR <= abs(sigma_val) < math.inf:
+        if not floor <= abs(sigma_val) < inf:
             raise SigmaVanishes(s, sigma_val)
-        if spec.scaled:
-            ratio = spec.lam * tau / kappa
-        else:
-            ratio = spec.lam * tau / (sigma_val * kappa)
+        ratio = lam * tau / kappa if scaled else lam * tau / (sigma_val * kappa)
         radicand = 1.0 - ratio * ratio
         if radicand < -_RADICAND_CLAMP:
             raise InfeasibleLambda(s, ratio)
-        hi = max(hi, radicand)
+        if radicand > hi:  # as max(hi, radicand) keeps hi on a tie or a NaN
+            hi = radicand
     return hi
 
 

@@ -50,6 +50,8 @@ from g3pencil.errors import (
 from g3pencil.exprjet import (
     _ARITHMETIC,
     _INFS,
+    _SERIES_DIVISORS,
+    _SERIES_EPS,
     _TRIG,
     _VAR_BITS,
     VARIABLES,
@@ -290,6 +292,27 @@ def fresnel_series_reference(x: float) -> tuple[float, float]:
         n += 1
         if n > 200:
             break
+    return s_sum, c_sum
+
+
+def fresnel_series_loop(x: float) -> tuple[float, float]:
+    """(S(x), C(x)) by the series loop that negates w^2 at every step, for x
+    in [0, 1.6]: the package's loop negates it once and must keep these bits."""
+    w = 0.5 * math.pi * x * x
+    w2 = w * w
+    c_sum = 0.0
+    s_sum = 0.0
+    uc = x
+    us = x * w
+    for dc, ds, ec, es in _SERIES_DIVISORS:
+        tc = uc / dc
+        ts = us / ds
+        c_sum += tc
+        s_sum += ts
+        if abs(uc) + abs(us) < _SERIES_EPS * (1.0 + abs(c_sum) + abs(s_sum)):
+            break
+        uc *= -w2 / ec
+        us *= -w2 / es
     return s_sum, c_sum
 
 

@@ -40,6 +40,7 @@ from oracles import (
     fresnel_c_oracle,
     fresnel_s,
     fresnel_s_oracle,
+    fresnel_series_loop,
     fresnel_series_reference,
     fresnel_table,
     random_expression,
@@ -926,6 +927,16 @@ def test_fresnel_series_keeps_the_bits_of_integer_divisors():
     # the goldens pin these bits; the series divides by float copies of ints
     for x in [1.6 * k / 4000 for k in range(4001)] + [0.0, 5e-324, math.nextafter(1.6, 0.0)]:
         got, want = _fresnel_series(x), fresnel_series_reference(x)
+        assert [v.hex() for v in got] == [v.hex() for v in want], x
+
+
+def test_fresnel_series_keeps_the_bits_of_its_reference_loop():
+    # the loop negates w^2 once and reads its tolerance from a local; the
+    # float operations and their order are the reference's
+    xs = [1.6 * k / 4000 for k in range(4001)]
+    xs += [0.0, 5e-324, 1e-300, math.nextafter(1.6, 0.0), math.nextafter(1.6, 2.0)]
+    for x in xs:
+        got, want = _fresnel_series(x), fresnel_series_loop(x)
         assert [v.hex() for v in got] == [v.hex() for v in want], x
 
 

@@ -225,6 +225,20 @@ class TestCorollaries:
         assert nc.phi2 == pytest.approx(direct.phi2, rel=1e-9)
 
 
+# m, n, sigma, the error, its message and lambda, for a spec that fails at
+# s_min; the last two rows fail two checks there: m is checked before sigma,
+# and sigma before the radicand, whose |ratio| is 1.125 at lambda 4.5
+_NON_FINITE = [
+    ("exp(1000)", "-1", "1", ZeroMarchingFactor, "marching factor m(s) = inf", 0.5),
+    ("0*exp(1000)", "-1", "1", ZeroMarchingFactor, "marching factor m(s) = nan", 0.5),
+    ("1", "-exp(1000)", "1", ZeroMarchingFactor, "marching factor n(s) = -inf", 0.5),
+    ("1", "-1", "exp(1000)", SigmaVanishes, "sigma(s) = inf", 0.5),
+    ("1", "-1", "0*exp(1000)", SigmaVanishes, "sigma(s) = nan", 0.5),
+    ("exp(1000)", "-1", "exp(1000)", ZeroMarchingFactor, "marching factor m(s) = inf", 0.5),
+    ("1", "-1", "-exp(1000)", SigmaVanishes, "sigma(s) = -inf", 4.5),
+]
+
+
 class TestSynthesis:
     def test_worked_example_factors(self, helix, ms38):
         # X = v, Y = (3 sqrt 7 / 8) v, Z = (1/8) v, times l = m = 1 and n = -1
@@ -313,19 +327,15 @@ class TestSynthesis:
                 assert s == dom.s_min
 
     @pytest.mark.parametrize(
-        "m, n, sigma, error, message",
-        [
-            ("exp(1000)", "-1", "1", ZeroMarchingFactor, "marching factor m(s) = inf"),
-            ("0*exp(1000)", "-1", "1", ZeroMarchingFactor, "marching factor m(s) = nan"),
-            ("1", "-exp(1000)", "1", ZeroMarchingFactor, "marching factor n(s) = -inf"),
-            ("1", "-1", "exp(1000)", SigmaVanishes, "sigma(s) = inf"),
-            ("1", "-1", "0*exp(1000)", SigmaVanishes, "sigma(s) = nan"),
-        ],
+        "m, n, sigma, error, message, lam",
+        _NON_FINITE,
+        ids=["-".join([m, n, sigma, error.__name__, message])
+             for m, n, sigma, error, message, _ in _NON_FINITE],
     )
-    def test_non_finite_factor_or_sigma_rejected(self, helix, dom, m, n, sigma, error, message):
+    def test_non_finite_factor_or_sigma_rejected(self, helix, dom, m, n, sigma, error, message, lam):
         with pytest.raises(error) as info:
             synthesize_product_form(
-                helix, SynthesisSpec(0.5, parse(sigma), ONE, parse(m), parse(n)), dom
+                helix, SynthesisSpec(lam, parse(sigma), ONE, parse(m), parse(n)), dom
             )
         assert str(info.value) == f"{message} is not finite at s = 0.1"
         assert info.value.s == dom.s_min
